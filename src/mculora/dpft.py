@@ -9,22 +9,26 @@ the shared one, i.e. the combination has extracted a lot of characteristic
 information.
 
 Epoch-over-epoch score deltas rank the combinations in descending order
-(rank 1 = fastest-rising score). With the default direction the top half -
-the combinations still actively pulling their private space apart, i.e. the
-ones with the most characteristic information left to extract - gets its
-sampling probability increased, the bottom half decreased, and the
-median-ranked combination is untouched. Setting boost_rising=False inverts
-this, treating rising scores as "already learned well" and suppressing them
-instead. Each adjustment has magnitude q_base * lambda * sigmoid(delta), and
-probabilities are clamped to [p_min, p_max]. Probabilities are normalized
-only at sampling time.
+(rank 1 = fastest-rising score). With the default direction
+(reduce_fast_learners=True) the top half - the combinations whose private
+space is pulling away from the shared one fastest, i.e. the fast learners -
+gets its sampling probability reduced, the bottom half increased, and the
+median-ranked combination is untouched, so batches shift toward the
+combinations that are still behind. Setting reduce_fast_learners=False
+inverts this and feeds the fastest-rising combinations more. Each adjustment
+has magnitude q_base * lambda * sigmoid(delta), and probabilities are
+clamped to [p_min, p_max]. Probabilities are normalized only at sampling
+time.
 
 For models trained without adapter banks the per-modality score is undefined;
-as a stand-in, the score is the divergence between the model's predicted
-class distribution under the combination and under the full modality set. A
-rising score then means the combination's predictions are drifting away from
-the full-information ones (it is being starved), and the same boost-rising
-rule feeds it more data.
+as a stand-in, the score is the divergence between the fused token
+distribution under the combination and under the full modality set. It is
+read exactly like the adapter score: a combination whose representation moves
+furthest from the full-set one counts as a fast learner, and the default rule
+samples it less. Fine-tuning without adapters trains only the common head,
+which the stand-in does not read, so the stand-in is the same every epoch:
+only the first update (from the all-zero initial scores) depends on it, and
+it moves probability away from the combinations furthest from the full set.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ class CombinationSchedule:
     p_max: float = 0.5
     q_base: float = 0.1
     lam: float = 1.0
-    boost_rising: bool = True
+    reduce_fast_learners: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", np.asarray(self.q, dtype=np.float64))

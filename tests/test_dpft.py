@@ -159,6 +159,20 @@ def test_adapter_free_scores_are_defined_and_zero_for_full_set():
     assert (scores.values >= 0).all()
 
 
+def test_adapter_free_fallback_is_fixed_and_reduces_the_furthest_combination():
+    model = probe_model(seed=5, mcla=False)
+    batch = probe_batch(n=8, seed=8)
+    scores = separability_scores(model, batch, epoch=1)
+    # the common head is all that trains without adapters; the stand-in does not read it
+    for t in model.heads.parameters(include_finetune_heads=False).values():
+        t.data = t.data + 1.0
+    assert np.array_equal(separability_scores(model, batch, epoch=2).values, scores.values)
+    sched = update_probabilities(uniform_schedule(), score_delta(initial_scores(), scores))
+    furthest = int(np.argmax(scores.values))
+    assert sched.q[furthest] < 1.0 / 7.0
+    assert sched.q[ALL_COMBINATIONS.index(FULL)] > 1.0 / 7.0
+
+
 # ---------------------------------------------------------------------------
 # score deltas
 # ---------------------------------------------------------------------------
