@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, load_config, version_string, write_manifest
+from .config import ExperimentConfig, _parse_bool, load_config, version_string, write_manifest
 from .errors import ConfigError, ContractError, ShapeError
 from .modalities import Combo
 from .model import checkpoint_phase, load_checkpoint, save_checkpoint
@@ -40,13 +40,11 @@ EXIT_INPUT = 2
 EXIT_STATE = 3
 
 
-def _bool_flag(value: str) -> bool:
-    low = value.lower()
-    if low in ("on", "true", "1", "yes"):
-        return True
-    if low in ("off", "false", "0", "no"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected on|off, got {value!r}")
+def _on_off(value: str) -> bool:
+    try:  # ArgumentTypeError keeps the parser's "argument --flag:" prefix on the message
+        return _parse_bool(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     fin.add_argument("--checkpoint", required=True)
     fin.add_argument("--out", required=True)
     fin.add_argument("--seed", type=int, default=None)
-    fin.add_argument("--mcla", type=_bool_flag, default=None, metavar="on|off")
-    fin.add_argument("--dpft", type=_bool_flag, default=None, metavar="on|off")
+    fin.add_argument("--mcla", type=_on_off, default=None, metavar="on|off")
+    fin.add_argument("--dpft", type=_on_off, default=None, metavar="on|off")
     fin.add_argument("--rank", type=int, default=None)
     fin.add_argument("--beta", type=float, default=None)
     fin.set_defaults(func=cmd_finetune)
@@ -187,8 +185,7 @@ def cmd_eval(args) -> int:
         combo = Combo.from_name(args.combo)
         masked = apply_fixed_missing(test, combo)
         preds = predict_dataset(model, masked)
-        labels = [u.label for u in masked]
-        record = MetricsRecord(protocol="fixed", rows={combo.name: compute_metrics(preds, labels)})
+        record = MetricsRecord(protocol="fixed", rows={combo.name: compute_metrics(preds, masked.labels)})
     else:
         record = evaluate(model, test, args.protocol, cfg.to_train_config())
     write_metrics_document(out_dir / "metrics.txt", record, config_echo_str(cfg), version_string())

@@ -9,26 +9,22 @@ the shared one, i.e. the combination has extracted a lot of characteristic
 information.
 
 Epoch-over-epoch score deltas rank the combinations in descending order
-(rank 1 = fastest-rising score). With the default direction
-(reduce_fast_learners=True) the top half - the combinations whose private
-space is pulling away from the shared one fastest, i.e. the fast learners -
-gets its sampling probability reduced, the bottom half increased, and the
-median-ranked combination is untouched, so batches shift toward the
-combinations that are still behind. Setting reduce_fast_learners=False
-inverts this and feeds the fastest-rising combinations more. Each adjustment
-has magnitude q_base * lambda * sigmoid(delta), and probabilities are
-clamped to [p_min, p_max]. Probabilities are normalized only at sampling
-time.
+(rank 1 = fastest-rising score). With the default reduce_fast_learners=True
+the top half - the fast learners, whose private space pulls away from the
+shared one fastest - gets its sampling probability reduced, the bottom half
+increased, and the median-ranked combination is untouched, so batches shift
+toward the combinations still behind. reduce_fast_learners=False inverts
+this. Each adjustment has magnitude q_base * lambda * sigmoid(delta), and
+probabilities are clamped to [p_min, p_max]. Probabilities are normalized
+only at sampling time.
 
 For models trained without adapter banks the per-modality score is undefined;
 as a stand-in, the score is the divergence between the fused token
-distribution under the combination and under the full modality set. It is
-read exactly like the adapter score: a combination whose representation moves
-furthest from the full-set one counts as a fast learner, and the default rule
-samples it less. Fine-tuning without adapters trains only the common head,
-which the stand-in does not read, so the stand-in is the same every epoch:
-only the first update (from the all-zero initial scores) depends on it, and
-it moves probability away from the combinations furthest from the full set.
+distribution under the combination and under the full modality set, and the
+same rule reads it: the combinations furthest from the full set count as fast
+learners and are sampled less. Without adapters only the common head trains,
+and the stand-in does not read it, so only the first update (from the
+all-zero initial scores) depends on the stand-in.
 """
 
 from __future__ import annotations
@@ -39,10 +35,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError
-from .modalities import ALL_COMBINATIONS, FULL, Combo
-from .model import MculoraModel, forward_batch, stack_features
+from .modalities import ALL_COMBINATIONS, Combo
+from .model import MculoraModel, forward_batch
 from .rng import Rng
-from .synthgen import Utterance
+from .synthgen import Dataset
 
 _LOG_EPS = 1e-12
 
@@ -138,13 +134,10 @@ def _softmax_rows(X: np.ndarray) -> np.ndarray:
 # scoring
 # ---------------------------------------------------------------------------
 
-def separability_scores(model: MculoraModel, probe_batch: list[Utterance], epoch: int = 0) -> SeparabilityVector:
+def separability_scores(model: MculoraModel, probe_batch: Dataset, epoch: int = 0) -> SeparabilityVector:
     """Score each combination's decoupling degree on an all-modalities probe batch."""
-    if not probe_batch:
-        raise ContractError("separability_scores: empty probe batch")
-    if any(u.presence != FULL for u in probe_batch):
-        raise ContractError("separability_scores: probe batch must have all modalities present")
-    feats = stack_features(probe_batch)
+    probe_batch.require_complete("separability_scores probe batch")
+    feats = probe_batch.features
     scores = np.zeros(N_COMBINATIONS)
     if model.cfg.mcla and model.adapters is not None:
         B, L, D = feats["a"].shape

@@ -31,7 +31,6 @@ from .errors import ContractError, ShapeError
 from .modalities import ALL_COMBINATIONS, MODALITIES, Combo
 from .rng import Rng
 from .serialize import load_container, save_container
-from .synthgen import Utterance
 
 _GATE_HIDDEN = 16
 _GATE_PREACT_LIMIT = 30.0  # keeps the logistic output strictly inside (0, 1)
@@ -387,24 +386,6 @@ def forward_batch(model: MculoraModel, feats: dict[str, np.ndarray], *,
         out.update(fused_com=fused, fused_prt=None, y_com=y_com,
                    y_hat=y_com, weight=None, y_last=y_com)
     return out
-
-
-def stack_features(batch: list[Utterance]) -> dict[str, np.ndarray]:
-    """Stack a batch sharing one presence combination into per-modality arrays."""
-    if not batch:
-        raise ContractError("empty batch")
-    combo = batch[0].presence
-    if any(u.presence != combo for u in batch):
-        raise ContractError("batch mixes presence combinations")
-    return {m: np.stack([u.features[m] for u in batch]) for m in combo}
-
-
-def predict(sample: Utterance, model: MculoraModel):
-    """Single-sample prediction: (y_last, y_hat, y_com, weight) as plain values."""
-    feats = {m: sample.features[m][None] for m in sample.presence}
-    out = forward_batch(model, feats)
-    weight = float(out["weight"].data[0, 0]) if out["weight"] is not None else None
-    return (out["y_last"].data[0], out["y_hat"].data[0], out["y_com"].data[0], weight)
 
 
 # ---------------------------------------------------------------------------

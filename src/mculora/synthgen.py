@@ -20,6 +20,10 @@ signal, each embedded into per-modality feature sequences:
 Labels are stratified round-robin, so any contiguous split stays balanced.
 Generation is a pure function of the config, including its seed.
 
+A :class:`Dataset` is exactly the dataset container's layout: one (N, L, D)
+feature array per modality, an (N, 3) presence mask and (N,) labels. Splits
+are row-slice views; the missing-modality protocols only rewrite the mask.
+
 Missing-modality protocols:
 
 * fixed: force one combination onto every sample;
@@ -30,12 +34,12 @@ Missing-modality protocols:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .modalities import FULL, MODALITIES, Combo
+from .modalities import MODALITIES, Combo
 from .rng import Rng
 from .serialize import load_container, save_container
 
@@ -80,18 +84,37 @@ class SynthConfig:
 
 
 @dataclass
-class Utterance:
-    """One sample: per-modality feature matrices for the present modalities."""
+class Dataset:
+    """Columnar samples: features a, t, v of shape (N, L, D), an (N, 3) uint8 0/1
+    presence mask with a modality in every row, and (N,) float64 labels (class
+    indices for classification). Features of absent modalities must not be
+    read. Slicing with a ``slice`` gives a dataset of views."""
 
     features: dict[str, np.ndarray]
-    label: float
-    presence: Combo = field(default=FULL)
+    presence: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self) -> None:
-        have = set(self.features)
-        want = set(self.presence.modalities)
-        if have != want:
-            raise ContractError(f"features {sorted(have)} do not match presence {sorted(want)}")
+        n = len(self.labels)
+        shapes = {x.shape for x in self.features.values()}
+        if (tuple(self.features) != MODALITIES or self.labels.shape != (n,) or len(shapes) != 1
+                or len(next(iter(shapes))) != 3 or next(iter(shapes))[0] != n):
+            raise ContractError(f"need features for {MODALITIES} of one (N, L, D) shape and (N,) labels, "
+                                f"got {list(self.features)} {sorted(shapes)} and {self.labels.shape}")
+        if self.presence.shape != (n, len(MODALITIES)) or self.presence.dtype != np.uint8:
+            raise ContractError(f"presence must be ({n}, 3) uint8, got {self.presence.shape} {self.presence.dtype}")
+        if (self.presence > 1).any() or not self.presence.any(axis=1).all():
+            raise ContractError("presence rows must be 0/1 with at least one modality present")
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
+
+    def __getitem__(self, rows: slice) -> "Dataset":
+        return Dataset({m: x[rows] for m, x in self.features.items()}, self.presence[rows], self.labels[rows])
+
+    def require_complete(self, what: str) -> None:
+        if not len(self) or not self.presence.all():
+            raise ContractError(f"{what}: needs a nonempty dataset with all modalities present in every sample")
 
 
 def _class_anchors(num_classes: int, dim: int, rng: Rng) -> np.ndarray:
@@ -116,7 +139,7 @@ def _pair_bit(label: int, pair_idx: int) -> float:
     return 1.0 if bit else -1.0
 
 
-def generate_dataset(cfg: SynthConfig) -> list[Utterance]:
+def generate_dataset(cfg: SynthConfig) -> Dataset:
     """All-modalities-present dataset; pure function of cfg (seed included)."""
     cfg.validate()
     root = Rng(cfg.seed)
@@ -145,51 +168,51 @@ def generate_dataset(cfg: SynthConfig) -> list[Utterance]:
     shared_noise = samples.child("shared").normal(size=(n, cfg.shared_dim))
     private_noise = {m: samples.child(f"private-{m}").normal(size=(n, cfg.private_dim)) for m in MODALITIES}
     pair_noise = {p: samples.child(f"pair-{p[0]}{p[1]}").normal(0.0, _PAIR_NOISE, size=n) for p in _PAIRS}
-    feature_noise = {m: samples.child(f"noise-{m}").normal(size=(n, L, D)) for m in MODALITIES}
 
-    dataset: list[Utterance] = []
-    for i in range(n):
-        label = i % cfg.classes if cfg.task == "classification" else 0
-        z_shared = (shared_anchors[label] if cfg.task == "classification" else 0.0) + _SHARED_JITTER * shared_noise[i]
-        if cfg.task == "regression":
-            z_shared = shared_noise[i]
-            label = float(np.tanh(score_dir @ z_shared))
-        base = {}
-        for m in MODALITIES:
-            vec = cfg.shared_strength * (shared_proj[m] @ z_shared)
-            if cfg.task == "classification":
-                z_m = private_anchors[m][label] + _PRIVATE_JITTER * private_noise[m][i]
-            else:
-                z_m = private_noise[m][i]
-            vec = vec + cfg.private_strength * (private_proj[m] @ z_m)
-            base[m] = vec
-        for j, (lead_m, partner_m) in enumerate(_PAIRS):
-            eps = pair_noise[(lead_m, partner_m)][i]
-            h = _pair_bit(int(label), j) if cfg.task == "classification" else 0.0
-            lead, follow = pair_dirs[(lead_m, partner_m)]
-            base[lead_m] = base[lead_m] + cfg.pair_interaction_strength * (h + eps) * lead
-            base[partner_m] = base[partner_m] + cfg.pair_interaction_strength * eps * follow
-        features = {
-            m: base[m][None, :] + cfg.noise_std * feature_noise[m][i]
-            for m in MODALITIES
-        }
-        dataset.append(Utterance(features=features, label=label, presence=FULL))
-    return dataset
+    if cfg.task == "classification":
+        labels = np.arange(n) % cfg.classes
+        z_shared = shared_anchors[labels] + _SHARED_JITTER * shared_noise
+        z_private = {m: private_anchors[m][labels] + _PRIVATE_JITTER * private_noise[m] for m in MODALITIES}
+        bits = np.array([[_pair_bit(c, j) for j in range(len(_PAIRS))] for c in range(cfg.classes)])[labels]
+    else:
+        z_shared = shared_noise
+        z_private = private_noise
+        labels = np.tanh(_matvec(score_dir[None], z_shared)[:, 0])
+        bits = np.zeros((n, len(_PAIRS)))
+    base = {m: cfg.shared_strength * _matvec(shared_proj[m], z_shared)
+            + cfg.private_strength * _matvec(private_proj[m], z_private[m]) for m in MODALITIES}
+    for j, (lead_m, partner_m) in enumerate(_PAIRS):
+        eps = pair_noise[(lead_m, partner_m)]
+        lead, follow = pair_dirs[(lead_m, partner_m)]
+        base[lead_m] = base[lead_m] + (cfg.pair_interaction_strength * (bits[:, j] + eps))[:, None] * lead
+        base[partner_m] = base[partner_m] + (cfg.pair_interaction_strength * eps)[:, None] * follow
+
+    features = {}
+    for m in MODALITIES:
+        x = samples.child(f"noise-{m}").normal(size=(n, L, D))
+        x *= cfg.noise_std
+        x += base[m][:, None, :]
+        features[m] = x
+    return Dataset(features, np.ones((n, len(MODALITIES)), dtype=np.uint8), labels.astype(np.float64))
+
+
+def _matvec(P: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Row i is P @ Z[i], computed by the same kernel as that one-sample product
+    (``Z @ P.T`` can differ from it in the last bit)."""
+    return np.matmul(P[None], Z[:, :, None])[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
 # missing-modality protocols
 # ---------------------------------------------------------------------------
 
-def apply_fixed_missing(dataset: list[Utterance], combo: Combo) -> list[Utterance]:
-    """Force `combo` onto every sample, dropping absent modalities' features."""
-    out = []
-    for utt in dataset:
-        missing = [m for m in combo if m not in utt.presence]
-        if missing:
-            raise ContractError(f"cannot impose {combo.name!r}: sample lacks modalities {missing}")
-        out.append(Utterance(features={m: utt.features[m] for m in combo}, label=utt.label, presence=combo))
-    return out
+def apply_fixed_missing(dataset: Dataset, combo: Combo) -> Dataset:
+    """Force `combo` onto every sample; features are shared, not copied."""
+    lacking = [m for k, m in enumerate(MODALITIES) if m in combo and not dataset.presence[:, k].all()]
+    if lacking:
+        raise ContractError(f"cannot impose {combo.name!r}: some samples lack modalities {lacking}")
+    row = np.array([m in combo for m in MODALITIES], dtype=np.uint8)
+    return replace(dataset, presence=np.tile(row, (len(dataset), 1)))
 
 
 def draw_missing_masks(n: int, mask_prob_range: tuple[float, float], rng: Rng) -> tuple[np.ndarray, np.ndarray]:
@@ -201,69 +224,50 @@ def draw_missing_masks(n: int, mask_prob_range: tuple[float, float], rng: Rng) -
     draws = rng.uniform(size=(n, len(MODALITIES)))
     pre = draws < probs
     post = pre.copy()
-    all_dropped = post.all(axis=1)
+    all_dropped = np.nonzero(post.all(axis=1))[0]
     keep = rng.integers(0, len(MODALITIES), size=n)
-    for i in np.nonzero(all_dropped)[0]:
-        post[i, keep[i]] = False
+    post[all_dropped, keep[all_dropped]] = False
     return pre, post
 
 
-def apply_random_missing(dataset: list[Utterance], mask_prob_range: tuple[float, float], seed: int) -> list[Utterance]:
-    """Per-sample independent modality dropping; presence never ends up empty."""
+def apply_random_missing(dataset: Dataset, mask_prob_range: tuple[float, float], seed: int) -> Dataset:
+    """Per-sample independent modality dropping; presence never ends up empty:
+    an incomplete sample that loses all its survivors keeps its first one."""
     rng = Rng(seed).child("random-missing")
     _, drop = draw_missing_masks(len(dataset), mask_prob_range, rng)
-    out = []
-    for utt, row in zip(dataset, drop):
-        kept = [m for k, m in enumerate(MODALITIES) if not row[k] and m in utt.presence]
-        if not kept:  # sample already incomplete and survivors were dropped
-            kept = [utt.presence.modalities[0]]
-        combo = Combo.from_modalities(kept)
-        out.append(Utterance(features={m: utt.features[m] for m in kept}, label=utt.label, presence=combo))
-    return out
+    kept = dataset.presence & ~drop
+    emptied = np.nonzero(~kept.any(axis=1))[0]
+    kept[emptied, np.argmax(dataset.presence[emptied], axis=1)] = 1
+    return replace(dataset, presence=kept)
 
 
 # ---------------------------------------------------------------------------
 # dataset file format (see serialize module for the container layout)
 # ---------------------------------------------------------------------------
 
-def save_dataset(path, dataset: list[Utterance], cfg: SynthConfig) -> None:
+def save_dataset(path, dataset: Dataset, cfg: SynthConfig) -> None:
     """Arrays stored: per-modality (N, L, D) features (zeros where absent),
-    labels (N,), presence (N, 3) uint8 in modality order a, t, v."""
-    n = len(dataset)
-    L = next(iter(dataset[0].features.values())).shape[0] if n else cfg.seq_len
-    D = cfg.raw_dim
-    arrays: dict[str, np.ndarray] = {}
-    presence = np.zeros((n, len(MODALITIES)), dtype=np.uint8)
-    labels = np.zeros(n, dtype=np.float64)
-    for m in MODALITIES:
-        arrays[f"features_{m}"] = np.zeros((n, L, D))
-    for i, utt in enumerate(dataset):
-        labels[i] = utt.label
-        for k, m in enumerate(MODALITIES):
-            if m in utt.presence:
-                presence[i, k] = 1
-                arrays[f"features_{m}"][i] = utt.features[m]
-    arrays["labels"] = labels
-    arrays["presence"] = presence
+    labels (N,) float64, presence (N, 3) uint8 in modality order a, t, v."""
+    arrays = {}
+    for k, (m, x) in enumerate(dataset.features.items()):
+        present = dataset.presence[:, k].astype(bool)
+        arrays[f"features_{m}"] = x if present.all() else np.where(present[:, None, None], x, 0.0)
+    arrays["labels"] = dataset.labels
+    arrays["presence"] = dataset.presence
     save_container(path, "dataset", {"config": asdict(cfg)}, arrays)
 
 
-def load_dataset(path) -> tuple[list[Utterance], SynthConfig]:
+def load_dataset(path) -> tuple[Dataset, SynthConfig]:
     _, meta, arrays = load_container(path, expected_kind="dataset")
-    cfg = SynthConfig(**meta["config"])
-    labels = arrays["labels"]
-    presence = arrays["presence"]
-    dataset = []
-    for i in range(labels.shape[0]):
-        mods = [m for k, m in enumerate(MODALITIES) if presence[i, k]]
-        features = {m: arrays[f"features_{m}"][i] for m in mods}
-        label = int(labels[i]) if cfg.task == "classification" else float(labels[i])
-        dataset.append(Utterance(features=features, label=label, presence=Combo.from_modalities(mods)))
-    return dataset, cfg
+    try:
+        features = {m: arrays[f"features_{m}"] for m in MODALITIES}
+        return Dataset(features, arrays["presence"], arrays["labels"]), SynthConfig(**meta["config"])
+    except (KeyError, TypeError) as exc:
+        raise ContractError(f"{path}: dataset container lacks or mangles {exc}") from exc
 
 
-def split_dataset(dataset: list[Utterance], train_frac: float, val_frac: float):
-    """Contiguous (train, val, test) split; round-robin labels keep it balanced."""
+def split_dataset(dataset: Dataset, train_frac: float, val_frac: float) -> tuple[Dataset, Dataset, Dataset]:
+    """Contiguous (train, val, test) split of views; round-robin labels keep it balanced."""
     if not (0 < train_frac < 1 and 0 <= val_frac < 1 and train_frac + val_frac < 1):
         raise ConfigError(f"invalid split fractions train={train_frac} val={val_frac}")
     n = len(dataset)

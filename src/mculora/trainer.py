@@ -51,10 +51,10 @@ from .dpft import (
 )
 from .errors import ConfigError, ContractError
 from .losses import orthogonality_loss, task_loss, total_loss
-from .modalities import ALL_COMBINATIONS, FULL, INCOMPLETE_COMBINATIONS, MODALITIES, Combo
+from .modalities import ALL_COMBINATIONS, INCOMPLETE_COMBINATIONS, MODALITIES, Combo
 from .model import MculoraModel, ModelConfig, attach_adapters, build_model, forward_batch
 from .rng import Rng
-from .synthgen import Utterance, apply_random_missing
+from .synthgen import Dataset, apply_random_missing
 
 _EVAL_CHUNK = 512
 
@@ -164,19 +164,6 @@ class Adam:
 # data plumbing
 # ---------------------------------------------------------------------------
 
-def _stack_dataset(dataset: list[Utterance]) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    feats = {m: np.stack([u.features[m] for u in dataset]) for m in dataset[0].presence}
-    labels = np.array([u.label for u in dataset])
-    return feats, labels
-
-
-def _require_complete(dataset: list[Utterance], what: str) -> None:
-    if not dataset:
-        raise ContractError(f"{what}: empty dataset")
-    if any(u.presence != FULL for u in dataset):
-        raise ContractError(f"{what}: requires complete samples (all modalities present)")
-
-
 def _batch_indices(n: int, batch_size: int, order: np.ndarray):
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]
@@ -186,12 +173,12 @@ def _batch_indices(n: int, batch_size: int, order: np.ndarray):
 # phase 1: pretraining the base
 # ---------------------------------------------------------------------------
 
-def pretrain(dataset: list[Utterance], cfg: TrainConfig, root_rng: Rng | None = None) -> TrainResult:
+def pretrain(dataset: Dataset, cfg: TrainConfig, root_rng: Rng | None = None) -> TrainResult:
     """Train encoders + fusion + common head on complete data, then freeze encoders."""
     cfg.validate()
-    _require_complete(dataset, "pretrain")
+    dataset.require_complete("pretrain")
     root = root_rng if root_rng is not None else Rng(cfg.seed)
-    feats, labels = _stack_dataset(dataset)
+    feats, labels = dataset.features, dataset.labels
     raw_dim = feats["a"].shape[2]
     model = build_model(ModelConfig(raw_dim=raw_dim, model_dim=cfg.model_dim, classes=cfg.classes,
                                     rank=cfg.rank, alpha=cfg.alpha, task=cfg.task), root)
@@ -251,26 +238,25 @@ def _probe_mean_cosine(model: MculoraModel, probe_feats: dict[str, np.ndarray]) 
     return float(np.mean(vals))
 
 
-def finetune(model: MculoraModel, dataset: list[Utterance], cfg: TrainConfig,
-             probe_batch: list[Utterance] | None = None, root_rng: Rng | None = None) -> TrainResult:
+def finetune(model: MculoraModel, dataset: Dataset, cfg: TrainConfig,
+             probe_batch: Dataset | None = None, root_rng: Rng | None = None) -> TrainResult:
     """Fine-tune adapters/heads/gate under scheduled incomplete batches."""
     cfg.validate()
     if model.phase != "pretrained":
         raise ContractError(f"finetune requires a pretrained checkpoint, phase is {model.phase!r}")
-    _require_complete(dataset, "finetune")
+    dataset.require_complete("finetune")
     root = root_rng if root_rng is not None else Rng(cfg.seed)
     if probe_batch is None:
         probe_batch = dataset[-min(cfg.probe_size, len(dataset)):]
     else:
         probe_batch = probe_batch[:cfg.probe_size]
-    _require_complete(probe_batch, "finetune probe")
+    probe_batch.require_complete("finetune probe")
 
     attach_adapters(model, root.child("attach"), rank=cfg.rank, alpha=cfg.alpha, mcla=cfg.mcla)
     trainable = model.parameters("finetune")
     opt = Adam(trainable, lr=cfg.learning_rate)
     sched = uniform_schedule(cfg.p_min, cfg.p_max, cfg.q_base, cfg.lam, cfg.reduce_fast_learners)
-    feats, labels = _stack_dataset(dataset)
-    probe_feats, _ = _stack_dataset(probe_batch)
+    feats, labels = dataset.features, dataset.labels
     order_rng = root.child("finetune-order")
     samp_rng = root.child("combo-sampling")
     s_prev = initial_scores()
@@ -304,7 +290,7 @@ def finetune(model: MculoraModel, dataset: list[Utterance], cfg: TrainConfig,
         if cfg.dpft:
             sched = update_probabilities(sched, deltas)
         result.schedule_rows.append(ScheduleRow(epoch, scores.values.copy(), deltas.copy(), sched.q.copy()))
-        result.probe_rows.append((epoch, _probe_mean_cosine(model, probe_feats)))
+        result.probe_rows.append((epoch, _probe_mean_cosine(model, probe_batch.features)))
         s_prev = scores
         result.epoch_rows.append(EpochRow(epoch, "finetune", sums[0] / batches, sums[1] / batches,
                                           sums[2] / batches, (time.perf_counter() - t0) * 1e3))
@@ -391,19 +377,18 @@ def _predict_condition(model: MculoraModel, feats: dict[str, np.ndarray], n: int
     return np.concatenate(parts)
 
 
-def predict_dataset(model: MculoraModel, dataset: list[Utterance]) -> np.ndarray:
-    """Class predictions for samples of arbitrary (mixed) presence combinations."""
+def predict_dataset(model: MculoraModel, dataset: Dataset) -> np.ndarray:
+    """Class predictions for mixed presence combinations, one condition per combination."""
     preds = np.zeros(len(dataset), dtype=np.int64)
-    by_combo: dict[Combo, list[int]] = {}
-    for i, utt in enumerate(dataset):
-        by_combo.setdefault(utt.presence, []).append(i)
-    for combo, indices in sorted(by_combo.items(), key=lambda kv: ALL_COMBINATIONS.index(kv[0])):
-        sub_feats = {m: np.stack([dataset[i].features[m] for i in indices]) for m in combo}
-        preds[np.array(indices)] = _predict_condition(model, sub_feats, len(indices))
+    masks = dataset.presence @ np.array([Combo.from_name(m).mask for m in MODALITIES])
+    for combo in ALL_COMBINATIONS:
+        rows = np.nonzero(masks == combo.mask)[0]
+        if rows.size:
+            preds[rows] = _predict_condition(model, {m: dataset.features[m][rows] for m in combo}, rows.size)
     return preds
 
 
-def evaluate(model: MculoraModel, dataset: list[Utterance], protocol: str,
+def evaluate(model: MculoraModel, dataset: Dataset, protocol: str,
              cfg: TrainConfig | None = None) -> MetricsRecord:
     """Score a model on the test set under the fixed or random missing protocol."""
     cfg = cfg if cfg is not None else TrainConfig()
@@ -411,14 +396,12 @@ def evaluate(model: MculoraModel, dataset: list[Utterance], protocol: str,
         raise ContractError("evaluation metrics are defined for classification tasks")
     if not dataset:
         raise ContractError("evaluate: empty dataset")
-    labels = np.array([u.label for u in dataset], dtype=np.int64)
+    labels = dataset.labels
     if protocol == "fixed":
-        _require_complete(dataset, "fixed-protocol evaluation")
-        feats, _ = _stack_dataset(dataset)
+        dataset.require_complete("fixed-protocol evaluation")
         rows: dict[str, Metrics] = {}
         for combo in ALL_COMBINATIONS:
-            sub = {m: feats[m] for m in combo}
-            preds = _predict_condition(model, sub, len(dataset))
+            preds = _predict_condition(model, {m: dataset.features[m] for m in combo}, len(dataset))
             rows[combo.name] = compute_metrics(preds, labels)
         avg = Metrics(*[float(np.mean([rows[c.name].as_tuple()[k] for c in INCOMPLETE_COMBINATIONS]))
                         for k in range(4)])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mculora.cli import main
+from mculora.cli import build_parser, main
 from mculora.config import load_config, parse_config_text
 from mculora.errors import ConfigError
 from mculora.synthgen import load_dataset
@@ -109,6 +109,28 @@ def test_missing_data_file_is_input_error(workspace):
     tmp, cfg = workspace
     rc = run("pretrain", "--config", cfg, "--data", tmp / "nope.mcu", "--out", tmp / "p")
     assert rc == 2
+
+
+def test_corrupt_dataset_file_is_state_error(workspace, capsys):
+    tmp, cfg = workspace
+    assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
+    blob = (tmp / "data" / "dataset.mcu").read_bytes()
+    for name, content in (("truncated.mcu", blob[:len(blob) // 2]), ("junk.mcu", blob + b"junk")):
+        (tmp / name).write_bytes(content)
+        assert run("pretrain", "--config", cfg, "--data", tmp / name, "--out", tmp / "p") == 3
+        assert name in capsys.readouterr().err
+
+
+def test_on_off_flags_share_the_config_parser_and_name_the_flag(workspace, capsys):
+    tmp, cfg = workspace
+    base = ["finetune", "--config", str(cfg), "--data", "d", "--checkpoint", "c", "--out", str(tmp / "f")]
+    args = build_parser().parse_args(base + ["--mcla", "YES", "--dpft", "0"])
+    assert args.mcla is True and args.dpft is False
+    with pytest.raises(SystemExit) as exc:
+        run(*base, "--mcla", "maybe")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--mcla" in err and "maybe" in err
 
 
 def test_eval_fixed_emits_full_condition_table(workspace, capsys):

@@ -132,8 +132,7 @@ def test_scores_match_per_sample_brute_force():
         acc = []
         for m in combo:
             per_sample = []
-            for utt in batch:
-                x = utt.features[m]
+            for x in batch.features[m]:
                 prt = (model.adapters[m].private_pair(combo).effective_map() @ x.T).T.mean(axis=0)
                 com = (model.adapters[m].common.effective_map() @ x.T).T.mean(axis=0)
                 per_sample.append(js_oracle(softmax(prt), softmax(com)))
@@ -148,7 +147,7 @@ def test_scores_deterministic_and_validate_probe():
     s2 = separability_scores(model, batch, epoch=1)
     assert np.array_equal(s1.values, s2.values)
     with pytest.raises(ContractError):
-        separability_scores(model, [])
+        separability_scores(model, batch[:0])
 
 
 def test_adapter_free_scores_are_defined_and_zero_for_full_set():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from mculora import autodiff as ad
 from mculora.errors import ContractError, ShapeError
-from mculora.modalities import ALL_COMBINATIONS, AT, FULL, MODALITIES, A, Combo
+from mculora.modalities import ALL_COMBINATIONS, AT, MODALITIES, A, Combo
 from mculora.model import (
     LoraPair,
     ModelConfig,
@@ -15,12 +16,11 @@ from mculora.model import (
     forward_batch,
     load_checkpoint,
     pool,
-    predict,
     save_checkpoint,
-    stack_features,
 )
 from mculora.rng import Rng
-from mculora.synthgen import SynthConfig, Utterance, generate_dataset
+from mculora.dpft import separability_scores
+from mculora.synthgen import SynthConfig, generate_dataset
 
 
 CFG = ModelConfig(raw_dim=6, model_dim=8, classes=3, rank=2)
@@ -36,10 +36,16 @@ def small_model(seed=0, pretrained=True, adapters=True, rank=2):
     return model
 
 
-def sample_utterance(seed=0, L=4):
+def sample_features(seed=0, L=4):
     rng = Rng(seed)
-    feats = {m: rng.normal(size=(L, 6)) for m in MODALITIES}
-    return Utterance(features=feats, label=1, presence=FULL)
+    return {m: rng.normal(size=(L, 6)) for m in MODALITIES}
+
+
+def predict_one(features, model):
+    """One sample's (y_last, y_hat, y_com, gate weight) as plain values."""
+    out = forward_batch(model, {m: x[None] for m, x in features.items()})
+    weight = float(out["weight"].data[0, 0]) if out["weight"] is not None else None
+    return out["y_last"].data[0], out["y_hat"].data[0], out["y_com"].data[0], weight
 
 
 # ---------------------------------------------------------------------------
@@ -228,22 +234,22 @@ def test_combine_predictions_midpoint():
 
 def test_predict_consistency_and_purity():
     model = small_model()
-    utt = sample_utterance(3)
-    y_last, y_hat, y_com, w = predict(utt, model)
+    utt = sample_features(3)
+    y_last, y_hat, y_com, w = predict_one(utt, model)
     assert 0.0 < w < 1.0
     assert np.allclose(y_last, (1 - w) * y_com + w * y_hat, atol=1e-12)
-    again = predict(utt, model)
+    again = predict_one(utt, model)
     assert np.array_equal(y_last, again[0])
 
 
 def test_zero_init_adapters_reproduce_pretrained_predictions():
     base = small_model(adapters=False)
     tuned = small_model(adapters=True)
-    utt = sample_utterance(4)
+    utt = sample_features(4)
     for combo in ALL_COMBINATIONS:
-        masked = Utterance(features={m: utt.features[m] for m in combo}, label=utt.label, presence=combo)
-        y_base = predict(masked, base)[0]
-        y_tuned = predict(masked, tuned)[0]
+        masked = {m: utt[m] for m in combo}
+        y_base = predict_one(masked, base)[0]
+        y_tuned = predict_one(masked, tuned)[0]
         assert np.max(np.abs(y_base - y_tuned)) <= 1e-12
 
 
@@ -253,11 +259,13 @@ def test_forward_batch_empty_presence_is_contract_error():
         forward_batch(model, {})
 
 
-def test_stack_features_rejects_mixed_combinations():
-    u1 = sample_utterance(1)
-    u2 = Utterance(features={"a": u1.features["a"]}, label=0, presence=A)
+def test_probe_batch_mixing_combinations_is_contract_error():
+    batch = generate_dataset(SynthConfig(num_samples=2, seq_len=4, raw_dim=6, classes=3, seed=1))
+    presence = batch.presence.copy()
+    presence[1] = [m in A for m in MODALITIES]  # the second row is audio only
+    mixed = dataclasses.replace(batch, presence=presence)
     with pytest.raises(ContractError):
-        stack_features([u1, u2])
+        separability_scores(small_model(), mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +284,8 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert set(orig) == set(new)
     for name in orig:
         assert np.array_equal(orig[name].data, new[name].data), name
-    utt = sample_utterance(6)
-    assert np.array_equal(predict(utt, model)[0], predict(utt, loaded)[0])
+    utt = sample_features(6)
+    assert np.array_equal(predict_one(utt, model)[0], predict_one(utt, loaded)[0])
 
 
 def test_checkpoint_bytes_reproducible(tmp_path):

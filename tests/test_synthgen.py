@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mculora.errors import ConfigError, ContractError
 from mculora.modalities import AV, FULL, MODALITIES, T, Combo
 from mculora.rng import Rng
 from mculora.synthgen import (
+    _PAIR_NOISE,
+    _PAIRS,
+    _PRIVATE_JITTER,
+    _SHARED_JITTER,
+    Dataset,
     SynthConfig,
-    Utterance,
+    _class_anchors,
+    _pair_bit,
+    _unit_columns,
     apply_fixed_missing,
     apply_random_missing,
     draw_missing_masks,
@@ -20,11 +28,92 @@ from conftest import lstsq_probe_accuracy
 
 
 def pooled(dataset, modality):
-    return np.stack([u.features[modality].mean(axis=0) for u in dataset])
+    return dataset.features[modality].mean(axis=1)
 
 
 def labels_of(dataset):
-    return np.array([u.label for u in dataset], dtype=np.int64)
+    return dataset.labels.astype(np.int64)
+
+
+def row_combos(dataset):
+    return [Combo.from_modalities([m for m, present in zip(MODALITIES, row) if present]) for row in dataset.presence]
+
+
+def reference_generate(cfg: SynthConfig):
+    """The generator one sample at a time: (per-modality (N, L, D) features, labels)."""
+    root = Rng(cfg.seed)
+    geom = root.child("geometry")
+    shared_anchors = _class_anchors(cfg.classes, cfg.shared_dim, geom.child("shared"))
+    private_anchors = {
+        m: _class_anchors(cfg.classes, cfg.private_dim, geom.child(f"private-{m}"))[
+            geom.child(f"private-perm-{m}").permutation(cfg.classes)
+        ]
+        for m in MODALITIES
+    }
+    shared_proj = {m: _unit_columns(geom.child(f"proj-shared-{m}"), cfg.raw_dim, cfg.shared_dim) for m in MODALITIES}
+    private_proj = {m: _unit_columns(geom.child(f"proj-private-{m}"), cfg.raw_dim, cfg.private_dim) for m in MODALITIES}
+    pair_dirs = {
+        (m1, m2): (
+            _unit_columns(geom.child(f"pair-{m1}{m2}-lead"), cfg.raw_dim, 1)[:, 0],
+            _unit_columns(geom.child(f"pair-{m1}{m2}-follow"), cfg.raw_dim, 1)[:, 0],
+        )
+        for (m1, m2) in _PAIRS
+    }
+    score_dir = geom.child("score").normal(size=cfg.shared_dim)
+    score_dir /= np.linalg.norm(score_dir)
+
+    samples = root.child("samples")
+    n, L, D = cfg.num_samples, cfg.seq_len, cfg.raw_dim
+    shared_noise = samples.child("shared").normal(size=(n, cfg.shared_dim))
+    private_noise = {m: samples.child(f"private-{m}").normal(size=(n, cfg.private_dim)) for m in MODALITIES}
+    pair_noise = {p: samples.child(f"pair-{p[0]}{p[1]}").normal(0.0, _PAIR_NOISE, size=n) for p in _PAIRS}
+    feature_noise = {m: samples.child(f"noise-{m}").normal(size=(n, L, D)) for m in MODALITIES}
+
+    features = {m: [] for m in MODALITIES}
+    labels = []
+    for i in range(n):
+        label = i % cfg.classes if cfg.task == "classification" else 0
+        z_shared = (shared_anchors[label] if cfg.task == "classification" else 0.0) + _SHARED_JITTER * shared_noise[i]
+        if cfg.task == "regression":
+            z_shared = shared_noise[i]
+            label = float(np.tanh(score_dir @ z_shared))
+        base = {}
+        for m in MODALITIES:
+            vec = cfg.shared_strength * (shared_proj[m] @ z_shared)
+            if cfg.task == "classification":
+                z_m = private_anchors[m][label] + _PRIVATE_JITTER * private_noise[m][i]
+            else:
+                z_m = private_noise[m][i]
+            vec = vec + cfg.private_strength * (private_proj[m] @ z_m)
+            base[m] = vec
+        for j, (lead_m, partner_m) in enumerate(_PAIRS):
+            eps = pair_noise[(lead_m, partner_m)][i]
+            h = _pair_bit(int(label), j) if cfg.task == "classification" else 0.0
+            lead, follow = pair_dirs[(lead_m, partner_m)]
+            base[lead_m] = base[lead_m] + cfg.pair_interaction_strength * (h + eps) * lead
+            base[partner_m] = base[partner_m] + cfg.pair_interaction_strength * eps * follow
+        for m in MODALITIES:
+            features[m].append(base[m][None, :] + cfg.noise_std * feature_noise[m][i])
+        labels.append(label)
+    return {m: np.stack(rows) for m, rows in features.items()}, np.array(labels, dtype=np.float64)
+
+
+def reference_random_presence(dataset, mask_prob_range, seed):
+    """The random protocol one sample at a time, on Combo objects."""
+    _, drop = draw_missing_masks(len(dataset), mask_prob_range, Rng(seed).child("random-missing"))
+    out = []
+    for presence, row in zip(row_combos(dataset), drop):
+        kept = [m for k, m in enumerate(MODALITIES) if not row[k] and m in presence]
+        if not kept:  # sample already incomplete and survivors were dropped
+            kept = [presence.modalities[0]]
+        out.append(Combo.from_modalities(kept))
+    return out
+
+
+def dataset_with_presence(presence):
+    presence = np.asarray(presence, dtype=np.uint8)
+    n = presence.shape[0]
+    return Dataset({m: np.zeros((n, 2, 3)) for m in MODALITIES}, presence, np.zeros(n))
 
 
 def test_cardinality_and_label_range():
@@ -38,10 +127,21 @@ def test_generation_is_deterministic():
     cfg = SynthConfig(num_samples=64, seed=66)
     a = generate_dataset(cfg)
     b = generate_dataset(cfg)
-    for ua, ub in zip(a, b):
-        assert ua.label == ub.label
-        for m in MODALITIES:
-            assert np.array_equal(ua.features[m], ub.features[m])
+    assert np.array_equal(a.labels, b.labels)
+    for m in MODALITIES:
+        assert np.array_equal(a.features[m], b.features[m])
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_generator_matches_per_sample_reference_bitwise(task):
+    cfg = SynthConfig(num_samples=37, seq_len=5, raw_dim=7, classes=5, shared_dim=3, private_dim=2,
+                      task=task, seed=21)
+    ds = generate_dataset(cfg)
+    features, labels = reference_generate(cfg)
+    assert ds.labels.tobytes() == labels.tobytes()
+    for m in MODALITIES:
+        assert ds.features[m].tobytes() == features[m].tobytes(), m
+    assert (ds.presence == 1).all()
 
 
 def test_shared_signal_alone_is_linearly_decodable_from_each_modality():
@@ -71,7 +171,7 @@ def test_label_marginals_are_stratified():
 def test_presence_never_empty():
     ds = generate_dataset(SynthConfig(num_samples=200, seed=7))
     masked = apply_random_missing(ds, (1.0, 1.0), seed=7)
-    assert all(len(u.presence) >= 1 for u in masked)
+    assert all(len(c) >= 1 for c in row_combos(masked))
 
 
 def test_invalid_config_rejected():
@@ -90,31 +190,36 @@ def test_invalid_config_rejected():
 def test_fixed_missing_full_set_is_identity():
     ds = generate_dataset(SynthConfig(num_samples=16, seed=2))
     out = apply_fixed_missing(ds, FULL)
-    for a, b in zip(ds, out):
-        assert a.presence == b.presence == FULL
-        assert set(a.features) == set(b.features)
+    assert row_combos(ds) == row_combos(out) == [FULL] * len(ds)
+    assert all(out.features[m] is ds.features[m] for m in MODALITIES)
 
 
 def test_fixed_missing_text_only():
     ds = generate_dataset(SynthConfig(num_samples=16, seed=2))
     out = apply_fixed_missing(ds, T)
-    assert all(set(u.features) == {"t"} and u.presence == T for u in out)
+    assert np.array_equal(out.presence, np.tile([0, 1, 0], (len(ds), 1)))
+    assert row_combos(out) == [T] * len(ds)
 
 
 def test_fixed_missing_audio_vision_drops_text():
     ds = generate_dataset(SynthConfig(num_samples=16, seed=2))
     out = apply_fixed_missing(ds, AV)
-    assert all(set(u.features) == {"a", "v"} for u in out)
+    assert np.array_equal(out.presence, np.tile([1, 0, 1], (len(ds), 1)))
 
 
 def test_fixed_missing_is_idempotent():
     ds = generate_dataset(SynthConfig(num_samples=8, seed=2))
     once = apply_fixed_missing(ds, AV)
     twice = apply_fixed_missing(once, AV)
-    for a, b in zip(once, twice):
-        assert a.presence == b.presence
-        for m in a.presence:
-            assert np.array_equal(a.features[m], b.features[m])
+    assert np.array_equal(once.presence, twice.presence)
+    for m in AV:
+        assert np.array_equal(once.features[m], twice.features[m])
+
+
+def test_fixed_missing_rejects_samples_lacking_the_combination():
+    ds = apply_fixed_missing(generate_dataset(SynthConfig(num_samples=8, seed=2)), AV)
+    with pytest.raises(ContractError, match="lack modalities"):
+        apply_fixed_missing(ds, T)
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +229,13 @@ def test_fixed_missing_is_idempotent():
 def test_random_missing_zero_probability_drops_nothing():
     ds = generate_dataset(SynthConfig(num_samples=32, seed=4))
     out = apply_random_missing(ds, (0.0, 0.0), seed=4)
-    assert all(u.presence == FULL for u in out)
+    assert row_combos(out) == [FULL] * len(ds)
 
 
 def test_random_missing_certain_drop_leaves_exactly_one_modality():
     ds = generate_dataset(SynthConfig(num_samples=64, seed=4))
     out = apply_random_missing(ds, (1.0, 1.0), seed=4)
-    assert all(len(u.presence) == 1 for u in out)
+    assert all(len(c) == 1 for c in row_combos(out))
 
 
 def test_random_missing_empirical_drop_rate_monte_carlo():
@@ -142,14 +247,42 @@ def test_random_missing_empirical_drop_rate_monte_carlo():
 
 def test_random_missing_is_deterministic_given_seed():
     ds = generate_dataset(SynthConfig(num_samples=128, seed=9))
-    m1 = [u.presence for u in apply_random_missing(ds, (0.4, 0.6), seed=66)]
-    m2 = [u.presence for u in apply_random_missing(ds, (0.4, 0.6), seed=66)]
+    m1 = row_combos(apply_random_missing(ds, (0.4, 0.6), seed=66))
+    m2 = row_combos(apply_random_missing(ds, (0.4, 0.6), seed=66))
     assert m1 == m2
 
 
-def test_utterance_features_must_match_presence():
+@settings(max_examples=60, deadline=None)
+@given(presence=st.lists(st.lists(st.integers(0, 1), min_size=3, max_size=3).filter(any), min_size=1, max_size=40),
+       lo=st.floats(0.0, 1.0), width=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_random_missing_matches_per_sample_rule(presence, lo, width, seed):
+    ds = dataset_with_presence(presence)
+    hi = min(1.0, lo + width)
+    out = apply_random_missing(ds, (lo, hi), seed=seed)
+    assert row_combos(out) == reference_random_presence(ds, (lo, hi), seed)
+
+
+def test_random_missing_keeps_first_survivor_of_incomplete_samples():
+    ds = dataset_with_presence([[0, 1, 1], [1, 0, 1], [0, 0, 1], [1, 1, 0]] * 4)
+    _, drop = draw_missing_masks(len(ds), (1.0, 1.0), Rng(3).child("random-missing"))
+    emptied = np.nonzero(~(ds.presence & ~drop).any(axis=1))[0]
+    assert emptied.size  # forced retention picked an absent modality for these rows
+    out = row_combos(apply_random_missing(ds, (1.0, 1.0), seed=3))
+    before = row_combos(ds)
+    assert all(out[i] == Combo.from_name(before[i].modalities[0]) for i in emptied)
+    assert out == reference_random_presence(ds, (1.0, 1.0), 3)
+
+
+def test_dataset_features_must_match_presence():
+    ok = dataset_with_presence([[1, 0, 1], [0, 1, 0]])
     with pytest.raises(ContractError):
-        Utterance(features={"a": np.zeros((2, 3))}, label=0, presence=AV)
+        Dataset(features={"a": np.zeros((2, 2, 3))}, presence=ok.presence, labels=ok.labels)
+    with pytest.raises(ContractError):
+        Dataset(features=ok.features, presence=ok.presence[:1], labels=ok.labels)
+    with pytest.raises(ContractError):
+        Dataset(features={**ok.features, "t": np.zeros((2, 2, 4))}, presence=ok.presence, labels=ok.labels)
+    with pytest.raises(ContractError, match="at least one modality"):
+        dataset_with_presence([[1, 0, 1], [0, 0, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +297,12 @@ def test_dataset_roundtrip_is_bitwise(tmp_path):
     loaded, loaded_cfg = load_dataset(path)
     assert loaded_cfg == cfg
     assert len(loaded) == len(ds)
-    for a, b in zip(ds, loaded):
-        assert a.presence == b.presence
-        assert a.label == b.label
-        for m in a.presence:
-            assert np.array_equal(a.features[m], b.features[m])
+    assert np.array_equal(ds.presence, loaded.presence)
+    assert np.array_equal(ds.labels, loaded.labels)
+    for k, m in enumerate(MODALITIES):
+        present = ds.presence[:, k] == 1
+        assert np.array_equal(ds.features[m][present], loaded.features[m][present])
+        assert not loaded.features[m][~present].any()  # absent modalities are stored as zeros
 
 
 def test_dataset_file_bytes_are_reproducible(tmp_path):
@@ -183,6 +317,7 @@ def test_split_is_contiguous_and_balanced():
     ds = generate_dataset(SynthConfig(num_samples=200, classes=4, seed=13))
     train, val, test = split_dataset(ds, 0.7, 0.15)
     assert len(train) == 140 and len(val) == 30 and len(test) == 30
+    assert all(np.shares_memory(part.features[m], ds.features[m]) for part in (train, val, test) for m in MODALITIES)
     counts = np.bincount(labels_of(train), minlength=4)
     assert counts.max() - counts.min() <= 1
 
@@ -190,5 +325,5 @@ def test_split_is_contiguous_and_balanced():
 def test_regression_labels_are_real_scores():
     cfg = SynthConfig(num_samples=32, task="regression", seed=14)
     ds = generate_dataset(cfg)
-    assert all(isinstance(u.label, float) for u in ds)
-    assert len({u.label for u in ds}) > 16
+    assert ds.labels.dtype == np.float64 and not np.array_equal(ds.labels, np.round(ds.labels))
+    assert len(np.unique(ds.labels)) > 16

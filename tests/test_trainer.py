@@ -16,12 +16,13 @@ from mculora.trainer import (
     finetune,
     format_metrics_document,
     parse_metrics_document,
+    predict_dataset,
     pretrain,
     write_epoch_log,
     write_probe_log,
     write_schedule_log,
 )
-from mculora.model import encoder_state_bytes, predict, save_checkpoint
+from mculora.model import encoder_state_bytes, save_checkpoint
 
 from conftest import lstsq_probe_accuracy
 
@@ -94,12 +95,12 @@ def test_pretrain_reaches_high_accuracy_on_linearly_separable_data():
     # the least-squares probe oracle establishes separability first
     ds = tiny_synth(n=900, seed=8, noise_std=0.05, private_strength=0.0,
                     pair_interaction_strength=0.0)
-    feats = np.stack([u.features["t"].mean(axis=0) for u in ds])
-    labels = np.array([u.label for u in ds])
+    feats = ds.features["t"].mean(axis=1)
+    labels = ds.labels.astype(np.int64)
     assert lstsq_probe_accuracy(feats, labels, 3) >= 0.95
     cfg = tiny_cfg(pretrain_epochs=50, model_dim=16, seed=11)
     model = pretrain(ds, cfg).model
-    correct = sum(int(np.argmax(predict(u, model)[0]) == u.label) for u in ds)
+    correct = int(np.sum(predict_dataset(model, ds) == labels))
     assert correct / len(ds) >= 0.95
     assert model.phase == "pretrained"
     assert all(model.encoders[m].frozen for m in "atv")
@@ -285,7 +286,7 @@ def test_unknown_protocol_rejected():
 def test_perfect_predictor_scores_100_everywhere(monkeypatch):
     model, cfg = trained_tiny_model()
     test_set = tiny_synth(n=30, seed=6)
-    labels = np.array([u.label for u in test_set], dtype=np.int64)
+    labels = test_set.labels.astype(np.int64)
     monkeypatch.setattr(trainer, "_predict_condition", lambda m, f, n: labels[:n].copy())
     record = evaluate(model, test_set, "fixed", cfg)
     for name, m in record.rows.items():
