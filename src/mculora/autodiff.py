@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import warnings
 
 import numpy as np
 
@@ -456,26 +455,6 @@ def dropout(a, p: float, rng) -> Tensor:
 # ---------------------------------------------------------------------------
 # composite scalar/vector functions
 # ---------------------------------------------------------------------------
-
-def cosine_similarity(u, v) -> Tensor:
-    """cos(u, v) for 1-D tensors, in [-1, 1].
-
-    Near-zero-norm inputs (norm <= 1e-12) return a constant 0 instead of
-    blowing up: adapter outputs start at exactly zero, so degenerate vectors
-    occur legitimately early in training. A warning flags the case.
-    """
-    u, v = as_tensor(u), as_tensor(v)
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise ShapeError(f"cosine_similarity expects equal-length vectors, got {u.shape} and {v.shape}")
-    nu = float(np.linalg.norm(u.data))
-    nv = float(np.linalg.norm(v.data))
-    if nu <= NORM_EPS or nv <= NORM_EPS:
-        warnings.warn("cosine_similarity: degenerate (near-zero) input, returning 0", stacklevel=2)
-        return constant(0.0)
-    num = tsum(mul(u, v))
-    den = mul(sqrt(tsum(mul(u, u))), sqrt(tsum(mul(v, v))))
-    return div(num, den)
-
 
 def row_cosine(u, v) -> Tensor:
     """Row-wise cosine of two (B, d) tensors; degenerate rows contribute 0."""

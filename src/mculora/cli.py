@@ -19,7 +19,6 @@ from .config import ExperimentConfig, _parse_bool, load_config, version_string, 
 from .errors import ConfigError, ContractError, ShapeError
 from .modalities import Combo
 from .model import checkpoint_phase, load_checkpoint, save_checkpoint
-from .rng import Rng
 from .synthgen import apply_fixed_missing, generate_dataset, load_dataset, save_dataset, split_dataset
 from .trainer import (
     MetricsRecord,
@@ -109,35 +108,21 @@ def main(argv=None) -> int:
         return EXIT_STATE
 
 
-def _prepare(args, require_config: bool = True) -> tuple[ExperimentConfig, Path]:
-    overrides = {"seed": getattr(args, "seed", None)}
-    for key in ("rank", "beta", "mcla", "dpft"):
-        if hasattr(args, key):
-            overrides[key] = getattr(args, key)
-    if getattr(args, "config", None) is not None:
-        cfg = load_config(args.config, overrides)
-    elif require_config:
-        raise ConfigError("--config is required for this command")
-    else:
-        cfg = ExperimentConfig()
-        for key, value in overrides.items():
-            if value is not None:
-                setattr(cfg, key, value)
-        cfg.validate()
+def _prepare(args) -> tuple[ExperimentConfig, Path]:
+    overrides = {key: getattr(args, key, None) for key in ("seed", "rank", "beta", "mcla", "dpft")}
+    cfg = load_config(args.config, overrides)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, out_dir
 
 
 def _load_splits(cfg: ExperimentConfig, data_path: str):
-    dataset, _ = load_dataset(data_path)
-    return split_dataset(dataset, cfg.train_frac, cfg.val_frac)
+    return split_dataset(load_dataset(data_path), cfg.train_frac, cfg.val_frac)
 
 
 def cmd_gen_data(args) -> int:
     cfg, out_dir = _prepare(args)
-    dataset = generate_dataset(cfg.to_synth_config())
-    save_dataset(out_dir / "dataset.mcu", dataset, cfg.to_synth_config())
+    save_dataset(out_dir / "dataset.mcu", generate_dataset(cfg), cfg)
     write_manifest(out_dir, "gen-data", cfg, cfg.seed, args.config, ["dataset.mcu"])
     print(f"wrote {out_dir / 'dataset.mcu'} ({cfg.num_samples} samples)")
     return EXIT_OK
@@ -146,7 +131,7 @@ def cmd_gen_data(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg, out_dir = _prepare(args)
     train, _, _ = _load_splits(cfg, args.data)
-    result = pretrain(train, cfg.to_train_config(), root_rng=Rng(cfg.seed))
+    result = pretrain(train, cfg)
     save_checkpoint(result.model, out_dir / "checkpoint.mcu")
     write_epoch_log(out_dir / "epoch_log.csv", result.epoch_rows)
     write_manifest(out_dir, "pretrain", cfg, cfg.seed, args.config,
@@ -163,7 +148,7 @@ def cmd_finetune(args) -> int:
     model = load_checkpoint(args.checkpoint)
     train, val, _ = _load_splits(cfg, args.data)
     probe = val[:cfg.probe_size] if val else None
-    result = finetune(model, train, cfg.to_train_config(), probe_batch=probe, root_rng=Rng(cfg.seed))
+    result = finetune(model, train, cfg, probe_batch=probe)
     save_checkpoint(result.model, out_dir / "checkpoint.mcu")
     write_epoch_log(out_dir / "epoch_log.csv", result.epoch_rows)
     write_schedule_log(out_dir / "schedule_log.csv", result.schedule_rows)
@@ -176,7 +161,7 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, out_dir = _prepare(args, require_config=False)
+    cfg, out_dir = _prepare(args)
     if args.seed is not None:
         cfg.eval_seed = args.seed  # the random protocol's masking seed
     model = load_checkpoint(args.checkpoint)
@@ -187,9 +172,9 @@ def cmd_eval(args) -> int:
         preds = predict_dataset(model, masked)
         record = MetricsRecord(protocol="fixed", rows={combo.name: compute_metrics(preds, masked.labels)})
     else:
-        record = evaluate(model, test, args.protocol, cfg.to_train_config())
+        record = evaluate(model, test, args.protocol, cfg)
     write_metrics_document(out_dir / "metrics.txt", record, config_echo_str(cfg), version_string())
-    write_manifest(out_dir, "eval", cfg, cfg.seed, getattr(args, "config", None), ["metrics.txt"])
+    write_manifest(out_dir, "eval", cfg, cfg.seed, args.config, ["metrics.txt"])
     print((out_dir / "metrics.txt").read_text(), end="")
     return EXIT_OK
 

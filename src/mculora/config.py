@@ -1,8 +1,13 @@
 """Flat key=value experiment configuration and run manifests.
 
-Config files are plain text: one ``key = value`` per line, ``#`` comments,
-blank lines ignored. Every key is typed and validated against the schema
-below; unknown keys and malformed values are rejected with the field named.
+:class:`ExperimentConfig` is the one schema of experiment settings: the
+generator, the trainer and evaluation all read their fields from it, and its
+:meth:`~ExperimentConfig.validate` is the only range check. Config files are
+plain text: one ``key = value`` per line, ``#`` comments, blank lines ignored.
+Every key is typed and validated against the schema below; unknown keys,
+malformed values and out-of-range values (NaN and infinities included) are
+rejected with the field named, whether they come from the file or from a
+command-line override.
 The resolved snapshot is echoed into each run's ``manifest.json`` together
 with the effective seed and SHA-256 checksums of every written artifact, so a
 run can be reproduced byte for byte (wallclock columns excepted).
@@ -16,14 +21,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError
-from .rng import derive_seed
-from .synthgen import SynthConfig
-from .trainer import TrainConfig
 
 
 def _parse_bool(text: str) -> bool:
@@ -79,35 +83,40 @@ class ExperimentConfig:
     seed: int = 66
 
     def validate(self) -> "ExperimentConfig":
-        self.to_synth_config().validate()
-        self.to_train_config().validate()
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        for name in ("num_samples", "seq_len", "raw_dim", "shared_dim", "private_dim", "rank",
+                     "pretrain_epochs", "finetune_epochs", "batch_size", "probe_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("shared_strength", "private_strength", "pair_interaction_strength", "noise_std", "beta"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.task not in ("classification", "regression"):
+            raise ConfigError(f"task must be classification or regression, got {self.task!r}")
+        if self.task == "classification" and self.classes < 2:
+            raise ConfigError(f"classes must be >= 2 for classification, got {self.classes}")
         if not (0 < self.train_frac < 1 and 0 <= self.val_frac < 1
                 and self.train_frac + self.val_frac < 1):
             raise ConfigError(f"train_frac/val_frac leave no test split: {self.train_frac}, {self.val_frac}")
-        if self.probe_size < 1:
-            raise ConfigError(f"probe_size must be >= 1, got {self.probe_size}")
+        if self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not (0.0 <= self.mask_lo <= self.mask_hi <= 1.0):
+            raise ConfigError(f"mask_lo/mask_hi must satisfy 0 <= mask_lo <= mask_hi <= 1, "
+                              f"got [{self.mask_lo}, {self.mask_hi}]")
+        # the schedule starts uniform over the 7 combinations, inside [p_min, p_max]
+        if not (0.0 < self.p_min < self.p_max < 1.0 and self.p_min <= 1 / 7 <= self.p_max):
+            raise ConfigError(f"p_min/p_max must satisfy 0 < p_min <= 1/7 <= p_max < 1 with p_min < p_max, "
+                              f"got [{self.p_min}, {self.p_max}]")
+        if not 0.0 < self.q_base < 1.0:
+            raise ConfigError(f"q_base must be in (0, 1), got {self.q_base}")
+        if self.lam <= 0.0:
+            raise ConfigError(f"lam must be > 0, got {self.lam}")
         return self
-
-    def to_synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            num_samples=self.num_samples, seq_len=self.seq_len, raw_dim=self.raw_dim,
-            classes=self.classes, shared_dim=self.shared_dim, private_dim=self.private_dim,
-            shared_strength=self.shared_strength, private_strength=self.private_strength,
-            pair_interaction_strength=self.pair_interaction_strength, noise_std=self.noise_std,
-            task=self.task, seed=derive_seed(self.seed, "data"),
-        )
-
-    def to_train_config(self) -> TrainConfig:
-        return TrainConfig(
-            pretrain_epochs=self.pretrain_epochs, finetune_epochs=self.finetune_epochs,
-            batch_size=self.batch_size, learning_rate=self.learning_rate, beta=self.beta,
-            rank=self.rank, alpha=self.alpha, dropout=self.dropout, mcla=self.mcla,
-            dpft=self.dpft, p_min=self.p_min, p_max=self.p_max, q_base=self.q_base,
-            lam=self.lam, reduce_fast_learners=self.reduce_fast_learners,
-            probe_size=self.probe_size, model_dim=self.model_dim, classes=self.classes,
-            task=self.task, seed=self.seed, mask_lo=self.mask_lo, mask_hi=self.mask_hi,
-            eval_seed=self.eval_seed,
-        )
 
     def echo(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -147,10 +156,13 @@ def _convert(key: str, value: str):
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
+    """The config file at `path` (the defaults when None) with non-None overrides applied."""
+    if path is None:
+        cfg = ExperimentConfig()
+    elif not Path(path).exists():
         raise ConfigError(f"config file not found: {path}")
-    cfg = parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
+    else:
+        cfg = parse_config_text(Path(path).read_text(encoding="utf-8"), source=str(path))
     for key, value in (overrides or {}).items():
         if value is None:
             continue
@@ -199,6 +211,5 @@ def write_manifest(out_dir, command: str, config: ExperimentConfig, seed: int,
     path = out_dir / "manifest.json"
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    import os
     os.replace(tmp, path)
     return path

@@ -96,29 +96,10 @@ def uniform_schedule(p_min: float = 0.05, p_max: float = 0.5, q_base: float = 0.
 # divergence
 # ---------------------------------------------------------------------------
 
-def js_divergence(p, q) -> float:
-    """Un-halved Jensen-Shannon divergence between two discrete distributions.
-
-    Symmetric, zero iff p == q, at most 2 ln 2. A small epsilon inside the
-    logs guards zero entries.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ContractError(f"js_divergence expects equal-length distributions, got {p.shape} and {q.shape}")
-    for name, dist in (("p", p), ("q", q)):
-        if (dist < 0).any():
-            raise ContractError(f"{name} has negative entries")
-        if abs(dist.sum() - 1.0) > 1e-9:
-            raise ContractError(f"{name} sums to {dist.sum()}, expected 1 within 1e-9")
-    m = 0.5 * (p + q)
-    kl_pm = float(np.sum(p * np.log((p + _LOG_EPS) / (m + _LOG_EPS))))
-    kl_qm = float(np.sum(q * np.log((q + _LOG_EPS) / (m + _LOG_EPS))))
-    return kl_pm + kl_qm
-
-
 def _js_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Row-wise un-halved JS divergence for (B, d) distribution matrices."""
+    """Row-wise un-halved Jensen-Shannon divergence for (B, d) distribution
+    matrices: symmetric, zero iff the rows are equal, at most 2 ln 2. A small
+    epsilon inside the logs guards zero entries."""
     M = 0.5 * (P + Q)
     kl_pm = np.sum(P * np.log((P + _LOG_EPS) / (M + _LOG_EPS)), axis=1)
     kl_qm = np.sum(Q * np.log((Q + _LOG_EPS) / (M + _LOG_EPS)), axis=1)
@@ -140,16 +121,11 @@ def separability_scores(model: MculoraModel, probe_batch: Dataset, epoch: int = 
     feats = probe_batch.features
     scores = np.zeros(N_COMBINATIONS)
     if model.cfg.mcla and model.adapters is not None:
-        B, L, D = feats["a"].shape
-        pooled_com: dict[str, np.ndarray] = {}
-        for m in feats:
-            x2d = feats[m].reshape(B * L, D)
-            pooled_com[m] = (model.adapters[m].common.effective_map() @ x2d.T).T.reshape(B, L, -1).mean(axis=1)
+        pooled_com = {m: model.adapters[m].common.pooled_map(feats[m]) for m in feats}
         for idx, combo in enumerate(ALL_COMBINATIONS):
             per_mod = []
             for m in combo:
-                x2d = feats[m].reshape(B * L, D)
-                prt = (model.adapters[m].private_pair(combo).effective_map() @ x2d.T).T.reshape(B, L, -1).mean(axis=1)
+                prt = model.adapters[m].private_pair(combo).pooled_map(feats[m])
                 div = _js_rows(_softmax_rows(prt), _softmax_rows(pooled_com[m]))
                 per_mod.append(div.mean())
             scores[idx] = float(np.mean(per_mod))

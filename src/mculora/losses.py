@@ -15,22 +15,12 @@ case each term is a batch mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError
 from .modalities import ALL_COMBINATIONS, MODALITIES, Combo
-
-
-@dataclass
-class LossReport:
-    l_task: float
-    l_ort: float
-    l_total: float
-    beta: float
 
 
 def orthogonality_loss(common: dict[str, Tensor],
@@ -80,8 +70,3 @@ def task_loss(pred: Tensor, label, kind: str) -> Tensor:
 def total_loss(l_task: Tensor, l_ort: Tensor, beta: float) -> Tensor:
     """Exact affine combination l_task + beta * l_ort."""
     return ad.add(l_task, ad.mul(ad.constant(float(beta)), l_ort))
-
-
-def loss_report(l_task: Tensor, l_ort: Tensor, l_total: Tensor, beta: float) -> LossReport:
-    return LossReport(l_task=l_task.item(), l_ort=l_ort.item(),
-                      l_total=l_total.item(), beta=float(beta))

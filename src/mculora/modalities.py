@@ -83,9 +83,3 @@ ALL_COMBINATIONS = (A, T, V, AV, AT, TV, FULL)
 
 #: The six conditions that enter the "Average" column (full set reported apart).
 INCOMPLETE_COMBINATIONS = ALL_COMBINATIONS[:6]
-
-COMBO_INDEX = {c: i for i, c in enumerate(ALL_COMBINATIONS)}
-
-
-def combo_index(combo: Combo) -> int:
-    return COMBO_INDEX[combo]

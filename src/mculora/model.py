@@ -20,7 +20,6 @@ behavior.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -64,13 +63,6 @@ class Encoder:
             h = ad.dropout(h, dropout_p, rng)
         return ad.add(ad.matmul(h, self.W2), self.b2)
 
-    def encode(self, x: np.ndarray) -> Tensor:
-        """Deterministic forward of one (L, raw_dim) sequence to (L, d)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.W1.shape[0]:
-            raise ShapeError(f"encoder expects (L, {self.W1.shape[0]}) input, got {x.shape}")
-        return self.forward(ad.constant(x))
-
     def freeze(self) -> None:
         self.frozen = True
         for t in (self.W1, self.b1, self.W2, self.b2):
@@ -103,6 +95,12 @@ class LoraPair:
     def effective_map(self) -> np.ndarray:
         """The dense (d_out, d_in) matrix alpha * B A this pair represents."""
         return self.alpha * (self.B.data @ self.A.data)
+
+    def pooled_map(self, x: np.ndarray) -> np.ndarray:
+        """Off-tape sequence mean of the pair's output: (B, L, d_in) -> (B, d_out)."""
+        B, L, D = x.shape
+        x2d = x.reshape(B * L, D)
+        return (self.effective_map() @ x2d.T).T.reshape(B, L, -1).mean(axis=1)
 
 
 class AdapterBank:
@@ -149,11 +147,6 @@ class FusionBlock:
             weighted = ad.mul(ad.narrow(attn, 1, j, 1), ad.matmul(reps[m], self.values[m]))
             fused = weighted if fused is None else ad.add(fused, weighted)
         return fused
-
-    def fuse(self, reps: dict[str, Tensor]) -> Tensor:
-        """1-3 pooled d-vectors (keyed by modality) -> one fused d-vector."""
-        batched = {m: ad.reshape(r, (1, -1)) for m, r in reps.items()}
-        return ad.reshape(self.fuse_batch(batched), (-1,))
 
     def parameters(self) -> dict[str, Tensor]:
         params = {"fusion.query": self.query}
@@ -248,21 +241,6 @@ class MculoraModel:
     def freeze_base(self) -> None:
         for m in MODALITIES:
             self.encoders[m].freeze()
-
-    # -- adapter access (combination-aware low-rank adaptation) -------------
-
-    def adapt_private(self, x: np.ndarray, modality: str, combo: Combo) -> Tensor:
-        """Private down/up projection of raw features for (modality, combo)."""
-        if self.adapters is None:
-            raise ContractError("model has no adapters attached")
-        pair = self.adapters[modality].private_pair(combo)
-        return pair.apply(ad.constant(np.asarray(x, dtype=np.float64)))
-
-    def adapt_common(self, x: np.ndarray, modality: str) -> Tensor:
-        if self.adapters is None:
-            raise ContractError("model has no adapters attached")
-        return self.adapters[modality].common.apply(ad.constant(np.asarray(x, dtype=np.float64)))
-
 
 def build_model(cfg: ModelConfig, rng: Rng) -> MculoraModel:
     """Fresh base model (no adapters); all parameters trainable."""
@@ -428,16 +406,3 @@ def checkpoint_phase(path) -> str:
     _, meta, _ = load_container(path, expected_kind="checkpoint")
     return meta["phase"]
 
-
-def encoder_state_bytes(model: MculoraModel) -> bytes:
-    """Byte snapshot of all encoder parameters (frozen-base comparisons)."""
-    chunks = []
-    for m in MODALITIES:
-        for name, t in sorted(model.encoders[m].parameters(f"enc.{m}").items()):
-            chunks.append(name.encode())
-            chunks.append(t.data.tobytes())
-    return b"".join(chunks)
-
-
-def config_echo(cfg) -> str:
-    return json.dumps(asdict(cfg), sort_keys=True)

@@ -41,10 +41,6 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def signs(self, size=None) -> np.ndarray:
-        """Uniform draws from {-1.0, +1.0}."""
-        return np.where(self._gen.uniform(0.0, 1.0, size) < 0.5, -1.0, 1.0)
-
     def categorical(self, weights: np.ndarray) -> int:
         """Draw an index proportionally to nonnegative weights."""
         w = np.asarray(weights, dtype=np.float64)

@@ -18,7 +18,8 @@ signal, each embedded into per-modality feature sequences:
   information by construction.
 
 Labels are stratified round-robin, so any contiguous split stays balanced.
-Generation is a pure function of the config, including its seed.
+Generation is a pure function of the config and the random stream, by default
+the ``data`` child of the config's root seed.
 
 A :class:`Dataset` is exactly the dataset container's layout: one (N, L, D)
 feature array per modality, an (N, 3) presence mask and (N,) labels. Splits
@@ -34,13 +35,14 @@ Missing-modality protocols:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .errors import ConfigError, ContractError
 from .modalities import MODALITIES, Combo
-from .rng import Rng
+from .rng import Rng, derive_seed
 from .serialize import load_container, save_container
 
 # (lead, partner) per pair; each modality leads exactly one pair
@@ -53,34 +55,9 @@ _PRIVATE_JITTER = 0.25
 # noise planted on the pair channels (cancels exactly when both sides are present)
 _PAIR_NOISE = 1.0
 
-
-@dataclass
-class SynthConfig:
-    num_samples: int = 2000
-    seq_len: int = 8
-    raw_dim: int = 16
-    classes: int = 4
-    shared_dim: int = 4
-    private_dim: int = 2
-    shared_strength: float = 1.0
-    private_strength: float = 0.6
-    pair_interaction_strength: float = 0.8
-    noise_std: float = 1.0
-    task: str = "classification"
-    seed: int = 66
-
-    def validate(self) -> "SynthConfig":
-        for name in ("num_samples", "seq_len", "raw_dim", "shared_dim", "private_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("shared_strength", "private_strength", "pair_interaction_strength", "noise_std"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.task not in ("classification", "regression"):
-            raise ConfigError(f"task must be classification or regression, got {self.task!r}")
-        if self.task == "classification" and self.classes < 2:
-            raise ConfigError(f"classes must be >= 2 for classification, got {self.classes}")
-        return self
+# the config fields the generator reads, recorded in each dataset file's header
+_GENERATOR_FIELDS = ("num_samples", "seq_len", "raw_dim", "classes", "shared_dim", "private_dim", "shared_strength",
+                     "private_strength", "pair_interaction_strength", "noise_std", "task")
 
 
 @dataclass
@@ -139,10 +116,11 @@ def _pair_bit(label: int, pair_idx: int) -> float:
     return 1.0 if bit else -1.0
 
 
-def generate_dataset(cfg: SynthConfig) -> Dataset:
-    """All-modalities-present dataset; pure function of cfg (seed included)."""
+def generate_dataset(cfg: ExperimentConfig, root_rng: Rng | None = None) -> Dataset:
+    """All-modalities-present dataset; pure function of cfg and the stream
+    (default: the ``data`` child of ``Rng(cfg.seed)``)."""
     cfg.validate()
-    root = Rng(cfg.seed)
+    root = root_rng if root_rng is not None else Rng(cfg.seed).child("data")
     geom = root.child("geometry")
     shared_anchors = _class_anchors(cfg.classes, cfg.shared_dim, geom.child("shared"))
     private_anchors = {
@@ -245,24 +223,28 @@ def apply_random_missing(dataset: Dataset, mask_prob_range: tuple[float, float],
 # dataset file format (see serialize module for the container layout)
 # ---------------------------------------------------------------------------
 
-def save_dataset(path, dataset: Dataset, cfg: SynthConfig) -> None:
+def save_dataset(path, dataset: Dataset, cfg: ExperimentConfig) -> None:
     """Arrays stored: per-modality (N, L, D) features (zeros where absent),
-    labels (N,) float64, presence (N, 3) uint8 in modality order a, t, v."""
+    labels (N,) float64, presence (N, 3) uint8 in modality order a, t, v.
+    The header records the generator fields of cfg, with ``seed`` the seed of
+    the default data stream."""
     arrays = {}
     for k, (m, x) in enumerate(dataset.features.items()):
         present = dataset.presence[:, k].astype(bool)
         arrays[f"features_{m}"] = x if present.all() else np.where(present[:, None, None], x, 0.0)
     arrays["labels"] = dataset.labels
     arrays["presence"] = dataset.presence
-    save_container(path, "dataset", {"config": asdict(cfg)}, arrays)
+    header = {key: getattr(cfg, key) for key in _GENERATOR_FIELDS}
+    header["seed"] = derive_seed(cfg.seed, "data")
+    save_container(path, "dataset", {"config": header}, arrays)
 
 
-def load_dataset(path) -> tuple[Dataset, SynthConfig]:
-    _, meta, arrays = load_container(path, expected_kind="dataset")
+def load_dataset(path) -> Dataset:
+    _, _, arrays = load_container(path, expected_kind="dataset")
     try:
         features = {m: arrays[f"features_{m}"] for m in MODALITIES}
-        return Dataset(features, arrays["presence"], arrays["labels"]), SynthConfig(**meta["config"])
-    except (KeyError, TypeError) as exc:
+        return Dataset(features, arrays["presence"], arrays["labels"])
+    except KeyError as exc:
         raise ContractError(f"{path}: dataset container lacks or mangles {exc}") from exc
 
 

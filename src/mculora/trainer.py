@@ -1,5 +1,9 @@
 """Two-phase training and missing-modality evaluation.
 
+Training and evaluation read their settings from the one experiment schema,
+:class:`mculora.config.ExperimentConfig`; pretrain and finetune validate it
+on entry.
+
 Phase 1 (pretrain): encoders, fusion, and the common head are trained with
 the task loss on complete data (dropout on the encoder hidden layer only
 here); encoders are then frozen for good.
@@ -35,11 +39,13 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import ExperimentConfig
 from .dpft import (
     CombinationSchedule,
     initial_scores,
@@ -49,7 +55,7 @@ from .dpft import (
     uniform_schedule,
     update_probabilities,
 )
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .losses import orthogonality_loss, task_loss, total_loss
 from .modalities import ALL_COMBINATIONS, INCOMPLETE_COMBINATIONS, MODALITIES, Combo
 from .model import MculoraModel, ModelConfig, attach_adapters, build_model, forward_batch
@@ -57,52 +63,6 @@ from .rng import Rng
 from .synthgen import Dataset, apply_random_missing
 
 _EVAL_CHUNK = 512
-
-
-@dataclass
-class TrainConfig:
-    pretrain_epochs: int = 100
-    finetune_epochs: int = 100
-    batch_size: int = 32
-    learning_rate: float = 1e-4
-    beta: float = 0.001
-    rank: int = 4
-    alpha: float = 1.0
-    dropout: float = 0.5
-    mcla: bool = True
-    dpft: bool = True
-    p_min: float = 0.05
-    p_max: float = 0.5
-    q_base: float = 0.1
-    lam: float = 1.0
-    reduce_fast_learners: bool = True
-    probe_size: int = 256
-    model_dim: int = 32
-    classes: int = 4
-    task: str = "classification"
-    seed: int = 66
-    mask_lo: float = 0.4
-    mask_hi: float = 0.6
-    eval_seed: int = 66
-
-    def validate(self) -> "TrainConfig":
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.pretrain_epochs < 1 or self.finetune_epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.rank < 1:
-            raise ConfigError(f"rank must be >= 1, got {self.rank}")
-        if self.beta < 0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not (0.0 <= self.mask_lo <= self.mask_hi <= 1.0):
-            raise ConfigError(f"mask range invalid: [{self.mask_lo}, {self.mask_hi}]")
-        if self.task not in ("classification", "regression"):
-            raise ConfigError(f"task must be classification or regression, got {self.task!r}")
-        return self
 
 
 @dataclass
@@ -173,7 +133,7 @@ def _batch_indices(n: int, batch_size: int, order: np.ndarray):
 # phase 1: pretraining the base
 # ---------------------------------------------------------------------------
 
-def pretrain(dataset: Dataset, cfg: TrainConfig, root_rng: Rng | None = None) -> TrainResult:
+def pretrain(dataset: Dataset, cfg: ExperimentConfig, root_rng: Rng | None = None) -> TrainResult:
     """Train encoders + fusion + common head on complete data, then freeze encoders."""
     cfg.validate()
     dataset.require_complete("pretrain")
@@ -218,27 +178,22 @@ def _probe_mean_cosine(model: MculoraModel, probe_feats: dict[str, np.ndarray]) 
     """Mean cosine between pooled private and common adapter outputs on the probe."""
     if model.adapters is None:
         return 0.0
-    B, L, D = probe_feats["a"].shape
+    pooled_com = {m: model.adapters[m].common.pooled_map(probe_feats[m]) for m in MODALITIES}
     vals = []
-    pooled_com = {}
-    for m in MODALITIES:
-        x2d = probe_feats[m].reshape(B * L, D)
-        pooled_com[m] = (model.adapters[m].common.effective_map() @ x2d.T).T.reshape(B, L, -1).mean(axis=1)
     for combo in ALL_COMBINATIONS:
         for m in combo:
-            x2d = probe_feats[m].reshape(B * L, D)
-            prt = (model.adapters[m].private_pair(combo).effective_map() @ x2d.T).T.reshape(B, L, -1).mean(axis=1)
+            prt = model.adapters[m].private_pair(combo).pooled_map(probe_feats[m])
             com = pooled_com[m]
             nu = np.linalg.norm(com, axis=1)
             nv = np.linalg.norm(prt, axis=1)
             ok = (nu > ad.NORM_EPS) & (nv > ad.NORM_EPS)
-            cos = np.zeros(B)
+            cos = np.zeros(len(com))
             cos[ok] = np.sum(com[ok] * prt[ok], axis=1) / (nu[ok] * nv[ok])
             vals.append(cos.mean())
     return float(np.mean(vals))
 
 
-def finetune(model: MculoraModel, dataset: Dataset, cfg: TrainConfig,
+def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
              probe_batch: Dataset | None = None, root_rng: Rng | None = None) -> TrainResult:
     """Fine-tune adapters/heads/gate under scheduled incomplete batches."""
     cfg.validate()
@@ -388,10 +343,8 @@ def predict_dataset(model: MculoraModel, dataset: Dataset) -> np.ndarray:
     return preds
 
 
-def evaluate(model: MculoraModel, dataset: Dataset, protocol: str,
-             cfg: TrainConfig | None = None) -> MetricsRecord:
+def evaluate(model: MculoraModel, dataset: Dataset, protocol: str, cfg: ExperimentConfig) -> MetricsRecord:
     """Score a model on the test set under the fixed or random missing protocol."""
-    cfg = cfg if cfg is not None else TrainConfig()
     if model.cfg.task != "classification":
         raise ContractError("evaluation metrics are defined for classification tasks")
     if not dataset:
@@ -449,12 +402,10 @@ def write_probe_log(path, rows: list[tuple[int, float]]) -> None:
 
 
 def _write_text(path, text: str) -> None:
-    import os as _os
-    from pathlib import Path
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
-    _os.replace(tmp, path)
+    os.replace(tmp, path)
 
 
 _METRICS_HEADER = "# mculora metrics v1"

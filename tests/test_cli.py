@@ -42,7 +42,7 @@ def test_gen_data_writes_dataset_and_manifest(workspace):
     tmp, cfg = workspace
     out = tmp / "data"
     assert run("gen-data", "--config", cfg, "--out", out) == 0
-    dataset, loaded_cfg = load_dataset(out / "dataset.mcu")
+    dataset = load_dataset(out / "dataset.mcu")
     assert len(dataset) == 80
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "gen-data"
@@ -66,6 +66,45 @@ def test_gen_data_rejects_bad_config(workspace, capsys):
     bad.write_text("num_samples = 0\n")
     assert run("gen-data", "--config", bad, "--out", tmp / "x") == 2
     assert "num_samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, field", [
+    ("learning_rate = nan", "learning_rate"),
+    ("beta = inf", "beta"),
+    ("alpha = -inf", "alpha"),
+    ("mask_hi = nan", "mask_hi"),
+])
+def test_non_finite_config_values_rejected(workspace, capsys, line, field):
+    tmp, _ = workspace
+    bad = tmp / "bad.cfg"
+    bad.write_text(TINY_CONFIG + line + "\n")
+    assert run("gen-data", "--config", bad, "--out", tmp / "x") == 2
+    assert field in capsys.readouterr().err
+
+
+def test_non_finite_flag_value_rejected(workspace, capsys):
+    tmp, cfg = workspace
+    assert run("finetune", "--config", cfg, "--data", tmp / "d.mcu", "--checkpoint", tmp / "c.mcu",
+               "--out", tmp / "f", "--beta", "nan") == 2
+    assert "beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, field", [
+    ("p_min = 0.6", "p_min"),
+    ("p_min = 0.2", "p_min"),  # above the uniform start 1/7
+    ("p_max = 1.5", "p_max"),
+    ("q_base = 0", "q_base"),
+    ("lam = 0", "lam"),
+])
+def test_schedule_fields_checked_at_config_load(workspace, capsys, line, field):
+    tmp, cfg = workspace
+    assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
+    bad = tmp / "bad.cfg"
+    bad.write_text(TINY_CONFIG + line + "\n")
+    assert run("gen-data", "--config", bad, "--out", tmp / "x") == 2
+    assert field in capsys.readouterr().err
+    assert run("pretrain", "--config", bad, "--data", tmp / "data" / "dataset.mcu", "--out", tmp / "p") == 2
+    assert field in capsys.readouterr().err
 
 
 def test_unknown_config_key_rejected(workspace, capsys):

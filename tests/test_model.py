@@ -20,7 +20,8 @@ from mculora.model import (
 )
 from mculora.rng import Rng
 from mculora.dpft import separability_scores
-from mculora.synthgen import SynthConfig, generate_dataset
+from mculora.config import ExperimentConfig
+from mculora.synthgen import generate_dataset
 
 
 CFG = ModelConfig(raw_dim=6, model_dim=8, classes=3, rank=2)
@@ -54,24 +55,24 @@ def predict_one(features, model):
 
 def test_encoder_zero_input_zero_bias_gives_zero_output():
     model = build_model(CFG, Rng(3))
-    out = model.encoders["a"].encode(np.zeros((4, 6)))
+    out = model.encoders["a"].forward(ad.constant(np.zeros((4, 6))))
     assert np.array_equal(out.data, np.zeros((4, 8)))
 
 
 def test_encoder_shape_contract():
     model = build_model(CFG, Rng(3))
     for m in MODALITIES:
-        out = model.encoders[m].encode(np.ones((5, 6)))
+        out = model.encoders[m].forward(ad.constant(np.ones((5, 6))))
         assert out.shape == (5, 8)
     with pytest.raises(ShapeError):
-        model.encoders["a"].encode(np.ones((5, 7)))
+        model.encoders["a"].forward(ad.constant(np.ones((5, 7))))
 
 
 def test_encoder_frozen_determinism():
     model = small_model(adapters=False)
     x = Rng(9).normal(size=(4, 6))
-    out1 = model.encoders["t"].encode(x)
-    out2 = model.encoders["t"].encode(x)
+    out1 = model.encoders["t"].forward(ad.constant(x))
+    out2 = model.encoders["t"].forward(ad.constant(x))
     assert np.array_equal(out1.data, out2.data)
     assert model.encoders["t"].frozen
 
@@ -82,7 +83,7 @@ def test_encoder_frozen_determinism():
 
 def test_private_adapter_zero_init_outputs_zero():
     model = small_model()
-    out = model.adapt_private(np.ones((4, 6)), "a", AT)
+    out = model.adapters["a"].private_pair(AT).apply(ad.constant(np.ones((4, 6))))
     assert np.array_equal(out.data, np.zeros((4, 8)))
 
 
@@ -108,7 +109,7 @@ def test_effective_rank_at_most_r():
 def test_private_adapter_requires_membership():
     model = small_model()
     with pytest.raises(ContractError):
-        model.adapt_private(np.ones((4, 6)), "v", AT)
+        model.adapters["v"].private_pair(AT)
 
 
 def test_common_adapter_is_combination_independent():
@@ -116,8 +117,8 @@ def test_common_adapter_is_combination_independent():
     rng = Rng(1)
     model.adapters["t"].common.B.data = rng.normal(size=(8, 2))
     x = rng.normal(size=(4, 6))
-    out1 = model.adapt_common(x, "t")
-    out2 = model.adapt_common(x, "t")
+    out1 = model.adapters["t"].common.apply(ad.constant(x))
+    out2 = model.adapters["t"].common.apply(ad.constant(x))
     assert np.array_equal(out1.data, out2.data)
     assert not np.allclose(out1.data, 0.0)
 
@@ -161,8 +162,8 @@ def test_pool_constant_rows():
 
 def test_fuse_single_input_equals_value_projection():
     model = small_model()
-    r = Rng(7).normal(size=8)
-    out = model.fusion.fuse({"t": ad.constant(r)})
+    r = Rng(7).normal(size=(1, 8))
+    out = model.fusion.fuse_batch({"t": ad.constant(r)})
     expected = r @ model.fusion.values["t"].data
     assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -170,9 +171,9 @@ def test_fuse_single_input_equals_value_projection():
 def test_fuse_is_setwise_under_input_order():
     model = small_model()
     rng = Rng(8)
-    reps = {m: ad.constant(rng.normal(size=8)) for m in MODALITIES}
-    out1 = model.fusion.fuse({"a": reps["a"], "t": reps["t"], "v": reps["v"]})
-    out2 = model.fusion.fuse({"v": reps["v"], "a": reps["a"], "t": reps["t"]})
+    reps = {m: ad.constant(rng.normal(size=(1, 8))) for m in MODALITIES}
+    out1 = model.fusion.fuse_batch({"a": reps["a"], "t": reps["t"], "v": reps["v"]})
+    out2 = model.fusion.fuse_batch({"v": reps["v"], "a": reps["a"], "t": reps["t"]})
     assert np.array_equal(out1.data, out2.data)
 
 
@@ -189,8 +190,8 @@ def test_fuse_three_equal_vectors_with_equal_projections_brute_force():
         fusion.keys[m] = ad.Tensor(Wk.copy())
         fusion.values[m] = ad.Tensor(Wv.copy())
 
-    one = fusion.fuse({"a": ad.constant(r)})
-    three = fusion.fuse({m: ad.constant(r.copy()) for m in MODALITIES})
+    one = fusion.fuse_batch({"a": ad.constant(r[None])}).data[0]
+    three = fusion.fuse_batch({m: ad.constant(r[None].copy()) for m in MODALITIES}).data[0]
 
     # brute-force attention arithmetic with plain floats
     score = sum(q[0][i] * (r @ Wk)[i] for i in range(2)) / math.sqrt(2)
@@ -198,15 +199,15 @@ def test_fuse_three_equal_vectors_with_equal_projections_brute_force():
     attn = [w / sum(weights) for w in weights]
     v = [sum(r[k] * Wv[k][j] for k in range(2)) for j in range(2)]
     expected = [sum(attn[i] * v[j] for i in range(3)) / 1.0 for j in range(2)]
-    assert np.allclose(one.data, v, atol=1e-12)
-    assert np.allclose(three.data, expected, atol=1e-12)
-    assert np.allclose(three.data, one.data, atol=1e-12)
+    assert np.allclose(one, v, atol=1e-12)
+    assert np.allclose(three, expected, atol=1e-12)
+    assert np.allclose(three, one, atol=1e-12)
 
 
 def test_fuse_empty_set_is_contract_error():
     model = small_model()
     with pytest.raises(ContractError):
-        model.fusion.fuse({})
+        model.fusion.fuse_batch({})
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +261,7 @@ def test_forward_batch_empty_presence_is_contract_error():
 
 
 def test_probe_batch_mixing_combinations_is_contract_error():
-    batch = generate_dataset(SynthConfig(num_samples=2, seq_len=4, raw_dim=6, classes=3, seed=1))
+    batch = generate_dataset(ExperimentConfig(num_samples=2, seq_len=4, raw_dim=6, classes=3), Rng(1))
     presence = batch.presence.copy()
     presence[1] = [m in A for m in MODALITIES]  # the second row is audio only
     mixed = dataclasses.replace(batch, presence=presence)

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mculora.config import ExperimentConfig
 from mculora.errors import ConfigError, ContractError
 from mculora.modalities import AV, FULL, MODALITIES, T, Combo
-from mculora.rng import Rng
+from mculora.rng import Rng, derive_seed
+from mculora.serialize import load_container
 from mculora.synthgen import (
     _PAIR_NOISE,
     _PAIRS,
     _PRIVATE_JITTER,
     _SHARED_JITTER,
     Dataset,
-    SynthConfig,
     _class_anchors,
     _pair_bit,
     _unit_columns,
@@ -39,9 +40,15 @@ def row_combos(dataset):
     return [Combo.from_modalities([m for m, present in zip(MODALITIES, row) if present]) for row in dataset.presence]
 
 
-def reference_generate(cfg: SynthConfig):
+def synth(seed, **fields):
+    """(config, dataset) of the generator fields given, drawn from the stream Rng(seed)."""
+    cfg = ExperimentConfig(**fields)
+    return cfg, generate_dataset(cfg, Rng(seed))
+
+
+def reference_generate(cfg: ExperimentConfig, seed: int):
     """The generator one sample at a time: (per-modality (N, L, D) features, labels)."""
-    root = Rng(cfg.seed)
+    root = Rng(seed)
     geom = root.child("geometry")
     shared_anchors = _class_anchors(cfg.classes, cfg.shared_dim, geom.child("shared"))
     private_anchors = {
@@ -117,16 +124,16 @@ def dataset_with_presence(presence):
 
 
 def test_cardinality_and_label_range():
-    ds = generate_dataset(SynthConfig(num_samples=1000, classes=4, seed=1))
+    ds = synth(1, num_samples=1000, classes=4)[1]
     assert len(ds) == 1000
     labels = labels_of(ds)
     assert labels.min() >= 0 and labels.max() < 4
 
 
 def test_generation_is_deterministic():
-    cfg = SynthConfig(num_samples=64, seed=66)
-    a = generate_dataset(cfg)
-    b = generate_dataset(cfg)
+    cfg = ExperimentConfig(num_samples=64)
+    a = generate_dataset(cfg, Rng(66))
+    b = generate_dataset(cfg, Rng(66))
     assert np.array_equal(a.labels, b.labels)
     for m in MODALITIES:
         assert np.array_equal(a.features[m], b.features[m])
@@ -134,10 +141,8 @@ def test_generation_is_deterministic():
 
 @pytest.mark.parametrize("task", ["classification", "regression"])
 def test_generator_matches_per_sample_reference_bitwise(task):
-    cfg = SynthConfig(num_samples=37, seq_len=5, raw_dim=7, classes=5, shared_dim=3, private_dim=2,
-                      task=task, seed=21)
-    ds = generate_dataset(cfg)
-    features, labels = reference_generate(cfg)
+    cfg, ds = synth(21, num_samples=37, seq_len=5, raw_dim=7, classes=5, shared_dim=3, private_dim=2, task=task)
+    features, labels = reference_generate(cfg, 21)
     assert ds.labels.tobytes() == labels.tobytes()
     for m in MODALITIES:
         assert ds.features[m].tobytes() == features[m].tobytes(), m
@@ -147,15 +152,14 @@ def test_generator_matches_per_sample_reference_bitwise(task):
 def test_shared_signal_alone_is_linearly_decodable_from_each_modality():
     # independent least-squares probe oracle: the label is a deterministic
     # function of the shared latent planted in every modality
-    cfg = SynthConfig(
+    cfg, ds = synth(
+        3,
         num_samples=400,
         shared_strength=1.0,
         private_strength=0.0,
         pair_interaction_strength=0.0,
         noise_std=0.0,
-        seed=3,
     )
-    ds = generate_dataset(cfg)
     labels = labels_of(ds)
     for m in MODALITIES:
         acc = lstsq_probe_accuracy(pooled(ds, m), labels, cfg.classes)
@@ -163,24 +167,23 @@ def test_shared_signal_alone_is_linearly_decodable_from_each_modality():
 
 
 def test_label_marginals_are_stratified():
-    cfg = SynthConfig(num_samples=10_000, classes=4, seed=5)
-    counts = np.bincount(labels_of(generate_dataset(cfg)), minlength=4)
+    counts = np.bincount(labels_of(synth(5, num_samples=10_000, classes=4)[1]), minlength=4)
     assert np.all(np.abs(counts / 10_000 - 0.25) <= 0.05 * 0.25)
 
 
 def test_presence_never_empty():
-    ds = generate_dataset(SynthConfig(num_samples=200, seed=7))
+    ds = synth(7, num_samples=200)[1]
     masked = apply_random_missing(ds, (1.0, 1.0), seed=7)
     assert all(len(c) >= 1 for c in row_combos(masked))
 
 
 def test_invalid_config_rejected():
     with pytest.raises(ConfigError, match="num_samples"):
-        SynthConfig(num_samples=0).validate()
+        ExperimentConfig(num_samples=0).validate()
     with pytest.raises(ConfigError, match="classes"):
-        SynthConfig(classes=1).validate()
+        ExperimentConfig(classes=1).validate()
     with pytest.raises(ConfigError, match="noise_std"):
-        SynthConfig(noise_std=-0.1).validate()
+        ExperimentConfig(noise_std=-0.1).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -188,27 +191,27 @@ def test_invalid_config_rejected():
 # ---------------------------------------------------------------------------
 
 def test_fixed_missing_full_set_is_identity():
-    ds = generate_dataset(SynthConfig(num_samples=16, seed=2))
+    ds = synth(2, num_samples=16)[1]
     out = apply_fixed_missing(ds, FULL)
     assert row_combos(ds) == row_combos(out) == [FULL] * len(ds)
     assert all(out.features[m] is ds.features[m] for m in MODALITIES)
 
 
 def test_fixed_missing_text_only():
-    ds = generate_dataset(SynthConfig(num_samples=16, seed=2))
+    ds = synth(2, num_samples=16)[1]
     out = apply_fixed_missing(ds, T)
     assert np.array_equal(out.presence, np.tile([0, 1, 0], (len(ds), 1)))
     assert row_combos(out) == [T] * len(ds)
 
 
 def test_fixed_missing_audio_vision_drops_text():
-    ds = generate_dataset(SynthConfig(num_samples=16, seed=2))
+    ds = synth(2, num_samples=16)[1]
     out = apply_fixed_missing(ds, AV)
     assert np.array_equal(out.presence, np.tile([1, 0, 1], (len(ds), 1)))
 
 
 def test_fixed_missing_is_idempotent():
-    ds = generate_dataset(SynthConfig(num_samples=8, seed=2))
+    ds = synth(2, num_samples=8)[1]
     once = apply_fixed_missing(ds, AV)
     twice = apply_fixed_missing(once, AV)
     assert np.array_equal(once.presence, twice.presence)
@@ -217,7 +220,7 @@ def test_fixed_missing_is_idempotent():
 
 
 def test_fixed_missing_rejects_samples_lacking_the_combination():
-    ds = apply_fixed_missing(generate_dataset(SynthConfig(num_samples=8, seed=2)), AV)
+    ds = apply_fixed_missing(synth(2, num_samples=8)[1], AV)
     with pytest.raises(ContractError, match="lack modalities"):
         apply_fixed_missing(ds, T)
 
@@ -227,13 +230,13 @@ def test_fixed_missing_rejects_samples_lacking_the_combination():
 # ---------------------------------------------------------------------------
 
 def test_random_missing_zero_probability_drops_nothing():
-    ds = generate_dataset(SynthConfig(num_samples=32, seed=4))
+    ds = synth(4, num_samples=32)[1]
     out = apply_random_missing(ds, (0.0, 0.0), seed=4)
     assert row_combos(out) == [FULL] * len(ds)
 
 
 def test_random_missing_certain_drop_leaves_exactly_one_modality():
-    ds = generate_dataset(SynthConfig(num_samples=64, seed=4))
+    ds = synth(4, num_samples=64)[1]
     out = apply_random_missing(ds, (1.0, 1.0), seed=4)
     assert all(len(c) == 1 for c in row_combos(out))
 
@@ -246,7 +249,7 @@ def test_random_missing_empirical_drop_rate_monte_carlo():
 
 
 def test_random_missing_is_deterministic_given_seed():
-    ds = generate_dataset(SynthConfig(num_samples=128, seed=9))
+    ds = synth(9, num_samples=128)[1]
     m1 = row_combos(apply_random_missing(ds, (0.4, 0.6), seed=66))
     m2 = row_combos(apply_random_missing(ds, (0.4, 0.6), seed=66))
     assert m1 == m2
@@ -290,12 +293,16 @@ def test_dataset_features_must_match_presence():
 # ---------------------------------------------------------------------------
 
 def test_dataset_roundtrip_is_bitwise(tmp_path):
-    cfg = SynthConfig(num_samples=40, seed=11)
-    ds = apply_random_missing(generate_dataset(cfg), (0.3, 0.7), seed=11)
+    cfg, ds = synth(11, num_samples=40)
+    ds = apply_random_missing(ds, (0.3, 0.7), seed=11)
     path = tmp_path / "data.mcu"
     save_dataset(path, ds, cfg)
-    loaded, loaded_cfg = load_dataset(path)
-    assert loaded_cfg == cfg
+    loaded = load_dataset(path)
+    # the header records the 12 generator fields, seed being that of the default data stream
+    generator_fields = ("num_samples", "seq_len", "raw_dim", "classes", "shared_dim", "private_dim", "shared_strength",
+                        "private_strength", "pair_interaction_strength", "noise_std", "task")
+    header = load_container(path, expected_kind="dataset")[1]["config"]
+    assert header == {**{k: getattr(cfg, k) for k in generator_fields}, "seed": derive_seed(cfg.seed, "data")}
     assert len(loaded) == len(ds)
     assert np.array_equal(ds.presence, loaded.presence)
     assert np.array_equal(ds.labels, loaded.labels)
@@ -306,15 +313,15 @@ def test_dataset_roundtrip_is_bitwise(tmp_path):
 
 
 def test_dataset_file_bytes_are_reproducible(tmp_path):
-    cfg = SynthConfig(num_samples=16, seed=12)
+    cfg = ExperimentConfig(num_samples=16)
     p1, p2 = tmp_path / "a.mcu", tmp_path / "b.mcu"
-    save_dataset(p1, generate_dataset(cfg), cfg)
-    save_dataset(p2, generate_dataset(cfg), cfg)
+    save_dataset(p1, generate_dataset(cfg, Rng(12)), cfg)
+    save_dataset(p2, generate_dataset(cfg, Rng(12)), cfg)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_split_is_contiguous_and_balanced():
-    ds = generate_dataset(SynthConfig(num_samples=200, classes=4, seed=13))
+    ds = synth(13, num_samples=200, classes=4)[1]
     train, val, test = split_dataset(ds, 0.7, 0.15)
     assert len(train) == 140 and len(val) == 30 and len(test) == 30
     assert all(np.shares_memory(part.features[m], ds.features[m]) for part in (train, val, test) for m in MODALITIES)
@@ -323,7 +330,6 @@ def test_split_is_contiguous_and_balanced():
 
 
 def test_regression_labels_are_real_scores():
-    cfg = SynthConfig(num_samples=32, task="regression", seed=14)
-    ds = generate_dataset(cfg)
+    ds = synth(14, num_samples=32, task="regression")[1]
     assert ds.labels.dtype == np.float64 and not np.array_equal(ds.labels, np.round(ds.labels))
     assert len(np.unique(ds.labels)) > 16

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from mculora.config import ExperimentConfig
 from mculora.errors import ConfigError, ContractError
-from mculora.modalities import ALL_COMBINATIONS, FULL, INCOMPLETE_COMBINATIONS
+from mculora.modalities import ALL_COMBINATIONS, FULL, INCOMPLETE_COMBINATIONS, MODALITIES
 from mculora.rng import Rng
-from mculora.synthgen import SynthConfig, apply_fixed_missing, generate_dataset, split_dataset
+from mculora.synthgen import apply_fixed_missing, generate_dataset, split_dataset
 from mculora import trainer
 from mculora.trainer import (
     Metrics,
     MetricsRecord,
     ScheduleRow,
-    TrainConfig,
     compute_metrics,
     evaluate,
     finetune,
@@ -22,23 +22,29 @@ from mculora.trainer import (
     write_probe_log,
     write_schedule_log,
 )
-from mculora.model import encoder_state_bytes, save_checkpoint
+from mculora.model import save_checkpoint
 
 from conftest import lstsq_probe_accuracy
 
 
 def tiny_synth(n=60, seed=1, **kw):
     defaults = dict(num_samples=n, seq_len=3, raw_dim=8, classes=3, shared_dim=3,
-                    private_dim=2, noise_std=0.3, seed=seed)
+                    private_dim=2, noise_std=0.3)
     defaults.update(kw)
-    return generate_dataset(SynthConfig(**defaults))
+    return generate_dataset(ExperimentConfig(**defaults), Rng(seed))
 
 
 def tiny_cfg(**kw):
     defaults = dict(pretrain_epochs=2, finetune_epochs=2, batch_size=16, model_dim=8,
                     classes=3, rank=2, probe_size=16, seed=5)
     defaults.update(kw)
-    return TrainConfig(**defaults)
+    return ExperimentConfig(**defaults)
+
+
+def encoder_state_bytes(model):
+    """Byte snapshot of every encoder parameter, names included."""
+    return b"".join(name.encode() + t.data.tobytes() for m in MODALITIES
+                    for name, t in sorted(model.encoders[m].parameters(f"enc.{m}").items()))
 
 
 def metrics_oracle(preds, labels):
@@ -153,6 +159,7 @@ def test_finetune_leaves_encoder_parameters_untouched():
     before = encoder_state_bytes(model)
     finetune(model, ds, cfg)
     assert encoder_state_bytes(model) == before
+
 
 
 def test_finetune_beta_zero_vs_beta_diverge_in_ort_trajectories():
@@ -350,10 +357,10 @@ def test_metrics_document_roundtrip():
 
 def test_train_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(learning_rate=0.0).validate()
+        ExperimentConfig(learning_rate=0.0).validate()
     with pytest.raises(ConfigError):
-        TrainConfig(rank=0).validate()
+        ExperimentConfig(rank=0).validate()
     with pytest.raises(ConfigError):
-        TrainConfig(beta=-1.0).validate()
+        ExperimentConfig(beta=-1.0).validate()
     with pytest.raises(ConfigError):
-        TrainConfig(pretrain_epochs=0).validate()
+        ExperimentConfig(pretrain_epochs=0).validate()
