@@ -20,7 +20,7 @@ behavior.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -380,8 +380,20 @@ def save_checkpoint(model: MculoraModel, path) -> None:
     save_container(path, "checkpoint", meta, {k: t.data for k, t in sorted(params.items())})
 
 
-def load_checkpoint(path) -> MculoraModel:
+def _load_checkpoint_container(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """(meta, arrays) of a checkpoint file whose metadata has every required key."""
     _, meta, arrays = load_container(path, expected_kind="checkpoint")
+    for key in ("config", "phase", "has_adapters"):
+        if key not in meta:
+            raise ContractError(f"checkpoint {path}: metadata lacks key {key!r}")
+    unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise ContractError(f"checkpoint {path}: unknown config key {unknown[0]!r}")
+    return meta, arrays
+
+
+def load_checkpoint(path) -> MculoraModel:
+    meta, arrays = _load_checkpoint_container(path)
     cfg = ModelConfig(**meta["config"])
     model = build_model(cfg, Rng(0))
     if meta["has_adapters"]:
@@ -403,6 +415,5 @@ def load_checkpoint(path) -> MculoraModel:
 
 
 def checkpoint_phase(path) -> str:
-    _, meta, _ = load_container(path, expected_kind="checkpoint")
-    return meta["phase"]
+    return _load_checkpoint_container(path)[0]["phase"]
 

@@ -6,6 +6,9 @@ import pytest
 from mculora.cli import build_parser, main
 from mculora.config import load_config, parse_config_text
 from mculora.errors import ConfigError
+from mculora.model import ModelConfig, build_model, save_checkpoint
+from mculora.rng import Rng
+from mculora.serialize import load_container, save_container
 from mculora.synthgen import load_dataset
 
 TINY_CONFIG = """
@@ -158,6 +161,27 @@ def test_corrupt_dataset_file_is_state_error(workspace, capsys):
         (tmp / name).write_bytes(content)
         assert run("pretrain", "--config", cfg, "--data", tmp / name, "--out", tmp / "p") == 3
         assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt, key", [
+    (lambda meta: meta["config"].update(depth=3), "depth"),
+    (lambda meta: meta.pop("has_adapters"), "has_adapters"),
+    (lambda meta: meta.pop("phase"), "phase"),
+])
+def test_malformed_checkpoint_metadata_is_state_error(workspace, capsys, corrupt, key):
+    tmp, cfg = workspace
+    assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
+    model = build_model(ModelConfig(raw_dim=8, model_dim=8, classes=3, rank=2), Rng(0))
+    model.phase = "pretrained"
+    save_checkpoint(model, tmp / "good.mcu")
+    _, meta, arrays = load_container(tmp / "good.mcu", expected_kind="checkpoint")
+    corrupt(meta)
+    save_container(tmp / "bad.mcu", "checkpoint", meta, arrays)
+    for command in (["eval", "--protocol", "fixed"], ["finetune", "--config", cfg]):
+        assert run(*command, "--data", tmp / "data" / "dataset.mcu", "--checkpoint", tmp / "bad.mcu",
+                   "--out", tmp / "out") == 3
+        err = capsys.readouterr().err
+        assert "bad.mcu" in err and key in err
 
 
 def test_on_off_flags_share_the_config_parser_and_name_the_flag(workspace, capsys):
