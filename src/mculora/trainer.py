@@ -382,7 +382,8 @@ PROBE_LOG_COLUMNS = ["epoch", "mean_cos_prt_com"]
 def write_epoch_log(path, rows: list[EpochRow]) -> None:
     lines = [",".join(EPOCH_LOG_COLUMNS)]
     for r in rows:
-        lines.append(f"{r.epoch},{r.phase},{r.l_task!r},{r.l_ort!r},{r.l_total!r},{r.wallclock_ms!r}")
+        vals = [str(r.epoch), r.phase] + [repr(float(x)) for x in (r.l_task, r.l_ort, r.l_total, r.wallclock_ms)]
+        lines.append(",".join(vals))
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -344,6 +344,23 @@ def test_log_files_have_documented_headers(tmp_path):
     assert len(sp.read_text().splitlines()) == 1 + cfg.finetune_epochs
 
 
+def test_log_cells_are_plain_numbers(tmp_path):
+    ds = tiny_synth(n=40)
+    cfg = tiny_cfg()
+    res = pretrain(ds, cfg)
+    fres = finetune(res.model, ds, cfg)
+    write_epoch_log(tmp_path / "e.csv", res.epoch_rows + fres.epoch_rows)
+    write_schedule_log(tmp_path / "s.csv", fres.schedule_rows)
+    write_probe_log(tmp_path / "p.csv", fres.probe_rows)
+    for name in ("e.csv", "s.csv", "p.csv"):
+        header, *rows = (tmp_path / name).read_text().splitlines()
+        assert rows, name
+        for row in rows:
+            for column, cell in zip(header.split(","), row.split(",")):
+                if column != "phase":
+                    float(cell)  # raises on e.g. "np.float64(0.5)"
+
+
 def test_metrics_document_roundtrip():
     rows = {c.name: Metrics(0.5, 0.4, 0.5, 0.45) for c in ALL_COMBINATIONS}
     record = MetricsRecord(protocol="fixed", rows=rows, average=Metrics(0.5, 0.4, 0.5, 0.45))
