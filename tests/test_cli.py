@@ -167,7 +167,7 @@ def test_corrupt_dataset_file_is_state_error(workspace, capsys):
     (lambda meta: meta["config"].update(depth=3), "depth"),
     (lambda meta: meta.pop("has_adapters"), "has_adapters"),
     (lambda meta: meta.pop("phase"), "phase"),
-])
+], ids=["unknown-config-key", "no-has_adapters", "no-phase"])
 def test_malformed_checkpoint_metadata_is_state_error(workspace, capsys, corrupt, key):
     tmp, cfg = workspace
     assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mculora.config import ExperimentConfig
 from mculora.dpft import (
     CombinationSchedule,
     N_COMBINATIONS,
@@ -20,7 +21,6 @@ from mculora.errors import ContractError
 from mculora.modalities import ALL_COMBINATIONS, FULL
 from mculora.model import ModelConfig, attach_adapters, build_model
 from mculora.rng import Rng
-from mculora.config import ExperimentConfig
 from mculora.synthgen import generate_dataset
 
 from conftest import js_oracle

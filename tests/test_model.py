@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mculora import autodiff as ad
+from mculora.config import ExperimentConfig
 from mculora.errors import ContractError, ShapeError
 from mculora.modalities import ALL_COMBINATIONS, AT, MODALITIES, A, Combo
 from mculora.model import (
@@ -20,7 +21,6 @@ from mculora.model import (
 )
 from mculora.rng import Rng
 from mculora.dpft import separability_scores
-from mculora.config import ExperimentConfig
 from mculora.synthgen import generate_dataset
 
 
