@@ -85,7 +85,7 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
+            if f.type in ("float", float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         for name in ("num_samples", "seq_len", "raw_dim", "shared_dim", "private_dim", "rank",
                      "pretrain_epochs", "finetune_epochs", "batch_size", "probe_size"):
