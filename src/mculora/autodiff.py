@@ -62,34 +62,6 @@ class Tensor:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _not_scalar(t: Tensor):
     raise ContractError(f"expected a scalar tensor, got shape {t.shape}")
@@ -102,6 +74,15 @@ def as_tensor(value) -> Tensor:
 def constant(value) -> Tensor:
     """Untracked tensor wrapping the given value."""
     return Tensor(value, requires_grad=False)
+
+
+def freeze(tensors) -> None:
+    """Stop training the given parameters: later ops neither record them on a
+    tape nor compute their gradients, and any gradient they hold is dropped."""
+    for t in tensors:
+        t.requires_grad = False
+        t._tracked = False
+        t.grad = None
 
 
 class _TapeStack(threading.local):
@@ -332,20 +313,6 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
         return ((a, full),)
 
     _record(out, (a,), backward)
-    return out
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.exp(a.data))
-    _record(out, (a,), lambda g: ((a, g * out.data),))
-    return out
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.log(a.data))
-    _record(out, (a,), lambda g: ((a, g / a.data),))
     return out
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import ExperimentConfig, _parse_bool, load_config, version_string, write_manifest
 from .errors import ConfigError, ContractError, ShapeError
 from .modalities import Combo
-from .model import checkpoint_phase, load_checkpoint, save_checkpoint
+from .model import load_checkpoint, save_checkpoint
 from .synthgen import apply_fixed_missing, generate_dataset, load_dataset, save_dataset, split_dataset
 from .trainer import (
     MetricsRecord,
@@ -142,9 +142,6 @@ def cmd_pretrain(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg, out_dir = _prepare(args)
-    phase = checkpoint_phase(args.checkpoint)
-    if phase != "pretrained":
-        raise ContractError(f"finetune needs a checkpoint in phase 'pretrained', found {phase!r}")
     model = load_checkpoint(args.checkpoint)
     train, val, _ = _load_splits(cfg, args.data)
     probe = val[:cfg.probe_size] if val else None

@@ -185,10 +185,12 @@ def sha256_file(path) -> str:
 
 
 def version_string() -> str:
+    """The package version, plus `git describe` of the checkout holding the
+    package when there is one (whatever the working directory)."""
     import subprocess
     try:
         described = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
+            ["git", "-C", str(Path(__file__).resolve().parent), "describe", "--always", "--dirty"],
             capture_output=True, text=True, timeout=5, check=False,
         ).stdout.strip()
     except OSError:

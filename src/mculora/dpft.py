@@ -1,12 +1,21 @@
 """Dynamic combination scheduling driven by decoupling-progress scores.
 
-Once per epoch, each of the 7 modality combinations gets a separability
-score: the Jensen-Shannon divergence (un-halved form, so the range is
-[0, 2 ln 2]) between the softmax-normalized pooled private and common adapter
+The scheduler's state is two arrays over the 7 modality combinations in
+canonical order, held by the fine-tuning loop: the sampling probabilities
+``q`` (uniform, 1/7 each, at the start) and the previous epoch's scores (all
+zero at the start). Its settings - ``p_min``, ``p_max``, ``q_base``, ``lam``
+and ``reduce_fast_learners`` - are read from
+:class:`mculora.config.ExperimentConfig`, whose ``validate()`` is their only
+range check.
+
+Once per epoch, each combination gets a separability score: the
+Jensen-Shannon divergence (un-halved form, so the range is [0, 2 ln 2])
+between the softmax-normalized pooled private and common adapter
 representations, averaged over a fixed probe batch and over the modalities in
 the combination. A large score means the private adapter has moved far from
 the shared one, i.e. the combination has extracted a lot of characteristic
-information.
+information. Rounding can make the divergence of near-equal rows a hair
+negative, so scores are clamped at 0.
 
 Epoch-over-epoch score deltas rank the combinations in descending order
 (rank 1 = fastest-rising score). With the default reduce_fast_learners=True
@@ -14,7 +23,7 @@ the top half - the fast learners, whose private space pulls away from the
 shared one fastest - gets its sampling probability reduced, the bottom half
 increased, and the median-ranked combination is untouched, so batches shift
 toward the combinations still behind. reduce_fast_learners=False inverts
-this. Each adjustment has magnitude q_base * lambda * sigmoid(delta), and
+this. Each adjustment has magnitude q_base * lam * sigmoid(delta), and
 probabilities are clamped to [p_min, p_max]. Probabilities are normalized
 only at sampling time.
 
@@ -30,11 +39,10 @@ all-zero initial scores) depends on the stand-in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError
+from .config import ExperimentConfig
 from .modalities import ALL_COMBINATIONS, Combo
 from .model import MculoraModel, forward_batch
 from .rng import Rng
@@ -43,53 +51,6 @@ from .synthgen import Dataset
 _LOG_EPS = 1e-12
 
 N_COMBINATIONS = len(ALL_COMBINATIONS)
-
-
-@dataclass
-class SeparabilityVector:
-    """Per-combination decoupling scores for one epoch (canonical order)."""
-
-    values: np.ndarray
-    epoch: int
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (N_COMBINATIONS,):
-            raise ContractError(f"expected {N_COMBINATIONS} scores, got shape {self.values.shape}")
-        if (self.values < 0).any():
-            raise ContractError("separability scores must be nonnegative")
-
-
-@dataclass(frozen=True)
-class CombinationSchedule:
-    """Sampling probabilities plus the update hyperparameters."""
-
-    q: np.ndarray
-    p_min: float = 0.05
-    p_max: float = 0.5
-    q_base: float = 0.1
-    lam: float = 1.0
-    reduce_fast_learners: bool = True
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=np.float64))
-        if self.q.shape != (N_COMBINATIONS,):
-            raise ContractError(f"schedule needs {N_COMBINATIONS} probabilities, got {self.q.shape}")
-        if not (0.0 < self.p_min < self.p_max < 1.0):
-            raise ContractError(f"need 0 < p_min < p_max < 1, got [{self.p_min}, {self.p_max}]")
-        if not (0.0 < self.q_base < 1.0):
-            raise ContractError(f"q_base must be in (0, 1), got {self.q_base}")
-        if self.lam <= 0.0:
-            raise ContractError(f"lambda must be > 0, got {self.lam}")
-        if ((self.q < self.p_min - 1e-12) | (self.q > self.p_max + 1e-12)).any():
-            raise ContractError("probabilities must start within [p_min, p_max]")
-
-
-def uniform_schedule(p_min: float = 0.05, p_max: float = 0.5, q_base: float = 0.1,
-                     lam: float = 1.0, reduce_fast_learners: bool = True) -> CombinationSchedule:
-    return CombinationSchedule(np.full(N_COMBINATIONS, 1.0 / N_COMBINATIONS),
-                               p_min=p_min, p_max=p_max, q_base=q_base, lam=lam,
-                               reduce_fast_learners=reduce_fast_learners)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +76,11 @@ def _softmax_rows(X: np.ndarray) -> np.ndarray:
 # scoring
 # ---------------------------------------------------------------------------
 
-def separability_scores(model: MculoraModel, probe_batch: Dataset, epoch: int = 0) -> SeparabilityVector:
-    """Score each combination's decoupling degree on an all-modalities probe batch."""
+def separability_scores(model: MculoraModel, probe_batch: Dataset) -> np.ndarray:
+    """Score each combination's decoupling degree on an all-modalities probe batch.
+
+    Returns a (7,) array in canonical combination order, within [0, 2 ln 2].
+    """
     probe_batch.require_complete("separability_scores probe batch")
     feats = probe_batch.features
     scores = np.zeros(N_COMBINATIONS)
@@ -138,21 +102,7 @@ def separability_scores(model: MculoraModel, probe_batch: Dataset, epoch: int = 
             sub = {m: feats[m] for m in combo}
             tok = forward_batch(model, sub)["fused_com"].data
             scores[idx] = float(_js_rows(_softmax_rows(tok), full_dist).mean())
-    return SeparabilityVector(values=scores, epoch=epoch)
-
-
-def score_delta(s_prev: SeparabilityVector | np.ndarray, s_next: SeparabilityVector | np.ndarray) -> np.ndarray:
-    """Elementwise difference between consecutive score vectors."""
-    prev = s_prev.values if isinstance(s_prev, SeparabilityVector) else np.asarray(s_prev, dtype=np.float64)
-    nxt = s_next.values if isinstance(s_next, SeparabilityVector) else np.asarray(s_next, dtype=np.float64)
-    if prev.shape != nxt.shape:
-        raise ContractError(f"score vectors differ in length: {prev.shape} vs {nxt.shape}")
-    return nxt - prev
-
-
-def initial_scores() -> SeparabilityVector:
-    """Scores before any training: all zero."""
-    return SeparabilityVector(np.zeros(N_COMBINATIONS), epoch=0)
+    return np.maximum(scores, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -166,35 +116,31 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.array([1.0 / (1.0 + math.exp(-min(max(xi, -500.0), 500.0))) for xi in x])
 
 
-def schedule_deltas(sched: CombinationSchedule, delta_s: np.ndarray) -> np.ndarray:
+def schedule_deltas(delta_s: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
     """Signed pre-clamp probability adjustments for each combination.
 
     Combinations are ranked by their score delta (ties broken by index).
     With reduce_fast_learners, the top half of progress is decremented and the
     bottom half incremented; the median-ranked combination is left unchanged.
-    Magnitudes are q_base * lambda * sigmoid(delta_i).
+    Magnitudes are q_base * lam * sigmoid(delta_i).
     """
-    delta_s = np.asarray(delta_s, dtype=np.float64)
-    if delta_s.shape != (N_COMBINATIONS,):
-        raise ContractError(f"expected {N_COMBINATIONS} score deltas, got shape {delta_s.shape}")
     order = np.argsort(delta_s, kind="stable")  # ascending progress
-    if not sched.reduce_fast_learners:
+    if not cfg.reduce_fast_learners:
         order = order[::-1]
     idx_of = np.empty(N_COMBINATIONS, dtype=np.int64)
     idx_of[order] = np.arange(1, N_COMBINATIONS + 1)  # 1-based rank
     threshold = (N_COMBINATIONS + 1) // 2  # median rank of 7 -> 4
-    magnitude = np.abs(sched.q_base * sched.lam * _sigmoid(delta_s))
+    magnitude = np.abs(cfg.q_base * cfg.lam * _sigmoid(delta_s))
     deltas = np.where(idx_of > threshold, -magnitude, magnitude)
     deltas[idx_of == threshold] = 0.0
     return deltas
 
 
-def update_probabilities(sched: CombinationSchedule, delta_s: np.ndarray) -> CombinationSchedule:
-    """Apply ranked adjustments and clamp each probability to [p_min, p_max]."""
-    q = np.clip(sched.q + schedule_deltas(sched, delta_s), sched.p_min, sched.p_max)
-    return replace(sched, q=q)
+def update_probabilities(q: np.ndarray, delta_s: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
+    """Apply ranked adjustments to `q` and clamp each probability to [p_min, p_max]."""
+    return np.clip(q + schedule_deltas(delta_s, cfg), cfg.p_min, cfg.p_max)
 
 
-def sample_combination(sched: CombinationSchedule, rng: Rng) -> Combo:
+def sample_combination(q: np.ndarray, rng: Rng) -> Combo:
     """Categorical draw proportional to q (normalized at draw time)."""
-    return ALL_COMBINATIONS[rng.categorical(sched.q)]
+    return ALL_COMBINATIONS[rng.categorical(q)]

@@ -6,7 +6,8 @@ Structure
   trained on complete data and frozen afterwards;
 * a single-head cross-attention fusion block with one learned query token and
   per-modality key/value projections, turning 1-3 pooled modality vectors
-  into one fused token (set-wise: input order is irrelevant);
+  into one fused token (set-wise: input order is irrelevant), trained with
+  the encoders and frozen with them;
 * a common prediction head, plus - once adapters are attached - a
   characteristic prediction head and a scalar gate blending the two.
 
@@ -55,19 +56,12 @@ class Encoder:
 
     def __init__(self, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor):
         self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, b2
-        self.frozen = False
 
     def forward(self, x2d: Tensor, dropout_p: float = 0.0, rng: Rng | None = None) -> Tensor:
         h = ad.tanh(ad.add(ad.matmul(x2d, self.W1), self.b1))
         if dropout_p > 0.0:
             h = ad.dropout(h, dropout_p, rng)
         return ad.add(ad.matmul(h, self.W2), self.b2)
-
-    def freeze(self) -> None:
-        self.frozen = True
-        for t in (self.W1, self.b1, self.W2, self.b2):
-            t.requires_grad = False
-            t._tracked = False
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.W1": self.W1, f"{prefix}.b1": self.b1,
@@ -239,8 +233,11 @@ class MculoraModel:
         return base
 
     def freeze_base(self) -> None:
+        """Freeze the encoders and fusion, which no phase after pretraining trains."""
         for m in MODALITIES:
-            self.encoders[m].freeze()
+            ad.freeze(self.encoders[m].parameters(m).values())
+        ad.freeze(self.fusion.parameters().values())
+
 
 def build_model(cfg: ModelConfig, rng: Rng) -> MculoraModel:
     """Fresh base model (no adapters); all parameters trainable."""
@@ -380,8 +377,7 @@ def save_checkpoint(model: MculoraModel, path) -> None:
     save_container(path, "checkpoint", meta, {k: t.data for k, t in sorted(params.items())})
 
 
-def _load_checkpoint_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """(meta, arrays) of a checkpoint file whose metadata has every required key."""
+def load_checkpoint(path) -> MculoraModel:
     _, meta, arrays = load_container(path, expected_kind="checkpoint")
     for key in ("config", "phase", "has_adapters"):
         if key not in meta:
@@ -389,11 +385,6 @@ def _load_checkpoint_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise ContractError(f"checkpoint {path}: unknown config key {unknown[0]!r}")
-    return meta, arrays
-
-
-def load_checkpoint(path) -> MculoraModel:
-    meta, arrays = _load_checkpoint_container(path)
     cfg = ModelConfig(**meta["config"])
     model = build_model(cfg, Rng(0))
     if meta["has_adapters"]:
@@ -412,8 +403,4 @@ def load_checkpoint(path) -> MculoraModel:
     if model.phase in ("pretrained", "finetuned"):
         model.freeze_base()
     return model
-
-
-def checkpoint_phase(path) -> str:
-    return _load_checkpoint_container(path)[0]["phase"]
 

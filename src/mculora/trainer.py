@@ -6,7 +6,7 @@ on entry.
 
 Phase 1 (pretrain): encoders, fusion, and the common head are trained with
 the task loss on complete data (dropout on the encoder hidden layer only
-here); encoders are then frozen for good.
+here); encoders and fusion are then frozen for good.
 
 Phase 2 (finetune): adapter banks, both heads, and the gate are trained on
 incomplete batches. Each batch draws one modality combination from the
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,15 +45,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ExperimentConfig
-from .dpft import (
-    CombinationSchedule,
-    initial_scores,
-    sample_combination,
-    score_delta,
-    separability_scores,
-    uniform_schedule,
-    update_probabilities,
-)
+from .dpft import N_COMBINATIONS, sample_combination, separability_scores, update_probabilities
 from .errors import ContractError
 from .losses import orthogonality_loss, task_loss, total_loss
 from .modalities import ALL_COMBINATIONS, INCOMPLETE_COMBINATIONS, MODALITIES, Combo
@@ -134,7 +125,7 @@ def _batch_indices(n: int, batch_size: int, order: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def pretrain(dataset: Dataset, cfg: ExperimentConfig, root_rng: Rng | None = None) -> TrainResult:
-    """Train encoders + fusion + common head on complete data, then freeze encoders."""
+    """Train encoders + fusion + common head on complete data, then freeze encoders and fusion."""
     cfg.validate()
     dataset.require_complete("pretrain")
     root = root_rng if root_rng is not None else Rng(cfg.seed)
@@ -210,11 +201,11 @@ def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
     attach_adapters(model, root.child("attach"), rank=cfg.rank, alpha=cfg.alpha, mcla=cfg.mcla)
     trainable = model.parameters("finetune")
     opt = Adam(trainable, lr=cfg.learning_rate)
-    sched = uniform_schedule(cfg.p_min, cfg.p_max, cfg.q_base, cfg.lam, cfg.reduce_fast_learners)
+    q = np.full(N_COMBINATIONS, 1.0 / N_COMBINATIONS)
     feats, labels = dataset.features, dataset.labels
     order_rng = root.child("finetune-order")
     samp_rng = root.child("combo-sampling")
-    s_prev = initial_scores()
+    s_prev = np.zeros(N_COMBINATIONS)
     result = TrainResult(model=model)
     n = len(dataset)
     zero = ad.constant(0.0)
@@ -224,7 +215,7 @@ def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
         sums = np.zeros(3)
         batches = 0
         for idx in _batch_indices(n, cfg.batch_size, order):
-            combo = sample_combination(sched, samp_rng)
+            combo = sample_combination(q, samp_rng)
             batch_feats = {m: feats[m][idx] for m in combo}
             opt.zero_grad()
             with ad.Tape() as tape:
@@ -240,11 +231,11 @@ def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
             opt.step()
             sums += (l_task.item(), l_ort.item(), l_tot.item())
             batches += 1
-        scores = separability_scores(model, probe_batch, epoch=epoch)
-        deltas = score_delta(s_prev, scores)
+        scores = separability_scores(model, probe_batch)
+        deltas = scores - s_prev
         if cfg.dpft:
-            sched = update_probabilities(sched, deltas)
-        result.schedule_rows.append(ScheduleRow(epoch, scores.values.copy(), deltas.copy(), sched.q.copy()))
+            q = update_probabilities(q, deltas, cfg)
+        result.schedule_rows.append(ScheduleRow(epoch, scores, deltas, q))
         result.probe_rows.append((epoch, _probe_mean_cosine(model, probe_batch.features)))
         s_prev = scores
         result.epoch_rows.append(EpochRow(epoch, "finetune", sums[0] / batches, sums[1] / batches,
@@ -307,29 +298,11 @@ def compute_metrics(preds, labels) -> Metrics:
 # evaluation under missing-modality protocols
 # ---------------------------------------------------------------------------
 
-def _eval_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("MCULORA_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _predict_rows(model: MculoraModel, feats: dict[str, np.ndarray]) -> np.ndarray:
-    out = forward_batch(model, feats)
-    return np.argmax(out["y_last"].data, axis=1)
-
-
 def _predict_condition(model: MculoraModel, feats: dict[str, np.ndarray], n: int) -> np.ndarray:
-    chunks = [(start, min(start + _EVAL_CHUNK, n)) for start in range(0, n, _EVAL_CHUNK)]
-    workers = _eval_workers()
-    if workers == 1 or len(chunks) == 1:
-        parts = [_predict_rows(model, {m: a[s:e] for m, a in feats.items()}) for s, e in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool_:
-            parts = list(pool_.map(
-                lambda span: _predict_rows(model, {m: a[span[0]:span[1]] for m, a in feats.items()}),
-                chunks))
-    return np.concatenate(parts)
+    # chunked so the forward pass's intermediates stay bounded on large splits
+    parts = [forward_batch(model, {m: a[s:s + _EVAL_CHUNK] for m, a in feats.items()})["y_last"].data
+             for s in range(0, n, _EVAL_CHUNK)]
+    return np.argmax(np.concatenate(parts), axis=1)
 
 
 def predict_dataset(model: MculoraModel, dataset: Dataset) -> np.ndarray:

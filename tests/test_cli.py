@@ -1,10 +1,10 @@
 import json
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from mculora.cli import build_parser, main
-from mculora.config import load_config, parse_config_text
+from mculora.config import parse_config_text, version_string
 from mculora.errors import ConfigError
 from mculora.model import ModelConfig, build_model, save_checkpoint
 from mculora.rng import Rng
@@ -136,6 +136,19 @@ def test_pipeline_produces_expected_artifacts(workspace):
     assert (pre / "epoch_log.csv").read_text().startswith("epoch,phase,l_task")
     for name in ("checkpoint.mcu", "epoch_log.csv", "schedule_log.csv", "probe_log.csv", "manifest.json"):
         assert (fin / name).exists(), name
+
+
+def test_finetune_clamps_rounding_noise_in_scores_at_zero(tmp_path):
+    # at this learning rate private and common adapters stay near-equal, and
+    # the divergence of near-equal rows rounds to about -2e-16
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("num_samples = 200\npretrain_epochs = 1\nfinetune_epochs = 3\n"
+                   "probe_size = 32\nlearning_rate = 1e-9\n")
+    _, _, fin = full_pipeline(tmp_path, cfg)
+    header, *rows = (fin / "schedule_log.csv").read_text().splitlines()
+    score_cols = [i for i, name in enumerate(header.split(",")) if name.startswith("s_")]
+    assert len(rows) == 3 and len(score_cols) == 7
+    assert all(float(row.split(",")[i]) >= 0.0 for row in rows for i in score_cols)
 
 
 def test_finetune_refuses_finetuned_checkpoint(workspace, capsys):
@@ -309,3 +322,10 @@ def test_parse_config_text_handles_comments_and_types():
         parse_config_text("beta = maybe\n")
     with pytest.raises(ConfigError, match="expected key"):
         parse_config_text("just some words\n")
+
+
+def test_version_string_does_not_depend_on_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    from_repo = version_string()
+    monkeypatch.chdir(tmp_path)
+    assert version_string() == from_repo

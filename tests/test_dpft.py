@@ -5,25 +5,22 @@ import pytest
 
 from mculora.config import ExperimentConfig
 from mculora.dpft import (
-    CombinationSchedule,
-    N_COMBINATIONS,
-    SeparabilityVector,
-    initial_scores,
     _js_rows,
     sample_combination,
     schedule_deltas,
-    score_delta,
     separability_scores,
-    uniform_schedule,
     update_probabilities,
 )
-from mculora.errors import ContractError
+from mculora.errors import ConfigError, ContractError
 from mculora.modalities import ALL_COMBINATIONS, FULL
 from mculora.model import ModelConfig, attach_adapters, build_model
 from mculora.rng import Rng
 from mculora.synthgen import generate_dataset
 
 from conftest import js_oracle
+
+UNIFORM = np.full(7, 1.0 / 7.0)
+CFG = ExperimentConfig()
 
 
 def random_distribution(rng, n):
@@ -93,7 +90,7 @@ def probe_batch(n=12, seed=5):
 
 def test_untrained_adapters_score_zero():
     scores = separability_scores(probe_model(), probe_batch())
-    assert np.allclose(scores.values, 0.0, atol=1e-12)
+    assert np.allclose(scores, 0.0, atol=1e-12)
 
 
 def test_private_equal_to_common_scores_zero():
@@ -107,7 +104,7 @@ def test_private_equal_to_common_scores_zero():
             pair.A.data = bank.common.A.data.copy()
             pair.B.data = bank.common.B.data.copy()
     scores = separability_scores(model, probe_batch())
-    assert np.allclose(scores.values, 0.0, atol=1e-12)
+    assert np.allclose(scores, 0.0, atol=1e-12)
 
 
 def test_scores_match_per_sample_brute_force():
@@ -134,15 +131,15 @@ def test_scores_match_per_sample_brute_force():
                 com = (model.adapters[m].common.effective_map() @ x.T).T.mean(axis=0)
                 per_sample.append(js_oracle(softmax(prt), softmax(com)))
             acc.append(np.mean(per_sample))
-        assert scores.values[idx] == pytest.approx(float(np.mean(acc)), abs=1e-10)
+        assert scores[idx] == pytest.approx(float(np.mean(acc)), abs=1e-10)
 
 
 def test_scores_deterministic_and_validate_probe():
     model = probe_model(seed=4)
     batch = probe_batch(n=8, seed=7)
-    s1 = separability_scores(model, batch, epoch=1)
-    s2 = separability_scores(model, batch, epoch=1)
-    assert np.array_equal(s1.values, s2.values)
+    s1 = separability_scores(model, batch)
+    s2 = separability_scores(model, batch)
+    assert np.array_equal(s1, s2)
     with pytest.raises(ContractError):
         separability_scores(model, batch[:0])
 
@@ -150,42 +147,24 @@ def test_scores_deterministic_and_validate_probe():
 def test_adapter_free_scores_are_defined_and_zero_for_full_set():
     model = probe_model(seed=5, mcla=False)
     scores = separability_scores(model, probe_batch(n=8, seed=8))
-    assert scores.values.shape == (7,)
-    assert scores.values[ALL_COMBINATIONS.index(FULL)] == pytest.approx(0.0, abs=1e-12)
-    assert (scores.values >= 0).all()
+    assert scores.shape == (7,)
+    assert scores[ALL_COMBINATIONS.index(FULL)] == pytest.approx(0.0, abs=1e-12)
+    assert (scores >= 0).all()
 
 
 def test_adapter_free_fallback_is_fixed_and_reduces_the_furthest_combination():
     model = probe_model(seed=5, mcla=False)
     batch = probe_batch(n=8, seed=8)
-    scores = separability_scores(model, batch, epoch=1)
+    scores = separability_scores(model, batch)
     # the common head is all that trains without adapters; the stand-in does not read it
     for t in model.heads.parameters(include_finetune_heads=False).values():
         t.data = t.data + 1.0
-    assert np.array_equal(separability_scores(model, batch, epoch=2).values, scores.values)
-    sched = update_probabilities(uniform_schedule(), score_delta(initial_scores(), scores))
-    furthest = int(np.argmax(scores.values))
-    assert sched.q[furthest] < 1.0 / 7.0
-    assert sched.q[ALL_COMBINATIONS.index(FULL)] > 1.0 / 7.0
-
-
-# ---------------------------------------------------------------------------
-# score deltas
-# ---------------------------------------------------------------------------
-
-def test_score_delta_zero_for_equal():
-    s = SeparabilityVector(np.linspace(0, 1, 7), epoch=1)
-    assert np.array_equal(score_delta(s, s), np.zeros(7))
-
-
-def test_score_delta_initial_condition():
-    s1 = SeparabilityVector(np.linspace(0.1, 0.7, 7), epoch=1)
-    assert np.array_equal(score_delta(initial_scores(), s1), s1.values)
-
-
-def test_score_delta_arithmetic():
-    out = score_delta(np.array([0.1, 0.3]), np.array([0.2, 0.1]))
-    assert np.allclose(out, [0.1, -0.2], atol=1e-15)
+    assert np.array_equal(separability_scores(model, batch), scores)
+    # the first delta, from the all-zero initial scores, is the scores themselves
+    q = update_probabilities(UNIFORM, scores, CFG)
+    furthest = int(np.argmax(scores))
+    assert q[furthest] < 1.0 / 7.0
+    assert q[ALL_COMBINATIONS.index(FULL)] > 1.0 / 7.0
 
 
 # ---------------------------------------------------------------------------
@@ -193,31 +172,30 @@ def test_score_delta_arithmetic():
 # ---------------------------------------------------------------------------
 
 def test_lambda_to_zero_keeps_q_unchanged():
-    sched = uniform_schedule(lam=1e-12)
+    cfg = ExperimentConfig(lam=1e-12)
     ds = Rng(50).normal(size=7)
-    out = update_probabilities(sched, ds)
-    assert np.allclose(out.q, sched.q, atol=1e-10)
+    out = update_probabilities(UNIFORM, ds, cfg)
+    assert np.allclose(out, UNIFORM, atol=1e-10)
 
 
 def test_updates_respect_clamp_bounds():
     rng = Rng(51)
-    sched = uniform_schedule()
+    q = UNIFORM
     for _ in range(200):
         ds = rng.normal(size=7) * rng.uniform(0.1, 5.0)
-        sched = update_probabilities(sched, ds)
-        assert np.all(sched.q >= sched.p_min) and np.all(sched.q <= sched.p_max)
+        q = update_probabilities(q, ds, CFG)
+        assert np.all(q >= CFG.p_min) and np.all(q <= CFG.p_max)
 
 
 def test_delta_signs_and_magnitudes_against_rank_oracle():
     rng = Rng(52)
-    sched = uniform_schedule()
     for _ in range(100):
         ds = rng.normal(size=7)
-        deltas = schedule_deltas(sched, ds)
+        deltas = schedule_deltas(ds, CFG)
         # independent scalar recomputation of the rank rule
         ranks = {int(j): pos + 1 for pos, j in enumerate(sorted(range(7), key=lambda i: (ds[i], i)))}
         for i in range(7):
-            mag = sched.q_base * sched.lam * (1.0 / (1.0 + math.exp(-ds[i])))
+            mag = CFG.q_base * CFG.lam * (1.0 / (1.0 + math.exp(-ds[i])))
             if ranks[i] == 4:
                 assert deltas[i] == 0.0
             elif ranks[i] > 4:
@@ -228,10 +206,9 @@ def test_delta_signs_and_magnitudes_against_rank_oracle():
 
 def test_monotone_sign_rule():
     rng = Rng(53)
-    sched = uniform_schedule()
     for _ in range(50):
         ds = rng.normal(size=7)
-        deltas = schedule_deltas(sched, ds)
+        deltas = schedule_deltas(ds, CFG)
         order = np.argsort(ds, kind="stable")
         slow_half, fast_half = order[:3], order[4:]
         assert np.all(deltas[slow_half] >= 0.0)
@@ -240,18 +217,16 @@ def test_monotone_sign_rule():
 
 def test_direction_flag_inverts_the_rule():
     ds = np.linspace(-1.0, 1.0, 7)
-    normal = schedule_deltas(uniform_schedule(), ds)
-    flipped = schedule_deltas(uniform_schedule(reduce_fast_learners=False), ds)
+    normal = schedule_deltas(ds, CFG)
+    flipped = schedule_deltas(ds, ExperimentConfig(reduce_fast_learners=False))
     assert np.all(np.sign(normal) == -np.sign(flipped))
 
 
 def test_schedule_validation():
-    with pytest.raises(ContractError):
-        CombinationSchedule(np.full(7, 1 / 7), p_min=0.5, p_max=0.1)
-    with pytest.raises(ContractError):
-        CombinationSchedule(np.full(7, 1 / 7), q_base=1.5)
-    with pytest.raises(ContractError):
-        CombinationSchedule(np.full(6, 1 / 6))
+    with pytest.raises(ConfigError):
+        ExperimentConfig(p_min=0.5, p_max=0.1).validate()
+    with pytest.raises(ConfigError):
+        ExperimentConfig(q_base=1.5).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -261,26 +236,23 @@ def test_schedule_validation():
 def test_sampling_matches_normalized_weights():
     q = np.full(7, 0.05)
     q[2] = 0.5
-    sched = CombinationSchedule(q)
     rng = Rng(66)
-    draws = np.array([ALL_COMBINATIONS.index(sample_combination(sched, rng)) for _ in range(100_000)])
+    draws = np.array([ALL_COMBINATIONS.index(sample_combination(q, rng)) for _ in range(100_000)])
     freq = np.bincount(draws, minlength=7) / draws.size
     expected = 0.5 / (0.5 + 6 * 0.05)
     assert abs(freq[2] - expected) <= 0.01
 
 
 def test_uniform_sampling_is_uniform():
-    sched = uniform_schedule()
     rng = Rng(67)
-    draws = np.array([ALL_COMBINATIONS.index(sample_combination(sched, rng)) for _ in range(100_000)])
+    draws = np.array([ALL_COMBINATIONS.index(sample_combination(UNIFORM, rng)) for _ in range(100_000)])
     freq = np.bincount(draws, minlength=7) / draws.size
     assert np.all(np.abs(freq - 1.0 / 7.0) <= 0.01)
 
 
 def test_sampling_deterministic_given_seed():
-    sched = uniform_schedule()
-    d1 = [sample_combination(sched, Rng(66).child("draws")) for _ in range(1)]
+    d1 = [sample_combination(UNIFORM, Rng(66).child("draws")) for _ in range(1)]
     r1, r2 = Rng(66), Rng(66)
-    seq1 = [sample_combination(sched, r1) for _ in range(200)]
-    seq2 = [sample_combination(sched, r2) for _ in range(200)]
+    seq1 = [sample_combination(UNIFORM, r1) for _ in range(200)]
+    seq2 = [sample_combination(UNIFORM, r2) for _ in range(200)]
     assert seq1 == seq2

@@ -6,7 +6,7 @@ import pytest
 from mculora import autodiff as ad
 from mculora.errors import ContractError
 from mculora.losses import orthogonality_loss, task_loss, total_loss
-from mculora.modalities import ALL_COMBINATIONS, AT, A, T
+from mculora.modalities import ALL_COMBINATIONS, A, T
 from mculora.rng import Rng
 
 from conftest import central_difference, rel_err

@@ -7,7 +7,7 @@ import pytest
 from mculora import autodiff as ad
 from mculora.config import ExperimentConfig
 from mculora.errors import ContractError, ShapeError
-from mculora.modalities import ALL_COMBINATIONS, AT, MODALITIES, A, Combo
+from mculora.modalities import ALL_COMBINATIONS, AT, MODALITIES, A
 from mculora.model import (
     LoraPair,
     ModelConfig,
@@ -74,7 +74,7 @@ def test_encoder_frozen_determinism():
     out1 = model.encoders["t"].forward(ad.constant(x))
     out2 = model.encoders["t"].forward(ad.constant(x))
     assert np.array_equal(out1.data, out2.data)
-    assert model.encoders["t"].frozen
+    assert not any(t.requires_grad for t in model.encoders["t"].parameters("t").values())
 
 
 # ---------------------------------------------------------------------------

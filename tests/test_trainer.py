@@ -3,14 +3,13 @@ import pytest
 
 from mculora.config import ExperimentConfig
 from mculora.errors import ConfigError, ContractError
-from mculora.modalities import ALL_COMBINATIONS, FULL, INCOMPLETE_COMBINATIONS, MODALITIES
+from mculora.modalities import ALL_COMBINATIONS, INCOMPLETE_COMBINATIONS, MODALITIES
 from mculora.rng import Rng
-from mculora.synthgen import apply_fixed_missing, generate_dataset, split_dataset
+from mculora.synthgen import apply_fixed_missing, generate_dataset
 from mculora import trainer
 from mculora.trainer import (
     Metrics,
     MetricsRecord,
-    ScheduleRow,
     compute_metrics,
     evaluate,
     finetune,
@@ -109,7 +108,7 @@ def test_pretrain_reaches_high_accuracy_on_linearly_separable_data():
     correct = int(np.sum(predict_dataset(model, ds) == labels))
     assert correct / len(ds) >= 0.95
     assert model.phase == "pretrained"
-    assert all(model.encoders[m].frozen for m in "atv")
+    assert not any(t.requires_grad for m in "atv" for t in model.encoders[m].parameters(m).values())
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +140,25 @@ def test_finetune_dpft_on_emits_one_schedule_row_per_epoch_within_bounds():
     assert len(res.schedule_rows) == cfg.finetune_epochs
     for row in res.schedule_rows:
         assert np.all(row.q >= cfg.p_min) and np.all(row.q <= cfg.p_max)
+
+
+def test_first_logged_deltas_equal_first_scores():
+    # the previous scores start at zero, so the first epoch's deltas are its scores
+    ds = tiny_synth(n=40)
+    cfg = tiny_cfg()
+    model = pretrain(ds, cfg).model
+    first = finetune(model, ds, cfg).schedule_rows[0]
+    assert np.array_equal(first.deltas, first.scores)
+
+
+@pytest.mark.parametrize("mcla", [True, False])
+def test_finetune_computes_no_fusion_gradients(mcla):
+    ds = tiny_synth(n=40)
+    cfg = tiny_cfg(finetune_epochs=1, mcla=mcla)
+    model = pretrain(ds, cfg).model
+    finetune(model, ds, cfg)
+    for name, t in model.fusion.parameters().items():
+        assert not t.requires_grad and t.grad is None, name
 
 
 def test_finetune_loss_ledger_consistency():
@@ -312,14 +330,13 @@ def test_constant_predictor_on_balanced_labels(monkeypatch):
     assert m.ua == pytest.approx(0.25, abs=1e-12)
 
 
-def test_eval_parallelism_does_not_change_results(monkeypatch):
+def test_eval_chunking_does_not_change_results(monkeypatch):
     model, cfg = trained_tiny_model()
     test_set = tiny_synth(n=40, seed=7)
     base = evaluate(model, test_set, "fixed", cfg)
     monkeypatch.setattr(trainer, "_EVAL_CHUNK", 8)
-    monkeypatch.setenv("MCULORA_THREADS", "4")
-    threaded = evaluate(model, test_set, "fixed", cfg)
-    assert base.rows == threaded.rows
+    chunked = evaluate(model, test_set, "fixed", cfg)
+    assert base.rows == chunked.rows
 
 
 # ---------------------------------------------------------------------------
