@@ -5,6 +5,10 @@ pure function of (config file, input artifacts, seed) up to wallclock columns
 in the epoch logs. Each writes its artifacts plus a manifest.json with the
 resolved config snapshot and artifact checksums into --out.
 
+Each command reads only the contiguous rows of the dataset file it uses:
+pretrain the train split, finetune the train split and the probe (the first
+``probe_size`` validation samples), eval the test split.
+
 Exit codes: 0 success, 2 input/config error, 3 state/contract error.
 """
 
@@ -19,7 +23,7 @@ from .config import ExperimentConfig, _parse_bool, load_config, version_string, 
 from .errors import ConfigError, ContractError, ShapeError
 from .modalities import Combo
 from .model import load_checkpoint, save_checkpoint
-from .synthgen import apply_fixed_missing, generate_dataset, load_dataset, save_dataset, split_dataset
+from .synthgen import Dataset, apply_fixed_missing, load_dataset, save_dataset, split_bounds
 from .trainer import (
     MetricsRecord,
     compute_metrics,
@@ -116,13 +120,22 @@ def _prepare(args) -> tuple[ExperimentConfig, Path]:
     return cfg, out_dir
 
 
-def _load_splits(cfg: ExperimentConfig, data_path: str):
-    return split_dataset(load_dataset(data_path), cfg.train_frac, cfg.val_frac)
+def _load_rows(cfg: ExperimentConfig, data_path: str, command: str) -> tuple[Dataset, int]:
+    """The rows of the dataset file that `command` uses, read alone, and n_train."""
+    n_trains = []
+
+    def rows(n: int) -> slice:
+        n_train, n_val = split_bounds(n, cfg.train_frac, cfg.val_frac)
+        n_trains.append(n_train)
+        return {"pretrain": slice(0, n_train),
+                "finetune": slice(0, n_train + min(cfg.probe_size, n_val)),
+                "eval": slice(n_train + n_val, n)}[command]
+    return load_dataset(data_path, rows=rows), n_trains[0]
 
 
 def cmd_gen_data(args) -> int:
     cfg, out_dir = _prepare(args)
-    save_dataset(out_dir / "dataset.mcu", generate_dataset(cfg), cfg)
+    save_dataset(out_dir / "dataset.mcu", cfg)
     write_manifest(out_dir, "gen-data", cfg, cfg.seed, args.config, ["dataset.mcu"])
     print(f"wrote {out_dir / 'dataset.mcu'} ({cfg.num_samples} samples)")
     return EXIT_OK
@@ -130,7 +143,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg, out_dir = _prepare(args)
-    train, _, _ = _load_splits(cfg, args.data)
+    train, _ = _load_rows(cfg, args.data, "pretrain")
     result = pretrain(train, cfg)
     save_checkpoint(result.model, out_dir / "checkpoint.mcu")
     write_epoch_log(out_dir / "epoch_log.csv", result.epoch_rows)
@@ -143,9 +156,9 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     cfg, out_dir = _prepare(args)
     model = load_checkpoint(args.checkpoint)
-    train, val, _ = _load_splits(cfg, args.data)
-    probe = val[:cfg.probe_size] if val else None
-    result = finetune(model, train, cfg, probe_batch=probe)
+    rows, n_train = _load_rows(cfg, args.data, "finetune")
+    probe = rows[n_train:] if len(rows) > n_train else None
+    result = finetune(model, rows[:n_train], cfg, probe_batch=probe)
     save_checkpoint(result.model, out_dir / "checkpoint.mcu")
     write_epoch_log(out_dir / "epoch_log.csv", result.epoch_rows)
     write_schedule_log(out_dir / "schedule_log.csv", result.schedule_rows)
@@ -162,7 +175,7 @@ def cmd_eval(args) -> int:
     if args.seed is not None:
         cfg.eval_seed = args.seed  # the random protocol's masking seed
     model = load_checkpoint(args.checkpoint)
-    _, _, test = _load_splits(cfg, args.data)
+    test, _ = _load_rows(cfg, args.data, "eval")
     if args.combo is not None and args.protocol == "fixed":
         combo = Combo.from_name(args.combo)
         masked = apply_fixed_missing(test, combo)

@@ -19,6 +19,7 @@ seed also share initialization.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -184,9 +185,11 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+@functools.cache
 def version_string() -> str:
     """The package version, plus `git describe` of the checkout holding the
-    package when there is one (whatever the working directory)."""
+    package when there is one (whatever the working directory). Computed once
+    per process: the code already imported cannot change within it."""
     import subprocess
     try:
         described = subprocess.run(

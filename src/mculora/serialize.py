@@ -15,6 +15,15 @@ sibling file that then replaces the target in one rename, so they stay
 atomic without a second in-memory copy. Any malformed file - truncated, bad
 header JSON, a short or garbled blob, a missing listed array, or trailing
 bytes after the last one - is a :class:`ContractError` naming the file.
+
+A writer may pass an array as a zero-argument function instead; it is called
+just before that array is written, so a caller that builds its arrays one at
+a time holds only one of them. A reader may ask for a contiguous range of rows
+of every array (all arrays then share one leading length N): it reads those
+rows and seeks past the others, so it holds only what it asked for. Such a
+partial read runs every check a full read runs, against the whole file: a
+blob's declared size must fit what is left of the file, so a truncated file
+fails even when the missing bytes lie outside the requested rows.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ import math
 import os
 import tokenize
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from numpy.lib import format as npy_format
@@ -34,7 +44,8 @@ _PREFIX = "MCULORA-"
 _VERSION = "v1"
 
 
-def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+def save_container(path, kind: str, meta: dict,
+                   arrays: dict[str, np.ndarray | Callable[[], np.ndarray]]) -> None:
     path = Path(path)
     header = {"meta": meta, "arrays": list(arrays.keys())}
     tmp = path.with_name(path.name + ".tmp")
@@ -44,28 +55,55 @@ def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
             fh.write(b"\n")
             for arr in arrays.values():
-                np.save(fh, np.ascontiguousarray(arr), allow_pickle=False)
+                np.save(fh, np.ascontiguousarray(arr() if callable(arr) else arr), allow_pickle=False)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _read_array(fh, file_size: int) -> np.ndarray:
-    """One .npy blob; its data must fit in what is left of the file."""
+def _read_array(fh, file_size: int, rows: Callable[[int], tuple[int, int]] | None) -> np.ndarray:
+    """One .npy blob, whose data must all fit in what is left of the file.
+    ``rows(length)`` gives the [lo, hi) range of the leading axis to read; the
+    rest of the blob is skipped."""
     version = npy_format.read_magic(fh)
     if version != (1, 0):  # all that np.save writes for the arrays stored here
         raise ValueError(f"unsupported .npy version {version}")
     shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
-    if math.prod(shape) * dtype.itemsize > file_size - fh.tell():
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes > file_size - fh.tell():
         raise ValueError(f"array data of shape {shape} runs past the end of the file")
+    end = fh.tell() + nbytes
+    if rows is not None:
+        if not shape or fortran_order:
+            raise ValueError(f"cannot read rows of a {'Fortran-order' if shape else '0-d'} array")
+        lo, hi = rows(shape[0])
+        row_bytes = math.prod(shape[1:]) * dtype.itemsize
+        fh.seek(lo * row_bytes, os.SEEK_CUR)
+        shape = (hi - lo, *shape[1:])
     arr = np.empty(math.prod(shape), dtype=dtype)
     fh.readinto(arr.view(np.uint8))  # TypeError for object dtypes, which are never read
+    fh.seek(end)
     return arr.reshape(shape, order="F" if fortran_order else "C")
 
 
-def load_container(path, expected_kind: str | None = None) -> tuple[str, dict, dict[str, np.ndarray]]:
+def load_container(path, expected_kind: str | None = None,
+                   rows: Callable[[int], slice] | None = None) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """(kind, meta, arrays) of the container at `path`. With `rows`, a function
+    from the arrays' common leading length N to a contiguous slice, only that
+    slice of every array is read."""
     path = Path(path)
+    lengths: list[int] = []
+
+    def row_range(n: int) -> tuple[int, int]:
+        if lengths and n != lengths[0]:
+            raise ValueError(f"leading length {n} differs from the first array's {lengths[0]}")
+        lengths.append(n)
+        lo, hi, step = rows(n).indices(n)
+        if step != 1:
+            raise ValueError(f"rows must be a contiguous slice, got step {step}")
+        return lo, max(lo, hi)
+
     with path.open("rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
         magic = fh.readline().decode("ascii", errors="replace").strip()
@@ -85,7 +123,7 @@ def load_container(path, expected_kind: str | None = None) -> tuple[str, dict, d
         arrays = {}
         for name in names:
             try:
-                arrays[name] = _read_array(fh, file_size)
+                arrays[name] = _read_array(fh, file_size, row_range if rows is not None else None)
             except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:  # raised by numpy's header parser
                 raise ContractError(f"{path}: array {name!r} is missing or corrupt: {exc}") from exc
         if fh.tell() != file_size:

@@ -19,7 +19,12 @@ signal, each embedded into per-modality feature sequences:
 
 Labels are stratified round-robin, so any contiguous split stays balanced.
 Generation is a pure function of the config and the random stream, by default
-the ``data`` child of the config's root seed.
+the ``data`` child of the config's root seed. :func:`generate_dataset` builds
+the dataset in memory; :func:`save_dataset` (the gen-data writer) runs the same
+generator body but generates each modality's features just before writing
+them, so it holds one (N, L, D) array at a time. :func:`load_dataset` can read
+a contiguous range of rows alone, and :func:`split_bounds` gives the split
+sizes, so a command can read only the split it uses.
 
 A :class:`Dataset` is exactly the dataset container's layout: one (N, L, D)
 feature array per modality, an (N, 3) presence mask and (N,) labels. Splits
@@ -36,6 +41,8 @@ Missing-modality protocols:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -116,9 +123,10 @@ def _pair_bit(label: int, pair_idx: int) -> float:
     return 1.0 if bit else -1.0
 
 
-def generate_dataset(cfg: ExperimentConfig, root_rng: Rng | None = None) -> Dataset:
-    """All-modalities-present dataset; pure function of cfg and the stream
-    (default: the ``data`` child of ``Rng(cfg.seed)``)."""
+def _generator(cfg: ExperimentConfig, root_rng: Rng | None) -> tuple[dict[str, Callable[[], np.ndarray]], np.ndarray]:
+    """The generator body: one function per modality that builds its (N, L, D)
+    features when called (each from its own named stream, so in any order),
+    and the (N,) float64 labels."""
     cfg.validate()
     root = root_rng if root_rng is not None else Rng(cfg.seed).child("data")
     geom = root.child("geometry")
@@ -165,13 +173,20 @@ def generate_dataset(cfg: ExperimentConfig, root_rng: Rng | None = None) -> Data
         base[lead_m] = base[lead_m] + (cfg.pair_interaction_strength * (bits[:, j] + eps))[:, None] * lead
         base[partner_m] = base[partner_m] + (cfg.pair_interaction_strength * eps)[:, None] * follow
 
-    features = {}
-    for m in MODALITIES:
+    def features(m: str) -> np.ndarray:
         x = samples.child(f"noise-{m}").normal(size=(n, L, D))
         x *= cfg.noise_std
         x += base[m][:, None, :]
-        features[m] = x
-    return Dataset(features, np.ones((n, len(MODALITIES)), dtype=np.uint8), labels.astype(np.float64))
+        return x
+    return {m: partial(features, m) for m in MODALITIES}, labels.astype(np.float64)
+
+
+def generate_dataset(cfg: ExperimentConfig, root_rng: Rng | None = None) -> Dataset:
+    """All-modalities-present dataset; pure function of cfg and the stream
+    (default: the ``data`` child of ``Rng(cfg.seed)``)."""
+    makers, labels = _generator(cfg, root_rng)
+    features = {m: make() for m, make in makers.items()}
+    return Dataset(features, np.ones((len(labels), len(MODALITIES)), dtype=np.uint8), labels)
 
 
 def _matvec(P: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -223,24 +238,28 @@ def apply_random_missing(dataset: Dataset, mask_prob_range: tuple[float, float],
 # dataset file format (see serialize module for the container layout)
 # ---------------------------------------------------------------------------
 
-def save_dataset(path, dataset: Dataset, cfg: ExperimentConfig) -> None:
-    """Arrays stored: per-modality (N, L, D) features (zeros where absent),
-    labels (N,) float64, presence (N, 3) uint8 in modality order a, t, v.
-    The header records the generator fields of cfg, with ``seed`` the seed of
-    the default data stream."""
-    arrays = {}
-    for k, (m, x) in enumerate(dataset.features.items()):
-        present = dataset.presence[:, k].astype(bool)
-        arrays[f"features_{m}"] = x if present.all() else np.where(present[:, None, None], x, 0.0)
-    arrays["labels"] = dataset.labels
-    arrays["presence"] = dataset.presence
+def save_dataset(path, cfg: ExperimentConfig, root_rng: Rng | None = None) -> None:
+    """Generate the dataset of cfg and the stream (as :func:`generate_dataset`)
+    and write it, streaming: each modality's features are generated just
+    before they are written, so one (N, L, D) array is alive at a time.
+
+    Arrays stored: per-modality (N, L, D) features, labels (N,) float64,
+    presence (N, 3) uint8 (all ones) in modality order a, t, v. The header
+    records the generator fields of cfg, with ``seed`` the seed of the default
+    data stream."""
+    makers, labels = _generator(cfg, root_rng)
+    arrays = {f"features_{m}": make for m, make in makers.items()}
+    arrays["labels"] = labels
+    arrays["presence"] = np.ones((len(labels), len(MODALITIES)), dtype=np.uint8)
     header = {key: getattr(cfg, key) for key in _GENERATOR_FIELDS}
     header["seed"] = derive_seed(cfg.seed, "data")
     save_container(path, "dataset", {"config": header}, arrays)
 
 
-def load_dataset(path) -> Dataset:
-    _, _, arrays = load_container(path, expected_kind="dataset")
+def load_dataset(path, rows: Callable[[int], slice] | None = None) -> Dataset:
+    """The dataset file at `path`; with `rows` (a function from the file's
+    sample count N to a contiguous slice), only those samples are read."""
+    _, _, arrays = load_container(path, expected_kind="dataset", rows=rows)
     try:
         features = {m: arrays[f"features_{m}"] for m in MODALITIES}
         return Dataset(features, arrays["presence"], arrays["labels"])
@@ -248,11 +267,14 @@ def load_dataset(path) -> Dataset:
         raise ContractError(f"{path}: dataset container lacks or mangles {exc}") from exc
 
 
-def split_dataset(dataset: Dataset, train_frac: float, val_frac: float) -> tuple[Dataset, Dataset, Dataset]:
-    """Contiguous (train, val, test) split of views; round-robin labels keep it balanced."""
+def split_bounds(n: int, train_frac: float, val_frac: float) -> tuple[int, int]:
+    """(n_train, n_val) of the contiguous split of n samples; the test split is the rest."""
     if not (0 < train_frac < 1 and 0 <= val_frac < 1 and train_frac + val_frac < 1):
         raise ConfigError(f"invalid split fractions train={train_frac} val={val_frac}")
-    n = len(dataset)
-    n_train = int(round(n * train_frac))
-    n_val = int(round(n * val_frac))
+    return int(round(n * train_frac)), int(round(n * val_frac))
+
+
+def split_dataset(dataset: Dataset, train_frac: float, val_frac: float) -> tuple[Dataset, Dataset, Dataset]:
+    """Contiguous (train, val, test) split of views; round-robin labels keep it balanced."""
+    n_train, n_val = split_bounds(len(dataset), train_frac, val_frac)
     return dataset[:n_train], dataset[n_train:n_train + n_val], dataset[n_train + n_val:]

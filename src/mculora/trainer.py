@@ -19,12 +19,21 @@ are re-balanced.
 Ablations: mcla=False trains only the common head on the frozen base;
 dpft=False keeps combination probabilities uniform.
 
+Non-finite training fails loudly: a NaN or infinite loss, or an Adam update
+that would make a parameter non-finite, raises :class:`ContractError` naming
+the phase, epoch, step (1-based within the epoch), combination (finetune) and
+parameter, before any parameter takes the bad value.
+
 Evaluation reports ACC, macro-F1, WA (class-frequency-weighted accuracy), and
 UA (mean per-class recall) per testing condition. Under the fixed protocol,
 all seven conditions are imposed on the full test set and "average" is the
 unweighted mean over the six incomplete conditions (the full set is reported
 separately). Under the random protocol, each sample's missing pattern is
-drawn once from the configured probability range.
+drawn once from the configured probability range. Inference runs in chunks of
+at most ``_EVAL_POSITIONS`` sequence positions (rows x L), so the forward
+pass's (B*L, d) intermediates stay the same size whatever the sequence length;
+under the random protocol each combination's rows are gathered one chunk at a
+time, never all at once.
 
 CSV interfaces (column orders are part of the interface):
 
@@ -53,7 +62,7 @@ from .model import MculoraModel, ModelConfig, attach_adapters, build_model, forw
 from .rng import Rng
 from .synthgen import Dataset, apply_random_missing
 
-_EVAL_CHUNK = 512
+_EVAL_POSITIONS = 4096  # 512 rows at L = 8, 128 at L = 32
 
 
 @dataclass
@@ -97,7 +106,9 @@ class Adam:
         for p in self.params.values():
             p.grad = None
 
-    def step(self) -> None:
+    def step(self, where: str = "Adam") -> None:
+        """One update of every parameter with a gradient; `where` names the
+        training step in the error raised for a non-finite update."""
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -108,7 +119,10 @@ class Adam:
             self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * (g * g)
             m_hat = self.m[name] / (1 - self.beta1 ** t)
             v_hat = self.v[name] / (1 - self.beta2 ** t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            updated = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if not np.isfinite(updated).all():
+                raise ContractError(f"{where}: update of parameter {name!r} is non-finite")
+            p.data = updated
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +156,17 @@ def pretrain(dataset: Dataset, cfg: ExperimentConfig, root_rng: Rng | None = Non
         t0 = time.perf_counter()
         order = order_rng.permutation(n)
         sums = np.zeros(2)
-        batches = 0
-        for idx in _batch_indices(n, cfg.batch_size, order):
+        for step, idx in enumerate(_batch_indices(n, cfg.batch_size, order), start=1):
+            where = f"pretrain epoch {epoch} step {step}"
             batch_feats = {m: feats[m][idx] for m in MODALITIES}
             opt.zero_grad()
             with ad.Tape() as tape:
                 out = forward_batch(model, batch_feats, dropout_p=cfg.dropout, dropout_rng=dropout_rng)
-                l_task = task_loss(out["y_last"], labels[idx], cfg.task)
+                l_task = ad.check_finite(task_loss(out["y_last"], labels[idx], cfg.task), f"{where}: loss")
             ad.gradients(l_task, tape)
-            opt.step()
+            opt.step(where)
             sums += (l_task.item(), 0.0)
-            batches += 1
-        l_task_mean = sums[0] / batches
+        l_task_mean = sums[0] / step
         result.epoch_rows.append(EpochRow(epoch, "pretrain", l_task_mean, 0.0, l_task_mean,
                                           (time.perf_counter() - t0) * 1e3))
     model.freeze_base()
@@ -213,9 +226,9 @@ def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
         t0 = time.perf_counter()
         order = order_rng.permutation(n)
         sums = np.zeros(3)
-        batches = 0
-        for idx in _batch_indices(n, cfg.batch_size, order):
+        for step, idx in enumerate(_batch_indices(n, cfg.batch_size, order), start=1):
             combo = sample_combination(q, samp_rng)
+            where = f"finetune epoch {epoch} step {step} combination {combo.name}"
             batch_feats = {m: feats[m][idx] for m in combo}
             opt.zero_grad()
             with ad.Tape() as tape:
@@ -226,11 +239,10 @@ def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
                                                out["enc_pooled"])
                 else:
                     l_ort = zero
-                l_tot = total_loss(l_task, l_ort, cfg.beta)
+                l_tot = ad.check_finite(total_loss(l_task, l_ort, cfg.beta), f"{where}: loss")
             ad.gradients(l_tot, tape)
-            opt.step()
+            opt.step(where)
             sums += (l_task.item(), l_ort.item(), l_tot.item())
-            batches += 1
         scores = separability_scores(model, probe_batch)
         deltas = scores - s_prev
         if cfg.dpft:
@@ -238,8 +250,8 @@ def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
         result.schedule_rows.append(ScheduleRow(epoch, scores, deltas, q))
         result.probe_rows.append((epoch, _probe_mean_cosine(model, probe_batch.features)))
         s_prev = scores
-        result.epoch_rows.append(EpochRow(epoch, "finetune", sums[0] / batches, sums[1] / batches,
-                                          sums[2] / batches, (time.perf_counter() - t0) * 1e3))
+        result.epoch_rows.append(EpochRow(epoch, "finetune", sums[0] / step, sums[1] / step,
+                                          sums[2] / step, (time.perf_counter() - t0) * 1e3))
     model.phase = "finetuned"
     return result
 
@@ -298,10 +310,15 @@ def compute_metrics(preds, labels) -> Metrics:
 # evaluation under missing-modality protocols
 # ---------------------------------------------------------------------------
 
-def _predict_condition(model: MculoraModel, feats: dict[str, np.ndarray], n: int) -> np.ndarray:
-    # chunked so the forward pass's intermediates stay bounded on large splits
-    parts = [forward_batch(model, {m: a[s:s + _EVAL_CHUNK] for m, a in feats.items()})["y_last"].data
-             for s in range(0, n, _EVAL_CHUNK)]
+def _predict_condition(model: MculoraModel, feats: dict[str, np.ndarray], n: int,
+                       rows: np.ndarray | None = None) -> np.ndarray:
+    """Predictions for the first n samples of feats, or for feats' samples
+    `rows` (n of them), gathered and run at most _EVAL_POSITIONS positions at a time."""
+    step = max(1, _EVAL_POSITIONS // next(iter(feats.values())).shape[1])
+    parts = []
+    for s in range(0, n, step):
+        pick = slice(s, s + step) if rows is None else rows[s:s + step]
+        parts.append(forward_batch(model, {m: a[pick] for m, a in feats.items()})["y_last"].data)
     return np.argmax(np.concatenate(parts), axis=1)
 
 
@@ -312,7 +329,7 @@ def predict_dataset(model: MculoraModel, dataset: Dataset) -> np.ndarray:
     for combo in ALL_COMBINATIONS:
         rows = np.nonzero(masks == combo.mask)[0]
         if rows.size:
-            preds[rows] = _predict_condition(model, {m: dataset.features[m][rows] for m in combo}, rows.size)
+            preds[rows] = _predict_condition(model, {m: dataset.features[m] for m in combo}, rows.size, rows)
     return preds
 
 

@@ -1,15 +1,21 @@
 import json
+import re
+import subprocess
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mculora.cli import build_parser, main
-from mculora.config import parse_config_text, version_string
+from mculora import synthgen
+from mculora.cli import _load_rows, build_parser, main
+from mculora.config import ExperimentConfig, parse_config_text, version_string
 from mculora.errors import ConfigError
+from mculora.modalities import MODALITIES
 from mculora.model import ModelConfig, build_model, save_checkpoint
 from mculora.rng import Rng
 from mculora.serialize import load_container, save_container
-from mculora.synthgen import load_dataset
+from mculora.synthgen import generate_dataset, load_dataset, save_dataset, split_dataset
 
 TINY_CONFIG = """
 # desk-scale smoke configuration
@@ -326,6 +332,95 @@ def test_parse_config_text_handles_comments_and_types():
 
 def test_version_string_does_not_depend_on_the_working_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    version_string.cache_clear()
     from_repo = version_string()
     monkeypatch.chdir(tmp_path)
+    version_string.cache_clear()
     assert version_string() == from_repo
+
+
+def test_version_string_runs_git_once_per_process(monkeypatch):
+    version_string.cache_clear()
+    first = version_string()
+
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError("version_string ran a subprocess a second time")
+    monkeypatch.setattr(subprocess, "run", no_subprocess)
+    assert version_string() == first
+
+
+# ---------------------------------------------------------------------------
+# each command reads only the rows it uses
+# ---------------------------------------------------------------------------
+
+def test_each_command_loads_only_its_own_rows(workspace, monkeypatch):
+    tmp, cfg = workspace
+    assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
+    loaded = []
+    real = synthgen.load_container
+
+    def spy(*args, **kwargs):
+        kind, meta, arrays = real(*args, **kwargs)
+        loaded.append({name: len(arr) for name, arr in arrays.items()})
+        return kind, meta, arrays
+    monkeypatch.setattr(synthgen, "load_container", spy)
+    data, pre, fin = full_pipeline(tmp, cfg)
+    assert run("eval", "--config", cfg, "--data", data / "dataset.mcu", "--checkpoint", fin / "checkpoint.mcu",
+               "--protocol", "random", "--out", tmp / "ev") == 0
+    # TINY_CONFIG: 80 samples split 56 / 12 / 12; the probe is the first 12 validation samples
+    assert [set(counts.values()) for counts in loaded] == [{56}, {68}, {12}]
+    assert all(len(counts) == 5 for counts in loaded)
+
+
+def test_gen_data_file_is_generate_dataset_of_its_config(workspace):
+    tmp, cfg = workspace
+    out1, out2 = tmp / "d1", tmp / "d2"
+    assert run("gen-data", "--config", cfg, "--out", out1) == 0
+    assert run("gen-data", "--config", cfg, "--out", out2) == 0
+    assert (out1 / "dataset.mcu").read_bytes() == (out2 / "dataset.mcu").read_bytes()
+    got = load_dataset(out1 / "dataset.mcu")
+    want = generate_dataset(parse_config_text(TINY_CONFIG))
+    for a, b in [(got.presence, want.presence), (got.labels, want.labels),
+                 *[(got.features[m], want.features[m]) for m in MODALITIES]]:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 40), seq_len=st.integers(1, 4), train_frac=st.floats(0.05, 0.9),
+       val_share=st.floats(0.0, 0.95), probe_size=st.integers(1, 12))
+def test_command_row_ranges_are_the_splits_of_a_full_load(n, seq_len, train_frac, val_share, probe_size):
+    cfg = ExperimentConfig(num_samples=n, seq_len=seq_len, raw_dim=3, train_frac=train_frac,
+                           val_frac=val_share * (1 - train_frac), probe_size=probe_size).validate()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.mcu"
+        save_dataset(path, cfg)
+        train, val, test = split_dataset(load_dataset(path), cfg.train_frac, cfg.val_frac)
+        pretrain_rows, n_train = _load_rows(cfg, path, "pretrain")
+        finetune_rows, _ = _load_rows(cfg, path, "finetune")
+        eval_rows, _ = _load_rows(cfg, path, "eval")
+    assert n_train == len(train)
+    for got, want in ((pretrain_rows, train), (finetune_rows[:n_train], train),
+                      (finetune_rows[n_train:], val[:probe_size]), (eval_rows, test)):
+        for a, b in [(got.presence, want.presence), (got.labels, want.labels),
+                     *[(got.features[m], want.features[m]) for m in MODALITIES]]:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# non-finite training
+# ---------------------------------------------------------------------------
+
+def test_finetune_of_a_nan_weight_exits_3_naming_the_step_and_writes_no_checkpoint(workspace, capsys):
+    tmp, cfg = workspace
+    assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
+    assert run("pretrain", "--config", cfg, "--data", tmp / "data" / "dataset.mcu", "--out", tmp / "pre") == 0
+    _, meta, arrays = load_container(tmp / "pre" / "checkpoint.mcu", expected_kind="checkpoint")
+    for m in MODALITIES:  # whichever combination is drawn first reads one of them
+        arrays[next(k for k in arrays if k.startswith(f"enc.{m}."))][0] = float("nan")
+    save_container(tmp / "nan.mcu", "checkpoint", meta, arrays)
+    capsys.readouterr()
+    assert run("finetune", "--config", cfg, "--data", tmp / "data" / "dataset.mcu",
+               "--checkpoint", tmp / "nan.mcu", "--out", tmp / "fin") == 3
+    assert re.search(r"finetune epoch 1 step 1 combination [atv]+: loss contains non-finite values",
+                     capsys.readouterr().err)
+    assert not (tmp / "fin" / "checkpoint.mcu").exists()

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 
 import numpy as np
@@ -12,6 +13,11 @@ ARRAYS = {
     "mask": np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8),
     "labels": np.array([3.5, -0.0]),
 }
+
+
+# every malformed file must fail whole reads and row-range reads alike; reading
+# the first row alone leaves the rest of each blob outside the requested range
+ROW_READS = (None, lambda n: slice(0, 1))
 
 
 def npy_bytes(arr):
@@ -46,28 +52,30 @@ def test_truncated_container_is_contract_error_naming_the_file(container):
     first_blob = len(npy_bytes(ARRAYS["weights"]))
     offsets = [0, 5, magic_end, magic_end + 7, header_end - 1, header_end, header_end + 6, header_end + 60,
                header_end + first_blob - 1, header_end + first_blob, len(data) - 1]
-    for cut in offsets:
+    for cut, rows in itertools.product(offsets, ROW_READS):
         container.write_bytes(data[:cut])
         with pytest.raises(ContractError, match="c.mcu") as info:
-            load_container(container)
+            load_container(container, rows=rows)
         if cut == header_end + first_blob:  # file ends just before a listed array
             assert "'mask'" in str(info.value)
 
 
 def test_trailing_bytes_are_rejected(container):
     container.write_bytes(container.read_bytes() + b"junk")
-    with pytest.raises(ContractError, match="trailing bytes"):
-        load_container(container)
+    for rows in ROW_READS:
+        with pytest.raises(ContractError, match="c.mcu: 4 trailing bytes"):
+            load_container(container, rows=rows)
 
 
 def test_bad_header_json_and_shape_are_rejected(container):
     data = container.read_bytes()
     magic_end = data.index(b"\n") + 1
     header_end = data.index(b"\n", magic_end) + 1
-    for bad in (b"{not json", b"\xff\xfe", b'{"meta": {}, "arrays": "weights"}', b"[1, 2]"):
+    bad_headers = (b"{not json", b"\xff\xfe", b'{"meta": {}, "arrays": "weights"}', b"[1, 2]")
+    for bad, rows in itertools.product(bad_headers, ROW_READS):
         container.write_bytes(data[:magic_end] + bad + b"\n" + data[header_end:])
         with pytest.raises(ContractError, match="c.mcu"):
-            load_container(container)
+            load_container(container, rows=rows)
 
 
 def test_garbled_blob_is_rejected(container):
@@ -75,13 +83,13 @@ def test_garbled_blob_is_rejected(container):
     magic_end = data.index(b"\n") + 1
     header_end = data.index(b"\n", magic_end) + 1
     blob_header = data.index(b"}", header_end)
-    for start, junk in ((header_end, b"PK\x03\x04"), (header_end + 10, b"'descr': 'O'"),
-                        (blob_header - 12, b"(9999999999")):
+    garbles = ((header_end, b"PK\x03\x04"), (header_end + 10, b"'descr': 'O'"), (blob_header - 12, b"(9999999999"))
+    for (start, junk), rows in itertools.product(garbles, ROW_READS):
         garbled = data.copy()
         garbled[start:start + len(junk)] = junk
         container.write_bytes(bytes(garbled))
-        with pytest.raises(ContractError, match="'weights' is missing or corrupt"):
-            load_container(container)
+        with pytest.raises(ContractError, match="c.mcu: array 'weights' is missing or corrupt"):
+            load_container(container, rows=rows)
 
 
 def test_failed_write_leaves_target_and_no_temporary(container):
@@ -90,3 +98,46 @@ def test_failed_write_leaves_target_and_no_temporary(container):
         save_container(container, "dataset", {}, {"ok": np.zeros(2), "bad": np.array([object()])})
     assert container.read_bytes() == before
     assert not list(container.parent.glob("*.tmp"))
+
+
+def test_row_range_read_is_the_slice_of_a_full_read(tmp_path):
+    arrays = {"x": np.arange(60, dtype=np.float64).reshape(5, 3, 4), "m": np.arange(15, dtype=np.uint8).reshape(5, 3),
+              "y": np.linspace(0, 1, 5)}
+    path = tmp_path / "r.mcu"
+    save_container(path, "dataset", {}, arrays)
+    for sl in (slice(0, 5), slice(0, 0), slice(2, 4), slice(4, 5), slice(-2, None), slice(3, 1), slice(0, 99)):
+        _, _, got = load_container(path, rows=lambda n: sl)
+        for name, arr in arrays.items():
+            want = arr[sl]
+            assert got[name].dtype == want.dtype and got[name].shape == want.shape, (name, sl)
+            assert got[name].tobytes() == want.tobytes() and got[name].flags.writeable
+
+
+def test_row_range_read_needs_one_leading_length_and_a_contiguous_slice(tmp_path):
+    path = tmp_path / "r.mcu"
+    save_container(path, "dataset", {}, {"x": np.zeros((4, 2)), "y": np.zeros(3)})
+    with pytest.raises(ContractError, match="r.mcu: array 'y'.*leading length 3 differs from the first array's 4"):
+        load_container(path, rows=lambda n: slice(0, 1))
+    with pytest.raises(ContractError, match="r.mcu: array 'x'.*contiguous"):
+        load_container(path, rows=lambda n: slice(0, n, 2))
+    # np.save can write blobs that save_container never does: 0-d and Fortran-order arrays
+    for arr, kind in ((np.array(1.0), "0-d"), (np.asfortranarray(np.zeros((4, 2))), "Fortran-order")):
+        header = json.dumps({"meta": {}, "arrays": ["odd"]}).encode()
+        path.write_bytes(b"MCULORA-DATASET v1\n" + header + b"\n" + npy_bytes(arr))
+        assert load_container(path)[2]["odd"].tobytes() == arr.tobytes()
+        with pytest.raises(ContractError, match=f"r.mcu: array 'odd'.*{kind}"):
+            load_container(path, rows=lambda n: slice(0, 1))
+
+
+def test_writer_calls_each_array_function_once_in_order(tmp_path):
+    calls = []
+
+    def make(name):
+        def build():
+            calls.append(name)
+            return ARRAYS[name]
+        return build
+    save_container(tmp_path / "f.mcu", "dataset", {"config": {"seed": 1}}, {n: make(n) for n in ARRAYS})
+    save_container(tmp_path / "c.mcu", "dataset", {"config": {"seed": 1}}, ARRAYS)
+    assert calls == list(ARRAYS)
+    assert (tmp_path / "f.mcu").read_bytes() == (tmp_path / "c.mcu").read_bytes()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,31 +295,41 @@ def test_dataset_features_must_match_presence():
 # ---------------------------------------------------------------------------
 
 def test_dataset_roundtrip_is_bitwise(tmp_path):
-    cfg, ds = synth(11, num_samples=40)
-    ds = apply_random_missing(ds, (0.3, 0.7), seed=11)
+    cfg = ExperimentConfig(num_samples=40)
     path = tmp_path / "data.mcu"
-    save_dataset(path, ds, cfg)
+    save_dataset(path, cfg, Rng(11))
     loaded = load_dataset(path)
+    ds = generate_dataset(cfg, Rng(11))
     # the header records the 12 generator fields, seed being that of the default data stream
     generator_fields = ("num_samples", "seq_len", "raw_dim", "classes", "shared_dim", "private_dim", "shared_strength",
                         "private_strength", "pair_interaction_strength", "noise_std", "task")
     header = load_container(path, expected_kind="dataset")[1]["config"]
     assert header == {**{k: getattr(cfg, k) for k in generator_fields}, "seed": derive_seed(cfg.seed, "data")}
     assert len(loaded) == len(ds)
-    assert np.array_equal(ds.presence, loaded.presence)
-    assert np.array_equal(ds.labels, loaded.labels)
-    for k, m in enumerate(MODALITIES):
-        present = ds.presence[:, k] == 1
-        assert np.array_equal(ds.features[m][present], loaded.features[m][present])
-        assert not loaded.features[m][~present].any()  # absent modalities are stored as zeros
+    for got, want in [(loaded.presence, ds.presence), (loaded.labels, ds.labels),
+                      *[(loaded.features[m], ds.features[m]) for m in MODALITIES]]:
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_dataset_file_bytes_are_reproducible(tmp_path):
     cfg = ExperimentConfig(num_samples=16)
     p1, p2 = tmp_path / "a.mcu", tmp_path / "b.mcu"
-    save_dataset(p1, generate_dataset(cfg, Rng(12)), cfg)
-    save_dataset(p2, generate_dataset(cfg, Rng(12)), cfg)
+    save_dataset(p1, cfg, Rng(12))
+    save_dataset(p2, cfg, Rng(12))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_save_dataset_holds_one_feature_array_at_a_time(tmp_path):
+    cfg = ExperimentConfig(num_samples=2000, seq_len=8, raw_dim=16)
+    feature_bytes = cfg.num_samples * cfg.seq_len * cfg.raw_dim * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        save_dataset(tmp_path / "d.mcu", cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert feature_bytes <= peak < 2 * feature_bytes  # all three feature arrays at once would be 3x
 
 
 def test_split_is_contiguous_and_balanced():

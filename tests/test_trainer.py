@@ -5,9 +5,11 @@ from mculora.config import ExperimentConfig
 from mculora.errors import ConfigError, ContractError
 from mculora.modalities import ALL_COMBINATIONS, INCOMPLETE_COMBINATIONS, MODALITIES
 from mculora.rng import Rng
-from mculora.synthgen import apply_fixed_missing, generate_dataset
+from mculora.synthgen import apply_fixed_missing, apply_random_missing, generate_dataset
 from mculora import trainer
+from mculora.autodiff import Tensor
 from mculora.trainer import (
+    Adam,
     Metrics,
     MetricsRecord,
     compute_metrics,
@@ -266,6 +268,23 @@ def test_metrics_empty_is_contract_error():
         compute_metrics([], [])
 
 
+def test_adam_refuses_a_non_finite_update_naming_the_step_and_parameter():
+    params = {"w": Tensor(np.ones(3), requires_grad=True), "b": Tensor(np.zeros(2), requires_grad=True)}
+    opt = Adam(params, lr=0.1)
+    params["w"].grad = np.array([1.0, np.nan, 0.0])
+    params["b"].grad = np.ones(2)
+    with pytest.raises(ContractError, match="finetune epoch 2 step 7 combination av: update of parameter 'w'"):
+        opt.step("finetune epoch 2 step 7 combination av")
+    assert np.array_equal(params["w"].data, np.ones(3))  # the bad value is never taken
+
+
+def test_pretrain_names_the_step_of_a_non_finite_loss():
+    ds = tiny_synth(n=40)
+    ds.features["t"][5, 0, 0] = np.nan
+    with pytest.raises(ContractError, match=r"pretrain epoch 1 step \d: loss contains non-finite values"):
+        pretrain(ds, tiny_cfg())
+
+
 # ---------------------------------------------------------------------------
 # evaluation protocols
 # ---------------------------------------------------------------------------
@@ -333,10 +352,39 @@ def test_constant_predictor_on_balanced_labels(monkeypatch):
 def test_eval_chunking_does_not_change_results(monkeypatch):
     model, cfg = trained_tiny_model()
     test_set = tiny_synth(n=40, seed=7)
-    base = evaluate(model, test_set, "fixed", cfg)
-    monkeypatch.setattr(trainer, "_EVAL_CHUNK", 8)
-    chunked = evaluate(model, test_set, "fixed", cfg)
-    assert base.rows == chunked.rows
+    seq_len = test_set.features["a"].shape[1]
+    assert len(test_set) * seq_len <= trainer._EVAL_POSITIONS  # the default runs it in one chunk
+    masked = apply_random_missing(test_set, (cfg.mask_lo, cfg.mask_hi), seed=cfg.eval_seed)
+    base = {protocol: evaluate(model, test_set, protocol, cfg).rows for protocol in ("fixed", "random")}
+    base_preds = predict_dataset(model, masked)
+    for rows_per_chunk in (8, 1):
+        monkeypatch.setattr(trainer, "_EVAL_POSITIONS", rows_per_chunk * seq_len)
+        assert {protocol: evaluate(model, test_set, protocol, cfg).rows for protocol in base} == base
+        assert np.array_equal(predict_dataset(model, masked), base_preds)
+
+
+def test_eval_forward_passes_stay_within_the_position_bound(monkeypatch):
+    model, cfg = trained_tiny_model()
+    test_set = tiny_synth(n=40, seed=7)
+    seq_len = test_set.features["a"].shape[1]
+    bound = 5 * seq_len + 2  # not a multiple of L: chunks of 5 rows
+    monkeypatch.setattr(trainer, "_EVAL_POSITIONS", bound)
+    real = trainer.forward_batch
+    positions, rows = [], []
+
+    def spy(model, feats, **kwargs):
+        shapes = {x.shape[:2] for x in feats.values()}
+        assert len(shapes) == 1
+        (batch, length), = shapes
+        positions.append(batch * length)
+        rows.append(batch)
+        return real(model, feats, **kwargs)
+    monkeypatch.setattr(trainer, "forward_batch", spy)
+    evaluate(model, test_set, "fixed", cfg)
+    assert sum(rows) == len(ALL_COMBINATIONS) * len(test_set)
+    evaluate(model, test_set, "random", cfg)
+    assert sum(rows) == (len(ALL_COMBINATIONS) + 1) * len(test_set)
+    assert max(positions) == 5 * seq_len <= bound
 
 
 # ---------------------------------------------------------------------------
