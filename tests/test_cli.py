@@ -372,17 +372,17 @@ def test_each_command_loads_only_its_own_rows(workspace, monkeypatch):
     assert all(len(counts) == 5 for counts in loaded)
 
 
-def test_gen_data_file_is_generate_dataset_of_its_config(workspace):
-    tmp, cfg = workspace
-    out1, out2 = tmp / "d1", tmp / "d2"
-    assert run("gen-data", "--config", cfg, "--out", out1) == 0
-    assert run("gen-data", "--config", cfg, "--out", out2) == 0
-    assert (out1 / "dataset.mcu").read_bytes() == (out2 / "dataset.mcu").read_bytes()
-    got = load_dataset(out1 / "dataset.mcu")
-    want = generate_dataset(parse_config_text(TINY_CONFIG))
+def assert_same_dataset(got, want):
     for a, b in [(got.presence, want.presence), (got.labels, want.labels),
                  *[(got.features[m], want.features[m]) for m in MODALITIES]]:
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_gen_data_file_is_generate_dataset_of_its_config(workspace):
+    # test_gen_data_is_checksum_reproducible checks that the bytes repeat
+    tmp, cfg = workspace
+    assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
+    assert_same_dataset(load_dataset(tmp / "data" / "dataset.mcu"), generate_dataset(parse_config_text(TINY_CONFIG)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -401,9 +401,7 @@ def test_command_row_ranges_are_the_splits_of_a_full_load(n, seq_len, train_frac
     assert n_train == len(train)
     for got, want in ((pretrain_rows, train), (finetune_rows[:n_train], train),
                       (finetune_rows[n_train:], val[:probe_size]), (eval_rows, test)):
-        for a, b in [(got.presence, want.presence), (got.labels, want.labels),
-                     *[(got.features[m], want.features[m]) for m in MODALITIES]]:
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert_same_dataset(got, want)
 
 
 # ---------------------------------------------------------------------------
