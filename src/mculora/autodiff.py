@@ -6,10 +6,10 @@ appends a backward closure to the tape; :func:`gradients` then replays the
 tape once, in reverse, accumulating vector-Jacobian products. Because ops are
 recorded in creation order the tape is topologically sorted by construction.
 
-Tensors are immutable once produced by an op. Forward/backward over a single
-tape is single-threaded; independent tapes may run on independent threads.
-With no tape active, the same functions run as plain (and cheaper) numpy
-evaluation.
+Tensors are immutable once produced by an op. Tapes nest: the innermost
+active one records, and the stack of active tapes is one module-level list,
+so a process runs its tapes on one thread. With no tape active, the same
+functions run as plain (and cheaper) numpy evaluation.
 
 Everything is float64: the package's verification budget (finite-difference
 gradient checks at 1e-5 relative error, analytic oracles at 1e-12) is not
@@ -19,7 +19,6 @@ reachable in single precision.
 from __future__ import annotations
 
 import itertools
-import threading
 
 import numpy as np
 
@@ -85,12 +84,7 @@ def freeze(tensors) -> None:
         t.grad = None
 
 
-class _TapeStack(threading.local):
-    def __init__(self):
-        self.stack: list[Tape] = []
-
-
-_tapes = _TapeStack()
+_tapes: list[Tape] = []  # active tapes, innermost last
 
 
 class Tape:
@@ -100,11 +94,11 @@ class Tape:
         self.ops: list[tuple[int, object]] = []
 
     def __enter__(self) -> "Tape":
-        _tapes.stack.append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _tapes.stack.pop()
+        popped = _tapes.pop()
         if popped is not self:  # pragma: no cover - defensive
             raise ContractError("tape context exited out of order")
 
@@ -113,11 +107,10 @@ class Tape:
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> None:
-    stack = _tapes.stack
-    if not stack or not any(t._tracked for t in inputs):
+    if not _tapes or not any(t._tracked for t in inputs):
         return
     out._tracked = True
-    stack[-1].ops.append((out._id, backward))
+    _tapes[-1].ops.append((out._id, backward))
 
 
 def gradients(loss: Tensor, tape: Tape) -> dict[int, np.ndarray]:

@@ -23,14 +23,12 @@ from .config import ExperimentConfig, _parse_bool, load_config, version_string, 
 from .errors import ConfigError, ContractError, ShapeError
 from .modalities import Combo
 from .model import load_checkpoint, save_checkpoint
-from .synthgen import Dataset, apply_fixed_missing, load_dataset, save_dataset, split_bounds
+from .synthgen import Dataset, load_dataset, save_dataset, split_bounds
 from .trainer import (
     MetricsRecord,
-    compute_metrics,
     evaluate,
     finetune,
     parse_metrics_document,
-    predict_dataset,
     pretrain,
     write_epoch_log,
     write_metrics_document,
@@ -171,18 +169,15 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.combo is not None and args.protocol != "fixed":
+        raise ConfigError(f"--combo restricts the fixed protocol, not --protocol {args.protocol}")
     cfg, out_dir = _prepare(args)
     if args.seed is not None:
         cfg.eval_seed = args.seed  # the random protocol's masking seed
     model = load_checkpoint(args.checkpoint)
     test, _ = _load_rows(cfg, args.data, "eval")
-    if args.combo is not None and args.protocol == "fixed":
-        combo = Combo.from_name(args.combo)
-        masked = apply_fixed_missing(test, combo)
-        preds = predict_dataset(model, masked)
-        record = MetricsRecord(protocol="fixed", rows={combo.name: compute_metrics(preds, masked.labels)})
-    else:
-        record = evaluate(model, test, args.protocol, cfg)
+    combo = None if args.combo is None else Combo.from_name(args.combo)
+    record = evaluate(model, test, args.protocol, cfg, combo)
     write_metrics_document(out_dir / "metrics.txt", record, config_echo_str(cfg), version_string())
     write_manifest(out_dir, "eval", cfg, cfg.seed, args.config, ["metrics.txt"])
     print((out_dir / "metrics.txt").read_text(), end="")

@@ -53,7 +53,6 @@ class ExperimentConfig:
     private_strength: float = 0.6
     pair_interaction_strength: float = 0.8
     noise_std: float = 1.0
-    task: str = "classification"
     # splits
     train_frac: float = 0.7
     val_frac: float = 0.15
@@ -95,10 +94,8 @@ class ExperimentConfig:
         for name in ("shared_strength", "private_strength", "pair_interaction_strength", "noise_std", "beta"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.task not in ("classification", "regression"):
-            raise ConfigError(f"task must be classification or regression, got {self.task!r}")
-        if self.task == "classification" and self.classes < 2:
-            raise ConfigError(f"classes must be >= 2 for classification, got {self.classes}")
+        if self.classes < 2:
+            raise ConfigError(f"classes must be >= 2, got {self.classes}")
         if not (0 < self.train_frac < 1 and 0 <= self.val_frac < 1
                 and self.train_frac + self.val_frac < 1):
             raise ConfigError(f"train_frac/val_frac leave no test split: {self.train_frac}, {self.val_frac}")

@@ -84,7 +84,7 @@ def separability_scores(model: MculoraModel, probe_batch: Dataset) -> np.ndarray
     probe_batch.require_complete("separability_scores probe batch")
     feats = probe_batch.features
     scores = np.zeros(N_COMBINATIONS)
-    if model.cfg.mcla and model.adapters is not None:
+    if model.adapters is not None:
         pooled_com = {m: model.adapters[m].common.pooled_map(feats[m]) for m in feats}
         for idx, combo in enumerate(ALL_COMBINATIONS):
             per_mod = []

@@ -1,4 +1,4 @@
-"""Training objectives: soft orthogonality regularizer, task losses, total.
+"""Training objectives: soft orthogonality regularizer, cross-entropy task loss, total.
 
 The orthogonality term sums, over the combinations active in a batch and the
 modalities they contain,
@@ -45,26 +45,22 @@ def orthogonality_loss(common: dict[str, Tensor],
     return total
 
 
-def task_loss(pred: Tensor, label, kind: str) -> Tensor:
-    """Cross-entropy on logits (classification) or squared error (regression).
+def task_loss(pred: Tensor, label, kind: str = "classification") -> Tensor:
+    """Cross-entropy on logits, the mean over samples when batched.
 
-    Batched inputs take the mean over samples. Classification labels are
-    class indices in [0, C); out-of-range labels are contract errors.
+    Labels are class indices in [0, C); out-of-range labels are contract
+    errors. Classification is the only task: `kind` is kept for callers that
+    still name it, and anything but ``"classification"`` is a contract error.
     """
-    if kind == "classification":
-        logits = pred if pred.ndim == 2 else ad.reshape(pred, (1, -1))
-        labels = np.atleast_1d(np.asarray(label, dtype=np.int64))
-        C = logits.shape[1]
-        if labels.min() < 0 or labels.max() >= C:
-            raise ContractError(f"label out of range [0, {C}): {labels.min()}..{labels.max()}")
-        logp = ad.log_softmax(logits, axis=1)
-        return ad.neg(ad.tmean(ad.take_per_row(logp, labels)))
-    if kind == "regression":
-        target = ad.constant(np.asarray(label, dtype=np.float64).reshape(-1))
-        flat = ad.reshape(pred, (-1,))
-        diff = ad.sub(flat, target)
-        return ad.tmean(ad.mul(diff, diff))
-    raise ContractError(f"unknown task kind {kind!r}")
+    if kind != "classification":
+        raise ContractError(f"unknown task kind {kind!r}")
+    logits = pred if pred.ndim == 2 else ad.reshape(pred, (1, -1))
+    labels = np.atleast_1d(np.asarray(label, dtype=np.int64))
+    C = logits.shape[1]
+    if labels.min() < 0 or labels.max() >= C:
+        raise ContractError(f"label out of range [0, {C}): {labels.min()}..{labels.max()}")
+    logp = ad.log_softmax(logits, axis=1)
+    return ad.neg(ad.tmean(ad.take_per_row(logp, labels)))
 
 
 def total_loss(l_task: Tensor, l_ort: Tensor, beta: float) -> Tensor:

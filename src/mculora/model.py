@@ -8,15 +8,18 @@ Structure
   per-modality key/value projections, turning 1-3 pooled modality vectors
   into one fused token (set-wise: input order is irrelevant), trained with
   the encoders and frozen with them;
-* a common prediction head, plus - once adapters are attached - a
-  characteristic prediction head and a scalar gate blending the two.
+* a common prediction head with one logit per class, plus - once adapters
+  are attached - a characteristic prediction head and a scalar gate blending
+  the two.
 
 Adapters consume raw features in parallel to the frozen encoder. Each
 modality owns one low-rank pair per combination containing it (private) and
 one pair shared by all combinations (common). Their pooled outputs are added
 to the pooled encoder representation before fusion, so with zero-initialized
 up-projections the fine-tuned model starts exactly at the pretrained model's
-behavior.
+behavior. MCLA is on exactly when adapters are attached: with ``mcla=False``,
+:func:`attach_adapters` leaves ``model.adapters`` as None and the frozen base
+feeds the common head alone.
 """
 
 from __future__ import annotations
@@ -43,12 +46,6 @@ class ModelConfig:
     classes: int = 4
     rank: int = 4
     alpha: float = 1.0
-    task: str = "classification"
-    mcla: bool = True
-
-    @property
-    def out_dim(self) -> int:
-        return self.classes if self.task == "classification" else 1
 
 
 class Encoder:
@@ -220,17 +217,11 @@ class MculoraModel:
         if group == "pretrain":
             base.update(self.heads.parameters(include_finetune_heads=False))
             return base
-        if group == "finetune":
-            params = self.heads.parameters(include_finetune_heads=self.cfg.mcla and self.adapters is not None)
-            if self.cfg.mcla and self.adapters is not None:
-                for m in MODALITIES:
-                    params.update(self.adapters[m].parameters(f"adapter.{m}"))
-            return params
-        base.update(self.heads.parameters(include_finetune_heads=self.adapters is not None))
+        params = self.heads.parameters(include_finetune_heads=self.adapters is not None)
         if self.adapters is not None:
             for m in MODALITIES:
-                base.update(self.adapters[m].parameters(f"adapter.{m}"))
-        return base
+                params.update(self.adapters[m].parameters(f"adapter.{m}"))
+        return params if group == "finetune" else {**base, **params}
 
     def freeze_base(self) -> None:
         """Freeze the encoders and fusion, which no phase after pretraining trains."""
@@ -264,8 +255,8 @@ def build_model(cfg: ModelConfig, rng: Rng) -> MculoraModel:
     )
     hr = init.child("heads")
     heads = Heads(
-        com_W=param(hr, (d, cfg.out_dim), 1.0 / np.sqrt(d)),
-        com_b=Tensor(np.zeros((1, cfg.out_dim)), requires_grad=True),
+        com_W=param(hr, (d, cfg.classes), 1.0 / np.sqrt(d)),
+        com_b=Tensor(np.zeros((1, cfg.classes)), requires_grad=True),
     )
     return MculoraModel(cfg, encoders, fusion, heads, adapters=None, phase="init")
 
@@ -273,7 +264,8 @@ def build_model(cfg: ModelConfig, rng: Rng) -> MculoraModel:
 def attach_adapters(model: MculoraModel, rng: Rng, rank: int | None = None,
                     alpha: float | None = None, mcla: bool = True) -> None:
     """Create zero-initialized adapter banks, the characteristic head (a copy
-    of the pretrained common head), and the gate. Requires a pretrained model."""
+    of the pretrained common head), and the gate. Requires a pretrained model.
+    With mcla=False nothing is attached and ``model.adapters`` stays None."""
     if model.phase != "pretrained":
         raise ContractError(f"adapters attach to a pretrained model, phase is {model.phase!r}")
     cfg = model.cfg
@@ -281,7 +273,6 @@ def attach_adapters(model: MculoraModel, rng: Rng, rank: int | None = None,
         cfg.rank = int(rank)
     if alpha is not None:
         cfg.alpha = float(alpha)
-    cfg.mcla = bool(mcla)
     if not mcla:
         model.adapters = None
         return
@@ -327,7 +318,7 @@ def forward_batch(model: MculoraModel, feats: dict[str, np.ndarray], *,
     if not mods:
         raise ContractError("forward: empty presence set")
     combo = Combo.from_modalities(mods)
-    use_mcla = model.cfg.mcla and model.adapters is not None
+    use_mcla = model.adapters is not None
 
     enc_pooled: dict[str, Tensor] = {}
     com_pooled: dict[str, Tensor] = {}
@@ -389,7 +380,7 @@ def load_checkpoint(path) -> MculoraModel:
     model = build_model(cfg, Rng(0))
     if meta["has_adapters"]:
         model.phase = "pretrained"
-        attach_adapters(model, Rng(0), rank=cfg.rank, alpha=cfg.alpha, mcla=True)
+        attach_adapters(model, Rng(0), rank=cfg.rank, alpha=cfg.alpha)
     model.phase = meta["phase"]
     params = model.parameters("all")
     missing = set(params) - set(arrays)

@@ -27,15 +27,15 @@ a contiguous range of rows alone, and :func:`split_bounds` gives the split
 sizes, so a command can read only the split it uses.
 
 A :class:`Dataset` is exactly the dataset container's layout: one (N, L, D)
-feature array per modality, an (N, 3) presence mask and (N,) labels. Splits
-are row-slice views; the missing-modality protocols only rewrite the mask.
+feature array per modality, an (N, 3) presence mask and (N,) class-index
+labels. Splits are row-slice views.
 
-Missing-modality protocols:
-
-* fixed: force one combination onto every sample;
-* random: drop each modality independently with a per-draw probability taken
-  uniformly from a configured range, retaining one uniformly-chosen modality
-  whenever all three would drop (a sample never loses every modality).
+The random missing-modality protocol lives here and only rewrites the mask: it
+drops each modality independently with a per-draw probability taken uniformly
+from a configured range, retaining one uniformly-chosen modality whenever all
+three would drop (a sample never loses every modality). The fixed protocol
+needs no mask: evaluation passes each condition's modalities to the model
+(see :mod:`mculora.trainer`).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigError, ContractError
-from .modalities import MODALITIES, Combo
+from .modalities import MODALITIES
 from .rng import Rng, derive_seed
 from .serialize import load_container, save_container
 
@@ -64,15 +64,15 @@ _PAIR_NOISE = 1.0
 
 # the config fields the generator reads, recorded in each dataset file's header
 _GENERATOR_FIELDS = ("num_samples", "seq_len", "raw_dim", "classes", "shared_dim", "private_dim", "shared_strength",
-                     "private_strength", "pair_interaction_strength", "noise_std", "task")
+                     "private_strength", "pair_interaction_strength", "noise_std")
 
 
 @dataclass
 class Dataset:
     """Columnar samples: features a, t, v of shape (N, L, D), an (N, 3) uint8 0/1
-    presence mask with a modality in every row, and (N,) float64 labels (class
-    indices for classification). Features of absent modalities must not be
-    read. Slicing with a ``slice`` gives a dataset of views."""
+    presence mask with a modality in every row, and (N,) float64 class indices
+    as labels. Features of absent modalities must not be read. Slicing with a
+    ``slice`` gives a dataset of views."""
 
     features: dict[str, np.ndarray]
     presence: np.ndarray
@@ -126,7 +126,7 @@ def _pair_bit(label: int, pair_idx: int) -> float:
 def _generator(cfg: ExperimentConfig, root_rng: Rng | None) -> tuple[dict[str, Callable[[], np.ndarray]], np.ndarray]:
     """The generator body: one function per modality that builds its (N, L, D)
     features when called (each from its own named stream, so in any order),
-    and the (N,) float64 labels."""
+    and the (N,) float64 class-index labels."""
     cfg.validate()
     root = root_rng if root_rng is not None else Rng(cfg.seed).child("data")
     geom = root.child("geometry")
@@ -146,8 +146,6 @@ def _generator(cfg: ExperimentConfig, root_rng: Rng | None) -> tuple[dict[str, C
         )
         for (m1, m2) in _PAIRS
     }
-    score_dir = geom.child("score").normal(size=cfg.shared_dim)
-    score_dir /= np.linalg.norm(score_dir)
 
     samples = root.child("samples")
     n, L, D = cfg.num_samples, cfg.seq_len, cfg.raw_dim
@@ -155,16 +153,10 @@ def _generator(cfg: ExperimentConfig, root_rng: Rng | None) -> tuple[dict[str, C
     private_noise = {m: samples.child(f"private-{m}").normal(size=(n, cfg.private_dim)) for m in MODALITIES}
     pair_noise = {p: samples.child(f"pair-{p[0]}{p[1]}").normal(0.0, _PAIR_NOISE, size=n) for p in _PAIRS}
 
-    if cfg.task == "classification":
-        labels = np.arange(n) % cfg.classes
-        z_shared = shared_anchors[labels] + _SHARED_JITTER * shared_noise
-        z_private = {m: private_anchors[m][labels] + _PRIVATE_JITTER * private_noise[m] for m in MODALITIES}
-        bits = np.array([[_pair_bit(c, j) for j in range(len(_PAIRS))] for c in range(cfg.classes)])[labels]
-    else:
-        z_shared = shared_noise
-        z_private = private_noise
-        labels = np.tanh(_matvec(score_dir[None], z_shared)[:, 0])
-        bits = np.zeros((n, len(_PAIRS)))
+    labels = np.arange(n) % cfg.classes
+    z_shared = shared_anchors[labels] + _SHARED_JITTER * shared_noise
+    z_private = {m: private_anchors[m][labels] + _PRIVATE_JITTER * private_noise[m] for m in MODALITIES}
+    bits = np.array([[_pair_bit(c, j) for j in range(len(_PAIRS))] for c in range(cfg.classes)])[labels]
     base = {m: cfg.shared_strength * _matvec(shared_proj[m], z_shared)
             + cfg.private_strength * _matvec(private_proj[m], z_private[m]) for m in MODALITIES}
     for j, (lead_m, partner_m) in enumerate(_PAIRS):
@@ -196,17 +188,8 @@ def _matvec(P: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# missing-modality protocols
+# random missing-modality protocol
 # ---------------------------------------------------------------------------
-
-def apply_fixed_missing(dataset: Dataset, combo: Combo) -> Dataset:
-    """Force `combo` onto every sample; features are shared, not copied."""
-    lacking = [m for k, m in enumerate(MODALITIES) if m in combo and not dataset.presence[:, k].all()]
-    if lacking:
-        raise ContractError(f"cannot impose {combo.name!r}: some samples lack modalities {lacking}")
-    row = np.array([m in combo for m in MODALITIES], dtype=np.uint8)
-    return replace(dataset, presence=np.tile(row, (len(dataset), 1)))
-
 
 def draw_missing_masks(n: int, mask_prob_range: tuple[float, float], rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """(pre, post) boolean drop masks of shape (n, 3); post applies forced retention."""
@@ -245,8 +228,8 @@ def save_dataset(path, cfg: ExperimentConfig, root_rng: Rng | None = None) -> No
 
     Arrays stored: per-modality (N, L, D) features, labels (N,) float64,
     presence (N, 3) uint8 (all ones) in modality order a, t, v. The header
-    records the generator fields of cfg, with ``seed`` the seed of the default
-    data stream."""
+    records the ten generator fields of cfg (``_GENERATOR_FIELDS``) and
+    ``seed``, the seed of the default data stream."""
     makers, labels = _generator(cfg, root_rng)
     arrays = {f"features_{m}": make for m, make in makers.items()}
     arrays["labels"] = labels

@@ -24,16 +24,19 @@ that would make a parameter non-finite, raises :class:`ContractError` naming
 the phase, epoch, step (1-based within the epoch), combination (finetune) and
 parameter, before any parameter takes the bad value.
 
-Evaluation reports ACC, macro-F1, WA (class-frequency-weighted accuracy), and
-UA (mean per-class recall) per testing condition. Under the fixed protocol,
-all seven conditions are imposed on the full test set and "average" is the
-unweighted mean over the six incomplete conditions (the full set is reported
-separately). Under the random protocol, each sample's missing pattern is
-drawn once from the configured probability range. Inference runs in chunks of
-at most ``_EVAL_POSITIONS`` sequence positions (rows x L), so the forward
-pass's (B*L, d) intermediates stay the same size whatever the sequence length;
-under the random protocol each combination's rows are gathered one chunk at a
-time, never all at once.
+Evaluation reports ACC, macro-F1, WA (class-frequency-weighted recall) and
+UA (mean per-class recall) per testing condition. WA equals ACC by definition,
+sum_c (support_c / n) * (tp_c / support_c) = sum_c tp_c / n, so it is reported
+as ACC rather than computed apart. Under the fixed protocol, all seven
+conditions are imposed on the full test set and "average" is the unweighted
+mean over the six incomplete conditions (the full set is reported
+separately); restricted to one condition (``eval --combo``), the same path
+scores that condition alone and reports no average. Under the random
+protocol, each sample's missing pattern is drawn once from the configured
+probability range. Inference runs in chunks of at most ``_EVAL_POSITIONS``
+sequence positions (rows x L), so the forward pass's (B*L, d) intermediates
+stay the same size whatever the sequence length; under the random protocol
+each combination's rows are gathered one chunk at a time, never all at once.
 
 CSV interfaces (column orders are part of the interface):
 
@@ -146,7 +149,7 @@ def pretrain(dataset: Dataset, cfg: ExperimentConfig, root_rng: Rng | None = Non
     feats, labels = dataset.features, dataset.labels
     raw_dim = feats["a"].shape[2]
     model = build_model(ModelConfig(raw_dim=raw_dim, model_dim=cfg.model_dim, classes=cfg.classes,
-                                    rank=cfg.rank, alpha=cfg.alpha, task=cfg.task), root)
+                                    rank=cfg.rank, alpha=cfg.alpha), root)
     opt = Adam(model.parameters("pretrain"), lr=cfg.learning_rate)
     order_rng = root.child("pretrain-order")
     dropout_rng = root.child("pretrain-dropout")
@@ -162,7 +165,7 @@ def pretrain(dataset: Dataset, cfg: ExperimentConfig, root_rng: Rng | None = Non
             opt.zero_grad()
             with ad.Tape() as tape:
                 out = forward_batch(model, batch_feats, dropout_p=cfg.dropout, dropout_rng=dropout_rng)
-                l_task = ad.check_finite(task_loss(out["y_last"], labels[idx], cfg.task), f"{where}: loss")
+                l_task = ad.check_finite(task_loss(out["y_last"], labels[idx]), f"{where}: loss")
             ad.gradients(l_task, tape)
             opt.step(where)
             sums += (l_task.item(), 0.0)
@@ -233,7 +236,7 @@ def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
             opt.zero_grad()
             with ad.Tape() as tape:
                 out = forward_batch(model, batch_feats)
-                l_task = task_loss(out["y_last"], labels[idx], cfg.task)
+                l_task = task_loss(out["y_last"], labels[idx])
                 if cfg.mcla:
                     l_ort = orthogonality_loss(out["com_pooled"], {combo: out["prt_pooled"]},
                                                out["enc_pooled"])
@@ -279,21 +282,14 @@ class MetricsRecord:
 
 
 def compute_metrics(preds, labels) -> Metrics:
-    """ACC, macro-F1, WA (frequency-weighted recall), UA (mean per-class recall)."""
+    """ACC, macro-F1, WA and UA (mean per-class recall). WA, the frequency-weighted
+    recall sum_c (support_c / n) * (tp_c / support_c) = sum_c tp_c / n, is ACC."""
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if preds.size == 0 or preds.shape != labels.shape:
         raise ContractError(f"compute_metrics: need equal-length nonempty inputs, got {preds.shape} and {labels.shape}")
-    n = labels.size
     acc = float(np.mean(preds == labels))
-    label_classes = np.unique(labels)
-    recalls = []
-    wa = 0.0
-    for c in label_classes:
-        support = np.sum(labels == c)
-        recall = float(np.sum((preds == c) & (labels == c)) / support)
-        recalls.append(recall)
-        wa += (support / n) * recall
+    recalls = [np.sum((preds == c) & (labels == c)) / np.sum(labels == c) for c in np.unique(labels)]
     ua = float(np.mean(recalls))
     f1s = []
     for c in np.unique(np.concatenate([labels, preds])):
@@ -303,7 +299,7 @@ def compute_metrics(preds, labels) -> Metrics:
         precision = tp / (tp + fp) if tp + fp > 0 else 0.0
         recall = tp / (tp + fn) if tp + fn > 0 else 0.0
         f1s.append(2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0)
-    return Metrics(acc=acc, f1=float(np.mean(f1s)), wa=float(wa), ua=ua)
+    return Metrics(acc=acc, f1=float(np.mean(f1s)), wa=acc, ua=ua)
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +329,23 @@ def predict_dataset(model: MculoraModel, dataset: Dataset) -> np.ndarray:
     return preds
 
 
-def evaluate(model: MculoraModel, dataset: Dataset, protocol: str, cfg: ExperimentConfig) -> MetricsRecord:
-    """Score a model on the test set under the fixed or random missing protocol."""
-    if model.cfg.task != "classification":
-        raise ContractError("evaluation metrics are defined for classification tasks")
+def evaluate(model: MculoraModel, dataset: Dataset, protocol: str, cfg: ExperimentConfig,
+             combo: Combo | None = None) -> MetricsRecord:
+    """Score a model on the test set under the fixed or random missing protocol;
+    with `combo`, the fixed protocol imposes that one condition and reports no average."""
     if not dataset:
         raise ContractError("evaluate: empty dataset")
+    if combo is not None and protocol != "fixed":
+        raise ContractError(f"evaluate: a single condition restricts the fixed protocol, not {protocol!r}")
     labels = dataset.labels
     if protocol == "fixed":
         dataset.require_complete("fixed-protocol evaluation")
         rows: dict[str, Metrics] = {}
-        for combo in ALL_COMBINATIONS:
-            preds = _predict_condition(model, {m: dataset.features[m] for m in combo}, len(dataset))
-            rows[combo.name] = compute_metrics(preds, labels)
+        for c in ALL_COMBINATIONS if combo is None else (combo,):
+            preds = _predict_condition(model, {m: dataset.features[m] for m in c}, len(dataset))
+            rows[c.name] = compute_metrics(preds, labels)
+        if combo is not None:
+            return MetricsRecord(protocol="fixed", rows=rows)
         avg = Metrics(*[float(np.mean([rows[c.name].as_tuple()[k] for c in INCOMPLETE_COMBINATIONS]))
                         for k in range(4)])
         return MetricsRecord(protocol="fixed", rows=rows, average=avg)
@@ -435,6 +435,8 @@ def parse_metrics_document(text: str) -> tuple[MetricsRecord, dict]:
     average = None
     for ln in lines[idx + 1:]:
         name, *vals = ln.split(",")
+        if len(vals) != 4:
+            raise ContractError(f"metrics row {ln!r} has {len(vals)} values, expected 4")
         m = Metrics(*(float(v) for v in vals))
         if name == "average":
             average = m

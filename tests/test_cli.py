@@ -124,6 +124,14 @@ def test_unknown_config_key_rejected(workspace, capsys):
     assert "numsamples" in capsys.readouterr().err
 
 
+def test_config_file_with_the_removed_task_key_is_rejected(workspace, capsys):
+    tmp, _ = workspace
+    old = tmp / "old.cfg"
+    old.write_text(TINY_CONFIG + "task = classification\n")
+    assert run("gen-data", "--config", old, "--out", tmp / "x") == 2
+    assert "'task'" in capsys.readouterr().err
+
+
 def full_pipeline(tmp, cfg):
     data = tmp / "data"
     pre = tmp / "pre"
@@ -184,9 +192,11 @@ def test_corrupt_dataset_file_is_state_error(workspace, capsys):
 
 @pytest.mark.parametrize("corrupt, key", [
     (lambda meta: meta["config"].update(depth=3), "depth"),
+    (lambda meta: meta["config"].update(mcla=True), "mcla"),
+    (lambda meta: meta["config"].update(task="classification"), "task"),
     (lambda meta: meta.pop("has_adapters"), "has_adapters"),
     (lambda meta: meta.pop("phase"), "phase"),
-], ids=["unknown-config-key", "no-has_adapters", "no-phase"])
+], ids=["unknown-config-key", "removed-mcla-key", "removed-task-key", "no-has_adapters", "no-phase"])
 def test_malformed_checkpoint_metadata_is_state_error(workspace, capsys, corrupt, key):
     tmp, cfg = workspace
     assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
@@ -242,12 +252,24 @@ def test_eval_random_protocol_single_row(workspace):
 def test_eval_single_combo_restriction(workspace):
     tmp, cfg = workspace
     data, _, fin = full_pipeline(tmp, cfg)
-    out = tmp / "evc"
+    table = {}
+    for name, extra in (("evf", []), ("evc", ["--combo", "av"])):
+        assert run("eval", "--checkpoint", fin / "checkpoint.mcu", "--data", data / "dataset.mcu",
+                   "--protocol", "fixed", "--config", cfg, *extra, "--out", tmp / name) == 0
+        lines = (tmp / name / "metrics.txt").read_text().splitlines()
+        table[name] = lines[lines.index("condition,acc,f1,wa,ua") + 1:]
+    assert [r.split(",")[0] for r in table["evc"]] == ["av"]
+    assert table["evc"][0] in table["evf"]  # byte for byte the full run's av row
+
+
+def test_eval_combo_with_random_protocol_is_input_error(workspace, capsys):
+    tmp, cfg = workspace
+    data, _, fin = full_pipeline(tmp, cfg)
+    out = tmp / "evrc"
     assert run("eval", "--checkpoint", fin / "checkpoint.mcu", "--data", data / "dataset.mcu",
-               "--protocol", "fixed", "--config", cfg, "--combo", "av", "--out", out) == 0
-    lines = (out / "metrics.txt").read_text().splitlines()
-    rows = lines[lines.index("condition,acc,f1,wa,ua") + 1:]
-    assert [r.split(",")[0] for r in rows] == ["av"]
+               "--protocol", "random", "--config", cfg, "--combo", "av", "--out", out) == 2
+    assert "--combo" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_metrics_are_byte_reproducible(workspace):
@@ -287,6 +309,24 @@ def test_report_skips_malformed_dirs_but_succeeds_with_one_valid(workspace, caps
     assert run("report", ev, bogus, "--out", tmp / "rep") == 0
     assert "skipping" in capsys.readouterr().err
     assert run("report", bogus, "--out", tmp / "rep2") == 2
+
+
+@pytest.mark.parametrize("row", ["a,0.5,0.5", "a,0.5,0.5,0.5,0.5,0.5"], ids=["short", "long"])
+def test_report_skips_a_metrics_row_with_the_wrong_number_of_cells(workspace, capsys, row):
+    tmp, cfg = workspace
+    data, _, fin = full_pipeline(tmp, cfg)
+    ev = tmp / "ev1"
+    run("eval", "--checkpoint", fin / "checkpoint.mcu", "--data", data / "dataset.mcu",
+        "--protocol", "fixed", "--config", cfg, "--out", ev)
+    bad = tmp / "bad"
+    bad.mkdir()
+    text = (ev / "metrics.txt").read_text()
+    (bad / "metrics.txt").write_text(text + row + "\n")
+    capsys.readouterr()
+    assert run("report", ev, bad, "--out", tmp / "rep") == 0
+    err = capsys.readouterr().err
+    assert "skipping" in err and repr(row) in err
+    assert run("report", bad, "--out", tmp / "rep2") == 2
 
 
 def test_checkpoint_write_is_atomic(workspace, monkeypatch):

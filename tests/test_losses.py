@@ -112,9 +112,12 @@ def test_uniform_logits_cross_entropy_is_ln4():
     assert out.item() == pytest.approx(math.log(4.0), abs=1e-12)
 
 
-def test_regression_exact_fit_is_zero():
-    out = task_loss(ad.constant([[2.5]]), [2.5], "regression")
-    assert out.item() == 0.0
+def test_task_loss_accepts_classification_only():
+    logits = ad.constant([[1.0, 1.0, 1.0, 1.0]])
+    assert task_loss(logits, [0]).item() == task_loss(logits, [0], "classification").item()
+    for kind in ("regression", "Classification", ""):
+        with pytest.raises(ContractError, match="unknown task kind"):
+            task_loss(logits, [0], kind)
 
 
 def test_cross_entropy_analytic_case():

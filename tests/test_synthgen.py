@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mculora.config import ExperimentConfig
 from mculora.errors import ConfigError, ContractError
-from mculora.modalities import AV, FULL, MODALITIES, T, Combo
+from mculora.modalities import FULL, MODALITIES, Combo
 from mculora.rng import Rng, derive_seed
 from mculora.serialize import load_container
 from mculora.synthgen import (
@@ -18,7 +18,6 @@ from mculora.synthgen import (
     _class_anchors,
     _pair_bit,
     _unit_columns,
-    apply_fixed_missing,
     apply_random_missing,
     draw_missing_masks,
     generate_dataset,
@@ -68,8 +67,6 @@ def reference_generate(cfg: ExperimentConfig, seed: int):
         )
         for (m1, m2) in _PAIRS
     }
-    score_dir = geom.child("score").normal(size=cfg.shared_dim)
-    score_dir /= np.linalg.norm(score_dir)
 
     samples = root.child("samples")
     n, L, D = cfg.num_samples, cfg.seq_len, cfg.raw_dim
@@ -81,23 +78,17 @@ def reference_generate(cfg: ExperimentConfig, seed: int):
     features = {m: [] for m in MODALITIES}
     labels = []
     for i in range(n):
-        label = i % cfg.classes if cfg.task == "classification" else 0
-        z_shared = (shared_anchors[label] if cfg.task == "classification" else 0.0) + _SHARED_JITTER * shared_noise[i]
-        if cfg.task == "regression":
-            z_shared = shared_noise[i]
-            label = float(np.tanh(score_dir @ z_shared))
+        label = i % cfg.classes
+        z_shared = shared_anchors[label] + _SHARED_JITTER * shared_noise[i]
         base = {}
         for m in MODALITIES:
             vec = cfg.shared_strength * (shared_proj[m] @ z_shared)
-            if cfg.task == "classification":
-                z_m = private_anchors[m][label] + _PRIVATE_JITTER * private_noise[m][i]
-            else:
-                z_m = private_noise[m][i]
+            z_m = private_anchors[m][label] + _PRIVATE_JITTER * private_noise[m][i]
             vec = vec + cfg.private_strength * (private_proj[m] @ z_m)
             base[m] = vec
         for j, (lead_m, partner_m) in enumerate(_PAIRS):
             eps = pair_noise[(lead_m, partner_m)][i]
-            h = _pair_bit(int(label), j) if cfg.task == "classification" else 0.0
+            h = _pair_bit(label, j)
             lead, follow = pair_dirs[(lead_m, partner_m)]
             base[lead_m] = base[lead_m] + cfg.pair_interaction_strength * (h + eps) * lead
             base[partner_m] = base[partner_m] + cfg.pair_interaction_strength * eps * follow
@@ -141,9 +132,8 @@ def test_generation_is_deterministic():
         assert np.array_equal(a.features[m], b.features[m])
 
 
-@pytest.mark.parametrize("task", ["classification", "regression"])
-def test_generator_matches_per_sample_reference_bitwise(task):
-    cfg, ds = synth(21, num_samples=37, seq_len=5, raw_dim=7, classes=5, shared_dim=3, private_dim=2, task=task)
+def test_generator_matches_per_sample_reference_bitwise():
+    cfg, ds = synth(21, num_samples=37, seq_len=5, raw_dim=7, classes=5, shared_dim=3, private_dim=2)
     features, labels = reference_generate(cfg, 21)
     assert ds.labels.tobytes() == labels.tobytes()
     for m in MODALITIES:
@@ -186,45 +176,6 @@ def test_invalid_config_rejected():
         ExperimentConfig(classes=1).validate()
     with pytest.raises(ConfigError, match="noise_std"):
         ExperimentConfig(noise_std=-0.1).validate()
-
-
-# ---------------------------------------------------------------------------
-# fixed missing protocol
-# ---------------------------------------------------------------------------
-
-def test_fixed_missing_full_set_is_identity():
-    ds = synth(2, num_samples=16)[1]
-    out = apply_fixed_missing(ds, FULL)
-    assert row_combos(ds) == row_combos(out) == [FULL] * len(ds)
-    assert all(out.features[m] is ds.features[m] for m in MODALITIES)
-
-
-def test_fixed_missing_text_only():
-    ds = synth(2, num_samples=16)[1]
-    out = apply_fixed_missing(ds, T)
-    assert np.array_equal(out.presence, np.tile([0, 1, 0], (len(ds), 1)))
-    assert row_combos(out) == [T] * len(ds)
-
-
-def test_fixed_missing_audio_vision_drops_text():
-    ds = synth(2, num_samples=16)[1]
-    out = apply_fixed_missing(ds, AV)
-    assert np.array_equal(out.presence, np.tile([1, 0, 1], (len(ds), 1)))
-
-
-def test_fixed_missing_is_idempotent():
-    ds = synth(2, num_samples=8)[1]
-    once = apply_fixed_missing(ds, AV)
-    twice = apply_fixed_missing(once, AV)
-    assert np.array_equal(once.presence, twice.presence)
-    for m in AV:
-        assert np.array_equal(once.features[m], twice.features[m])
-
-
-def test_fixed_missing_rejects_samples_lacking_the_combination():
-    ds = apply_fixed_missing(synth(2, num_samples=8)[1], AV)
-    with pytest.raises(ContractError, match="lack modalities"):
-        apply_fixed_missing(ds, T)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +251,9 @@ def test_dataset_roundtrip_is_bitwise(tmp_path):
     save_dataset(path, cfg, Rng(11))
     loaded = load_dataset(path)
     ds = generate_dataset(cfg, Rng(11))
-    # the header records the 12 generator fields, seed being that of the default data stream
+    # the header records the 10 generator fields and seed (11 keys), seed being that of the default data stream
     generator_fields = ("num_samples", "seq_len", "raw_dim", "classes", "shared_dim", "private_dim", "shared_strength",
-                        "private_strength", "pair_interaction_strength", "noise_std", "task")
+                        "private_strength", "pair_interaction_strength", "noise_std")
     header = load_container(path, expected_kind="dataset")[1]["config"]
     assert header == {**{k: getattr(cfg, k) for k in generator_fields}, "seed": derive_seed(cfg.seed, "data")}
     assert len(loaded) == len(ds)
@@ -340,8 +291,3 @@ def test_split_is_contiguous_and_balanced():
     counts = np.bincount(labels_of(train), minlength=4)
     assert counts.max() - counts.min() <= 1
 
-
-def test_regression_labels_are_real_scores():
-    ds = synth(14, num_samples=32, task="regression")[1]
-    assert ds.labels.dtype == np.float64 and not np.array_equal(ds.labels, np.round(ds.labels))
-    assert len(np.unique(ds.labels)) > 16

@@ -3,9 +3,9 @@ import pytest
 
 from mculora.config import ExperimentConfig
 from mculora.errors import ConfigError, ContractError
-from mculora.modalities import ALL_COMBINATIONS, INCOMPLETE_COMBINATIONS, MODALITIES
+from mculora.modalities import ALL_COMBINATIONS, AV, INCOMPLETE_COMBINATIONS, MODALITIES
 from mculora.rng import Rng
-from mculora.synthgen import apply_fixed_missing, apply_random_missing, generate_dataset
+from mculora.synthgen import apply_random_missing, generate_dataset
 from mculora import trainer
 from mculora.autodiff import Tensor
 from mculora.trainer import (
@@ -93,7 +93,8 @@ def test_pretrain_twice_same_seed_bitwise_equal_checkpoints(tmp_path):
 
 
 def test_pretrain_rejects_incomplete_samples():
-    ds = apply_fixed_missing(tiny_synth(n=12), ALL_COMBINATIONS[0])
+    ds = tiny_synth(n=12)
+    ds.presence[:, 1:] = 0  # every sample audio-only
     with pytest.raises(ContractError):
         pretrain(ds, tiny_cfg())
 
@@ -261,6 +262,7 @@ def test_metrics_match_independent_oracle_on_random_cases():
         assert ours.f1 == pytest.approx(f1, abs=1e-12)
         assert ours.wa == pytest.approx(wa, abs=1e-12)
         assert ours.ua == pytest.approx(ua, abs=1e-12)
+        assert ours.wa == ours.acc  # support-weighted recall is accuracy, reported once
 
 
 def test_metrics_empty_is_contract_error():
@@ -310,6 +312,30 @@ def test_average_is_unweighted_mean_over_six_incomplete_conditions():
     accs = [record.rows[c.name].acc for c in INCOMPLETE_COMBINATIONS]
     assert record.average.acc == pytest.approx(float(np.mean(accs)), abs=1e-12)
     assert "atv" not in [c.name for c in INCOMPLETE_COMBINATIONS]
+
+
+def test_fixed_protocol_restricted_to_one_condition_matches_its_full_row():
+    model, cfg = trained_tiny_model()
+    test_set = tiny_synth(n=30, seed=3)
+    full = evaluate(model, test_set, "fixed", cfg)
+    single = evaluate(model, test_set, "fixed", cfg, AV)
+    assert single.protocol == "fixed" and single.average is None
+    assert single.rows == {"av": full.rows["av"]}
+
+
+@pytest.mark.parametrize("combo", [None, AV], ids=["all", "av"])
+def test_fixed_protocol_refuses_samples_lacking_a_modality(combo):
+    model, cfg = trained_tiny_model()
+    test_set = tiny_synth(n=10, seed=4)
+    test_set.presence[3, 1] = 0  # one sample lacks text, which "av" does not read either
+    with pytest.raises(ContractError, match="all modalities present"):
+        evaluate(model, test_set, "fixed", cfg, combo)
+
+
+def test_single_condition_is_refused_outside_the_fixed_protocol():
+    model, cfg = trained_tiny_model()
+    with pytest.raises(ContractError, match="restricts the fixed protocol"):
+        evaluate(model, tiny_synth(n=10, seed=4), "random", cfg, AV)
 
 
 def test_random_protocol_single_row_and_mask_reproducibility():
