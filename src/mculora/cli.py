@@ -112,10 +112,16 @@ def main(argv=None) -> int:
 
 def _prepare(args) -> tuple[ExperimentConfig, Path]:
     overrides = {key: getattr(args, key, None) for key in ("seed", "rank", "beta", "mcla", "dpft")}
-    cfg = load_config(args.config, overrides)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, out_dir
+    return load_config(args.config, overrides), _make_out_dir(args.out)
+
+
+def _make_out_dir(path) -> Path:
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"--out {out_dir}: cannot make the output directory: {exc}") from exc
+    return out_dir
 
 
 def _load_rows(cfg: ExperimentConfig, data_path: str, command: str) -> tuple[Dataset, int]:
@@ -189,8 +195,7 @@ def config_echo_str(cfg: ExperimentConfig) -> str:
 
 
 def cmd_report(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out)
     runs: list[tuple[str, MetricsRecord]] = []
     for run_dir in args.runs:
         run_path = Path(run_dir)

@@ -91,7 +91,8 @@ class ExperimentConfig:
                      "pretrain_epochs", "finetune_epochs", "batch_size", "probe_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("shared_strength", "private_strength", "pair_interaction_strength", "noise_std", "beta"):
+        for name in ("shared_strength", "private_strength", "pair_interaction_strength", "noise_std", "beta",
+                     "seed", "eval_seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.classes < 2:
@@ -157,10 +158,12 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """The config file at `path` (the defaults when None) with non-None overrides applied."""
     if path is None:
         cfg = ExperimentConfig()
-    elif not Path(path).exists():
-        raise ConfigError(f"config file not found: {path}")
     else:
-        cfg = parse_config_text(Path(path).read_text(encoding="utf-8"), source=str(path))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8, ...
+            raise ConfigError(f"config file {path}: {exc}") from exc
+        cfg = parse_config_text(text, source=str(path))
     for key, value in (overrides or {}).items():
         if value is None:
             continue

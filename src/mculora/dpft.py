@@ -10,12 +10,14 @@ range check.
 
 Once per epoch, each combination gets a separability score: the
 Jensen-Shannon divergence (un-halved form, so the range is [0, 2 ln 2])
-between the softmax-normalized pooled private and common adapter
-representations, averaged over a fixed probe batch and over the modalities in
-the combination. A large score means the private adapter has moved far from
-the shared one, i.e. the combination has extracted a lot of characteristic
-information. Rounding can make the divergence of near-equal rows a hair
-negative, so scores are clamped at 0.
+between the softmax-normalized private and common adapter outputs, averaged
+over a fixed probe batch and over the modalities in the combination. The
+outputs come from the adapters applied, off the tape, to the probe's pooled
+rows (each sample's sequence-mean raw features), as in the forward pass. A
+large score means the private adapter has moved far from the shared one,
+i.e. the combination has extracted a lot of characteristic information.
+Rounding can make the divergence of near-equal rows a hair negative, so
+scores are clamped at 0.
 
 Epoch-over-epoch score deltas rank the combinations in descending order
 (rank 1 = fastest-rising score). With the default reduce_fast_learners=True
@@ -42,6 +44,7 @@ import math
 
 import numpy as np
 
+from . import autodiff as ad
 from .config import ExperimentConfig
 from .modalities import ALL_COMBINATIONS, Combo
 from .model import MculoraModel, forward_batch
@@ -85,14 +88,11 @@ def separability_scores(model: MculoraModel, probe_batch: Dataset) -> np.ndarray
     feats = probe_batch.features
     scores = np.zeros(N_COMBINATIONS)
     if model.adapters is not None:
-        pooled_com = {m: model.adapters[m].common.pooled_map(feats[m]) for m in feats}
+        pooled = {m: ad.constant(x.mean(axis=1)) for m, x in feats.items()}
+        com_dist = {m: _softmax_rows(model.adapters[m].common.apply(pooled[m]).data) for m in feats}
         for idx, combo in enumerate(ALL_COMBINATIONS):
-            per_mod = []
-            for m in combo:
-                prt = model.adapters[m].private_pair(combo).pooled_map(feats[m])
-                div = _js_rows(_softmax_rows(prt), _softmax_rows(pooled_com[m]))
-                per_mod.append(div.mean())
-            scores[idx] = float(np.mean(per_mod))
+            prt = {m: model.adapters[m].private_pair(combo).apply(pooled[m]).data for m in combo}
+            scores[idx] = np.mean([_js_rows(_softmax_rows(prt[m]), com_dist[m]).mean() for m in combo])
     else:
         # adapter-free fallback: compare each combination's fused token
         # distribution against the full-modality one

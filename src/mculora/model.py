@@ -14,7 +14,9 @@ Structure
 
 Adapters consume raw features in parallel to the frozen encoder. Each
 modality owns one low-rank pair per combination containing it (private) and
-one pair shared by all combinations (common). Their pooled outputs are added
+one pair shared by all combinations (common). A pair reads each sample's
+sequence-mean raw row: the pair is linear with no bias, so this equals the
+mean of its per-position outputs, at 1/L of the work. Its outputs are added
 to the pooled encoder representation before fusion, so with zero-initialized
 up-projections the fine-tuned model starts exactly at the pretrained model's
 behavior. MCLA is on exactly when adapters are attached: with ``mcla=False``,
@@ -73,25 +75,11 @@ class LoraPair:
             raise ShapeError(f"rank mismatch between A {A.shape} and B {B.shape}")
         self.A, self.B, self.alpha = A, B, float(alpha)
 
-    @property
-    def rank(self) -> int:
-        return self.A.shape[0]
-
     def apply(self, x2d: Tensor) -> Tensor:
-        """(N, d_in) -> (N, d_out), down- then up-projection per position."""
+        """(N, d_in) -> (N, d_out), down- then up-projection per row."""
         down = ad.matmul(x2d, ad.transpose(self.A))
         up = ad.matmul(down, ad.transpose(self.B))
         return ad.mul(up, ad.constant(self.alpha))
-
-    def effective_map(self) -> np.ndarray:
-        """The dense (d_out, d_in) matrix alpha * B A this pair represents."""
-        return self.alpha * (self.B.data @ self.A.data)
-
-    def pooled_map(self, x: np.ndarray) -> np.ndarray:
-        """Off-tape sequence mean of the pair's output: (B, L, d_in) -> (B, d_out)."""
-        B, L, D = x.shape
-        x2d = x.reshape(B * L, D)
-        return (self.effective_map() @ x2d.T).T.reshape(B, L, -1).mean(axis=1)
 
 
 class AdapterBank:
@@ -180,15 +168,6 @@ class Heads:
                 "gate.W2": self.gate_W2, "gate.b2": self.gate_b2,
             })
         return params
-
-
-def pool(R: Tensor) -> Tensor:
-    """Mean over sequence positions: (L, d) -> (d,) or (B, L, d) -> (B, d)."""
-    if R.ndim == 2:
-        return ad.tmean(R, axis=0)
-    if R.ndim == 3:
-        return ad.tmean(R, axis=1)
-    raise ShapeError(f"pool expects a 2-D or 3-D tensor, got shape {R.shape}")
 
 
 def combine_predictions(y_com: Tensor, y_hat: Tensor, weight) -> Tensor:
@@ -310,9 +289,10 @@ def forward_batch(model: MculoraModel, feats: dict[str, np.ndarray], *,
                   dropout_p: float = 0.0, dropout_rng: Rng | None = None) -> dict:
     """Batched forward over stacked (B, L, raw_dim) features of one combination.
 
-    Returns tensors for: pooled encoder/common/private representations per
-    modality, the fused tokens, both head outputs, the gate weight, and the
-    blended prediction y_last.
+    The encoder runs on every position and is pooled after; the adapters
+    read each sample's sequence-mean row. Returns tensors for: pooled
+    encoder/common/private representations per modality, the fused tokens,
+    both head outputs, the gate weight, and the blended prediction y_last.
     """
     mods = [m for m in MODALITIES if m in feats]
     if not mods:
@@ -326,13 +306,13 @@ def forward_batch(model: MculoraModel, feats: dict[str, np.ndarray], *,
     for m in mods:
         x = np.asarray(feats[m], dtype=np.float64)
         B, L, D = x.shape
-        x2d = ad.constant(x.reshape(B * L, D))
-        h = model.encoders[m].forward(x2d, dropout_p=dropout_p, rng=dropout_rng)
-        enc_pooled[m] = pool(ad.reshape(h, (B, L, -1)))
+        h = model.encoders[m].forward(ad.constant(x.reshape(B * L, D)), dropout_p=dropout_p, rng=dropout_rng)
+        enc_pooled[m] = ad.tmean(ad.reshape(h, (B, L, -1)), axis=1)
         if use_mcla:
             bank = model.adapters[m]
-            com_pooled[m] = pool(ad.reshape(bank.common.apply(x2d), (B, L, -1)))
-            prt_pooled[m] = pool(ad.reshape(bank.private_pair(combo).apply(x2d), (B, L, -1)))
+            x_pooled = ad.constant(x.mean(axis=1))
+            com_pooled[m] = bank.common.apply(x_pooled)
+            prt_pooled[m] = bank.private_pair(combo).apply(x_pooled)
 
     out = {"combo": combo, "enc_pooled": enc_pooled, "com_pooled": com_pooled, "prt_pooled": prt_pooled}
     if use_mcla:

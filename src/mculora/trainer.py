@@ -185,19 +185,11 @@ def _probe_mean_cosine(model: MculoraModel, probe_feats: dict[str, np.ndarray]) 
     """Mean cosine between pooled private and common adapter outputs on the probe."""
     if model.adapters is None:
         return 0.0
-    pooled_com = {m: model.adapters[m].common.pooled_map(probe_feats[m]) for m in MODALITIES}
-    vals = []
-    for combo in ALL_COMBINATIONS:
-        for m in combo:
-            prt = model.adapters[m].private_pair(combo).pooled_map(probe_feats[m])
-            com = pooled_com[m]
-            nu = np.linalg.norm(com, axis=1)
-            nv = np.linalg.norm(prt, axis=1)
-            ok = (nu > ad.NORM_EPS) & (nv > ad.NORM_EPS)
-            cos = np.zeros(len(com))
-            cos[ok] = np.sum(com[ok] * prt[ok], axis=1) / (nu[ok] * nv[ok])
-            vals.append(cos.mean())
-    return float(np.mean(vals))
+    pooled = {m: ad.constant(probe_feats[m].mean(axis=1)) for m in MODALITIES}
+    com = {m: model.adapters[m].common.apply(pooled[m]) for m in MODALITIES}
+    cosines = [ad.row_cosine(com[m], model.adapters[m].private_pair(combo).apply(pooled[m])).data.mean()
+               for combo in ALL_COMBINATIONS for m in combo]
+    return float(np.mean(cosines))
 
 
 def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
@@ -237,7 +229,7 @@ def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
             with ad.Tape() as tape:
                 out = forward_batch(model, batch_feats)
                 l_task = task_loss(out["y_last"], labels[idx])
-                if cfg.mcla:
+                if model.adapters is not None:
                     l_ort = orthogonality_loss(out["com_pooled"], {combo: out["prt_pooled"]},
                                                out["enc_pooled"])
                 else:

@@ -180,6 +180,47 @@ def test_missing_data_file_is_input_error(workspace):
     assert rc == 2
 
 
+@pytest.mark.parametrize("where", ["config-file", "flag", "eval_seed"])
+def test_negative_seed_is_input_error(workspace, capsys, where):
+    tmp, cfg = workspace
+    bad = tmp / "bad.cfg"
+    if where == "config-file":
+        bad.write_text(TINY_CONFIG + "seed = -3\n")
+        field, argv = "seed", ("gen-data", "--config", bad, "--out", tmp / "x")
+    elif where == "flag":
+        field, argv = "seed", ("gen-data", "--config", cfg, "--out", tmp / "x", "--seed", "-1")
+    else:
+        data = tmp / "data" / "dataset.mcu"
+        assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
+        assert run("pretrain", "--config", cfg, "--data", data, "--out", tmp / "pre") == 0
+        bad.write_text(TINY_CONFIG + "eval_seed = -1\n")
+        field, argv = "eval_seed", ("eval", "--checkpoint", tmp / "pre" / "checkpoint.mcu", "--data", data,
+                                    "--protocol", "random", "--config", bad, "--out", tmp / "ev")
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert f"{field} must be >= 0" in capsys.readouterr().err
+
+
+def test_config_file_not_utf8_is_input_error(workspace, capsys):
+    tmp, _ = workspace
+    bad = tmp / "latin1.cfg"
+    bad.write_bytes(TINY_CONFIG.encode() + b"# caf\xe9\n")
+    assert run("gen-data", "--config", bad, "--out", tmp / "x") == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_config_path_naming_a_directory_is_input_error(workspace, capsys):
+    tmp, _ = workspace
+    assert run("gen-data", "--config", tmp, "--out", tmp / "x") == 2
+    assert str(tmp) in capsys.readouterr().err
+
+
+def test_out_naming_an_existing_file_is_input_error(workspace, capsys):
+    tmp, cfg = workspace
+    assert run("gen-data", "--config", cfg, "--out", cfg) == 2
+    assert "--out" in capsys.readouterr().err
+
+
 def test_corrupt_dataset_file_is_state_error(workspace, capsys):
     tmp, cfg = workspace
     assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0

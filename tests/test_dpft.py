@@ -127,8 +127,9 @@ def test_scores_match_per_sample_brute_force():
         for m in combo:
             per_sample = []
             for x in batch.features[m]:
-                prt = (model.adapters[m].private_pair(combo).effective_map() @ x.T).T.mean(axis=0)
-                com = (model.adapters[m].common.effective_map() @ x.T).T.mean(axis=0)
+                prt_pair, com_pair = model.adapters[m].private_pair(combo), model.adapters[m].common
+                prt = (prt_pair.alpha * prt_pair.B.data @ prt_pair.A.data @ x.T).T.mean(axis=0)
+                com = (com_pair.alpha * com_pair.B.data @ com_pair.A.data @ x.T).T.mean(axis=0)
                 per_sample.append(js_oracle(softmax(prt), softmax(com)))
             acc.append(np.mean(per_sample))
         assert scores[idx] == pytest.approx(float(np.mean(acc)), abs=1e-10)

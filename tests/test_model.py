@@ -7,6 +7,7 @@ import pytest
 from mculora import autodiff as ad
 from mculora.config import ExperimentConfig
 from mculora.errors import ContractError, ShapeError
+from mculora.losses import orthogonality_loss, task_loss, total_loss
 from mculora.modalities import ALL_COMBINATIONS, AT, MODALITIES, A
 from mculora.model import (
     LoraPair,
@@ -16,12 +17,13 @@ from mculora.model import (
     combine_predictions,
     forward_batch,
     load_checkpoint,
-    pool,
     save_checkpoint,
 )
 from mculora.rng import Rng
 from mculora.dpft import separability_scores
 from mculora.synthgen import generate_dataset
+
+from conftest import central_difference, rel_err
 
 
 CFG = ModelConfig(raw_dim=6, model_dim=8, classes=3, rank=2)
@@ -102,8 +104,8 @@ def test_effective_rank_at_most_r():
         bank = model.adapters[m]
         for pair in list(bank.private.values()) + [bank.common]:
             pair.B.data = rng.normal(size=pair.B.shape)
-            sv = np.linalg.svd(pair.effective_map(), compute_uv=False)
-            assert np.all(sv[pair.rank:] <= 1e-10)
+            sv = np.linalg.svd(pair.alpha * (pair.B.data @ pair.A.data), compute_uv=False)
+            assert np.all(sv[pair.A.shape[0]:] <= 1e-10)
 
 
 def test_private_adapter_requires_membership():
@@ -135,25 +137,6 @@ def test_attach_requires_pretrained_phase():
     model = build_model(CFG, Rng(0))
     with pytest.raises(ContractError):
         attach_adapters(model, Rng(1))
-
-
-# ---------------------------------------------------------------------------
-# pool
-# ---------------------------------------------------------------------------
-
-def test_pool_single_row_is_identity():
-    row = np.array([[1.0, 2.0, 3.0]])
-    assert np.array_equal(pool(ad.constant(row)).data, [1.0, 2.0, 3.0])
-
-
-def test_pool_mean_of_two_rows():
-    out = pool(ad.constant([[1.0, 0.0], [0.0, 1.0]]))
-    assert np.array_equal(out.data, [0.5, 0.5])
-
-
-def test_pool_constant_rows():
-    out = pool(ad.constant(np.tile([2.0, -1.0], (5, 1))))
-    assert np.allclose(out.data, [2.0, -1.0], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +250,92 @@ def test_probe_batch_mixing_combinations_is_contract_error():
     mixed = dataclasses.replace(batch, presence=presence)
     with pytest.raises(ContractError):
         separability_scores(small_model(), mixed)
+
+
+# ---------------------------------------------------------------------------
+# the finetune objective through forward_batch
+# ---------------------------------------------------------------------------
+
+def finetune_objective(model, feats, labels, combo, beta):
+    """One finetune step's loss, built from the calls the trainer makes."""
+    out = forward_batch(model, {m: feats[m] for m in combo})
+    l_task = task_loss(out["y_last"], labels)
+    if model.adapters is not None:
+        l_ort = orthogonality_loss(out["com_pooled"], {combo: out["prt_pooled"]}, out["enc_pooled"])
+    else:
+        l_ort = ad.constant(0.0)
+    return total_loss(l_task, l_ort, beta)
+
+
+def trained_adapters_model(seed=0):
+    """A small model as after some finetuning: adapters with nonzero
+    up-projections and a characteristic head apart from the common head."""
+    model = small_model(seed=seed)
+    rng = Rng(seed + 100)
+    for bank in model.adapters.values():
+        for pair in [*bank.private.values(), bank.common]:
+            pair.A.data = rng.normal(size=pair.A.shape)
+            pair.B.data = rng.normal(0.0, 0.5, size=pair.B.shape)
+    model.heads.prt_W.data = model.heads.prt_W.data + rng.normal(0.0, 2.0, size=model.heads.prt_W.shape)
+    return model
+
+
+def batch_features(seed=0, n=5, L=4):
+    rng = Rng(seed)
+    return {m: rng.normal(size=(n, L, 6)) for m in MODALITIES}, np.arange(n) % 3
+
+
+def test_adapter_outputs_are_the_position_mean_of_apply():
+    model = trained_adapters_model(seed=2)
+    feats, _ = batch_features(seed=3)
+    for combo in ALL_COMBINATIONS:
+        out = forward_batch(model, {m: feats[m] for m in combo})
+        for m in combo:
+            x = feats[m]
+            rows = ad.constant(x.reshape(-1, x.shape[2]))
+            bank = model.adapters[m]
+            for key, pair in (("com_pooled", bank.common), ("prt_pooled", bank.private_pair(combo))):
+                per_position = pair.apply(rows).data.reshape(x.shape[0], x.shape[1], -1).mean(axis=1)
+                assert np.max(np.abs(out[key][m].data - per_position)) <= 1e-12
+
+
+def test_finetune_objective_gradients_match_central_differences():
+    model = trained_adapters_model(seed=4)
+    feats, labels = batch_features(seed=5)
+    beta = 0.5  # weighs the orthogonality term enough to matter in the adapter gradients
+    params = model.parameters("finetune")
+    checked = ["adapter.a.prt.at.A", "adapter.a.prt.at.B", "adapter.t.com.A", "adapter.t.com.B",
+               "head.prt.W", "gate.W1"]
+    with ad.Tape() as tape:
+        loss = finetune_objective(model, feats, labels, AT, beta)
+    ad.gradients(loss, tape)
+    for name in checked:
+        tensor = params[name]
+        analytic, orig = tensor.grad.copy(), tensor.data
+
+        def f(x):
+            tensor.data = x
+            return finetune_objective(model, feats, labels, AT, beta).item()
+
+        # h = 1e-5 keeps rounding below 1e-5 of the gate's smallest entries and
+        # truncation below 1e-5 of the adapters' (checked over 12 seeds)
+        numeric = central_difference(f, orig.copy(), h=1e-5)
+        tensor.data = orig
+        assert np.abs(numeric).max() > 1e-6, name
+        for a, b in zip(analytic.ravel(), numeric.ravel()):
+            assert rel_err(a, b) <= 1e-5, name
+
+
+@pytest.mark.parametrize("mcla", [True, False], ids=["mcla", "base"])
+@pytest.mark.parametrize("combo", ALL_COMBINATIONS, ids=[c.name for c in ALL_COMBINATIONS])
+def test_finetune_step_tape_op_count(combo, mcla):
+    model = small_model(adapters=False)
+    attach_adapters(model, Rng(1), rank=2, mcla=mcla)
+    feats, labels = batch_features(seed=6)
+    with ad.Tape() as tape:
+        finetune_objective(model, feats, labels, combo, 0.001)
+    expected = {1: 76, 2: 129, 3: 182}[len(combo.modalities)] if mcla else 7
+    assert len(tape) == expected
 
 
 # ---------------------------------------------------------------------------
