@@ -102,8 +102,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: missing input file: {exc}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError) as exc:  # e.g. a --data or --checkpoint path
+        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
     except (ContractError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,6 +46,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import ExperimentConfig
+from .errors import ContractError
 from .modalities import ALL_COMBINATIONS, Combo
 from .model import MculoraModel, forward_batch
 from .rng import Rng
@@ -80,11 +81,12 @@ def _softmax_rows(X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def separability_scores(model: MculoraModel, probe_batch: Dataset) -> np.ndarray:
-    """Score each combination's decoupling degree on an all-modalities probe batch.
+    """Score each combination's decoupling degree on a probe batch.
 
     Returns a (7,) array in canonical combination order, within [0, 2 ln 2].
     """
-    probe_batch.require_complete("separability_scores probe batch")
+    if not len(probe_batch):
+        raise ContractError("separability_scores: the probe batch is empty")
     feats = probe_batch.features
     scores = np.zeros(N_COMBINATIONS)
     if model.adapters is not None:

@@ -296,7 +296,7 @@ def forward_batch(model: MculoraModel, feats: dict[str, np.ndarray], *,
     """
     mods = [m for m in MODALITIES if m in feats]
     if not mods:
-        raise ContractError("forward: empty presence set")
+        raise ContractError("forward: no modalities given")
     combo = Combo.from_modalities(mods)
     use_mcla = model.adapters is not None
 

@@ -27,20 +27,21 @@ a contiguous range of rows alone, and :func:`split_bounds` gives the split
 sizes, so a command can read only the split it uses.
 
 A :class:`Dataset` is exactly the dataset container's layout: one (N, L, D)
-feature array per modality, an (N, 3) presence mask and (N,) class-index
-labels. Splits are row-slice views.
+feature array per modality and (N,) class-index labels. Every sample has all
+three modalities; missing ones are only ever imposed, as a combination
+bitmask (:class:`mculora.modalities.Combo`). Splits are row-slice views.
 
-The random missing-modality protocol lives here and only rewrites the mask: it
-drops each modality independently with a per-draw probability taken uniformly
-from a configured range, retaining one uniformly-chosen modality whenever all
-three would drop (a sample never loses every modality). The fixed protocol
-needs no mask: evaluation passes each condition's modalities to the model
-(see :mod:`mculora.trainer`).
+The random missing-modality protocol lives here and gives each sample's
+combination bitmask: it drops each modality independently with a per-draw
+probability taken uniformly from a configured range, retaining one
+uniformly-chosen modality whenever all three would drop (a sample never loses
+every modality). The fixed protocol needs no masks: evaluation passes each
+condition's modalities to the model (see :mod:`mculora.trainer`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -48,7 +49,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigError, ContractError
-from .modalities import MODALITIES
+from .modalities import MODALITIES, Combo
 from .rng import Rng, derive_seed
 from .serialize import load_container, save_container
 
@@ -69,13 +70,10 @@ _GENERATOR_FIELDS = ("num_samples", "seq_len", "raw_dim", "classes", "shared_dim
 
 @dataclass
 class Dataset:
-    """Columnar samples: features a, t, v of shape (N, L, D), an (N, 3) uint8 0/1
-    presence mask with a modality in every row, and (N,) float64 class indices
-    as labels. Features of absent modalities must not be read. Slicing with a
-    ``slice`` gives a dataset of views."""
+    """Columnar samples: features a, t, v of shape (N, L, D) and (N,) float64
+    class indices as labels. Slicing with a ``slice`` gives a dataset of views."""
 
     features: dict[str, np.ndarray]
-    presence: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
@@ -85,20 +83,12 @@ class Dataset:
                 or len(next(iter(shapes))) != 3 or next(iter(shapes))[0] != n):
             raise ContractError(f"need features for {MODALITIES} of one (N, L, D) shape and (N,) labels, "
                                 f"got {list(self.features)} {sorted(shapes)} and {self.labels.shape}")
-        if self.presence.shape != (n, len(MODALITIES)) or self.presence.dtype != np.uint8:
-            raise ContractError(f"presence must be ({n}, 3) uint8, got {self.presence.shape} {self.presence.dtype}")
-        if (self.presence > 1).any() or not self.presence.any(axis=1).all():
-            raise ContractError("presence rows must be 0/1 with at least one modality present")
 
     def __len__(self) -> int:
         return self.labels.shape[0]
 
     def __getitem__(self, rows: slice) -> "Dataset":
-        return Dataset({m: x[rows] for m, x in self.features.items()}, self.presence[rows], self.labels[rows])
-
-    def require_complete(self, what: str) -> None:
-        if not len(self) or not self.presence.all():
-            raise ContractError(f"{what}: needs a nonempty dataset with all modalities present in every sample")
+        return Dataset({m: x[rows] for m, x in self.features.items()}, self.labels[rows])
 
 
 def _class_anchors(num_classes: int, dim: int, rng: Rng) -> np.ndarray:
@@ -174,11 +164,10 @@ def _generator(cfg: ExperimentConfig, root_rng: Rng | None) -> tuple[dict[str, C
 
 
 def generate_dataset(cfg: ExperimentConfig, root_rng: Rng | None = None) -> Dataset:
-    """All-modalities-present dataset; pure function of cfg and the stream
-    (default: the ``data`` child of ``Rng(cfg.seed)``)."""
+    """The dataset of cfg; pure function of cfg and the stream (default: the
+    ``data`` child of ``Rng(cfg.seed)``)."""
     makers, labels = _generator(cfg, root_rng)
-    features = {m: make() for m, make in makers.items()}
-    return Dataset(features, np.ones((len(labels), len(MODALITIES)), dtype=np.uint8), labels)
+    return Dataset({m: make() for m, make in makers.items()}, labels)
 
 
 def _matvec(P: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -206,15 +195,11 @@ def draw_missing_masks(n: int, mask_prob_range: tuple[float, float], rng: Rng) -
     return pre, post
 
 
-def apply_random_missing(dataset: Dataset, mask_prob_range: tuple[float, float], seed: int) -> Dataset:
-    """Per-sample independent modality dropping; presence never ends up empty:
-    an incomplete sample that loses all its survivors keeps its first one."""
-    rng = Rng(seed).child("random-missing")
-    _, drop = draw_missing_masks(len(dataset), mask_prob_range, rng)
-    kept = dataset.presence & ~drop
-    emptied = np.nonzero(~kept.any(axis=1))[0]
-    kept[emptied, np.argmax(dataset.presence[emptied], axis=1)] = 1
-    return replace(dataset, presence=kept)
+def apply_random_missing(n: int, mask_prob_range: tuple[float, float], seed: int) -> np.ndarray:
+    """(n,) combination bitmasks (1..7, see :class:`Combo`), one per sample:
+    the modalities that survive per-sample independent dropping."""
+    _, drop = draw_missing_masks(n, mask_prob_range, Rng(seed).child("random-missing"))
+    return ~drop @ np.array([Combo.from_name(m).mask for m in MODALITIES])
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +211,13 @@ def save_dataset(path, cfg: ExperimentConfig, root_rng: Rng | None = None) -> No
     and write it, streaming: each modality's features are generated just
     before they are written, so one (N, L, D) array is alive at a time.
 
-    Arrays stored: per-modality (N, L, D) features, labels (N,) float64,
-    presence (N, 3) uint8 (all ones) in modality order a, t, v. The header
-    records the ten generator fields of cfg (``_GENERATOR_FIELDS``) and
-    ``seed``, the seed of the default data stream."""
+    Arrays stored: per-modality (N, L, D) features in modality order a, t, v,
+    then labels (N,) float64. The header records the ten generator fields of
+    cfg (``_GENERATOR_FIELDS``) and ``seed``, the seed of the default data
+    stream."""
     makers, labels = _generator(cfg, root_rng)
     arrays = {f"features_{m}": make for m, make in makers.items()}
     arrays["labels"] = labels
-    arrays["presence"] = np.ones((len(labels), len(MODALITIES)), dtype=np.uint8)
     header = {key: getattr(cfg, key) for key in _GENERATOR_FIELDS}
     header["seed"] = derive_seed(cfg.seed, "data")
     save_container(path, "dataset", {"config": header}, arrays)
@@ -241,13 +225,13 @@ def save_dataset(path, cfg: ExperimentConfig, root_rng: Rng | None = None) -> No
 
 def load_dataset(path, rows: Callable[[int], slice] | None = None) -> Dataset:
     """The dataset file at `path`; with `rows` (a function from the file's
-    sample count N to a contiguous slice), only those samples are read."""
+    sample count N to a contiguous slice), only those samples are read. A file
+    holding any array but the features and labels is refused."""
     _, _, arrays = load_container(path, expected_kind="dataset", rows=rows)
-    try:
-        features = {m: arrays[f"features_{m}"] for m in MODALITIES}
-        return Dataset(features, arrays["presence"], arrays["labels"])
-    except KeyError as exc:
-        raise ContractError(f"{path}: dataset container lacks or mangles {exc}") from exc
+    names = [f"features_{m}" for m in MODALITIES] + ["labels"]
+    if list(arrays) != names:
+        raise ContractError(f"{path}: dataset container holds arrays {list(arrays)}, expected {names}")
+    return Dataset({m: arrays[f"features_{m}"] for m in MODALITIES}, arrays["labels"])
 
 
 def split_bounds(n: int, train_frac: float, val_frac: float) -> tuple[int, int]:

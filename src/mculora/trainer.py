@@ -32,7 +32,7 @@ conditions are imposed on the full test set and "average" is the unweighted
 mean over the six incomplete conditions (the full set is reported
 separately); restricted to one condition (``eval --combo``), the same path
 scores that condition alone and reports no average. Under the random
-protocol, each sample's missing pattern is drawn once from the configured
+protocol, each sample's combination is drawn once from the configured
 probability range. Inference runs in chunks of at most ``_EVAL_POSITIONS``
 sequence positions (rows x L), so the forward pass's (B*L, d) intermediates
 stay the same size whatever the sequence length; under the random protocol
@@ -144,7 +144,8 @@ def _batch_indices(n: int, batch_size: int, order: np.ndarray):
 def pretrain(dataset: Dataset, cfg: ExperimentConfig, root_rng: Rng | None = None) -> TrainResult:
     """Train encoders + fusion + common head on complete data, then freeze encoders and fusion."""
     cfg.validate()
-    dataset.require_complete("pretrain")
+    if not len(dataset):
+        raise ContractError("pretrain: the training split is empty")
     root = root_rng if root_rng is not None else Rng(cfg.seed)
     feats, labels = dataset.features, dataset.labels
     raw_dim = feats["a"].shape[2]
@@ -198,13 +199,13 @@ def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
     cfg.validate()
     if model.phase != "pretrained":
         raise ContractError(f"finetune requires a pretrained checkpoint, phase is {model.phase!r}")
-    dataset.require_complete("finetune")
+    if not len(dataset):
+        raise ContractError("finetune: the training split is empty")
     root = root_rng if root_rng is not None else Rng(cfg.seed)
     if probe_batch is None:
         probe_batch = dataset[-min(cfg.probe_size, len(dataset)):]
     else:
         probe_batch = probe_batch[:cfg.probe_size]
-    probe_batch.require_complete("finetune probe")
 
     attach_adapters(model, root.child("attach"), rank=cfg.rank, alpha=cfg.alpha, mcla=cfg.mcla)
     trainable = model.parameters("finetune")
@@ -310,10 +311,10 @@ def _predict_condition(model: MculoraModel, feats: dict[str, np.ndarray], n: int
     return np.argmax(np.concatenate(parts), axis=1)
 
 
-def predict_dataset(model: MculoraModel, dataset: Dataset) -> np.ndarray:
-    """Class predictions for mixed presence combinations, one condition per combination."""
+def predict_dataset(model: MculoraModel, dataset: Dataset, masks: np.ndarray) -> np.ndarray:
+    """Class predictions with sample i seen under the combination of bitmask
+    masks[i], the samples of each combination run as one condition."""
     preds = np.zeros(len(dataset), dtype=np.int64)
-    masks = dataset.presence @ np.array([Combo.from_name(m).mask for m in MODALITIES])
     for combo in ALL_COMBINATIONS:
         rows = np.nonzero(masks == combo.mask)[0]
         if rows.size:
@@ -331,7 +332,6 @@ def evaluate(model: MculoraModel, dataset: Dataset, protocol: str, cfg: Experime
         raise ContractError(f"evaluate: a single condition restricts the fixed protocol, not {protocol!r}")
     labels = dataset.labels
     if protocol == "fixed":
-        dataset.require_complete("fixed-protocol evaluation")
         rows: dict[str, Metrics] = {}
         for c in ALL_COMBINATIONS if combo is None else (combo,):
             preds = _predict_condition(model, {m: dataset.features[m] for m in c}, len(dataset))
@@ -342,8 +342,8 @@ def evaluate(model: MculoraModel, dataset: Dataset, protocol: str, cfg: Experime
                         for k in range(4)])
         return MetricsRecord(protocol="fixed", rows=rows, average=avg)
     if protocol == "random":
-        masked = apply_random_missing(dataset, (cfg.mask_lo, cfg.mask_hi), seed=cfg.eval_seed)
-        preds = predict_dataset(model, masked)
+        masks = apply_random_missing(len(dataset), (cfg.mask_lo, cfg.mask_hi), seed=cfg.eval_seed)
+        preds = predict_dataset(model, dataset, masks)
         return MetricsRecord(protocol="random", rows={"random": compute_metrics(preds, labels)})
     raise ContractError(f"unknown protocol {protocol!r}, expected 'fixed' or 'random'")
 

@@ -4,6 +4,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -178,6 +179,50 @@ def test_missing_data_file_is_input_error(workspace):
     tmp, cfg = workspace
     rc = run("pretrain", "--config", cfg, "--data", tmp / "nope.mcu", "--out", tmp / "p")
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--data", "DIR"],
+    ["finetune", "--data", "DIR", "--checkpoint", "CKPT"],
+    ["finetune", "--data", "DATA", "--checkpoint", "DIR"],
+    ["eval", "--protocol", "fixed", "--data", "DIR", "--checkpoint", "CKPT"],
+    ["eval", "--protocol", "fixed", "--data", "DATA", "--checkpoint", "DIR"],
+], ids=["pretrain-data", "finetune-data", "finetune-checkpoint", "eval-data", "eval-checkpoint"])
+def test_input_path_naming_a_directory_is_input_error(workspace, capsys, argv):
+    # the checkpoint is read before the dataset, so DATA is never opened
+    tmp, cfg = workspace
+    model = build_model(ModelConfig(raw_dim=8, model_dim=8, classes=3, rank=2), Rng(0))
+    model.phase = "pretrained"
+    save_checkpoint(model, tmp / "ckpt.mcu")
+    paths = {"DIR": tmp / "dir", "CKPT": tmp / "ckpt.mcu", "DATA": tmp / "data.mcu"}
+    paths["DIR"].mkdir()
+    assert run(*[paths.get(arg, arg) for arg in argv], "--config", cfg, "--out", tmp / "out") == 2
+    assert str(paths["DIR"]) in capsys.readouterr().err
+
+
+def test_empty_training_split_is_state_error_naming_the_split(workspace, capsys):
+    tmp, cfg = workspace
+    data, pre, _ = full_pipeline(tmp, cfg)
+    empty = tmp / "empty.cfg"
+    empty.write_text(TINY_CONFIG + "train_frac = 0.001\n")  # round(80 * 0.001) = 0 training samples
+    capsys.readouterr()
+    assert run("pretrain", "--config", empty, "--data", data / "dataset.mcu", "--out", tmp / "p") == 3
+    assert "pretrain: the training split is empty" in capsys.readouterr().err
+    assert run("finetune", "--config", empty, "--data", data / "dataset.mcu", "--checkpoint", pre / "checkpoint.mcu",
+               "--out", tmp / "f") == 3
+    assert "finetune: the training split is empty" in capsys.readouterr().err
+
+
+def test_dataset_file_with_a_presence_array_is_state_error(workspace, capsys):
+    tmp, cfg = workspace
+    assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
+    _, meta, arrays = load_container(tmp / "data" / "dataset.mcu", expected_kind="dataset")
+    arrays["presence"] = np.ones((len(arrays["labels"]), 3), dtype=np.uint8)  # the old layout's fifth array
+    save_container(tmp / "old.mcu", "dataset", meta, arrays)
+    capsys.readouterr()
+    assert run("pretrain", "--config", cfg, "--data", tmp / "old.mcu", "--out", tmp / "p") == 3
+    err = capsys.readouterr().err
+    assert "old.mcu" in err and "presence" in err
 
 
 @pytest.mark.parametrize("where", ["config-file", "flag", "eval_seed"])
@@ -450,11 +495,11 @@ def test_each_command_loads_only_its_own_rows(workspace, monkeypatch):
                "--protocol", "random", "--out", tmp / "ev") == 0
     # TINY_CONFIG: 80 samples split 56 / 12 / 12; the probe is the first 12 validation samples
     assert [set(counts.values()) for counts in loaded] == [{56}, {68}, {12}]
-    assert all(len(counts) == 5 for counts in loaded)
+    assert all(len(counts) == 4 for counts in loaded)
 
 
 def assert_same_dataset(got, want):
-    for a, b in [(got.presence, want.presence), (got.labels, want.labels),
+    for a, b in [(got.labels, want.labels),
                  *[(got.features[m], want.features[m]) for m in MODALITIES]]:
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 

@@ -1,14 +1,12 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mculora import autodiff as ad
-from mculora.config import ExperimentConfig
 from mculora.errors import ContractError, ShapeError
 from mculora.losses import orthogonality_loss, task_loss, total_loss
-from mculora.modalities import ALL_COMBINATIONS, AT, MODALITIES, A
+from mculora.modalities import ALL_COMBINATIONS, AT, MODALITIES
 from mculora.model import (
     LoraPair,
     ModelConfig,
@@ -20,8 +18,6 @@ from mculora.model import (
     save_checkpoint,
 )
 from mculora.rng import Rng
-from mculora.dpft import separability_scores
-from mculora.synthgen import generate_dataset
 
 from conftest import central_difference, rel_err
 
@@ -239,17 +235,8 @@ def test_zero_init_adapters_reproduce_pretrained_predictions():
 
 def test_forward_batch_empty_presence_is_contract_error():
     model = small_model()
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="no modalities"):
         forward_batch(model, {})
-
-
-def test_probe_batch_mixing_combinations_is_contract_error():
-    batch = generate_dataset(ExperimentConfig(num_samples=2, seq_len=4, raw_dim=6, classes=3), Rng(1))
-    presence = batch.presence.copy()
-    presence[1] = [m in A for m in MODALITIES]  # the second row is audio only
-    mixed = dataclasses.replace(batch, presence=presence)
-    with pytest.raises(ContractError):
-        separability_scores(small_model(), mixed)
 
 
 # ---------------------------------------------------------------------------

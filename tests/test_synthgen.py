@@ -37,8 +37,8 @@ def labels_of(dataset):
     return dataset.labels.astype(np.int64)
 
 
-def row_combos(dataset):
-    return [Combo.from_modalities([m for m, present in zip(MODALITIES, row) if present]) for row in dataset.presence]
+def combos(masks):
+    return [Combo(int(k)) for k in masks]
 
 
 def synth(seed, **fields):
@@ -98,22 +98,19 @@ def reference_generate(cfg: ExperimentConfig, seed: int):
     return {m: np.stack(rows) for m, rows in features.items()}, np.array(labels, dtype=np.float64)
 
 
-def reference_random_presence(dataset, mask_prob_range, seed):
-    """The random protocol one sample at a time, on Combo objects."""
-    _, drop = draw_missing_masks(len(dataset), mask_prob_range, Rng(seed).child("random-missing"))
+def reference_random_combos(n, mask_prob_range, seed):
+    """The random protocol one sample at a time, on Combo objects: the
+    modalities not dropped, or, where all three were, the one retained."""
+    pre, post = draw_missing_masks(n, mask_prob_range, Rng(seed).child("random-missing"))
     out = []
-    for presence, row in zip(row_combos(dataset), drop):
-        kept = [m for k, m in enumerate(MODALITIES) if not row[k] and m in presence]
-        if not kept:  # sample already incomplete and survivors were dropped
-            kept = [presence.modalities[0]]
+    for before, after in zip(pre, post):
+        kept = [m for k, m in enumerate(MODALITIES) if not after[k]]
+        if before.all():
+            assert len(kept) == 1
+        else:
+            assert kept == [m for k, m in enumerate(MODALITIES) if not before[k]]
         out.append(Combo.from_modalities(kept))
     return out
-
-
-def dataset_with_presence(presence):
-    presence = np.asarray(presence, dtype=np.uint8)
-    n = presence.shape[0]
-    return Dataset({m: np.zeros((n, 2, 3)) for m in MODALITIES}, presence, np.zeros(n))
 
 
 def test_cardinality_and_label_range():
@@ -138,7 +135,6 @@ def test_generator_matches_per_sample_reference_bitwise():
     assert ds.labels.tobytes() == labels.tobytes()
     for m in MODALITIES:
         assert ds.features[m].tobytes() == features[m].tobytes(), m
-    assert (ds.presence == 1).all()
 
 
 def test_shared_signal_alone_is_linearly_decodable_from_each_modality():
@@ -164,9 +160,8 @@ def test_label_marginals_are_stratified():
 
 
 def test_presence_never_empty():
-    ds = synth(7, num_samples=200)[1]
-    masked = apply_random_missing(ds, (1.0, 1.0), seed=7)
-    assert all(len(c) >= 1 for c in row_combos(masked))
+    masks = apply_random_missing(200, (1.0, 1.0), seed=7)
+    assert masks.shape == (200,) and all(len(c) >= 1 for c in combos(masks))
 
 
 def test_invalid_config_rejected():
@@ -183,15 +178,11 @@ def test_invalid_config_rejected():
 # ---------------------------------------------------------------------------
 
 def test_random_missing_zero_probability_drops_nothing():
-    ds = synth(4, num_samples=32)[1]
-    out = apply_random_missing(ds, (0.0, 0.0), seed=4)
-    assert row_combos(out) == [FULL] * len(ds)
+    assert combos(apply_random_missing(32, (0.0, 0.0), seed=4)) == [FULL] * 32
 
 
 def test_random_missing_certain_drop_leaves_exactly_one_modality():
-    ds = synth(4, num_samples=64)[1]
-    out = apply_random_missing(ds, (1.0, 1.0), seed=4)
-    assert all(len(c) == 1 for c in row_combos(out))
+    assert all(len(c) == 1 for c in combos(apply_random_missing(64, (1.0, 1.0), seed=4)))
 
 
 def test_random_missing_empirical_drop_rate_monte_carlo():
@@ -202,43 +193,30 @@ def test_random_missing_empirical_drop_rate_monte_carlo():
 
 
 def test_random_missing_is_deterministic_given_seed():
-    ds = synth(9, num_samples=128)[1]
-    m1 = row_combos(apply_random_missing(ds, (0.4, 0.6), seed=66))
-    m2 = row_combos(apply_random_missing(ds, (0.4, 0.6), seed=66))
-    assert m1 == m2
+    m1 = apply_random_missing(128, (0.4, 0.6), seed=66)
+    m2 = apply_random_missing(128, (0.4, 0.6), seed=66)
+    assert np.array_equal(m1, m2)
 
 
 @settings(max_examples=60, deadline=None)
-@given(presence=st.lists(st.lists(st.integers(0, 1), min_size=3, max_size=3).filter(any), min_size=1, max_size=40),
-       lo=st.floats(0.0, 1.0), width=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_random_missing_matches_per_sample_rule(presence, lo, width, seed):
-    ds = dataset_with_presence(presence)
+@given(n=st.integers(1, 40), lo=st.floats(0.0, 1.0), width=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_random_missing_matches_per_sample_rule(n, lo, width, seed):
     hi = min(1.0, lo + width)
-    out = apply_random_missing(ds, (lo, hi), seed=seed)
-    assert row_combos(out) == reference_random_presence(ds, (lo, hi), seed)
-
-
-def test_random_missing_keeps_first_survivor_of_incomplete_samples():
-    ds = dataset_with_presence([[0, 1, 1], [1, 0, 1], [0, 0, 1], [1, 1, 0]] * 4)
-    _, drop = draw_missing_masks(len(ds), (1.0, 1.0), Rng(3).child("random-missing"))
-    emptied = np.nonzero(~(ds.presence & ~drop).any(axis=1))[0]
-    assert emptied.size  # forced retention picked an absent modality for these rows
-    out = row_combos(apply_random_missing(ds, (1.0, 1.0), seed=3))
-    before = row_combos(ds)
-    assert all(out[i] == Combo.from_name(before[i].modalities[0]) for i in emptied)
-    assert out == reference_random_presence(ds, (1.0, 1.0), 3)
+    masks = apply_random_missing(n, (lo, hi), seed=seed)
+    assert masks.shape == (n,) and ((1 <= masks) & (masks <= 7)).all()
+    assert combos(masks) == reference_random_combos(n, (lo, hi), seed)
 
 
 def test_dataset_features_must_match_presence():
-    ok = dataset_with_presence([[1, 0, 1], [0, 1, 0]])
+    # every sample holds all three modalities, each of one (N, L, D) shape
+    features, labels = {m: np.zeros((2, 2, 3)) for m in MODALITIES}, np.zeros(2)
+    assert len(Dataset(features, labels)) == 2
     with pytest.raises(ContractError):
-        Dataset(features={"a": np.zeros((2, 2, 3))}, presence=ok.presence, labels=ok.labels)
+        Dataset(features={"a": np.zeros((2, 2, 3))}, labels=labels)
     with pytest.raises(ContractError):
-        Dataset(features=ok.features, presence=ok.presence[:1], labels=ok.labels)
+        Dataset(features=features, labels=labels[:1])
     with pytest.raises(ContractError):
-        Dataset(features={**ok.features, "t": np.zeros((2, 2, 4))}, presence=ok.presence, labels=ok.labels)
-    with pytest.raises(ContractError, match="at least one modality"):
-        dataset_with_presence([[1, 0, 1], [0, 0, 0]])
+        Dataset(features={**features, "t": np.zeros((2, 2, 4))}, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +235,8 @@ def test_dataset_roundtrip_is_bitwise(tmp_path):
     header = load_container(path, expected_kind="dataset")[1]["config"]
     assert header == {**{k: getattr(cfg, k) for k in generator_fields}, "seed": derive_seed(cfg.seed, "data")}
     assert len(loaded) == len(ds)
-    for got, want in [(loaded.presence, ds.presence), (loaded.labels, ds.labels),
+    assert load_container(path)[2].keys() == {"features_a", "features_t", "features_v", "labels"}
+    for got, want in [(loaded.labels, ds.labels),
                       *[(loaded.features[m], ds.features[m]) for m in MODALITIES]]:
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 

@@ -3,7 +3,7 @@ import pytest
 
 from mculora.config import ExperimentConfig
 from mculora.errors import ConfigError, ContractError
-from mculora.modalities import ALL_COMBINATIONS, AV, INCOMPLETE_COMBINATIONS, MODALITIES
+from mculora.modalities import ALL_COMBINATIONS, AV, FULL, INCOMPLETE_COMBINATIONS, MODALITIES, Combo
 from mculora.rng import Rng
 from mculora.synthgen import apply_random_missing, generate_dataset
 from mculora import trainer
@@ -23,7 +23,7 @@ from mculora.trainer import (
     write_probe_log,
     write_schedule_log,
 )
-from mculora.model import save_checkpoint
+from mculora.model import forward_batch, save_checkpoint
 
 from conftest import lstsq_probe_accuracy
 
@@ -92,13 +92,6 @@ def test_pretrain_twice_same_seed_bitwise_equal_checkpoints(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_pretrain_rejects_incomplete_samples():
-    ds = tiny_synth(n=12)
-    ds.presence[:, 1:] = 0  # every sample audio-only
-    with pytest.raises(ContractError):
-        pretrain(ds, tiny_cfg())
-
-
 def test_pretrain_reaches_high_accuracy_on_linearly_separable_data():
     # the least-squares probe oracle establishes separability first
     ds = tiny_synth(n=900, seed=8, noise_std=0.05, private_strength=0.0,
@@ -108,7 +101,7 @@ def test_pretrain_reaches_high_accuracy_on_linearly_separable_data():
     assert lstsq_probe_accuracy(feats, labels, 3) >= 0.95
     cfg = tiny_cfg(pretrain_epochs=50, model_dim=16, seed=11)
     model = pretrain(ds, cfg).model
-    correct = int(np.sum(predict_dataset(model, ds) == labels))
+    correct = int(np.sum(predict_dataset(model, ds, np.full(len(ds), FULL.mask)) == labels))
     assert correct / len(ds) >= 0.95
     assert model.phase == "pretrained"
     assert not any(t.requires_grad for m in "atv" for t in model.encoders[m].parameters(m).values())
@@ -323,15 +316,6 @@ def test_fixed_protocol_restricted_to_one_condition_matches_its_full_row():
     assert single.rows == {"av": full.rows["av"]}
 
 
-@pytest.mark.parametrize("combo", [None, AV], ids=["all", "av"])
-def test_fixed_protocol_refuses_samples_lacking_a_modality(combo):
-    model, cfg = trained_tiny_model()
-    test_set = tiny_synth(n=10, seed=4)
-    test_set.presence[3, 1] = 0  # one sample lacks text, which "av" does not read either
-    with pytest.raises(ContractError, match="all modalities present"):
-        evaluate(model, test_set, "fixed", cfg, combo)
-
-
 def test_single_condition_is_refused_outside_the_fixed_protocol():
     model, cfg = trained_tiny_model()
     with pytest.raises(ContractError, match="restricts the fixed protocol"):
@@ -345,6 +329,25 @@ def test_random_protocol_single_row_and_mask_reproducibility():
     r2 = evaluate(model, test_set, "random", cfg)
     assert list(r1.rows) == ["random"]
     assert r1.rows["random"] == r2.rows["random"]
+
+
+def one_row_prediction(model, dataset, i, combo):
+    return int(np.argmax(forward_batch(model, {m: dataset.features[m][i:i + 1] for m in combo})["y_last"].data))
+
+
+def test_random_protocol_predicts_each_row_under_its_own_combination(monkeypatch):
+    # oracle: the row alone through forward_batch, under the combination its mask names
+    model, cfg = trained_tiny_model()
+    test_set = tiny_synth(n=50, seed=4)
+    scored = []
+    real = trainer.compute_metrics
+    monkeypatch.setattr(trainer, "compute_metrics", lambda preds, labels: scored.append(preds) or real(preds, labels))
+    evaluate(model, test_set, "random", cfg)
+    masks = apply_random_missing(len(test_set), (cfg.mask_lo, cfg.mask_hi), seed=cfg.eval_seed)
+    want = [one_row_prediction(model, test_set, i, Combo(int(k))) for i, k in enumerate(masks)]
+    assert scored[0].tolist() == want
+    # the oracle tells the combinations apart: the full set predicts some row differently
+    assert want != [one_row_prediction(model, test_set, i, FULL) for i in range(len(test_set))]
 
 
 def test_unknown_protocol_rejected():
@@ -380,13 +383,13 @@ def test_eval_chunking_does_not_change_results(monkeypatch):
     test_set = tiny_synth(n=40, seed=7)
     seq_len = test_set.features["a"].shape[1]
     assert len(test_set) * seq_len <= trainer._EVAL_POSITIONS  # the default runs it in one chunk
-    masked = apply_random_missing(test_set, (cfg.mask_lo, cfg.mask_hi), seed=cfg.eval_seed)
+    masks = apply_random_missing(len(test_set), (cfg.mask_lo, cfg.mask_hi), seed=cfg.eval_seed)
     base = {protocol: evaluate(model, test_set, protocol, cfg).rows for protocol in ("fixed", "random")}
-    base_preds = predict_dataset(model, masked)
+    base_preds = predict_dataset(model, test_set, masks)
     for rows_per_chunk in (8, 1):
         monkeypatch.setattr(trainer, "_EVAL_POSITIONS", rows_per_chunk * seq_len)
         assert {protocol: evaluate(model, test_set, protocol, cfg).rows for protocol in base} == base
-        assert np.array_equal(predict_dataset(model, masked), base_preds)
+        assert np.array_equal(predict_dataset(model, test_set, masks), base_preds)
 
 
 def test_eval_forward_passes_stay_within_the_position_bound(monkeypatch):
