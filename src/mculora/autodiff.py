@@ -245,32 +245,25 @@ def reshape(a, shape) -> Tensor:
     return out
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+    out = Tensor(a.data.sum(axis=axis))
 
     def backward(g):
-        if axis is None:
-            return ((a, np.broadcast_to(g, a.shape).copy()),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return ((a, np.broadcast_to(gg, a.shape).copy()),)
 
     _record(out, (a,), backward)
     return out
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a, axis=None) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
-    if axis is None:
-        count = a.size
-    else:
-        count = a.shape[axis]
+    out = Tensor(a.data.mean(axis=axis))
+    count = a.size if axis is None else a.shape[axis]
 
     def backward(g):
-        if axis is None:
-            return ((a, np.broadcast_to(g / count, a.shape).copy()),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return ((a, np.broadcast_to(gg / count, a.shape).copy()),)
 
     _record(out, (a,), backward)

@@ -102,7 +102,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (FileNotFoundError, IsADirectoryError) as exc:  # e.g. a --data or --checkpoint path
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        # e.g. a --data or --checkpoint path that is missing, a directory, under a file or unreadable
         print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
     except (ContractError, ShapeError) as exc:

@@ -29,13 +29,8 @@ this. Each adjustment has magnitude q_base * lam * sigmoid(delta), and
 probabilities are clamped to [p_min, p_max]. Probabilities are normalized
 only at sampling time.
 
-For models trained without adapter banks the per-modality score is undefined;
-as a stand-in, the score is the divergence between the fused token
-distribution under the combination and under the full modality set, and the
-same rule reads it: the combinations furthest from the full set count as fast
-learners and are sampled less. Without adapters only the common head trains,
-and the stand-in does not read it, so only the first update (from the
-all-zero initial scores) depends on the stand-in.
+A model without adapter banks has no private space to score: its seven scores
+are 0, and the fine-tuning loop keeps q uniform.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ from . import autodiff as ad
 from .config import ExperimentConfig
 from .errors import ContractError
 from .modalities import ALL_COMBINATIONS, Combo
-from .model import MculoraModel, forward_batch
+from .model import MculoraModel
 from .rng import Rng
 from .synthgen import Dataset
 
@@ -83,27 +78,19 @@ def _softmax_rows(X: np.ndarray) -> np.ndarray:
 def separability_scores(model: MculoraModel, probe_batch: Dataset) -> np.ndarray:
     """Score each combination's decoupling degree on a probe batch.
 
-    Returns a (7,) array in canonical combination order, within [0, 2 ln 2].
+    Returns a (7,) array in canonical combination order, within [0, 2 ln 2];
+    all zeros for a model without adapter banks.
     """
     if not len(probe_batch):
         raise ContractError("separability_scores: the probe batch is empty")
-    feats = probe_batch.features
     scores = np.zeros(N_COMBINATIONS)
-    if model.adapters is not None:
-        pooled = {m: ad.constant(x.mean(axis=1)) for m, x in feats.items()}
-        com_dist = {m: _softmax_rows(model.adapters[m].common.apply(pooled[m]).data) for m in feats}
-        for idx, combo in enumerate(ALL_COMBINATIONS):
-            prt = {m: model.adapters[m].private_pair(combo).apply(pooled[m]).data for m in combo}
-            scores[idx] = np.mean([_js_rows(_softmax_rows(prt[m]), com_dist[m]).mean() for m in combo])
-    else:
-        # adapter-free fallback: compare each combination's fused token
-        # distribution against the full-modality one
-        full_tok = forward_batch(model, feats)["fused_com"].data
-        full_dist = _softmax_rows(full_tok)
-        for idx, combo in enumerate(ALL_COMBINATIONS):
-            sub = {m: feats[m] for m in combo}
-            tok = forward_batch(model, sub)["fused_com"].data
-            scores[idx] = float(_js_rows(_softmax_rows(tok), full_dist).mean())
+    if model.adapters is None:
+        return scores
+    pooled = {m: ad.constant(x.mean(axis=1)) for m, x in probe_batch.features.items()}
+    com_dist = {m: _softmax_rows(model.adapters[m].common.apply(pooled[m]).data) for m in pooled}
+    for idx, combo in enumerate(ALL_COMBINATIONS):
+        prt = {m: model.adapters[m].private_pair(combo).apply(pooled[m]).data for m in combo}
+        scores[idx] = np.mean([_js_rows(_softmax_rows(prt[m]), com_dist[m]).mean() for m in combo])
     return np.maximum(scores, 0.0)
 
 

@@ -291,8 +291,8 @@ def forward_batch(model: MculoraModel, feats: dict[str, np.ndarray], *,
 
     The encoder runs on every position and is pooled after; the adapters
     read each sample's sequence-mean row. Returns tensors for: pooled
-    encoder/common/private representations per modality, the fused tokens,
-    both head outputs, the gate weight, and the blended prediction y_last.
+    encoder/common/private representations per modality, both head outputs,
+    the gate weight, and the blended prediction y_last.
     """
     mods = [m for m in MODALITIES if m in feats]
     if not mods:
@@ -318,19 +318,15 @@ def forward_batch(model: MculoraModel, feats: dict[str, np.ndarray], *,
     if use_mcla:
         com_in = {m: ad.add(enc_pooled[m], com_pooled[m]) for m in mods}
         prt_in = {m: ad.add(enc_pooled[m], prt_pooled[m]) for m in mods}
-        fused_com = model.fusion.fuse_batch(com_in)
         fused_prt = model.fusion.fuse_batch(prt_in)
-        y_com = model.heads.common_logits(fused_com)
+        y_com = model.heads.common_logits(model.fusion.fuse_batch(com_in))
         y_hat = model.heads.private_logits(fused_prt)
         weight = model.heads.gate_weight(fused_prt)
         y_last = combine_predictions(y_com, y_hat, weight)
-        out.update(fused_com=fused_com, fused_prt=fused_prt, y_com=y_com,
-                   y_hat=y_hat, weight=weight, y_last=y_last)
+        out.update(y_com=y_com, y_hat=y_hat, weight=weight, y_last=y_last)
     else:
-        fused = model.fusion.fuse_batch(enc_pooled)
-        y_com = model.heads.common_logits(fused)
-        out.update(fused_com=fused, fused_prt=None, y_com=y_com,
-                   y_hat=y_com, weight=None, y_last=y_com)
+        y_com = model.heads.common_logits(model.fusion.fuse_batch(enc_pooled))
+        out.update(y_com=y_com, y_hat=y_com, weight=None, y_last=y_com)
     return out
 
 
@@ -363,9 +359,11 @@ def load_checkpoint(path) -> MculoraModel:
         attach_adapters(model, Rng(0), rank=cfg.rank, alpha=cfg.alpha)
     model.phase = meta["phase"]
     params = model.parameters("all")
-    missing = set(params) - set(arrays)
+    missing, extra = set(params) - set(arrays), set(arrays) - set(params)
     if missing:
         raise ContractError(f"checkpoint {path} lacks parameters: {sorted(missing)[:4]}...")
+    if extra:
+        raise ContractError(f"checkpoint {path} holds arrays the model does not have: {sorted(extra)}")
     for name, tensor in params.items():
         if arrays[name].shape != tensor.data.shape:
             raise ContractError(f"checkpoint parameter {name} has shape {arrays[name].shape}, "

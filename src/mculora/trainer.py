@@ -16,8 +16,9 @@ parameter set only. After every epoch, separability scores are recomputed on
 a fixed probe batch and, when the scheduler is on, the sampling probabilities
 are re-balanced.
 
-Ablations: mcla=False trains only the common head on the frozen base;
-dpft=False keeps combination probabilities uniform.
+Ablations: mcla=False trains only the common head on the frozen base and,
+with no adapters to score, keeps combination probabilities uniform, as
+dpft=False does.
 
 Non-finite training fails loudly: a NaN or infinite loss, or an Adam update
 that would make a parameter non-finite, raises :class:`ContractError` naming
@@ -66,6 +67,7 @@ from .rng import Rng
 from .synthgen import Dataset, apply_random_missing
 
 _EVAL_POSITIONS = 4096  # 512 rows at L = 8, 128 at L = 32
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
 @dataclass
@@ -97,10 +99,9 @@ class TrainResult:
 class Adam:
     """Adaptive-moment gradient step; parameters without a fresh gradient are skipped."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = dict(sorted(params.items()))
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.t = {k: 0 for k in self.params}
@@ -118,11 +119,11 @@ class Adam:
                 continue
             self.t[name] += 1
             t = self.t[name]
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * (g * g)
-            m_hat = self.m[name] / (1 - self.beta1 ** t)
-            v_hat = self.v[name] / (1 - self.beta2 ** t)
-            updated = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[name] = _BETA1 * self.m[name] + (1 - _BETA1) * g
+            self.v[name] = _BETA2 * self.v[name] + (1 - _BETA2) * (g * g)
+            m_hat = self.m[name] / (1 - _BETA1 ** t)
+            v_hat = self.v[name] / (1 - _BETA2 ** t)
+            updated = p.data - self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
             if not np.isfinite(updated).all():
                 raise ContractError(f"{where}: update of parameter {name!r} is non-finite")
             p.data = updated
@@ -141,12 +142,12 @@ def _batch_indices(n: int, batch_size: int, order: np.ndarray):
 # phase 1: pretraining the base
 # ---------------------------------------------------------------------------
 
-def pretrain(dataset: Dataset, cfg: ExperimentConfig, root_rng: Rng | None = None) -> TrainResult:
+def pretrain(dataset: Dataset, cfg: ExperimentConfig) -> TrainResult:
     """Train encoders + fusion + common head on complete data, then freeze encoders and fusion."""
     cfg.validate()
     if not len(dataset):
         raise ContractError("pretrain: the training split is empty")
-    root = root_rng if root_rng is not None else Rng(cfg.seed)
+    root = Rng(cfg.seed)
     feats, labels = dataset.features, dataset.labels
     raw_dim = feats["a"].shape[2]
     model = build_model(ModelConfig(raw_dim=raw_dim, model_dim=cfg.model_dim, classes=cfg.classes,
@@ -194,14 +195,14 @@ def _probe_mean_cosine(model: MculoraModel, probe_feats: dict[str, np.ndarray]) 
 
 
 def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
-             probe_batch: Dataset | None = None, root_rng: Rng | None = None) -> TrainResult:
+             probe_batch: Dataset | None = None) -> TrainResult:
     """Fine-tune adapters/heads/gate under scheduled incomplete batches."""
     cfg.validate()
     if model.phase != "pretrained":
         raise ContractError(f"finetune requires a pretrained checkpoint, phase is {model.phase!r}")
     if not len(dataset):
         raise ContractError("finetune: the training split is empty")
-    root = root_rng if root_rng is not None else Rng(cfg.seed)
+    root = Rng(cfg.seed)
     if probe_batch is None:
         probe_batch = dataset[-min(cfg.probe_size, len(dataset)):]
     else:
@@ -241,7 +242,7 @@ def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
             sums += (l_task.item(), l_ort.item(), l_tot.item())
         scores = separability_scores(model, probe_batch)
         deltas = scores - s_prev
-        if cfg.dpft:
+        if cfg.dpft and model.adapters is not None:
             q = update_probabilities(q, deltas, cfg)
         result.schedule_rows.append(ScheduleRow(epoch, scores, deltas, q))
         result.probe_rows.append((epoch, _probe_mean_cosine(model, probe_batch.features)))

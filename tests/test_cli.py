@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import re
 import subprocess
 import tempfile
@@ -200,6 +202,30 @@ def test_input_path_naming_a_directory_is_input_error(workspace, capsys, argv):
     assert str(paths["DIR"]) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--data", "--checkpoint"])
+@pytest.mark.parametrize("fault", ["parent-is-a-file", "unreadable"])
+def test_unopenable_input_path_is_input_error(workspace, capsys, monkeypatch, fault, flag):
+    tmp, cfg = workspace
+    assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
+    model = build_model(ModelConfig(raw_dim=8, model_dim=8, classes=3, rank=2), Rng(0))
+    model.phase = "pretrained"
+    save_checkpoint(model, tmp / "ckpt.mcu")
+    paths = {"--data": tmp / "data" / "dataset.mcu", "--checkpoint": tmp / "ckpt.mcu"}
+    if fault == "parent-is-a-file":
+        paths[flag] = cfg / "x"  # NotADirectoryError
+    else:  # as root every file is readable, so the refusal is simulated
+        open_path = Path.open
+
+        def refuse(self, *args, **kwargs):
+            if self == paths[flag]:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+            return open_path(self, *args, **kwargs)
+        monkeypatch.setattr(Path, "open", refuse)
+    capsys.readouterr()
+    assert run("finetune", "--config", cfg, *(x for item in paths.items() for x in item), "--out", tmp / "out") == 2
+    assert f"cannot open {paths[flag]}" in capsys.readouterr().err
+
+
 def test_empty_training_split_is_state_error_naming_the_split(workspace, capsys):
     tmp, cfg = workspace
     data, pre, _ = full_pipeline(tmp, cfg)
@@ -297,6 +323,22 @@ def test_malformed_checkpoint_metadata_is_state_error(workspace, capsys, corrupt
                    "--out", tmp / "out") == 3
         err = capsys.readouterr().err
         assert "bad.mcu" in err and key in err
+
+
+def test_checkpoint_with_arrays_the_model_lacks_is_state_error(workspace, capsys):
+    tmp, cfg = workspace
+    assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
+    model = build_model(ModelConfig(raw_dim=8, model_dim=8, classes=3, rank=2), Rng(0))
+    model.phase = "pretrained"
+    save_checkpoint(model, tmp / "good.mcu")
+    _, meta, arrays = load_container(tmp / "good.mcu", expected_kind="checkpoint")
+    arrays.update({"adapter.a.com.A": np.zeros((2, 8)), "junk": np.zeros(1)})
+    save_container(tmp / "bad.mcu", "checkpoint", meta, arrays)
+    for command in (["eval", "--protocol", "fixed"], ["finetune", "--config", cfg]):
+        assert run(*command, "--data", tmp / "data" / "dataset.mcu", "--checkpoint", tmp / "bad.mcu",
+                   "--out", tmp / "out") == 3
+        err = capsys.readouterr().err
+        assert "bad.mcu" in err and "adapter.a.com.A" in err and "junk" in err
 
 
 def test_on_off_flags_share_the_config_parser_and_name_the_flag(workspace, capsys):

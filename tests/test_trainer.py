@@ -128,6 +128,20 @@ def test_finetune_dpft_off_keeps_uniform_schedule():
         assert np.allclose(row.q, 1.0 / 7.0, atol=1e-15)
 
 
+def test_finetune_without_adapters_keeps_the_schedule_uniform(tmp_path):
+    # with MCLA off there is nothing to score, so DPFT on trains exactly as DPFT off
+    ds = tiny_synth(n=40)
+    for dpft in (True, False):
+        cfg = tiny_cfg(mcla=False, dpft=dpft, finetune_epochs=3)
+        res = finetune(pretrain(ds, cfg).model, ds, cfg)
+        assert len(res.schedule_rows) == 3
+        for row in res.schedule_rows:
+            assert np.array_equal(row.scores, np.zeros(7)) and np.array_equal(row.deltas, np.zeros(7))
+            assert np.array_equal(row.q, np.full(7, 1.0 / 7.0))
+        save_checkpoint(res.model, tmp_path / f"dpft-{dpft}.mcu")
+    assert (tmp_path / "dpft-True.mcu").read_bytes() == (tmp_path / "dpft-False.mcu").read_bytes()
+
+
 def test_finetune_dpft_on_emits_one_schedule_row_per_epoch_within_bounds():
     ds = tiny_synth(n=40)
     cfg = tiny_cfg(finetune_epochs=4)
