@@ -66,11 +66,6 @@ def _js_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return kl_pm + kl_qm
 
 
-def _softmax_rows(X: np.ndarray) -> np.ndarray:
-    e = np.exp(X - X.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # scoring
 # ---------------------------------------------------------------------------
@@ -87,10 +82,10 @@ def separability_scores(model: MculoraModel, probe_batch: Dataset) -> np.ndarray
     if model.adapters is None:
         return scores
     pooled = {m: ad.constant(x.mean(axis=1)) for m, x in probe_batch.features.items()}
-    com_dist = {m: _softmax_rows(model.adapters[m].common.apply(pooled[m]).data) for m in pooled}
+    com_dist = {m: ad.softmax(model.adapters[m].common.apply(pooled[m]), axis=1).data for m in pooled}
     for idx, combo in enumerate(ALL_COMBINATIONS):
-        prt = {m: model.adapters[m].private_pair(combo).apply(pooled[m]).data for m in combo}
-        scores[idx] = np.mean([_js_rows(_softmax_rows(prt[m]), com_dist[m]).mean() for m in combo])
+        prt = {m: ad.softmax(model.adapters[m].private_pair(combo).apply(pooled[m]), axis=1).data for m in combo}
+        scores[idx] = np.mean([_js_rows(prt[m], com_dist[m]).mean() for m in combo])
     return np.maximum(scores, 0.0)
 
 

@@ -349,6 +349,10 @@ def load_checkpoint(path) -> MculoraModel:
     for key in ("config", "phase", "has_adapters"):
         if key not in meta:
             raise ContractError(f"checkpoint {path}: metadata lacks key {key!r}")
+    for key, valid in (("phase", meta["phase"] in ("init", "pretrained", "finetuned")),
+                       ("has_adapters", isinstance(meta["has_adapters"], bool))):
+        if not valid:
+            raise ContractError(f"checkpoint {path}: metadata key {key!r} has invalid value {meta[key]!r}")
     unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise ContractError(f"checkpoint {path}: unknown config key {unknown[0]!r}")
@@ -361,7 +365,7 @@ def load_checkpoint(path) -> MculoraModel:
     params = model.parameters("all")
     missing, extra = set(params) - set(arrays), set(arrays) - set(params)
     if missing:
-        raise ContractError(f"checkpoint {path} lacks parameters: {sorted(missing)[:4]}...")
+        raise ContractError(f"checkpoint {path} lacks parameters: {sorted(missing)}")
     if extra:
         raise ContractError(f"checkpoint {path} holds arrays the model does not have: {sorted(extra)}")
     for name, tensor in params.items():

@@ -4,17 +4,16 @@ Training and evaluation read their settings from the one experiment schema,
 :class:`mculora.config.ExperimentConfig`; pretrain and finetune validate it
 on entry.
 
-Phase 1 (pretrain): encoders, fusion, and the common head are trained with
-the task loss on complete data (dropout on the encoder hidden layer only
-here); encoders and fusion are then frozen for good.
-
-Phase 2 (finetune): adapter banks, both heads, and the gate are trained on
-incomplete batches. Each batch draws one modality combination from the
-schedule (uniform when the dynamic scheduler is off), masks the batch to it,
-and minimizes task loss + beta * orthogonality loss over the fine-tune
-parameter set only. After every epoch, separability scores are recomputed on
-a fixed probe batch and, when the scheduler is on, the sampling probabilities
-are re-balanced.
+Both phases run one epoch loop: each batch is seen under one modality
+combination and takes one Adam step on task loss + beta * orthogonality loss
+over the phase's parameters. Pretrain (encoders, fusion, common head) runs it
+on the model without adapters, every batch under the full set, with dropout on
+the encoder hidden layer (here only): the fine-tuning objective, whose
+orthogonality term is 0 without adapters. Encoders and fusion are then frozen.
+Finetune (adapter banks, both heads, gate) draws each batch's combination from
+the schedule (uniform when the dynamic scheduler is off). After every epoch,
+separability scores are recomputed on a fixed probe batch and, when the
+scheduler is on, the sampling probabilities are re-balanced.
 
 Ablations: mcla=False trains only the common head on the frozen base and,
 with no adapters to score, keeps combination probabilities uniform, as
@@ -22,8 +21,8 @@ dpft=False does.
 
 Non-finite training fails loudly: a NaN or infinite loss, or an Adam update
 that would make a parameter non-finite, raises :class:`ContractError` naming
-the phase, epoch, step (1-based within the epoch), combination (finetune) and
-parameter, before any parameter takes the bad value.
+the phase, epoch, step (1-based within the epoch), combination and parameter,
+before any parameter takes the bad value.
 
 Evaluation reports ACC, macro-F1, WA (class-frequency-weighted recall) and
 UA (mean per-class recall) per testing condition. WA equals ACC by definition,
@@ -61,7 +60,7 @@ from .config import ExperimentConfig
 from .dpft import N_COMBINATIONS, sample_combination, separability_scores, update_probabilities
 from .errors import ContractError
 from .losses import orthogonality_loss, task_loss, total_loss
-from .modalities import ALL_COMBINATIONS, INCOMPLETE_COMBINATIONS, MODALITIES, Combo
+from .modalities import ALL_COMBINATIONS, FULL, INCOMPLETE_COMBINATIONS, MODALITIES, Combo
 from .model import MculoraModel, ModelConfig, attach_adapters, build_model, forward_batch
 from .rng import Rng
 from .synthgen import Dataset, apply_random_missing
@@ -130,58 +129,56 @@ class Adam:
 
 
 # ---------------------------------------------------------------------------
-# data plumbing
+# training: one epoch loop for both phases
 # ---------------------------------------------------------------------------
 
-def _batch_indices(n: int, batch_size: int, order: np.ndarray):
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+def _train(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig, phase: str, epochs: int,
+           draw, dropout_p: float, dropout_rng: Rng | None):
+    """Adam steps on ``model.parameters(phase)``, each batch seen under the
+    combination ``draw()`` returns when the batch starts. Yields (epoch, mean
+    (l_task, l_ort, l_total), epoch start time) after each epoch."""
+    if not len(dataset):
+        raise ContractError(f"{phase}: the training split is empty")
+    opt = Adam(model.parameters(phase), lr=cfg.learning_rate)
+    order_rng = Rng(cfg.seed).child(f"{phase}-order")
+    feats, labels, n = dataset.features, dataset.labels, len(dataset)
+    zero = ad.constant(0.0)
+    for epoch in range(1, epochs + 1):
+        t0 = time.perf_counter()
+        order = order_rng.permutation(n)
+        sums = np.zeros(3)
+        for step, start in enumerate(range(0, n, cfg.batch_size), start=1):
+            idx = order[start:start + cfg.batch_size]
+            combo = draw()
+            where = f"{phase} epoch {epoch} step {step} combination {combo.name}"
+            opt.zero_grad()
+            with ad.Tape() as tape:
+                out = forward_batch(model, {m: feats[m][idx] for m in combo},
+                                    dropout_p=dropout_p, dropout_rng=dropout_rng)
+                l_task = task_loss(out["y_last"], labels[idx])
+                l_ort = (orthogonality_loss(out["com_pooled"], {combo: out["prt_pooled"]}, out["enc_pooled"])
+                         if model.adapters is not None else zero)
+                l_tot = ad.check_finite(total_loss(l_task, l_ort, cfg.beta), f"{where}: loss")
+            ad.gradients(l_tot, tape)
+            opt.step(where)
+            sums += (l_task.item(), l_ort.item(), l_tot.item())
+        yield epoch, sums / step, t0
 
-
-# ---------------------------------------------------------------------------
-# phase 1: pretraining the base
-# ---------------------------------------------------------------------------
 
 def pretrain(dataset: Dataset, cfg: ExperimentConfig) -> TrainResult:
     """Train encoders + fusion + common head on complete data, then freeze encoders and fusion."""
     cfg.validate()
-    if not len(dataset):
-        raise ContractError("pretrain: the training split is empty")
     root = Rng(cfg.seed)
-    feats, labels = dataset.features, dataset.labels
-    raw_dim = feats["a"].shape[2]
-    model = build_model(ModelConfig(raw_dim=raw_dim, model_dim=cfg.model_dim, classes=cfg.classes,
-                                    rank=cfg.rank, alpha=cfg.alpha), root)
-    opt = Adam(model.parameters("pretrain"), lr=cfg.learning_rate)
-    order_rng = root.child("pretrain-order")
-    dropout_rng = root.child("pretrain-dropout")
+    model = build_model(ModelConfig(raw_dim=dataset.features["a"].shape[2], model_dim=cfg.model_dim,
+                                    classes=cfg.classes, rank=cfg.rank, alpha=cfg.alpha), root)
     result = TrainResult(model=model)
-    n = len(dataset)
-    for epoch in range(1, cfg.pretrain_epochs + 1):
-        t0 = time.perf_counter()
-        order = order_rng.permutation(n)
-        sums = np.zeros(2)
-        for step, idx in enumerate(_batch_indices(n, cfg.batch_size, order), start=1):
-            where = f"pretrain epoch {epoch} step {step}"
-            batch_feats = {m: feats[m][idx] for m in MODALITIES}
-            opt.zero_grad()
-            with ad.Tape() as tape:
-                out = forward_batch(model, batch_feats, dropout_p=cfg.dropout, dropout_rng=dropout_rng)
-                l_task = ad.check_finite(task_loss(out["y_last"], labels[idx]), f"{where}: loss")
-            ad.gradients(l_task, tape)
-            opt.step(where)
-            sums += (l_task.item(), 0.0)
-        l_task_mean = sums[0] / step
-        result.epoch_rows.append(EpochRow(epoch, "pretrain", l_task_mean, 0.0, l_task_mean,
-                                          (time.perf_counter() - t0) * 1e3))
+    for epoch, losses, t0 in _train(model, dataset, cfg, "pretrain", cfg.pretrain_epochs, lambda: FULL,
+                                    cfg.dropout, root.child("pretrain-dropout")):
+        result.epoch_rows.append(EpochRow(epoch, "pretrain", *losses, (time.perf_counter() - t0) * 1e3))
     model.freeze_base()
     model.phase = "pretrained"
     return result
 
-
-# ---------------------------------------------------------------------------
-# phase 2: combination-aware fine-tuning
-# ---------------------------------------------------------------------------
 
 def _probe_mean_cosine(model: MculoraModel, probe_feats: dict[str, np.ndarray]) -> float:
     """Mean cosine between pooled private and common adapter outputs on the probe."""
@@ -200,46 +197,19 @@ def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
     cfg.validate()
     if model.phase != "pretrained":
         raise ContractError(f"finetune requires a pretrained checkpoint, phase is {model.phase!r}")
-    if not len(dataset):
-        raise ContractError("finetune: the training split is empty")
     root = Rng(cfg.seed)
     if probe_batch is None:
         probe_batch = dataset[-min(cfg.probe_size, len(dataset)):]
     else:
         probe_batch = probe_batch[:cfg.probe_size]
-
     attach_adapters(model, root.child("attach"), rank=cfg.rank, alpha=cfg.alpha, mcla=cfg.mcla)
-    trainable = model.parameters("finetune")
-    opt = Adam(trainable, lr=cfg.learning_rate)
     q = np.full(N_COMBINATIONS, 1.0 / N_COMBINATIONS)
-    feats, labels = dataset.features, dataset.labels
-    order_rng = root.child("finetune-order")
     samp_rng = root.child("combo-sampling")
     s_prev = np.zeros(N_COMBINATIONS)
     result = TrainResult(model=model)
-    n = len(dataset)
-    zero = ad.constant(0.0)
-    for epoch in range(1, cfg.finetune_epochs + 1):
-        t0 = time.perf_counter()
-        order = order_rng.permutation(n)
-        sums = np.zeros(3)
-        for step, idx in enumerate(_batch_indices(n, cfg.batch_size, order), start=1):
-            combo = sample_combination(q, samp_rng)
-            where = f"finetune epoch {epoch} step {step} combination {combo.name}"
-            batch_feats = {m: feats[m][idx] for m in combo}
-            opt.zero_grad()
-            with ad.Tape() as tape:
-                out = forward_batch(model, batch_feats)
-                l_task = task_loss(out["y_last"], labels[idx])
-                if model.adapters is not None:
-                    l_ort = orthogonality_loss(out["com_pooled"], {combo: out["prt_pooled"]},
-                                               out["enc_pooled"])
-                else:
-                    l_ort = zero
-                l_tot = ad.check_finite(total_loss(l_task, l_ort, cfg.beta), f"{where}: loss")
-            ad.gradients(l_tot, tape)
-            opt.step(where)
-            sums += (l_task.item(), l_ort.item(), l_tot.item())
+    # the draw reads q when called, so each epoch samples from the latest update
+    for epoch, losses, t0 in _train(model, dataset, cfg, "finetune", cfg.finetune_epochs,
+                                    lambda: sample_combination(q, samp_rng), 0.0, None):
         scores = separability_scores(model, probe_batch)
         deltas = scores - s_prev
         if cfg.dpft and model.adapters is not None:
@@ -247,8 +217,7 @@ def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
         result.schedule_rows.append(ScheduleRow(epoch, scores, deltas, q))
         result.probe_rows.append((epoch, _probe_mean_cosine(model, probe_batch.features)))
         s_prev = scores
-        result.epoch_rows.append(EpochRow(epoch, "finetune", sums[0] / step, sums[1] / step,
-                                          sums[2] / step, (time.perf_counter() - t0) * 1e3))
+        result.epoch_rows.append(EpochRow(epoch, "finetune", *losses, (time.perf_counter() - t0) * 1e3))
     model.phase = "finetuned"
     return result
 

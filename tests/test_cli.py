@@ -237,6 +237,7 @@ def test_empty_training_split_is_state_error_naming_the_split(workspace, capsys)
     assert run("finetune", "--config", empty, "--data", data / "dataset.mcu", "--checkpoint", pre / "checkpoint.mcu",
                "--out", tmp / "f") == 3
     assert "finetune: the training split is empty" in capsys.readouterr().err
+    assert not (tmp / "p" / "checkpoint.mcu").exists() and not (tmp / "f" / "checkpoint.mcu").exists()
 
 
 def test_dataset_file_with_a_presence_array_is_state_error(workspace, capsys):
@@ -308,7 +309,10 @@ def test_corrupt_dataset_file_is_state_error(workspace, capsys):
     (lambda meta: meta["config"].update(task="classification"), "task"),
     (lambda meta: meta.pop("has_adapters"), "has_adapters"),
     (lambda meta: meta.pop("phase"), "phase"),
-], ids=["unknown-config-key", "removed-mcla-key", "removed-task-key", "no-has_adapters", "no-phase"])
+    (lambda meta: meta.update(phase="banana"), "'phase' has invalid value 'banana'"),
+    (lambda meta: meta.update(has_adapters="no"), "'has_adapters' has invalid value 'no'"),
+], ids=["unknown-config-key", "removed-mcla-key", "removed-task-key", "no-has_adapters", "no-phase",
+        "unknown-phase", "non-boolean-has_adapters"])
 def test_malformed_checkpoint_metadata_is_state_error(workspace, capsys, corrupt, key):
     tmp, cfg = workspace
     assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
@@ -339,6 +343,22 @@ def test_checkpoint_with_arrays_the_model_lacks_is_state_error(workspace, capsys
                    "--out", tmp / "out") == 3
         err = capsys.readouterr().err
         assert "bad.mcu" in err and "adapter.a.com.A" in err and "junk" in err
+
+
+def test_checkpoint_lacking_a_parameter_names_exactly_that_parameter(workspace, capsys):
+    tmp, cfg = workspace
+    assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
+    model = build_model(ModelConfig(raw_dim=8, model_dim=8, classes=3, rank=2), Rng(0))
+    model.phase = "pretrained"
+    save_checkpoint(model, tmp / "good.mcu")
+    _, meta, arrays = load_container(tmp / "good.mcu", expected_kind="checkpoint")
+    del arrays["head.com.b"]
+    save_container(tmp / "bad.mcu", "checkpoint", meta, arrays)
+    for command in (["eval", "--protocol", "fixed"], ["finetune", "--config", cfg]):
+        assert run(*command, "--data", tmp / "data" / "dataset.mcu", "--checkpoint", tmp / "bad.mcu",
+                   "--out", tmp / "out") == 3
+        err = capsys.readouterr().err.strip()
+        assert "bad.mcu" in err and err.endswith("lacks parameters: ['head.com.b']")
 
 
 def test_on_off_flags_share_the_config_parser_and_name_the_flag(workspace, capsys):

@@ -92,6 +92,14 @@ def test_pretrain_twice_same_seed_bitwise_equal_checkpoints(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_pretrain_rows_have_no_orthogonality_term():
+    # pretrain is the finetune objective on a model without adapters: l_total is l_task exactly
+    res = pretrain(tiny_synth(n=40), tiny_cfg(pretrain_epochs=3, beta=0.5))
+    assert len(res.epoch_rows) == 3
+    for row in res.epoch_rows:
+        assert row.phase == "pretrain" and row.l_ort == 0.0 and row.l_total == row.l_task
+
+
 def test_pretrain_reaches_high_accuracy_on_linearly_separable_data():
     # the least-squares probe oracle establishes separability first
     ds = tiny_synth(n=900, seed=8, noise_std=0.05, private_strength=0.0,
@@ -290,8 +298,13 @@ def test_adam_refuses_a_non_finite_update_naming_the_step_and_parameter():
 def test_pretrain_names_the_step_of_a_non_finite_loss():
     ds = tiny_synth(n=40)
     ds.features["t"][5, 0, 0] = np.nan
-    with pytest.raises(ContractError, match=r"pretrain epoch 1 step \d: loss contains non-finite values"):
-        pretrain(ds, tiny_cfg())
+    cfg = tiny_cfg()
+    # oracle: the step whose batch holds sample 5 in the first epoch's order
+    order = Rng(cfg.seed).child("pretrain-order").permutation(len(ds))
+    step = int(np.nonzero(order == 5)[0][0]) // cfg.batch_size + 1
+    with pytest.raises(ContractError, match=rf"^pretrain epoch 1 step {step} combination atv: "
+                                            r"loss contains non-finite values$"):
+        pretrain(ds, cfg)
 
 
 # ---------------------------------------------------------------------------
