@@ -7,7 +7,12 @@ resolved config snapshot and artifact checksums into --out.
 
 Each command reads only the contiguous rows of the dataset file it uses:
 pretrain the train split, finetune the train split and the probe (the first
-``probe_size`` validation samples), eval the test split.
+``probe_size`` validation samples), eval the test split. Pretrain, whose
+encoders train, holds its split; finetune and eval read theirs one chunk of
+rows at a time (a :class:`~mculora.synthgen.DatasetFile`) and keep only each
+row's pooled output of the frozen base, so they never hold a whole split.
+Gen-data generates and writes one block of rows at a time. Containers are
+hashed for the manifest as they are written.
 
 Exit codes: 0 success, 2 input/config error, 3 state/contract error.
 """
@@ -23,7 +28,7 @@ from .config import ExperimentConfig, _parse_bool, load_config, version_string, 
 from .errors import ConfigError, ContractError, ShapeError
 from .modalities import Combo
 from .model import load_checkpoint, save_checkpoint
-from .synthgen import Dataset, load_dataset, save_dataset, split_bounds
+from .synthgen import DatasetFile, save_dataset, split_bounds
 from .trainer import (
     MetricsRecord,
     evaluate,
@@ -125,35 +130,31 @@ def _make_out_dir(path) -> Path:
     return out_dir
 
 
-def _load_rows(cfg: ExperimentConfig, data_path: str, command: str) -> tuple[Dataset, int]:
-    """The rows of the dataset file that `command` uses, read alone, and n_train."""
-    n_trains = []
-
+def _split_rows(cfg: ExperimentConfig, data_path: str, split: str) -> DatasetFile:
+    """The rows of one split of the dataset file, read a slice at a time:
+    "train", "probe" (the first ``probe_size`` validation samples) or "test"."""
     def rows(n: int) -> slice:
         n_train, n_val = split_bounds(n, cfg.train_frac, cfg.val_frac)
-        n_trains.append(n_train)
-        return {"pretrain": slice(0, n_train),
-                "finetune": slice(0, n_train + min(cfg.probe_size, n_val)),
-                "eval": slice(n_train + n_val, n)}[command]
-    return load_dataset(data_path, rows=rows), n_trains[0]
+        return {"train": slice(0, n_train), "probe": slice(n_train, n_train + min(cfg.probe_size, n_val)),
+                "test": slice(n_train + n_val, n)}[split]
+    return DatasetFile(data_path, rows)
 
 
 def cmd_gen_data(args) -> int:
     cfg, out_dir = _prepare(args)
-    save_dataset(out_dir / "dataset.mcu", cfg)
-    write_manifest(out_dir, "gen-data", cfg, cfg.seed, args.config, ["dataset.mcu"])
+    digest = save_dataset(out_dir / "dataset.mcu", cfg)
+    write_manifest(out_dir, "gen-data", cfg, cfg.seed, args.config, {"dataset.mcu": digest}, [])
     print(f"wrote {out_dir / 'dataset.mcu'} ({cfg.num_samples} samples)")
     return EXIT_OK
 
 
 def cmd_pretrain(args) -> int:
     cfg, out_dir = _prepare(args)
-    train, _ = _load_rows(cfg, args.data, "pretrain")
-    result = pretrain(train, cfg)
-    save_checkpoint(result.model, out_dir / "checkpoint.mcu")
+    result = pretrain(_split_rows(cfg, args.data, "train")[:], cfg)
+    digest = save_checkpoint(result.model, out_dir / "checkpoint.mcu")
     write_epoch_log(out_dir / "epoch_log.csv", result.epoch_rows)
-    write_manifest(out_dir, "pretrain", cfg, cfg.seed, args.config,
-                   ["checkpoint.mcu", "epoch_log.csv"])
+    write_manifest(out_dir, "pretrain", cfg, cfg.seed, args.config, {"checkpoint.mcu": digest},
+                   ["epoch_log.csv"])
     print(f"pretrained {cfg.pretrain_epochs} epochs; checkpoint at {out_dir / 'checkpoint.mcu'}")
     return EXIT_OK
 
@@ -161,15 +162,14 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     cfg, out_dir = _prepare(args)
     model = load_checkpoint(args.checkpoint)
-    rows, n_train = _load_rows(cfg, args.data, "finetune")
-    probe = rows[n_train:] if len(rows) > n_train else None
-    result = finetune(model, rows[:n_train], cfg, probe_batch=probe)
-    save_checkpoint(result.model, out_dir / "checkpoint.mcu")
+    probe = _split_rows(cfg, args.data, "probe")
+    result = finetune(model, _split_rows(cfg, args.data, "train"), cfg, probe_batch=probe if len(probe) else None)
+    digest = save_checkpoint(result.model, out_dir / "checkpoint.mcu")
     write_epoch_log(out_dir / "epoch_log.csv", result.epoch_rows)
     write_schedule_log(out_dir / "schedule_log.csv", result.schedule_rows)
     write_probe_log(out_dir / "probe_log.csv", result.probe_rows)
-    write_manifest(out_dir, "finetune", cfg, cfg.seed, args.config,
-                   ["checkpoint.mcu", "epoch_log.csv", "schedule_log.csv", "probe_log.csv"])
+    write_manifest(out_dir, "finetune", cfg, cfg.seed, args.config, {"checkpoint.mcu": digest},
+                   ["epoch_log.csv", "schedule_log.csv", "probe_log.csv"])
     print(f"finetuned {cfg.finetune_epochs} epochs "
           f"(mcla={'on' if cfg.mcla else 'off'}, dpft={'on' if cfg.dpft else 'off'})")
     return EXIT_OK
@@ -182,11 +182,10 @@ def cmd_eval(args) -> int:
     if args.seed is not None:
         cfg.eval_seed = args.seed  # the random protocol's masking seed
     model = load_checkpoint(args.checkpoint)
-    test, _ = _load_rows(cfg, args.data, "eval")
     combo = None if args.combo is None else Combo.from_name(args.combo)
-    record = evaluate(model, test, args.protocol, cfg, combo)
+    record = evaluate(model, _split_rows(cfg, args.data, "test"), args.protocol, cfg, combo)
     write_metrics_document(out_dir / "metrics.txt", record, config_echo_str(cfg), version_string())
-    write_manifest(out_dir, "eval", cfg, cfg.seed, args.config, ["metrics.txt"])
+    write_manifest(out_dir, "eval", cfg, cfg.seed, args.config, {}, ["metrics.txt"])
     print((out_dir / "metrics.txt").read_text(), end="")
     return EXIT_OK
 

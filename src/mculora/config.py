@@ -10,7 +10,8 @@ rejected with the field named, whether they come from the file or from a
 command-line override.
 The resolved snapshot is echoed into each run's ``manifest.json`` together
 with the effective seed and SHA-256 checksums of every written artifact, so a
-run can be reproduced byte for byte (wallclock columns excepted).
+run can be reproduced byte for byte (wallclock columns excepted). Containers
+are hashed as they are written; only the text logs are read back to be hashed.
 
 All randomness in a command flows from one root seed, fanned out to named
 child streams (data, init, sampling, ...), so e.g. ablation runs that share a
@@ -201,16 +202,19 @@ def version_string() -> str:
     return f"{__version__}+{described}" if described else __version__
 
 
-def write_manifest(out_dir, command: str, config: ExperimentConfig, seed: int,
-                   config_path: str | None, artifacts: list[str]) -> Path:
+def write_manifest(out_dir, command: str, config: ExperimentConfig, seed: int, config_path: str | None,
+                   digests: dict[str, str], logs: list[str]) -> Path:
+    """Write ``manifest.json``; `digests` maps each container written to the
+    SHA-256 its writer returned, and the text files `logs` are hashed here."""
     out_dir = Path(out_dir)
+    artifacts = {**digests, **{name: sha256_file(out_dir / name) for name in logs}}
     manifest = {
         "command": command,
         "config_path": config_path,
         "config": config.echo(),
         "seed": int(seed),
         "out_dir": str(out_dir),
-        "artifacts": {name: sha256_file(out_dir / name) for name in sorted(artifacts)},
+        "artifacts": dict(sorted(artifacts.items())),
         "version": version_string(),
     }
     path = out_dir / "manifest.json"

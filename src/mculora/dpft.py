@@ -13,7 +13,9 @@ Jensen-Shannon divergence (un-halved form, so the range is [0, 2 ln 2])
 between the softmax-normalized private and common adapter outputs, averaged
 over a fixed probe batch and over the modalities in the combination. The
 outputs come from the adapters applied, off the tape, to the probe's pooled
-rows (each sample's sequence-mean raw features), as in the forward pass. A
+rows (each sample's sequence-mean raw features, computed once per fine-tuning
+run), as in the forward pass. The same pass gives the probe log's mean cosine
+between private and common adapter outputs. A
 large score means the private adapter has moved far from the shared one,
 i.e. the combination has extracted a lot of characteristic information.
 Rounding can make the divergence of near-equal rows a hair negative, so
@@ -30,7 +32,7 @@ probabilities are clamped to [p_min, p_max]. Probabilities are normalized
 only at sampling time.
 
 A model without adapter banks has no private space to score: its seven scores
-are 0, and the fine-tuning loop keeps q uniform.
+and its mean cosine are 0, and the fine-tuning loop keeps q uniform.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .errors import ContractError
 from .modalities import ALL_COMBINATIONS, Combo
 from .model import MculoraModel
 from .rng import Rng
-from .synthgen import Dataset
 
 _LOG_EPS = 1e-12
 
@@ -70,23 +71,33 @@ def _js_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 # scoring
 # ---------------------------------------------------------------------------
 
-def separability_scores(model: MculoraModel, probe_batch: Dataset) -> np.ndarray:
-    """Score each combination's decoupling degree on a probe batch.
+def separability_scores(model: MculoraModel, probe: dict[str, np.ndarray]) -> tuple[np.ndarray, float]:
+    """Score each combination's decoupling degree on the probe's pooled rows
+    (each modality's (n, D) sequence-mean raw rows), and give the mean cosine
+    between private and common adapter outputs, from one pass over the 15
+    adapter pairs.
 
-    Returns a (7,) array in canonical combination order, within [0, 2 ln 2];
-    all zeros for a model without adapter banks.
+    The scores are a (7,) array in canonical combination order, within
+    [0, 2 ln 2]; the mean cosine is over the 12 (combination, modality) pairs
+    of the row-mean cosines. Both are zero for a model without adapter banks.
     """
-    if not len(probe_batch):
+    if not len(next(iter(probe.values()))):
         raise ContractError("separability_scores: the probe batch is empty")
     scores = np.zeros(N_COMBINATIONS)
     if model.adapters is None:
-        return scores
-    pooled = {m: ad.constant(x.mean(axis=1)) for m, x in probe_batch.features.items()}
-    com_dist = {m: ad.softmax(model.adapters[m].common.apply(pooled[m]), axis=1).data for m in pooled}
+        return scores, 0.0
+    rows = {m: ad.constant(x) for m, x in probe.items()}
+    com = {m: model.adapters[m].common.apply(rows[m]) for m in rows}
+    com_dist = {m: ad.softmax(com[m], axis=1).data for m in rows}
+    cosines = []
     for idx, combo in enumerate(ALL_COMBINATIONS):
-        prt = {m: ad.softmax(model.adapters[m].private_pair(combo).apply(pooled[m]), axis=1).data for m in combo}
-        scores[idx] = np.mean([_js_rows(prt[m], com_dist[m]).mean() for m in combo])
-    return np.maximum(scores, 0.0)
+        divergences = []
+        for m in combo:
+            prt = model.adapters[m].private_pair(combo).apply(rows[m])
+            divergences.append(_js_rows(ad.softmax(prt, axis=1).data, com_dist[m]).mean())
+            cosines.append(ad.row_cosine(com[m], prt).data.mean())
+        scores[idx] = np.mean(divergences)
+    return np.maximum(scores, 0.0), float(np.mean(cosines))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,14 @@ Structure
   are attached - a characteristic prediction head and a scalar gate blending
   the two.
 
+The forward pass has two halves. :func:`encode` runs the base's encoders on
+every position and pools each row, giving per modality the encoder output
+averaged over positions and the sequence-mean raw row. :func:`forward_pooled`
+runs the adapters, fusion, heads and gate on those pooled rows. Once the base
+is frozen a row's pooled values never change, so training after pretraining
+and evaluation encode each row once and reuse it; pretraining, which trains
+the encoders, runs both halves per batch (:func:`forward_batch`).
+
 Adapters consume raw features in parallel to the frozen encoder. Each
 modality owns one low-rank pair per combination containing it (private) and
 one pair shared by all combinations (common). A pair reads each sample's
@@ -285,63 +293,89 @@ def attach_adapters(model: MculoraModel, rng: Rng, rank: int | None = None,
 # forward passes
 # ---------------------------------------------------------------------------
 
-def forward_batch(model: MculoraModel, feats: dict[str, np.ndarray], *,
-                  dropout_p: float = 0.0, dropout_rng: Rng | None = None) -> dict:
-    """Batched forward over stacked (B, L, raw_dim) features of one combination.
+@dataclass
+class Pooled:
+    """Rows after the frozen base, per modality: the encoder output averaged
+    over positions, (n, d), and the sequence-mean raw row, (n, D), that the
+    adapters read."""
 
-    The encoder runs on every position and is pooled after; the adapters
-    read each sample's sequence-mean row. Returns tensors for: pooled
-    encoder/common/private representations per modality, both head outputs,
-    the gate weight, and the blended prediction y_last.
-    """
-    mods = [m for m in MODALITIES if m in feats]
-    if not mods:
-        raise ContractError("forward: no modalities given")
-    combo = Combo.from_modalities(mods)
-    use_mcla = model.adapters is not None
+    enc: dict[str, Tensor]
+    raw: dict[str, np.ndarray]
 
-    enc_pooled: dict[str, Tensor] = {}
-    com_pooled: dict[str, Tensor] = {}
-    prt_pooled: dict[str, Tensor] = {}
-    for m in mods:
+    def rows(self, idx, mods) -> "Pooled":
+        """The rows `idx` of the modalities `mods`, off the tape."""
+        return Pooled({m: ad.constant(self.enc[m].data[idx]) for m in mods}, {m: self.raw[m][idx] for m in mods})
+
+
+def encode(model: MculoraModel, feats: dict[str, np.ndarray], *,
+           dropout_p: float = 0.0, dropout_rng: Rng | None = None) -> Pooled:
+    """The frozen-base half of the forward pass, on stacked (B, L, raw_dim)
+    features: each modality's encoder runs on every position and is pooled
+    after, and each row's raw features are averaged over positions."""
+    enc: dict[str, Tensor] = {}
+    raw: dict[str, np.ndarray] = {}
+    for m in MODALITIES:
+        if m not in feats:
+            continue
         x = np.asarray(feats[m], dtype=np.float64)
         B, L, D = x.shape
         h = model.encoders[m].forward(ad.constant(x.reshape(B * L, D)), dropout_p=dropout_p, rng=dropout_rng)
-        enc_pooled[m] = ad.tmean(ad.reshape(h, (B, L, -1)), axis=1)
-        if use_mcla:
-            bank = model.adapters[m]
-            x_pooled = ad.constant(x.mean(axis=1))
-            com_pooled[m] = bank.common.apply(x_pooled)
-            prt_pooled[m] = bank.private_pair(combo).apply(x_pooled)
+        enc[m] = ad.tmean(ad.reshape(h, (B, L, -1)), axis=1)
+        raw[m] = x.mean(axis=1)
+    return Pooled(enc, raw)
 
-    out = {"combo": combo, "enc_pooled": enc_pooled, "com_pooled": com_pooled, "prt_pooled": prt_pooled}
-    if use_mcla:
-        com_in = {m: ad.add(enc_pooled[m], com_pooled[m]) for m in mods}
-        prt_in = {m: ad.add(enc_pooled[m], prt_pooled[m]) for m in mods}
-        fused_prt = model.fusion.fuse_batch(prt_in)
-        y_com = model.heads.common_logits(model.fusion.fuse_batch(com_in))
-        y_hat = model.heads.private_logits(fused_prt)
-        weight = model.heads.gate_weight(fused_prt)
-        y_last = combine_predictions(y_com, y_hat, weight)
-        out.update(y_com=y_com, y_hat=y_hat, weight=weight, y_last=y_last)
-    else:
+
+def forward_pooled(model: MculoraModel, pooled: Pooled) -> dict:
+    """The other half: adapters, fusion, heads and gate on pooled rows of one
+    combination, the modalities of ``pooled.enc``. Returns tensors for: pooled
+    encoder/common/private representations per modality, both head outputs,
+    the gate weight, and the blended prediction y_last."""
+    mods = [m for m in MODALITIES if m in pooled.enc]
+    if not mods:
+        raise ContractError("forward: no modalities given")
+    combo = Combo.from_modalities(mods)
+    enc_pooled = pooled.enc
+    out = {"combo": combo, "enc_pooled": enc_pooled, "com_pooled": {}, "prt_pooled": {}}
+    if model.adapters is None:
         y_com = model.heads.common_logits(model.fusion.fuse_batch(enc_pooled))
         out.update(y_com=y_com, y_hat=y_com, weight=None, y_last=y_com)
+        return out
+    com_pooled, prt_pooled = out["com_pooled"], out["prt_pooled"]
+    for m in mods:
+        bank = model.adapters[m]
+        x_pooled = ad.constant(pooled.raw[m])
+        com_pooled[m] = bank.common.apply(x_pooled)
+        prt_pooled[m] = bank.private_pair(combo).apply(x_pooled)
+    com_in = {m: ad.add(enc_pooled[m], com_pooled[m]) for m in mods}
+    prt_in = {m: ad.add(enc_pooled[m], prt_pooled[m]) for m in mods}
+    fused_prt = model.fusion.fuse_batch(prt_in)
+    y_com = model.heads.common_logits(model.fusion.fuse_batch(com_in))
+    y_hat = model.heads.private_logits(fused_prt)
+    weight = model.heads.gate_weight(fused_prt)
+    out.update(y_com=y_com, y_hat=y_hat, weight=weight, y_last=combine_predictions(y_com, y_hat, weight))
     return out
+
+
+def forward_batch(model: MculoraModel, feats: dict[str, np.ndarray], *,
+                  dropout_p: float = 0.0, dropout_rng: Rng | None = None) -> dict:
+    """Both halves on stacked (B, L, raw_dim) features of one combination:
+    the forward pass of a step that trains the base."""
+    return forward_pooled(model, encode(model, feats, dropout_p=dropout_p, dropout_rng=dropout_rng))
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(model: MculoraModel, path) -> None:
+def save_checkpoint(model: MculoraModel, path) -> str:
+    """Write the checkpoint; returns the SHA-256 of its bytes."""
     params = model.parameters("all")
     meta = {
         "config": asdict(model.cfg),
         "phase": model.phase,
         "has_adapters": model.adapters is not None,
     }
-    save_container(path, "checkpoint", meta, {k: t.data for k, t in sorted(params.items())})
+    return save_container(path, "checkpoint", meta, {k: t.data for k, t in sorted(params.items())})
 
 
 def load_checkpoint(path) -> MculoraModel:

@@ -16,24 +16,34 @@ atomic without a second in-memory copy. Any malformed file - truncated, bad
 header JSON, a short or garbled blob, a missing listed array, or trailing
 bytes after the last one - is a :class:`ContractError` naming the file.
 
-A writer may pass an array as a zero-argument function instead; it is called
-just before that array is written, so a caller that builds its arrays one at
-a time holds only one of them. A reader may ask for a contiguous range of rows
-of every array (all arrays then share one leading length N): it reads those
-rows and seeks past the others, so it holds only what it asked for. Such a
-partial read runs every check a full read runs, against the whole file: a
-blob's declared size must fit what is left of the file, so a truncated file
-fails even when the missing bytes lie outside the requested rows.
+A writer may pass an array as a :class:`Chunked` instead: its shape and
+dtype, and a function called just before the array is written that gives the
+array's rows in order, a block at a time. The blob is written from those
+blocks under the header ``np.save`` writes for the whole array, so a caller
+that builds an array block by block holds one block, never the array. The
+writer hashes the bytes as it streams them and returns their SHA-256, so the
+file is never read back to be hashed.
+
+A reader may ask for a contiguous range of rows of every array (all arrays
+then share one leading length N): it reads those rows and seeks past the
+others, so it holds only what it asked for. Such a partial read runs every
+check a full read runs, against the whole file: a blob's declared size must
+fit what is left of the file, so a truncated file fails even when the missing
+bytes lie outside the requested rows.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import io
 import json
 import math
 import os
 import tokenize
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from numpy.lib import format as npy_format
@@ -44,22 +54,69 @@ _PREFIX = "MCULORA-"
 _VERSION = "v1"
 
 
-def save_container(path, kind: str, meta: dict,
-                   arrays: dict[str, np.ndarray | Callable[[], np.ndarray]]) -> None:
+@dataclass(frozen=True)
+class Chunked:
+    """An array of `shape` and `dtype` whose C-order rows `chunks()` gives as
+    consecutive blocks along the leading axis."""
+
+    shape: tuple[int, ...]
+    dtype: np.dtype
+    chunks: Callable[[], Iterable[np.ndarray]]
+
+
+def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray | Chunked]) -> str:
+    """Write the container atomically; returns the SHA-256 hex digest of its bytes."""
     path = Path(path)
     header = {"meta": meta, "arrays": list(arrays.keys())}
     tmp = path.with_name(path.name + ".tmp")
+    digest = hashlib.sha256()
     try:
         with tmp.open("wb") as fh:
-            fh.write(f"{_PREFIX}{kind.upper()} {_VERSION}\n".encode("ascii"))
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-            fh.write(b"\n")
-            for arr in arrays.values():
-                np.save(fh, np.ascontiguousarray(arr() if callable(arr) else arr), allow_pickle=False)
+            def write(data) -> None:
+                digest.update(data)
+                fh.write(data)
+            write(f"{_PREFIX}{kind.upper()} {_VERSION}\n".encode("ascii"))
+            write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+            for name, arr in arrays.items():
+                if not isinstance(arr, Chunked):
+                    whole = np.ascontiguousarray(arr)
+                    arr = Chunked(whole.shape, whole.dtype, lambda: (whole,))
+                _write_blob(write, name, arr)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return digest.hexdigest()
+
+
+def _write_blob(write, name: str, arr: Chunked) -> None:
+    """One .npy blob, byte for byte what ``np.save`` writes for the whole array."""
+    dtype = np.dtype(arr.dtype)
+    if dtype.hasobject:
+        raise ValueError(f"array {name!r}: object arrays are not stored")
+    header = io.BytesIO()
+    npy_format.write_array_header_1_0(
+        header, {"descr": npy_format.dtype_to_descr(dtype), "fortran_order": False, "shape": tuple(arr.shape)})
+    write(header.getvalue())
+    written = 0
+    for block in arr.chunks():
+        if block.dtype != dtype:
+            raise ValueError(f"array {name!r}: a block of dtype {block.dtype}, expected {dtype}")
+        data = np.ascontiguousarray(block).reshape(-1).view(np.uint8)
+        write(data)
+        written += data.size
+        del block, data  # the next block is built with none of this one alive
+    if written != math.prod(arr.shape) * dtype.itemsize:
+        raise ValueError(f"array {name!r}: blocks hold {written} bytes, shape {arr.shape} needs "
+                         f"{math.prod(arr.shape) * dtype.itemsize}")
+
+
+@functools.lru_cache(maxsize=64)
+def _parse_header(raw: bytes) -> tuple:
+    """(shape, fortran_order, dtype) of a .npy 1.0 header (its length field and
+    text), parsed by numpy; a reader of many row ranges of one file parses each
+    header once."""
+    return npy_format.read_array_header_1_0(io.BytesIO(raw))
 
 
 def _read_array(fh, file_size: int, rows: Callable[[int], tuple[int, int]] | None) -> np.ndarray:
@@ -69,7 +126,8 @@ def _read_array(fh, file_size: int, rows: Callable[[int], tuple[int, int]] | Non
     version = npy_format.read_magic(fh)
     if version != (1, 0):  # all that np.save writes for the arrays stored here
         raise ValueError(f"unsupported .npy version {version}")
-    shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
+    length = fh.read(2)
+    shape, fortran_order, dtype = _parse_header(length + fh.read(int.from_bytes(length, "little")))
     nbytes = math.prod(shape) * dtype.itemsize
     if nbytes > file_size - fh.tell():
         raise ValueError(f"array data of shape {shape} runs past the end of the file")

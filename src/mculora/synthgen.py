@@ -21,10 +21,12 @@ Labels are stratified round-robin, so any contiguous split stays balanced.
 Generation is a pure function of the config and the random stream, by default
 the ``data`` child of the config's root seed. :func:`generate_dataset` builds
 the dataset in memory; :func:`save_dataset` (the gen-data writer) runs the same
-generator body but generates each modality's features just before writing
-them, so it holds one (N, L, D) array at a time. :func:`load_dataset` can read
-a contiguous range of rows alone, and :func:`split_bounds` gives the split
-sizes, so a command can read only the split it uses.
+generator body but draws each modality's features one block of rows at a
+time, each just before it is written, so it holds one block, never a whole
+(N, L, D) array. :func:`load_dataset` can read a contiguous range of rows
+alone, :class:`DatasetFile` reads a range one slice at a time, and
+:func:`split_bounds` gives the split sizes, so a command can read only the
+split it uses, and eval only one chunk of it at a time.
 
 A :class:`Dataset` is exactly the dataset container's layout: one (N, L, D)
 feature array per modality and (N,) class-index labels. Every sample has all
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -51,7 +53,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, ContractError
 from .modalities import MODALITIES, Combo
 from .rng import Rng, derive_seed
-from .serialize import load_container, save_container
+from .serialize import Chunked, load_container, save_container
 
 # (lead, partner) per pair; each modality leads exactly one pair
 _PAIRS = (("a", "t"), ("v", "a"), ("t", "v"))
@@ -62,6 +64,9 @@ _PRIVATE_JITTER = 0.25
 
 # noise planted on the pair channels (cancels exactly when both sides are present)
 _PAIR_NOISE = 1.0
+
+# gen-data builds and writes each feature array in blocks of at most this many positions (rows x L)
+_BLOCK_POSITIONS = 4096
 
 # the config fields the generator reads, recorded in each dataset file's header
 _GENERATOR_FIELDS = ("num_samples", "seq_len", "raw_dim", "classes", "shared_dim", "private_dim", "shared_strength",
@@ -113,10 +118,12 @@ def _pair_bit(label: int, pair_idx: int) -> float:
     return 1.0 if bit else -1.0
 
 
-def _generator(cfg: ExperimentConfig, root_rng: Rng | None) -> tuple[dict[str, Callable[[], np.ndarray]], np.ndarray]:
-    """The generator body: one function per modality that builds its (N, L, D)
-    features when called (each from its own named stream, so in any order),
-    and the (N,) float64 class-index labels."""
+def _generator(cfg: ExperimentConfig,
+               root_rng: Rng | None) -> tuple[dict[str, Callable[[], Iterator[np.ndarray]]], np.ndarray]:
+    """The generator body: one function per modality that yields its (N, L, D)
+    features as consecutive row blocks of at most ``_BLOCK_POSITIONS``
+    positions (each modality from its own named stream, so in any order), and
+    the (N,) float64 class-index labels."""
     cfg.validate()
     root = root_rng if root_rng is not None else Rng(cfg.seed).child("data")
     geom = root.child("geometry")
@@ -155,11 +162,16 @@ def _generator(cfg: ExperimentConfig, root_rng: Rng | None) -> tuple[dict[str, C
         base[lead_m] = base[lead_m] + (cfg.pair_interaction_strength * (bits[:, j] + eps))[:, None] * lead
         base[partner_m] = base[partner_m] + (cfg.pair_interaction_strength * eps)[:, None] * follow
 
-    def features(m: str) -> np.ndarray:
-        x = samples.child(f"noise-{m}").normal(size=(n, L, D))
-        x *= cfg.noise_std
-        x += base[m][:, None, :]
-        return x
+    def features(m: str) -> Iterator[np.ndarray]:
+        # Philox draws in consecutive blocks continue one stream: the blocks
+        # are exactly the rows of one (n, L, D) draw
+        noise, step = samples.child(f"noise-{m}"), max(1, _BLOCK_POSITIONS // L)
+        for lo in range(0, n, step):
+            x = noise.normal(size=(min(step, n - lo), L, D))
+            x *= cfg.noise_std
+            x += base[m][lo:lo + len(x), None, :]
+            yield x
+            del x
     return {m: partial(features, m) for m in MODALITIES}, labels.astype(np.float64)
 
 
@@ -167,7 +179,7 @@ def generate_dataset(cfg: ExperimentConfig, root_rng: Rng | None = None) -> Data
     """The dataset of cfg; pure function of cfg and the stream (default: the
     ``data`` child of ``Rng(cfg.seed)``)."""
     makers, labels = _generator(cfg, root_rng)
-    return Dataset({m: make() for m, make in makers.items()}, labels)
+    return Dataset({m: np.concatenate(list(blocks())) for m, blocks in makers.items()}, labels)
 
 
 def _matvec(P: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -206,21 +218,23 @@ def apply_random_missing(n: int, mask_prob_range: tuple[float, float], seed: int
 # dataset file format (see serialize module for the container layout)
 # ---------------------------------------------------------------------------
 
-def save_dataset(path, cfg: ExperimentConfig, root_rng: Rng | None = None) -> None:
+def save_dataset(path, cfg: ExperimentConfig, root_rng: Rng | None = None) -> str:
     """Generate the dataset of cfg and the stream (as :func:`generate_dataset`)
-    and write it, streaming: each modality's features are generated just
-    before they are written, so one (N, L, D) array is alive at a time.
+    and write it, streaming: each modality's features are generated one row
+    block at a time, each just before it is written, so no (N, L, D) array is
+    ever built. Returns the SHA-256 of the file's bytes.
 
     Arrays stored: per-modality (N, L, D) features in modality order a, t, v,
     then labels (N,) float64. The header records the ten generator fields of
     cfg (``_GENERATOR_FIELDS``) and ``seed``, the seed of the default data
     stream."""
     makers, labels = _generator(cfg, root_rng)
-    arrays = {f"features_{m}": make for m, make in makers.items()}
+    shape = (cfg.num_samples, cfg.seq_len, cfg.raw_dim)
+    arrays = {f"features_{m}": Chunked(shape, np.dtype(np.float64), blocks) for m, blocks in makers.items()}
     arrays["labels"] = labels
     header = {key: getattr(cfg, key) for key in _GENERATOR_FIELDS}
     header["seed"] = derive_seed(cfg.seed, "data")
-    save_container(path, "dataset", {"config": header}, arrays)
+    return save_container(path, "dataset", {"config": header}, arrays)
 
 
 def load_dataset(path, rows: Callable[[int], slice] | None = None) -> Dataset:
@@ -232,6 +246,29 @@ def load_dataset(path, rows: Callable[[int], slice] | None = None) -> Dataset:
     if list(arrays) != names:
         raise ContractError(f"{path}: dataset container holds arrays {list(arrays)}, expected {names}")
     return Dataset({m: arrays[f"features_{m}"] for m in MODALITIES}, arrays["labels"])
+
+
+class DatasetFile:
+    """A contiguous range of a dataset file's rows, read a slice at a time.
+
+    ``rows`` maps the file's sample count N to the range. ``len()`` and slicing
+    with a ``slice`` work as on a :class:`Dataset`; each slice is read alone by
+    :func:`load_dataset`, with every check of a whole read."""
+
+    def __init__(self, path, rows: Callable[[int], slice]):
+        self.path, self.rows, self.n = path, rows, 0
+        self[:0]  # reads no rows: checks the file and learns the range's length
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, part: slice) -> Dataset:
+        def pick(n: int) -> slice:
+            lo, hi, _ = self.rows(n).indices(n)
+            self.n = max(0, hi - lo)
+            start, stop, _ = part.indices(self.n)
+            return slice(lo + start, lo + max(start, stop))
+        return load_dataset(self.path, rows=pick)
 
 
 def split_bounds(n: int, train_frac: float, val_frac: float) -> tuple[int, int]:

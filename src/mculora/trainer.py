@@ -9,11 +9,16 @@ combination and takes one Adam step on task loss + beta * orthogonality loss
 over the phase's parameters. Pretrain (encoders, fusion, common head) runs it
 on the model without adapters, every batch under the full set, with dropout on
 the encoder hidden layer (here only): the fine-tuning objective, whose
-orthogonality term is 0 without adapters. Encoders and fusion are then frozen.
-Finetune (adapter banks, both heads, gate) draws each batch's combination from
-the schedule (uniform when the dynamic scheduler is off). After every epoch,
-separability scores are recomputed on a fixed probe batch and, when the
-scheduler is on, the sampling probabilities are re-balanced.
+orthogonality term is 0 without adapters. It runs both halves of the forward
+pass (:func:`mculora.model.encode`, then :func:`mculora.model.forward_pooled`)
+per batch. Encoders and fusion are then frozen, so a row's pooled encoder
+output never changes again: finetune encodes the training rows once, then
+each batch indexes those pooled rows and runs only the second half; the probe
+is pooled once. Finetune (adapter banks, both heads, gate) draws each batch's
+combination from the schedule (uniform when the dynamic scheduler is off).
+After every epoch, one pass over the adapters on the probe gives the
+separability scores and the probe cosine and, when the scheduler is on, the
+sampling probabilities are re-balanced.
 
 Ablations: mcla=False trains only the common head on the frozen base and,
 with no adapters to score, keeps combination probabilities uniform, as
@@ -33,10 +38,16 @@ mean over the six incomplete conditions (the full set is reported
 separately); restricted to one condition (``eval --combo``), the same path
 scores that condition alone and reports no average. Under the random
 protocol, each sample's combination is drawn once from the configured
-probability range. Inference runs in chunks of at most ``_EVAL_POSITIONS``
-sequence positions (rows x L), so the forward pass's (B*L, d) intermediates
-stay the same size whatever the sequence length; under the random protocol
-each combination's rows are gathered one chunk at a time, never all at once.
+probability range. Evaluation reads its rows one chunk of at most
+``_EVAL_POSITIONS`` sequence positions (rows x L) at a time - from the dataset
+file when given a :class:`~mculora.synthgen.DatasetFile` - and encodes each
+row once per modality some condition keeps: three times per row under the
+fixed protocol, and only the modalities a row keeps under the random one.
+Only the small pooled rows, (n, d) and (n, D) per modality, are kept across
+chunks; the rows of each condition then run through the adapters, fusion and
+heads at most ``_HEAD_ROWS`` rows at a time. Finetune's encoding reads its
+rows in the same chunks, so the encoder's (B*L, d) intermediates stay the
+same size whatever the sequence length.
 
 CSV interfaces (column orders are part of the interface):
 
@@ -61,11 +72,13 @@ from .dpft import N_COMBINATIONS, sample_combination, separability_scores, updat
 from .errors import ContractError
 from .losses import orthogonality_loss, task_loss, total_loss
 from .modalities import ALL_COMBINATIONS, FULL, INCOMPLETE_COMBINATIONS, MODALITIES, Combo
-from .model import MculoraModel, ModelConfig, attach_adapters, build_model, forward_batch
+from .model import (MculoraModel, ModelConfig, Pooled, attach_adapters, build_model, encode, forward_batch,
+                    forward_pooled)
 from .rng import Rng
 from .synthgen import Dataset, apply_random_missing
 
-_EVAL_POSITIONS = 4096  # 512 rows at L = 8, 128 at L = 32
+_EVAL_POSITIONS = 2048  # rows x L read and encoded at a time: 256 rows at L = 8, 64 at L = 32
+_HEAD_ROWS = 512  # pooled rows run through the adapters, fusion and heads at a time
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
@@ -132,16 +145,17 @@ class Adam:
 # training: one epoch loop for both phases
 # ---------------------------------------------------------------------------
 
-def _train(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig, phase: str, epochs: int,
-           draw, dropout_p: float, dropout_rng: Rng | None):
+def _train(model: MculoraModel, labels: np.ndarray, cfg: ExperimentConfig, phase: str, epochs: int,
+           draw, forward):
     """Adam steps on ``model.parameters(phase)``, each batch seen under the
-    combination ``draw()`` returns when the batch starts. Yields (epoch, mean
+    combination ``draw()`` returns when the batch starts; ``forward(idx,
+    combo)`` is the forward pass on the training rows idx. Yields (epoch, mean
     (l_task, l_ort, l_total), epoch start time) after each epoch."""
-    if not len(dataset):
+    n = len(labels)
+    if not n:
         raise ContractError(f"{phase}: the training split is empty")
     opt = Adam(model.parameters(phase), lr=cfg.learning_rate)
     order_rng = Rng(cfg.seed).child(f"{phase}-order")
-    feats, labels, n = dataset.features, dataset.labels, len(dataset)
     zero = ad.constant(0.0)
     for epoch in range(1, epochs + 1):
         t0 = time.perf_counter()
@@ -153,8 +167,7 @@ def _train(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig, phase: 
             where = f"{phase} epoch {epoch} step {step} combination {combo.name}"
             opt.zero_grad()
             with ad.Tape() as tape:
-                out = forward_batch(model, {m: feats[m][idx] for m in combo},
-                                    dropout_p=dropout_p, dropout_rng=dropout_rng)
+                out = forward(idx, combo)
                 l_task = task_loss(out["y_last"], labels[idx])
                 l_ort = (orthogonality_loss(out["com_pooled"], {combo: out["prt_pooled"]}, out["enc_pooled"])
                          if model.adapters is not None else zero)
@@ -172,23 +185,16 @@ def pretrain(dataset: Dataset, cfg: ExperimentConfig) -> TrainResult:
     model = build_model(ModelConfig(raw_dim=dataset.features["a"].shape[2], model_dim=cfg.model_dim,
                                     classes=cfg.classes, rank=cfg.rank, alpha=cfg.alpha), root)
     result = TrainResult(model=model)
-    for epoch, losses, t0 in _train(model, dataset, cfg, "pretrain", cfg.pretrain_epochs, lambda: FULL,
-                                    cfg.dropout, root.child("pretrain-dropout")):
+    feats, dropout_rng = dataset.features, root.child("pretrain-dropout")
+
+    def forward(idx, combo):  # the encoders train, so every batch runs both halves
+        return forward_batch(model, {m: feats[m][idx] for m in combo}, dropout_p=cfg.dropout, dropout_rng=dropout_rng)
+    for epoch, losses, t0 in _train(model, dataset.labels, cfg, "pretrain", cfg.pretrain_epochs, lambda: FULL,
+                                    forward):
         result.epoch_rows.append(EpochRow(epoch, "pretrain", *losses, (time.perf_counter() - t0) * 1e3))
     model.freeze_base()
     model.phase = "pretrained"
     return result
-
-
-def _probe_mean_cosine(model: MculoraModel, probe_feats: dict[str, np.ndarray]) -> float:
-    """Mean cosine between pooled private and common adapter outputs on the probe."""
-    if model.adapters is None:
-        return 0.0
-    pooled = {m: ad.constant(probe_feats[m].mean(axis=1)) for m in MODALITIES}
-    com = {m: model.adapters[m].common.apply(pooled[m]) for m in MODALITIES}
-    cosines = [ad.row_cosine(com[m], model.adapters[m].private_pair(combo).apply(pooled[m])).data.mean()
-               for combo in ALL_COMBINATIONS for m in combo]
-    return float(np.mean(cosines))
 
 
 def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
@@ -203,19 +209,24 @@ def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
     else:
         probe_batch = probe_batch[:cfg.probe_size]
     attach_adapters(model, root.child("attach"), rank=cfg.rank, alpha=cfg.alpha, mcla=cfg.mcla)
+    # the base is frozen: each training row goes through it once; scoring reads
+    # only the probe's sequence-mean raw rows, which need no encoder
+    train, labels = _encode_rows(model, dataset, np.full(len(dataset), FULL.mask))
+    probe = {m: x.mean(axis=1) for m, x in probe_batch.features.items()}
     q = np.full(N_COMBINATIONS, 1.0 / N_COMBINATIONS)
     samp_rng = root.child("combo-sampling")
     s_prev = np.zeros(N_COMBINATIONS)
     result = TrainResult(model=model)
     # the draw reads q when called, so each epoch samples from the latest update
-    for epoch, losses, t0 in _train(model, dataset, cfg, "finetune", cfg.finetune_epochs,
-                                    lambda: sample_combination(q, samp_rng), 0.0, None):
-        scores = separability_scores(model, probe_batch)
+    for epoch, losses, t0 in _train(model, labels, cfg, "finetune", cfg.finetune_epochs,
+                                    lambda: sample_combination(q, samp_rng),
+                                    lambda idx, combo: forward_pooled(model, train.rows(idx, combo))):
+        scores, mean_cos = separability_scores(model, probe)
         deltas = scores - s_prev
         if cfg.dpft and model.adapters is not None:
             q = update_probabilities(q, deltas, cfg)
         result.schedule_rows.append(ScheduleRow(epoch, scores, deltas, q))
-        result.probe_rows.append((epoch, _probe_mean_cosine(model, probe_batch.features)))
+        result.probe_rows.append((epoch, mean_cos))
         s_prev = scores
         result.epoch_rows.append(EpochRow(epoch, "finetune", *losses, (time.perf_counter() - t0) * 1e3))
     model.phase = "finetuned"
@@ -269,51 +280,77 @@ def compute_metrics(preds, labels) -> Metrics:
 # evaluation under missing-modality protocols
 # ---------------------------------------------------------------------------
 
-def _predict_condition(model: MculoraModel, feats: dict[str, np.ndarray], n: int,
-                       rows: np.ndarray | None = None) -> np.ndarray:
-    """Predictions for the first n samples of feats, or for feats' samples
-    `rows` (n of them), gathered and run at most _EVAL_POSITIONS positions at a time."""
-    step = max(1, _EVAL_POSITIONS // next(iter(feats.values())).shape[1])
-    parts = []
-    for s in range(0, n, step):
-        pick = slice(s, s + step) if rows is None else rows[s:s + step]
-        parts.append(forward_batch(model, {m: a[pick] for m, a in feats.items()})["y_last"].data)
-    return np.argmax(np.concatenate(parts), axis=1)
+def _encode_rows(model: MculoraModel, dataset, need: np.ndarray) -> tuple[Pooled, np.ndarray]:
+    """The rows of `dataset` (a :class:`~mculora.synthgen.Dataset` or
+    :class:`~mculora.synthgen.DatasetFile`) through the frozen base, and their
+    labels.
+
+    The rows are read one chunk of at most ``_EVAL_POSITIONS`` positions at a
+    time, and row i is encoded once for each modality of the combination
+    bitmask need[i]. Only the pooled rows are kept across chunks; a row holds
+    zeros for a modality it was not encoded for."""
+    n, bits = len(dataset), {m: Combo.from_name(m).mask for m in MODALITIES}
+    step = max(1, _EVAL_POSITIONS // max(1, dataset[:0].features["a"].shape[1]))
+    enc = {m: np.zeros((n, model.cfg.model_dim)) for m in MODALITIES}
+    raw = {m: np.zeros((n, model.cfg.raw_dim)) for m in MODALITIES}
+    labels = np.zeros(n)
+    for lo in range(0, n, step):
+        chunk = dataset[lo:lo + step]
+        hi = lo + len(chunk)
+        labels[lo:hi] = chunk.labels
+        for m in MODALITIES:
+            rows = np.nonzero(need[lo:hi] & bits[m])[0]
+            if rows.size:  # a chunk whose every row is needed is encoded without a copy
+                pooled = encode(model, {m: chunk.features[m] if rows.size == hi - lo else chunk.features[m][rows]})
+                enc[m][lo + rows] = pooled.enc[m].data
+                raw[m][lo + rows] = pooled.raw[m]
+        del chunk  # before the next chunk is read
+    return Pooled({m: ad.constant(x) for m, x in enc.items()}, raw), labels
 
 
-def predict_dataset(model: MculoraModel, dataset: Dataset, masks: np.ndarray) -> np.ndarray:
-    """Class predictions with sample i seen under the combination of bitmask
-    masks[i], the samples of each combination run as one condition."""
-    preds = np.zeros(len(dataset), dtype=np.int64)
-    for combo in ALL_COMBINATIONS:
-        rows = np.nonzero(masks == combo.mask)[0]
-        if rows.size:
-            preds[rows] = _predict_condition(model, {m: dataset.features[m] for m in combo}, rows.size, rows)
-    return preds
+def predict_dataset(model: MculoraModel, dataset, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class predictions with row i seen under the combination of bitmask
+    masks[..., i], in the shape of `masks`, and the labels of the rows.
+
+    `masks` holds one or more views of every row of `dataset`. Each row is read
+    and encoded once per modality that some view of it keeps; then the rows
+    of each view and combination run through the rest of the model as one
+    condition, at most ``_HEAD_ROWS`` rows at a time."""
+    views = masks.reshape(-1, len(dataset))
+    pooled, labels = _encode_rows(model, dataset, np.bitwise_or.reduce(views, axis=0))
+    preds = np.zeros(views.shape, dtype=np.int64)
+    for view, pred in zip(views, preds):
+        for combo in ALL_COMBINATIONS:
+            rows = np.nonzero(view == combo.mask)[0]
+            for s in range(0, rows.size, _HEAD_ROWS):
+                idx = rows[s:s + _HEAD_ROWS]
+                pred[idx] = np.argmax(forward_pooled(model, pooled.rows(idx, combo))["y_last"].data, axis=1)
+    return preds.reshape(masks.shape), labels
 
 
-def evaluate(model: MculoraModel, dataset: Dataset, protocol: str, cfg: ExperimentConfig,
+def evaluate(model: MculoraModel, dataset, protocol: str, cfg: ExperimentConfig,
              combo: Combo | None = None) -> MetricsRecord:
-    """Score a model on the test set under the fixed or random missing protocol;
-    with `combo`, the fixed protocol imposes that one condition and reports no average."""
-    if not dataset:
+    """Score a model on the test rows `dataset` (a :class:`Dataset` or a
+    :class:`~mculora.synthgen.DatasetFile`, read one chunk at a time) under
+    the fixed or random missing protocol; with `combo`, the fixed protocol
+    imposes that one condition and reports no average."""
+    n = len(dataset)
+    if not n:
         raise ContractError("evaluate: empty dataset")
     if combo is not None and protocol != "fixed":
         raise ContractError(f"evaluate: a single condition restricts the fixed protocol, not {protocol!r}")
-    labels = dataset.labels
     if protocol == "fixed":
-        rows: dict[str, Metrics] = {}
-        for c in ALL_COMBINATIONS if combo is None else (combo,):
-            preds = _predict_condition(model, {m: dataset.features[m] for m in c}, len(dataset))
-            rows[c.name] = compute_metrics(preds, labels)
+        conditions = ALL_COMBINATIONS if combo is None else (combo,)
+        preds, labels = predict_dataset(model, dataset, np.array([[c.mask] for c in conditions]).repeat(n, axis=1))
+        rows = {c.name: compute_metrics(p, labels) for c, p in zip(conditions, preds)}
         if combo is not None:
             return MetricsRecord(protocol="fixed", rows=rows)
         avg = Metrics(*[float(np.mean([rows[c.name].as_tuple()[k] for c in INCOMPLETE_COMBINATIONS]))
                         for k in range(4)])
         return MetricsRecord(protocol="fixed", rows=rows, average=avg)
     if protocol == "random":
-        masks = apply_random_missing(len(dataset), (cfg.mask_lo, cfg.mask_hi), seed=cfg.eval_seed)
-        preds = predict_dataset(model, dataset, masks)
+        masks = apply_random_missing(n, (cfg.mask_lo, cfg.mask_hi), seed=cfg.eval_seed)
+        preds, labels = predict_dataset(model, dataset, masks)
         return MetricsRecord(protocol="random", rows={"random": compute_metrics(preds, labels)})
     raise ContractError(f"unknown protocol {protocol!r}, expected 'fixed' or 'random'")
 

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mculora import synthgen
-from mculora.cli import _load_rows, build_parser, main
+from mculora import synthgen, trainer
+from mculora.cli import _split_rows, build_parser, main
 from mculora.config import ExperimentConfig, parse_config_text, version_string
 from mculora.errors import ConfigError
 from mculora.modalities import MODALITIES
@@ -19,6 +19,8 @@ from mculora.model import ModelConfig, build_model, save_checkpoint
 from mculora.rng import Rng
 from mculora.serialize import load_container, save_container
 from mculora.synthgen import generate_dataset, load_dataset, save_dataset, split_dataset
+
+ARRAY_NAMES = ("features_a", "features_t", "features_v", "labels")
 
 TINY_CONFIG = """
 # desk-scale smoke configuration
@@ -549,15 +551,32 @@ def test_each_command_loads_only_its_own_rows(workspace, monkeypatch):
 
     def spy(*args, **kwargs):
         kind, meta, arrays = real(*args, **kwargs)
-        loaded.append({name: len(arr) for name, arr in arrays.items()})
+        lo, hi, _ = kwargs["rows"](80).indices(80)  # TINY_CONFIG's 80 samples
+        loaded.append((lo, hi, {name: len(arr) for name, arr in arrays.items()}))
         return kind, meta, arrays
     monkeypatch.setattr(synthgen, "load_container", spy)
-    data, pre, fin = full_pipeline(tmp, cfg)
-    assert run("eval", "--config", cfg, "--data", data / "dataset.mcu", "--checkpoint", fin / "checkpoint.mcu",
-               "--protocol", "random", "--out", tmp / "ev") == 0
+    monkeypatch.setattr(trainer, "_EVAL_POSITIONS", 5 * 3 + 2)  # chunks of 5 rows at L = 3
+    data = tmp / "data" / "dataset.mcu"
+
+    def reads(*argv):
+        """The nonempty row ranges `mculora argv` loads, each checked to hold all four arrays."""
+        loaded.clear()
+        assert run(*argv, "--config", cfg, "--data", data) == 0
+        assert all(counts == dict.fromkeys(ARRAY_NAMES, hi - lo) for lo, hi, counts in loaded)
+        return [(lo, hi) for lo, hi, _ in loaded if hi > lo]
+
+    def in_order(chunks, lo, hi):
+        """The chunks cover rows [lo, hi) exactly once, in order."""
+        return [a for a, _ in chunks] == [lo] + [b for _, b in chunks[:-1]] and chunks[-1][1] == hi
     # TINY_CONFIG: 80 samples split 56 / 12 / 12; the probe is the first 12 validation samples
-    assert [set(counts.values()) for counts in loaded] == [{56}, {68}, {12}]
-    assert all(len(counts) == 4 for counts in loaded)
+    assert reads("pretrain", "--out", tmp / "pre") == [(0, 56)]
+    chunks = reads("finetune", "--checkpoint", tmp / "pre" / "checkpoint.mcu", "--out", tmp / "fin")
+    # the probe first, whole, then the train rows in chunks: all 68 rows read once
+    assert chunks[0] == (56, 68) and in_order(chunks[1:], 0, 56) and max(hi - lo for lo, hi in chunks[1:]) == 5
+    for protocol in ("fixed", "random"):
+        chunks = reads("eval", "--checkpoint", tmp / "fin" / "checkpoint.mcu", "--protocol", protocol,
+                       "--out", tmp / protocol)
+        assert in_order(chunks, 68, 80) and max(hi - lo for lo, hi in chunks) == 5
 
 
 def assert_same_dataset(got, want):
@@ -583,13 +602,11 @@ def test_command_row_ranges_are_the_splits_of_a_full_load(n, seq_len, train_frac
         path = Path(tmp) / "dataset.mcu"
         save_dataset(path, cfg)
         train, val, test = split_dataset(load_dataset(path), cfg.train_frac, cfg.val_frac)
-        pretrain_rows, n_train = _load_rows(cfg, path, "pretrain")
-        finetune_rows, _ = _load_rows(cfg, path, "finetune")
-        eval_rows, _ = _load_rows(cfg, path, "eval")
-    assert n_train == len(train)
-    for got, want in ((pretrain_rows, train), (finetune_rows[:n_train], train),
-                      (finetune_rows[n_train:], val[:probe_size]), (eval_rows, test)):
-        assert_same_dataset(got, want)
+        rows = {split: _split_rows(cfg, path, split) for split in ("train", "probe", "test")}
+        for split, want in (("train", train), ("probe", val[:probe_size]), ("test", test)):
+            assert len(rows[split]) == len(want)
+            assert_same_dataset(rows[split][:], want)
+            assert_same_dataset(rows[split][1:-1], want[1:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -89,9 +89,19 @@ def probe_batch(n=12, seed=5):
     return generate_dataset(cfg, Rng(seed))
 
 
+def pooled(batch):
+    """The probe rows the scores read: each sample's sequence-mean raw features."""
+    return {m: x.mean(axis=1) for m, x in batch.features.items()}
+
+
+def scores_of(model, batch):
+    return separability_scores(model, pooled(batch))[0]
+
+
 def test_untrained_adapters_score_zero():
-    scores = separability_scores(probe_model(), probe_batch())
+    scores, mean_cos = separability_scores(probe_model(), pooled(probe_batch()))
     assert np.allclose(scores, 0.0, atol=1e-12)
+    assert mean_cos == 0.0  # zero up-projections: every output is degenerate, whose cosine is 0
 
 
 def test_private_equal_to_common_scores_zero():
@@ -104,7 +114,7 @@ def test_private_equal_to_common_scores_zero():
         for pair in bank.private.values():
             pair.A.data = bank.common.A.data.copy()
             pair.B.data = bank.common.B.data.copy()
-    scores = separability_scores(model, probe_batch())
+    scores = scores_of(model, probe_batch())
     assert np.allclose(scores, 0.0, atol=1e-12)
 
 
@@ -117,12 +127,13 @@ def test_scores_match_per_sample_brute_force():
         for pair in bank.private.values():
             pair.B.data = rng.normal(size=pair.B.shape)
     batch = probe_batch(n=6, seed=6)
-    scores = separability_scores(model, batch)
+    scores, mean_cos = separability_scores(model, pooled(batch))
 
     def softmax(v):
         e = np.exp(v - v.max())
         return e / e.sum()
 
+    cosines = []
     for idx, combo in enumerate(ALL_COMBINATIONS):
         acc = []
         for m in combo:
@@ -132,24 +143,27 @@ def test_scores_match_per_sample_brute_force():
                 prt = (prt_pair.alpha * prt_pair.B.data @ prt_pair.A.data @ x.T).T.mean(axis=0)
                 com = (com_pair.alpha * com_pair.B.data @ com_pair.A.data @ x.T).T.mean(axis=0)
                 per_sample.append(js_oracle(softmax(prt), softmax(com)))
+                cosines.append(float(prt @ com) / math.sqrt(float(prt @ prt) * float(com @ com)))
             acc.append(np.mean(per_sample))
         assert scores[idx] == pytest.approx(float(np.mean(acc)), abs=1e-10)
+    # the same pass gives the mean over (combination, modality, sample) of the private-common cosine
+    assert mean_cos == pytest.approx(float(np.mean(cosines)), abs=1e-12)
 
 
 def test_scores_deterministic_and_validate_probe():
     model = probe_model(seed=4)
     batch = probe_batch(n=8, seed=7)
-    s1 = separability_scores(model, batch)
-    s2 = separability_scores(model, batch)
-    assert np.array_equal(s1, s2)
+    s1 = separability_scores(model, pooled(batch))
+    s2 = separability_scores(model, pooled(batch))
+    assert np.array_equal(s1[0], s2[0]) and s1[1] == s2[1]
     with pytest.raises(ContractError):
-        separability_scores(model, batch[:0])
+        separability_scores(model, pooled(batch[:0]))
 
 
 def test_adapter_free_scores_are_defined_and_zero_for_full_set():
     # without adapter banks there is no private space to score: all seven are 0
-    scores = separability_scores(probe_model(seed=5, mcla=False), probe_batch(n=8, seed=8))
-    assert np.array_equal(scores, np.zeros(7))
+    scores, mean_cos = separability_scores(probe_model(seed=5, mcla=False), pooled(probe_batch(n=8, seed=8)))
+    assert np.array_equal(scores, np.zeros(7)) and mean_cos == 0.0
 
 
 # ---------------------------------------------------------------------------

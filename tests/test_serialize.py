@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from mculora.errors import ContractError
-from mculora.serialize import load_container, save_container
+from mculora.serialize import Chunked, load_container, save_container
 
 ARRAYS = {
     "weights": np.arange(24, dtype=np.float64).reshape(2, 3, 4) / 7.0,
@@ -132,12 +133,33 @@ def test_row_range_read_needs_one_leading_length_and_a_contiguous_slice(tmp_path
 def test_writer_calls_each_array_function_once_in_order(tmp_path):
     calls = []
 
-    def make(name):
-        def build():
+    def make(name, rows_per_block):
+        def blocks():
             calls.append(name)
-            return ARRAYS[name]
-        return build
-    save_container(tmp_path / "f.mcu", "dataset", {"config": {"seed": 1}}, {n: make(n) for n in ARRAYS})
-    save_container(tmp_path / "c.mcu", "dataset", {"config": {"seed": 1}}, ARRAYS)
-    assert calls == list(ARRAYS)
-    assert (tmp_path / "f.mcu").read_bytes() == (tmp_path / "c.mcu").read_bytes()
+            arr = ARRAYS[name]
+            for lo in range(0, len(arr), rows_per_block):
+                yield arr[lo:lo + rows_per_block]
+        return Chunked(ARRAYS[name].shape, ARRAYS[name].dtype, blocks)
+    want = save_container(tmp_path / "c.mcu", "dataset", {"config": {"seed": 1}}, ARRAYS)
+    for rows_per_block in (1, 2, 5):
+        calls.clear()
+        got = save_container(tmp_path / "f.mcu", "dataset", {"config": {"seed": 1}},
+                             {n: make(n, rows_per_block) for n in ARRAYS})
+        assert calls == list(ARRAYS)
+        assert (tmp_path / "f.mcu").read_bytes() == (tmp_path / "c.mcu").read_bytes()
+        assert got == want
+
+
+def test_writer_returns_the_sha256_of_the_file(container, tmp_path):
+    digest = save_container(tmp_path / "d.mcu", "dataset", {"config": {"seed": 1}}, ARRAYS)
+    assert digest == hashlib.sha256(container.read_bytes()).hexdigest()
+
+
+def test_blocks_that_do_not_make_up_the_declared_array_are_refused(tmp_path):
+    x = np.arange(6.0).reshape(3, 2)
+    for blocks, match in (((x[:2],), "blocks hold 32 bytes, shape \\(3, 2\\) needs 48"),
+                          ((x, x[:1]), "blocks hold 64 bytes"),
+                          ((x.astype(np.float32),), "dtype float32, expected float64")):
+        with pytest.raises(ValueError, match=match):
+            save_container(tmp_path / "x.mcu", "dataset", {}, {"x": Chunked(x.shape, x.dtype, lambda b=blocks: b)})
+        assert not list(tmp_path.iterdir())  # no target and no temporary

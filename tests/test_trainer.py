@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from mculora.config import ExperimentConfig
 from mculora.errors import ConfigError, ContractError
 from mculora.modalities import ALL_COMBINATIONS, AV, FULL, INCOMPLETE_COMBINATIONS, MODALITIES, Combo
 from mculora.rng import Rng
-from mculora.synthgen import apply_random_missing, generate_dataset
+from mculora.synthgen import DatasetFile, apply_random_missing, generate_dataset, load_dataset, save_dataset
 from mculora import trainer
 from mculora.autodiff import Tensor
 from mculora.trainer import (
@@ -23,7 +25,7 @@ from mculora.trainer import (
     write_probe_log,
     write_schedule_log,
 )
-from mculora.model import forward_batch, save_checkpoint
+from mculora.model import Encoder, forward_batch, save_checkpoint
 
 from conftest import lstsq_probe_accuracy
 
@@ -109,7 +111,9 @@ def test_pretrain_reaches_high_accuracy_on_linearly_separable_data():
     assert lstsq_probe_accuracy(feats, labels, 3) >= 0.95
     cfg = tiny_cfg(pretrain_epochs=50, model_dim=16, seed=11)
     model = pretrain(ds, cfg).model
-    correct = int(np.sum(predict_dataset(model, ds, np.full(len(ds), FULL.mask)) == labels))
+    preds, seen = predict_dataset(model, ds, np.full(len(ds), FULL.mask))
+    assert np.array_equal(seen, ds.labels)
+    correct = int(np.sum(preds == labels))
     assert correct / len(ds) >= 0.95
     assert model.phase == "pretrained"
     assert not any(t.requires_grad for m in "atv" for t in model.encoders[m].parameters(m).values())
@@ -387,7 +391,7 @@ def test_perfect_predictor_scores_100_everywhere(monkeypatch):
     model, cfg = trained_tiny_model()
     test_set = tiny_synth(n=30, seed=6)
     labels = test_set.labels.astype(np.int64)
-    monkeypatch.setattr(trainer, "_predict_condition", lambda m, f, n: labels[:n].copy())
+    monkeypatch.setattr(trainer, "predict_dataset", lambda m, ds, masks: (np.broadcast_to(labels, masks.shape), labels))
     record = evaluate(model, test_set, "fixed", cfg)
     for name, m in record.rows.items():
         assert m.acc == m.f1 == m.wa == m.ua == 1.0, name
@@ -397,8 +401,8 @@ def test_perfect_predictor_scores_100_everywhere(monkeypatch):
 def test_constant_predictor_on_balanced_labels(monkeypatch):
     model, cfg = trained_tiny_model()
     test_set = tiny_synth(n=32, seed=6, classes=4)
-    monkeypatch.setattr(trainer, "_predict_condition",
-                        lambda m, f, n: np.zeros(n, dtype=np.int64))
+    monkeypatch.setattr(trainer, "predict_dataset",
+                        lambda m, ds, masks: (np.zeros(masks.shape, dtype=np.int64), ds.labels))
     record = evaluate(model, test_set, "fixed", cfg)
     m = record.rows["atv"]
     assert m.acc == pytest.approx(0.25, abs=1e-12)
@@ -412,35 +416,71 @@ def test_eval_chunking_does_not_change_results(monkeypatch):
     assert len(test_set) * seq_len <= trainer._EVAL_POSITIONS  # the default runs it in one chunk
     masks = apply_random_missing(len(test_set), (cfg.mask_lo, cfg.mask_hi), seed=cfg.eval_seed)
     base = {protocol: evaluate(model, test_set, protocol, cfg).rows for protocol in ("fixed", "random")}
-    base_preds = predict_dataset(model, test_set, masks)
+    base_preds, labels = predict_dataset(model, test_set, masks)
+    assert np.array_equal(labels, test_set.labels)
     for rows_per_chunk in (8, 1):
         monkeypatch.setattr(trainer, "_EVAL_POSITIONS", rows_per_chunk * seq_len)
+        monkeypatch.setattr(trainer, "_HEAD_ROWS", rows_per_chunk)
         assert {protocol: evaluate(model, test_set, protocol, cfg).rows for protocol in base} == base
-        assert np.array_equal(predict_dataset(model, test_set, masks), base_preds)
+        preds, labels = predict_dataset(model, test_set, masks)
+        assert np.array_equal(preds, base_preds) and np.array_equal(labels, test_set.labels)
 
 
-def test_eval_forward_passes_stay_within_the_position_bound(monkeypatch):
+def test_eval_encodes_each_row_once_per_modality_it_keeps(monkeypatch):
     model, cfg = trained_tiny_model()
     test_set = tiny_synth(n=40, seed=7)
     seq_len = test_set.features["a"].shape[1]
     bound = 5 * seq_len + 2  # not a multiple of L: chunks of 5 rows
     monkeypatch.setattr(trainer, "_EVAL_POSITIONS", bound)
-    real = trainer.forward_batch
-    positions, rows = [], []
+    row_of = {m: {x.tobytes(): i for i, x in enumerate(test_set.features[m])} for m in MODALITIES}
+    modality_of = {id(enc): m for m, enc in model.encoders.items()}
+    real = Encoder.forward
+    encoded, positions = [], []
 
-    def spy(model, feats, **kwargs):
-        shapes = {x.shape[:2] for x in feats.values()}
-        assert len(shapes) == 1
-        (batch, length), = shapes
-        positions.append(batch * length)
-        rows.append(batch)
-        return real(model, feats, **kwargs)
-    monkeypatch.setattr(trainer, "forward_batch", spy)
-    evaluate(model, test_set, "fixed", cfg)
-    assert sum(rows) == len(ALL_COMBINATIONS) * len(test_set)
-    evaluate(model, test_set, "random", cfg)
-    assert sum(rows) == (len(ALL_COMBINATIONS) + 1) * len(test_set)
+    def spy(self, x2d, *args, **kwargs):
+        m = modality_of[id(self)]
+        positions.append(x2d.shape[0])
+        encoded.extend((m, row_of[m][x.tobytes()]) for x in x2d.data.reshape(-1, seq_len, x2d.shape[1]))
+        return real(self, x2d, *args, **kwargs)
+    monkeypatch.setattr(Encoder, "forward", spy)
+
+    def encodings(protocol, combo=None):
+        encoded.clear()
+        evaluate(model, test_set, protocol, cfg, combo)
+        return sorted(encoded)
+    rows = range(len(test_set))
+    # fixed: every row once per modality, not once per condition that holds it
+    assert encodings("fixed") == sorted((m, i) for m in MODALITIES for i in rows)
+    assert encodings("fixed", AV) == sorted((m, i) for m in AV for i in rows)
+    # random: each row only for the modalities its combination keeps
+    masks = apply_random_missing(len(test_set), (cfg.mask_lo, cfg.mask_hi), seed=cfg.eval_seed)
+    assert encodings("random") == sorted((m, i) for i in rows for m in Combo(int(masks[i])))
+    assert len({int(k) for k in masks}) > 1  # the combinations differ between rows
     assert max(positions) == 5 * seq_len <= bound
+
+
+def test_chunked_eval_holds_less_than_one_modality_of_the_test_split(tmp_path):
+    data = ExperimentConfig(num_samples=2560, seq_len=32, raw_dim=8, classes=3, shared_dim=3, private_dim=2,
+                            train_frac=0.1, val_frac=0.1)
+    save_dataset(tmp_path / "d.mcu", data)
+    train = load_dataset(tmp_path / "d.mcu", rows=lambda n: slice(0, 64))
+    cfg = tiny_cfg(pretrain_epochs=1, finetune_epochs=1)
+    model = pretrain(train, cfg).model
+    finetune(model, train, cfg)
+    test = DatasetFile(tmp_path / "d.mcu", lambda n: slice(512, n))
+    assert len(test) == 2048 and len(test) * data.seq_len >= 8 * trainer._EVAL_POSITIONS  # read in 32 chunks
+    feature_bytes = len(test) * data.seq_len * data.raw_dim * 8  # one modality of the test split
+    for protocol in ("fixed", "random"):
+        want = evaluate(model, load_dataset(tmp_path / "d.mcu", rows=lambda n: slice(512, n)), protocol, cfg)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            record = evaluate(model, test, protocol, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert record.rows == want.rows and record.average == want.average
+        assert peak < feature_bytes, protocol
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,21 @@ COMPARED = ("data/dataset.mcu", "pretrain/checkpoint.mcu", "pretrain/epoch_log.c
             "finetune/probe_log.csv", "eval-fixed/metrics.txt", "eval-random/metrics.txt")
 
 
+def pipeline_argv(config: Path, root: Path) -> list[tuple[str, list[str]]]:
+    """(name, argv) of the five CLI commands of one pipeline on the config file
+    `config`, each writing under `root`: gen-data, pretrain, finetune, eval-fixed, eval-random."""
+    cfg = ["--config", str(config)]
+    data, pre, fin = root / "data" / "dataset.mcu", root / "pretrain", root / "finetune"
+    commands = [("gen-data", ["gen-data", *cfg, "--out", str(data.parent)]),
+                ("pretrain", ["pretrain", *cfg, "--data", str(data), "--out", str(pre)]),
+                ("finetune", ["finetune", *cfg, "--data", str(data), "--checkpoint", str(pre / "checkpoint.mcu"),
+                              "--out", str(fin)])]
+    commands += [(f"eval-{protocol}", ["eval", *cfg, "--checkpoint", str(fin / "checkpoint.mcu"), "--data", str(data),
+                                       "--protocol", protocol, "--out", str(root / f"eval-{protocol}")])
+                 for protocol in ("fixed", "random")]
+    return commands
+
+
 def run_pipeline(config_text: str, root: Path) -> None:
     """Write the config under `root` and run the five commands on it there."""
     from mculora.cli import main as cli_main  # imported once main() has pinned the BLAS threads
@@ -40,16 +55,7 @@ def run_pipeline(config_text: str, root: Path) -> None:
     root.mkdir(parents=True, exist_ok=True)
     config = root / "config.txt"
     config.write_text(config_text, encoding="utf-8")
-    cfg = ["--config", str(config)]
-    data, pre, fin = root / "data" / "dataset.mcu", root / "pretrain", root / "finetune"
-    commands = [["gen-data", *cfg, "--out", str(data.parent)],
-                ["pretrain", *cfg, "--data", str(data), "--out", str(pre)],
-                ["finetune", *cfg, "--data", str(data), "--checkpoint", str(pre / "checkpoint.mcu"),
-                 "--out", str(fin)]]
-    commands += [["eval", *cfg, "--checkpoint", str(fin / "checkpoint.mcu"), "--data", str(data),
-                  "--protocol", protocol, "--out", str(root / f"eval-{protocol}")]
-                 for protocol in ("fixed", "random")]
-    for argv in commands:
+    for _, argv in pipeline_argv(config, root):
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli_main(argv)
         if code != 0:
