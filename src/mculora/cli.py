@@ -11,8 +11,10 @@ pretrain the train split, finetune the train split and the probe (the first
 encoders train, holds its split; finetune and eval read theirs one chunk of
 rows at a time (a :class:`~mculora.synthgen.DatasetFile`) and keep only each
 row's pooled output of the frozen base, so they never hold a whole split.
-Gen-data generates and writes one block of rows at a time. Containers are
-hashed for the manifest as they are written.
+Gen-data generates and writes one block of rows at a time, a large
+dataset's three modalities concurrently, one writer thread each. Containers
+are hashed for the manifest by their writer, which reads the streamed arrays
+back as it goes.
 
 Exit codes: 0 success, 2 input/config error, 3 state/contract error.
 """

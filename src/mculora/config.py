@@ -10,8 +10,9 @@ rejected with the field named, whether they come from the file or from a
 command-line override.
 The resolved snapshot is echoed into each run's ``manifest.json`` together
 with the effective seed and SHA-256 checksums of every written artifact, so a
-run can be reproduced byte for byte (wallclock columns excepted). Containers
-are hashed as they are written; only the text logs are read back to be hashed.
+run can be reproduced byte for byte (wallclock columns excepted). Container
+digests come from their writer, which hashes while it writes; the text logs
+are read back here to be hashed.
 
 All randomness in a command flows from one root seed, fanned out to named
 child streams (data, init, sampling, ...), so e.g. ablation runs that share a
@@ -190,14 +191,15 @@ def sha256_file(path) -> str:
 def version_string() -> str:
     """The package version, plus `git describe` of the checkout holding the
     package when there is one (whatever the working directory). Computed once
-    per process: the code already imported cannot change within it."""
+    per process: the code already imported cannot change within it. A `git`
+    that is missing, fails or hangs past the timeout gives the bare version."""
     import subprocess
     try:
         described = subprocess.run(
             ["git", "-C", str(Path(__file__).resolve().parent), "describe", "--always", "--dirty"],
             capture_output=True, text=True, timeout=5, check=False,
         ).stdout.strip()
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         described = ""
     return f"{__version__}+{described}" if described else __version__
 
@@ -218,7 +220,18 @@ def write_manifest(out_dir, command: str, config: ExperimentConfig, seed: int, c
         "version": version_string(),
     }
     path = out_dir / "manifest.json"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    write_text_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write UTF-8 `text` to a temporary sibling that then replaces `path`; on
+    failure neither is left changed: the temporary is removed."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -35,6 +35,10 @@ class Rng:
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
         return self._gen.normal(loc, scale, size)
 
+    def standard_normal(self, out: np.ndarray) -> np.ndarray:
+        """Fill the float64 array `out` with the draws ``normal(size=out.shape)`` gives; returns it."""
+        return self._gen.standard_normal(out=out)
+
     def integers(self, low: int, high: int, size=None):
         return self._gen.integers(low, high, size)
 

@@ -58,16 +58,14 @@ CSV interfaces (column orders are part of the interface):
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import ExperimentConfig
+from .config import ExperimentConfig, write_text_atomic
 from .dpft import N_COMBINATIONS, sample_combination, separability_scores, update_probabilities
 from .errors import ContractError
 from .losses import orthogonality_loss, task_loss, total_loss
@@ -373,7 +371,7 @@ def write_epoch_log(path, rows: list[EpochRow]) -> None:
     for r in rows:
         vals = [str(r.epoch), r.phase] + [repr(float(x)) for x in (r.l_task, r.l_ort, r.l_total, r.wallclock_ms)]
         lines.append(",".join(vals))
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_schedule_log(path, rows: list[ScheduleRow]) -> None:
@@ -381,21 +379,14 @@ def write_schedule_log(path, rows: list[ScheduleRow]) -> None:
     for r in rows:
         vals = [str(r.epoch)] + [repr(float(x)) for x in (*r.scores, *r.deltas, *r.q)]
         lines.append(",".join(vals))
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_probe_log(path, rows: list[tuple[int, float]]) -> None:
     lines = [",".join(PROBE_LOG_COLUMNS)]
     for epoch, cos in rows:
         lines.append(f"{epoch},{cos!r}")
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _write_text(path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 _METRICS_HEADER = "# mculora metrics v1"
@@ -445,4 +436,4 @@ def parse_metrics_document(text: str) -> tuple[MetricsRecord, dict]:
 
 
 def write_metrics_document(path, record: MetricsRecord, config_echo: str, version: str) -> None:
-    _write_text(path, format_metrics_document(record, config_echo, version))
+    write_text_atomic(path, format_metrics_document(record, config_echo, version))

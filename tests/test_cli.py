@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mculora import synthgen, trainer
+from mculora import __version__, synthgen, trainer
 from mculora.cli import _split_rows, build_parser, main
 from mculora.config import ExperimentConfig, parse_config_text, version_string
 from mculora.errors import ConfigError
@@ -295,6 +295,20 @@ def test_out_naming_an_existing_file_is_input_error(workspace, capsys):
     assert "--out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, blocked", [("eval", "metrics.txt"), ("gen-data", "manifest.json")])
+def test_text_output_that_cannot_replace_its_target_leaves_no_temporary(workspace, capsys, command, blocked):
+    tmp, cfg = workspace
+    argv = [command]
+    if command == "eval":
+        data, _, fin = full_pipeline(tmp, cfg)
+        argv += ["--checkpoint", fin / "checkpoint.mcu", "--data", data / "dataset.mcu", "--protocol", "fixed"]
+    out = tmp / "out"
+    (out / blocked).mkdir(parents=True)  # the text file's name is taken by a directory
+    assert run(*argv, "--config", cfg, "--out", out) == 2
+    assert blocked in capsys.readouterr().err
+    assert (out / blocked).is_dir() and not list(out.glob("*.tmp"))
+
+
 def test_corrupt_dataset_file_is_state_error(workspace, capsys):
     tmp, cfg = workspace
     assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
@@ -537,6 +551,17 @@ def test_version_string_runs_git_once_per_process(monkeypatch):
         raise AssertionError("version_string ran a subprocess a second time")
     monkeypatch.setattr(subprocess, "run", no_subprocess)
     assert version_string() == first
+
+
+def test_version_string_falls_back_to_the_bare_version_when_git_hangs(monkeypatch):
+    def hang(argv, **kwargs):
+        raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+    monkeypatch.setattr(subprocess, "run", hang)
+    version_string.cache_clear()
+    try:
+        assert version_string() == __version__
+    finally:
+        version_string.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""tools/command_peaks.py: one fresh process per CLI command, each with its own peak.
+"""tools/command_peaks.py: one fresh process per CLI command, each with its own peak and times.
 
-The tool measures each command's peak resident memory apart, which a whole
-run in one process cannot show. This runs it on a tiny config.
+The tool measures each command's peak resident memory, wall seconds and CPU
+seconds apart, which a whole run in one process cannot show. This runs it on a tiny config.
 """
 
 import importlib.util
@@ -21,6 +21,6 @@ CONFIG = ("num_samples = 80\nseq_len = 3\nraw_dim = 8\nclasses = 3\nshared_dim =
 
 def test_each_command_runs_in_its_own_process_and_reports_a_peak(tmp_path):
     rows = command_peaks.command_peaks(CONFIG, tmp_path)
-    assert [name for name, _, _ in rows] == ["gen-data", "pretrain", "finetune", "eval-fixed", "eval-random"]
-    assert all(code == 0 and mb > 0 for _, code, mb in rows), rows
+    assert [row[0] for row in rows] == ["gen-data", "pretrain", "finetune", "eval-fixed", "eval-random"]
+    assert all(code == 0 and mb > 0 and wall > 0 and cpu > 0 for _, code, mb, wall, cpu in rows), rows
     assert (tmp_path / "eval-random" / "metrics.txt").is_file()  # the commands ran on each other's outputs

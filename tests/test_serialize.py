@@ -2,11 +2,15 @@ import hashlib
 import io
 import itertools
 import json
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from mculora.errors import ContractError
+from mculora import serialize
 from mculora.serialize import Chunked, load_container, save_container
 
 ARRAYS = {
@@ -130,7 +134,7 @@ def test_row_range_read_needs_one_leading_length_and_a_contiguous_slice(tmp_path
             load_container(path, rows=lambda n: slice(0, 1))
 
 
-def test_writer_calls_each_array_function_once_in_order(tmp_path):
+def test_writer_calls_each_array_function_once(tmp_path, monkeypatch):
     calls = []
 
     def make(name, rows_per_block):
@@ -141,13 +145,85 @@ def test_writer_calls_each_array_function_once_in_order(tmp_path):
                 yield arr[lo:lo + rows_per_block]
         return Chunked(ARRAYS[name].shape, ARRAYS[name].dtype, blocks)
     want = save_container(tmp_path / "c.mcu", "dataset", {"config": {"seed": 1}}, ARRAYS)
-    for rows_per_block in (1, 2, 5):
+    # on the calling thread (these arrays are small) and on one worker thread each
+    for threshold, rows_per_block in itertools.product((serialize._CONCURRENT_BYTES, 0), (1, 2, 5)):
+        monkeypatch.setattr(serialize, "_CONCURRENT_BYTES", threshold)
         calls.clear()
         got = save_container(tmp_path / "f.mcu", "dataset", {"config": {"seed": 1}},
                              {n: make(n, rows_per_block) for n in ARRAYS})
-        assert calls == list(ARRAYS)
+        assert sorted(calls) == sorted(ARRAYS)
         assert (tmp_path / "f.mcu").read_bytes() == (tmp_path / "c.mcu").read_bytes()
         assert got == want
+
+
+@pytest.mark.parametrize("on_workers", [False, True], ids=["calling thread", "worker threads"])
+def test_streamed_arrays_of_any_block_size_are_the_np_save_concatenation(tmp_path, monkeypatch, on_workers):
+    if on_workers:  # these arrays are small, so by default the calling thread writes them
+        monkeypatch.setattr(serialize, "_CONCURRENT_BYTES", 0)
+    rng = np.random.default_rng(5)
+    plain = {"x": rng.normal(size=(70, 3, 4)), "empty": np.zeros((0, 6)), "between": np.arange(9, dtype=np.uint8),
+             "y": rng.normal(size=(33, 5)), "z": rng.integers(0, 9, size=(17, 2, 2)).astype(np.int32)}
+    rows_per_block = {"x": 8, "empty": 3, "y": 1, "z": 17}  # "between" is written as a plain array
+    on_main = []
+
+    def blocks(a, k):
+        for lo in range(0, len(a), k):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            yield a[lo:lo + k]
+    arrays = {name: Chunked(arr.shape, arr.dtype, lambda a=arr, k=rows_per_block[name]: blocks(a, k))
+              if name in rows_per_block else arr for name, arr in plain.items()}
+    threads = threading.active_count()
+    digest = save_container(tmp_path / "s.mcu", "dataset", {"k": 2}, arrays)
+    header = json.dumps({"meta": {"k": 2}, "arrays": list(plain)}, sort_keys=True)
+    data = (tmp_path / "s.mcu").read_bytes()
+    assert data == b"MCULORA-DATASET v1\n" + header.encode() + b"\n" + b"".join(npy_bytes(a) for a in plain.values())
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert threading.active_count() == threads
+    assert set(on_main) == {not on_workers}  # where the blocks were drawn
+
+
+def slow_rows(n, pulled, pause=0.001):
+    """(n, 4) float64 rows one at a time, `pause` seconds apart; counts the rows pulled in `pulled`."""
+    for _ in range(n):
+        pulled.append(1)
+        time.sleep(pause)
+        yield np.zeros((1, 4))
+
+
+def test_a_writer_failing_mid_stream_stops_the_others_and_leaves_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(serialize, "_CONCURRENT_BYTES", 0)  # one worker thread per chunked array
+    def failing():
+        yield np.zeros((2, 4))
+        time.sleep(0.01)  # the other writers are under way
+        yield np.zeros((2, 4), dtype=np.float32)
+    first, third = [], []
+    arrays = {"first": Chunked((1000, 4), np.dtype(np.float64), lambda: slow_rows(1000, first)),
+              "second": Chunked((6, 4), np.dtype(np.float64), failing),
+              "third": Chunked((1000, 4), np.dtype(np.float64), lambda: slow_rows(1000, third))}
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="array 'second': a block of dtype float32, expected float64"):
+        save_container(tmp_path / "x.mcu", "dataset", {}, arrays)
+    assert threading.active_count() == threads  # every worker was joined
+    assert len(first) < 1000 and len(third) < 1000  # they stopped at their next block
+    assert not list(tmp_path.iterdir())  # no target and no temporary
+
+
+def test_an_interrupted_write_stops_every_writer_and_leaves_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(serialize, "_CONCURRENT_BYTES", 0)
+    def interrupting():
+        yield np.zeros((1, 4))
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)  # the calling thread is interrupted
+        yield from slow_rows(999, [])
+    pulled = []
+    arrays = {"x": Chunked((1000, 4), np.dtype(np.float64), interrupting),
+              "y": Chunked((1000, 4), np.dtype(np.float64), lambda: slow_rows(1000, pulled))}
+    threads = threading.active_count()
+    assert threading.current_thread() is threading.main_thread()
+    with pytest.raises(KeyboardInterrupt):
+        save_container(tmp_path / "x.mcu", "dataset", {}, arrays)
+    assert threading.active_count() == threads
+    assert len(pulled) < 1000
+    assert not list(tmp_path.iterdir())
 
 
 def test_writer_returns_the_sha256_of_the_file(container, tmp_path):
@@ -163,3 +239,14 @@ def test_blocks_that_do_not_make_up_the_declared_array_are_refused(tmp_path):
         with pytest.raises(ValueError, match=match):
             save_container(tmp_path / "x.mcu", "dataset", {}, {"x": Chunked(x.shape, x.dtype, lambda b=blocks: b)})
         assert not list(tmp_path.iterdir())  # no target and no temporary
+
+
+def test_blocks_refused_on_a_worker_thread_raise_the_same_errors(tmp_path, monkeypatch):
+    monkeypatch.setattr(serialize, "_CONCURRENT_BYTES", 0)
+    x = np.arange(6.0).reshape(3, 2)
+    for blocks, match in (((x[:2],), "array 'x': blocks hold 32 bytes, shape \\(3, 2\\) needs 48"),
+                          ((x, x[:1]), "array 'x': blocks hold 64 bytes"),
+                          ((x.astype(np.float32),), "array 'x': a block of dtype float32, expected float64")):
+        with pytest.raises(ValueError, match=match):
+            save_container(tmp_path / "x.mcu", "dataset", {}, {"x": Chunked(x.shape, x.dtype, lambda b=blocks: b)})
+        assert not list(tmp_path.iterdir())
