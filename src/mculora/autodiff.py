@@ -120,24 +120,33 @@ def gradients(loss: Tensor, tape: Tape) -> dict[int, np.ndarray]:
     that participated in the computation; those tensors also get their
     ``grad`` attribute (re)assigned. Tensors never touched by the tape are
     simply absent from the map.
+
+    An op output's gradient is complete once its op replays, since every op
+    that read it was recorded later and so replayed earlier; it is dropped
+    then, so backward holds the gradients still being summed, not one per op.
+    Contributions to untracked tensors, which no op on the tape produced and
+    which take no gradient, are dropped as they come. The tape is left as it
+    was.
     """
     if loss.size != 1:
         raise ContractError(f"gradients: loss must be scalar, got shape {loss.shape}")
     grad_map: dict[int, np.ndarray] = {loss._id: np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {}
+    leaves: dict[int, Tensor] = {}
     for out_id, backward in reversed(tape.ops):
-        g = grad_map.get(out_id)
+        g = grad_map.get(out_id) if out_id == loss._id else grad_map.pop(out_id, None)
         if g is None:
             continue
         for tensor, contrib in backward(g):
+            if not tensor._tracked:
+                continue
             prev = grad_map.get(tensor._id)
             grad_map[tensor._id] = contrib if prev is None else prev + contrib
-            holders[tensor._id] = tensor
+            if tensor.requires_grad:
+                leaves[tensor._id] = tensor
     result: dict[int, np.ndarray] = {}
-    for tid, tensor in holders.items():
-        if tensor.requires_grad:
-            tensor.grad = grad_map[tid]
-            result[tid] = grad_map[tid]
+    for tid, tensor in leaves.items():
+        tensor.grad = grad_map[tid]
+        result[tid] = grad_map[tid]
     if loss.requires_grad:
         loss.grad = grad_map[loss._id]
         result[loss._id] = grad_map[loss._id]

@@ -7,10 +7,12 @@ resolved config snapshot and artifact checksums into --out.
 
 Each command reads only the contiguous rows of the dataset file it uses:
 pretrain the train split, finetune the train split and the probe (the first
-``probe_size`` validation samples), eval the test split. Pretrain, whose
-encoders train, holds its split; finetune and eval read theirs one chunk of
-rows at a time (a :class:`~mculora.synthgen.DatasetFile`) and keep only each
-row's pooled output of the frozen base, so they never hold a whole split.
+``probe_size`` validation samples), eval the test split. Each opens the file
+once as a :class:`~mculora.synthgen.DatasetFile`, which checks it whole, and
+closes it when the command ends, also when it fails. Pretrain, whose encoders
+train, reads each batch's rows just before the batch's forward pass; finetune
+and eval read theirs one chunk of rows at a time and keep only each row's
+pooled output of the frozen base. No command holds a whole split.
 Gen-data generates and writes one block of rows at a time, a large
 dataset's three modalities concurrently, one writer thread each. Containers
 are hashed for the manifest by their writer, which reads the streamed arrays
@@ -110,8 +112,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
-        # e.g. a --data or --checkpoint path that is missing, a directory, under a file or unreadable
-        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        # e.g. a --data or --checkpoint path that is missing, a directory, under a file or unreadable;
+        # for a failed rename (an output whose name a directory takes) the target is filename2
+        print(f"error: cannot open {exc.filename2 or exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
     except (ContractError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -133,8 +136,8 @@ def _make_out_dir(path) -> Path:
 
 
 def _split_rows(cfg: ExperimentConfig, data_path: str, split: str) -> DatasetFile:
-    """The rows of one split of the dataset file, read a slice at a time:
-    "train", "probe" (the first ``probe_size`` validation samples) or "test"."""
+    """The rows of one split of the dataset file, opened: "train", "probe"
+    (the first ``probe_size`` validation samples) or "test"."""
     def rows(n: int) -> slice:
         n_train, n_val = split_bounds(n, cfg.train_frac, cfg.val_frac)
         return {"train": slice(0, n_train), "probe": slice(n_train, n_train + min(cfg.probe_size, n_val)),
@@ -152,7 +155,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg, out_dir = _prepare(args)
-    result = pretrain(_split_rows(cfg, args.data, "train")[:], cfg)
+    with _split_rows(cfg, args.data, "train") as train:
+        result = pretrain(train, cfg)
     digest = save_checkpoint(result.model, out_dir / "checkpoint.mcu")
     write_epoch_log(out_dir / "epoch_log.csv", result.epoch_rows)
     write_manifest(out_dir, "pretrain", cfg, cfg.seed, args.config, {"checkpoint.mcu": digest},
@@ -164,8 +168,8 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     cfg, out_dir = _prepare(args)
     model = load_checkpoint(args.checkpoint)
-    probe = _split_rows(cfg, args.data, "probe")
-    result = finetune(model, _split_rows(cfg, args.data, "train"), cfg, probe_batch=probe if len(probe) else None)
+    with _split_rows(cfg, args.data, "probe") as probe, _split_rows(cfg, args.data, "train") as train:
+        result = finetune(model, train, cfg, probe_batch=probe if len(probe) else None)
     digest = save_checkpoint(result.model, out_dir / "checkpoint.mcu")
     write_epoch_log(out_dir / "epoch_log.csv", result.epoch_rows)
     write_schedule_log(out_dir / "schedule_log.csv", result.schedule_rows)
@@ -185,7 +189,8 @@ def cmd_eval(args) -> int:
         cfg.eval_seed = args.seed  # the random protocol's masking seed
     model = load_checkpoint(args.checkpoint)
     combo = None if args.combo is None else Combo.from_name(args.combo)
-    record = evaluate(model, _split_rows(cfg, args.data, "test"), args.protocol, cfg, combo)
+    with _split_rows(cfg, args.data, "test") as test:
+        record = evaluate(model, test, args.protocol, cfg, combo)
     write_metrics_document(out_dir / "metrics.txt", record, config_echo_str(cfg), version_string())
     write_manifest(out_dir, "eval", cfg, cfg.seed, args.config, {}, ["metrics.txt"])
     print((out_dir / "metrics.txt").read_text(), end="")

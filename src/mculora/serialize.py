@@ -30,17 +30,17 @@ file's SHA-256, computed in file order by the calling thread from the headers
 and plain arrays in memory and from each chunked blob read back (from the
 page cache) stretch by stretch, following behind its writer.
 
-A reader may ask for a contiguous range of rows of every array (all arrays
-then share one leading length N): it reads those rows and seeks past the
-others, so it holds only what it asked for. Such a partial read runs every
-check a full read runs, against the whole file: a blob's declared size must
-fit what is left of the file, so a truncated file fails even when the missing
-bytes lie outside the requested rows.
+A reader opens a file as a :class:`ContainerFile`, which checks the whole
+layout once - a blob's declared size must fit what is left of the file, so a
+truncated file fails even when the missing bytes lie outside what is later
+read - and then reads any array whole, a contiguous range of its rows, or any
+set of rows in any order, each with positioned reads of the open descriptor,
+so it holds only what it asked for. :func:`load_container` opens a file,
+reads every array whole and closes it.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import io
 import json
@@ -232,65 +232,37 @@ class _BlobWriter(threading.Thread):
                 hashed += got
 
 
-@functools.lru_cache(maxsize=64)
-def _parse_header(raw: bytes) -> tuple:
-    """(shape, fortran_order, dtype) of a .npy 1.0 header (its length field and
-    text), parsed by numpy; a reader of many row ranges of one file parses each
-    header once."""
-    return npy_format.read_array_header_1_0(io.BytesIO(raw))
+class ContainerFile:
+    """An open container file, checked whole when it is opened, whose arrays
+    are then read, whole or by rows, with positioned reads of its descriptor.
 
+    Opening runs every check of the layout: the magic line and kind, the
+    header, each ``.npy`` header, that each blob's declared size fits what is
+    left of the file, and that no bytes follow the last blob. A malformed file
+    is a :class:`ContractError` naming it. A reader of many row sets thus
+    checks the file once, and each read costs only its own bytes; a read that
+    comes up short (the file shrank after it was checked) is a
+    :class:`ContractError` naming the file, never a short array. Close it
+    when done; it is a context manager."""
 
-def _read_array(fh, file_size: int, rows: Callable[[int], tuple[int, int]] | None) -> np.ndarray:
-    """One .npy blob, whose data must all fit in what is left of the file.
-    ``rows(length)`` gives the [lo, hi) range of the leading axis to read; the
-    rest of the blob is skipped."""
-    version = npy_format.read_magic(fh)
-    if version != (1, 0):  # all that np.save writes for the arrays stored here
-        raise ValueError(f"unsupported .npy version {version}")
-    length = fh.read(2)
-    shape, fortran_order, dtype = _parse_header(length + fh.read(int.from_bytes(length, "little")))
-    nbytes = math.prod(shape) * dtype.itemsize
-    if nbytes > file_size - fh.tell():
-        raise ValueError(f"array data of shape {shape} runs past the end of the file")
-    end = fh.tell() + nbytes
-    if rows is not None:
-        if not shape or fortran_order:
-            raise ValueError(f"cannot read rows of a {'Fortran-order' if shape else '0-d'} array")
-        lo, hi = rows(shape[0])
-        row_bytes = math.prod(shape[1:]) * dtype.itemsize
-        fh.seek(lo * row_bytes, os.SEEK_CUR)
-        shape = (hi - lo, *shape[1:])
-    arr = np.empty(math.prod(shape), dtype=dtype)
-    fh.readinto(arr.view(np.uint8))  # TypeError for object dtypes, which are never read
-    fh.seek(end)
-    return arr.reshape(shape, order="F" if fortran_order else "C")
+    def __init__(self, path, expected_kind: str | None = None):
+        self.path = Path(path)
+        self._fh = self.path.open("rb")
+        try:
+            self._check(expected_kind)
+        except BaseException:
+            self._fh.close()
+            raise
 
-
-def load_container(path, expected_kind: str | None = None,
-                   rows: Callable[[int], slice] | None = None) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """(kind, meta, arrays) of the container at `path`. With `rows`, a function
-    from the arrays' common leading length N to a contiguous slice, only that
-    slice of every array is read."""
-    path = Path(path)
-    lengths: list[int] = []
-
-    def row_range(n: int) -> tuple[int, int]:
-        if lengths and n != lengths[0]:
-            raise ValueError(f"leading length {n} differs from the first array's {lengths[0]}")
-        lengths.append(n)
-        lo, hi, step = rows(n).indices(n)
-        if step != 1:
-            raise ValueError(f"rows must be a contiguous slice, got step {step}")
-        return lo, max(lo, hi)
-
-    with path.open("rb") as fh:
+    def _check(self, expected_kind: str | None) -> None:
+        fh, path = self._fh, self.path
         file_size = os.fstat(fh.fileno()).st_size
         magic = fh.readline().decode("ascii", errors="replace").strip()
         if not magic.startswith(_PREFIX) or not magic.endswith(_VERSION):
             raise ContractError(f"{path}: not a mculora container (magic line {magic!r})")
-        kind = magic[len(_PREFIX):].split()[0].lower()
-        if expected_kind is not None and kind != expected_kind.lower():
-            raise ContractError(f"{path}: expected a {expected_kind} container, found {kind}")
+        self.kind = magic[len(_PREFIX):].split()[0].lower()
+        if expected_kind is not None and self.kind != expected_kind.lower():
+            raise ContractError(f"{path}: expected a {expected_kind} container, found {self.kind}")
         try:
             header = json.loads(fh.readline())
             names = header["arrays"]
@@ -299,12 +271,97 @@ def load_container(path, expected_kind: str | None = None,
                 raise ValueError("need a 'meta' object and an 'arrays' list of names")
         except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSON and UTF-8 errors
             raise ContractError(f"{path}: bad header: {exc}") from exc
-        arrays = {}
+        self.meta, self.names = header["meta"], names
+        self._blobs: dict[str, tuple[int, tuple[int, ...], bool, np.dtype]] = {}
         for name in names:
             try:
-                arrays[name] = _read_array(fh, file_size, row_range if rows is not None else None)
+                version = npy_format.read_magic(fh)
+                if version != (1, 0):  # all that np.save writes for the arrays stored here
+                    raise ValueError(f"unsupported .npy version {version}")
+                length = fh.read(2)
+                shape, fortran_order, dtype = npy_format.read_array_header_1_0(
+                    io.BytesIO(length + fh.read(int.from_bytes(length, "little"))))
+                if dtype.hasobject:
+                    raise ValueError("object arrays are not stored")
+                nbytes = math.prod(shape) * dtype.itemsize
+                if nbytes > file_size - fh.tell():
+                    raise ValueError(f"array data of shape {shape} runs past the end of the file")
             except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:  # raised by numpy's header parser
                 raise ContractError(f"{path}: array {name!r} is missing or corrupt: {exc}") from exc
+            self._blobs[name] = (fh.tell(), shape, fortran_order, dtype)
+            fh.seek(nbytes, os.SEEK_CUR)
         if fh.tell() != file_size:
             raise ContractError(f"{path}: {file_size - fh.tell()} trailing bytes after the last array")
-    return kind, header["meta"], arrays
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "ContainerFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def length(self) -> int | None:
+        """The leading length every array shares (None without arrays); a
+        :class:`ContractError` unless each has rows and all have as many."""
+        n = None
+        for name in self.names:
+            rows = self._rows(name)
+            if n is not None and rows != n:
+                raise ContractError(f"{self.path}: array {name!r}: leading length {rows} "
+                                    f"differs from the first array's {n}")
+            n = rows
+        return n
+
+    def _rows(self, name: str) -> int:
+        """How many rows array `name` has; only C-order arrays of at least one axis have rows."""
+        _, shape, fortran_order, _ = self._blobs[name]
+        if not shape or fortran_order:
+            raise ContractError(f"{self.path}: array {name!r}: cannot read rows of a "
+                                f"{'Fortran-order' if shape else '0-d'} array")
+        return shape[0]
+
+    def read(self, name: str, rows: slice | np.ndarray | None = None) -> np.ndarray:
+        """Array `name` whole, or the rows of its leading axis that `rows`
+        names: a contiguous slice, read at once, or row indices, in the order
+        given, each read alone."""
+        offset, shape, fortran_order, dtype = self._blobs[name]
+        if rows is None:
+            arr = np.empty(math.prod(shape), dtype=dtype)
+            self._pread(memoryview(arr.view(np.uint8)), offset, name)
+            return arr.reshape(shape, order="F" if fortran_order else "C")
+        n = self._rows(name)
+        row_bytes = math.prod(shape[1:]) * dtype.itemsize
+        if isinstance(rows, slice):
+            lo, hi, step = rows.indices(n)
+            if step != 1:
+                raise ContractError(f"{self.path}: array {name!r}: rows must be a contiguous slice, got step {step}")
+            arr = np.empty((max(0, hi - lo), *shape[1:]), dtype=dtype)
+            self._pread(memoryview(arr.reshape(-1).view(np.uint8)), offset + lo * row_bytes, name)
+            return arr
+        idx = np.asarray(rows, dtype=np.int64).reshape(-1)
+        if idx.size and not 0 <= idx.min() <= idx.max() < n:
+            raise IndexError(f"{self.path}: array {name!r}: rows out of range for {n} rows")
+        arr = np.empty((idx.size, *shape[1:]), dtype=dtype)
+        buf, fd = memoryview(arr.reshape(-1).view(np.uint8)), self._fh.fileno()
+        for i, at in enumerate((offset + idx * row_bytes).tolist()):
+            view = buf[i * row_bytes:(i + 1) * row_bytes]
+            if os.preadv(fd, [view], at) != row_bytes:  # a short read is finished, or refused, by _pread
+                self._pread(view, at, name)
+        return arr
+
+    def _pread(self, view: memoryview, offset: int, name: str) -> None:
+        while view:
+            got = os.preadv(self._fh.fileno(), [view], offset)
+            if not got:
+                raise ContractError(f"{self.path}: array {name!r} ends at byte {offset}: "
+                                    f"the file shrank after it was checked")
+            view, offset = view[got:], offset + got
+
+
+def load_container(path, expected_kind: str | None = None) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """(kind, meta, arrays) of the container at `path`, every array read whole."""
+    with ContainerFile(path, expected_kind) as container:
+        arrays = {name: container.read(name) for name in container.names}
+    return container.kind, container.meta, arrays

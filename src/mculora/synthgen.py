@@ -27,10 +27,10 @@ block reuses, so it holds a few blocks, never a whole (N, L, D) array. Each
 modality comes from its own named stream, so the container writer can draw
 and write the three at once, each on a worker thread of its own (it does so
 for a dataset large enough to repay the threads).
-:func:`load_dataset` can read a contiguous range of rows alone,
-:class:`DatasetFile` reads a range one slice at a time, and
-:func:`split_bounds` gives the split sizes, so a command can read only the
-split it uses, and eval only one chunk of it at a time.
+:class:`DatasetFile` checks a dataset file once and then reads any rows of
+a range, a slice or a batch of row indices at a time, and :func:`split_bounds`
+gives the split sizes, so a command reads only the split it uses, and only
+one chunk or one batch of it at a time.
 
 A :class:`Dataset` is exactly the dataset container's layout: one (N, L, D)
 feature array per modality and (N,) class-index labels. Every sample has all
@@ -57,7 +57,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, ContractError
 from .modalities import MODALITIES, Combo
 from .rng import Rng, derive_seed
-from .serialize import Chunked, load_container, save_container
+from .serialize import Chunked, ContainerFile, save_container
 
 # (lead, partner) per pair; each modality leads exactly one pair
 _PAIRS = (("a", "t"), ("v", "a"), ("t", "v"))
@@ -81,7 +81,8 @@ _GENERATOR_FIELDS = ("num_samples", "seq_len", "raw_dim", "classes", "shared_dim
 @dataclass
 class Dataset:
     """Columnar samples: features a, t, v of shape (N, L, D) and (N,) float64
-    class indices as labels. Slicing with a ``slice`` gives a dataset of views."""
+    class indices as labels. Slicing with a ``slice`` gives a dataset of views;
+    indexing with an array of row indices gathers those rows, in that order."""
 
     features: dict[str, np.ndarray]
     labels: np.ndarray
@@ -97,7 +98,7 @@ class Dataset:
     def __len__(self) -> int:
         return self.labels.shape[0]
 
-    def __getitem__(self, rows: slice) -> "Dataset":
+    def __getitem__(self, rows: slice | np.ndarray) -> "Dataset":
         return Dataset({m: x[rows] for m, x in self.features.items()}, self.labels[rows])
 
 
@@ -259,38 +260,51 @@ def save_dataset(path, cfg: ExperimentConfig, root_rng: Rng | None = None) -> st
     return save_container(path, "dataset", {"config": header}, arrays)
 
 
-def load_dataset(path, rows: Callable[[int], slice] | None = None) -> Dataset:
-    """The dataset file at `path`; with `rows` (a function from the file's
-    sample count N to a contiguous slice), only those samples are read. A file
-    holding any array but the features and labels is refused."""
-    _, _, arrays = load_container(path, expected_kind="dataset", rows=rows)
-    names = [f"features_{m}" for m in MODALITIES] + ["labels"]
-    if list(arrays) != names:
-        raise ContractError(f"{path}: dataset container holds arrays {list(arrays)}, expected {names}")
-    return Dataset({m: arrays[f"features_{m}"] for m in MODALITIES}, arrays["labels"])
+_ARRAYS = [f"features_{m}" for m in MODALITIES] + ["labels"]  # a dataset file's arrays, in file order
 
 
 class DatasetFile:
-    """A contiguous range of a dataset file's rows, read a slice at a time.
+    """A contiguous range of a dataset file's rows, read from the open file.
 
-    ``rows`` maps the file's sample count N to the range. ``len()`` and slicing
-    with a ``slice`` work as on a :class:`Dataset`; each slice is read alone by
-    :func:`load_dataset`, with every check of a whole read."""
+    ``rows`` maps the file's sample count N to the range. Opening checks the
+    whole file once (see :class:`~mculora.serialize.ContainerFile`; a file
+    holding any array but the features and labels is refused) and reads the
+    range's labels. Then ``len()``, ``labels`` and indexing work as on a
+    :class:`Dataset`: a contiguous slice reads its rows' features with one
+    positioned read per modality, any other index (an array of row indices,
+    in any order) with one per row and modality, so a reader holds only the
+    rows it asks for. Close it when done; it is a context manager."""
 
     def __init__(self, path, rows: Callable[[int], slice]):
-        self.path, self.rows, self.n = path, rows, 0
-        self[:0]  # reads no rows: checks the file and learns the range's length
+        self._file = ContainerFile(path, expected_kind="dataset")
+        try:
+            if self._file.names != _ARRAYS:
+                raise ContractError(f"{path}: dataset container holds arrays {self._file.names}, expected {_ARRAYS}")
+            n = self._file.length()
+            lo, hi, _ = rows(n).indices(n)
+            self._lo, self.labels = lo, self._file.read("labels", slice(lo, hi))
+            self[:0]  # reads no rows: checks the feature shapes
+        except BaseException:
+            self._file.close()
+            raise
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> "DatasetFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def __len__(self) -> int:
-        return self.n
+        return len(self.labels)
 
-    def __getitem__(self, part: slice) -> Dataset:
-        def pick(n: int) -> slice:
-            lo, hi, _ = self.rows(n).indices(n)
-            self.n = max(0, hi - lo)
-            start, stop, _ = part.indices(self.n)
-            return slice(lo + start, lo + max(start, stop))
-        return load_dataset(self.path, rows=pick)
+    def __getitem__(self, rows: slice | np.ndarray) -> Dataset:
+        start, stop, step = rows.indices(len(self)) if isinstance(rows, slice) else (0, 0, 0)
+        part = (slice(self._lo + start, self._lo + max(start, stop)) if step == 1
+                else np.arange(self._lo, self._lo + len(self))[rows])
+        return Dataset({m: self._file.read(f"features_{m}", part) for m in MODALITIES}, self.labels[rows])
 
 
 def split_bounds(n: int, train_frac: float, val_frac: float) -> tuple[int, int]:

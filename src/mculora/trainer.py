@@ -11,7 +11,10 @@ on the model without adapters, every batch under the full set, with dropout on
 the encoder hidden layer (here only): the fine-tuning objective, whose
 orthogonality term is 0 without adapters. It runs both halves of the forward
 pass (:func:`mculora.model.encode`, then :func:`mculora.model.forward_pooled`)
-per batch. Encoders and fusion are then frozen, so a row's pooled encoder
+per batch, on the batch's rows alone: each batch is gathered just before its
+forward pass (from the dataset file, when given a
+:class:`~mculora.synthgen.DatasetFile`), so pretrain holds one batch of
+rows, never its split. Encoders and fusion are then frozen, so a row's pooled encoder
 output never changes again: finetune encodes the training rows once, then
 each batch indexes those pooled rows and runs only the second half; the probe
 is pooled once. Finetune (adapter banks, both heads, gate) draws each batch's
@@ -176,17 +179,23 @@ def _train(model: MculoraModel, labels: np.ndarray, cfg: ExperimentConfig, phase
         yield epoch, sums / step, t0
 
 
-def pretrain(dataset: Dataset, cfg: ExperimentConfig) -> TrainResult:
-    """Train encoders + fusion + common head on complete data, then freeze encoders and fusion."""
+def pretrain(dataset, cfg: ExperimentConfig) -> TrainResult:
+    """Train encoders + fusion + common head on complete data, then freeze encoders and fusion.
+
+    `dataset` is a :class:`Dataset` or a :class:`~mculora.synthgen.DatasetFile`.
+    Each batch's rows are gathered from it just before the batch's forward
+    pass, so from a file pretrain holds its labels and one batch of rows,
+    never the split."""
     cfg.validate()
     root = Rng(cfg.seed)
-    model = build_model(ModelConfig(raw_dim=dataset.features["a"].shape[2], model_dim=cfg.model_dim,
+    model = build_model(ModelConfig(raw_dim=dataset[:0].features["a"].shape[2], model_dim=cfg.model_dim,
                                     classes=cfg.classes, rank=cfg.rank, alpha=cfg.alpha), root)
     result = TrainResult(model=model)
-    feats, dropout_rng = dataset.features, root.child("pretrain-dropout")
+    dropout_rng = root.child("pretrain-dropout")
 
     def forward(idx, combo):  # the encoders train, so every batch runs both halves
-        return forward_batch(model, {m: feats[m][idx] for m in combo}, dropout_p=cfg.dropout, dropout_rng=dropout_rng)
+        feats = dataset[idx].features
+        return forward_batch(model, {m: feats[m] for m in combo}, dropout_p=cfg.dropout, dropout_rng=dropout_rng)
     for epoch, losses, t0 in _train(model, dataset.labels, cfg, "pretrain", cfg.pretrain_epochs, lambda: FULL,
                                     forward):
         result.epoch_rows.append(EpochRow(epoch, "pretrain", *losses, (time.perf_counter() - t0) * 1e3))

@@ -1,10 +1,18 @@
-"""Shared test helpers: independent numerical oracles."""
+"""Shared test helpers: independent numerical oracles, and a whole-range dataset file read."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from mculora.synthgen import Dataset, DatasetFile
+
+
+def read_dataset(path, rows=lambda n: slice(0, n)) -> Dataset:
+    """The rows `rows` (by default all) of the dataset file at `path`, read in one slice; the file is closed."""
+    with DatasetFile(path, rows) as data:
+        return data[:]
 
 
 def central_difference(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

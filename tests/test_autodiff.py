@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,30 @@ def test_backward_visits_each_op_once_with_shared_subexpression():
         loss = ad.tsum(ad.add(sq, sq))
     ad.gradients(loss, tape)
     assert np.allclose(x.grad, [12.0])  # d/dx 2x^2 = 4x
+
+
+def test_backward_holds_a_few_gradients_of_a_long_chain_and_leaves_the_tape():
+    # K elementwise ops on one array of S bytes: each op output's gradient is
+    # dropped once its op has replayed, so backward holds a few arrays of S
+    # bytes at a time, not one per op
+    k, x = 40, ad.Tensor(np.linspace(-1.0, 1.0, 1 << 14), requires_grad=True)
+    size = x.data.nbytes
+    with ad.Tape() as tape:
+        y = x
+        for i in range(k):
+            y = ad.tanh(y) if i % 2 else ad.mul(y, 1.01)
+        loss = ad.tsum(y)
+    ops = len(tape)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ad.gradients(loss, tape)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == ops == k + 1
+    assert peak < 5 * size, (peak, size)
+    assert x.grad.shape == x.shape and loss.grad is None  # only the leaf that requires a gradient gets one
 
 
 @pytest.mark.parametrize("trial", range(4))

@@ -10,15 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mculora import __version__, synthgen, trainer
+from mculora import __version__, cli, serialize, trainer
 from mculora.cli import _split_rows, build_parser, main
 from mculora.config import ExperimentConfig, parse_config_text, version_string
-from mculora.errors import ConfigError
+from mculora.errors import ConfigError, ContractError
 from mculora.modalities import MODALITIES
 from mculora.model import ModelConfig, build_model, save_checkpoint
 from mculora.rng import Rng
 from mculora.serialize import load_container, save_container
-from mculora.synthgen import generate_dataset, load_dataset, save_dataset, split_dataset
+from mculora.synthgen import generate_dataset, save_dataset, split_dataset
+
+from conftest import read_dataset
 
 ARRAY_NAMES = ("features_a", "features_t", "features_v", "labels")
 
@@ -56,7 +58,7 @@ def test_gen_data_writes_dataset_and_manifest(workspace):
     tmp, cfg = workspace
     out = tmp / "data"
     assert run("gen-data", "--config", cfg, "--out", out) == 0
-    dataset = load_dataset(out / "dataset.mcu")
+    dataset = read_dataset(out / "dataset.mcu")
     assert len(dataset) == 80
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "gen-data"
@@ -307,6 +309,61 @@ def test_text_output_that_cannot_replace_its_target_leaves_no_temporary(workspac
     assert run(*argv, "--config", cfg, "--out", out) == 2
     assert blocked in capsys.readouterr().err
     assert (out / blocked).is_dir() and not list(out.glob("*.tmp"))
+
+
+def test_output_blocked_at_its_rename_names_the_target_not_the_temporary(workspace, capsys):
+    tmp, cfg = workspace
+    out = tmp / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    assert run("gen-data", "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"cannot open {out / 'manifest.json'}:" in err and ".tmp" not in err
+
+
+def open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_commands_close_the_dataset_file_also_when_they_fail(workspace, monkeypatch):
+    tmp, cfg = workspace
+    assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
+    data = tmp / "data" / "dataset.mcu"
+    before = open_descriptors()
+    assert run("pretrain", "--config", cfg, "--data", data, "--out", tmp / "pre") == 0
+    assert open_descriptors() == before
+    assert run("finetune", "--config", cfg, "--data", data, "--checkpoint", tmp / "pre" / "checkpoint.mcu",
+               "--out", tmp / "fin") == 0
+    assert open_descriptors() == before
+    for protocol in ("fixed", "random"):
+        assert run("eval", "--config", cfg, "--data", data, "--checkpoint", tmp / "fin" / "checkpoint.mcu",
+                   "--protocol", protocol, "--out", tmp / protocol) == 0
+        assert open_descriptors() == before
+
+    def failing(*args, **kwargs):
+        raise ContractError("pretrain failed mid-epoch")
+    monkeypatch.setattr(trainer, "forward_batch", failing)
+    assert run("pretrain", "--config", cfg, "--data", data, "--out", tmp / "failed") == 3
+    assert open_descriptors() == before
+
+
+def test_dataset_truncated_after_it_was_checked_is_state_error_naming_it(workspace, capsys, monkeypatch):
+    tmp, cfg = workspace
+    assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
+    data = tmp / "data" / "dataset.mcu"
+    real = cli.DatasetFile
+
+    def checked_then_truncated(path, rows):
+        opened = real(path, rows)
+        os.truncate(path, os.path.getsize(path) // 2)
+        return opened
+    monkeypatch.setattr(cli, "DatasetFile", checked_then_truncated)
+    before = open_descriptors()
+    capsys.readouterr()
+    assert run("pretrain", "--config", cfg, "--data", data, "--out", tmp / "pre") == 3
+    err = capsys.readouterr().err
+    assert str(data) in err and "shrank" in err and "Traceback" not in err
+    assert open_descriptors() == before
+    assert not (tmp / "pre" / "checkpoint.mcu").exists()
 
 
 def test_corrupt_dataset_file_is_state_error(workspace, capsys):
@@ -572,36 +629,56 @@ def test_each_command_loads_only_its_own_rows(workspace, monkeypatch):
     tmp, cfg = workspace
     assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
     loaded = []
-    real = synthgen.load_container
+    real = serialize.ContainerFile.read
 
-    def spy(*args, **kwargs):
-        kind, meta, arrays = real(*args, **kwargs)
-        lo, hi, _ = kwargs["rows"](80).indices(80)  # TINY_CONFIG's 80 samples
-        loaded.append((lo, hi, {name: len(arr) for name, arr in arrays.items()}))
-        return kind, meta, arrays
-    monkeypatch.setattr(synthgen, "load_container", spy)
+    def spy(self, name, rows=None):
+        arr = real(self, name, rows)
+        if self.kind == "dataset":
+            assert rows is not None, name  # a command never reads a whole array
+            got = tuple(range(*rows.indices(80)) if isinstance(rows, slice) else rows.tolist())  # TINY_CONFIG's 80
+            assert len(arr) == len(got)
+            loaded.append((name, got))
+        return arr
+    monkeypatch.setattr(serialize.ContainerFile, "read", spy)
     monkeypatch.setattr(trainer, "_EVAL_POSITIONS", 5 * 3 + 2)  # chunks of 5 rows at L = 3
     data = tmp / "data" / "dataset.mcu"
 
     def reads(*argv):
-        """The nonempty row ranges `mculora argv` loads, each checked to hold all four arrays."""
+        """The label reads and the nonempty feature reads of `mculora argv`, each
+        a tuple of the rows read; each feature read reads the same rows of all
+        three modalities, one after another."""
         loaded.clear()
         assert run(*argv, "--config", cfg, "--data", data) == 0
-        assert all(counts == dict.fromkeys(ARRAY_NAMES, hi - lo) for lo, hi, counts in loaded)
-        return [(lo, hi) for lo, hi, _ in loaded if hi > lo]
+        features = [(name, rows) for name, rows in loaded if name != "labels" and rows]
+        batches = [rows for _, rows in features[::3]]
+        assert features == [(name, rows) for rows in batches for name in ARRAY_NAMES[:3]]
+        return [rows for name, rows in loaded if name == "labels"], batches
+
+    def chunks(reads):
+        """The reads as [lo, hi) ranges; each must be contiguous and ascending."""
+        assert all(rows == tuple(range(rows[0], rows[-1] + 1)) for rows in reads)
+        return [(rows[0], rows[-1] + 1) for rows in reads]
 
     def in_order(chunks, lo, hi):
         """The chunks cover rows [lo, hi) exactly once, in order."""
         return [a for a, _ in chunks] == [lo] + [b for _, b in chunks[:-1]] and chunks[-1][1] == hi
     # TINY_CONFIG: 80 samples split 56 / 12 / 12; the probe is the first 12 validation samples
-    assert reads("pretrain", "--out", tmp / "pre") == [(0, 56)]
-    chunks = reads("finetune", "--checkpoint", tmp / "pre" / "checkpoint.mcu", "--out", tmp / "fin")
+    labels, batches = reads("pretrain", "--out", tmp / "pre")
+    assert chunks(labels) == [(0, 56)]
+    # one read per batch of at most 16 train rows; each of the 2 epochs reads every train row once
+    assert max(len(rows) for rows in batches) == 16 and len(batches) == 2 * 4
+    for epoch in (batches[:4], batches[4:]):
+        assert sorted(row for rows in epoch for row in rows) == list(range(56))
+    labels, batches = reads("finetune", "--checkpoint", tmp / "pre" / "checkpoint.mcu", "--out", tmp / "fin")
     # the probe first, whole, then the train rows in chunks: all 68 rows read once
-    assert chunks[0] == (56, 68) and in_order(chunks[1:], 0, 56) and max(hi - lo for lo, hi in chunks[1:]) == 5
+    assert chunks(labels) == [(56, 68), (0, 56)]
+    got = chunks(batches)
+    assert got[0] == (56, 68) and in_order(got[1:], 0, 56) and max(hi - lo for lo, hi in got[1:]) == 5
     for protocol in ("fixed", "random"):
-        chunks = reads("eval", "--checkpoint", tmp / "fin" / "checkpoint.mcu", "--protocol", protocol,
-                       "--out", tmp / protocol)
-        assert in_order(chunks, 68, 80) and max(hi - lo for lo, hi in chunks) == 5
+        labels, batches = reads("eval", "--checkpoint", tmp / "fin" / "checkpoint.mcu", "--protocol", protocol,
+                                "--out", tmp / protocol)
+        got = chunks(batches)
+        assert chunks(labels) == [(68, 80)] and in_order(got, 68, 80) and max(hi - lo for lo, hi in got) == 5
 
 
 def assert_same_dataset(got, want):
@@ -614,7 +691,7 @@ def test_gen_data_file_is_generate_dataset_of_its_config(workspace):
     # test_gen_data_is_checksum_reproducible checks that the bytes repeat
     tmp, cfg = workspace
     assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
-    assert_same_dataset(load_dataset(tmp / "data" / "dataset.mcu"), generate_dataset(parse_config_text(TINY_CONFIG)))
+    assert_same_dataset(read_dataset(tmp / "data" / "dataset.mcu"), generate_dataset(parse_config_text(TINY_CONFIG)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -626,12 +703,14 @@ def test_command_row_ranges_are_the_splits_of_a_full_load(n, seq_len, train_frac
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dataset.mcu"
         save_dataset(path, cfg)
-        train, val, test = split_dataset(load_dataset(path), cfg.train_frac, cfg.val_frac)
-        rows = {split: _split_rows(cfg, path, split) for split in ("train", "probe", "test")}
+        train, val, test = split_dataset(read_dataset(path), cfg.train_frac, cfg.val_frac)
         for split, want in (("train", train), ("probe", val[:probe_size]), ("test", test)):
-            assert len(rows[split]) == len(want)
-            assert_same_dataset(rows[split][:], want)
-            assert_same_dataset(rows[split][1:-1], want[1:-1])
+            with _split_rows(cfg, path, split) as rows:
+                assert len(rows) == len(want)
+                assert_same_dataset(rows[:], want)
+                assert_same_dataset(rows[1:-1], want[1:-1])
+                order = np.random.default_rng(n).permutation(len(want))  # rows by index, in any order
+                assert_same_dataset(rows[order], want[order])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""tools/command_peaks.py: one fresh process per CLI command, each with its own peak and times.
+"""tools/command_peaks.py: one fresh process per CLI command, each with its own peaks and times.
 
-The tool measures each command's peak resident memory, wall seconds and CPU
+The tool measures each command's peak resident memory, tracemalloc heap peak, wall seconds and CPU
 seconds apart, which a whole run in one process cannot show. This runs it on a tiny config.
 """
 
@@ -22,5 +22,8 @@ CONFIG = ("num_samples = 80\nseq_len = 3\nraw_dim = 8\nclasses = 3\nshared_dim =
 def test_each_command_runs_in_its_own_process_and_reports_a_peak(tmp_path):
     rows = command_peaks.command_peaks(CONFIG, tmp_path)
     assert [row[0] for row in rows] == ["gen-data", "pretrain", "finetune", "eval-fixed", "eval-random"]
-    assert all(code == 0 and mb > 0 and wall > 0 and cpu > 0 for _, code, mb, wall, cpu in rows), rows
+    assert all(code == 0 and mb > 0 and wall > 0 and cpu > 0 for _, code, mb, _, wall, cpu in rows), rows
+    # the heap peak leaves out the import baseline that every resident peak holds
+    assert all(0 < heap < mb for _, _, mb, heap, _, _ in rows), rows
     assert (tmp_path / "eval-random" / "metrics.txt").is_file()  # the commands ran on each other's outputs
+

@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import signal
 import threading
 import time
@@ -11,7 +12,7 @@ import pytest
 
 from mculora.errors import ContractError
 from mculora import serialize
-from mculora.serialize import Chunked, load_container, save_container
+from mculora.serialize import Chunked, ContainerFile, load_container, save_container
 
 ARRAYS = {
     "weights": np.arange(24, dtype=np.float64).reshape(2, 3, 4) / 7.0,
@@ -20,9 +21,14 @@ ARRAYS = {
 }
 
 
-# every malformed file must fail whole reads and row-range reads alike; reading
-# the first row alone leaves the rest of each blob outside the requested range
-ROW_READS = (None, lambda n: slice(0, 1))
+def read_first_rows(path):
+    """Every array's first row alone, which leaves the rest of each blob outside what is read."""
+    with ContainerFile(path) as container:
+        return {name: container.read(name, slice(0, 1)) for name in container.names}
+
+
+# every malformed file must fail whole reads and row reads alike: the file is checked whole when it is opened
+READS = (load_container, read_first_rows)
 
 
 def npy_bytes(arr):
@@ -57,19 +63,19 @@ def test_truncated_container_is_contract_error_naming_the_file(container):
     first_blob = len(npy_bytes(ARRAYS["weights"]))
     offsets = [0, 5, magic_end, magic_end + 7, header_end - 1, header_end, header_end + 6, header_end + 60,
                header_end + first_blob - 1, header_end + first_blob, len(data) - 1]
-    for cut, rows in itertools.product(offsets, ROW_READS):
+    for cut, read in itertools.product(offsets, READS):
         container.write_bytes(data[:cut])
         with pytest.raises(ContractError, match="c.mcu") as info:
-            load_container(container, rows=rows)
+            read(container)
         if cut == header_end + first_blob:  # file ends just before a listed array
             assert "'mask'" in str(info.value)
 
 
 def test_trailing_bytes_are_rejected(container):
     container.write_bytes(container.read_bytes() + b"junk")
-    for rows in ROW_READS:
+    for read in READS:
         with pytest.raises(ContractError, match="c.mcu: 4 trailing bytes"):
-            load_container(container, rows=rows)
+            read(container)
 
 
 def test_bad_header_json_and_shape_are_rejected(container):
@@ -77,10 +83,10 @@ def test_bad_header_json_and_shape_are_rejected(container):
     magic_end = data.index(b"\n") + 1
     header_end = data.index(b"\n", magic_end) + 1
     bad_headers = (b"{not json", b"\xff\xfe", b'{"meta": {}, "arrays": "weights"}', b"[1, 2]")
-    for bad, rows in itertools.product(bad_headers, ROW_READS):
+    for bad, read in itertools.product(bad_headers, READS):
         container.write_bytes(data[:magic_end] + bad + b"\n" + data[header_end:])
         with pytest.raises(ContractError, match="c.mcu"):
-            load_container(container, rows=rows)
+            read(container)
 
 
 def test_garbled_blob_is_rejected(container):
@@ -89,12 +95,12 @@ def test_garbled_blob_is_rejected(container):
     header_end = data.index(b"\n", magic_end) + 1
     blob_header = data.index(b"}", header_end)
     garbles = ((header_end, b"PK\x03\x04"), (header_end + 10, b"'descr': 'O'"), (blob_header - 12, b"(9999999999"))
-    for (start, junk), rows in itertools.product(garbles, ROW_READS):
+    for (start, junk), read in itertools.product(garbles, READS):
         garbled = data.copy()
         garbled[start:start + len(junk)] = junk
         container.write_bytes(bytes(garbled))
         with pytest.raises(ContractError, match="c.mcu: array 'weights' is missing or corrupt"):
-            load_container(container, rows=rows)
+            read(container)
 
 
 def test_failed_write_leaves_target_and_no_temporary(container):
@@ -110,28 +116,48 @@ def test_row_range_read_is_the_slice_of_a_full_read(tmp_path):
               "y": np.linspace(0, 1, 5)}
     path = tmp_path / "r.mcu"
     save_container(path, "dataset", {}, arrays)
-    for sl in (slice(0, 5), slice(0, 0), slice(2, 4), slice(4, 5), slice(-2, None), slice(3, 1), slice(0, 99)):
-        _, _, got = load_container(path, rows=lambda n: sl)
-        for name, arr in arrays.items():
-            want = arr[sl]
-            assert got[name].dtype == want.dtype and got[name].shape == want.shape, (name, sl)
-            assert got[name].tobytes() == want.tobytes() and got[name].flags.writeable
+    # contiguous slices, and row indices in any order, repeats included
+    parts = (slice(0, 5), slice(0, 0), slice(2, 4), slice(4, 5), slice(-2, None), slice(3, 1), slice(0, 99),
+             np.array([4, 0, 2, 2]), np.array([3]), np.array([], dtype=np.int64))
+    with ContainerFile(path) as container:
+        assert container.length() == 5
+        for part in parts:
+            for name, arr in arrays.items():
+                got, want = container.read(name, part), arr[part]
+                assert got.dtype == want.dtype and got.shape == want.shape, (name, part)
+                assert got.tobytes() == want.tobytes() and got.flags.writeable
+        with pytest.raises(IndexError, match="r.mcu: array 'x': rows out of range for 5 rows"):
+            container.read("x", np.array([0, 5]))
 
 
 def test_row_range_read_needs_one_leading_length_and_a_contiguous_slice(tmp_path):
     path = tmp_path / "r.mcu"
     save_container(path, "dataset", {}, {"x": np.zeros((4, 2)), "y": np.zeros(3)})
-    with pytest.raises(ContractError, match="r.mcu: array 'y'.*leading length 3 differs from the first array's 4"):
-        load_container(path, rows=lambda n: slice(0, 1))
-    with pytest.raises(ContractError, match="r.mcu: array 'x'.*contiguous"):
-        load_container(path, rows=lambda n: slice(0, n, 2))
+    with ContainerFile(path) as container:
+        with pytest.raises(ContractError, match="r.mcu: array 'y'.*leading length 3 differs from the first array's 4"):
+            container.length()
+        with pytest.raises(ContractError, match="r.mcu: array 'x'.*contiguous"):
+            container.read("x", slice(0, 4, 2))
     # np.save can write blobs that save_container never does: 0-d and Fortran-order arrays
     for arr, kind in ((np.array(1.0), "0-d"), (np.asfortranarray(np.zeros((4, 2))), "Fortran-order")):
         header = json.dumps({"meta": {}, "arrays": ["odd"]}).encode()
         path.write_bytes(b"MCULORA-DATASET v1\n" + header + b"\n" + npy_bytes(arr))
         assert load_container(path)[2]["odd"].tobytes() == arr.tobytes()
-        with pytest.raises(ContractError, match=f"r.mcu: array 'odd'.*{kind}"):
-            load_container(path, rows=lambda n: slice(0, 1))
+        with ContainerFile(path) as container:
+            for rows in (slice(0, 1), np.array([0])):
+                with pytest.raises(ContractError, match=f"r.mcu: array 'odd'.*{kind}"):
+                    container.read("odd", rows)
+
+
+def test_rows_read_after_the_file_shrank_are_contract_error_naming_it(container):
+    size = container.stat().st_size
+    with ContainerFile(container) as opened:
+        os.truncate(container, size - 3)  # the last array loses its last bytes after the check
+        assert opened.read("weights").tobytes() == ARRAYS["weights"].tobytes()
+        for rows in (None, slice(0, 2), np.array([1])):
+            with pytest.raises(ContractError, match="c.mcu: array 'labels' .*shrank"):
+                opened.read("labels", rows)
+        assert opened.read("labels", np.array([0])).tobytes() == ARRAYS["labels"][:1].tobytes()
 
 
 def test_writer_calls_each_array_function_once(tmp_path, monkeypatch):

@@ -21,12 +21,11 @@ from mculora.synthgen import (
     apply_random_missing,
     draw_missing_masks,
     generate_dataset,
-    load_dataset,
     save_dataset,
     split_dataset,
 )
 
-from conftest import lstsq_probe_accuracy
+from conftest import lstsq_probe_accuracy, read_dataset
 
 
 def pooled(dataset, modality):
@@ -227,7 +226,7 @@ def test_dataset_roundtrip_is_bitwise(tmp_path):
     cfg = ExperimentConfig(num_samples=40)
     path = tmp_path / "data.mcu"
     save_dataset(path, cfg, Rng(11))
-    loaded = load_dataset(path)
+    loaded = read_dataset(path)
     ds = generate_dataset(cfg, Rng(11))
     # the header records the 10 generator fields and seed (11 keys), seed being that of the default data stream
     generator_fields = ("num_samples", "seq_len", "raw_dim", "classes", "shared_dim", "private_dim", "shared_strength",

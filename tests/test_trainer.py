@@ -7,7 +7,7 @@ from mculora.config import ExperimentConfig
 from mculora.errors import ConfigError, ContractError
 from mculora.modalities import ALL_COMBINATIONS, AV, FULL, INCOMPLETE_COMBINATIONS, MODALITIES, Combo
 from mculora.rng import Rng
-from mculora.synthgen import DatasetFile, apply_random_missing, generate_dataset, load_dataset, save_dataset
+from mculora.synthgen import DatasetFile, apply_random_missing, generate_dataset, save_dataset
 from mculora import trainer
 from mculora.autodiff import Tensor
 from mculora.trainer import (
@@ -27,7 +27,7 @@ from mculora.trainer import (
 )
 from mculora.model import Encoder, forward_batch, save_checkpoint
 
-from conftest import lstsq_probe_accuracy
+from conftest import lstsq_probe_accuracy, read_dataset
 
 
 def tiny_synth(n=60, seed=1, **kw):
@@ -463,24 +463,47 @@ def test_chunked_eval_holds_less_than_one_modality_of_the_test_split(tmp_path):
     data = ExperimentConfig(num_samples=2560, seq_len=32, raw_dim=8, classes=3, shared_dim=3, private_dim=2,
                             train_frac=0.1, val_frac=0.1)
     save_dataset(tmp_path / "d.mcu", data)
-    train = load_dataset(tmp_path / "d.mcu", rows=lambda n: slice(0, 64))
+    train = read_dataset(tmp_path / "d.mcu", rows=lambda n: slice(0, 64))
     cfg = tiny_cfg(pretrain_epochs=1, finetune_epochs=1)
     model = pretrain(train, cfg).model
     finetune(model, train, cfg)
-    test = DatasetFile(tmp_path / "d.mcu", lambda n: slice(512, n))
-    assert len(test) == 2048 and len(test) * data.seq_len >= 8 * trainer._EVAL_POSITIONS  # read in 32 chunks
-    feature_bytes = len(test) * data.seq_len * data.raw_dim * 8  # one modality of the test split
-    for protocol in ("fixed", "random"):
-        want = evaluate(model, load_dataset(tmp_path / "d.mcu", rows=lambda n: slice(512, n)), protocol, cfg)
+    with DatasetFile(tmp_path / "d.mcu", lambda n: slice(512, n)) as test:
+        assert len(test) == 2048 and len(test) * data.seq_len >= 8 * trainer._EVAL_POSITIONS  # read in 32 chunks
+        feature_bytes = len(test) * data.seq_len * data.raw_dim * 8  # one modality of the test split
+        for protocol in ("fixed", "random"):
+            want = evaluate(model, read_dataset(tmp_path / "d.mcu", rows=lambda n: slice(512, n)), protocol, cfg)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                record = evaluate(model, test, protocol, cfg)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert record.rows == want.rows and record.average == want.average
+            assert peak < feature_bytes, protocol
+
+
+def test_streamed_pretrain_matches_held_pretrain_in_less_than_one_modality(tmp_path):
+    data = ExperimentConfig(num_samples=2560, seq_len=32, raw_dim=8, classes=3, shared_dim=3, private_dim=2,
+                            train_frac=0.8, val_frac=0.1)
+    save_dataset(tmp_path / "d.mcu", data)
+    cfg = tiny_cfg(pretrain_epochs=2, batch_size=16)
+    held = read_dataset(tmp_path / "d.mcu", rows=lambda n: slice(0, 2048))
+    save_checkpoint(pretrain(held, cfg).model, tmp_path / "held.mcu")
+    feature_bytes = held.features["a"].nbytes  # one modality of the train split
+    del held
+    with DatasetFile(tmp_path / "d.mcu", lambda n: slice(0, 2048)) as train:
+        assert len(train) == 2048
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            record = evaluate(model, test, protocol, cfg)
+            model = pretrain(train, cfg).model
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert record.rows == want.rows and record.average == want.average
-        assert peak < feature_bytes, protocol
+    save_checkpoint(model, tmp_path / "streamed.mcu")
+    assert (tmp_path / "streamed.mcu").read_bytes() == (tmp_path / "held.mcu").read_bytes()
+    assert peak < feature_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Peak resident memory and time of each CLI command of one benchmark workload, each in a fresh process.
+"""Peak resident memory, heap peak and time of each CLI command of one benchmark workload, each in a fresh process.
 
 Run from the repository root:
 
@@ -8,13 +8,18 @@ It writes the config of one ``bench/workloads.py`` workload and seed, then
 runs the five commands of the pipeline (gen-data, pretrain, finetune, eval
 fixed, eval random) one after another, each as ``python -m mculora.cli`` in a
 new process with one BLAS thread, on the package in ``src/``. It prints one
-line ``<command>  exit <code>  <peak> MB  <wall> s wall  <cpu> s cpu`` per
-command: the peak is that process's ``ru_maxrss``, the wall seconds run from
-its start to its exit, and the CPU seconds are its user plus system time, so
-a command that keeps more than one core busy shows more CPU than wall
-seconds. A whole-run peak, as ``bench/run.py`` reports it, is
-the largest of these plus everything one process accumulates across commands;
-a traced run overstates both, so this tool runs untraced.
+line ``<command>  exit <code>  <peak> MB  <heap> MB heap  <wall> s wall  <cpu> s cpu``
+per command: the peak is that process's ``ru_maxrss``, the wall seconds run
+from its start to its exit, and the CPU seconds are its user plus system
+time, so a command that keeps more than one core busy shows more CPU than
+wall seconds. The heap peak comes from a second fresh process that runs the
+same command again under ``tracemalloc``, started once the package is
+imported: the most the command's Python and numpy allocations held at once.
+Unlike ``ru_maxrss`` it does not move with where the allocator places
+blocks, and it leaves out the import baseline. A whole-run peak, as
+``bench/run.py`` reports it, is the largest resident peak plus everything
+one process accumulates across commands; a traced run overstates both, so
+this tool runs untraced.
 """
 
 from __future__ import annotations
@@ -30,16 +35,30 @@ from pathlib import Path
 from artifact_digest import ROOT, pipeline_argv
 
 
-def command_peaks(config_text: str, root: Path) -> list[tuple[str, int, float, float, float]]:
+# runs `mculora.cli` with the arguments after the first, then writes its tracemalloc peak to the file named first
+_HEAP_PEAK = """
+import sys, tracemalloc
+from mculora.cli import main
+tracemalloc.start()
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w") as out:
+    out.write(str(tracemalloc.get_traced_memory()[1]))
+raise SystemExit(code)
+"""
+
+
+def command_peaks(config_text: str, root: Path) -> list[tuple[str, int, float, float, float, float]]:
     """Write the config under `root` and run the five commands on it there,
-    each in a fresh process; (command, exit code, peak RSS in MB, wall seconds,
-    CPU seconds) per command.
-    A command whose input comes from a failed one is still run, and fails too."""
+    each in a fresh process and then again in another under tracemalloc;
+    (command, exit code, peak RSS in MB, heap peak in MB, wall seconds, CPU
+    seconds) per command. A command whose input comes from a failed one is
+    still run, and fails too; the heap run must exit as the first did."""
     root.mkdir(parents=True, exist_ok=True)
     config = root / "config.txt"
     config.write_text(config_text, encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    heap_file = root / "heap_peak.txt"
     rows = []
     for name, argv in pipeline_argv(config, root):
         start = time.perf_counter()
@@ -48,8 +67,13 @@ def command_peaks(config_text: str, root: Path) -> list[tuple[str, int, float, f
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
+        heap_run = subprocess.run([sys.executable, "-c", _HEAP_PEAK, str(heap_file), *argv], env=env,
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        if heap_run.returncode != proc.returncode:
+            raise RuntimeError(f"{name}: exit {proc.returncode}, then {heap_run.returncode} under tracemalloc")
+        heap = int(heap_file.read_text()) / 2 ** 20
         rows.append((name, proc.returncode, usage.ru_maxrss / 1024.0,  # ru_maxrss is in KiB on Linux
-                     wall, usage.ru_utime + usage.ru_stime))
+                     heap, wall, usage.ru_utime + usage.ru_stime))
     return rows
 
 
@@ -64,8 +88,10 @@ def main() -> None:
     if args.workload not in WORKLOADS:
         parser.error(f"--workload must be one of {', '.join(sorted(WORKLOADS))}")
     with tempfile.TemporaryDirectory() as tmp:
-        for name, code, mb, wall, cpu in command_peaks(WORKLOADS[args.workload].config_text(args.seed), Path(tmp)):
-            print(f"{name:<12} exit {code}  {mb:.1f} MB  {wall:.3f} s wall  {cpu:.3f} s cpu", flush=True)
+        for name, code, mb, heap, wall, cpu in command_peaks(WORKLOADS[args.workload].config_text(args.seed),
+                                                             Path(tmp)):
+            print(f"{name:<12} exit {code}  {mb:.1f} MB  {heap:.1f} MB heap  {wall:.3f} s wall  {cpu:.3f} s cpu",
+                  flush=True)
 
 
 if __name__ == "__main__":
