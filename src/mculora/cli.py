@@ -2,8 +2,11 @@
 
 Subcommands: gen-data, pretrain, finetune, eval, report. Every command is a
 pure function of (config file, input artifacts, seed) up to wallclock columns
-in the epoch logs. Each writes its artifacts plus a manifest.json with the
-resolved config snapshot and artifact checksums into --out.
+in the epoch logs, and writes its outputs into --out. Gen-data, pretrain,
+finetune and eval also write a manifest.json with the resolved config
+snapshot and the SHA-256 of each artifact; report writes none. Every output
+is written atomically by :mod:`mculora.serialize`, whose writers return the
+SHA-256 of the bytes they wrote: that is the digest the manifest records.
 
 Each command reads only the contiguous rows of the dataset file it uses:
 pretrain the train split, finetune the train split and the probe (the first
@@ -14,9 +17,7 @@ train, reads each batch's rows just before the batch's forward pass; finetune
 and eval read theirs one chunk of rows at a time and keep only each row's
 pooled output of the frozen base. No command holds a whole split.
 Gen-data generates and writes one block of rows at a time, a large
-dataset's three modalities concurrently, one writer thread each. Containers
-are hashed for the manifest by their writer, which reads the streamed arrays
-back as it goes.
+dataset's three modalities concurrently, one writer thread each.
 
 Exit codes: 0 success, 2 input/config error, 3 state/contract error.
 """
@@ -32,15 +33,17 @@ from .config import ExperimentConfig, _parse_bool, load_config, version_string, 
 from .errors import ConfigError, ContractError, ShapeError
 from .modalities import Combo
 from .model import load_checkpoint, save_checkpoint
+from .serialize import write_text
 from .synthgen import DatasetFile, save_dataset, split_bounds
 from .trainer import (
     MetricsRecord,
+    csv_text,
     evaluate,
     finetune,
+    format_metrics_document,
     parse_metrics_document,
     pretrain,
     write_epoch_log,
-    write_metrics_document,
     write_probe_log,
     write_schedule_log,
 )
@@ -147,8 +150,7 @@ def _split_rows(cfg: ExperimentConfig, data_path: str, split: str) -> DatasetFil
 
 def cmd_gen_data(args) -> int:
     cfg, out_dir = _prepare(args)
-    digest = save_dataset(out_dir / "dataset.mcu", cfg)
-    write_manifest(out_dir, "gen-data", cfg, cfg.seed, args.config, {"dataset.mcu": digest}, [])
+    write_manifest(out_dir, "gen-data", cfg, args.config, {"dataset.mcu": save_dataset(out_dir / "dataset.mcu", cfg)})
     print(f"wrote {out_dir / 'dataset.mcu'} ({cfg.num_samples} samples)")
     return EXIT_OK
 
@@ -157,10 +159,9 @@ def cmd_pretrain(args) -> int:
     cfg, out_dir = _prepare(args)
     with _split_rows(cfg, args.data, "train") as train:
         result = pretrain(train, cfg)
-    digest = save_checkpoint(result.model, out_dir / "checkpoint.mcu")
-    write_epoch_log(out_dir / "epoch_log.csv", result.epoch_rows)
-    write_manifest(out_dir, "pretrain", cfg, cfg.seed, args.config, {"checkpoint.mcu": digest},
-                   ["epoch_log.csv"])
+    write_manifest(out_dir, "pretrain", cfg, args.config, {
+        "checkpoint.mcu": save_checkpoint(result.model, out_dir / "checkpoint.mcu"),
+        "epoch_log.csv": write_epoch_log(out_dir / "epoch_log.csv", result.epoch_rows)})
     print(f"pretrained {cfg.pretrain_epochs} epochs; checkpoint at {out_dir / 'checkpoint.mcu'}")
     return EXIT_OK
 
@@ -170,12 +171,11 @@ def cmd_finetune(args) -> int:
     model = load_checkpoint(args.checkpoint)
     with _split_rows(cfg, args.data, "probe") as probe, _split_rows(cfg, args.data, "train") as train:
         result = finetune(model, train, cfg, probe_batch=probe if len(probe) else None)
-    digest = save_checkpoint(result.model, out_dir / "checkpoint.mcu")
-    write_epoch_log(out_dir / "epoch_log.csv", result.epoch_rows)
-    write_schedule_log(out_dir / "schedule_log.csv", result.schedule_rows)
-    write_probe_log(out_dir / "probe_log.csv", result.probe_rows)
-    write_manifest(out_dir, "finetune", cfg, cfg.seed, args.config, {"checkpoint.mcu": digest},
-                   ["epoch_log.csv", "schedule_log.csv", "probe_log.csv"])
+    write_manifest(out_dir, "finetune", cfg, args.config, {
+        "checkpoint.mcu": save_checkpoint(result.model, out_dir / "checkpoint.mcu"),
+        "epoch_log.csv": write_epoch_log(out_dir / "epoch_log.csv", result.epoch_rows),
+        "schedule_log.csv": write_schedule_log(out_dir / "schedule_log.csv", result.schedule_rows),
+        "probe_log.csv": write_probe_log(out_dir / "probe_log.csv", result.probe_rows)})
     print(f"finetuned {cfg.finetune_epochs} epochs "
           f"(mcla={'on' if cfg.mcla else 'off'}, dpft={'on' if cfg.dpft else 'off'})")
     return EXIT_OK
@@ -191,14 +191,10 @@ def cmd_eval(args) -> int:
     combo = None if args.combo is None else Combo.from_name(args.combo)
     with _split_rows(cfg, args.data, "test") as test:
         record = evaluate(model, test, args.protocol, cfg, combo)
-    write_metrics_document(out_dir / "metrics.txt", record, config_echo_str(cfg), version_string())
-    write_manifest(out_dir, "eval", cfg, cfg.seed, args.config, {}, ["metrics.txt"])
-    print((out_dir / "metrics.txt").read_text(), end="")
+    text = format_metrics_document(record, json.dumps(cfg.echo(), sort_keys=True), version_string())
+    write_manifest(out_dir, "eval", cfg, args.config, {"metrics.txt": write_text(out_dir / "metrics.txt", text)})
+    print(text, end="")
     return EXIT_OK
-
-
-def config_echo_str(cfg: ExperimentConfig) -> str:
-    return json.dumps(cfg.echo(), sort_keys=True)
 
 
 def cmd_report(args) -> int:
@@ -240,22 +236,18 @@ def cmd_report(args) -> int:
             else:
                 deltas.append(f"{100 * (record.average.acc - base.average.acc):+.2f}")
         lines.append(",".join(deltas))
-    (out_dir / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(out_dir / "report.txt", "\n".join(lines) + "\n")
 
     curves = out_dir / "curves"
     curves.mkdir(exist_ok=True)
     for cond in conditions + (["average"] if any(r.average for _, r in runs) else []):
-        rows = ["run,acc,f1,wa,ua"]
-        for name, record in runs:
-            m = record.average if cond == "average" else record.rows.get(cond)
-            if m is not None:
-                rows.append(f"{name},{m.acc!r},{m.f1!r},{m.wa!r},{m.ua!r}")
-        (curves / f"condition_{cond}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        metrics = [(name, record.average if cond == "average" else record.rows.get(cond)) for name, record in runs]
+        rows = [[name, *m.as_tuple()] for name, m in metrics if m is not None]
+        write_text(curves / f"condition_{cond}.csv", csv_text(["run", "acc", "f1", "wa", "ua"], rows))
     for run_dir in args.runs:
         src = Path(run_dir) / "epoch_log.csv"
         if src.exists():
-            (curves / f"epochs_{Path(run_dir).name}.csv").write_text(src.read_text(encoding="utf-8"),
-                                                                     encoding="utf-8")
+            write_text(curves / f"epochs_{Path(run_dir).name}.csv", src.read_text(encoding="utf-8"))
     print(f"report written to {out_dir / 'report.txt'} ({len(runs)} runs)")
     return EXIT_OK
 

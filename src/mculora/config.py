@@ -10,9 +10,9 @@ rejected with the field named, whether they come from the file or from a
 command-line override.
 The resolved snapshot is echoed into each run's ``manifest.json`` together
 with the effective seed and SHA-256 checksums of every written artifact, so a
-run can be reproduced byte for byte (wallclock columns excepted). Container
-digests come from their writer, which hashes while it writes; the text logs
-are read back here to be hashed.
+run can be reproduced byte for byte (wallclock columns excepted). Each digest
+is the one its writer returned (see :mod:`mculora.serialize`); no artifact is
+read back to be hashed.
 
 All randomness in a command flows from one root seed, fanned out to named
 child streams (data, init, sampling, ...), so e.g. ablation runs that share a
@@ -22,15 +22,14 @@ seed also share initialization.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError
+from .serialize import write_text
 
 
 def _parse_bool(text: str) -> bool:
@@ -179,14 +178,6 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 # run manifests
 # ---------------------------------------------------------------------------
 
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 @functools.cache
 def version_string() -> str:
     """The package version, plus `git describe` of the checkout holding the
@@ -204,34 +195,18 @@ def version_string() -> str:
     return f"{__version__}+{described}" if described else __version__
 
 
-def write_manifest(out_dir, command: str, config: ExperimentConfig, seed: int, config_path: str | None,
-                   digests: dict[str, str], logs: list[str]) -> Path:
-    """Write ``manifest.json``; `digests` maps each container written to the
-    SHA-256 its writer returned, and the text files `logs` are hashed here."""
+def write_manifest(out_dir, command: str, config: ExperimentConfig, config_path: str | None,
+                   artifacts: dict[str, str]) -> None:
+    """Write ``manifest.json``; `artifacts` maps each file written to the
+    SHA-256 its writer returned."""
     out_dir = Path(out_dir)
-    artifacts = {**digests, **{name: sha256_file(out_dir / name) for name in logs}}
     manifest = {
         "command": command,
         "config_path": config_path,
         "config": config.echo(),
-        "seed": int(seed),
+        "seed": config.seed,
         "out_dir": str(out_dir),
         "artifacts": dict(sorted(artifacts.items())),
         "version": version_string(),
     }
-    path = out_dir / "manifest.json"
-    write_text_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def write_text_atomic(path, text: str) -> None:
-    """Write UTF-8 `text` to a temporary sibling that then replaces `path`; on
-    failure neither is left changed: the temporary is removed."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -10,11 +10,17 @@ Layout (documented here; this is the on-disk interface):
 
 ``.npy`` blobs carry dtype/shape/order themselves and contain no timestamps,
 so serializing the same content twice yields byte-identical files and a
-round-trip reproduces every array bitwise. Writes go into a temporary
-sibling file that then replaces the target in one rename, so they stay
-atomic without a second in-memory copy. Any malformed file - truncated, bad
+round-trip reproduces every array bitwise. Any malformed file - truncated, bad
 header JSON, a short or garbled blob, a missing listed array, or trailing
 bytes after the last one - is a :class:`ContractError` naming the file.
+
+This module is the package's only file writer: containers go through
+:func:`save_container`, text (logs, metrics, reports, manifests) through
+:func:`write_text`. Both write ``<name>.tmp`` beside the target and rename it
+over the target, so a write is atomic without a second in-memory copy; on
+any failure the temporary is removed and the target left as it was. Both
+return the SHA-256 of the bytes they wrote, so no file is read back to be
+hashed: text is hashed from its encoded string in memory.
 
 A writer may pass an array as a :class:`Chunked` instead: its shape and
 dtype, and a function that gives the array's rows in order, a block at a
@@ -48,6 +54,7 @@ import math
 import os
 import threading
 import tokenize
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -103,8 +110,6 @@ def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray | C
     If a writer fails or the calling thread is interrupted, the other writers
     stop at their next block, every worker is joined, the temporary file is
     removed and the first error is raised."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
     parts: list = [memoryview(f"{_PREFIX}{kind.upper()} {_VERSION}\n".encode("ascii")),
                    memoryview(json.dumps({"meta": meta, "arrays": list(arrays)}, sort_keys=True).encode("utf-8") + b"\n")]
     for name, arr in arrays.items():
@@ -115,8 +120,7 @@ def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray | C
     failures: list[BaseException] = []  # in the order they happened; any entry stops every writer
     progress = threading.Condition()
     digest = hashlib.sha256()
-    try:
-        fd = os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)
+    with _replacing(path) as fd:
         writers: list[_BlobWriter] = []
         try:
             layout, offset = [], 0
@@ -144,17 +148,43 @@ def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray | C
             failures.append(exc)
             raise
         finally:
+            # start() registers a thread before it makes it, so an interrupt inside start() may leave a
+            # thread made but not yet running: wait for every registered writer to run, then join it
+            registered = threading.enumerate()
             for writer in writers:
-                if writer.ident is not None:  # started
+                if writer in registered:
+                    writer.began.wait()
                     writer.join()
-            os.close(fd)
         if failures:
             raise failures[0]
+    return digest.hexdigest()
+
+
+def write_text(path, text: str) -> str:
+    """Write `text` as UTF-8, atomically; returns the SHA-256 of the bytes written."""
+    data = text.encode("utf-8")
+    with _replacing(path) as fd:
+        _pwrite(fd, data, 0)
+    return hashlib.sha256(data).hexdigest()
+
+
+@contextmanager
+def _replacing(path):
+    """A descriptor of the new file ``<name>.tmp`` beside `path`, open for reading and
+    writing, which replaces `path` in one rename once the block ends; if the block
+    fails, the temporary is removed and `path` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        fd = os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            yield fd
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return digest.hexdigest()
 
 
 def _npy_header(name: str, shape: tuple[int, ...], dtype: np.dtype) -> bytes:
@@ -188,8 +218,10 @@ class _BlobWriter(threading.Thread):
         self.blocks = iter(arr.chunks())  # on the calling thread, which then owns what chunks() allocates
         self.failures, self.progress = failures, progress
         self.written = 0  # bytes of the blob on file, always a prefix of it
+        self.began = threading.Event()
 
     def run(self) -> None:
+        self.began.set()
         try:
             for block in self.blocks:
                 if self.failures:

@@ -57,6 +57,11 @@ CSV interfaces (column orders are part of the interface):
 * epoch log:     epoch,phase,l_task,l_ort,l_total,wallclock_ms
 * schedule log:  epoch,s_<c>...,ds_<c>...,q_<c>... for c in a,t,v,av,at,tv,atv
 * probe log:     epoch,mean_cos_prt_com
+
+:func:`csv_text` formats every CSV line the package writes - these logs, the
+metrics document's table and the report's curves - with each float cell the
+shortest text that reads back as the same float. Each log writer writes
+through :func:`mculora.serialize.write_text` and returns the SHA-256 it gives.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import ExperimentConfig, write_text_atomic
+from .config import ExperimentConfig
 from .dpft import N_COMBINATIONS, sample_combination, separability_scores, update_probabilities
 from .errors import ContractError
 from .losses import orthogonality_loss, task_loss, total_loss
@@ -76,6 +81,7 @@ from .modalities import ALL_COMBINATIONS, FULL, INCOMPLETE_COMBINATIONS, MODALIT
 from .model import (MculoraModel, ModelConfig, Pooled, attach_adapters, build_model, encode, forward_batch,
                     forward_pooled)
 from .rng import Rng
+from .serialize import write_text
 from .synthgen import Dataset, apply_random_missing
 
 _EVAL_POSITIONS = 2048  # rows x L read and encoded at a time: 256 rows at L = 8, 64 at L = 32
@@ -211,21 +217,20 @@ def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
     if model.phase != "pretrained":
         raise ContractError(f"finetune requires a pretrained checkpoint, phase is {model.phase!r}")
     root = Rng(cfg.seed)
-    if probe_batch is None:
-        probe_batch = dataset[-min(cfg.probe_size, len(dataset)):]
-    else:
-        probe_batch = probe_batch[:cfg.probe_size]
+    # scoring reads only the probe's sequence-mean raw rows, which need no encoder: its
+    # (n, L, D) rows are read, averaged and dropped before the training rows are encoded
+    probe_rows = dataset[-min(cfg.probe_size, len(dataset)):] if probe_batch is None else probe_batch[:cfg.probe_size]
+    probe = {m: x.mean(axis=1) for m, x in probe_rows.features.items()}
+    del probe_rows
     attach_adapters(model, root.child("attach"), rank=cfg.rank, alpha=cfg.alpha, mcla=cfg.mcla)
-    # the base is frozen: each training row goes through it once; scoring reads
-    # only the probe's sequence-mean raw rows, which need no encoder
-    train, labels = _encode_rows(model, dataset, np.full(len(dataset), FULL.mask))
-    probe = {m: x.mean(axis=1) for m, x in probe_batch.features.items()}
+    # the base is frozen: each training row goes through it once
+    train = _encode_rows(model, dataset, np.full(len(dataset), FULL.mask))
     q = np.full(N_COMBINATIONS, 1.0 / N_COMBINATIONS)
     samp_rng = root.child("combo-sampling")
     s_prev = np.zeros(N_COMBINATIONS)
     result = TrainResult(model=model)
     # the draw reads q when called, so each epoch samples from the latest update
-    for epoch, losses, t0 in _train(model, labels, cfg, "finetune", cfg.finetune_epochs,
+    for epoch, losses, t0 in _train(model, dataset.labels, cfg, "finetune", cfg.finetune_epochs,
                                     lambda: sample_combination(q, samp_rng),
                                     lambda idx, combo: forward_pooled(model, train.rows(idx, combo))):
         scores, mean_cos = separability_scores(model, probe)
@@ -287,10 +292,9 @@ def compute_metrics(preds, labels) -> Metrics:
 # evaluation under missing-modality protocols
 # ---------------------------------------------------------------------------
 
-def _encode_rows(model: MculoraModel, dataset, need: np.ndarray) -> tuple[Pooled, np.ndarray]:
+def _encode_rows(model: MculoraModel, dataset, need: np.ndarray) -> Pooled:
     """The rows of `dataset` (a :class:`~mculora.synthgen.Dataset` or
-    :class:`~mculora.synthgen.DatasetFile`) through the frozen base, and their
-    labels.
+    :class:`~mculora.synthgen.DatasetFile`) through the frozen base.
 
     The rows are read one chunk of at most ``_EVAL_POSITIONS`` positions at a
     time, and row i is encoded once for each modality of the combination
@@ -300,11 +304,9 @@ def _encode_rows(model: MculoraModel, dataset, need: np.ndarray) -> tuple[Pooled
     step = max(1, _EVAL_POSITIONS // max(1, dataset[:0].features["a"].shape[1]))
     enc = {m: np.zeros((n, model.cfg.model_dim)) for m in MODALITIES}
     raw = {m: np.zeros((n, model.cfg.raw_dim)) for m in MODALITIES}
-    labels = np.zeros(n)
     for lo in range(0, n, step):
         chunk = dataset[lo:lo + step]
         hi = lo + len(chunk)
-        labels[lo:hi] = chunk.labels
         for m in MODALITIES:
             rows = np.nonzero(need[lo:hi] & bits[m])[0]
             if rows.size:  # a chunk whose every row is needed is encoded without a copy
@@ -312,19 +314,19 @@ def _encode_rows(model: MculoraModel, dataset, need: np.ndarray) -> tuple[Pooled
                 enc[m][lo + rows] = pooled.enc[m].data
                 raw[m][lo + rows] = pooled.raw[m]
         del chunk  # before the next chunk is read
-    return Pooled({m: ad.constant(x) for m, x in enc.items()}, raw), labels
+    return Pooled({m: ad.constant(x) for m, x in enc.items()}, raw)
 
 
-def predict_dataset(model: MculoraModel, dataset, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def predict_dataset(model: MculoraModel, dataset, masks: np.ndarray) -> np.ndarray:
     """Class predictions with row i seen under the combination of bitmask
-    masks[..., i], in the shape of `masks`, and the labels of the rows.
+    masks[..., i], in the shape of `masks`.
 
     `masks` holds one or more views of every row of `dataset`. Each row is read
     and encoded once per modality that some view of it keeps; then the rows
     of each view and combination run through the rest of the model as one
     condition, at most ``_HEAD_ROWS`` rows at a time."""
     views = masks.reshape(-1, len(dataset))
-    pooled, labels = _encode_rows(model, dataset, np.bitwise_or.reduce(views, axis=0))
+    pooled = _encode_rows(model, dataset, np.bitwise_or.reduce(views, axis=0))
     preds = np.zeros(views.shape, dtype=np.int64)
     for view, pred in zip(views, preds):
         for combo in ALL_COMBINATIONS:
@@ -332,7 +334,7 @@ def predict_dataset(model: MculoraModel, dataset, masks: np.ndarray) -> tuple[np
             for s in range(0, rows.size, _HEAD_ROWS):
                 idx = rows[s:s + _HEAD_ROWS]
                 pred[idx] = np.argmax(forward_pooled(model, pooled.rows(idx, combo))["y_last"].data, axis=1)
-    return preds.reshape(masks.shape), labels
+    return preds.reshape(masks.shape)
 
 
 def evaluate(model: MculoraModel, dataset, protocol: str, cfg: ExperimentConfig,
@@ -348,8 +350,8 @@ def evaluate(model: MculoraModel, dataset, protocol: str, cfg: ExperimentConfig,
         raise ContractError(f"evaluate: a single condition restricts the fixed protocol, not {protocol!r}")
     if protocol == "fixed":
         conditions = ALL_COMBINATIONS if combo is None else (combo,)
-        preds, labels = predict_dataset(model, dataset, np.array([[c.mask] for c in conditions]).repeat(n, axis=1))
-        rows = {c.name: compute_metrics(p, labels) for c, p in zip(conditions, preds)}
+        preds = predict_dataset(model, dataset, np.array([[c.mask] for c in conditions]).repeat(n, axis=1))
+        rows = {c.name: compute_metrics(p, dataset.labels) for c, p in zip(conditions, preds)}
         if combo is not None:
             return MetricsRecord(protocol="fixed", rows=rows)
         avg = Metrics(*[float(np.mean([rows[c.name].as_tuple()[k] for c in INCOMPLETE_COMBINATIONS]))
@@ -357,8 +359,8 @@ def evaluate(model: MculoraModel, dataset, protocol: str, cfg: ExperimentConfig,
         return MetricsRecord(protocol="fixed", rows=rows, average=avg)
     if protocol == "random":
         masks = apply_random_missing(n, (cfg.mask_lo, cfg.mask_hi), seed=cfg.eval_seed)
-        preds, labels = predict_dataset(model, dataset, masks)
-        return MetricsRecord(protocol="random", rows={"random": compute_metrics(preds, labels)})
+        preds = predict_dataset(model, dataset, masks)
+        return MetricsRecord(protocol="random", rows={"random": compute_metrics(preds, dataset.labels)})
     raise ContractError(f"unknown protocol {protocol!r}, expected 'fixed' or 'random'")
 
 
@@ -375,47 +377,39 @@ SCHEDULE_LOG_COLUMNS = ([f"s_{c}" for c in _COMBO_NAMES]
 PROBE_LOG_COLUMNS = ["epoch", "mean_cos_prt_com"]
 
 
-def write_epoch_log(path, rows: list[EpochRow]) -> None:
-    lines = [",".join(EPOCH_LOG_COLUMNS)]
-    for r in rows:
-        vals = [str(r.epoch), r.phase] + [repr(float(x)) for x in (r.l_task, r.l_ort, r.l_total, r.wallclock_ms)]
-        lines.append(",".join(vals))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+def csv_text(header: list[str], rows) -> str:
+    """The CSV lines of `header` and then each row, each line ending in a
+    newline; a float cell (numpy's too) is its shortest round-tripping repr,
+    any other cell its str()."""
+    return "".join(",".join(repr(float(c)) if isinstance(c, (float, np.floating)) else str(c) for c in row) + "\n"
+                   for row in [header, *rows])
 
 
-def write_schedule_log(path, rows: list[ScheduleRow]) -> None:
-    lines = [",".join(["epoch"] + SCHEDULE_LOG_COLUMNS)]
-    for r in rows:
-        vals = [str(r.epoch)] + [repr(float(x)) for x in (*r.scores, *r.deltas, *r.q)]
-        lines.append(",".join(vals))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+def write_epoch_log(path, rows: list[EpochRow]) -> str:
+    return write_text(path, csv_text(EPOCH_LOG_COLUMNS, [[r.epoch, r.phase, r.l_task, r.l_ort, r.l_total,
+                                                          r.wallclock_ms] for r in rows]))
 
 
-def write_probe_log(path, rows: list[tuple[int, float]]) -> None:
-    lines = [",".join(PROBE_LOG_COLUMNS)]
-    for epoch, cos in rows:
-        lines.append(f"{epoch},{cos!r}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+def write_schedule_log(path, rows: list[ScheduleRow]) -> str:
+    return write_text(path, csv_text(["epoch"] + SCHEDULE_LOG_COLUMNS,
+                                     [[r.epoch, *r.scores, *r.deltas, *r.q] for r in rows]))
+
+
+def write_probe_log(path, rows: list[tuple[int, float]]) -> str:
+    return write_text(path, csv_text(PROBE_LOG_COLUMNS, rows))
 
 
 _METRICS_HEADER = "# mculora metrics v1"
 _ROW_ORDER = ["a", "t", "v", "av", "at", "tv", "average", "atv"]
+_METRICS_COLUMNS = ["condition", "acc", "f1", "wa", "ua"]
 
 
 def format_metrics_document(record: MetricsRecord, config_echo: str, version: str) -> str:
     """Structured-text metrics table plus config echo and version string."""
-    lines = [_METRICS_HEADER,
-             f"version: {version}",
-             f"protocol: {record.protocol}",
-             f"config: {config_echo}",
-             "condition,acc,f1,wa,ua"]
     names = _ROW_ORDER if record.protocol == "fixed" else list(record.rows)
-    for name in names:
-        m = record.average if name == "average" else record.rows.get(name)
-        if m is None:
-            continue
-        lines.append(f"{name},{m.acc!r},{m.f1!r},{m.wa!r},{m.ua!r}")
-    return "\n".join(lines) + "\n"
+    rows = [(name, record.average if name == "average" else record.rows.get(name)) for name in names]
+    return (f"{_METRICS_HEADER}\nversion: {version}\nprotocol: {record.protocol}\nconfig: {config_echo}\n"
+            + csv_text(_METRICS_COLUMNS, [[name, *m.as_tuple()] for name, m in rows if m is not None]))
 
 
 def parse_metrics_document(text: str) -> tuple[MetricsRecord, dict]:
@@ -428,7 +422,7 @@ def parse_metrics_document(text: str) -> tuple[MetricsRecord, dict]:
         key, _, val = lines[idx].partition(":")
         meta[key.strip()] = val.strip()
         idx += 1
-    if idx >= len(lines) or lines[idx] != "condition,acc,f1,wa,ua":
+    if idx >= len(lines) or lines[idx] != ",".join(_METRICS_COLUMNS):
         raise ContractError("metrics document lacks its table header")
     rows: dict[str, Metrics] = {}
     average = None
@@ -442,7 +436,3 @@ def parse_metrics_document(text: str) -> tuple[MetricsRecord, dict]:
         else:
             rows[name] = m
     return MetricsRecord(protocol=meta.get("protocol", "?"), rows=rows, average=average), meta
-
-
-def write_metrics_document(path, record: MetricsRecord, config_echo: str, version: str) -> None:
-    write_text_atomic(path, format_metrics_document(record, config_echo, version))

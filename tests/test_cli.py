@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mculora import __version__, cli, serialize, trainer
+from mculora import __version__, cli, config, serialize, trainer
 from mculora.cli import _split_rows, build_parser, main
 from mculora.config import ExperimentConfig, parse_config_text, version_string
 from mculora.errors import ConfigError, ContractError
@@ -731,3 +732,87 @@ def test_finetune_of_a_nan_weight_exits_3_naming_the_step_and_writes_no_checkpoi
     assert re.search(r"finetune epoch 1 step 1 combination [atv]+: loss contains non-finite values",
                      capsys.readouterr().err)
     assert not (tmp / "fin" / "checkpoint.mcu").exists()
+
+
+GOLDEN_MANIFEST = (
+    "{\n"
+    '  "artifacts": {\n'
+    '    "checkpoint.mcu": "cccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccc",\n'
+    '    "epoch_log.csv": "28be021ebf99a1ffbdff796fbbf7de41185e7b1da7003dad64c6872a4214613e",\n'
+    '    "probe_log.csv": "87f7a693a5a9119a0453a5570eda6848359c530272a60c2d21d0667ff8c4ee08",\n'
+    '    "schedule_log.csv": "4107875be03ba931d0da6a757c8700f72f6d6aeb8109a8bc9edd94a6d98e3bbe"\n'
+    "  },\n"
+    '  "command": "finetune",\n'
+    '  "config": {\n'
+    '    "alpha": 1.0,\n'
+    '    "batch_size": 32,\n'
+    '    "beta": 0.01,\n'
+    '    "classes": 4,\n'
+    '    "dpft": true,\n'
+    '    "dropout": 0.5,\n'
+    '    "eval_seed": 66,\n'
+    '    "finetune_epochs": 100,\n'
+    '    "lam": 1.0,\n'
+    '    "learning_rate": 0.0001,\n'
+    '    "mask_hi": 0.6,\n'
+    '    "mask_lo": 0.4,\n'
+    '    "mcla": true,\n'
+    '    "model_dim": 32,\n'
+    '    "noise_std": 1.0,\n'
+    '    "num_samples": 2000,\n'
+    '    "p_max": 0.5,\n'
+    '    "p_min": 0.05,\n'
+    '    "pair_interaction_strength": 0.8,\n'
+    '    "pretrain_epochs": 100,\n'
+    '    "private_dim": 2,\n'
+    '    "private_strength": 0.6,\n'
+    '    "probe_size": 256,\n'
+    '    "q_base": 0.1,\n'
+    '    "rank": 2,\n'
+    '    "raw_dim": 16,\n'
+    '    "reduce_fast_learners": true,\n'
+    '    "seed": 5,\n'
+    '    "seq_len": 8,\n'
+    '    "shared_dim": 4,\n'
+    '    "shared_strength": 1.0,\n'
+    '    "train_frac": 0.7,\n'
+    '    "val_frac": 0.15\n'
+    "  },\n"
+    '  "config_path": "run.cfg",\n'
+    '  "out_dir": "out",\n'
+    '  "seed": 5,\n'
+    '  "version": "0.1.0+pinned"\n'
+    "}\n"
+)
+
+
+def test_manifest_bytes_are_pinned(tmp_path, monkeypatch):
+    # a fixed config, config path and artifact map; the logs' digests pin their CSV bytes too: finetune's
+    # model, data and training are stubbed, the checkpoint digest is "c" * 64 and the version is pinned
+    result = trainer.TrainResult(
+        model=None,
+        epoch_rows=[trainer.EpochRow(1, "finetune", 0.5, 1 / 3, 0.1 + 0.2, 12.0),
+                    trainer.EpochRow(2, "finetune", 0.25, 0.0, 0.25, 7.5)],
+        schedule_rows=[trainer.ScheduleRow(1, np.arange(7) / 7, -np.arange(7) / 3, np.full(7, 1 / 7))],
+        probe_rows=[(1, 0.125), (2, -1e-20)])
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: None)
+    monkeypatch.setattr(cli, "_split_rows", lambda cfg, path, split: contextlib.nullcontext([]))
+    monkeypatch.setattr(cli, "finetune", lambda model, train, cfg, probe_batch: result)
+    monkeypatch.setattr(cli, "save_checkpoint", lambda model, path: "c" * 64)
+    monkeypatch.setattr(config, "version_string", lambda: "0.1.0+pinned")
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("seed = 5\nrank = 2\nbeta = 0.01\n")
+    assert run("finetune", "--config", "run.cfg", "--data", "d.mcu", "--checkpoint", "c.mcu", "--out", "out") == 0
+    assert Path("out/manifest.json").read_bytes() == GOLDEN_MANIFEST.encode()
+
+
+def test_report_output_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys):
+    record = trainer.MetricsRecord("fixed", {"a": trainer.Metrics(0.5, 0.25, 0.5, 0.5)})
+    run_dir = tmp_path / "ev"
+    run_dir.mkdir()
+    (run_dir / "metrics.txt").write_text(trainer.format_metrics_document(record, "{}", "0.1.0"))
+    blocked = tmp_path / "rep" / "curves" / "condition_a.csv"
+    blocked.mkdir(parents=True)  # the curve's name is taken by a directory
+    assert run("report", run_dir, "--out", tmp_path / "rep") == 2
+    assert f"cannot open {blocked}:" in capsys.readouterr().err
+    assert blocked.is_dir() and not list((tmp_path / "rep").rglob("*.tmp"))

@@ -276,3 +276,25 @@ def test_blocks_refused_on_a_worker_thread_raise_the_same_errors(tmp_path, monke
         with pytest.raises(ValueError, match=match):
             save_container(tmp_path / "x.mcu", "dataset", {}, {"x": Chunked(x.shape, x.dtype, lambda b=blocks: b)})
         assert not list(tmp_path.iterdir())
+
+
+def test_an_interrupt_while_a_writer_starts_up_still_joins_it(tmp_path, monkeypatch):
+    monkeypatch.setattr(serialize, "_CONCURRENT_BYTES", 0)
+    bootstrap = serialize._BlobWriter._bootstrap
+    main = threading.main_thread().ident
+
+    def slow_start_up(writer):  # runs on the new thread before the thread records that it has started
+        if writer.name == "save-y":
+            signal.pthread_kill(main, signal.SIGINT)  # the calling thread is still inside start()
+            time.sleep(0.05)
+        bootstrap(writer)
+    monkeypatch.setattr(serialize._BlobWriter, "_bootstrap", slow_start_up)
+    pulled = []
+    arrays = {"x": Chunked((1000, 4), np.dtype(np.float64), lambda: slow_rows(1000, [])),
+              "y": Chunked((1000, 4), np.dtype(np.float64), lambda: slow_rows(1000, pulled))}
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        save_container(tmp_path / "x.mcu", "dataset", {}, arrays)
+    assert threading.active_count() == threads  # the writer whose start-up was cut short was joined too
+    assert len(pulled) < 1000
+    assert not list(tmp_path.iterdir())

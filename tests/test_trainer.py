@@ -111,8 +111,7 @@ def test_pretrain_reaches_high_accuracy_on_linearly_separable_data():
     assert lstsq_probe_accuracy(feats, labels, 3) >= 0.95
     cfg = tiny_cfg(pretrain_epochs=50, model_dim=16, seed=11)
     model = pretrain(ds, cfg).model
-    preds, seen = predict_dataset(model, ds, np.full(len(ds), FULL.mask))
-    assert np.array_equal(seen, ds.labels)
+    preds = predict_dataset(model, ds, np.full(len(ds), FULL.mask))
     correct = int(np.sum(preds == labels))
     assert correct / len(ds) >= 0.95
     assert model.phase == "pretrained"
@@ -391,7 +390,7 @@ def test_perfect_predictor_scores_100_everywhere(monkeypatch):
     model, cfg = trained_tiny_model()
     test_set = tiny_synth(n=30, seed=6)
     labels = test_set.labels.astype(np.int64)
-    monkeypatch.setattr(trainer, "predict_dataset", lambda m, ds, masks: (np.broadcast_to(labels, masks.shape), labels))
+    monkeypatch.setattr(trainer, "predict_dataset", lambda m, ds, masks: np.broadcast_to(labels, masks.shape))
     record = evaluate(model, test_set, "fixed", cfg)
     for name, m in record.rows.items():
         assert m.acc == m.f1 == m.wa == m.ua == 1.0, name
@@ -402,7 +401,7 @@ def test_constant_predictor_on_balanced_labels(monkeypatch):
     model, cfg = trained_tiny_model()
     test_set = tiny_synth(n=32, seed=6, classes=4)
     monkeypatch.setattr(trainer, "predict_dataset",
-                        lambda m, ds, masks: (np.zeros(masks.shape, dtype=np.int64), ds.labels))
+                        lambda m, ds, masks: np.zeros(masks.shape, dtype=np.int64))
     record = evaluate(model, test_set, "fixed", cfg)
     m = record.rows["atv"]
     assert m.acc == pytest.approx(0.25, abs=1e-12)
@@ -416,14 +415,12 @@ def test_eval_chunking_does_not_change_results(monkeypatch):
     assert len(test_set) * seq_len <= trainer._EVAL_POSITIONS  # the default runs it in one chunk
     masks = apply_random_missing(len(test_set), (cfg.mask_lo, cfg.mask_hi), seed=cfg.eval_seed)
     base = {protocol: evaluate(model, test_set, protocol, cfg).rows for protocol in ("fixed", "random")}
-    base_preds, labels = predict_dataset(model, test_set, masks)
-    assert np.array_equal(labels, test_set.labels)
+    base_preds = predict_dataset(model, test_set, masks)
     for rows_per_chunk in (8, 1):
         monkeypatch.setattr(trainer, "_EVAL_POSITIONS", rows_per_chunk * seq_len)
         monkeypatch.setattr(trainer, "_HEAD_ROWS", rows_per_chunk)
         assert {protocol: evaluate(model, test_set, protocol, cfg).rows for protocol in base} == base
-        preds, labels = predict_dataset(model, test_set, masks)
-        assert np.array_equal(preds, base_preds) and np.array_equal(labels, test_set.labels)
+        assert np.array_equal(predict_dataset(model, test_set, masks), base_preds)
 
 
 def test_eval_encodes_each_row_once_per_modality_it_keeps(monkeypatch):
