@@ -203,8 +203,8 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data * b.data)
 
-    def backward(g):
-        return ((a, _unbroadcast(g * b.data, a.shape)), (b, _unbroadcast(g * a.data, b.shape)))
+    def backward(g):  # constant operands (batch features, scales, masks) get no product
+        return tuple((x, _unbroadcast(g * y.data, x.shape)) for x, y in ((a, b), (b, a)) if x._tracked)
 
     _record(out, (a, b), backward)
     return out
@@ -231,8 +231,13 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
     out = Tensor(a.data @ b.data)
 
-    def backward(g):
-        return ((a, g @ b.data.T), (b, a.data.T @ g))
+    def backward(g):  # constant operands (batch features, frozen weights) get no product
+        pairs = []
+        if a._tracked:
+            pairs.append((a, g @ b.data.T))
+        if b._tracked:
+            pairs.append((b, a.data.T @ g))
+        return pairs
 
     _record(out, (a, b), backward)
     return out

@@ -16,8 +16,8 @@ closes it when the command ends, also when it fails. Pretrain, whose encoders
 train, reads each batch's rows just before the batch's forward pass; finetune
 and eval read theirs one chunk of rows at a time and keep only each row's
 pooled output of the frozen base. No command holds a whole split.
-Gen-data generates and writes one block of rows at a time, a large
-dataset's three modalities concurrently, one writer thread each.
+Gen-data generates and writes one block of rows at a time, the three
+modalities concurrently, one writer thread each.
 
 Exit codes: 0 success, 2 input/config error, 3 state/contract error.
 """

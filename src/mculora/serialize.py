@@ -28,10 +28,10 @@ time. The blob is written from those blocks under the header ``np.save``
 writes for the whole array, so a caller that builds an array block by block
 holds one block, never the array. Since every shape is known up front, the
 writer lays out the whole file first and then fills it concurrently: each
-chunked array is written by a worker thread of its own at its blob's offset,
-so arrays drawn by native code that releases the interpreter lock are drawn
-on several cores at once. Chunked arrays too small to repay the threads are
-written by the calling thread, one after another. The writer returns the
+chunked array, whatever its size, is written by a worker thread of its own at
+its blob's offset, so arrays drawn by native code that releases the
+interpreter lock are drawn on several cores at once. A container without
+chunked arrays, such as a checkpoint, starts no thread. The writer returns the
 file's SHA-256, computed in file order by the calling thread from the headers
 and plain arrays in memory and from each chunked blob read back (from the
 page cache) stretch by stretch, following behind its writer.
@@ -73,11 +73,11 @@ class Chunked:
     """An array of `shape` and `dtype` whose C-order rows `chunks()` gives as
     consecutive blocks along the leading axis.
 
-    The writer calls `chunks()` on its own thread and iterates what it returns
-    on a worker thread, one block at a time: a block is written before the
-    next is asked for, so the blocks may all be one reused buffer. Allocate it
-    in `chunks()` itself, not on the worker, whose malloc arena would keep the
-    memory after the thread ends."""
+    The writer calls `chunks()` on the calling thread and iterates what it
+    returns on a worker thread of the array's own, one block at a time: a
+    block is written before the next is asked for, so the blocks may all be
+    one reused buffer. Allocate it in `chunks()` itself, not on the worker,
+    whose malloc arena would keep the memory after the thread ends."""
 
     shape: tuple[int, ...]
     dtype: np.dtype
@@ -87,13 +87,6 @@ class Chunked:
 # the calling thread reads the streamed blobs back to hash them through a buffer of this many bytes
 _READ_BACK = 1 << 16
 
-# chunked arrays holding fewer bytes than this in all are written by the calling thread, one after
-# another: drawing them concurrently would save a few milliseconds, while the worker threads' fixed
-# resident cost (stacks, malloc arenas, thread start-up code) and the heap-layout spread that
-# concurrent allocation brings raised ft-mcla's whole-run peak by 0.39 MB (median of 6 paired
-# runs; 0.09 MB when written on the calling thread)
-_CONCURRENT_BYTES = 16 << 20
-
 
 def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray | Chunked]) -> str:
     """Write the container atomically; returns the SHA-256 hex digest of its bytes.
@@ -102,11 +95,9 @@ def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray | C
     header and every blob's offset follow from the arrays' shapes and dtypes.
     The calling thread writes the headers and the plain arrays; each
     :class:`Chunked` array gets a worker thread that writes its blocks at the
-    blob's offset (unless the chunked arrays hold fewer than
-    ``_CONCURRENT_BYTES`` in all: then the calling thread runs the same
-    writers one after another). Meanwhile the calling thread hashes the file
-    in order, taking headers and plain arrays from memory and reading each
-    streamed blob back (from the page cache) as far as its writer has got.
+    blob's offset. Meanwhile the calling thread hashes the file in order,
+    taking headers and plain arrays from memory and reading each streamed blob
+    back (from the page cache) as far as its writer has got.
     If a writer fails or the calling thread is interrupted, the other writers
     stop at their next block, every worker is joined, the temporary file is
     removed and the first error is raised."""
@@ -132,12 +123,8 @@ def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray | C
                     _pwrite(fd, part, offset)
                 layout.append(part)
                 offset += part.nbytes
-            concurrent = sum(writer.nbytes for writer in writers) >= _CONCURRENT_BYTES
             for writer in writers:
-                if concurrent:
-                    writer.start()
-                else:
-                    writer.run()
+                writer.start()
             buf = memoryview(bytearray(_READ_BACK))
             for part in layout:
                 if isinstance(part, _BlobWriter):
@@ -205,9 +192,9 @@ def _pwrite(fd: int, data, offset: int) -> None:
 
 
 class _BlobWriter(threading.Thread):
-    """Writes one :class:`Chunked` array's blocks at its blob's offset, on a
-    thread of its own (``start``) or on the calling thread (``run``), and
-    holds the progress the hashing thread follows it by."""
+    """Writes one :class:`Chunked` array's blocks at its blob's offset on a
+    thread of its own (``start``), and holds the progress the hashing thread
+    follows it by."""
 
     def __init__(self, fd: int, offset: int, name: str, arr: Chunked,
                  failures: list[BaseException], progress: threading.Condition):

@@ -22,11 +22,10 @@ Generation is a pure function of the config and the random stream, by default
 the ``data`` child of the config's root seed. :func:`generate_dataset` builds
 the dataset in memory; :func:`save_dataset` (the gen-data writer) runs the same
 generator body but draws each modality's features one block of rows at a
-time, each just before it is written, into buffers of its own that every
-block reuses, so it holds a few blocks, never a whole (N, L, D) array. Each
-modality comes from its own named stream, so the container writer can draw
-and write the three at once, each on a worker thread of its own (it does so
-for a dataset large enough to repay the threads).
+time, each just before it is written, into one buffer per modality that every
+block reuses, so it holds three blocks, never a whole (N, L, D) array. Each
+modality comes from its own named stream, so the container writer draws and
+writes the three at once, each on a worker thread of its own.
 :class:`DatasetFile` checks a dataset file once and then reads any rows of
 a range, a slice or a batch of row indices at a time, and :func:`split_bounds`
 gives the split sizes, so a command reads only the split it uses, and only
@@ -70,7 +69,7 @@ _PRIVATE_JITTER = 0.25
 _PAIR_NOISE = 1.0
 
 # gen-data draws each feature array in blocks of at most this many positions (rows x L), all three
-# arrays at once, each through two block buffers of its own
+# arrays at once, each into one block buffer of its own
 _BLOCK_POSITIONS = 1024
 
 # the config fields the generator reads, recorded in each dataset file's header
@@ -130,8 +129,8 @@ def _generator(cfg: ExperimentConfig,
     over its (N, L, D) features as consecutive row blocks of at most
     ``_BLOCK_POSITIONS`` positions (each modality from its own named stream,
     so in any order, or at once), and the (N,) float64 class-index labels.
-    Every block of a modality is the same buffer, valid until the next block
-    is drawn."""
+    Every block of a modality is drawn in place into the same buffer, valid
+    until the next block is drawn."""
     cfg.validate()
     root = root_rng if root_rng is not None else Rng(cfg.seed).child("data")
     geom = root.child("geometry")
@@ -171,24 +170,21 @@ def _generator(cfg: ExperimentConfig,
         base[partner_m] = base[partner_m] + (cfg.pair_interaction_strength * eps)[:, None] * follow
 
     def features(m: str) -> Iterator[np.ndarray]:
-        # the block buffers are allocated here, by the caller of features, and
+        # the block buffer is allocated here, by the caller of features, and
         # reused by every block, so whoever iterates the blocks allocates
-        # nothing: a block is valid until the next one is drawn
+        # nothing (allocated on the writer's worker thread instead, it raised
+        # ft-* whole-run peaks by 0.5-0.9 MB): a block is valid until the next
+        # one is drawn
         noise, step = samples.child(f"noise-{m}"), max(1, _BLOCK_POSITIONS // L)
-        draws, block = np.empty((2, min(step, n), L, D))
+        block = np.empty((min(step, n), L, D))
 
         def blocks() -> Iterator[np.ndarray]:
             # Philox draws in consecutive blocks continue one stream: the blocks
             # are exactly the rows of one (n, L, D) draw
             for lo in range(0, n, step):
-                z = noise.standard_normal(out=draws[:min(step, n - lo)])
-                z *= cfg.noise_std
-                # base + z, not z += base[..., None, :]: a broadcast add makes numpy
-                # allocate an iteration buffer (64 KB by default) on the drawing
-                # thread, whose malloc arena then keeps it; a broadcast copy does not
-                x = block[:len(z)]
-                np.copyto(x, base[m][lo:lo + len(z), None, :])
-                x += z
+                x = noise.standard_normal(out=block[:min(step, n - lo)])
+                x *= cfg.noise_std
+                x += base[m][lo:lo + len(x), None, :]
                 yield x
         return blocks()
     return {m: partial(features, m) for m in MODALITIES}, labels.astype(np.float64)
@@ -241,11 +237,10 @@ def save_dataset(path, cfg: ExperimentConfig, root_rng: Rng | None = None) -> st
     """Generate the dataset of cfg and the stream (as :func:`generate_dataset`)
     and write it, streaming: each modality's features are generated one row
     block at a time, each just before it is written, so no (N, L, D) array is
-    ever built. A large dataset's three modalities are drawn and written
-    concurrently, one writer thread each (see
-    :func:`mculora.serialize.save_container`); the bytes are those of a
-    sequential write. Returns the SHA-256 of the file's bytes, which the
-    writer reads back as it goes.
+    ever built. The three modalities are drawn and written concurrently, one
+    writer thread each (see :func:`mculora.serialize.save_container`); the
+    bytes are those of a sequential write. Returns the SHA-256 of the file's
+    bytes, which the writer reads back as it goes.
 
     Arrays stored: per-modality (N, L, D) features in modality order a, t, v,
     then labels (N,) float64. The header records the ten generator fields of

@@ -305,6 +305,22 @@ def test_values_finite_after_forward_backward_pass():
     assert np.isfinite(w.grad).all()
 
 
+def test_mul_and_matmul_backward_yield_only_tracked_operands():
+    rng = Rng(8)
+    u, w = (ad.Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((5, 4), (4, 3)))
+    x, c, scale = (ad.constant(rng.normal(size=shape)) for shape in ((5, 4), (4, 3), (1, 3)))
+    with ad.Tape() as tape:
+        outs = [ad.matmul(x, w), ad.matmul(u, c), ad.mul(scale, w), ad.mul(w, scale)]
+    g = [rng.normal(size=out.shape) for out in outs]
+    # each replay yields the tracked operand's gradient alone, as computed with both operands tracked
+    expected = [[(w, x.data.T @ g[0])], [(u, g[1] @ c.data.T)], [(w, g[2] * scale.data)], [(w, g[3] * scale.data)]]
+    assert [out_id for out_id, _ in tape.ops] == [out._id for out in outs]
+    for (_, backward), grad, want in zip(tape.ops, g, expected):
+        got = list(backward(grad))
+        assert [t for t, _ in got] == [t for t, _ in want]
+        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
+
+
 def test_untracked_graph_records_nothing():
     a = ad.constant([[1.0, 2.0]])
     with ad.Tape() as tape:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mculora import autodiff as ad
+from mculora import autodiff as ad, serialize
 from mculora.errors import ContractError, ShapeError
 from mculora.losses import orthogonality_loss, task_loss, total_loss
 from mculora.modalities import ALL_COMBINATIONS, AT, MODALITIES
@@ -350,6 +350,16 @@ def test_checkpoint_bytes_reproducible(tmp_path):
     save_checkpoint(small_model(seed=7), p1)
     save_checkpoint(small_model(seed=7), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_save_starts_no_thread(tmp_path, monkeypatch):
+    def refuse(writer):
+        raise AssertionError(f"checkpoint save started writer thread {writer.name}")
+    monkeypatch.setattr(serialize._BlobWriter, "start", refuse)
+    model = small_model(seed=7)
+    save_checkpoint(model, tmp_path / "ckpt.mcu")  # a checkpoint holds no chunked array
+    loaded = load_checkpoint(tmp_path / "ckpt.mcu")
+    assert all(np.array_equal(t.data, loaded.parameters("all")[k].data) for k, t in model.parameters("all").items())
 
 
 def test_model_construction_is_seed_deterministic():

@@ -160,7 +160,7 @@ def test_rows_read_after_the_file_shrank_are_contract_error_naming_it(container)
         assert opened.read("labels", np.array([0])).tobytes() == ARRAYS["labels"][:1].tobytes()
 
 
-def test_writer_calls_each_array_function_once(tmp_path, monkeypatch):
+def test_writer_calls_each_array_function_once(tmp_path):
     calls = []
 
     def make(name, rows_per_block):
@@ -171,9 +171,7 @@ def test_writer_calls_each_array_function_once(tmp_path, monkeypatch):
                 yield arr[lo:lo + rows_per_block]
         return Chunked(ARRAYS[name].shape, ARRAYS[name].dtype, blocks)
     want = save_container(tmp_path / "c.mcu", "dataset", {"config": {"seed": 1}}, ARRAYS)
-    # on the calling thread (these arrays are small) and on one worker thread each
-    for threshold, rows_per_block in itertools.product((serialize._CONCURRENT_BYTES, 0), (1, 2, 5)):
-        monkeypatch.setattr(serialize, "_CONCURRENT_BYTES", threshold)
+    for rows_per_block in (1, 2, 5):
         calls.clear()
         got = save_container(tmp_path / "f.mcu", "dataset", {"config": {"seed": 1}},
                              {n: make(n, rows_per_block) for n in ARRAYS})
@@ -182,10 +180,10 @@ def test_writer_calls_each_array_function_once(tmp_path, monkeypatch):
         assert got == want
 
 
+# chunks() runs on the calling thread and the writer's worker iterates what it returns: blocks built in
+# chunks() itself are made on the calling thread, those drawn by a generator on the worker threads
 @pytest.mark.parametrize("on_workers", [False, True], ids=["calling thread", "worker threads"])
-def test_streamed_arrays_of_any_block_size_are_the_np_save_concatenation(tmp_path, monkeypatch, on_workers):
-    if on_workers:  # these arrays are small, so by default the calling thread writes them
-        monkeypatch.setattr(serialize, "_CONCURRENT_BYTES", 0)
+def test_streamed_arrays_of_any_block_size_are_the_np_save_concatenation(tmp_path, on_workers):
     rng = np.random.default_rng(5)
     plain = {"x": rng.normal(size=(70, 3, 4)), "empty": np.zeros((0, 6)), "between": np.arange(9, dtype=np.uint8),
              "y": rng.normal(size=(33, 5)), "z": rng.integers(0, 9, size=(17, 2, 2)).astype(np.int32)}
@@ -196,7 +194,10 @@ def test_streamed_arrays_of_any_block_size_are_the_np_save_concatenation(tmp_pat
         for lo in range(0, len(a), k):
             on_main.append(threading.current_thread() is threading.main_thread())
             yield a[lo:lo + k]
-    arrays = {name: Chunked(arr.shape, arr.dtype, lambda a=arr, k=rows_per_block[name]: blocks(a, k))
+
+    def chunks(a, k):
+        return blocks(a, k) if on_workers else list(blocks(a, k))
+    arrays = {name: Chunked(arr.shape, arr.dtype, lambda a=arr, k=rows_per_block[name]: chunks(a, k))
               if name in rows_per_block else arr for name, arr in plain.items()}
     threads = threading.active_count()
     digest = save_container(tmp_path / "s.mcu", "dataset", {"k": 2}, arrays)
@@ -205,7 +206,7 @@ def test_streamed_arrays_of_any_block_size_are_the_np_save_concatenation(tmp_pat
     assert data == b"MCULORA-DATASET v1\n" + header.encode() + b"\n" + b"".join(npy_bytes(a) for a in plain.values())
     assert digest == hashlib.sha256(data).hexdigest()
     assert threading.active_count() == threads
-    assert set(on_main) == {not on_workers}  # where the blocks were drawn
+    assert set(on_main) == {not on_workers}  # where the blocks were drawn, however small their arrays
 
 
 def slow_rows(n, pulled, pause=0.001):
@@ -216,8 +217,7 @@ def slow_rows(n, pulled, pause=0.001):
         yield np.zeros((1, 4))
 
 
-def test_a_writer_failing_mid_stream_stops_the_others_and_leaves_nothing(tmp_path, monkeypatch):
-    monkeypatch.setattr(serialize, "_CONCURRENT_BYTES", 0)  # one worker thread per chunked array
+def test_a_writer_failing_mid_stream_stops_the_others_and_leaves_nothing(tmp_path):
     def failing():
         yield np.zeros((2, 4))
         time.sleep(0.01)  # the other writers are under way
@@ -234,8 +234,7 @@ def test_a_writer_failing_mid_stream_stops_the_others_and_leaves_nothing(tmp_pat
     assert not list(tmp_path.iterdir())  # no target and no temporary
 
 
-def test_an_interrupted_write_stops_every_writer_and_leaves_nothing(tmp_path, monkeypatch):
-    monkeypatch.setattr(serialize, "_CONCURRENT_BYTES", 0)
+def test_an_interrupted_write_stops_every_writer_and_leaves_nothing(tmp_path):
     def interrupting():
         yield np.zeros((1, 4))
         signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)  # the calling thread is interrupted
@@ -259,27 +258,34 @@ def test_writer_returns_the_sha256_of_the_file(container, tmp_path):
 
 def test_blocks_that_do_not_make_up_the_declared_array_are_refused(tmp_path):
     x = np.arange(6.0).reshape(3, 2)
-    for blocks, match in (((x[:2],), "blocks hold 32 bytes, shape \\(3, 2\\) needs 48"),
-                          ((x, x[:1]), "blocks hold 64 bytes"),
-                          ((x.astype(np.float32),), "dtype float32, expected float64")):
-        with pytest.raises(ValueError, match=match):
-            save_container(tmp_path / "x.mcu", "dataset", {}, {"x": Chunked(x.shape, x.dtype, lambda b=blocks: b)})
-        assert not list(tmp_path.iterdir())  # no target and no temporary
-
-
-def test_blocks_refused_on_a_worker_thread_raise_the_same_errors(tmp_path, monkeypatch):
-    monkeypatch.setattr(serialize, "_CONCURRENT_BYTES", 0)
-    x = np.arange(6.0).reshape(3, 2)
     for blocks, match in (((x[:2],), "array 'x': blocks hold 32 bytes, shape \\(3, 2\\) needs 48"),
                           ((x, x[:1]), "array 'x': blocks hold 64 bytes"),
                           ((x.astype(np.float32),), "array 'x': a block of dtype float32, expected float64")):
         with pytest.raises(ValueError, match=match):
             save_container(tmp_path / "x.mcu", "dataset", {}, {"x": Chunked(x.shape, x.dtype, lambda b=blocks: b)})
+        assert not list(tmp_path.iterdir())  # no target and no temporary
+
+
+def test_blocks_refused_on_a_worker_thread_raise_the_same_errors(tmp_path):
+    x = np.arange(6.0).reshape(3, 2)
+    on_main = []
+
+    def drawn(blocks):  # each block is drawn on the writer's worker thread, then refused there
+        for block in blocks:
+            on_main.append(threading.current_thread() is threading.main_thread())
+            yield block
+    threads = threading.active_count()
+    for blocks, match in (((x[:2],), "array 'x': blocks hold 32 bytes, shape \\(3, 2\\) needs 48"),
+                          ((x, x[:1]), "array 'x': blocks hold 64 bytes"),
+                          ((x.astype(np.float32),), "array 'x': a block of dtype float32, expected float64")):
+        with pytest.raises(ValueError, match=match):
+            save_container(tmp_path / "x.mcu", "dataset", {}, {"x": Chunked(x.shape, x.dtype, lambda b=blocks: drawn(b))})
+        assert threading.active_count() == threads  # the worker that refused them was joined
         assert not list(tmp_path.iterdir())
+    assert set(on_main) == {False}
 
 
 def test_an_interrupt_while_a_writer_starts_up_still_joins_it(tmp_path, monkeypatch):
-    monkeypatch.setattr(serialize, "_CONCURRENT_BYTES", 0)
     bootstrap = serialize._BlobWriter._bootstrap
     main = threading.main_thread().ident
 

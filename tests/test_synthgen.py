@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mculora import synthgen
 from mculora.config import ExperimentConfig
 from mculora.errors import ConfigError, ContractError
 from mculora.modalities import FULL, MODALITIES, Combo
@@ -246,6 +247,22 @@ def test_dataset_file_bytes_are_reproducible(tmp_path):
     save_dataset(p1, cfg, Rng(12))
     save_dataset(p2, cfg, Rng(12))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_dataset_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(num_samples=300, seq_len=4, raw_dim=8)
+    want = generate_dataset(cfg, Rng(14))
+    digests = []
+    # one row per block; blocks of 7 rows, the last of 6; the default, 256 rows, the last of 44
+    for positions in (cfg.seq_len, 7 * cfg.seq_len, synthgen._BLOCK_POSITIONS):
+        monkeypatch.setattr(synthgen, "_BLOCK_POSITIONS", positions)
+        path = tmp_path / f"b{positions}.mcu"
+        digests.append(save_dataset(path, cfg, Rng(14)))
+        got = read_dataset(path)
+        for m in MODALITIES:  # Philox draws in consecutive blocks continue one stream
+            assert got.features[m].tobytes() == want.features[m].tobytes(), (positions, m)
+        assert got.labels.tobytes() == want.labels.tobytes()
+    assert len(set(digests)) == 1
 
 
 def test_save_dataset_holds_one_feature_array_at_a_time(tmp_path):
