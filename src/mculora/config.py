@@ -1,9 +1,12 @@
 """Flat key=value experiment configuration and run manifests.
 
 :class:`ExperimentConfig` is the one schema of experiment settings: the
-generator, the trainer and evaluation all read their fields from it, and its
-:meth:`~ExperimentConfig.validate` is the only range check. Config files are
-plain text: one ``key = value`` per line, ``#`` comments, blank lines ignored.
+generator, the model, the trainer and evaluation all read their fields from
+it, and its :meth:`~ExperimentConfig.validate` is the only range check. It
+checks checkpoint headers too: :func:`mculora.model.load_checkpoint` turns a
+header's five fields (raw_dim, model_dim, classes, rank, alpha) into an
+``ExperimentConfig`` and validates it. Config files are plain text: one
+``key = value`` per line, ``#`` comments, blank lines ignored.
 Every key is typed and validated against the schema below; unknown keys,
 malformed values and out-of-range values (NaN and infinities included) are
 rejected with the field named, whether they come from the file or from a
@@ -88,7 +91,7 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if f.type in ("float", float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        for name in ("num_samples", "seq_len", "raw_dim", "shared_dim", "private_dim", "rank",
+        for name in ("num_samples", "seq_len", "raw_dim", "shared_dim", "private_dim", "model_dim", "rank",
                      "pretrain_epochs", "finetune_epochs", "batch_size", "probe_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

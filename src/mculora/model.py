@@ -30,32 +30,37 @@ up-projections the fine-tuned model starts exactly at the pretrained model's
 behavior. MCLA is on exactly when adapters are attached: with ``mcla=False``,
 :func:`attach_adapters` leaves ``model.adapters`` as None and the frozen base
 feeds the common head alone.
+
+Settings come from the one schema, :class:`~mculora.config.ExperimentConfig`,
+which holds every default. A checkpoint's header records five of its fields.
+raw_dim, model_dim and classes are read off the parameters (``enc.a.W1`` and
+``head.com.W``). rank and alpha are the adapter rank and LoRA scale the model
+was last given: by :func:`build_model` from the pretrain config, then by
+:func:`attach_adapters` from the finetune config, with MCLA on or off.
+:func:`load_checkpoint` checks the header's types, passes it through
+``ExperimentConfig.validate`` and checks its dims against the arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, ShapeError
+from .config import ExperimentConfig
+from .errors import ConfigError, ContractError, ShapeError
 from .modalities import ALL_COMBINATIONS, MODALITIES, Combo
 from .rng import Rng
 from .serialize import load_container, save_container
 
 _GATE_HIDDEN = 16
 _GATE_PREACT_LIMIT = 30.0  # keeps the logistic output strictly inside (0, 1)
-
-
-@dataclass
-class ModelConfig:
-    raw_dim: int = 16
-    model_dim: int = 32
-    classes: int = 4
-    rank: int = 4
-    alpha: float = 1.0
+# the checkpoint header's config record: each field and the JSON type it holds
+_HEADER_FIELDS = {"raw_dim": int, "model_dim": int, "classes": int, "rank": int, "alpha": (int, float)}
+# header field -> (parameter, axis) whose size it is: raw_dim, model_dim and classes are read off the base
+_DIM_SOURCES = {"raw_dim": ("enc.a.W1", 0), "model_dim": ("enc.a.W1", 1), "classes": ("head.com.W", 1)}
 
 
 class Encoder:
@@ -185,14 +190,22 @@ def combine_predictions(y_com: Tensor, y_hat: Tensor, weight) -> Tensor:
 
 
 class MculoraModel:
-    def __init__(self, cfg: ModelConfig, encoders: dict[str, Encoder], fusion: FusionBlock,
-                 heads: Heads, adapters: dict[str, AdapterBank] | None = None, phase: str = "init"):
-        self.cfg = cfg
+    """The base, the adapters once attached, and the adapter rank and LoRA
+    scale alpha last given to it, which its checkpoint header records."""
+
+    def __init__(self, encoders: dict[str, Encoder], fusion: FusionBlock, heads: Heads, rank: int, alpha: float):
         self.encoders = encoders
         self.fusion = fusion
         self.heads = heads
-        self.adapters = adapters
-        self.phase = phase
+        self.rank = rank
+        self.alpha = alpha
+        self.adapters: dict[str, AdapterBank] | None = None
+        self.phase = "init"
+
+    def dims(self) -> dict[str, int]:
+        """raw_dim, model_dim and classes, read off the base's parameters."""
+        params = self.parameters("pretrain")
+        return {key: params[name].shape[axis] for key, (name, axis) in _DIM_SOURCES.items()}
 
     # -- parameter groups ---------------------------------------------------
 
@@ -217,10 +230,12 @@ class MculoraModel:
         ad.freeze(self.fusion.parameters().values())
 
 
-def build_model(cfg: ModelConfig, rng: Rng) -> MculoraModel:
-    """Fresh base model (no adapters); all parameters trainable."""
+def build_model(cfg: ExperimentConfig, raw_dim: int, rng: Rng) -> MculoraModel:
+    """Fresh base model (no adapters) on raw_dim input features, the dataset's;
+    all parameters trainable. `cfg` gives model_dim and classes, and the rank
+    and alpha the model records until adapters are attached."""
     init = rng.child("init")
-    d, D = cfg.model_dim, cfg.raw_dim
+    d, D = cfg.model_dim, raw_dim
 
     def param(r: Rng, shape, scale: float) -> Tensor:
         return Tensor(r.normal(0.0, scale, size=shape), requires_grad=True)
@@ -245,35 +260,34 @@ def build_model(cfg: ModelConfig, rng: Rng) -> MculoraModel:
         com_W=param(hr, (d, cfg.classes), 1.0 / np.sqrt(d)),
         com_b=Tensor(np.zeros((1, cfg.classes)), requires_grad=True),
     )
-    return MculoraModel(cfg, encoders, fusion, heads, adapters=None, phase="init")
+    return MculoraModel(encoders, fusion, heads, cfg.rank, float(cfg.alpha))
 
 
-def attach_adapters(model: MculoraModel, rng: Rng, rank: int | None = None,
-                    alpha: float | None = None, mcla: bool = True) -> None:
-    """Create zero-initialized adapter banks, the characteristic head (a copy
-    of the pretrained common head), and the gate. Requires a pretrained model.
-    With mcla=False nothing is attached and ``model.adapters`` stays None."""
+def attach_adapters(model: MculoraModel, rng: Rng, rank: int, alpha: float = ExperimentConfig.alpha,
+                    mcla: bool = True) -> None:
+    """Create zero-initialized adapter banks of the given rank and LoRA scale
+    alpha, the characteristic head (a copy of the pretrained common head), and
+    the gate. Requires a pretrained model. The model records `rank` and `alpha`
+    for its checkpoint header also with mcla=False, when nothing is attached
+    and ``model.adapters`` stays None."""
     if model.phase != "pretrained":
         raise ContractError(f"adapters attach to a pretrained model, phase is {model.phase!r}")
-    cfg = model.cfg
-    if rank is not None:
-        cfg.rank = int(rank)
-    if alpha is not None:
-        cfg.alpha = float(alpha)
+    model.rank, model.alpha = rank, float(alpha)
     if not mcla:
         model.adapters = None
         return
-    if cfg.rank < 1:
-        raise ContractError(f"adapter rank must be >= 1, got {cfg.rank}")
+    if rank < 1:
+        raise ContractError(f"adapter rank must be >= 1, got {rank}")
     init = rng.child("adapters")
-    d, D = cfg.model_dim, cfg.raw_dim
+    dims = model.dims()
+    d, D = dims["model_dim"], dims["raw_dim"]
 
     def pair(r: Rng) -> LoraPair:
         # standard convention: Gaussian down-projection, zero up-projection,
         # so adapters contribute exactly nothing until trained
-        A = Tensor(r.normal(0.0, 0.02, size=(cfg.rank, D)), requires_grad=True)
-        B = Tensor(np.zeros((d, cfg.rank)), requires_grad=True)
-        return LoraPair(A, B, alpha=cfg.alpha)
+        A = Tensor(r.normal(0.0, 0.02, size=(rank, D)), requires_grad=True)
+        B = Tensor(np.zeros((d, rank)), requires_grad=True)
+        return LoraPair(A, B, alpha=model.alpha)
 
     model.adapters = {}
     for m in MODALITIES:
@@ -368,10 +382,15 @@ def forward_batch(model: MculoraModel, feats: dict[str, np.ndarray], *,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: MculoraModel, path) -> str:
-    """Write the checkpoint; returns the SHA-256 of its bytes."""
+    """Write the checkpoint; returns the SHA-256 of its bytes.
+
+    The header's ``config`` record holds five fields: raw_dim, model_dim and
+    classes, read off the parameters, and the rank and alpha the model
+    records - those of the pretrain config for a pretrained checkpoint, and
+    those of the finetune config for a finetuned one, with MCLA on or off."""
     params = model.parameters("all")
     meta = {
-        "config": asdict(model.cfg),
+        "config": {**model.dims(), "rank": model.rank, "alpha": model.alpha},
         "phase": model.phase,
         "has_adapters": model.adapters is not None,
     }
@@ -379,22 +398,47 @@ def save_checkpoint(model: MculoraModel, path) -> str:
 
 
 def load_checkpoint(path) -> MculoraModel:
+    """The model the checkpoint at `path` holds, its base frozen unless it is
+    phase "init".
+
+    The header's ``config`` record must hold exactly the five fields that
+    :func:`save_checkpoint` writes, the four dims as JSON integers and alpha
+    as a JSON number. As an :class:`~mculora.config.ExperimentConfig` it must
+    pass the range check a config file gets, and raw_dim, model_dim, classes
+    and (with adapters) rank must be the sizes of the arrays that hold them.
+    Any failure raises :class:`ContractError` naming the file and the field."""
     _, meta, arrays = load_container(path, expected_kind="checkpoint")
     for key in ("config", "phase", "has_adapters"):
         if key not in meta:
             raise ContractError(f"checkpoint {path}: metadata lacks key {key!r}")
-    for key, valid in (("phase", meta["phase"] in ("init", "pretrained", "finetuned")),
+    for key, valid in (("config", isinstance(meta["config"], dict)),
+                       ("phase", meta["phase"] in ("init", "pretrained", "finetuned")),
                        ("has_adapters", isinstance(meta["has_adapters"], bool))):
         if not valid:
             raise ContractError(f"checkpoint {path}: metadata key {key!r} has invalid value {meta[key]!r}")
-    unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
+    header = meta["config"]
+    unknown = sorted(set(header) - set(_HEADER_FIELDS))
     if unknown:
         raise ContractError(f"checkpoint {path}: unknown config key {unknown[0]!r}")
-    cfg = ModelConfig(**meta["config"])
-    model = build_model(cfg, Rng(0))
+    for key, kind in _HEADER_FIELDS.items():
+        if key not in header:
+            raise ContractError(f"checkpoint {path}: config lacks field {key!r}")
+        if isinstance(header[key], bool) or not isinstance(header[key], kind):
+            raise ContractError(f"checkpoint {path}: config field {key!r} has invalid value {header[key]!r}")
+    try:
+        cfg = ExperimentConfig(**header).validate()
+    except ConfigError as exc:
+        raise ContractError(f"checkpoint {path}: config field {exc}") from exc
+    # before the model is built, so that no size from the header alone is allocated
+    sources = {**_DIM_SOURCES, "rank": ("adapter.a.com.A", 0)} if meta["has_adapters"] else _DIM_SOURCES
+    for key, (name, axis) in sources.items():
+        if name in arrays and arrays[name].shape[axis:axis + 1] != (header[key],):
+            raise ContractError(f"checkpoint {path}: config field {key!r} is {header[key]}, "
+                                f"but {name} has shape {arrays[name].shape}")
+    model = build_model(cfg, cfg.raw_dim, Rng(0))
     if meta["has_adapters"]:
         model.phase = "pretrained"
-        attach_adapters(model, Rng(0), rank=cfg.rank, alpha=cfg.alpha)
+        attach_adapters(model, Rng(0), cfg.rank, cfg.alpha)
     model.phase = meta["phase"]
     params = model.parameters("all")
     missing, extra = set(params) - set(arrays), set(arrays) - set(params)
@@ -410,4 +454,3 @@ def load_checkpoint(path) -> MculoraModel:
     if model.phase in ("pretrained", "finetuned"):
         model.freeze_base()
     return model
-

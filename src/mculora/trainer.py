@@ -78,8 +78,7 @@ from .dpft import N_COMBINATIONS, sample_combination, separability_scores, updat
 from .errors import ContractError
 from .losses import orthogonality_loss, task_loss, total_loss
 from .modalities import ALL_COMBINATIONS, FULL, INCOMPLETE_COMBINATIONS, MODALITIES, Combo
-from .model import (MculoraModel, ModelConfig, Pooled, attach_adapters, build_model, encode, forward_batch,
-                    forward_pooled)
+from .model import MculoraModel, Pooled, attach_adapters, build_model, encode, forward_batch, forward_pooled
 from .rng import Rng
 from .serialize import write_text
 from .synthgen import Dataset, apply_random_missing
@@ -194,8 +193,7 @@ def pretrain(dataset, cfg: ExperimentConfig) -> TrainResult:
     never the split."""
     cfg.validate()
     root = Rng(cfg.seed)
-    model = build_model(ModelConfig(raw_dim=dataset[:0].features["a"].shape[2], model_dim=cfg.model_dim,
-                                    classes=cfg.classes, rank=cfg.rank, alpha=cfg.alpha), root)
+    model = build_model(cfg, dataset[:0].features["a"].shape[2], root)
     result = TrainResult(model=model)
     dropout_rng = root.child("pretrain-dropout")
 
@@ -302,8 +300,9 @@ def _encode_rows(model: MculoraModel, dataset, need: np.ndarray) -> Pooled:
     zeros for a modality it was not encoded for."""
     n, bits = len(dataset), {m: Combo.from_name(m).mask for m in MODALITIES}
     step = max(1, _EVAL_POSITIONS // max(1, dataset[:0].features["a"].shape[1]))
-    enc = {m: np.zeros((n, model.cfg.model_dim)) for m in MODALITIES}
-    raw = {m: np.zeros((n, model.cfg.raw_dim)) for m in MODALITIES}
+    dims = model.dims()
+    enc = {m: np.zeros((n, dims["model_dim"])) for m in MODALITIES}
+    raw = {m: np.zeros((n, dims["raw_dim"])) for m in MODALITIES}
     for lo in range(0, n, step):
         chunk = dataset[lo:lo + step]
         hi = lo + len(chunk)

@@ -30,22 +30,24 @@ def bench(monkeypatch):
     return pipeline, probe, tracing
 
 
-def test_traced_pipeline_and_step_probe_run(tmp_path, bench):
+@pytest.mark.parametrize("mcla", [True, False], ids=["mcla", "base"])
+def test_traced_pipeline_and_step_probe_run(tmp_path, bench, mcla):
     pipeline, probe, tracing = bench
+    settings = {**CONFIG, "mcla": mcla}
     config = tmp_path / "config.txt"
-    config.write_text("".join(f"{k} = {'on' if v is True else v}\n" for k, v in CONFIG.items()))
+    config.write_text("".join(f"{k} = {'on' if v is True else 'off' if v is False else v}\n" for k, v in settings.items()))
     paths = pipeline.Paths(root=tmp_path / "run", config=config)
     rec = tracing.Recorder()
     uninstall = tracing.install(rec)
     try:
-        outcomes = pipeline.run_pipeline(main, paths, CONFIG["num_samples"], span=rec.span)
+        outcomes = pipeline.run_pipeline(main, paths, settings["num_samples"], span=rec.span)
     finally:
         uninstall()
     assert {op: outcomes[op].error for op in pipeline.OPERATIONS} == dict.fromkeys(pipeline.OPERATIONS)
     assert all(outcomes[op].ok for op in pipeline.OPERATIONS)
     assert rec.missing == []
 
-    values = probe.step_probe(paths.dataset, paths.checkpoint("pretrain"), CONFIG, repeats=2, warmup=1)
+    values = probe.step_probe(paths.dataset, paths.checkpoint("pretrain"), settings, repeats=2, warmup=1)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
     step_keys = {m["name"] for m in declared if m["name"].startswith("step.")}
     assert step_keys and step_keys <= set(values)

@@ -16,7 +16,7 @@ from mculora.cli import _split_rows, build_parser, main
 from mculora.config import ExperimentConfig, parse_config_text, version_string
 from mculora.errors import ConfigError, ContractError
 from mculora.modalities import MODALITIES
-from mculora.model import ModelConfig, build_model, save_checkpoint
+from mculora.model import build_model, save_checkpoint
 from mculora.rng import Rng
 from mculora.serialize import load_container, save_container
 from mculora.synthgen import generate_dataset, save_dataset, split_dataset
@@ -198,7 +198,7 @@ def test_missing_data_file_is_input_error(workspace):
 def test_input_path_naming_a_directory_is_input_error(workspace, capsys, argv):
     # the checkpoint is read before the dataset, so DATA is never opened
     tmp, cfg = workspace
-    model = build_model(ModelConfig(raw_dim=8, model_dim=8, classes=3, rank=2), Rng(0))
+    model = build_model(ExperimentConfig(model_dim=8, classes=3, rank=2), 8, Rng(0))
     model.phase = "pretrained"
     save_checkpoint(model, tmp / "ckpt.mcu")
     paths = {"DIR": tmp / "dir", "CKPT": tmp / "ckpt.mcu", "DATA": tmp / "data.mcu"}
@@ -212,7 +212,7 @@ def test_input_path_naming_a_directory_is_input_error(workspace, capsys, argv):
 def test_unopenable_input_path_is_input_error(workspace, capsys, monkeypatch, fault, flag):
     tmp, cfg = workspace
     assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
-    model = build_model(ModelConfig(raw_dim=8, model_dim=8, classes=3, rank=2), Rng(0))
+    model = build_model(ExperimentConfig(model_dim=8, classes=3, rank=2), 8, Rng(0))
     model.phase = "pretrained"
     save_checkpoint(model, tmp / "ckpt.mcu")
     paths = {"--data": tmp / "data" / "dataset.mcu", "--checkpoint": tmp / "ckpt.mcu"}
@@ -385,12 +385,19 @@ def test_corrupt_dataset_file_is_state_error(workspace, capsys):
     (lambda meta: meta.pop("phase"), "phase"),
     (lambda meta: meta.update(phase="banana"), "'phase' has invalid value 'banana'"),
     (lambda meta: meta.update(has_adapters="no"), "'has_adapters' has invalid value 'no'"),
+    (lambda meta: meta["config"].pop("alpha"), "lacks field 'alpha'"),
+    (lambda meta: meta["config"].update(alpha=float("nan")), "alpha must be finite"),
+    (lambda meta: meta["config"].update(raw_dim="8"), "'raw_dim' has invalid value '8'"),
+    (lambda meta: meta["config"].update(model_dim=8.0), "'model_dim' has invalid value 8.0"),
+    (lambda meta: meta["config"].update(rank=0), "rank must be >= 1"),
+    (lambda meta: meta["config"].update(model_dim=16), "'model_dim' is 16, but enc.a.W1 has shape (8, 8)"),
 ], ids=["unknown-config-key", "removed-mcla-key", "removed-task-key", "no-has_adapters", "no-phase",
-        "unknown-phase", "non-boolean-has_adapters"])
+        "unknown-phase", "non-boolean-has_adapters", "no-alpha", "nan-alpha", "string-raw_dim", "float-model_dim",
+        "zero-rank", "model_dim-not-the-arrays"])
 def test_malformed_checkpoint_metadata_is_state_error(workspace, capsys, corrupt, key):
     tmp, cfg = workspace
     assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
-    model = build_model(ModelConfig(raw_dim=8, model_dim=8, classes=3, rank=2), Rng(0))
+    model = build_model(ExperimentConfig(model_dim=8, classes=3, rank=2), 8, Rng(0))
     model.phase = "pretrained"
     save_checkpoint(model, tmp / "good.mcu")
     _, meta, arrays = load_container(tmp / "good.mcu", expected_kind="checkpoint")
@@ -406,7 +413,7 @@ def test_malformed_checkpoint_metadata_is_state_error(workspace, capsys, corrupt
 def test_checkpoint_with_arrays_the_model_lacks_is_state_error(workspace, capsys):
     tmp, cfg = workspace
     assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
-    model = build_model(ModelConfig(raw_dim=8, model_dim=8, classes=3, rank=2), Rng(0))
+    model = build_model(ExperimentConfig(model_dim=8, classes=3, rank=2), 8, Rng(0))
     model.phase = "pretrained"
     save_checkpoint(model, tmp / "good.mcu")
     _, meta, arrays = load_container(tmp / "good.mcu", expected_kind="checkpoint")
@@ -422,7 +429,7 @@ def test_checkpoint_with_arrays_the_model_lacks_is_state_error(workspace, capsys
 def test_checkpoint_lacking_a_parameter_names_exactly_that_parameter(workspace, capsys):
     tmp, cfg = workspace
     assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
-    model = build_model(ModelConfig(raw_dim=8, model_dim=8, classes=3, rank=2), Rng(0))
+    model = build_model(ExperimentConfig(model_dim=8, classes=3, rank=2), 8, Rng(0))
     model.phase = "pretrained"
     save_checkpoint(model, tmp / "good.mcu")
     _, meta, arrays = load_container(tmp / "good.mcu", expected_kind="checkpoint")
@@ -579,6 +586,16 @@ def test_config_overrides_via_flags(workspace):
     first = [float(x) for x in sched[1].split(",")[1:]]
     q = first[-7:]
     assert all(abs(v - 1 / 7) < 1e-12 for v in q)
+    # the finetuned header records the finetune config's rank, the pretrained one the pretrain config's
+    assert load_container(pre / "checkpoint.mcu", expected_kind="checkpoint")[1]["config"]["rank"] == 2
+    meta = load_container(out / "checkpoint.mcu", expected_kind="checkpoint")[1]
+    assert meta["config"]["rank"] == 1 and not meta["has_adapters"]
+    mcla_out = tmp / "fin_rank1"
+    assert run("finetune", "--config", cfg, "--data", data / "dataset.mcu",
+               "--checkpoint", pre / "checkpoint.mcu", "--out", mcla_out, "--mcla", "on", "--rank", "1") == 0
+    _, meta, arrays = load_container(mcla_out / "checkpoint.mcu", expected_kind="checkpoint")
+    assert meta["config"]["rank"] == 1 and meta["has_adapters"]
+    assert arrays["adapter.a.com.A"].shape == (1, 8)
 
 
 def test_parse_config_text_handles_comments_and_types():

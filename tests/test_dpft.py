@@ -14,7 +14,7 @@ from mculora.dpft import (
 )
 from mculora.errors import ConfigError, ContractError
 from mculora.modalities import ALL_COMBINATIONS
-from mculora.model import ModelConfig, attach_adapters, build_model
+from mculora.model import attach_adapters, build_model
 from mculora.rng import Rng
 from mculora.synthgen import generate_dataset
 
@@ -77,10 +77,10 @@ def test_js_symmetry_and_range():
 # ---------------------------------------------------------------------------
 
 def probe_model(seed=0, mcla=True):
-    model = build_model(ModelConfig(raw_dim=6, model_dim=8, classes=3, rank=2), Rng(seed))
+    model = build_model(ExperimentConfig(model_dim=8, classes=3, rank=2), 6, Rng(seed))
     model.phase = "pretrained"
     model.freeze_base()
-    attach_adapters(model, Rng(seed + 1), mcla=mcla)
+    attach_adapters(model, Rng(seed + 1), 2, mcla=mcla)
     return model
 
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from mculora import autodiff as ad, serialize
+from mculora.config import ExperimentConfig
 from mculora.errors import ContractError, ShapeError
 from mculora.losses import orthogonality_loss, task_loss, total_loss
 from mculora.modalities import ALL_COMBINATIONS, AT, MODALITIES
 from mculora.model import (
     LoraPair,
-    ModelConfig,
     attach_adapters,
     build_model,
     combine_predictions,
@@ -22,11 +22,11 @@ from mculora.rng import Rng
 from conftest import central_difference, rel_err
 
 
-CFG = ModelConfig(raw_dim=6, model_dim=8, classes=3, rank=2)
+CFG = ExperimentConfig(model_dim=8, classes=3, rank=2)
 
 
 def small_model(seed=0, pretrained=True, adapters=True, rank=2):
-    model = build_model(ModelConfig(raw_dim=6, model_dim=8, classes=3, rank=rank), Rng(seed))
+    model = build_model(ExperimentConfig(model_dim=8, classes=3, rank=rank), 6, Rng(seed))
     if pretrained:
         model.phase = "pretrained"
         model.freeze_base()
@@ -52,13 +52,13 @@ def predict_one(features, model):
 # ---------------------------------------------------------------------------
 
 def test_encoder_zero_input_zero_bias_gives_zero_output():
-    model = build_model(CFG, Rng(3))
+    model = build_model(CFG, 6, Rng(3))
     out = model.encoders["a"].forward(ad.constant(np.zeros((4, 6))))
     assert np.array_equal(out.data, np.zeros((4, 8)))
 
 
 def test_encoder_shape_contract():
-    model = build_model(CFG, Rng(3))
+    model = build_model(CFG, 6, Rng(3))
     for m in MODALITIES:
         out = model.encoders[m].forward(ad.constant(np.ones((5, 6))))
         assert out.shape == (5, 8)
@@ -130,9 +130,9 @@ def test_adapter_bank_has_one_private_pair_per_containing_combo():
 
 
 def test_attach_requires_pretrained_phase():
-    model = build_model(CFG, Rng(0))
+    model = build_model(CFG, 6, Rng(0))
     with pytest.raises(ContractError):
-        attach_adapters(model, Rng(1))
+        attach_adapters(model, Rng(1), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +343,15 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
         assert np.array_equal(orig[name].data, new[name].data), name
     utt = sample_features(6)
     assert np.array_equal(predict_one(utt, model)[0], predict_one(utt, loaded)[0])
+
+
+def test_checkpoint_rank_must_be_the_adapter_arrays_rank(tmp_path):
+    save_checkpoint(small_model(seed=5), tmp_path / "good.mcu")
+    _, meta, arrays = serialize.load_container(tmp_path / "good.mcu", expected_kind="checkpoint")
+    meta["config"]["rank"] = 3
+    serialize.save_container(tmp_path / "bad.mcu", "checkpoint", meta, arrays)
+    with pytest.raises(ContractError, match=r"bad.mcu: config field 'rank' is 3, but adapter.a.com.A has shape \(2, 6\)"):
+        load_checkpoint(tmp_path / "bad.mcu")
 
 
 def test_checkpoint_bytes_reproducible(tmp_path):

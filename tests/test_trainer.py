@@ -562,3 +562,6 @@ def test_train_config_validation():
         ExperimentConfig(beta=-1.0).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(pretrain_epochs=0).validate()
+    for model_dim in (0, -1):
+        with pytest.raises(ConfigError, match="model_dim"):
+            ExperimentConfig(model_dim=model_dim).validate()
