@@ -11,6 +11,10 @@ active one records, and the stack of active tapes is one module-level list,
 so a process runs its tapes on one thread. With no tape active, the same
 functions run as plain (and cheaper) numpy evaluation.
 
+A fused layer (:func:`tanh_mlp_mean`) is one op standing for a chain of
+primitives: it computes the chain's values and gradients bit for bit, but
+records one backward closure and keeps only what that closure reads.
+
 Everything is float64: the package's verification budget (finite-difference
 gradient checks at 1e-5 relative error, analytic oracles at 1e-12) is not
 reachable in single precision.
@@ -416,6 +420,59 @@ def dropout(a, p: float, rng) -> Tensor:
     mask = (rng.uniform(size=a.shape) >= p) / (1.0 - p)
     out = Tensor(a.data * mask)
     _record(out, (a,), lambda g: ((a, g * mask),))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# fused layers
+# ---------------------------------------------------------------------------
+
+def tanh_mlp_mean(x, W1, b1, W2, b2, dropout_p: float, rng) -> Tensor:
+    """(B, L, D) rows -> (B, d): the mean over the L positions of
+    dropout(tanh(x W1 + b1)) W2 + b2, with inverted dropout of probability
+    `dropout_p` drawn from `rng` as :func:`dropout` draws it.
+
+    One op in place of the chain matmul, add, tanh, dropout, matmul, add,
+    reshape, tmean. Its forward and backward run that chain's numpy
+    expressions in the same order, so values and gradients are bit-identical
+    to it. On a tape it holds x, the tanh output and the dropout mask; off
+    one it holds nothing."""
+    x, W1, b1, W2, b2 = (as_tensor(t) for t in (x, W1, b1, W2, b2))
+    if x.ndim != 3 or x.shape[2] != W1.shape[0]:
+        raise ShapeError(f"tanh_mlp_mean expects (B, L, {W1.shape[0]}) rows, got shape {x.shape}")
+    B, L, D = x.shape
+    x2d = x.data.reshape(B * L, D)
+    h = x2d @ W1.data
+    h += b1.data
+    np.tanh(h, out=h)
+    # dropout of ones is its keep mask scaled by 1 / (1 - p), drawn as dropout draws it
+    mask = dropout(constant(np.ones(h.shape)), dropout_p, rng).data if dropout_p > 0.0 else None
+    z = (h if mask is None else h * mask) @ W2.data
+    z += b2.data
+    out = Tensor(z.reshape(B, L, -1).mean(axis=1))
+
+    def backward(g):  # untracked operands (the rows, frozen weights) get no product
+        gz = np.broadcast_to(np.expand_dims(g, 1) / L, (B, L, g.shape[1])).copy().reshape(B * L, -1)
+        pairs = []
+        if W2._tracked:
+            pairs.append((W2, (h if mask is None else h * mask).T @ gz))
+        if b2._tracked:
+            pairs.append((b2, _unbroadcast(gz, b2.shape)))
+        if not (W1._tracked or b1._tracked or x._tracked):
+            return pairs
+        ga = gz @ W2.data.T
+        if mask is not None:
+            ga = ga * mask
+        ga = ga * (1.0 - h * h)
+        if W1._tracked:
+            pairs.append((W1, x2d.T @ ga))
+        if b1._tracked:
+            pairs.append((b1, _unbroadcast(ga, b1.shape)))
+        if x._tracked:
+            pairs.append((x, (ga @ W1.data.T).reshape(x.shape)))
+        return pairs
+
+    _record(out, (x, W1, b1, W2, b2), backward)
     return out
 
 

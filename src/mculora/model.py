@@ -14,7 +14,11 @@ Structure
 
 The forward pass has two halves. :func:`encode` runs the base's encoders on
 every position and pools each row, giving per modality the encoder output
-averaged over positions and the sequence-mean raw row. :func:`forward_pooled`
+averaged over positions and the sequence-mean raw row. Each encoder is one
+fused tape op (:func:`mculora.autodiff.tanh_mlp_mean`): while it trains, the
+tape holds its rows, tanh outputs and dropout mask, (B*L, raw_dim) and two
+(B*L, d), in place of the eight-op chain's seven (B*L, ·) intermediates;
+frozen, it records nothing and holds nothing. :func:`forward_pooled`
 runs the adapters, fusion, heads and gate on those pooled rows. Once the base
 is frozen a row's pooled values never change, so training after pretraining
 and evaluation encode each row once and reuse it; pretraining, which trains
@@ -38,7 +42,9 @@ raw_dim, model_dim and classes are read off the parameters (``enc.a.W1`` and
 was last given: by :func:`build_model` from the pretrain config, then by
 :func:`attach_adapters` from the finetune config, with MCLA on or off.
 :func:`load_checkpoint` checks the header's types, passes it through
-``ExperimentConfig.validate`` and checks its dims against the arrays.
+``ExperimentConfig.validate``, checks its dims and every parameter's name
+and shape against the arrays, and builds the model from them through the
+constructor :func:`build_model` uses after drawing: nothing is drawn.
 """
 
 from __future__ import annotations
@@ -64,16 +70,15 @@ _DIM_SOURCES = {"raw_dim": ("enc.a.W1", 0), "model_dim": ("enc.a.W1", 1), "class
 
 
 class Encoder:
-    """Per-modality feed-forward stack: raw_dim -> d (tanh) -> d."""
+    """Per-modality feed-forward stack, raw_dim -> d (tanh) -> d, pooled over positions."""
 
     def __init__(self, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor):
         self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, b2
 
-    def forward(self, x2d: Tensor, dropout_p: float = 0.0, rng: Rng | None = None) -> Tensor:
-        h = ad.tanh(ad.add(ad.matmul(x2d, self.W1), self.b1))
-        if dropout_p > 0.0:
-            h = ad.dropout(h, dropout_p, rng)
-        return ad.add(ad.matmul(h, self.W2), self.b2)
+    def forward(self, x: Tensor, dropout_p: float = 0.0, rng: Rng | None = None) -> Tensor:
+        """(B, L, raw_dim) rows -> (B, d): the stack on every position, averaged
+        over positions, with dropout on the hidden layer. One tape op."""
+        return ad.tanh_mlp_mean(x, self.W1, self.b1, self.W2, self.b2, dropout_p, rng)
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.W1": self.W1, f"{prefix}.b1": self.b1,
@@ -193,14 +198,34 @@ class MculoraModel:
     """The base, the adapters once attached, and the adapter rank and LoRA
     scale alpha last given to it, which its checkpoint header records."""
 
-    def __init__(self, encoders: dict[str, Encoder], fusion: FusionBlock, heads: Heads, rank: int, alpha: float):
-        self.encoders = encoders
-        self.fusion = fusion
-        self.heads = heads
+    def __init__(self, arrays: dict[str, np.ndarray], rank: int, alpha: float):
+        """The model whose parameters are `arrays`, named as ``parameters("all")``
+        names them: the base, plus the adapters, characteristic head and gate
+        when `arrays` holds them. Every parameter is trainable; phase "init"."""
+        def param(name: str) -> Tensor:
+            return Tensor(arrays[name], requires_grad=True)
+        self.encoders = {m: Encoder(*(param(f"enc.{m}.{k}") for k in ("W1", "b1", "W2", "b2"))) for m in MODALITIES}
+        self.fusion = FusionBlock(param("fusion.query"), {m: param(f"fusion.{m}.Wk") for m in MODALITIES},
+                                  {m: param(f"fusion.{m}.Wv") for m in MODALITIES})
+        self.heads = Heads(param("head.com.W"), param("head.com.b"))
         self.rank = rank
         self.alpha = alpha
         self.adapters: dict[str, AdapterBank] | None = None
         self.phase = "init"
+        if "head.prt.W" in arrays:
+            self._attach(arrays)
+
+    def _attach(self, arrays: dict[str, np.ndarray]) -> None:
+        """Adapter banks, characteristic head and gate whose parameters are `arrays`."""
+        def pair(prefix: str) -> LoraPair:
+            return LoraPair(Tensor(arrays[f"{prefix}.A"], requires_grad=True),
+                            Tensor(arrays[f"{prefix}.B"], requires_grad=True), alpha=self.alpha)
+        self.adapters = {m: AdapterBank(m, {c: pair(f"adapter.{m}.prt.{c.name}") for c in ALL_COMBINATIONS if m in c},
+                                        pair(f"adapter.{m}.com")) for m in MODALITIES}
+        h = self.heads
+        h.prt_W, h.prt_b, h.gate_W1, h.gate_b1, h.gate_W2, h.gate_b2 = (
+            Tensor(arrays[name], requires_grad=True)
+            for name in ("head.prt.W", "head.prt.b", "gate.W1", "gate.b1", "gate.W2", "gate.b2"))
 
     def dims(self) -> dict[str, int]:
         """raw_dim, model_dim and classes, read off the base's parameters."""
@@ -230,37 +255,43 @@ class MculoraModel:
         ad.freeze(self.fusion.parameters().values())
 
 
+def _parameter_shapes(raw_dim: int, model_dim: int, classes: int, rank: int, adapters: bool) -> dict[str, tuple]:
+    """The name and shape of each parameter of a model of these sizes, with or
+    without adapters, as ``MculoraModel.parameters("all")`` names them."""
+    D, d, H = raw_dim, model_dim, _GATE_HIDDEN
+    shapes = {"fusion.query": (1, d), "head.com.W": (d, classes), "head.com.b": (1, classes)}
+    for m in MODALITIES:
+        shapes.update({f"enc.{m}.W1": (D, d), f"enc.{m}.b1": (1, d), f"enc.{m}.W2": (d, d), f"enc.{m}.b2": (1, d),
+                       f"fusion.{m}.Wk": (d, d), f"fusion.{m}.Wv": (d, d)})
+    if adapters:
+        shapes.update({"head.prt.W": (d, classes), "head.prt.b": (1, classes), "gate.W1": (d, H), "gate.b1": (1, H),
+                       "gate.W2": (H, 1), "gate.b2": (1, 1)})
+        for m in MODALITIES:
+            for pair in ["com", *(f"prt.{c.name}" for c in ALL_COMBINATIONS if m in c)]:
+                shapes.update({f"adapter.{m}.{pair}.A": (rank, D), f"adapter.{m}.{pair}.B": (d, rank)})
+    return shapes
+
+
 def build_model(cfg: ExperimentConfig, raw_dim: int, rng: Rng) -> MculoraModel:
     """Fresh base model (no adapters) on raw_dim input features, the dataset's;
     all parameters trainable. `cfg` gives model_dim and classes, and the rank
     and alpha the model records until adapters are attached."""
     init = rng.child("init")
     d, D = cfg.model_dim, raw_dim
-
-    def param(r: Rng, shape, scale: float) -> Tensor:
-        return Tensor(r.normal(0.0, scale, size=shape), requires_grad=True)
-
-    encoders = {}
+    arrays = {}
     for m in MODALITIES:
         r = init.child(f"enc-{m}")
-        encoders[m] = Encoder(
-            W1=param(r, (D, d), 1.0 / np.sqrt(D)),
-            b1=Tensor(np.zeros((1, d)), requires_grad=True),
-            W2=param(r, (d, d), 1.0 / np.sqrt(d)),
-            b2=Tensor(np.zeros((1, d)), requires_grad=True),
-        )
+        arrays.update({f"enc.{m}.W1": r.normal(0.0, 1.0 / np.sqrt(D), size=(D, d)), f"enc.{m}.b1": np.zeros((1, d)),
+                       f"enc.{m}.W2": r.normal(0.0, 1.0 / np.sqrt(d), size=(d, d)), f"enc.{m}.b2": np.zeros((1, d))})
     fr = init.child("fusion")
-    fusion = FusionBlock(
-        query=param(fr, (1, d), 1.0 / np.sqrt(d)),
-        keys={m: param(fr.child(f"k-{m}"), (d, d), 1.0 / np.sqrt(d)) for m in MODALITIES},
-        values={m: param(fr.child(f"v-{m}"), (d, d), 1.0 / np.sqrt(d)) for m in MODALITIES},
-    )
+    arrays["fusion.query"] = fr.normal(0.0, 1.0 / np.sqrt(d), size=(1, d))
+    for m in MODALITIES:
+        arrays[f"fusion.{m}.Wk"] = fr.child(f"k-{m}").normal(0.0, 1.0 / np.sqrt(d), size=(d, d))
+        arrays[f"fusion.{m}.Wv"] = fr.child(f"v-{m}").normal(0.0, 1.0 / np.sqrt(d), size=(d, d))
     hr = init.child("heads")
-    heads = Heads(
-        com_W=param(hr, (d, cfg.classes), 1.0 / np.sqrt(d)),
-        com_b=Tensor(np.zeros((1, cfg.classes)), requires_grad=True),
-    )
-    return MculoraModel(encoders, fusion, heads, cfg.rank, float(cfg.alpha))
+    arrays["head.com.W"] = hr.normal(0.0, 1.0 / np.sqrt(d), size=(d, cfg.classes))
+    arrays["head.com.b"] = np.zeros((1, cfg.classes))
+    return MculoraModel(arrays, cfg.rank, float(cfg.alpha))
 
 
 def attach_adapters(model: MculoraModel, rng: Rng, rank: int, alpha: float = ExperimentConfig.alpha,
@@ -281,26 +312,21 @@ def attach_adapters(model: MculoraModel, rng: Rng, rank: int, alpha: float = Exp
     init = rng.child("adapters")
     dims = model.dims()
     d, D = dims["model_dim"], dims["raw_dim"]
-
-    def pair(r: Rng) -> LoraPair:
-        # standard convention: Gaussian down-projection, zero up-projection,
-        # so adapters contribute exactly nothing until trained
-        A = Tensor(r.normal(0.0, 0.02, size=(rank, D)), requires_grad=True)
-        B = Tensor(np.zeros((d, rank)), requires_grad=True)
-        return LoraPair(A, B, alpha=model.alpha)
-
-    model.adapters = {}
+    arrays = {}
     for m in MODALITIES:
-        private = {c: pair(init.child(f"{m}-prt-{c.name}")) for c in ALL_COMBINATIONS if m in c}
-        model.adapters[m] = AdapterBank(m, private, pair(init.child(f"{m}-com")))
-
+        for pair in ["com", *(f"prt.{c.name}" for c in ALL_COMBINATIONS if m in c)]:
+            # standard convention: Gaussian down-projection, zero up-projection,
+            # so adapters contribute exactly nothing until trained
+            r = init.child(f"{m}-{pair.replace('.', '-')}")
+            arrays.update({f"adapter.{m}.{pair}.A": r.normal(0.0, 0.02, size=(rank, D)),
+                           f"adapter.{m}.{pair}.B": np.zeros((d, rank))})
     gr = rng.child("gate")
-    model.heads.prt_W = Tensor(model.heads.com_W.data.copy(), requires_grad=True)
-    model.heads.prt_b = Tensor(model.heads.com_b.data.copy(), requires_grad=True)
-    model.heads.gate_W1 = Tensor(gr.normal(0.0, 1.0 / np.sqrt(d), size=(d, _GATE_HIDDEN)), requires_grad=True)
-    model.heads.gate_b1 = Tensor(np.zeros((1, _GATE_HIDDEN)), requires_grad=True)
-    model.heads.gate_W2 = Tensor(gr.normal(0.0, 1.0 / np.sqrt(_GATE_HIDDEN), size=(_GATE_HIDDEN, 1)), requires_grad=True)
-    model.heads.gate_b2 = Tensor(np.zeros((1, 1)), requires_grad=True)
+    arrays.update({"head.prt.W": model.heads.com_W.data.copy(), "head.prt.b": model.heads.com_b.data.copy(),
+                   "gate.W1": gr.normal(0.0, 1.0 / np.sqrt(d), size=(d, _GATE_HIDDEN)),
+                   "gate.b1": np.zeros((1, _GATE_HIDDEN)),
+                   "gate.W2": gr.normal(0.0, 1.0 / np.sqrt(_GATE_HIDDEN), size=(_GATE_HIDDEN, 1)),
+                   "gate.b2": np.zeros((1, 1))})
+    model._attach(arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +351,17 @@ def encode(model: MculoraModel, feats: dict[str, np.ndarray], *,
            dropout_p: float = 0.0, dropout_rng: Rng | None = None) -> Pooled:
     """The frozen-base half of the forward pass, on stacked (B, L, raw_dim)
     features: each modality's encoder runs on every position and is pooled
-    after, and each row's raw features are averaged over positions."""
+    after, in one tape op per modality, and each row's raw features are
+    averaged over positions. Under a tape, an encoder that trains keeps its
+    rows, tanh outputs and dropout mask for the backward pass; a frozen one
+    records no op and keeps nothing."""
     enc: dict[str, Tensor] = {}
     raw: dict[str, np.ndarray] = {}
     for m in MODALITIES:
         if m not in feats:
             continue
         x = np.asarray(feats[m], dtype=np.float64)
-        B, L, D = x.shape
-        h = model.encoders[m].forward(ad.constant(x.reshape(B * L, D)), dropout_p=dropout_p, rng=dropout_rng)
-        enc[m] = ad.tmean(ad.reshape(h, (B, L, -1)), axis=1)
+        enc[m] = model.encoders[m].forward(ad.constant(x), dropout_p=dropout_p, rng=dropout_rng)
         raw[m] = x.mean(axis=1)
     return Pooled(enc, raw)
 
@@ -429,28 +456,23 @@ def load_checkpoint(path) -> MculoraModel:
         cfg = ExperimentConfig(**header).validate()
     except ConfigError as exc:
         raise ContractError(f"checkpoint {path}: config field {exc}") from exc
-    # before the model is built, so that no size from the header alone is allocated
+    # each dim the header records is the size of the array it is read off
     sources = {**_DIM_SOURCES, "rank": ("adapter.a.com.A", 0)} if meta["has_adapters"] else _DIM_SOURCES
     for key, (name, axis) in sources.items():
         if name in arrays and arrays[name].shape[axis:axis + 1] != (header[key],):
             raise ContractError(f"checkpoint {path}: config field {key!r} is {header[key]}, "
                                 f"but {name} has shape {arrays[name].shape}")
-    model = build_model(cfg, cfg.raw_dim, Rng(0))
-    if meta["has_adapters"]:
-        model.phase = "pretrained"
-        attach_adapters(model, Rng(0), cfg.rank, cfg.alpha)
-    model.phase = meta["phase"]
-    params = model.parameters("all")
-    missing, extra = set(params) - set(arrays), set(arrays) - set(params)
+    shapes = _parameter_shapes(cfg.raw_dim, cfg.model_dim, cfg.classes, cfg.rank, meta["has_adapters"])
+    missing, extra = set(shapes) - set(arrays), set(arrays) - set(shapes)
     if missing:
         raise ContractError(f"checkpoint {path} lacks parameters: {sorted(missing)}")
     if extra:
         raise ContractError(f"checkpoint {path} holds arrays the model does not have: {sorted(extra)}")
-    for name, tensor in params.items():
-        if arrays[name].shape != tensor.data.shape:
-            raise ContractError(f"checkpoint parameter {name} has shape {arrays[name].shape}, "
-                                f"expected {tensor.data.shape}")
-        tensor.data = arrays[name]
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ContractError(f"checkpoint parameter {name} has shape {arrays[name].shape}, expected {shape}")
+    model = MculoraModel(arrays, cfg.rank, float(cfg.alpha))
+    model.phase = meta["phase"]
     if model.phase in ("pretrained", "finetuned"):
         model.freeze_base()
     return model

@@ -41,16 +41,17 @@ mean over the six incomplete conditions (the full set is reported
 separately); restricted to one condition (``eval --combo``), the same path
 scores that condition alone and reports no average. Under the random
 protocol, each sample's combination is drawn once from the configured
-probability range. Evaluation reads its rows one chunk of at most
+probability range. Evaluation works through the test rows one window of
+``_HEAD_ROWS`` rows at a time. It reads a window one chunk of at most
 ``_EVAL_POSITIONS`` sequence positions (rows x L) at a time - from the dataset
 file when given a :class:`~mculora.synthgen.DatasetFile` - and encodes each
 row once per modality some condition keeps: three times per row under the
 fixed protocol, and only the modalities a row keeps under the random one.
-Only the small pooled rows, (n, d) and (n, D) per modality, are kept across
-chunks; the rows of each condition then run through the adapters, fusion and
-heads at most ``_HEAD_ROWS`` rows at a time. Finetune's encoding reads its
-rows in the same chunks, so the encoder's (B*L, d) intermediates stay the
-same size whatever the sequence length.
+Then the window's rows of each condition run through the adapters, fusion and
+heads as one group. Only the predictions outlive a window, so of what eval
+holds only the labels, masks and predictions grow with the split. Finetune's
+encoding reads its rows in the same chunks, so the encoder's (B*L, d)
+intermediates stay the same size whatever the sequence length.
 
 CSV interfaces (column orders are part of the interface):
 
@@ -84,7 +85,7 @@ from .serialize import write_text
 from .synthgen import Dataset, apply_random_missing
 
 _EVAL_POSITIONS = 2048  # rows x L read and encoded at a time: 256 rows at L = 8, 64 at L = 32
-_HEAD_ROWS = 512  # pooled rows run through the adapters, fusion and heads at a time
+_HEAD_ROWS = 512  # test rows encoded and then run through the adapters, fusion and heads at a time
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
@@ -222,7 +223,7 @@ def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
     del probe_rows
     attach_adapters(model, root.child("attach"), rank=cfg.rank, alpha=cfg.alpha, mcla=cfg.mcla)
     # the base is frozen: each training row goes through it once
-    train = _encode_rows(model, dataset, np.full(len(dataset), FULL.mask))
+    train = _encode_rows(model, dataset, 0, np.full(len(dataset), FULL.mask))
     q = np.full(N_COMBINATIONS, 1.0 / N_COMBINATIONS)
     samp_rng = root.child("combo-sampling")
     s_prev = np.zeros(N_COMBINATIONS)
@@ -290,21 +291,22 @@ def compute_metrics(preds, labels) -> Metrics:
 # evaluation under missing-modality protocols
 # ---------------------------------------------------------------------------
 
-def _encode_rows(model: MculoraModel, dataset, need: np.ndarray) -> Pooled:
-    """The rows of `dataset` (a :class:`~mculora.synthgen.Dataset` or
-    :class:`~mculora.synthgen.DatasetFile`) through the frozen base.
+def _encode_rows(model: MculoraModel, dataset, start: int, need: np.ndarray) -> Pooled:
+    """The rows start, start + 1, ... of `dataset` (a
+    :class:`~mculora.synthgen.Dataset` or :class:`~mculora.synthgen.DatasetFile`),
+    one per entry of `need`, through the frozen base.
 
     The rows are read one chunk of at most ``_EVAL_POSITIONS`` positions at a
-    time, and row i is encoded once for each modality of the combination
-    bitmask need[i]. Only the pooled rows are kept across chunks; a row holds
-    zeros for a modality it was not encoded for."""
-    n, bits = len(dataset), {m: Combo.from_name(m).mask for m in MODALITIES}
+    time, and row start + i is encoded once for each modality of the
+    combination bitmask need[i]. Only the pooled rows are kept across chunks;
+    a row holds zeros for a modality it was not encoded for."""
+    n, bits = len(need), {m: Combo.from_name(m).mask for m in MODALITIES}
     step = max(1, _EVAL_POSITIONS // max(1, dataset[:0].features["a"].shape[1]))
     dims = model.dims()
     enc = {m: np.zeros((n, dims["model_dim"])) for m in MODALITIES}
     raw = {m: np.zeros((n, dims["raw_dim"])) for m in MODALITIES}
     for lo in range(0, n, step):
-        chunk = dataset[lo:lo + step]
+        chunk = dataset[start + lo:start + min(lo + step, n)]
         hi = lo + len(chunk)
         for m in MODALITIES:
             rows = np.nonzero(need[lo:hi] & bits[m])[0]
@@ -320,19 +322,21 @@ def predict_dataset(model: MculoraModel, dataset, masks: np.ndarray) -> np.ndarr
     """Class predictions with row i seen under the combination of bitmask
     masks[..., i], in the shape of `masks`.
 
-    `masks` holds one or more views of every row of `dataset`. Each row is read
-    and encoded once per modality that some view of it keeps; then the rows
-    of each view and combination run through the rest of the model as one
-    condition, at most ``_HEAD_ROWS`` rows at a time."""
+    `masks` holds one or more views of every row of `dataset`. The rows are
+    taken one window of ``_HEAD_ROWS`` rows at a time: each row of the window
+    is read and encoded once per modality that some view of it keeps, then
+    the window's rows of each view and combination run through the rest of
+    the model as one group. Only the predictions outlive the window."""
     views = masks.reshape(-1, len(dataset))
-    pooled = _encode_rows(model, dataset, np.bitwise_or.reduce(views, axis=0))
+    need = np.bitwise_or.reduce(views, axis=0)
     preds = np.zeros(views.shape, dtype=np.int64)
-    for view, pred in zip(views, preds):
-        for combo in ALL_COMBINATIONS:
-            rows = np.nonzero(view == combo.mask)[0]
-            for s in range(0, rows.size, _HEAD_ROWS):
-                idx = rows[s:s + _HEAD_ROWS]
-                pred[idx] = np.argmax(forward_pooled(model, pooled.rows(idx, combo))["y_last"].data, axis=1)
+    for lo in range(0, len(dataset), _HEAD_ROWS):
+        pooled = _encode_rows(model, dataset, lo, need[lo:lo + _HEAD_ROWS])
+        for view, pred in zip(views[:, lo:lo + _HEAD_ROWS], preds[:, lo:lo + _HEAD_ROWS]):
+            for combo in ALL_COMBINATIONS:
+                rows = np.nonzero(view == combo.mask)[0]
+                if rows.size:
+                    pred[rows] = np.argmax(forward_pooled(model, pooled.rows(rows, combo))["y_last"].data, axis=1)
     return preds.reshape(masks.shape)
 
 

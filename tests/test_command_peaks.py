@@ -27,3 +27,13 @@ def test_each_command_runs_in_its_own_process_and_reports_a_peak(tmp_path):
     assert all(0 < heap < mb for _, _, mb, heap, _, _ in rows), rows
     assert (tmp_path / "eval-random" / "metrics.txt").is_file()  # the commands ran on each other's outputs
 
+
+
+def test_whole_run_reports_each_command_of_three_passes_in_one_process(tmp_path):
+    rows = command_peaks.whole_run_peaks(CONFIG, tmp_path)
+    names = ["gen-data", "pretrain", "finetune", "eval-fixed", "eval-random"]
+    assert [(index, name) for index, name, _, _ in rows] == [(i, name) for i in (1, 2, 3) for name in names]
+    assert all(code == 0 and mb > 0 for _, _, code, mb in rows), rows
+    peaks = [mb for _, _, _, mb in rows]
+    assert peaks == sorted(peaks)  # one process: each reading is its peak so far
+    assert (tmp_path / "pass3" / "eval-random" / "metrics.txt").is_file()

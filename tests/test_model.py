@@ -13,6 +13,7 @@ from mculora.model import (
     attach_adapters,
     build_model,
     combine_predictions,
+    encode,
     forward_batch,
     load_checkpoint,
     save_checkpoint,
@@ -53,26 +54,64 @@ def predict_one(features, model):
 
 def test_encoder_zero_input_zero_bias_gives_zero_output():
     model = build_model(CFG, 6, Rng(3))
-    out = model.encoders["a"].forward(ad.constant(np.zeros((4, 6))))
+    out = model.encoders["a"].forward(ad.constant(np.zeros((4, 3, 6))))
     assert np.array_equal(out.data, np.zeros((4, 8)))
 
 
 def test_encoder_shape_contract():
     model = build_model(CFG, 6, Rng(3))
     for m in MODALITIES:
-        out = model.encoders[m].forward(ad.constant(np.ones((5, 6))))
+        out = model.encoders[m].forward(ad.constant(np.ones((5, 3, 6))))
         assert out.shape == (5, 8)
     with pytest.raises(ShapeError):
-        model.encoders["a"].forward(ad.constant(np.ones((5, 7))))
+        model.encoders["a"].forward(ad.constant(np.ones((5, 3, 7))))
+    with pytest.raises(ShapeError):
+        model.encoders["a"].forward(ad.constant(np.ones((15, 6))))
 
 
 def test_encoder_frozen_determinism():
     model = small_model(adapters=False)
-    x = Rng(9).normal(size=(4, 6))
-    out1 = model.encoders["t"].forward(ad.constant(x))
-    out2 = model.encoders["t"].forward(ad.constant(x))
+    x = Rng(9).normal(size=(4, 3, 6))
+    with ad.Tape() as tape:
+        out1 = model.encoders["t"].forward(ad.constant(x))
+        out2 = model.encoders["t"].forward(ad.constant(x))
     assert np.array_equal(out1.data, out2.data)
     assert not any(t.requires_grad for t in model.encoders["t"].parameters("t").values())
+    assert len(tape) == 0  # a frozen encoder records nothing, so it holds none of its intermediates
+
+
+def reference_encoder(enc, x, dropout_p, rng):
+    """The encoder as the chain of autodiff primitives it fuses: each position
+    through the stack, then the mean over positions."""
+    B, L, D = x.shape
+    h = ad.tanh(ad.add(ad.matmul(ad.constant(x.data.reshape(B * L, D)), enc.W1), enc.b1))
+    if dropout_p > 0.0:
+        h = ad.dropout(h, dropout_p, rng)
+    z = ad.add(ad.matmul(h, enc.W2), enc.b2)
+    return ad.tmean(ad.reshape(z, (B, L, -1)), axis=1)
+
+
+@pytest.mark.parametrize("dropout_p", [0.0, 0.5], ids=["no-dropout", "dropout"])
+def test_fused_encoder_is_bit_identical_to_its_primitive_chain(dropout_p):
+    model = build_model(CFG, 6, Rng(3))
+    enc = model.encoders["v"]
+    enc.b1.data = Rng(4).normal(size=enc.b1.shape)  # nonzero biases, so that both layers' outputs move
+    enc.b2.data = Rng(5).normal(size=enc.b2.shape)
+    x = ad.constant(Rng(6).normal(size=(5, 3, 6)))
+    upstream = ad.constant(Rng(7).normal(size=(5, 8)))
+    results = []
+    for forward in (enc.forward, lambda x, p, rng: reference_encoder(enc, x, p, rng)):
+        with ad.Tape() as tape:
+            out = forward(x, dropout_p, Rng(8))  # the same dropout stream for both
+            loss = ad.tsum(ad.mul(out, upstream))
+        ad.gradients(loss, tape)
+        ops = len(tape) - 2  # the loss's mul and tsum
+        results.append((ops, out.data, *(t.grad for t in (enc.W1, enc.b1, enc.W2, enc.b2))))
+    (fused_ops, *fused), (chain_ops, *chain) = results
+    assert (fused_ops, chain_ops) == (1, 8 if dropout_p else 7)
+    for got, want in zip(fused, chain):
+        assert np.array_equal(got, want)
+    assert all(np.abs(g).max() > 0 for g in fused[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +350,44 @@ def test_finetune_objective_gradients_match_central_differences():
         assert np.abs(numeric).max() > 1e-6, name
         for a, b in zip(analytic.ravel(), numeric.ravel()):
             assert rel_err(a, b) <= 1e-5, name
+
+
+def pretrain_objective(model, feats, labels, dropout_seed):
+    """One pretrain step's loss, built from the calls the trainer makes, with
+    dropout 0.5 drawn from a stream seeded afresh on every call."""
+    out = forward_batch(model, feats, dropout_p=0.5, dropout_rng=Rng(dropout_seed))
+    return total_loss(task_loss(out["y_last"], labels), ad.constant(0.0), 0.5)
+
+
+def test_pretrain_objective_encoder_gradients_match_central_differences():
+    model = small_model(seed=7, pretrained=False, adapters=False)
+    feats, labels = batch_features(seed=8)
+    params = model.parameters("pretrain")
+    with ad.Tape() as tape:
+        loss = pretrain_objective(model, feats, labels, dropout_seed=9)
+    ad.gradients(loss, tape)
+    for name in [f"enc.{m}.{p}" for m in MODALITIES for p in ("W1", "b1", "W2", "b2")]:
+        tensor = params[name]
+        analytic, orig = tensor.grad.copy(), tensor.data
+
+        def f(x):
+            tensor.data = x
+            return pretrain_objective(model, feats, labels, dropout_seed=9).item()
+
+        numeric = central_difference(f, orig.copy(), h=1e-5)
+        tensor.data = orig
+        assert np.abs(numeric).max() > 1e-6, name
+        for a, b in zip(analytic.ravel(), numeric.ravel()):
+            assert rel_err(a, b) <= 1e-5, name
+
+
+def test_pretrain_step_records_one_encoder_op_per_modality():
+    model = small_model(pretrained=False, adapters=False)
+    feats, _ = batch_features(seed=10)
+    with ad.Tape() as tape:
+        pooled = encode(model, feats, dropout_p=0.5, dropout_rng=Rng(11))
+    assert len(tape) == len(MODALITIES)
+    assert [op_id for op_id, _ in tape.ops] == [pooled.enc[m]._id for m in MODALITIES]
 
 
 @pytest.mark.parametrize("mcla", [True, False], ids=["mcla", "base"])
