@@ -410,19 +410,6 @@ def take_per_row(a, indices) -> Tensor:
     return out
 
 
-def dropout(a, p: float, rng) -> Tensor:
-    """Inverted dropout; identity when p == 0."""
-    a = as_tensor(a)
-    if not 0.0 <= p < 1.0:
-        raise ContractError(f"dropout probability must be in [0, 1), got {p}")
-    if p == 0.0:
-        return a
-    mask = (rng.uniform(size=a.shape) >= p) / (1.0 - p)
-    out = Tensor(a.data * mask)
-    _record(out, (a,), lambda g: ((a, g * mask),))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # fused layers
 # ---------------------------------------------------------------------------
@@ -430,7 +417,8 @@ def dropout(a, p: float, rng) -> Tensor:
 def tanh_mlp_mean(x, W1, b1, W2, b2, dropout_p: float, rng) -> Tensor:
     """(B, L, D) rows -> (B, d): the mean over the L positions of
     dropout(tanh(x W1 + b1)) W2 + b2, with inverted dropout of probability
-    `dropout_p` drawn from `rng` as :func:`dropout` draws it.
+    `dropout_p` in [0, 1): a uniform draw from `rng` per hidden unit keeps it,
+    scaled by 1 / (1 - p), when at least p. At p = 0 nothing is drawn.
 
     One op in place of the chain matmul, add, tanh, dropout, matmul, add,
     reshape, tmean. Its forward and backward run that chain's numpy
@@ -438,6 +426,8 @@ def tanh_mlp_mean(x, W1, b1, W2, b2, dropout_p: float, rng) -> Tensor:
     to it. On a tape it holds x, the tanh output and the dropout mask; off
     one it holds nothing."""
     x, W1, b1, W2, b2 = (as_tensor(t) for t in (x, W1, b1, W2, b2))
+    if not 0.0 <= dropout_p < 1.0:
+        raise ContractError(f"dropout probability must be in [0, 1), got {dropout_p}")
     if x.ndim != 3 or x.shape[2] != W1.shape[0]:
         raise ShapeError(f"tanh_mlp_mean expects (B, L, {W1.shape[0]}) rows, got shape {x.shape}")
     B, L, D = x.shape
@@ -445,8 +435,7 @@ def tanh_mlp_mean(x, W1, b1, W2, b2, dropout_p: float, rng) -> Tensor:
     h = x2d @ W1.data
     h += b1.data
     np.tanh(h, out=h)
-    # dropout of ones is its keep mask scaled by 1 / (1 - p), drawn as dropout draws it
-    mask = dropout(constant(np.ones(h.shape)), dropout_p, rng).data if dropout_p > 0.0 else None
+    mask = (rng.uniform(size=h.shape) >= dropout_p) / (1.0 - dropout_p) if dropout_p > 0.0 else None
     z = (h if mask is None else h * mask) @ W2.data
     z += b2.data
     out = Tensor(z.reshape(B, L, -1).mean(axis=1))

@@ -35,6 +35,20 @@ behavior. MCLA is on exactly when adapters are attached: with ``mcla=False``,
 :func:`attach_adapters` leaves ``model.adapters`` as None and the frozen base
 feeds the common head alone.
 
+The model is its parameter table, ``MculoraModel.params``: one trainable
+tensor per name, built from arrays by the constructor and extended by
+:func:`attach_adapters`. The layers hold no parameters of their own: the
+encoders, the fusion block and each adapter pair keep the table's tensors,
+and the heads read theirs from it by name at each call. A name's prefix says
+what it is: ``enc.*`` and ``fusion.*`` are the base, ``head.com.*`` the
+common head, and ``adapter.*``, ``head.prt.*`` and ``gate.*`` what adapters
+attach. The parameter groups are prefix rules: ``parameters("pretrain")``
+is the base plus the common head, ``parameters("finetune")`` everything
+outside the base, and ``parameters("all")`` the whole table.
+:meth:`MculoraModel.freeze_base` freezes the tensors under the base
+prefixes, so the common head stays trainable in finetuning. A checkpoint
+holds the table's arrays under their names.
+
 Settings come from the one schema, :class:`~mculora.config.ExperimentConfig`,
 which holds every default. A checkpoint's header records five of its fields.
 raw_dim, model_dim and classes are read off the parameters (``enc.a.W1`` and
@@ -67,22 +81,19 @@ _GATE_PREACT_LIMIT = 30.0  # keeps the logistic output strictly inside (0, 1)
 _HEADER_FIELDS = {"raw_dim": int, "model_dim": int, "classes": int, "rank": int, "alpha": (int, float)}
 # header field -> (parameter, axis) whose size it is: raw_dim, model_dim and classes are read off the base
 _DIM_SOURCES = {"raw_dim": ("enc.a.W1", 0), "model_dim": ("enc.a.W1", 1), "classes": ("head.com.W", 1)}
+_BASE = ("enc.", "fusion.")  # the name prefixes of the base: pretraining trains it, freeze_base freezes it
 
 
 class Encoder:
     """Per-modality feed-forward stack, raw_dim -> d (tanh) -> d, pooled over positions."""
 
-    def __init__(self, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor):
-        self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, b2
+    def __init__(self, params: dict[str, Tensor], modality: str):
+        self.W1, self.b1, self.W2, self.b2 = (params[f"enc.{modality}.{k}"] for k in ("W1", "b1", "W2", "b2"))
 
     def forward(self, x: Tensor, dropout_p: float = 0.0, rng: Rng | None = None) -> Tensor:
         """(B, L, raw_dim) rows -> (B, d): the stack on every position, averaged
         over positions, with dropout on the hidden layer. One tape op."""
         return ad.tanh_mlp_mean(x, self.W1, self.b1, self.W2, self.b2, dropout_p, rng)
-
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.W1": self.W1, f"{prefix}.b1": self.b1,
-                f"{prefix}.W2": self.W2, f"{prefix}.b2": self.b2}
 
 
 class LoraPair:
@@ -103,10 +114,12 @@ class LoraPair:
 class AdapterBank:
     """One modality's adapters: a private pair per containing combination plus one shared pair."""
 
-    def __init__(self, modality: str, private: dict[Combo, LoraPair], common: LoraPair):
+    def __init__(self, params: dict[str, Tensor], modality: str, alpha: float):
+        def pair(name: str) -> LoraPair:
+            return LoraPair(params[f"adapter.{modality}.{name}.A"], params[f"adapter.{modality}.{name}.B"], alpha)
         self.modality = modality
-        self.private = private
-        self.common = common
+        self.private = {c: pair(f"prt.{c.name}") for c in ALL_COMBINATIONS if modality in c}
+        self.common = pair("com")
 
     def private_pair(self, combo: Combo) -> LoraPair:
         if self.modality not in combo:
@@ -114,21 +127,14 @@ class AdapterBank:
                 f"no private adapter: modality {self.modality!r} not in combination {combo.name!r}")
         return self.private[combo]
 
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        params = {f"{prefix}.com.A": self.common.A, f"{prefix}.com.B": self.common.B}
-        for combo, pair in self.private.items():
-            params[f"{prefix}.prt.{combo.name}.A"] = pair.A
-            params[f"{prefix}.prt.{combo.name}.B"] = pair.B
-        return params
-
 
 class FusionBlock:
     """Single-head cross-attention from a learned query over per-modality tokens."""
 
-    def __init__(self, query: Tensor, keys: dict[str, Tensor], values: dict[str, Tensor]):
-        self.query = query  # (1, d)
-        self.keys = keys    # per-modality (d, d)
-        self.values = values
+    def __init__(self, params: dict[str, Tensor]):
+        self.query = params["fusion.query"]  # (1, d)
+        self.keys = {m: params[f"fusion.{m}.Wk"] for m in MODALITIES}  # per-modality (d, d)
+        self.values = {m: params[f"fusion.{m}.Wv"] for m in MODALITIES}
 
     def fuse_batch(self, reps: dict[str, Tensor]) -> Tensor:
         mods = [m for m in MODALITIES if m in reps]
@@ -145,47 +151,27 @@ class FusionBlock:
             fused = weighted if fused is None else ad.add(fused, weighted)
         return fused
 
-    def parameters(self) -> dict[str, Tensor]:
-        params = {"fusion.query": self.query}
-        for m in MODALITIES:
-            params[f"fusion.{m}.Wk"] = self.keys[m]
-            params[f"fusion.{m}.Wv"] = self.values[m]
-        return params
-
 
 class Heads:
-    """Common head, characteristic head, and the adaptive blending gate."""
+    """Common head, characteristic head, and the adaptive blending gate. Each
+    call reads its tensors from the model's table by name, so the heads and
+    gate that :func:`attach_adapters` adds need no rebinding."""
 
-    def __init__(self, com_W: Tensor, com_b: Tensor):
-        self.com_W, self.com_b = com_W, com_b
-        self.prt_W: Tensor | None = None
-        self.prt_b: Tensor | None = None
-        self.gate_W1: Tensor | None = None
-        self.gate_b1: Tensor | None = None
-        self.gate_W2: Tensor | None = None
-        self.gate_b2: Tensor | None = None
+    def __init__(self, params: dict[str, Tensor]):
+        self.params = params
 
     def common_logits(self, token: Tensor) -> Tensor:
-        return ad.add(ad.matmul(token, self.com_W), self.com_b)
+        return ad.add(ad.matmul(token, self.params["head.com.W"]), self.params["head.com.b"])
 
     def private_logits(self, token: Tensor) -> Tensor:
-        return ad.add(ad.matmul(token, self.prt_W), self.prt_b)
+        return ad.add(ad.matmul(token, self.params["head.prt.W"]), self.params["head.prt.b"])
 
     def gate_weight(self, token: Tensor) -> Tensor:
         """(B, d) -> (B, 1) blending weight, strictly inside (0, 1)."""
-        h = ad.tanh(ad.add(ad.matmul(token, self.gate_W1), self.gate_b1))
-        pre = ad.add(ad.matmul(h, self.gate_W2), self.gate_b2)
+        p = self.params
+        h = ad.tanh(ad.add(ad.matmul(token, p["gate.W1"]), p["gate.b1"]))
+        pre = ad.add(ad.matmul(h, p["gate.W2"]), p["gate.b2"])
         return ad.sigmoid(ad.clip(pre, -_GATE_PREACT_LIMIT, _GATE_PREACT_LIMIT))
-
-    def parameters(self, include_finetune_heads: bool) -> dict[str, Tensor]:
-        params = {"head.com.W": self.com_W, "head.com.b": self.com_b}
-        if include_finetune_heads and self.prt_W is not None:
-            params.update({
-                "head.prt.W": self.prt_W, "head.prt.b": self.prt_b,
-                "gate.W1": self.gate_W1, "gate.b1": self.gate_b1,
-                "gate.W2": self.gate_W2, "gate.b2": self.gate_b2,
-            })
-        return params
 
 
 def combine_predictions(y_com: Tensor, y_hat: Tensor, weight) -> Tensor:
@@ -195,69 +181,50 @@ def combine_predictions(y_com: Tensor, y_hat: Tensor, weight) -> Tensor:
 
 
 class MculoraModel:
-    """The base, the adapters once attached, and the adapter rank and LoRA
-    scale alpha last given to it, which its checkpoint header records."""
+    """The parameter table, the layers that read it, and the adapter rank and
+    LoRA scale alpha last given to the model, which its checkpoint header records."""
 
     def __init__(self, arrays: dict[str, np.ndarray], rank: int, alpha: float):
-        """The model whose parameters are `arrays`, named as ``parameters("all")``
-        names them: the base, plus the adapters, characteristic head and gate
-        when `arrays` holds them. Every parameter is trainable; phase "init"."""
-        def param(name: str) -> Tensor:
-            return Tensor(arrays[name], requires_grad=True)
-        self.encoders = {m: Encoder(*(param(f"enc.{m}.{k}") for k in ("W1", "b1", "W2", "b2"))) for m in MODALITIES}
-        self.fusion = FusionBlock(param("fusion.query"), {m: param(f"fusion.{m}.Wk") for m in MODALITIES},
-                                  {m: param(f"fusion.{m}.Wv") for m in MODALITIES})
-        self.heads = Heads(param("head.com.W"), param("head.com.b"))
-        self.rank = rank
-        self.alpha = alpha
+        """The model whose table holds `arrays`, named as
+        :func:`_parameter_shapes` names them: the base, plus the adapters,
+        characteristic head and gate when `arrays` holds them. Every parameter
+        is trainable; phase "init"."""
+        self.params: dict[str, Tensor] = {}
+        self.rank, self.alpha = rank, alpha
         self.adapters: dict[str, AdapterBank] | None = None
         self.phase = "init"
-        if "head.prt.W" in arrays:
-            self._attach(arrays)
+        self._add(arrays)
+        self.encoders = {m: Encoder(self.params, m) for m in MODALITIES}
+        self.fusion = FusionBlock(self.params)
+        self.heads = Heads(self.params)
 
-    def _attach(self, arrays: dict[str, np.ndarray]) -> None:
-        """Adapter banks, characteristic head and gate whose parameters are `arrays`."""
-        def pair(prefix: str) -> LoraPair:
-            return LoraPair(Tensor(arrays[f"{prefix}.A"], requires_grad=True),
-                            Tensor(arrays[f"{prefix}.B"], requires_grad=True), alpha=self.alpha)
-        self.adapters = {m: AdapterBank(m, {c: pair(f"adapter.{m}.prt.{c.name}") for c in ALL_COMBINATIONS if m in c},
-                                        pair(f"adapter.{m}.com")) for m in MODALITIES}
-        h = self.heads
-        h.prt_W, h.prt_b, h.gate_W1, h.gate_b1, h.gate_W2, h.gate_b2 = (
-            Tensor(arrays[name], requires_grad=True)
-            for name in ("head.prt.W", "head.prt.b", "gate.W1", "gate.b1", "gate.W2", "gate.b2"))
+    def _add(self, arrays: dict[str, np.ndarray]) -> None:
+        """Put a trainable tensor holding each of `arrays` in the table; once
+        it holds the characteristic head, bind the adapter banks to it."""
+        self.params.update({name: Tensor(a, requires_grad=True) for name, a in arrays.items()})
+        if "head.prt.W" in self.params:
+            self.adapters = {m: AdapterBank(self.params, m, self.alpha) for m in MODALITIES}
 
     def dims(self) -> dict[str, int]:
         """raw_dim, model_dim and classes, read off the base's parameters."""
-        params = self.parameters("pretrain")
-        return {key: params[name].shape[axis] for key, (name, axis) in _DIM_SOURCES.items()}
-
-    # -- parameter groups ---------------------------------------------------
+        return {key: self.params[name].shape[axis] for key, (name, axis) in _DIM_SOURCES.items()}
 
     def parameters(self, group: str = "all") -> dict[str, Tensor]:
-        base: dict[str, Tensor] = {}
-        for m in MODALITIES:
-            base.update(self.encoders[m].parameters(f"enc.{m}"))
-        base.update(self.fusion.parameters())
-        if group == "pretrain":
-            base.update(self.heads.parameters(include_finetune_heads=False))
-            return base
-        params = self.heads.parameters(include_finetune_heads=self.adapters is not None)
-        if self.adapters is not None:
-            for m in MODALITIES:
-                params.update(self.adapters[m].parameters(f"adapter.{m}"))
-        return params if group == "finetune" else {**base, **params}
+        """The table ("all"), the base and common head that pretraining trains
+        ("pretrain"), or everything outside the base ("finetune")."""
+        in_group = {"all": lambda name: True,
+                    "pretrain": lambda name: name.startswith((*_BASE, "head.com.")),
+                    "finetune": lambda name: not name.startswith(_BASE)}[group]
+        return {name: t for name, t in self.params.items() if in_group(name)}
 
     def freeze_base(self) -> None:
         """Freeze the encoders and fusion, which no phase after pretraining trains."""
-        for m in MODALITIES:
-            ad.freeze(self.encoders[m].parameters(m).values())
-        ad.freeze(self.fusion.parameters().values())
+        ad.freeze(t for name, t in self.params.items() if name.startswith(_BASE))
 
 
 def _parameter_shapes(raw_dim: int, model_dim: int, classes: int, rank: int, adapters: bool) -> dict[str, tuple]:
     """The name and shape of each parameter of a model of these sizes, with or
-    without adapters, as ``MculoraModel.parameters("all")`` names them."""
+    without adapters: the keys of the model's table."""
     D, d, H = raw_dim, model_dim, _GATE_HIDDEN
     shapes = {"fusion.query": (1, d), "head.com.W": (d, classes), "head.com.b": (1, classes)}
     for m in MODALITIES:
@@ -321,12 +288,13 @@ def attach_adapters(model: MculoraModel, rng: Rng, rank: int, alpha: float = Exp
             arrays.update({f"adapter.{m}.{pair}.A": r.normal(0.0, 0.02, size=(rank, D)),
                            f"adapter.{m}.{pair}.B": np.zeros((d, rank))})
     gr = rng.child("gate")
-    arrays.update({"head.prt.W": model.heads.com_W.data.copy(), "head.prt.b": model.heads.com_b.data.copy(),
+    arrays.update({"head.prt.W": model.params["head.com.W"].data.copy(),
+                   "head.prt.b": model.params["head.com.b"].data.copy(),
                    "gate.W1": gr.normal(0.0, 1.0 / np.sqrt(d), size=(d, _GATE_HIDDEN)),
                    "gate.b1": np.zeros((1, _GATE_HIDDEN)),
                    "gate.W2": gr.normal(0.0, 1.0 / np.sqrt(_GATE_HIDDEN), size=(_GATE_HIDDEN, 1)),
                    "gate.b2": np.zeros((1, 1))})
-    model._attach(arrays)
+    model._add(arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +383,12 @@ def save_checkpoint(model: MculoraModel, path) -> str:
     classes, read off the parameters, and the rank and alpha the model
     records - those of the pretrain config for a pretrained checkpoint, and
     those of the finetune config for a finetuned one, with MCLA on or off."""
-    params = model.parameters("all")
     meta = {
         "config": {**model.dims(), "rank": model.rank, "alpha": model.alpha},
         "phase": model.phase,
         "has_adapters": model.adapters is not None,
     }
-    return save_container(path, "checkpoint", meta, {k: t.data for k, t in sorted(params.items())})
+    return save_container(path, "checkpoint", meta, {k: t.data for k, t in sorted(model.params.items())})
 
 
 def load_checkpoint(path) -> MculoraModel:

@@ -8,6 +8,7 @@ and that editing any other cell changes it.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +42,11 @@ def test_two_runs_give_equal_digests(tmp_path):
     a, b = (artifact_digest.digest_lines(tmp_path, run) for run in ("a", "b"))
     assert len(a) == len(artifact_digest.COMPARED) == 9
     assert [ln.replace("  a/", "  b/") for ln in a] == b
+    manifests = sorted((tmp_path / "a").glob("*/manifest.json"))
+    assert len(manifests) == 5
+    listed = {f"{manifest.parent.name}/{name}" for manifest in manifests
+              for name in json.loads(manifest.read_text(encoding="utf-8"))["artifacts"]}
+    assert listed == set(artifact_digest.COMPARED)  # every artifact the five commands write is compared
 
     for log in ("pretrain/epoch_log.csv", "finetune/epoch_log.csv"):
         path = tmp_path / "a" / log

@@ -275,23 +275,35 @@ def test_mean_axis_backward():
     assert np.allclose(a.grad, 0.5)
 
 
-def test_dropout_zero_probability_is_identity():
-    a = ad.constant([[1.0, 2.0]])
-    out = ad.dropout(a, 0.0, Rng(0))
-    assert out is a
-
-
-def test_dropout_scales_and_masks():
-    rng = Rng(5)
-    a = ad.Tensor(np.ones((100, 10)), requires_grad=True)
+def hidden_through(dropout_p, rng):
+    """tanh_mlp_mean on one position per row with identity output weights, so
+    that its output is the hidden layer, tanh(1) everywhere, after dropout;
+    also the gradient of the output's sum on the hidden bias."""
+    b1 = ad.Tensor(np.ones((1, 10)), requires_grad=True)
     with ad.Tape() as tape:
-        out = ad.dropout(a, 0.5, rng)
+        out = ad.tanh_mlp_mean(np.zeros((100, 1, 4)), np.zeros((4, 10)), b1, np.eye(10), np.zeros((1, 10)),
+                               dropout_p, rng)
         loss = ad.tsum(out)
-    kept = out.data != 0
-    assert np.allclose(out.data[kept], 2.0)
-    assert 0.35 < kept.mean() < 0.65
     ad.gradients(loss, tape)
-    assert np.array_equal(a.grad != 0, kept)
+    return out.data, b1.grad
+
+
+def test_tanh_mlp_mean_draws_no_dropout_mask_at_zero_probability():
+    rng = Rng(0)
+    out, _ = hidden_through(0.0, rng)
+    assert np.array_equal(out, np.full((100, 10), np.tanh(1.0)))
+    assert np.array_equal(rng.uniform(size=5), Rng(0).uniform(size=5))  # nothing was drawn from the stream
+
+
+def test_tanh_mlp_mean_dropout_scales_and_masks():
+    out, b1_grad = hidden_through(0.5, Rng(5))
+    kept = out != 0
+    assert np.allclose(out[kept], 2.0 * np.tanh(1.0))
+    assert 0.35 < kept.mean() < 0.65
+    assert np.allclose(b1_grad, kept.sum(axis=0) * 2.0 * (1.0 - np.tanh(1.0) ** 2))  # the same mask backward
+    for p in (-0.1, 1.0):
+        with pytest.raises(ContractError, match=r"dropout probability must be in \[0, 1\)"):
+            hidden_through(p, Rng(5))
 
 
 def test_values_finite_after_forward_backward_pass():

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mculora import autodiff as ad, serialize
+from mculora import autodiff as ad, model as model_module, serialize
 from mculora.config import ExperimentConfig
 from mculora.errors import ContractError, ShapeError
 from mculora.losses import orthogonality_loss, task_loss, total_loss
 from mculora.modalities import ALL_COMBINATIONS, AT, MODALITIES
 from mculora.model import (
     LoraPair,
+    _parameter_shapes,
     attach_adapters,
     build_model,
     combine_predictions,
@@ -76,17 +77,19 @@ def test_encoder_frozen_determinism():
         out1 = model.encoders["t"].forward(ad.constant(x))
         out2 = model.encoders["t"].forward(ad.constant(x))
     assert np.array_equal(out1.data, out2.data)
-    assert not any(t.requires_grad for t in model.encoders["t"].parameters("t").values())
+    assert not any(t.requires_grad for name, t in model.params.items() if name.startswith("enc.t."))
     assert len(tape) == 0  # a frozen encoder records nothing, so it holds none of its intermediates
 
 
 def reference_encoder(enc, x, dropout_p, rng):
     """The encoder as the chain of autodiff primitives it fuses: each position
-    through the stack, then the mean over positions."""
+    through the stack, then the mean over positions. Dropout is a product with
+    its inverted mask: a uniform draw per unit keeps it, scaled by 1 / (1 - p),
+    when at least p."""
     B, L, D = x.shape
     h = ad.tanh(ad.add(ad.matmul(ad.constant(x.data.reshape(B * L, D)), enc.W1), enc.b1))
     if dropout_p > 0.0:
-        h = ad.dropout(h, dropout_p, rng)
+        h = ad.mul(h, ad.constant((rng.uniform(size=h.shape) >= dropout_p) / (1.0 - dropout_p)))
     z = ad.add(ad.matmul(h, enc.W2), enc.b2)
     return ad.tmean(ad.reshape(z, (B, L, -1)), axis=1)
 
@@ -302,7 +305,8 @@ def trained_adapters_model(seed=0):
         for pair in [*bank.private.values(), bank.common]:
             pair.A.data = rng.normal(size=pair.A.shape)
             pair.B.data = rng.normal(0.0, 0.5, size=pair.B.shape)
-    model.heads.prt_W.data = model.heads.prt_W.data + rng.normal(0.0, 2.0, size=model.heads.prt_W.shape)
+    prt_W = model.params["head.prt.W"]
+    prt_W.data = prt_W.data + rng.normal(0.0, 2.0, size=prt_W.shape)
     return model
 
 
@@ -400,6 +404,70 @@ def test_finetune_step_tape_op_count(combo, mcla):
         finetune_objective(model, feats, labels, combo, 0.001)
     expected = {1: 76, 2: 129, 3: 182}[len(combo.modalities)] if mcla else 7
     assert len(tape) == expected
+
+
+# ---------------------------------------------------------------------------
+# the parameter table
+# ---------------------------------------------------------------------------
+
+class ReadRecorder:
+    """Stands in for the autodiff module inside ``mculora.model``, noting the
+    id of every tensor handed to one of its functions."""
+
+    def __init__(self):
+        self.read = set()
+
+    def __getattr__(self, name):
+        op = getattr(ad, name)
+        if not callable(op) or isinstance(op, type):
+            return op
+
+        def recorded(*args, **kwargs):
+            self.read.update(id(a) for a in args if isinstance(a, ad.Tensor))
+            return op(*args, **kwargs)
+        return recorded
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("mcla", [True, False], ids=["mcla", "base"])
+def test_parameter_table(mcla, loaded, tmp_path, monkeypatch):
+    model = build_model(CFG, 6, Rng(0))
+    model.phase = "pretrained"
+    attach_adapters(model, Rng(1), rank=2, mcla=mcla)
+    model.freeze_base()
+    if loaded:
+        model.phase = "finetuned"
+        save_checkpoint(model, tmp_path / "ckpt.mcu")
+        model = load_checkpoint(tmp_path / "ckpt.mcu")
+    table = model.params
+    assert set(table) == set(_parameter_shapes(6, 8, 3, 2, adapters=mcla))
+
+    groups = {group: model.parameters(group) for group in ("pretrain", "finetune", "all")}
+    assert set(groups["pretrain"]) | set(groups["finetune"]) == set(groups["all"]) == set(table)
+    assert set(groups["pretrain"]) & set(groups["finetune"]) == {"head.com.W", "head.com.b"}
+    assert all(t is table[name] for group in groups.values() for name, t in group.items())
+
+    base = {name for name in table if name.startswith(("enc.", "fusion."))}
+    assert len(base) == 19
+    assert {name for name, t in table.items() if not t.requires_grad} == base
+
+    # every tensor a layer holds is the table's own object ...
+    held = [(f"enc.{m}.{k}", getattr(model.encoders[m], k)) for m in MODALITIES for k in ("W1", "b1", "W2", "b2")]
+    held += [("fusion.query", model.fusion.query)]
+    held += [(f"fusion.{m}.W{kind}", side[m]) for m in MODALITIES
+             for kind, side in (("k", model.fusion.keys), ("v", model.fusion.values))]
+    for m, bank in (model.adapters or {}).items():
+        for pair_name, pair in [("com", bank.common), *((f"prt.{c.name}", p) for c, p in bank.private.items())]:
+            held += [(f"adapter.{m}.{pair_name}.A", pair.A), (f"adapter.{m}.{pair_name}.B", pair.B)]
+    assert len(held) == (19 + 30 if mcla else 19)
+    assert all(t is table[name] for name, t in held)
+    # ... and the forward passes of the seven combinations read every table entry, heads and gate included
+    recorder = ReadRecorder()
+    monkeypatch.setattr(model_module, "ad", recorder)
+    feats, _ = batch_features(seed=12)
+    for combo in ALL_COMBINATIONS:
+        forward_batch(model, {m: feats[m] for m in combo})
+    assert {name for name, t in table.items() if id(t) in recorder.read} == set(table)
 
 
 # ---------------------------------------------------------------------------

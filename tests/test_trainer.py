@@ -47,7 +47,7 @@ def tiny_cfg(**kw):
 def encoder_state_bytes(model):
     """Byte snapshot of every encoder parameter, names included."""
     return b"".join(name.encode() + t.data.tobytes() for m in MODALITIES
-                    for name, t in sorted(model.encoders[m].parameters(f"enc.{m}").items()))
+                    for name, t in sorted(model.params.items()) if name.startswith(f"enc.{m}."))
 
 
 def metrics_oracle(preds, labels):
@@ -115,7 +115,7 @@ def test_pretrain_reaches_high_accuracy_on_linearly_separable_data():
     correct = int(np.sum(preds == labels))
     assert correct / len(ds) >= 0.95
     assert model.phase == "pretrained"
-    assert not any(t.requires_grad for m in "atv" for t in model.encoders[m].parameters(m).values())
+    assert not any(t.requires_grad for name, t in model.params.items() if name.startswith("enc."))
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +178,9 @@ def test_finetune_computes_no_fusion_gradients(mcla):
     cfg = tiny_cfg(finetune_epochs=1, mcla=mcla)
     model = pretrain(ds, cfg).model
     finetune(model, ds, cfg)
-    for name, t in model.fusion.parameters().items():
-        assert not t.requires_grad and t.grad is None, name
+    for name, t in model.params.items():
+        if name.startswith("fusion."):
+            assert not t.requires_grad and t.grad is None, name
 
 
 def test_finetune_loss_ledger_consistency():
@@ -221,13 +222,13 @@ def test_finetune_mcla_off_trains_common_head_only():
     ds = tiny_synth(n=40)
     cfg = tiny_cfg(mcla=False, finetune_epochs=2)
     model = pretrain(ds, cfg).model
-    head_before = model.heads.com_W.data.copy()
-    fusion_before = model.fusion.query.data.copy()
+    head_before = model.params["head.com.W"].data.copy()
+    fusion_before = model.params["fusion.query"].data.copy()
     res = finetune(model, ds, cfg)
     assert res.model.adapters is None
-    assert res.model.heads.prt_W is None
-    assert not np.array_equal(model.heads.com_W.data, head_before)
-    assert np.array_equal(model.fusion.query.data, fusion_before)
+    assert "head.prt.W" not in res.model.params
+    assert not np.array_equal(model.params["head.com.W"].data, head_before)
+    assert np.array_equal(model.params["fusion.query"].data, fusion_before)
     assert all(row.l_ort == 0.0 for row in res.epoch_rows)
 
 
