@@ -1,10 +1,12 @@
 """Command-line entry point for reproducible generation/training/evaluation runs.
 
-Subcommands: gen-data, pretrain, finetune, eval, report. Every command is a
-pure function of (config file, input artifacts, seed) up to wallclock columns
-in the epoch logs, and writes its outputs into --out. Gen-data, pretrain,
-finetune and eval also write a manifest.json with the resolved config
-snapshot and the SHA-256 of each artifact; report writes none. Every output
+Subcommands: gen-data, pretrain, finetune, eval, report. Gen-data, pretrain,
+finetune and eval each take the whole experiment from --config, seed and
+ablation switches included: no flag sets a config value. Each is a pure
+function of (config file, input artifacts) up to wallclock columns in the
+epoch logs, and writes its outputs into --out, with a manifest.json holding
+the config file's path, its parsed snapshot and the SHA-256 of each
+artifact. Report compares finished runs and writes no manifest. Every output
 is written atomically by :mod:`mculora.serialize`, whose writers return the
 SHA-256 of the bytes they wrote: that is the digest the manifest records.
 
@@ -29,9 +31,8 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, _parse_bool, load_config, version_string, write_manifest
+from .config import ExperimentConfig, load_config, version_string, write_manifest
 from .errors import ConfigError, ContractError, ShapeError
-from .modalities import Combo
 from .model import load_checkpoint, save_checkpoint
 from .serialize import write_text
 from .synthgen import DatasetFile, save_dataset, split_bounds
@@ -53,13 +54,6 @@ EXIT_INPUT = 2
 EXIT_STATE = 3
 
 
-def _on_off(value: str) -> bool:
-    try:  # ArgumentTypeError keeps the parser's "argument --flag:" prefix on the message
-        return _parse_bool(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mculora", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -67,14 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-data", help="generate a synthetic multimodal dataset file")
     gen.add_argument("--config", required=True)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--seed", type=int, default=None)
     gen.set_defaults(func=cmd_gen_data)
 
     pre = sub.add_parser("pretrain", help="train the frozen base on complete data")
     pre.add_argument("--config", required=True)
     pre.add_argument("--data", required=True)
     pre.add_argument("--out", required=True)
-    pre.add_argument("--seed", type=int, default=None)
     pre.set_defaults(func=cmd_pretrain)
 
     fin = sub.add_parser("finetune", help="combination-aware fine-tuning of a pretrained checkpoint")
@@ -82,11 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     fin.add_argument("--data", required=True)
     fin.add_argument("--checkpoint", required=True)
     fin.add_argument("--out", required=True)
-    fin.add_argument("--seed", type=int, default=None)
-    fin.add_argument("--mcla", type=_on_off, default=None, metavar="on|off")
-    fin.add_argument("--dpft", type=_on_off, default=None, metavar="on|off")
-    fin.add_argument("--rank", type=int, default=None)
-    fin.add_argument("--beta", type=float, default=None)
     fin.set_defaults(func=cmd_finetune)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint under a missing-modality protocol")
@@ -94,10 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", required=True)
     ev.add_argument("--protocol", required=True, choices=["fixed", "random"])
     ev.add_argument("--out", required=True)
-    ev.add_argument("--config", default=None)
-    ev.add_argument("--seed", type=int, default=None)
-    ev.add_argument("--combo", default=None, choices=["a", "t", "v", "at", "av", "tv", "atv"],
-                    help="restrict the fixed protocol to one condition")
+    ev.add_argument("--config", required=True)
     ev.set_defaults(func=cmd_eval)
 
     rep = sub.add_parser("report", help="compare completed runs and emit plot-ready CSVs")
@@ -125,8 +109,7 @@ def main(argv=None) -> int:
 
 
 def _prepare(args) -> tuple[ExperimentConfig, Path]:
-    overrides = {key: getattr(args, key, None) for key in ("seed", "rank", "beta", "mcla", "dpft")}
-    return load_config(args.config, overrides), _make_out_dir(args.out)
+    return load_config(args.config), _make_out_dir(args.out)
 
 
 def _make_out_dir(path) -> Path:
@@ -182,15 +165,10 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.combo is not None and args.protocol != "fixed":
-        raise ConfigError(f"--combo restricts the fixed protocol, not --protocol {args.protocol}")
     cfg, out_dir = _prepare(args)
-    if args.seed is not None:
-        cfg.eval_seed = args.seed  # the random protocol's masking seed
     model = load_checkpoint(args.checkpoint)
-    combo = None if args.combo is None else Combo.from_name(args.combo)
     with _split_rows(cfg, args.data, "test") as test:
-        record = evaluate(model, test, args.protocol, cfg, combo)
+        record = evaluate(model, test, args.protocol, cfg)
     text = format_metrics_document(record, json.dumps(cfg.echo(), sort_keys=True), version_string())
     write_manifest(out_dir, "eval", cfg, args.config, {"metrics.txt": write_text(out_dir / "metrics.txt", text)})
     print(text, end="")
@@ -198,6 +176,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
+    first_dir: dict[str, str] = {}
+    for run_dir in args.runs:  # a run's name heads its column and names its curve rows
+        name = Path(run_dir).name
+        if name in first_dir:
+            raise ConfigError(f"two runs are named {name!r}: {first_dir[name]} and {run_dir}")
+        first_dir[name] = run_dir
     out_dir = _make_out_dir(args.out)
     runs: list[tuple[str, MetricsRecord]] = []
     for run_dir in args.runs:
@@ -217,14 +201,19 @@ def cmd_report(args) -> int:
         for name in record.rows:
             if name not in conditions:
                 conditions.append(name)
+    if any(record.average is not None for _, record in runs):
+        conditions.append("average")
+
+    def metrics(record: MetricsRecord, cond: str):
+        return record.average if cond == "average" else record.rows.get(cond)
 
     lines = ["# run comparison (ACC per condition; delta vs first run)"]
     header = ["condition"] + [name for name, _ in runs]
     lines.append(",".join(header))
-    for cond in conditions + ["average"]:
+    for cond in conditions:
         cells = [cond]
         for _, record in runs:
-            m = record.average if cond == "average" else record.rows.get(cond)
+            m = metrics(record, cond)
             cells.append("" if m is None else f"{100 * m.acc:.2f}")
         lines.append(",".join(cells))
     base = runs[0][1]
@@ -240,9 +229,8 @@ def cmd_report(args) -> int:
 
     curves = out_dir / "curves"
     curves.mkdir(exist_ok=True)
-    for cond in conditions + (["average"] if any(r.average for _, r in runs) else []):
-        metrics = [(name, record.average if cond == "average" else record.rows.get(cond)) for name, record in runs]
-        rows = [[name, *m.as_tuple()] for name, m in metrics if m is not None]
+    for cond in conditions:
+        rows = [[name, *m.as_tuple()] for name, record in runs if (m := metrics(record, cond)) is not None]
         write_text(curves / f"condition_{cond}.csv", csv_text(["run", "acc", "f1", "wa", "ua"], rows))
     for run_dir in args.runs:
         src = Path(run_dir) / "epoch_log.csv"

@@ -9,10 +9,10 @@ header's five fields (raw_dim, model_dim, classes, rank, alpha) into an
 ``key = value`` per line, ``#`` comments, blank lines ignored.
 Every key is typed and validated against the schema below; unknown keys,
 malformed values and out-of-range values (NaN and infinities included) are
-rejected with the field named, whether they come from the file or from a
-command-line override.
+rejected with the field named. A run's settings come from its config file
+alone: no command-line flag overrides a key.
 The resolved snapshot is echoed into each run's ``manifest.json`` together
-with the effective seed and SHA-256 checksums of every written artifact, so a
+with the seed and SHA-256 checksums of every written artifact, so a
 run can be reproduced byte for byte (wallclock columns excepted). Each digest
 is the one its writer returned (see :mod:`mculora.serialize`); no artifact is
 read back to be hashed.
@@ -158,23 +158,13 @@ def _convert(key: str, value: str):
     return value
 
 
-def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """The config file at `path` (the defaults when None) with non-None overrides applied."""
-    if path is None:
-        cfg = ExperimentConfig()
-    else:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8, ...
-            raise ConfigError(f"config file {path}: {exc}") from exc
-        cfg = parse_config_text(text, source=str(path))
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown override {key!r}")
-        setattr(cfg, key, value)
-    return cfg.validate()
+def load_config(path) -> ExperimentConfig:
+    """The config file at `path`, parsed and validated."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8, ...
+        raise ConfigError(f"config file {path}: {exc}") from exc
+    return parse_config_text(text, source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +188,7 @@ def version_string() -> str:
     return f"{__version__}+{described}" if described else __version__
 
 
-def write_manifest(out_dir, command: str, config: ExperimentConfig, config_path: str | None,
+def write_manifest(out_dir, command: str, config: ExperimentConfig, config_path: str,
                    artifacts: dict[str, str]) -> None:
     """Write ``manifest.json``; `artifacts` maps each file written to the
     SHA-256 its writer returned."""

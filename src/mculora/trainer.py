@@ -38,11 +38,10 @@ sum_c (support_c / n) * (tp_c / support_c) = sum_c tp_c / n, so it is reported
 as ACC rather than computed apart. Under the fixed protocol, all seven
 conditions are imposed on the full test set and "average" is the unweighted
 mean over the six incomplete conditions (the full set is reported
-separately); restricted to one condition (``eval --combo``), the same path
-scores that condition alone and reports no average. Under the random
-protocol, each sample's combination is drawn once from the configured
-probability range. Evaluation works through the test rows one window of
-``_HEAD_ROWS`` rows at a time. It reads a window one chunk of at most
+separately). Under the random protocol, each sample's combination is drawn
+once from the configured probability range, seeded by ``eval_seed``.
+Evaluation works through the test rows one window of ``_HEAD_ROWS`` rows at
+a time. It reads a window one chunk of at most
 ``_EVAL_POSITIONS`` sequence positions (rows x L) at a time - from the dataset
 file when given a :class:`~mculora.synthgen.DatasetFile` - and encodes each
 row once per modality some condition keeps: three times per row under the
@@ -340,23 +339,16 @@ def predict_dataset(model: MculoraModel, dataset, masks: np.ndarray) -> np.ndarr
     return preds.reshape(masks.shape)
 
 
-def evaluate(model: MculoraModel, dataset, protocol: str, cfg: ExperimentConfig,
-             combo: Combo | None = None) -> MetricsRecord:
+def evaluate(model: MculoraModel, dataset, protocol: str, cfg: ExperimentConfig) -> MetricsRecord:
     """Score a model on the test rows `dataset` (a :class:`Dataset` or a
     :class:`~mculora.synthgen.DatasetFile`, read one chunk at a time) under
-    the fixed or random missing protocol; with `combo`, the fixed protocol
-    imposes that one condition and reports no average."""
+    the fixed or random missing protocol."""
     n = len(dataset)
     if not n:
         raise ContractError("evaluate: empty dataset")
-    if combo is not None and protocol != "fixed":
-        raise ContractError(f"evaluate: a single condition restricts the fixed protocol, not {protocol!r}")
     if protocol == "fixed":
-        conditions = ALL_COMBINATIONS if combo is None else (combo,)
-        preds = predict_dataset(model, dataset, np.array([[c.mask] for c in conditions]).repeat(n, axis=1))
-        rows = {c.name: compute_metrics(p, dataset.labels) for c, p in zip(conditions, preds)}
-        if combo is not None:
-            return MetricsRecord(protocol="fixed", rows=rows)
+        preds = predict_dataset(model, dataset, np.array([[c.mask] for c in ALL_COMBINATIONS]).repeat(n, axis=1))
+        rows = {c.name: compute_metrics(p, dataset.labels) for c, p in zip(ALL_COMBINATIONS, preds)}
         avg = Metrics(*[float(np.mean([rows[c.name].as_tuple()[k] for c in INCOMPLETE_COMBINATIONS]))
                         for k in range(4)])
         return MetricsRecord(protocol="fixed", rows=rows, average=avg)

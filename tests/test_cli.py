@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import hashlib
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mculora import __version__, cli, config, serialize, trainer
-from mculora.cli import _split_rows, build_parser, main
+from mculora.cli import _split_rows, main
 from mculora.config import ExperimentConfig, parse_config_text, version_string
 from mculora.errors import ConfigError, ContractError
 from mculora.modalities import MODALITIES
@@ -97,13 +98,6 @@ def test_non_finite_config_values_rejected(workspace, capsys, line, field):
     bad.write_text(TINY_CONFIG + line + "\n")
     assert run("gen-data", "--config", bad, "--out", tmp / "x") == 2
     assert field in capsys.readouterr().err
-
-
-def test_non_finite_flag_value_rejected(workspace, capsys):
-    tmp, cfg = workspace
-    assert run("finetune", "--config", cfg, "--data", tmp / "d.mcu", "--checkpoint", tmp / "c.mcu",
-               "--out", tmp / "f", "--beta", "nan") == 2
-    assert "beta" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, field", [
@@ -257,15 +251,13 @@ def test_dataset_file_with_a_presence_array_is_state_error(workspace, capsys):
     assert "old.mcu" in err and "presence" in err
 
 
-@pytest.mark.parametrize("where", ["config-file", "flag", "eval_seed"])
+@pytest.mark.parametrize("where", ["config-file", "eval_seed"])
 def test_negative_seed_is_input_error(workspace, capsys, where):
     tmp, cfg = workspace
     bad = tmp / "bad.cfg"
     if where == "config-file":
         bad.write_text(TINY_CONFIG + "seed = -3\n")
         field, argv = "seed", ("gen-data", "--config", bad, "--out", tmp / "x")
-    elif where == "flag":
-        field, argv = "seed", ("gen-data", "--config", cfg, "--out", tmp / "x", "--seed", "-1")
     else:
         data = tmp / "data" / "dataset.mcu"
         assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
@@ -403,8 +395,8 @@ def test_malformed_checkpoint_metadata_is_state_error(workspace, capsys, corrupt
     _, meta, arrays = load_container(tmp / "good.mcu", expected_kind="checkpoint")
     corrupt(meta)
     save_container(tmp / "bad.mcu", "checkpoint", meta, arrays)
-    for command in (["eval", "--protocol", "fixed"], ["finetune", "--config", cfg]):
-        assert run(*command, "--data", tmp / "data" / "dataset.mcu", "--checkpoint", tmp / "bad.mcu",
+    for command in (["eval", "--protocol", "fixed"], ["finetune"]):
+        assert run(*command, "--config", cfg, "--data", tmp / "data" / "dataset.mcu", "--checkpoint", tmp / "bad.mcu",
                    "--out", tmp / "out") == 3
         err = capsys.readouterr().err
         assert "bad.mcu" in err and key in err
@@ -419,8 +411,8 @@ def test_checkpoint_with_arrays_the_model_lacks_is_state_error(workspace, capsys
     _, meta, arrays = load_container(tmp / "good.mcu", expected_kind="checkpoint")
     arrays.update({"adapter.a.com.A": np.zeros((2, 8)), "junk": np.zeros(1)})
     save_container(tmp / "bad.mcu", "checkpoint", meta, arrays)
-    for command in (["eval", "--protocol", "fixed"], ["finetune", "--config", cfg]):
-        assert run(*command, "--data", tmp / "data" / "dataset.mcu", "--checkpoint", tmp / "bad.mcu",
+    for command in (["eval", "--protocol", "fixed"], ["finetune"]):
+        assert run(*command, "--config", cfg, "--data", tmp / "data" / "dataset.mcu", "--checkpoint", tmp / "bad.mcu",
                    "--out", tmp / "out") == 3
         err = capsys.readouterr().err
         assert "bad.mcu" in err and "adapter.a.com.A" in err and "junk" in err
@@ -435,23 +427,11 @@ def test_checkpoint_lacking_a_parameter_names_exactly_that_parameter(workspace, 
     _, meta, arrays = load_container(tmp / "good.mcu", expected_kind="checkpoint")
     del arrays["head.com.b"]
     save_container(tmp / "bad.mcu", "checkpoint", meta, arrays)
-    for command in (["eval", "--protocol", "fixed"], ["finetune", "--config", cfg]):
-        assert run(*command, "--data", tmp / "data" / "dataset.mcu", "--checkpoint", tmp / "bad.mcu",
+    for command in (["eval", "--protocol", "fixed"], ["finetune"]):
+        assert run(*command, "--config", cfg, "--data", tmp / "data" / "dataset.mcu", "--checkpoint", tmp / "bad.mcu",
                    "--out", tmp / "out") == 3
         err = capsys.readouterr().err.strip()
         assert "bad.mcu" in err and err.endswith("lacks parameters: ['head.com.b']")
-
-
-def test_on_off_flags_share_the_config_parser_and_name_the_flag(workspace, capsys):
-    tmp, cfg = workspace
-    base = ["finetune", "--config", str(cfg), "--data", "d", "--checkpoint", "c", "--out", str(tmp / "f")]
-    args = build_parser().parse_args(base + ["--mcla", "YES", "--dpft", "0"])
-    assert args.mcla is True and args.dpft is False
-    with pytest.raises(SystemExit) as exc:
-        run(*base, "--mcla", "maybe")
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--mcla" in err and "maybe" in err
 
 
 def test_eval_fixed_emits_full_condition_table(workspace, capsys):
@@ -471,34 +451,11 @@ def test_eval_random_protocol_single_row(workspace):
     data, _, fin = full_pipeline(tmp, cfg)
     out = tmp / "evr"
     assert run("eval", "--checkpoint", fin / "checkpoint.mcu", "--data", data / "dataset.mcu",
-               "--protocol", "random", "--config", cfg, "--seed", "66", "--out", out) == 0
+               "--protocol", "random", "--config", cfg, "--out", out) == 0
     lines = (out / "metrics.txt").read_text().splitlines()
     rows = lines[lines.index("condition,acc,f1,wa,ua") + 1:]
     assert len(rows) == 1
     assert rows[0].startswith("random,")
-
-
-def test_eval_single_combo_restriction(workspace):
-    tmp, cfg = workspace
-    data, _, fin = full_pipeline(tmp, cfg)
-    table = {}
-    for name, extra in (("evf", []), ("evc", ["--combo", "av"])):
-        assert run("eval", "--checkpoint", fin / "checkpoint.mcu", "--data", data / "dataset.mcu",
-                   "--protocol", "fixed", "--config", cfg, *extra, "--out", tmp / name) == 0
-        lines = (tmp / name / "metrics.txt").read_text().splitlines()
-        table[name] = lines[lines.index("condition,acc,f1,wa,ua") + 1:]
-    assert [r.split(",")[0] for r in table["evc"]] == ["av"]
-    assert table["evc"][0] in table["evf"]  # byte for byte the full run's av row
-
-
-def test_eval_combo_with_random_protocol_is_input_error(workspace, capsys):
-    tmp, cfg = workspace
-    data, _, fin = full_pipeline(tmp, cfg)
-    out = tmp / "evrc"
-    assert run("eval", "--checkpoint", fin / "checkpoint.mcu", "--data", data / "dataset.mcu",
-               "--protocol", "random", "--config", cfg, "--combo", "av", "--out", out) == 2
-    assert "--combo" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_eval_metrics_are_byte_reproducible(workspace):
@@ -509,6 +466,41 @@ def test_eval_metrics_are_byte_reproducible(workspace):
         assert run("eval", "--checkpoint", fin / "checkpoint.mcu", "--data", data / "dataset.mcu",
                    "--protocol", "fixed", "--config", cfg, "--out", out) == 0
     assert (o1 / "metrics.txt").read_bytes() == (o2 / "metrics.txt").read_bytes()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["eval", "--protocol", "fixed"], "--config"),
+    (["gen-data", "--config", "c", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["finetune", "--config", "c", "--data", "d", "--checkpoint", "k", "--mcla", "off"],
+     "unrecognized arguments: --mcla off"),
+    (["eval", "--protocol", "fixed", "--config", "c", "--combo", "av"], "unrecognized arguments: --combo av"),
+], ids=["eval-without-config", "gen-data-seed", "finetune-mcla", "eval-combo"])
+def test_settings_come_only_from_the_config_file(workspace, capsys, argv, named):
+    tmp, _ = workspace
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--checkpoint", tmp / "c.mcu", "--data", tmp / "d.mcu", "--out", tmp / "out")
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp / "out").exists()
+
+
+def test_each_manifest_reproduces_its_command(workspace):
+    tmp, cfg = workspace
+    data, pre, fin = full_pipeline(tmp, cfg)
+    for protocol in ("fixed", "random"):
+        assert run("eval", "--config", cfg, "--checkpoint", fin / "checkpoint.mcu", "--data", data / "dataset.mcu",
+                   "--protocol", protocol, "--out", tmp / protocol) == 0
+    outs = (data, pre, fin, tmp / "fixed", tmp / "random")
+    manifests = {out: json.loads((out / "manifest.json").read_text()) for out in outs}
+    assert sorted(m["command"] for m in manifests.values()) == ["eval", "eval", "finetune", "gen-data", "pretrain"]
+    for out, manifest in manifests.items():
+        assert manifest["config"] == config.load_config(manifest["config_path"]).echo(), out
+    # the config path and the input paths alone give finetune's checkpoint again
+    again = tmp / "again"
+    assert run("finetune", "--config", manifests[fin]["config_path"], "--data", data / "dataset.mcu",
+               "--checkpoint", pre / "checkpoint.mcu", "--out", again) == 0
+    digest = hashlib.sha256((again / "checkpoint.mcu").read_bytes()).hexdigest()
+    assert digest == manifests[fin]["artifacts"]["checkpoint.mcu"]
 
 
 def test_report_compares_runs_and_emits_curves(workspace, capsys):
@@ -524,6 +516,30 @@ def test_report_compares_runs_and_emits_curves(workspace, capsys):
     assert (out / "report.txt").exists()
     assert (out / "curves" / "condition_a.csv").exists()
     assert (out / "curves" / "condition_average.csv").exists()
+
+
+def write_metrics(run_dir: Path, record: trainer.MetricsRecord) -> Path:
+    run_dir.mkdir(parents=True)
+    (run_dir / "metrics.txt").write_text(trainer.format_metrics_document(record, "{}", "0.1.0"))
+    return run_dir
+
+
+def test_report_refuses_two_runs_of_the_same_name(tmp_path, capsys):
+    record = trainer.MetricsRecord("fixed", {"a": trainer.Metrics(0.5, 0.25, 0.5, 0.5)},
+                                   average=trainer.Metrics(0.5, 0.25, 0.5, 0.5))
+    first, second = (write_metrics(tmp_path / pipeline / "eval-fixed", record) for pipeline in ("p1", "p2"))
+    assert run("report", first, second, "--out", tmp_path / "rep") == 2
+    err = capsys.readouterr().err
+    assert "'eval-fixed'" in err and str(first) in err and str(second) in err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_report_of_runs_without_an_average_writes_no_average_row(tmp_path):
+    runs = [write_metrics(tmp_path / name, trainer.MetricsRecord("random", {"random": trainer.Metrics(acc, 0, acc, 0)}))
+            for name, acc in (("r1", 0.5), ("r2", 0.75))]
+    assert run("report", *runs, "--out", tmp_path / "rep") == 0
+    assert (tmp_path / "rep" / "report.txt").read_text().splitlines()[1:] == ["condition,r1,r2", "random,50.00,75.00"]
+    assert sorted(p.name for p in (tmp_path / "rep" / "curves").iterdir()) == ["condition_random.csv"]
 
 
 def test_report_skips_malformed_dirs_but_succeeds_with_one_valid(workspace, capsys):
@@ -570,13 +586,14 @@ def test_checkpoint_write_is_atomic(workspace, monkeypatch):
     assert not list((tmp / "pre2").glob("*.tmp"))
 
 
-def test_config_overrides_via_flags(workspace):
+def test_finetune_config_sets_the_ablations_rank_and_beta(workspace):
     tmp, cfg = workspace
     data, pre, _ = full_pipeline(tmp, cfg)
+    ablation = tmp / "ablation.cfg"
+    ablation.write_text(TINY_CONFIG + "mcla = off\ndpft = off\nrank = 1\nbeta = 0\n")
     out = tmp / "fin_ablation"
-    assert run("finetune", "--config", cfg, "--data", data / "dataset.mcu",
-               "--checkpoint", pre / "checkpoint.mcu", "--out", out,
-               "--mcla", "off", "--dpft", "off", "--rank", "1", "--beta", "0") == 0
+    assert run("finetune", "--config", ablation, "--data", data / "dataset.mcu",
+               "--checkpoint", pre / "checkpoint.mcu", "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["mcla"] is False
     assert manifest["config"]["dpft"] is False
@@ -590,17 +607,20 @@ def test_config_overrides_via_flags(workspace):
     assert load_container(pre / "checkpoint.mcu", expected_kind="checkpoint")[1]["config"]["rank"] == 2
     meta = load_container(out / "checkpoint.mcu", expected_kind="checkpoint")[1]
     assert meta["config"]["rank"] == 1 and not meta["has_adapters"]
+    rank1 = tmp / "rank1.cfg"
+    rank1.write_text(TINY_CONFIG + "mcla = on\nrank = 1\n")
     mcla_out = tmp / "fin_rank1"
-    assert run("finetune", "--config", cfg, "--data", data / "dataset.mcu",
-               "--checkpoint", pre / "checkpoint.mcu", "--out", mcla_out, "--mcla", "on", "--rank", "1") == 0
+    assert run("finetune", "--config", rank1, "--data", data / "dataset.mcu",
+               "--checkpoint", pre / "checkpoint.mcu", "--out", mcla_out) == 0
     _, meta, arrays = load_container(mcla_out / "checkpoint.mcu", expected_kind="checkpoint")
     assert meta["config"]["rank"] == 1 and meta["has_adapters"]
     assert arrays["adapter.a.com.A"].shape == (1, 8)
 
 
 def test_parse_config_text_handles_comments_and_types():
-    cfg = parse_config_text("mcla = off\nbeta = 0.01 # inline comment\n\n# full comment\nrank = 8\n")
-    assert cfg.mcla is False
+    cfg = parse_config_text("mcla = off\nbeta = 0.01 # inline comment\n\n# full comment\nrank = 8\n"
+                            "dpft = 0\nreduce_fast_learners = NO\n")
+    assert cfg.mcla is False and cfg.dpft is False and cfg.reduce_fast_learners is False
     assert cfg.beta == 0.01
     assert cfg.rank == 8
     with pytest.raises(ConfigError, match="beta"):

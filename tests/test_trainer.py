@@ -5,7 +5,7 @@ import pytest
 
 from mculora.config import ExperimentConfig
 from mculora.errors import ConfigError, ContractError
-from mculora.modalities import ALL_COMBINATIONS, AV, FULL, INCOMPLETE_COMBINATIONS, MODALITIES, Combo
+from mculora.modalities import ALL_COMBINATIONS, FULL, INCOMPLETE_COMBINATIONS, MODALITIES, Combo
 from mculora.rng import Rng
 from mculora.synthgen import DatasetFile, apply_random_missing, generate_dataset, save_dataset
 from mculora import trainer
@@ -338,21 +338,6 @@ def test_average_is_unweighted_mean_over_six_incomplete_conditions():
     assert "atv" not in [c.name for c in INCOMPLETE_COMBINATIONS]
 
 
-def test_fixed_protocol_restricted_to_one_condition_matches_its_full_row():
-    model, cfg = trained_tiny_model()
-    test_set = tiny_synth(n=30, seed=3)
-    full = evaluate(model, test_set, "fixed", cfg)
-    single = evaluate(model, test_set, "fixed", cfg, AV)
-    assert single.protocol == "fixed" and single.average is None
-    assert single.rows == {"av": full.rows["av"]}
-
-
-def test_single_condition_is_refused_outside_the_fixed_protocol():
-    model, cfg = trained_tiny_model()
-    with pytest.raises(ContractError, match="restricts the fixed protocol"):
-        evaluate(model, tiny_synth(n=10, seed=4), "random", cfg, AV)
-
-
 def test_random_protocol_single_row_and_mask_reproducibility():
     model, cfg = trained_tiny_model()
     test_set = tiny_synth(n=50, seed=4)
@@ -442,14 +427,13 @@ def test_eval_encodes_each_row_once_per_modality_it_keeps(monkeypatch):
         return real(self, x, *args, **kwargs)
     monkeypatch.setattr(Encoder, "forward", spy)
 
-    def encodings(protocol, combo=None):
+    def encodings(protocol):
         encoded.clear()
-        evaluate(model, test_set, protocol, cfg, combo)
+        evaluate(model, test_set, protocol, cfg)
         return sorted(encoded)
     rows = range(len(test_set))
     # fixed: every row once per modality, not once per condition that holds it
     assert encodings("fixed") == sorted((m, i) for m in MODALITIES for i in rows)
-    assert encodings("fixed", AV) == sorted((m, i) for m in AV for i in rows)
     # random: each row only for the modalities its combination keeps
     masks = apply_random_missing(len(test_set), (cfg.mask_lo, cfg.mask_hi), seed=cfg.eval_seed)
     assert encodings("random") == sorted((m, i) for i in rows for m in Combo(int(masks[i])))
