@@ -6,7 +6,9 @@ ablation switches included: no flag sets a config value. Each is a pure
 function of (config file, input artifacts) up to wallclock columns in the
 epoch logs, and writes its outputs into --out, with a manifest.json holding
 the config file's path, its parsed snapshot and the SHA-256 of each
-artifact. Report compares finished runs and writes no manifest. Every output
+artifact. Report compares finished runs and writes no manifest: report.txt
+holds each run's ACC per row of the runs' metrics tables, and curves/ one
+condition_<row>.csv per row, each run's metrics in that row. Every output
 is written atomically by :mod:`mculora.serialize`, whose writers return the
 SHA-256 of the bytes they wrote: that is the digest the manifest records.
 
@@ -84,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--config", required=True)
     ev.set_defaults(func=cmd_eval)
 
-    rep = sub.add_parser("report", help="compare completed runs and emit plot-ready CSVs")
+    rep = sub.add_parser("report", help="compare completed runs: report.txt and one curves/condition_<row>.csv per row")
     rep.add_argument("runs", nargs="+", help="run directories containing metrics.txt")
     rep.add_argument("--out", required=True)
     rep.set_defaults(func=cmd_report)
@@ -176,66 +178,41 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
+    # a run's name, its directory's own name, heads its column and names its curve rows
+    names = [Path(run_dir).resolve().name for run_dir in args.runs]
     first_dir: dict[str, str] = {}
-    for run_dir in args.runs:  # a run's name heads its column and names its curve rows
-        name = Path(run_dir).name
+    for name, run_dir in zip(names, args.runs):
         if name in first_dir:
             raise ConfigError(f"two runs are named {name!r}: {first_dir[name]} and {run_dir}")
         first_dir[name] = run_dir
     out_dir = _make_out_dir(args.out)
     runs: list[tuple[str, MetricsRecord]] = []
-    for run_dir in args.runs:
-        run_path = Path(run_dir)
-        metrics_path = run_path / "metrics.txt"
+    for name, run_dir in zip(names, args.runs):
         try:
-            record, _ = parse_metrics_document(metrics_path.read_text(encoding="utf-8"))
-            runs.append((run_path.name, record))
+            record, _ = parse_metrics_document((Path(run_dir) / "metrics.txt").read_text(encoding="utf-8"))
+            runs.append((name, record))
         except (OSError, ContractError, ValueError) as exc:
             print(f"warning: skipping {run_dir}: {exc}", file=sys.stderr)
     if not runs:
         print("error: no valid run directories", file=sys.stderr)
         return EXIT_INPUT
 
-    conditions: list[str] = []
-    for _, record in runs:
-        for name in record.rows:
-            if name not in conditions:
-                conditions.append(name)
-    if any(record.average is not None for _, record in runs):
-        conditions.append("average")
-
-    def metrics(record: MetricsRecord, cond: str):
-        return record.average if cond == "average" else record.rows.get(cond)
-
-    lines = ["# run comparison (ACC per condition; delta vs first run)"]
-    header = ["condition"] + [name for name, _ in runs]
-    lines.append(",".join(header))
+    conditions = list(dict.fromkeys(cond for _, record in runs for cond in record.rows))
+    lines = ["# run comparison (ACC per condition; delta vs first run)", ",".join(["condition", *(n for n, _ in runs)])]
     for cond in conditions:
-        cells = [cond]
-        for _, record in runs:
-            m = metrics(record, cond)
-            cells.append("" if m is None else f"{100 * m.acc:.2f}")
-        lines.append(",".join(cells))
-    base = runs[0][1]
-    if base.average is not None and len(runs) > 1:
-        deltas = ["average_delta", ""]
-        for _, record in runs[1:]:
-            if record.average is None:
-                deltas.append("")
-            else:
-                deltas.append(f"{100 * (record.average.acc - base.average.acc):+.2f}")
-        lines.append(",".join(deltas))
+        accs = [record.rows.get(cond) for _, record in runs]
+        lines.append(",".join([cond, *("" if m is None else f"{100 * m.acc:.2f}" for m in accs)]))
+    base, *others = [record.rows.get("average") for _, record in runs]
+    if base is not None and any(m is not None for m in others):
+        deltas = ("" if m is None else f"{100 * (m.acc - base.acc):+.2f}" for m in others)
+        lines.append(",".join(["average_delta", "", *deltas]))
     write_text(out_dir / "report.txt", "\n".join(lines) + "\n")
 
     curves = out_dir / "curves"
     curves.mkdir(exist_ok=True)
     for cond in conditions:
-        rows = [[name, *m.as_tuple()] for name, record in runs if (m := metrics(record, cond)) is not None]
+        rows = [[name, *m.as_tuple()] for name, record in runs if (m := record.rows.get(cond)) is not None]
         write_text(curves / f"condition_{cond}.csv", csv_text(["run", "acc", "f1", "wa", "ua"], rows))
-    for run_dir in args.runs:
-        src = Path(run_dir) / "epoch_log.csv"
-        if src.exists():
-            write_text(curves / f"epochs_{Path(run_dir).name}.csv", src.read_text(encoding="utf-8"))
     print(f"report written to {out_dir / 'report.txt'} ({len(runs)} runs)")
     return EXIT_OK
 

@@ -344,7 +344,7 @@ def forward_pooled(model: MculoraModel, pooled: Pooled) -> dict:
         raise ContractError("forward: no modalities given")
     combo = Combo.from_modalities(mods)
     enc_pooled = pooled.enc
-    out = {"combo": combo, "enc_pooled": enc_pooled, "com_pooled": {}, "prt_pooled": {}}
+    out = {"enc_pooled": enc_pooled, "com_pooled": {}, "prt_pooled": {}}
     if model.adapters is None:
         y_com = model.heads.common_logits(model.fusion.fuse_batch(enc_pooled))
         out.update(y_com=y_com, y_hat=y_com, weight=None, y_last=y_com)

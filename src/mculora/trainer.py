@@ -35,11 +35,14 @@ before any parameter takes the bad value.
 Evaluation reports ACC, macro-F1, WA (class-frequency-weighted recall) and
 UA (mean per-class recall) per testing condition. WA equals ACC by definition,
 sum_c (support_c / n) * (tp_c / support_c) = sum_c tp_c / n, so it is reported
-as ACC rather than computed apart. Under the fixed protocol, all seven
-conditions are imposed on the full test set and "average" is the unweighted
-mean over the six incomplete conditions (the full set is reported
-separately). Under the random protocol, each sample's combination is drawn
-once from the configured probability range, seeded by ``eval_seed``.
+as ACC rather than computed apart. A record's table is one ordered mapping of
+row name to metrics, written to and read from the metrics document as it
+stands. Under the fixed protocol, all seven conditions are imposed on the
+full test set, and the table's eight rows are a, t, v, av, at, tv, average,
+atv: "average", the unweighted mean over the six incomplete conditions, is
+one more row of the table. Under the random protocol, each sample's
+combination is drawn once from the configured probability range, seeded by
+``eval_seed``, and the table's one row is "random".
 Evaluation works through the test rows one window of ``_HEAD_ROWS`` rows at
 a time. It reads a window one chunk of at most
 ``_EVAL_POSITIONS`` sequence positions (rows x L) at a time - from the dataset
@@ -81,7 +84,7 @@ from .modalities import ALL_COMBINATIONS, FULL, INCOMPLETE_COMBINATIONS, MODALIT
 from .model import MculoraModel, Pooled, attach_adapters, build_model, encode, forward_batch, forward_pooled
 from .rng import Rng
 from .serialize import write_text
-from .synthgen import Dataset, apply_random_missing
+from .synthgen import Dataset, DatasetFile, apply_random_missing
 
 _EVAL_POSITIONS = 2048  # rows x L read and encoded at a time: 256 rows at L = 8, 64 at L = 32
 _HEAD_ROWS = 512  # test rows encoded and then run through the adapters, fusion and heads at a time
@@ -162,7 +165,6 @@ def _train(model: MculoraModel, labels: np.ndarray, cfg: ExperimentConfig, phase
         raise ContractError(f"{phase}: the training split is empty")
     opt = Adam(model.parameters(phase), lr=cfg.learning_rate)
     order_rng = Rng(cfg.seed).child(f"{phase}-order")
-    zero = ad.constant(0.0)
     for epoch in range(1, epochs + 1):
         t0 = time.perf_counter()
         order = order_rng.permutation(n)
@@ -175,8 +177,7 @@ def _train(model: MculoraModel, labels: np.ndarray, cfg: ExperimentConfig, phase
             with ad.Tape() as tape:
                 out = forward(idx, combo)
                 l_task = task_loss(out["y_last"], labels[idx])
-                l_ort = (orthogonality_loss(out["com_pooled"], {combo: out["prt_pooled"]}, out["enc_pooled"])
-                         if model.adapters is not None else zero)
+                l_ort = orthogonality_loss(out["com_pooled"], {combo: out["prt_pooled"]}, out["enc_pooled"])
                 l_tot = ad.check_finite(total_loss(l_task, l_ort, cfg.beta), f"{where}: loss")
             ad.gradients(l_tot, tape)
             opt.step(where)
@@ -208,8 +209,8 @@ def pretrain(dataset, cfg: ExperimentConfig) -> TrainResult:
     return result
 
 
-def finetune(model: MculoraModel, dataset: Dataset, cfg: ExperimentConfig,
-             probe_batch: Dataset | None = None) -> TrainResult:
+def finetune(model: MculoraModel, dataset: Dataset | DatasetFile, cfg: ExperimentConfig,
+             probe_batch: Dataset | DatasetFile | None = None) -> TrainResult:
     """Fine-tune adapters/heads/gate under scheduled incomplete batches."""
     cfg.validate()
     if model.phase != "pretrained":
@@ -260,9 +261,14 @@ class Metrics:
 
 @dataclass
 class MetricsRecord:
+    """One evaluation's metrics table: row name -> metrics, in document order.
+    The fixed protocol's rows are ``_ROW_ORDER``, its "average" row among
+    them; the random protocol's one row is "random"."""
     protocol: str
     rows: dict[str, Metrics]
-    average: Metrics | None = None
+
+
+_ROW_ORDER = ["a", "t", "v", "av", "at", "tv", "average", "atv"]
 
 
 def compute_metrics(preds, labels) -> Metrics:
@@ -349,9 +355,9 @@ def evaluate(model: MculoraModel, dataset, protocol: str, cfg: ExperimentConfig)
     if protocol == "fixed":
         preds = predict_dataset(model, dataset, np.array([[c.mask] for c in ALL_COMBINATIONS]).repeat(n, axis=1))
         rows = {c.name: compute_metrics(p, dataset.labels) for c, p in zip(ALL_COMBINATIONS, preds)}
-        avg = Metrics(*[float(np.mean([rows[c.name].as_tuple()[k] for c in INCOMPLETE_COMBINATIONS]))
-                        for k in range(4)])
-        return MetricsRecord(protocol="fixed", rows=rows, average=avg)
+        rows["average"] = Metrics(*[float(np.mean([rows[c.name].as_tuple()[k] for c in INCOMPLETE_COMBINATIONS]))
+                                    for k in range(4)])
+        return MetricsRecord(protocol="fixed", rows={name: rows[name] for name in _ROW_ORDER})
     if protocol == "random":
         masks = apply_random_missing(n, (cfg.mask_lo, cfg.mask_hi), seed=cfg.eval_seed)
         preds = predict_dataset(model, dataset, masks)
@@ -395,16 +401,13 @@ def write_probe_log(path, rows: list[tuple[int, float]]) -> str:
 
 
 _METRICS_HEADER = "# mculora metrics v1"
-_ROW_ORDER = ["a", "t", "v", "av", "at", "tv", "average", "atv"]
 _METRICS_COLUMNS = ["condition", "acc", "f1", "wa", "ua"]
 
 
 def format_metrics_document(record: MetricsRecord, config_echo: str, version: str) -> str:
-    """Structured-text metrics table plus config echo and version string."""
-    names = _ROW_ORDER if record.protocol == "fixed" else list(record.rows)
-    rows = [(name, record.average if name == "average" else record.rows.get(name)) for name in names]
+    """Structured-text metrics table, its rows in the record's order, plus config echo and version string."""
     return (f"{_METRICS_HEADER}\nversion: {version}\nprotocol: {record.protocol}\nconfig: {config_echo}\n"
-            + csv_text(_METRICS_COLUMNS, [[name, *m.as_tuple()] for name, m in rows if m is not None]))
+            + csv_text(_METRICS_COLUMNS, [[name, *m.as_tuple()] for name, m in record.rows.items()]))
 
 
 def parse_metrics_document(text: str) -> tuple[MetricsRecord, dict]:
@@ -420,14 +423,9 @@ def parse_metrics_document(text: str) -> tuple[MetricsRecord, dict]:
     if idx >= len(lines) or lines[idx] != ",".join(_METRICS_COLUMNS):
         raise ContractError("metrics document lacks its table header")
     rows: dict[str, Metrics] = {}
-    average = None
     for ln in lines[idx + 1:]:
         name, *vals = ln.split(",")
         if len(vals) != 4:
             raise ContractError(f"metrics row {ln!r} has {len(vals)} values, expected 4")
-        m = Metrics(*(float(v) for v in vals))
-        if name == "average":
-            average = m
-        else:
-            rows[name] = m
-    return MetricsRecord(protocol=meta.get("protocol", "?"), rows=rows, average=average), meta
+        rows[name] = Metrics(*(float(v) for v in vals))
+    return MetricsRecord(protocol=meta.get("protocol", "?"), rows=rows), meta

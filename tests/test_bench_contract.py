@@ -4,7 +4,9 @@ bench/ drives the CLI pipeline, shims the package's layer functions for
 tracing and runs a per-combination finetune step probe; each of these names
 package functions, methods and config fields directly. This runs all three on
 a tiny config, so a rename or signature change that would break a benchmark
-run fails here.
+run fails here. The metrics documents that pipeline writes must also hold
+the rows the bench checks, in its order, and the package must parse and
+format each back to the same bytes.
 """
 
 import json
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from mculora.cli import main
+from mculora.trainer import format_metrics_document, parse_metrics_document
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,13 +33,18 @@ def bench(monkeypatch):
     return pipeline, probe, tracing
 
 
+def pipeline_paths(pipeline, tmp_path, settings):
+    """Paths of a pipeline under `tmp_path` whose config file holds `settings`."""
+    config = tmp_path / "config.txt"
+    config.write_text("".join(f"{k} = {'on' if v is True else 'off' if v is False else v}\n" for k, v in settings.items()))
+    return pipeline.Paths(root=tmp_path / "run", config=config)
+
+
 @pytest.mark.parametrize("mcla", [True, False], ids=["mcla", "base"])
 def test_traced_pipeline_and_step_probe_run(tmp_path, bench, mcla):
     pipeline, probe, tracing = bench
     settings = {**CONFIG, "mcla": mcla}
-    config = tmp_path / "config.txt"
-    config.write_text("".join(f"{k} = {'on' if v is True else 'off' if v is False else v}\n" for k, v in settings.items()))
-    paths = pipeline.Paths(root=tmp_path / "run", config=config)
+    paths = pipeline_paths(pipeline, tmp_path, settings)
     rec = tracing.Recorder()
     uninstall = tracing.install(rec)
     try:
@@ -51,3 +59,15 @@ def test_traced_pipeline_and_step_probe_run(tmp_path, bench, mcla):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
     step_keys = {m["name"] for m in declared if m["name"].startswith("step.")}
     assert step_keys and step_keys <= set(values)
+
+
+def test_metrics_documents_hold_the_bench_rows_and_format_back_to_their_bytes(tmp_path, bench):
+    pipeline, _, _ = bench
+    paths = pipeline_paths(pipeline, tmp_path, CONFIG)
+    outcomes = pipeline.run_pipeline(main, paths, CONFIG["num_samples"])
+    assert all(outcomes[op].ok for op in pipeline.OPERATIONS)
+    for op, rows in (("eval-fixed", list(pipeline.FIXED_ROWS)), ("eval-random", ["random"])):
+        text = (paths.out(op) / "metrics.txt").read_text(encoding="utf-8")
+        record, meta = parse_metrics_document(text)
+        assert list(record.rows) == rows, op
+        assert format_metrics_document(record, meta["config"], meta["version"]) == text, op

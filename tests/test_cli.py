@@ -52,6 +52,9 @@ def workspace(tmp_path):
     return tmp_path, cfg_path
 
 
+FIXED_ROWS = ["a", "t", "v", "av", "at", "tv", "average", "atv"]  # a fixed-protocol table's rows, in order
+
+
 def run(*argv):
     return main([str(a) for a in argv])
 
@@ -443,7 +446,7 @@ def test_eval_fixed_emits_full_condition_table(workspace, capsys):
     lines = (out / "metrics.txt").read_text().splitlines()
     table_start = lines.index("condition,acc,f1,wa,ua")
     names = [ln.split(",")[0] for ln in lines[table_start + 1:]]
-    assert names == ["a", "t", "v", "av", "at", "tv", "average", "atv"]
+    assert names == FIXED_ROWS
 
 
 def test_eval_random_protocol_single_row(workspace):
@@ -525,8 +528,8 @@ def write_metrics(run_dir: Path, record: trainer.MetricsRecord) -> Path:
 
 
 def test_report_refuses_two_runs_of_the_same_name(tmp_path, capsys):
-    record = trainer.MetricsRecord("fixed", {"a": trainer.Metrics(0.5, 0.25, 0.5, 0.5)},
-                                   average=trainer.Metrics(0.5, 0.25, 0.5, 0.5))
+    record = trainer.MetricsRecord("fixed", {"a": trainer.Metrics(0.5, 0.25, 0.5, 0.5),
+                                             "average": trainer.Metrics(0.5, 0.25, 0.5, 0.5)})
     first, second = (write_metrics(tmp_path / pipeline / "eval-fixed", record) for pipeline in ("p1", "p2"))
     assert run("report", first, second, "--out", tmp_path / "rep") == 2
     err = capsys.readouterr().err
@@ -540,6 +543,73 @@ def test_report_of_runs_without_an_average_writes_no_average_row(tmp_path):
     assert run("report", *runs, "--out", tmp_path / "rep") == 0
     assert (tmp_path / "rep" / "report.txt").read_text().splitlines()[1:] == ["condition,r1,r2", "random,50.00,75.00"]
     assert sorted(p.name for p in (tmp_path / "rep" / "curves").iterdir()) == ["condition_random.csv"]
+
+
+def fixed_record(*accs):
+    return trainer.MetricsRecord("fixed", {row: trainer.Metrics(acc, 0.0, acc, 0.0)
+                                           for row, acc in zip(FIXED_ROWS, accs)})
+
+
+def random_record(acc):
+    return trainer.MetricsRecord("random", {"random": trainer.Metrics(acc, 0.0, acc, 0.0)})
+
+
+def test_report_of_two_fixed_runs_writes_each_row_and_the_average_delta(tmp_path):
+    runs = [write_metrics(tmp_path / "f1", fixed_record(0.5, 0.625, 0.75, 0.875, 0.25, 0.375, 0.5625, 1.0)),
+            write_metrics(tmp_path / "f2", fixed_record(0.375, 0.5, 0.625, 0.75, 0.125, 0.25, 0.4375, 0.875))]
+    assert run("report", *runs, "--out", tmp_path / "rep") == 0
+    assert (tmp_path / "rep" / "report.txt").read_text().splitlines() == [
+        "# run comparison (ACC per condition; delta vs first run)",
+        "condition,f1,f2",
+        "a,50.00,37.50",
+        "t,62.50,50.00",
+        "v,75.00,62.50",
+        "av,87.50,75.00",
+        "at,25.00,12.50",
+        "tv,37.50,25.00",
+        "average,56.25,43.75",
+        "atv,100.00,87.50",
+        "average_delta,,-12.50",
+    ]
+    assert (tmp_path / "rep" / "curves" / "condition_average.csv").read_text().splitlines() == [
+        "run,acc,f1,wa,ua", "f1,0.5625,0.0,0.5625,0.0", "f2,0.4375,0.0,0.4375,0.0"]
+
+
+def test_report_of_a_fixed_then_a_random_run_writes_no_average_delta_and_only_condition_curves(tmp_path, capsys):
+    fixed = write_metrics(tmp_path / "fixed", fixed_record(0.5, 0.625, 0.75, 0.875, 0.25, 0.375, 0.5625, 1.0))
+    rand = write_metrics(tmp_path / "rand", random_record(0.75))
+    fin = tmp_path / "finetune"  # a finetune directory: an epoch log and no metrics.txt
+    fin.mkdir()
+    (fin / "epoch_log.csv").write_text("epoch,phase,l_task,l_ort,l_total,wallclock_ms\n1,finetune,1.0,0.0,1.0,2.0\n")
+    assert run("report", fixed, rand, fin, "--out", tmp_path / "rep") == 0
+    assert f"skipping {fin}" in capsys.readouterr().err
+    assert (tmp_path / "rep" / "report.txt").read_text().splitlines() == [
+        "# run comparison (ACC per condition; delta vs first run)",
+        "condition,fixed,rand",
+        "a,50.00,",
+        "t,62.50,",
+        "v,75.00,",
+        "av,87.50,",
+        "at,25.00,",
+        "tv,37.50,",
+        "average,56.25,",
+        "atv,100.00,",
+        "random,,75.00",
+    ]
+    assert sorted(p.name for p in (tmp_path / "rep" / "curves").iterdir()) == sorted(
+        f"condition_{row}.csv" for row in [*FIXED_ROWS, "random"])
+
+
+def test_report_names_each_run_by_its_resolved_directory(tmp_path, monkeypatch):
+    ev = write_metrics(tmp_path / "ev", fixed_record(*[0.5] * 8))
+    write_metrics(tmp_path / "evrandom", random_record(0.75))
+    monkeypatch.chdir(ev)
+    assert run("report", ".", "../evrandom", "--out", tmp_path / "rep") == 0
+    assert (tmp_path / "rep" / "report.txt").read_text().splitlines()[1] == "condition,ev,evrandom"
+    assert (tmp_path / "rep" / "curves" / "condition_a.csv").read_text().splitlines()[1:] == ["ev,0.5,0.0,0.5,0.0"]
+    # "." and "../ev" are one directory, so one name
+    assert run("report", ".", "../ev", "--out", tmp_path / "rep2") == 2
+    assert not (tmp_path / "rep2").exists()
 
 
 def test_report_skips_malformed_dirs_but_succeeds_with_one_valid(workspace, capsys):

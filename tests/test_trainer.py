@@ -243,7 +243,7 @@ def test_full_pipeline_seed_determinism():
     r1, r2 = records
     for name in r1.rows:
         assert r1.rows[name] == r2.rows[name]
-    assert r1.average == r2.average
+    assert r1.rows["average"] == r2.rows["average"]
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +326,15 @@ def trained_tiny_model():
 def test_fixed_protocol_emits_exact_condition_set():
     model, cfg = trained_tiny_model()
     record = evaluate(model, tiny_synth(n=30, seed=3), "fixed", cfg)
-    assert list(record.rows) == ["a", "t", "v", "av", "at", "tv", "atv"]
-    assert record.average is not None
+    assert list(record.rows) == ["a", "t", "v", "av", "at", "tv", "average", "atv"]
+    assert record.rows["average"] is not None
 
 
 def test_average_is_unweighted_mean_over_six_incomplete_conditions():
     model, cfg = trained_tiny_model()
     record = evaluate(model, tiny_synth(n=30, seed=3), "fixed", cfg)
     accs = [record.rows[c.name].acc for c in INCOMPLETE_COMBINATIONS]
-    assert record.average.acc == pytest.approx(float(np.mean(accs)), abs=1e-12)
+    assert record.rows["average"].acc == pytest.approx(float(np.mean(accs)), abs=1e-12)
     assert "atv" not in [c.name for c in INCOMPLETE_COMBINATIONS]
 
 
@@ -380,7 +380,7 @@ def test_perfect_predictor_scores_100_everywhere(monkeypatch):
     record = evaluate(model, test_set, "fixed", cfg)
     for name, m in record.rows.items():
         assert m.acc == m.f1 == m.wa == m.ua == 1.0, name
-    assert record.average.acc == 1.0
+    assert record.rows["average"].acc == 1.0
 
 
 def test_constant_predictor_on_balanced_labels(monkeypatch):
@@ -455,7 +455,7 @@ def test_chunked_eval_holds_less_than_one_modality_of_the_test_split(tmp_path):
         for protocol in ("fixed", "random"):
             want = evaluate(model, read_dataset(tmp_path / "d.mcu", rows=lambda n: slice(512, n)), protocol, cfg)
             record, peak = eval_heap_peak(model, test, protocol, cfg)
-            assert record.rows == want.rows and record.average == want.average
+            assert record.rows == want.rows  # the fixed protocol's "average" row included
             assert peak < feature_bytes, protocol
 
 
@@ -554,13 +554,13 @@ def test_log_cells_are_plain_numbers(tmp_path):
 
 def test_metrics_document_roundtrip():
     rows = {c.name: Metrics(0.5, 0.4, 0.5, 0.45) for c in ALL_COMBINATIONS}
-    record = MetricsRecord(protocol="fixed", rows=rows, average=Metrics(0.5, 0.4, 0.5, 0.45))
+    record = MetricsRecord(protocol="fixed", rows={**rows, "average": Metrics(0.5, 0.4, 0.5, 0.45)})
     doc = format_metrics_document(record, '{"seed": 66}', "0.1.0-test")
     parsed, meta = parse_metrics_document(doc)
     assert meta["version"] == "0.1.0-test"
     assert parsed.protocol == "fixed"
     assert parsed.rows["av"] == record.rows["av"]
-    assert parsed.average == record.average
+    assert parsed.rows["average"] == record.rows["average"]
 
 
 def test_train_config_validation():
