@@ -118,7 +118,8 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> None:
 
 
 def gradients(loss: Tensor, tape: Tape) -> dict[int, np.ndarray]:
-    """Reverse-accumulate d(loss)/d(tensor) over the tape.
+    """Reverse-accumulate d(loss)/d(tensor) over the tape; the loss is the
+    scalar output of an op on it.
 
     Returns a map from tensor id to gradient for every requires_grad tensor
     that participated in the computation; those tensors also get their
@@ -137,7 +138,7 @@ def gradients(loss: Tensor, tape: Tape) -> dict[int, np.ndarray]:
     grad_map: dict[int, np.ndarray] = {loss._id: np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {}
     for out_id, backward in reversed(tape.ops):
-        g = grad_map.get(out_id) if out_id == loss._id else grad_map.pop(out_id, None)
+        g = grad_map.pop(out_id, None)
         if g is None:
             continue
         for tensor, contrib in backward(g):
@@ -151,9 +152,6 @@ def gradients(loss: Tensor, tape: Tape) -> dict[int, np.ndarray]:
     for tid, tensor in leaves.items():
         tensor.grad = grad_map[tid]
         result[tid] = grad_map[tid]
-    if loss.requires_grad:
-        loss.grad = grad_map[loss._id]
-        result[loss._id] = grad_map[loss._id]
     return result
 
 

@@ -14,12 +14,14 @@ SHA-256 of the bytes they wrote: that is the digest the manifest records.
 
 Each command reads only the contiguous rows of the dataset file it uses:
 pretrain the train split, finetune the train split and the probe (the first
-``probe_size`` validation samples), eval the test split. Each opens the file
-once as a :class:`~mculora.synthgen.DatasetFile`, which checks it whole, and
-closes it when the command ends, also when it fails. Pretrain, whose encoders
-train, reads each batch's rows just before the batch's forward pass; finetune
-and eval read theirs one chunk of rows at a time and keep only each row's
-pooled output of the frozen base. No command holds a whole split.
+``probe_size`` validation samples or, when the validation split is empty,
+the last ``probe_size`` training samples), eval the test split. Each opens
+the file once as a :class:`~mculora.synthgen.DatasetFile`, which checks it
+whole, and closes it when the command ends, also when it fails. Pretrain,
+whose encoders train, reads each batch's rows just before the batch's
+forward pass; finetune and eval read theirs one chunk of rows at a time and
+keep only each row's pooled output of the frozen base. No command holds a
+whole split.
 Gen-data generates and writes one block of rows at a time, the three
 modalities concurrently, one writer thread each.
 
@@ -160,7 +162,7 @@ def cmd_finetune(args) -> int:
         "checkpoint.mcu": save_checkpoint(result.model, out_dir / "checkpoint.mcu"),
         "epoch_log.csv": write_epoch_log(out_dir / "epoch_log.csv", result.epoch_rows),
         "schedule_log.csv": write_schedule_log(out_dir / "schedule_log.csv", result.schedule_rows),
-        "probe_log.csv": write_probe_log(out_dir / "probe_log.csv", result.probe_rows)})
+        "probe_log.csv": write_probe_log(out_dir / "probe_log.csv", result.schedule_rows)})
     print(f"finetuned {cfg.finetune_epochs} epochs "
           f"(mcla={'on' if cfg.mcla else 'off'}, dpft={'on' if cfg.dpft else 'off'})")
     return EXIT_OK
@@ -211,7 +213,7 @@ def cmd_report(args) -> int:
     curves = out_dir / "curves"
     curves.mkdir(exist_ok=True)
     for cond in conditions:
-        rows = [[name, *m.as_tuple()] for name, record in runs if (m := record.rows.get(cond)) is not None]
+        rows = [[name, *m] for name, record in runs if (m := record.rows.get(cond)) is not None]
         write_text(curves / f"condition_{cond}.csv", csv_text(["run", "acc", "f1", "wa", "ua"], rows))
     print(f"report written to {out_dir / 'report.txt'} ({len(runs)} runs)")
     return EXIT_OK

@@ -89,7 +89,7 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in ("float", float) and not math.isfinite(value):
+            if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         for name in ("num_samples", "seq_len", "raw_dim", "shared_dim", "private_dim", "model_dim", "rank",
                      "pretrain_epochs", "finetune_epochs", "batch_size", "probe_size"):
@@ -148,14 +148,9 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
 
 def _convert(key: str, value: str):
-    ftype = _FIELD_TYPES[key]
-    if ftype in ("int", int):
-        return int(value)
-    if ftype in ("float", float):
-        return float(value)
-    if ftype in ("bool", bool):
-        return _parse_bool(value)
-    return value
+    """The value of `key` in the text `value`; each field is annotated (as a
+    string, under ``from __future__ import annotations``) int, float or bool."""
+    return {"int": int, "float": float, "bool": _parse_bool}[_FIELD_TYPES[key]](value)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -43,8 +43,8 @@ and the heads read theirs from it by name at each call. A name's prefix says
 what it is: ``enc.*`` and ``fusion.*`` are the base, ``head.com.*`` the
 common head, and ``adapter.*``, ``head.prt.*`` and ``gate.*`` what adapters
 attach. The parameter groups are prefix rules: ``parameters("pretrain")``
-is the base plus the common head, ``parameters("finetune")`` everything
-outside the base, and ``parameters("all")`` the whole table.
+is the base plus the common head, and ``parameters("finetune")`` everything
+outside the base.
 :meth:`MculoraModel.freeze_base` freezes the tensors under the base
 prefixes, so the common head stays trainable in finetuning. A checkpoint
 holds the table's arrays under their names.
@@ -174,9 +174,8 @@ class Heads:
         return ad.sigmoid(ad.clip(pre, -_GATE_PREACT_LIMIT, _GATE_PREACT_LIMIT))
 
 
-def combine_predictions(y_com: Tensor, y_hat: Tensor, weight) -> Tensor:
+def combine_predictions(y_com: Tensor, y_hat: Tensor, w: Tensor) -> Tensor:
     """(1 - w) * common prediction + w * characteristic prediction."""
-    w = ad.as_tensor(weight)
     return ad.add(ad.mul(ad.sub(1.0, w), y_com), ad.mul(w, y_hat))
 
 
@@ -209,11 +208,10 @@ class MculoraModel:
         """raw_dim, model_dim and classes, read off the base's parameters."""
         return {key: self.params[name].shape[axis] for key, (name, axis) in _DIM_SOURCES.items()}
 
-    def parameters(self, group: str = "all") -> dict[str, Tensor]:
-        """The table ("all"), the base and common head that pretraining trains
-        ("pretrain"), or everything outside the base ("finetune")."""
-        in_group = {"all": lambda name: True,
-                    "pretrain": lambda name: name.startswith((*_BASE, "head.com.")),
+    def parameters(self, group: str) -> dict[str, Tensor]:
+        """The base and common head that pretraining trains ("pretrain"), or
+        everything outside the base ("finetune")."""
+        in_group = {"pretrain": lambda name: name.startswith((*_BASE, "head.com.")),
                     "finetune": lambda name: not name.startswith(_BASE)}[group]
         return {name: t for name, t in self.params.items() if in_group(name)}
 
@@ -336,9 +334,11 @@ def encode(model: MculoraModel, feats: dict[str, np.ndarray], *,
 
 def forward_pooled(model: MculoraModel, pooled: Pooled) -> dict:
     """The other half: adapters, fusion, heads and gate on pooled rows of one
-    combination, the modalities of ``pooled.enc``. Returns tensors for: pooled
-    encoder/common/private representations per modality, both head outputs,
-    the gate weight, and the blended prediction y_last."""
+    combination, the modalities of ``pooled.enc``. Returns the pooled encoder,
+    common-adapter and private-adapter outputs per modality (``enc_pooled``,
+    ``com_pooled``, ``prt_pooled``; the adapter ones empty without adapters)
+    and the prediction ``y_last``: the gate's blend of both heads, or the
+    common head alone without adapters."""
     mods = [m for m in MODALITIES if m in pooled.enc]
     if not mods:
         raise ContractError("forward: no modalities given")
@@ -346,8 +346,7 @@ def forward_pooled(model: MculoraModel, pooled: Pooled) -> dict:
     enc_pooled = pooled.enc
     out = {"enc_pooled": enc_pooled, "com_pooled": {}, "prt_pooled": {}}
     if model.adapters is None:
-        y_com = model.heads.common_logits(model.fusion.fuse_batch(enc_pooled))
-        out.update(y_com=y_com, y_hat=y_com, weight=None, y_last=y_com)
+        out["y_last"] = model.heads.common_logits(model.fusion.fuse_batch(enc_pooled))
         return out
     com_pooled, prt_pooled = out["com_pooled"], out["prt_pooled"]
     for m in mods:
@@ -360,8 +359,7 @@ def forward_pooled(model: MculoraModel, pooled: Pooled) -> dict:
     fused_prt = model.fusion.fuse_batch(prt_in)
     y_com = model.heads.common_logits(model.fusion.fuse_batch(com_in))
     y_hat = model.heads.private_logits(fused_prt)
-    weight = model.heads.gate_weight(fused_prt)
-    out.update(y_com=y_com, y_hat=y_hat, weight=weight, y_last=combine_predictions(y_com, y_hat, weight))
+    out["y_last"] = combine_predictions(y_com, y_hat, model.heads.gate_weight(fused_prt))
     return out
 
 

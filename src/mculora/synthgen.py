@@ -21,11 +21,12 @@ Labels are stratified round-robin, so any contiguous split stays balanced.
 Generation is a pure function of the config and the random stream, by default
 the ``data`` child of the config's root seed. :func:`generate_dataset` builds
 the dataset in memory; :func:`save_dataset` (the gen-data writer) runs the same
-generator body but draws each modality's features one block of rows at a
-time, each just before it is written, into one buffer per modality that every
-block reuses, so it holds three blocks, never a whole (N, L, D) array. Each
-modality comes from its own named stream, so the container writer draws and
-writes the three at once, each on a worker thread of its own.
+generator body on the default stream, whose seed the file's header records,
+but draws each modality's features one block of rows at a time, each just
+before it is written, into one buffer per modality that every block reuses,
+so it holds three blocks, never a whole (N, L, D) array. Each modality
+comes from its own named stream, so the container writer draws and writes
+the three at once, each on a worker thread of its own.
 :class:`DatasetFile` checks a dataset file once and then reads any rows of
 a range, a slice or a batch of row indices at a time, and :func:`split_bounds`
 gives the split sizes, so a command reads only the split it uses, and only
@@ -36,12 +37,13 @@ feature array per modality and (N,) class-index labels. Every sample has all
 three modalities; missing ones are only ever imposed, as a combination
 bitmask (:class:`mculora.modalities.Combo`). Splits are row-slice views.
 
-The random missing-modality protocol lives here and gives each sample's
-combination bitmask: it drops each modality independently with a per-draw
-probability taken uniformly from a configured range, retaining one
-uniformly-chosen modality whenever all three would drop (a sample never loses
-every modality). The fixed protocol needs no masks: evaluation passes each
-condition's modalities to the model (see :mod:`mculora.trainer`).
+The random missing-modality protocol lives here, in one function,
+:func:`apply_random_missing`, which gives each sample's combination bitmask:
+it drops each modality independently with a per-draw probability taken
+uniformly from a configured range, retaining one uniformly-chosen modality
+whenever all three would drop (a sample never loses every modality). The
+fixed protocol needs no masks: evaluation passes each condition's modalities
+to the model (see :mod:`mculora.trainer`).
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ def _pair_bit(label: int, pair_idx: int) -> float:
 
 def _generator(cfg: ExperimentConfig,
                root_rng: Rng | None) -> tuple[dict[str, Callable[[], Iterator[np.ndarray]]], np.ndarray]:
-    """The generator body: one function per modality that returns an iterator
+    """The generator body on the stream `root_rng` (None: the ``data`` child
+    of ``Rng(cfg.seed)``): one function per modality that returns an iterator
     over its (N, L, D) features as consecutive row blocks of at most
     ``_BLOCK_POSITIONS`` positions (each modality from its own named stream,
     so in any order, or at once), and the (N,) float64 class-index labels.
@@ -207,25 +210,19 @@ def _matvec(P: np.ndarray, Z: np.ndarray) -> np.ndarray:
 # random missing-modality protocol
 # ---------------------------------------------------------------------------
 
-def draw_missing_masks(n: int, mask_prob_range: tuple[float, float], rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-    """(pre, post) boolean drop masks of shape (n, 3); post applies forced retention."""
+def apply_random_missing(n: int, mask_prob_range: tuple[float, float], seed: int) -> np.ndarray:
+    """(n,) combination bitmasks (1..7, see :class:`Combo`), one per sample:
+    the modalities that survive per-sample independent dropping, drawn from
+    the ``random-missing`` child of ``Rng(seed)``."""
     lo, hi = mask_prob_range
     if not (0.0 <= lo <= hi <= 1.0):
         raise ContractError(f"mask probability range must satisfy 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
+    rng = Rng(seed).child("random-missing")
     probs = rng.uniform(lo, hi, size=(n, len(MODALITIES)))
-    draws = rng.uniform(size=(n, len(MODALITIES)))
-    pre = draws < probs
-    post = pre.copy()
-    all_dropped = np.nonzero(post.all(axis=1))[0]
+    drop = rng.uniform(size=(n, len(MODALITIES))) < probs
+    all_dropped = np.nonzero(drop.all(axis=1))[0]
     keep = rng.integers(0, len(MODALITIES), size=n)
-    post[all_dropped, keep[all_dropped]] = False
-    return pre, post
-
-
-def apply_random_missing(n: int, mask_prob_range: tuple[float, float], seed: int) -> np.ndarray:
-    """(n,) combination bitmasks (1..7, see :class:`Combo`), one per sample:
-    the modalities that survive per-sample independent dropping."""
-    _, drop = draw_missing_masks(n, mask_prob_range, Rng(seed).child("random-missing"))
+    drop[all_dropped, keep[all_dropped]] = False
     return ~drop @ np.array([Combo.from_name(m).mask for m in MODALITIES])
 
 
@@ -233,9 +230,9 @@ def apply_random_missing(n: int, mask_prob_range: tuple[float, float], seed: int
 # dataset file format (see serialize module for the container layout)
 # ---------------------------------------------------------------------------
 
-def save_dataset(path, cfg: ExperimentConfig, root_rng: Rng | None = None) -> str:
-    """Generate the dataset of cfg and the stream (as :func:`generate_dataset`)
-    and write it, streaming: each modality's features are generated one row
+def save_dataset(path, cfg: ExperimentConfig) -> str:
+    """Generate the dataset of cfg (as :func:`generate_dataset` does on its
+    default stream) and write it, streaming: each modality's features are generated one row
     block at a time, each just before it is written, so no (N, L, D) array is
     ever built. The three modalities are drawn and written concurrently, one
     writer thread each (see :func:`mculora.serialize.save_container`); the
@@ -244,9 +241,9 @@ def save_dataset(path, cfg: ExperimentConfig, root_rng: Rng | None = None) -> st
 
     Arrays stored: per-modality (N, L, D) features in modality order a, t, v,
     then labels (N,) float64. The header records the ten generator fields of
-    cfg (``_GENERATOR_FIELDS``) and ``seed``, the seed of the default data
-    stream."""
-    makers, labels = _generator(cfg, root_rng)
+    cfg (``_GENERATOR_FIELDS``) and ``seed``, the seed of the stream that drew
+    the data: ``generate_dataset(cfg, Rng(seed))`` regenerates the file."""
+    makers, labels = _generator(cfg, None)
     shape = (cfg.num_samples, cfg.seq_len, cfg.raw_dim)
     arrays = {f"features_{m}": Chunked(shape, np.dtype(np.float64), blocks) for m, blocks in makers.items()}
     arrays["labels"] = labels

@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,10 +104,14 @@ class EpochRow:
 
 @dataclass
 class ScheduleRow:
+    """One finetune epoch's DPFT record: the separability scores, their change
+    since the last epoch and the sampling probabilities after the update (the
+    schedule log), and the probe's mean private/common cosine (the probe log)."""
     epoch: int
     scores: np.ndarray
     deltas: np.ndarray
     q: np.ndarray
+    mean_cos: float
 
 
 @dataclass
@@ -114,7 +119,6 @@ class TrainResult:
     model: MculoraModel
     epoch_rows: list[EpochRow] = field(default_factory=list)
     schedule_rows: list[ScheduleRow] = field(default_factory=list)
-    probe_rows: list[tuple[int, float]] = field(default_factory=list)
 
 
 class Adam:
@@ -236,8 +240,7 @@ def finetune(model: MculoraModel, dataset: Dataset | DatasetFile, cfg: Experimen
         deltas = scores - s_prev
         if cfg.dpft and model.adapters is not None:
             q = update_probabilities(q, deltas, cfg)
-        result.schedule_rows.append(ScheduleRow(epoch, scores, deltas, q))
-        result.probe_rows.append((epoch, mean_cos))
+        result.schedule_rows.append(ScheduleRow(epoch, scores, deltas, q, mean_cos))
         s_prev = scores
         result.epoch_rows.append(EpochRow(epoch, "finetune", *losses, (time.perf_counter() - t0) * 1e3))
     model.phase = "finetuned"
@@ -248,15 +251,12 @@ def finetune(model: MculoraModel, dataset: Dataset | DatasetFile, cfg: Experimen
 # metrics
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Metrics:
+class Metrics(NamedTuple):
+    """One row of a metrics table, in the document's column order."""
     acc: float
     f1: float
     wa: float
     ua: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.acc, self.f1, self.wa, self.ua)
 
 
 @dataclass
@@ -355,8 +355,7 @@ def evaluate(model: MculoraModel, dataset, protocol: str, cfg: ExperimentConfig)
     if protocol == "fixed":
         preds = predict_dataset(model, dataset, np.array([[c.mask] for c in ALL_COMBINATIONS]).repeat(n, axis=1))
         rows = {c.name: compute_metrics(p, dataset.labels) for c, p in zip(ALL_COMBINATIONS, preds)}
-        rows["average"] = Metrics(*[float(np.mean([rows[c.name].as_tuple()[k] for c in INCOMPLETE_COMBINATIONS]))
-                                    for k in range(4)])
+        rows["average"] = Metrics(*map(float, np.mean([rows[c.name] for c in INCOMPLETE_COMBINATIONS], axis=0)))
         return MetricsRecord(protocol="fixed", rows={name: rows[name] for name in _ROW_ORDER})
     if protocol == "random":
         masks = apply_random_missing(n, (cfg.mask_lo, cfg.mask_hi), seed=cfg.eval_seed)
@@ -396,8 +395,8 @@ def write_schedule_log(path, rows: list[ScheduleRow]) -> str:
                                      [[r.epoch, *r.scores, *r.deltas, *r.q] for r in rows]))
 
 
-def write_probe_log(path, rows: list[tuple[int, float]]) -> str:
-    return write_text(path, csv_text(PROBE_LOG_COLUMNS, rows))
+def write_probe_log(path, rows: list[ScheduleRow]) -> str:
+    return write_text(path, csv_text(PROBE_LOG_COLUMNS, [[r.epoch, r.mean_cos] for r in rows]))
 
 
 _METRICS_HEADER = "# mculora metrics v1"
@@ -407,7 +406,7 @@ _METRICS_COLUMNS = ["condition", "acc", "f1", "wa", "ua"]
 def format_metrics_document(record: MetricsRecord, config_echo: str, version: str) -> str:
     """Structured-text metrics table, its rows in the record's order, plus config echo and version string."""
     return (f"{_METRICS_HEADER}\nversion: {version}\nprotocol: {record.protocol}\nconfig: {config_echo}\n"
-            + csv_text(_METRICS_COLUMNS, [[name, *m.as_tuple()] for name, m in record.rows.items()]))
+            + csv_text(_METRICS_COLUMNS, [[name, *m] for name, m in record.rows.items()]))
 
 
 def parse_metrics_document(text: str) -> tuple[MetricsRecord, dict]:

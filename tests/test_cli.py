@@ -847,7 +847,7 @@ GOLDEN_MANIFEST = (
     '    "checkpoint.mcu": "cccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccc",\n'
     '    "epoch_log.csv": "28be021ebf99a1ffbdff796fbbf7de41185e7b1da7003dad64c6872a4214613e",\n'
     '    "probe_log.csv": "87f7a693a5a9119a0453a5570eda6848359c530272a60c2d21d0667ff8c4ee08",\n'
-    '    "schedule_log.csv": "4107875be03ba931d0da6a757c8700f72f6d6aeb8109a8bc9edd94a6d98e3bbe"\n'
+    '    "schedule_log.csv": "5e03322a40f8a8b76b3168545df1475aff4503948c47022624896107bb9e5c9e"\n'
     "  },\n"
     '  "command": "finetune",\n'
     '  "config": {\n'
@@ -900,8 +900,8 @@ def test_manifest_bytes_are_pinned(tmp_path, monkeypatch):
         model=None,
         epoch_rows=[trainer.EpochRow(1, "finetune", 0.5, 1 / 3, 0.1 + 0.2, 12.0),
                     trainer.EpochRow(2, "finetune", 0.25, 0.0, 0.25, 7.5)],
-        schedule_rows=[trainer.ScheduleRow(1, np.arange(7) / 7, -np.arange(7) / 3, np.full(7, 1 / 7))],
-        probe_rows=[(1, 0.125), (2, -1e-20)])
+        schedule_rows=[trainer.ScheduleRow(1, np.arange(7) / 7, -np.arange(7) / 3, np.full(7, 1 / 7), 0.125),
+                       trainer.ScheduleRow(2, np.zeros(7), np.zeros(7), np.full(7, 1 / 7), -1e-20)])
     monkeypatch.setattr(cli, "load_checkpoint", lambda path: None)
     monkeypatch.setattr(cli, "_split_rows", lambda cfg, path, split: contextlib.nullcontext([]))
     monkeypatch.setattr(cli, "finetune", lambda model, train, cfg, probe_batch: result)

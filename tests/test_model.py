@@ -43,10 +43,8 @@ def sample_features(seed=0, L=4):
 
 
 def predict_one(features, model):
-    """One sample's (y_last, y_hat, y_com, gate weight) as plain values."""
-    out = forward_batch(model, {m: x[None] for m, x in features.items()})
-    weight = float(out["weight"].data[0, 0]) if out["weight"] is not None else None
-    return out["y_last"].data[0], out["y_hat"].data[0], out["y_com"].data[0], weight
+    """One sample's prediction y_last as plain values."""
+    return forward_batch(model, {m: x[None] for m, x in features.items()})["y_last"].data[0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +252,21 @@ def test_combine_predictions_midpoint():
     assert np.array_equal(out.data, [[1.0, 1.0]])
 
 
-def test_predict_consistency_and_purity():
+def test_predict_consistency_and_purity(monkeypatch):
     model = small_model()
     utt = sample_features(3)
-    y_last, y_hat, y_com, w = predict_one(utt, model)
+    blends = []  # the (y_com, y_hat, gate weight) of each blend the forward pass makes
+
+    def recorded(y_com, y_hat, w):
+        blends.append((y_com.data[0], y_hat.data[0], float(w.data[0, 0])))
+        return combine_predictions(y_com, y_hat, w)
+    monkeypatch.setattr(model_module, "combine_predictions", recorded)
+    y_last = predict_one(utt, model)
+    (y_com, y_hat, w), = blends
     assert 0.0 < w < 1.0
     assert np.allclose(y_last, (1 - w) * y_com + w * y_hat, atol=1e-12)
     again = predict_one(utt, model)
-    assert np.array_equal(y_last, again[0])
+    assert np.array_equal(y_last, again)
 
 
 def test_zero_init_adapters_reproduce_pretrained_predictions():
@@ -270,9 +275,22 @@ def test_zero_init_adapters_reproduce_pretrained_predictions():
     utt = sample_features(4)
     for combo in ALL_COMBINATIONS:
         masked = {m: utt[m] for m in combo}
-        y_base = predict_one(masked, base)[0]
-        y_tuned = predict_one(masked, tuned)[0]
+        y_base = predict_one(masked, base)
+        y_tuned = predict_one(masked, tuned)
         assert np.max(np.abs(y_base - y_tuned)) <= 1e-12
+
+
+@pytest.mark.parametrize("mcla", [True, False], ids=["mcla", "base"])
+def test_forward_returns_the_pooled_rows_and_the_prediction(mcla):
+    model = small_model(adapters=False)
+    attach_adapters(model, Rng(1), rank=2, mcla=mcla)
+    feats, _ = batch_features(seed=13)
+    for combo in ALL_COMBINATIONS:
+        out = forward_batch(model, {m: feats[m] for m in combo})
+        assert list(out) == ["enc_pooled", "com_pooled", "prt_pooled", "y_last"]
+        assert list(out["enc_pooled"]) == list(combo)
+        assert list(out["com_pooled"]) == list(out["prt_pooled"]) == (list(combo) if mcla else [])
+        assert out["y_last"].shape == (5, 3)
 
 
 def test_forward_batch_empty_presence_is_contract_error():
@@ -442,8 +460,8 @@ def test_parameter_table(mcla, loaded, tmp_path, monkeypatch):
     table = model.params
     assert set(table) == set(_parameter_shapes(6, 8, 3, 2, adapters=mcla))
 
-    groups = {group: model.parameters(group) for group in ("pretrain", "finetune", "all")}
-    assert set(groups["pretrain"]) | set(groups["finetune"]) == set(groups["all"]) == set(table)
+    groups = {group: model.parameters(group) for group in ("pretrain", "finetune")}
+    assert set(groups["pretrain"]) | set(groups["finetune"]) == set(table)
     assert set(groups["pretrain"]) & set(groups["finetune"]) == {"head.com.W", "head.com.b"}
     assert all(t is table[name] for group in groups.values() for name, t in group.items())
 
@@ -481,13 +499,13 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
     assert loaded.phase == "finetuned"
-    orig = model.parameters("all")
-    new = loaded.parameters("all")
+    orig = model.params
+    new = loaded.params
     assert set(orig) == set(new)
     for name in orig:
         assert np.array_equal(orig[name].data, new[name].data), name
     utt = sample_features(6)
-    assert np.array_equal(predict_one(utt, model)[0], predict_one(utt, loaded)[0])
+    assert np.array_equal(predict_one(utt, model), predict_one(utt, loaded))
 
 
 def test_checkpoint_rank_must_be_the_adapter_arrays_rank(tmp_path):
@@ -513,13 +531,13 @@ def test_checkpoint_save_starts_no_thread(tmp_path, monkeypatch):
     model = small_model(seed=7)
     save_checkpoint(model, tmp_path / "ckpt.mcu")  # a checkpoint holds no chunked array
     loaded = load_checkpoint(tmp_path / "ckpt.mcu")
-    assert all(np.array_equal(t.data, loaded.parameters("all")[k].data) for k, t in model.parameters("all").items())
+    assert all(np.array_equal(t.data, loaded.params[k].data) for k, t in model.params.items())
 
 
 def test_model_construction_is_seed_deterministic():
     m1 = small_model(seed=11)
     m2 = small_model(seed=11)
-    p1, p2 = m1.parameters("all"), m2.parameters("all")
+    p1, p2 = m1.params, m2.params
     for name in p1:
         assert np.array_equal(p1[name].data, p2[name].data)
 

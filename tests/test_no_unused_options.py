@@ -1,17 +1,28 @@
-"""Every optional parameter of the package is passed somewhere.
+"""Every optional parameter of the package is passed by the program.
 
-An optional parameter that no call in src/, bench/ or tests/ ever passes only
-ever takes its default, so it is a constant dressed up as an option. Calls
-are matched to definitions by name (a method by its attribute name, a class's
-``__init__`` by the class name), so a call to another callable of the same
-name counts too; a call that splats ``*args`` or ``**kwargs`` counts as
-passing every parameter.
+An optional parameter that no call in src/, bench/ or tools/ ever passes only
+ever takes its default in use, so it is a constant dressed up as an option;
+a call in tests/ does not count, since an option only tests pass is a path
+kept alive for its tests. Calls are matched to definitions by name (a method
+by its attribute name, a class's ``__init__`` by the class name, a name
+imported with ``from ... import x as y`` by x), so a call to another callable
+of the same name counts too; a call that splats ``*args`` or ``**kwargs``
+counts as passing every parameter. ``_EXCEPTIONS`` names the options that
+only tests pass, each with the reason it stays.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# (file, callable, parameter) -> why the option stays although only tests pass it
+_EXCEPTIONS = {
+    ("src/mculora/autodiff.py", "tmean", "axis"):
+        "the fused encoder's bit-identity test builds its reference chain with a mean over positions",
+    ("src/mculora/synthgen.py", "generate_dataset", "root_rng"):
+        "only tests call generate_dataset (the benchmark's tracing names it), until it moves out of the package",
+}
 
 
 def optional_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
@@ -41,14 +52,18 @@ def optional_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
 
 def passed(trees: list[ast.Module]) -> tuple[set[tuple[str, str]], dict[str, int], set[str]]:
     """Keywords passed per callable name, the most positional arguments any call
-    passes, and the names called with a splat."""
+    passes, and the names called with a splat; a name a module imported under
+    an alias is the imported name."""
     keywords, most, splatted = set(), {}, set()
     for tree in trees:
+        aliases = {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   for a in node.names if a.asname}
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            name = (aliases.get(func.id, func.id) if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
             if name is None:
                 continue
             if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
@@ -83,7 +98,7 @@ def test_scan_finds_optional_parameters_no_call_passes():
                 "def splat(w=0): pass\n",
         "b.py": "from a import f, C\nf(0, 1)\nC(1).m(2)\n",
     }
-    users = {"test.py": "from a import f, C, splat\nf(0, k=4)\nC.st(5)\nsplat(**{})\n"}
+    users = {"tool.py": "from a import f, C, splat\nfrom a import st as static\nf(0, k=4)\nstatic(5)\nsplat(**{})\n"}
     assert unpassed_options(package, users) == [("a.py", "C", "q"), ("a.py", "f", "z"), ("a.py", "m", "s")]
     assert unpassed_options(package, {}) == [("a.py", "C", "q"), ("a.py", "f", "k"), ("a.py", "f", "z"),
                                              ("a.py", "m", "s"), ("a.py", "splat", "w"), ("a.py", "st", "u")]
@@ -94,4 +109,4 @@ def test_every_optional_package_parameter_is_passed_somewhere():
         return {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in sorted(ROOT.glob(f"{folder}/**/*.py"))}
     package = sources("src/mculora")
     assert package
-    assert unpassed_options(package, {**sources("bench"), **sources("tests")}) == []
+    assert unpassed_options(package, {**sources("bench"), **sources("tools")}) == sorted(_EXCEPTIONS)

@@ -525,7 +525,7 @@ def test_log_files_have_documented_headers(tmp_path):
     ep, sp, pp = tmp_path / "e.csv", tmp_path / "s.csv", tmp_path / "p.csv"
     write_epoch_log(ep, res.epoch_rows + fres.epoch_rows)
     write_schedule_log(sp, fres.schedule_rows)
-    write_probe_log(pp, fres.probe_rows)
+    write_probe_log(pp, fres.schedule_rows)
     assert ep.read_text().splitlines()[0] == "epoch,phase,l_task,l_ort,l_total,wallclock_ms"
     sched_header = sp.read_text().splitlines()[0]
     assert sched_header.startswith("epoch,s_a,s_t,s_v,s_av,s_at,s_tv,s_atv,ds_a")
@@ -542,7 +542,7 @@ def test_log_cells_are_plain_numbers(tmp_path):
     fres = finetune(res.model, ds, cfg)
     write_epoch_log(tmp_path / "e.csv", res.epoch_rows + fres.epoch_rows)
     write_schedule_log(tmp_path / "s.csv", fres.schedule_rows)
-    write_probe_log(tmp_path / "p.csv", fres.probe_rows)
+    write_probe_log(tmp_path / "p.csv", fres.schedule_rows)
     for name in ("e.csv", "s.csv", "p.csv"):
         header, *rows = (tmp_path / name).read_text().splitlines()
         assert rows, name
