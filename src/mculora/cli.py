@@ -41,6 +41,7 @@ from .model import load_checkpoint, save_checkpoint
 from .serialize import write_text
 from .synthgen import DatasetFile, save_dataset, split_bounds
 from .trainer import (
+    Metrics,
     MetricsRecord,
     csv_text,
     evaluate,
@@ -127,11 +128,13 @@ def _make_out_dir(path) -> Path:
 
 def _split_rows(cfg: ExperimentConfig, data_path: str, split: str) -> DatasetFile:
     """The rows of one split of the dataset file, opened: "train", "probe"
-    (the first ``probe_size`` validation samples) or "test"."""
+    (the first ``probe_size`` validation samples or, with no validation
+    split, the last ``probe_size`` training samples) or "test"."""
     def rows(n: int) -> slice:
         n_train, n_val = split_bounds(n, cfg.train_frac, cfg.val_frac)
-        return {"train": slice(0, n_train), "probe": slice(n_train, n_train + min(cfg.probe_size, n_val)),
-                "test": slice(n_train + n_val, n)}[split]
+        probe = (slice(n_train, n_train + min(cfg.probe_size, n_val)) if n_val
+                 else slice(max(0, n_train - cfg.probe_size), n_train))
+        return {"train": slice(0, n_train), "probe": probe, "test": slice(n_train + n_val, n)}[split]
     return DatasetFile(data_path, rows)
 
 
@@ -157,7 +160,7 @@ def cmd_finetune(args) -> int:
     cfg, out_dir = _prepare(args)
     model = load_checkpoint(args.checkpoint)
     with _split_rows(cfg, args.data, "probe") as probe, _split_rows(cfg, args.data, "train") as train:
-        result = finetune(model, train, cfg, probe_batch=probe if len(probe) else None)
+        result = finetune(model, train, cfg, probe)
     write_manifest(out_dir, "finetune", cfg, args.config, {
         "checkpoint.mcu": save_checkpoint(result.model, out_dir / "checkpoint.mcu"),
         "epoch_log.csv": write_epoch_log(out_dir / "epoch_log.csv", result.epoch_rows),
@@ -214,7 +217,7 @@ def cmd_report(args) -> int:
     curves.mkdir(exist_ok=True)
     for cond in conditions:
         rows = [[name, *m] for name, record in runs if (m := record.rows.get(cond)) is not None]
-        write_text(curves / f"condition_{cond}.csv", csv_text(["run", "acc", "f1", "wa", "ua"], rows))
+        write_text(curves / f"condition_{cond}.csv", csv_text(["run", *Metrics._fields], rows))
     print(f"report written to {out_dir / 'report.txt'} ({len(runs)} runs)")
     return EXIT_OK
 

@@ -435,7 +435,7 @@ def load_checkpoint(path) -> MculoraModel:
         raise ContractError(f"checkpoint {path} holds arrays the model does not have: {sorted(extra)}")
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
-            raise ContractError(f"checkpoint parameter {name} has shape {arrays[name].shape}, expected {shape}")
+            raise ContractError(f"checkpoint {path}: parameter {name} has shape {arrays[name].shape}, expected {shape}")
     model = MculoraModel(arrays, cfg.rank, float(cfg.alpha))
     model.phase = meta["phase"]
     if model.phase in ("pretrained", "finetuned"):

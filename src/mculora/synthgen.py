@@ -275,7 +275,10 @@ class DatasetFile:
             n = self._file.length()
             lo, hi, _ = rows(n).indices(n)
             self._lo, self.labels = lo, self._file.read("labels", slice(lo, hi))
-            self[:0]  # reads no rows: checks the feature shapes
+            try:
+                self[:0]  # reads no rows: checks the feature shapes
+            except ContractError as exc:
+                raise ContractError(f"{path}: {exc}") from None
         except BaseException:
             self._file.close()
             raise

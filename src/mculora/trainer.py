@@ -30,7 +30,9 @@ dpft=False does.
 Non-finite training fails loudly: a NaN or infinite loss, or an Adam update
 that would make a parameter non-finite, raises :class:`ContractError` naming
 the phase, epoch, step (1-based within the epoch), combination and parameter,
-before any parameter takes the bad value.
+before any parameter takes the bad value; so does a non-finite separability
+score or probe cosine, naming the epoch. Evaluation refuses non-finite
+logits, naming the combination, rather than predicting class 0 for them.
 
 Evaluation reports ACC, macro-F1, WA (class-frequency-weighted recall) and
 UA (mean per-class recall) per testing condition. WA equals ACC by definition,
@@ -92,8 +94,8 @@ _HEAD_ROWS = 512  # test rows encoded and then run through the adapters, fusion 
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
-@dataclass
-class EpochRow:
+class EpochRow(NamedTuple):
+    """One epoch's mean losses and wallclock; its fields are the epoch log's columns."""
     epoch: int
     phase: str
     l_task: float
@@ -214,17 +216,17 @@ def pretrain(dataset, cfg: ExperimentConfig) -> TrainResult:
 
 
 def finetune(model: MculoraModel, dataset: Dataset | DatasetFile, cfg: ExperimentConfig,
-             probe_batch: Dataset | DatasetFile | None = None) -> TrainResult:
-    """Fine-tune adapters/heads/gate under scheduled incomplete batches."""
+             probe: Dataset | DatasetFile) -> TrainResult:
+    """Fine-tune adapters/heads/gate under scheduled incomplete batches, scoring
+    every row of `probe` (the caller chooses them) after each epoch; a
+    non-finite score or probe cosine raises :class:`ContractError` naming the epoch."""
     cfg.validate()
     if model.phase != "pretrained":
         raise ContractError(f"finetune requires a pretrained checkpoint, phase is {model.phase!r}")
     root = Rng(cfg.seed)
     # scoring reads only the probe's sequence-mean raw rows, which need no encoder: its
-    # (n, L, D) rows are read, averaged and dropped before the training rows are encoded
-    probe_rows = dataset[-min(cfg.probe_size, len(dataset)):] if probe_batch is None else probe_batch[:cfg.probe_size]
-    probe = {m: x.mean(axis=1) for m, x in probe_rows.features.items()}
-    del probe_rows
+    # (n, L, D) rows are read and averaged before the training rows are encoded
+    probe_raw = {m: x.mean(axis=1) for m, x in probe[:].features.items()}
     attach_adapters(model, root.child("attach"), rank=cfg.rank, alpha=cfg.alpha, mcla=cfg.mcla)
     # the base is frozen: each training row goes through it once
     train = _encode_rows(model, dataset, 0, np.full(len(dataset), FULL.mask))
@@ -236,7 +238,9 @@ def finetune(model: MculoraModel, dataset: Dataset | DatasetFile, cfg: Experimen
     for epoch, losses, t0 in _train(model, dataset.labels, cfg, "finetune", cfg.finetune_epochs,
                                     lambda: sample_combination(q, samp_rng),
                                     lambda idx, combo: forward_pooled(model, train.rows(idx, combo))):
-        scores, mean_cos = separability_scores(model, probe)
+        scores, mean_cos = separability_scores(model, probe_raw)
+        if not np.isfinite([*scores, mean_cos]).all():
+            raise ContractError(f"finetune epoch {epoch}: the probe's separability scores or cosine are non-finite")
         deltas = scores - s_prev
         if cfg.dpft and model.adapters is not None:
             q = update_probabilities(q, deltas, cfg)
@@ -331,7 +335,8 @@ def predict_dataset(model: MculoraModel, dataset, masks: np.ndarray) -> np.ndarr
     taken one window of ``_HEAD_ROWS`` rows at a time: each row of the window
     is read and encoded once per modality that some view of it keeps, then
     the window's rows of each view and combination run through the rest of
-    the model as one group. Only the predictions outlive the window."""
+    the model as one group. Only the predictions outlive the window.
+    Non-finite logits raise :class:`ContractError` naming the combination."""
     views = masks.reshape(-1, len(dataset))
     need = np.bitwise_or.reduce(views, axis=0)
     preds = np.zeros(views.shape, dtype=np.int64)
@@ -341,7 +346,9 @@ def predict_dataset(model: MculoraModel, dataset, masks: np.ndarray) -> np.ndarr
             for combo in ALL_COMBINATIONS:
                 rows = np.nonzero(view == combo.mask)[0]
                 if rows.size:
-                    pred[rows] = np.argmax(forward_pooled(model, pooled.rows(rows, combo))["y_last"].data, axis=1)
+                    logits = ad.check_finite(forward_pooled(model, pooled.rows(rows, combo))["y_last"],
+                                             f"eval combination {combo.name}: logits")
+                    pred[rows] = np.argmax(logits.data, axis=1)
     return preds.reshape(masks.shape)
 
 
@@ -368,16 +375,7 @@ def evaluate(model: MculoraModel, dataset, protocol: str, cfg: ExperimentConfig)
 # log and document formatting
 # ---------------------------------------------------------------------------
 
-_COMBO_NAMES = [c.name for c in ALL_COMBINATIONS]
-
-EPOCH_LOG_COLUMNS = ["epoch", "phase", "l_task", "l_ort", "l_total", "wallclock_ms"]
-SCHEDULE_LOG_COLUMNS = ([f"s_{c}" for c in _COMBO_NAMES]
-                        + [f"ds_{c}" for c in _COMBO_NAMES]
-                        + [f"q_{c}" for c in _COMBO_NAMES])
-PROBE_LOG_COLUMNS = ["epoch", "mean_cos_prt_com"]
-
-
-def csv_text(header: list[str], rows) -> str:
+def csv_text(header: list[str] | tuple[str, ...], rows) -> str:
     """The CSV lines of `header` and then each row, each line ending in a
     newline; a float cell (numpy's too) is its shortest round-tripping repr,
     any other cell its str()."""
@@ -386,21 +384,20 @@ def csv_text(header: list[str], rows) -> str:
 
 
 def write_epoch_log(path, rows: list[EpochRow]) -> str:
-    return write_text(path, csv_text(EPOCH_LOG_COLUMNS, [[r.epoch, r.phase, r.l_task, r.l_ort, r.l_total,
-                                                          r.wallclock_ms] for r in rows]))
+    return write_text(path, csv_text(EpochRow._fields, rows))
 
 
 def write_schedule_log(path, rows: list[ScheduleRow]) -> str:
-    return write_text(path, csv_text(["epoch"] + SCHEDULE_LOG_COLUMNS,
-                                     [[r.epoch, *r.scores, *r.deltas, *r.q] for r in rows]))
+    header = ["epoch", *(f"{kind}_{c.name}" for kind in ("s", "ds", "q") for c in ALL_COMBINATIONS)]
+    return write_text(path, csv_text(header, [[r.epoch, *r.scores, *r.deltas, *r.q] for r in rows]))
 
 
 def write_probe_log(path, rows: list[ScheduleRow]) -> str:
-    return write_text(path, csv_text(PROBE_LOG_COLUMNS, [[r.epoch, r.mean_cos] for r in rows]))
+    return write_text(path, csv_text(["epoch", "mean_cos_prt_com"], [[r.epoch, r.mean_cos] for r in rows]))
 
 
 _METRICS_HEADER = "# mculora metrics v1"
-_METRICS_COLUMNS = ["condition", "acc", "f1", "wa", "ua"]
+_METRICS_COLUMNS = ["condition", *Metrics._fields]
 
 
 def format_metrics_document(record: MetricsRecord, config_echo: str, version: str) -> str:
@@ -424,7 +421,7 @@ def parse_metrics_document(text: str) -> tuple[MetricsRecord, dict]:
     rows: dict[str, Metrics] = {}
     for ln in lines[idx + 1:]:
         name, *vals = ln.split(",")
-        if len(vals) != 4:
-            raise ContractError(f"metrics row {ln!r} has {len(vals)} values, expected 4")
+        if len(vals) != len(Metrics._fields):
+            raise ContractError(f"metrics row {ln!r} has {len(vals)} values, expected {len(Metrics._fields)}")
         rows[name] = Metrics(*(float(v) for v in vals))
     return MetricsRecord(protocol=meta.get("protocol", "?"), rows=rows), meta

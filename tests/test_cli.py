@@ -17,7 +17,7 @@ from mculora.cli import _split_rows, main
 from mculora.config import ExperimentConfig, parse_config_text, version_string
 from mculora.errors import ConfigError, ContractError
 from mculora.modalities import MODALITIES
-from mculora.model import build_model, save_checkpoint
+from mculora.model import attach_adapters, build_model, load_checkpoint, save_checkpoint
 from mculora.rng import Rng
 from mculora.serialize import load_container, save_container
 from mculora.synthgen import generate_dataset, save_dataset, split_dataset
@@ -812,7 +812,8 @@ def test_command_row_ranges_are_the_splits_of_a_full_load(n, seq_len, train_frac
         path = Path(tmp) / "dataset.mcu"
         save_dataset(path, cfg)
         train, val, test = split_dataset(read_dataset(path), cfg.train_frac, cfg.val_frac)
-        for split, want in (("train", train), ("probe", val[:probe_size]), ("test", test)):
+        probe = val[:probe_size] if len(val) else train[-probe_size:]  # an empty validation split: the last train rows
+        for split, want in (("train", train), ("probe", probe), ("test", test)):
             with _split_rows(cfg, path, split) as rows:
                 assert len(rows) == len(want)
                 assert_same_dataset(rows[:], want)
@@ -839,6 +840,79 @@ def test_finetune_of_a_nan_weight_exits_3_naming_the_step_and_writes_no_checkpoi
     assert re.search(r"finetune epoch 1 step 1 combination [atv]+: loss contains non-finite values",
                      capsys.readouterr().err)
     assert not (tmp / "fin" / "checkpoint.mcu").exists()
+
+
+def _nan_at(name, index):
+    def edit(arrays):
+        arrays[name][index] = float("nan")
+    return edit
+
+
+def _widen(name):
+    def edit(arrays):
+        arrays[name] = np.concatenate([arrays[name], arrays[name][..., :1]], axis=-1)
+    return edit
+
+
+# TINY_CONFIG splits its 80 rows 56 / 12 / 12: row 56 is the probe's first row, row 70 a test row.
+# case: (the container corrupted, its edit, the command, finetune_epochs, what the one error line names)
+CORRUPT_INPUTS = {
+    "eval-fixed-of-a-nan-parameter": ("pre", _nan_at("head.com.W", (0, 0)), ["eval", "--protocol", "fixed"], 2,
+                                      r"eval combination a: logits contains non-finite values$"),
+    "eval-random-of-a-nan-parameter": ("pre", _nan_at("head.com.W", (0, 0)), ["eval", "--protocol", "random"], 2,
+                                       r"eval combination [atv]+: logits contains non-finite values$"),
+    "eval-of-a-nan-test-row": ("data", _nan_at("features_v", (70, 1, 2)), ["eval", "--protocol", "fixed"], 2,
+                               r"eval combination v: logits contains non-finite values$"),
+    "finetune-1-epoch-of-a-nan-probe-row": ("data", _nan_at("features_t", (56, 0, 0)), ["finetune"], 1,
+                                            r"finetune epoch 1: .*non-finite$"),
+    "finetune-2-epochs-of-a-nan-probe-row": ("data", _nan_at("features_t", (56, 0, 0)), ["finetune"], 2,
+                                             r"finetune epoch 1: .*non-finite$"),
+    "parameter-of-the-wrong-shape": ("fin", _widen("gate.W2"), ["eval", "--protocol", "fixed"], 2,
+                                     r"bad\.mcu: parameter gate\.W2 has shape \(16, 2\), expected \(16, 1\)$"),
+    "dataset-features-of-two-widths": ("data", _widen("features_t"), ["pretrain"], 2,
+                                       r"bad\.mcu: need features for \('a', 't', 'v'\) of one \(N, L, D\) shape"),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPT_INPUTS)
+def test_corrupt_input_exits_3_with_one_error_line_naming_it_and_writes_nothing(workspace, capsys, case):
+    tmp, cfg = workspace
+    target, edit, command, epochs, named = CORRUPT_INPUTS[case]
+    assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
+    model = build_model(parse_config_text(TINY_CONFIG), 8, Rng(0))
+    model.phase = "pretrained"
+    save_checkpoint(model, tmp / "pre.mcu")
+    attach_adapters(model, Rng(1), rank=2)
+    model.phase = "finetuned"
+    save_checkpoint(model, tmp / "fin.mcu")
+    paths = {"data": tmp / "data" / "dataset.mcu", "pre": tmp / "pre.mcu", "fin": tmp / "fin.mcu"}
+    kind = "dataset" if target == "data" else "checkpoint"
+    _, meta, arrays = load_container(paths[target], expected_kind=kind)
+    edit(arrays)
+    save_container(tmp / "bad.mcu", kind, meta, arrays)
+    paths[target] = tmp / "bad.mcu"
+    (tmp / "case.cfg").write_text(TINY_CONFIG.replace("finetune_epochs = 2", f"finetune_epochs = {epochs}"))
+    checkpoint = [] if command == ["pretrain"] else ["--checkpoint", paths["fin" if target == "fin" else "pre"]]
+    capsys.readouterr()
+    assert run(*command, "--config", tmp / "case.cfg", "--data", paths["data"], *checkpoint, "--out", tmp / "out") == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and re.search(named, err[0]), err
+    assert list((tmp / "out").iterdir()) == []
+
+
+def test_finetune_without_a_validation_split_scores_the_last_training_rows(workspace):
+    tmp, _ = workspace
+    cfg = tmp / "noval.cfg"
+    cfg.write_text(TINY_CONFIG + "val_frac = 0\n")
+    data, pre, fin = full_pipeline(tmp, cfg)
+    config = parse_config_text(cfg.read_text())
+    train = read_dataset(data / "dataset.mcu", rows=lambda n: slice(0, round(n * config.train_frac)))
+    assert len(train) == 56 > config.probe_size
+    result = trainer.finetune(load_checkpoint(pre / "checkpoint.mcu"), train, config, train[-config.probe_size:])
+    trainer.write_schedule_log(tmp / "schedule_log.csv", result.schedule_rows)
+    trainer.write_probe_log(tmp / "probe_log.csv", result.schedule_rows)
+    for name in ("schedule_log.csv", "probe_log.csv"):
+        assert (fin / name).read_bytes() == (tmp / name).read_bytes(), name
 
 
 GOLDEN_MANIFEST = (
@@ -904,7 +978,7 @@ def test_manifest_bytes_are_pinned(tmp_path, monkeypatch):
                        trainer.ScheduleRow(2, np.zeros(7), np.zeros(7), np.full(7, 1 / 7), -1e-20)])
     monkeypatch.setattr(cli, "load_checkpoint", lambda path: None)
     monkeypatch.setattr(cli, "_split_rows", lambda cfg, path, split: contextlib.nullcontext([]))
-    monkeypatch.setattr(cli, "finetune", lambda model, train, cfg, probe_batch: result)
+    monkeypatch.setattr(cli, "finetune", lambda model, train, cfg, probe: result)
     monkeypatch.setattr(cli, "save_checkpoint", lambda model, path: "c" * 64)
     monkeypatch.setattr(config, "version_string", lambda: "0.1.0+pinned")
     monkeypatch.chdir(tmp_path)

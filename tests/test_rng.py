@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from mculora.rng import Rng, derive_seed
 
@@ -34,3 +35,22 @@ def test_categorical_draws_only_positive_weights():
 
 def test_permutation_is_deterministic():
     assert np.array_equal(Rng(3).permutation(20), Rng(3).permutation(20))
+
+
+@pytest.mark.parametrize("seed", [0, 66, 2**63 + 5])
+def test_every_draw_is_numpys_philox_stream_of_the_seed(seed):
+    # the draws the package takes, each with numpy's own signature, interleaved on one stream
+    rng, ref = Rng(seed), np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    assert np.array_equal(rng.normal(size=(3, 4)), ref.normal(size=(3, 4)))
+    assert np.array_equal(rng.normal(0.0, 0.02, size=(2, 5)), ref.normal(0.0, 0.02, size=(2, 5)))
+    assert np.array_equal(rng.uniform(size=7), ref.uniform(size=7))
+    assert np.array_equal(rng.uniform(0.2, 0.6, size=(4, 3)), ref.uniform(0.2, 0.6, size=(4, 3)))
+    assert np.array_equal(rng.integers(0, 3, size=9), ref.integers(0, 3, size=9))
+    assert np.array_equal(rng.permutation(20), ref.permutation(20))
+    out, want = np.zeros((5, 2)), np.zeros((5, 2))
+    block = out[:3]  # a leading block of a buffer, as the generator fills them
+    assert rng.standard_normal(out=block) is block
+    ref.standard_normal(out=want[:3])
+    assert np.array_equal(out, want)
+    child = np.random.Generator(np.random.Philox(np.random.SeedSequence(derive_seed(seed, "data"))))
+    assert np.array_equal(Rng(seed).child("data").normal(size=50), child.normal(size=50))

@@ -126,14 +126,16 @@ def test_finetune_requires_pretrained_phase():
     ds = tiny_synth(n=20)
     res = pretrain(ds, tiny_cfg())
     res.model.phase = "finetuned"
+    cfg = tiny_cfg()
     with pytest.raises(ContractError):
-        finetune(res.model, ds, tiny_cfg())
+        finetune(res.model, ds, cfg, ds[-cfg.probe_size:])
 
 
 def test_finetune_dpft_off_keeps_uniform_schedule():
     ds = tiny_synth(n=40)
     model = pretrain(ds, tiny_cfg()).model
-    res = finetune(model, ds, tiny_cfg(dpft=False, finetune_epochs=3))
+    cfg = tiny_cfg(dpft=False, finetune_epochs=3)
+    res = finetune(model, ds, cfg, ds[-cfg.probe_size:])
     assert len(res.schedule_rows) == 3
     for row in res.schedule_rows:
         assert np.allclose(row.q, 1.0 / 7.0, atol=1e-15)
@@ -144,7 +146,7 @@ def test_finetune_without_adapters_keeps_the_schedule_uniform(tmp_path):
     ds = tiny_synth(n=40)
     for dpft in (True, False):
         cfg = tiny_cfg(mcla=False, dpft=dpft, finetune_epochs=3)
-        res = finetune(pretrain(ds, cfg).model, ds, cfg)
+        res = finetune(pretrain(ds, cfg).model, ds, cfg, ds[-cfg.probe_size:])
         assert len(res.schedule_rows) == 3
         for row in res.schedule_rows:
             assert np.array_equal(row.scores, np.zeros(7)) and np.array_equal(row.deltas, np.zeros(7))
@@ -157,7 +159,7 @@ def test_finetune_dpft_on_emits_one_schedule_row_per_epoch_within_bounds():
     ds = tiny_synth(n=40)
     cfg = tiny_cfg(finetune_epochs=4)
     model = pretrain(ds, cfg).model
-    res = finetune(model, ds, cfg)
+    res = finetune(model, ds, cfg, ds[-cfg.probe_size:])
     assert len(res.schedule_rows) == cfg.finetune_epochs
     for row in res.schedule_rows:
         assert np.all(row.q >= cfg.p_min) and np.all(row.q <= cfg.p_max)
@@ -168,7 +170,7 @@ def test_first_logged_deltas_equal_first_scores():
     ds = tiny_synth(n=40)
     cfg = tiny_cfg()
     model = pretrain(ds, cfg).model
-    first = finetune(model, ds, cfg).schedule_rows[0]
+    first = finetune(model, ds, cfg, ds[-cfg.probe_size:]).schedule_rows[0]
     assert np.array_equal(first.deltas, first.scores)
 
 
@@ -177,7 +179,7 @@ def test_finetune_computes_no_fusion_gradients(mcla):
     ds = tiny_synth(n=40)
     cfg = tiny_cfg(finetune_epochs=1, mcla=mcla)
     model = pretrain(ds, cfg).model
-    finetune(model, ds, cfg)
+    finetune(model, ds, cfg, ds[-cfg.probe_size:])
     for name, t in model.params.items():
         if name.startswith("fusion."):
             assert not t.requires_grad and t.grad is None, name
@@ -187,7 +189,7 @@ def test_finetune_loss_ledger_consistency():
     ds = tiny_synth(n=40)
     cfg = tiny_cfg(finetune_epochs=2, beta=0.001)
     model = pretrain(ds, cfg).model
-    res = finetune(model, ds, cfg)
+    res = finetune(model, ds, cfg, ds[-cfg.probe_size:])
     for row in res.epoch_rows:
         assert abs(row.l_total - (row.l_task + cfg.beta * row.l_ort)) <= 1e-12
 
@@ -197,7 +199,7 @@ def test_finetune_leaves_encoder_parameters_untouched():
     cfg = tiny_cfg(finetune_epochs=3)
     model = pretrain(ds, cfg).model
     before = encoder_state_bytes(model)
-    finetune(model, ds, cfg)
+    finetune(model, ds, cfg, ds[-cfg.probe_size:])
     assert encoder_state_bytes(model) == before
 
 
@@ -208,8 +210,8 @@ def test_finetune_beta_zero_vs_beta_diverge_in_ort_trajectories():
     cfg_b = tiny_cfg(finetune_epochs=3, beta=0.01)
     model_a = pretrain(ds, tiny_cfg()).model
     model_b = pretrain(ds, tiny_cfg()).model
-    res_a = finetune(model_a, ds, cfg_a)
-    res_b = finetune(model_b, ds, cfg_b)
+    res_a = finetune(model_a, ds, cfg_a, ds[-cfg_a.probe_size:])
+    res_b = finetune(model_b, ds, cfg_b, ds[-cfg_b.probe_size:])
     traj_a = [r.l_ort for r in res_a.epoch_rows]
     traj_b = [r.l_ort for r in res_b.epoch_rows]
     assert traj_a != traj_b
@@ -224,7 +226,7 @@ def test_finetune_mcla_off_trains_common_head_only():
     model = pretrain(ds, cfg).model
     head_before = model.params["head.com.W"].data.copy()
     fusion_before = model.params["fusion.query"].data.copy()
-    res = finetune(model, ds, cfg)
+    res = finetune(model, ds, cfg, ds[-cfg.probe_size:])
     assert res.model.adapters is None
     assert "head.prt.W" not in res.model.params
     assert not np.array_equal(model.params["head.com.W"].data, head_before)
@@ -238,7 +240,7 @@ def test_full_pipeline_seed_determinism():
     for _ in range(2):
         cfg = tiny_cfg(finetune_epochs=2)
         model = pretrain(ds, cfg).model
-        finetune(model, ds, cfg)
+        finetune(model, ds, cfg, ds[-cfg.probe_size:])
         records.append(evaluate(model, tiny_synth(n=24, seed=2), "fixed", cfg))
     r1, r2 = records
     for name in r1.rows:
@@ -319,7 +321,7 @@ def trained_tiny_model():
     ds = tiny_synth(n=60)
     cfg = tiny_cfg()
     model = pretrain(ds, cfg).model
-    finetune(model, ds, cfg)
+    finetune(model, ds, cfg, ds[-cfg.probe_size:])
     return model, cfg
 
 
@@ -448,7 +450,7 @@ def test_chunked_eval_holds_less_than_one_modality_of_the_test_split(tmp_path):
     train = read_dataset(tmp_path / "d.mcu", rows=lambda n: slice(0, 64))
     cfg = tiny_cfg(pretrain_epochs=1, finetune_epochs=1)
     model = pretrain(train, cfg).model
-    finetune(model, train, cfg)
+    finetune(model, train, cfg, train[-cfg.probe_size:])
     with DatasetFile(tmp_path / "d.mcu", lambda n: slice(512, n)) as test:
         assert len(test) == 2048 and len(test) * data.seq_len >= 8 * trainer._EVAL_POSITIONS  # read in 32 chunks
         feature_bytes = len(test) * data.seq_len * data.raw_dim * 8  # one modality of the test split
@@ -477,7 +479,7 @@ def test_eval_heap_peak_does_not_grow_with_the_test_split(tmp_path):
     train = read_dataset(tmp_path / "d.mcu", rows=lambda n: slice(0, 64))
     cfg = tiny_cfg(pretrain_epochs=1, finetune_epochs=1)
     model = pretrain(train, cfg).model
-    finetune(model, train, cfg)
+    finetune(model, train, cfg, train[-cfg.probe_size:])
     for protocol in ("fixed", "random"):
         peaks = []
         for rows in (2048, 4096):
@@ -521,7 +523,7 @@ def test_log_files_have_documented_headers(tmp_path):
     ds = tiny_synth(n=40)
     cfg = tiny_cfg()
     res = pretrain(ds, cfg)
-    fres = finetune(res.model, ds, cfg)
+    fres = finetune(res.model, ds, cfg, ds[-cfg.probe_size:])
     ep, sp, pp = tmp_path / "e.csv", tmp_path / "s.csv", tmp_path / "p.csv"
     write_epoch_log(ep, res.epoch_rows + fres.epoch_rows)
     write_schedule_log(sp, fres.schedule_rows)
@@ -539,7 +541,7 @@ def test_log_cells_are_plain_numbers(tmp_path):
     ds = tiny_synth(n=40)
     cfg = tiny_cfg()
     res = pretrain(ds, cfg)
-    fres = finetune(res.model, ds, cfg)
+    fres = finetune(res.model, ds, cfg, ds[-cfg.probe_size:])
     write_epoch_log(tmp_path / "e.csv", res.epoch_rows + fres.epoch_rows)
     write_schedule_log(tmp_path / "s.csv", fres.schedule_rows)
     write_probe_log(tmp_path / "p.csv", fres.schedule_rows)
