@@ -26,7 +26,7 @@ import itertools
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 
 _ids = itertools.count(1)
 
@@ -228,9 +228,9 @@ def div(a, b) -> Tensor:
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got shapes {a.shape} and {b.shape}")
+        raise ContractError(f"matmul expects 2-D operands, got shapes {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
+        raise ContractError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
     out = Tensor(a.data @ b.data)
 
     def backward(g):  # constant operands (batch features, frozen weights) get no product
@@ -248,7 +248,7 @@ def matmul(a, b) -> Tensor:
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got shape {a.shape}")
+        raise ContractError(f"transpose expects a 2-D tensor, got shape {a.shape}")
     out = Tensor(a.data.T)
     _record(out, (a,), lambda g: ((a, g.T),))
     return out
@@ -392,10 +392,10 @@ def take_per_row(a, indices) -> Tensor:
     """out[i] = a[i, indices[i]] for a 2-D tensor."""
     a = as_tensor(a)
     if a.ndim != 2:
-        raise ShapeError(f"take_per_row expects a 2-D tensor, got shape {a.shape}")
+        raise ContractError(f"take_per_row expects a 2-D tensor, got shape {a.shape}")
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1 or idx.shape[0] != a.shape[0]:
-        raise ShapeError(f"take_per_row: index length {idx.shape} does not match rows of {a.shape}")
+        raise ContractError(f"take_per_row: index length {idx.shape} does not match rows of {a.shape}")
     rows = np.arange(a.shape[0])
     out = Tensor(a.data[rows, idx])
 
@@ -427,7 +427,7 @@ def tanh_mlp_mean(x, W1, b1, W2, b2, dropout_p: float, rng) -> Tensor:
     if not 0.0 <= dropout_p < 1.0:
         raise ContractError(f"dropout probability must be in [0, 1), got {dropout_p}")
     if x.ndim != 3 or x.shape[2] != W1.shape[0]:
-        raise ShapeError(f"tanh_mlp_mean expects (B, L, {W1.shape[0]}) rows, got shape {x.shape}")
+        raise ContractError(f"tanh_mlp_mean expects (B, L, {W1.shape[0]}) rows, got shape {x.shape}")
     B, L, D = x.shape
     x2d = x.data.reshape(B * L, D)
     h = x2d @ W1.data
@@ -475,7 +475,7 @@ def row_cosine(u, v) -> Tensor:
     if v.ndim == 1:
         v = reshape(v, (1, -1))
     if u.shape != v.shape or u.ndim != 2:
-        raise ShapeError(f"row_cosine expects matching (B, d) tensors, got {u.shape} and {v.shape}")
+        raise ContractError(f"row_cosine expects matching (B, d) tensors, got {u.shape} and {v.shape}")
     uu = tsum(mul(u, u), axis=1)
     vv = tsum(mul(v, v), axis=1)
     ok = constant(((uu.data > NORM_EPS * NORM_EPS) & (vv.data > NORM_EPS * NORM_EPS)).astype(np.float64))

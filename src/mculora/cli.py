@@ -36,7 +36,7 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config, version_string, write_manifest
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError
 from .model import load_checkpoint, save_checkpoint
 from .serialize import write_text
 from .synthgen import DatasetFile, save_dataset, split_bounds
@@ -108,7 +108,7 @@ def main(argv=None) -> int:
         # for a failed rename (an output whose name a directory takes) the target is filename2
         print(f"error: cannot open {exc.filename2 or exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
-    except (ContractError, ShapeError) as exc:
+    except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATE
 

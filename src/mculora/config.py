@@ -2,8 +2,10 @@
 
 :class:`ExperimentConfig` is the one schema of experiment settings: the
 generator, the model, the trainer and evaluation all read their fields from
-it, and its :meth:`~ExperimentConfig.validate` is the only range check. It
-checks checkpoint headers too: :func:`mculora.model.load_checkpoint` turns a
+it, and its :meth:`~ExperimentConfig.validate` is the only range check: the
+functions that take its fields, such as :func:`mculora.synthgen.split_bounds`
+and :func:`mculora.synthgen.apply_random_missing`, trust a validated config
+and check nothing again. It checks checkpoint headers too: :func:`mculora.model.load_checkpoint` turns a
 header's five fields (raw_dim, model_dim, classes, rank, alpha) into an
 ``ExperimentConfig`` and validates it. Config files are plain text: one
 ``key = value`` per line, ``#`` comments, blank lines ignored.

@@ -31,7 +31,7 @@ this. Each adjustment has magnitude q_base * lam * sigmoid(delta), and
 probabilities are clamped to [p_min, p_max]. Probabilities are normalized
 only at sampling time.
 
-A model without adapter banks has no private space to score: its seven scores
+A model without adapters has no private space to score: its seven scores
 and its mean cosine are 0, and the fine-tuning loop keeps q uniform.
 """
 
@@ -79,21 +79,21 @@ def separability_scores(model: MculoraModel, probe: dict[str, np.ndarray]) -> tu
 
     The scores are a (7,) array in canonical combination order, within
     [0, 2 ln 2]; the mean cosine is over the 12 (combination, modality) pairs
-    of the row-mean cosines. Both are zero for a model without adapter banks.
+    of the row-mean cosines. Both are zero for a model without adapters.
     """
     if not len(next(iter(probe.values()))):
         raise ContractError("separability_scores: the probe batch is empty")
     scores = np.zeros(N_COMBINATIONS)
-    if model.adapters is None:
+    if not model.has_adapters:
         return scores, 0.0
     rows = {m: ad.constant(x) for m, x in probe.items()}
-    com = {m: model.adapters[m].common.apply(rows[m]) for m in rows}
+    com = {m: model.adapter(m, None).apply(rows[m]) for m in rows}
     com_dist = {m: ad.softmax(com[m], axis=1).data for m in rows}
     cosines = []
     for idx, combo in enumerate(ALL_COMBINATIONS):
         divergences = []
         for m in combo:
-            prt = model.adapters[m].private_pair(combo).apply(rows[m])
+            prt = model.adapter(m, combo).apply(rows[m])
             divergences.append(_js_rows(ad.softmax(prt, axis=1).data, com_dist[m]).mean())
             cosines.append(ad.row_cosine(com[m], prt).data.mean())
         scores[idx] = np.mean(divergences)

@@ -1,12 +1,10 @@
-"""Exception types shared across the package."""
-
-
-class ShapeError(ValueError):
-    """Tensor/array dimensions are incompatible with an operation."""
+"""Exception types shared across the package, one per CLI exit code:
+:class:`ConfigError` for bad input (exit 2) and :class:`ContractError` for a
+violated precondition, shape or state (exit 3)."""
 
 
 class ContractError(RuntimeError):
-    """A caller violated a documented precondition or state contract."""
+    """A caller violated a documented precondition, shape or state contract."""
 
 
 class ConfigError(ValueError):

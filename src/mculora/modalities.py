@@ -30,18 +30,8 @@ class Combo:
             raise ContractError(f"combination mask must be in 1..7, got {self.mask}")
 
     @staticmethod
-    def from_name(name: str) -> "Combo":
-        """Parse names like 'a', 'tv', 'atv' (order and case insensitive)."""
-        chars = set(name.strip().lower())
-        if not chars or not chars <= set(MODALITIES) or len(chars) != len(name.strip()):
-            raise ContractError(f"invalid combination name {name!r}, expected a subset of 'atv'")
-        mask = 0
-        for c in chars:
-            mask |= _BITS[c]
-        return Combo(mask)
-
-    @staticmethod
     def from_modalities(mods) -> "Combo":
+        """The combination of the modalities `mods`, an iterable such as ('t', 'v') or 'tv'."""
         mask = 0
         for m in mods:
             if m not in _BITS:
@@ -70,13 +60,13 @@ class Combo:
         return f"Combo({self.name!r})"
 
 
-A = Combo.from_name("a")
-T = Combo.from_name("t")
-V = Combo.from_name("v")
-AV = Combo.from_name("av")
-AT = Combo.from_name("at")
-TV = Combo.from_name("tv")
-FULL = Combo.from_name("atv")
+A = Combo.from_modalities("a")
+T = Combo.from_modalities("t")
+V = Combo.from_modalities("v")
+AV = Combo.from_modalities("av")
+AT = Combo.from_modalities("at")
+TV = Combo.from_modalities("tv")
+FULL = Combo.from_modalities("atv")
 
 #: Canonical combination order used for every 7-vector in the package.
 ALL_COMBINATIONS = (A, T, V, AV, AT, TV, FULL)

@@ -31,20 +31,21 @@ sequence-mean raw row: the pair is linear with no bias, so this equals the
 mean of its per-position outputs, at 1/L of the work. Its outputs are added
 to the pooled encoder representation before fusion, so with zero-initialized
 up-projections the fine-tuned model starts exactly at the pretrained model's
-behavior. MCLA is on exactly when adapters are attached: with ``mcla=False``,
-:func:`attach_adapters` leaves ``model.adapters`` as None and the frozen base
-feeds the common head alone.
+behavior. MCLA is on exactly when the table holds adapters
+(``MculoraModel.has_adapters``); with ``mcla=False``, :func:`attach_adapters`
+adds none and the frozen base feeds the common head alone.
 
 The model is its parameter table, ``MculoraModel.params``: one trainable
 tensor per name, built from arrays by the constructor and extended by
 :func:`attach_adapters`. The layers hold no parameters of their own: the
-encoders, the fusion block and each adapter pair keep the table's tensors,
-and the heads read theirs from it by name at each call. A name's prefix says
-what it is: ``enc.*`` and ``fusion.*`` are the base, ``head.com.*`` the
-common head, and ``adapter.*``, ``head.prt.*`` and ``gate.*`` what adapters
-attach. The parameter groups are prefix rules: ``parameters("pretrain")``
-is the base plus the common head, and ``parameters("finetune")`` everything
-outside the base.
+encoders and the fusion block keep the table's tensors, and the heads and
+:meth:`MculoraModel.adapter`, which gives the :class:`LoraPair` serving a
+modality under a combination, read theirs by name at each call. A name's
+prefix says what it is: ``enc.*`` and ``fusion.*`` are the base,
+``head.com.*`` the common head, and ``adapter.*``, ``head.prt.*`` and
+``gate.*`` what adapters attach. The parameter groups are prefix rules:
+``parameters("pretrain")`` is the base plus the common head, and
+``parameters("finetune")`` everything outside the base.
 :meth:`MculoraModel.freeze_base` freezes the tensors under the base
 prefixes, so the common head stays trainable in finetuning. A checkpoint
 holds the table's arrays under their names.
@@ -70,7 +71,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ExperimentConfig
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError
 from .modalities import ALL_COMBINATIONS, MODALITIES, Combo
 from .rng import Rng
 from .serialize import load_container, save_container
@@ -100,8 +101,6 @@ class LoraPair:
     """Trainable low-rank weight delta: x -> alpha * (B A) x, rank <= r."""
 
     def __init__(self, A: Tensor, B: Tensor, alpha: float = 1.0):
-        if A.shape[0] != B.shape[1]:
-            raise ShapeError(f"rank mismatch between A {A.shape} and B {B.shape}")
         self.A, self.B, self.alpha = A, B, float(alpha)
 
     def apply(self, x2d: Tensor) -> Tensor:
@@ -109,23 +108,6 @@ class LoraPair:
         down = ad.matmul(x2d, ad.transpose(self.A))
         up = ad.matmul(down, ad.transpose(self.B))
         return ad.mul(up, ad.constant(self.alpha))
-
-
-class AdapterBank:
-    """One modality's adapters: a private pair per containing combination plus one shared pair."""
-
-    def __init__(self, params: dict[str, Tensor], modality: str, alpha: float):
-        def pair(name: str) -> LoraPair:
-            return LoraPair(params[f"adapter.{modality}.{name}.A"], params[f"adapter.{modality}.{name}.B"], alpha)
-        self.modality = modality
-        self.private = {c: pair(f"prt.{c.name}") for c in ALL_COMBINATIONS if modality in c}
-        self.common = pair("com")
-
-    def private_pair(self, combo: Combo) -> LoraPair:
-        if self.modality not in combo:
-            raise ContractError(
-                f"no private adapter: modality {self.modality!r} not in combination {combo.name!r}")
-        return self.private[combo]
 
 
 class FusionBlock:
@@ -188,21 +170,26 @@ class MculoraModel:
         :func:`_parameter_shapes` names them: the base, plus the adapters,
         characteristic head and gate when `arrays` holds them. Every parameter
         is trainable; phase "init"."""
-        self.params: dict[str, Tensor] = {}
+        self.params = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
         self.rank, self.alpha = rank, alpha
-        self.adapters: dict[str, AdapterBank] | None = None
         self.phase = "init"
-        self._add(arrays)
         self.encoders = {m: Encoder(self.params, m) for m in MODALITIES}
         self.fusion = FusionBlock(self.params)
         self.heads = Heads(self.params)
 
-    def _add(self, arrays: dict[str, np.ndarray]) -> None:
-        """Put a trainable tensor holding each of `arrays` in the table; once
-        it holds the characteristic head, bind the adapter banks to it."""
-        self.params.update({name: Tensor(a, requires_grad=True) for name, a in arrays.items()})
-        if "head.prt.W" in self.params:
-            self.adapters = {m: AdapterBank(self.params, m, self.alpha) for m in MODALITIES}
+    @property
+    def has_adapters(self) -> bool:
+        """Whether adapters are attached: the table holds the characteristic head."""
+        return "head.prt.W" in self.params
+
+    def adapter(self, modality: str, combo: Combo | None) -> LoraPair:
+        """The pair of `modality` that serves `combo` (its common pair for
+        None), over the table's tensors and scaled by the model's alpha; a
+        :class:`ContractError` without one (no adapters, or `modality` not in `combo`)."""
+        name = f"adapter.{modality}." + ("com" if combo is None else f"prt.{combo.name}")
+        if f"{name}.A" not in self.params:
+            raise ContractError(f"the model has no adapter pair {name}")
+        return LoraPair(self.params[f"{name}.A"], self.params[f"{name}.B"], self.alpha)
 
     def dims(self) -> dict[str, int]:
         """raw_dim, model_dim and classes, read off the base's parameters."""
@@ -263,17 +250,14 @@ def attach_adapters(model: MculoraModel, rng: Rng, rank: int, alpha: float = Exp
                     mcla: bool = True) -> None:
     """Create zero-initialized adapter banks of the given rank and LoRA scale
     alpha, the characteristic head (a copy of the pretrained common head), and
-    the gate. Requires a pretrained model. The model records `rank` and `alpha`
-    for its checkpoint header also with mcla=False, when nothing is attached
-    and ``model.adapters`` stays None."""
+    the gate. Requires a pretrained model and a rank that
+    ``ExperimentConfig.validate`` passed. The model records `rank` and `alpha`
+    for its checkpoint header also with mcla=False, when nothing is attached."""
     if model.phase != "pretrained":
         raise ContractError(f"adapters attach to a pretrained model, phase is {model.phase!r}")
     model.rank, model.alpha = rank, float(alpha)
     if not mcla:
-        model.adapters = None
         return
-    if rank < 1:
-        raise ContractError(f"adapter rank must be >= 1, got {rank}")
     init = rng.child("adapters")
     dims = model.dims()
     d, D = dims["model_dim"], dims["raw_dim"]
@@ -292,7 +276,7 @@ def attach_adapters(model: MculoraModel, rng: Rng, rank: int, alpha: float = Exp
                    "gate.b1": np.zeros((1, _GATE_HIDDEN)),
                    "gate.W2": gr.normal(0.0, 1.0 / np.sqrt(_GATE_HIDDEN), size=(_GATE_HIDDEN, 1)),
                    "gate.b2": np.zeros((1, 1))})
-    model._add(arrays)
+    model.params.update({name: Tensor(a, requires_grad=True) for name, a in arrays.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +329,14 @@ def forward_pooled(model: MculoraModel, pooled: Pooled) -> dict:
     combo = Combo.from_modalities(mods)
     enc_pooled = pooled.enc
     out = {"enc_pooled": enc_pooled, "com_pooled": {}, "prt_pooled": {}}
-    if model.adapters is None:
+    if not model.has_adapters:
         out["y_last"] = model.heads.common_logits(model.fusion.fuse_batch(enc_pooled))
         return out
     com_pooled, prt_pooled = out["com_pooled"], out["prt_pooled"]
     for m in mods:
-        bank = model.adapters[m]
         x_pooled = ad.constant(pooled.raw[m])
-        com_pooled[m] = bank.common.apply(x_pooled)
-        prt_pooled[m] = bank.private_pair(combo).apply(x_pooled)
+        com_pooled[m] = model.adapter(m, None).apply(x_pooled)
+        prt_pooled[m] = model.adapter(m, combo).apply(x_pooled)
     com_in = {m: ad.add(enc_pooled[m], com_pooled[m]) for m in mods}
     prt_in = {m: ad.add(enc_pooled[m], prt_pooled[m]) for m in mods}
     fused_prt = model.fusion.fuse_batch(prt_in)
@@ -384,7 +367,7 @@ def save_checkpoint(model: MculoraModel, path) -> str:
     meta = {
         "config": {**model.dims(), "rank": model.rank, "alpha": model.alpha},
         "phase": model.phase,
-        "has_adapters": model.adapters is not None,
+        "has_adapters": model.has_adapters,
     }
     return save_container(path, "checkpoint", meta, {k: t.data for k, t in sorted(model.params.items())})
 
@@ -397,7 +380,8 @@ def load_checkpoint(path) -> MculoraModel:
     :func:`save_checkpoint` writes, the four dims as JSON integers and alpha
     as a JSON number. As an :class:`~mculora.config.ExperimentConfig` it must
     pass the range check a config file gets, and raw_dim, model_dim, classes
-    and (with adapters) rank must be the sizes of the arrays that hold them.
+    and (with adapters) rank must be the sizes of the arrays that hold them,
+    and only a finetuned checkpoint may hold adapters (finetune attaches them).
     Any failure raises :class:`ContractError` naming the file and the field."""
     _, meta, arrays = load_container(path, expected_kind="checkpoint")
     for key in ("config", "phase", "has_adapters"):
@@ -408,6 +392,9 @@ def load_checkpoint(path) -> MculoraModel:
                        ("has_adapters", isinstance(meta["has_adapters"], bool))):
         if not valid:
             raise ContractError(f"checkpoint {path}: metadata key {key!r} has invalid value {meta[key]!r}")
+    if meta["has_adapters"] and meta["phase"] != "finetuned":
+        raise ContractError(f"checkpoint {path}: metadata key 'has_adapters' is true, but 'phase' is "
+                            f"{meta['phase']!r}, and only a finetuned checkpoint holds adapters")
     header = meta["config"]
     unknown = sorted(set(header) - set(_HEADER_FIELDS))
     if unknown:

@@ -8,11 +8,12 @@ Layout (documented here; this is the on-disk interface):
 * then one standard ``.npy`` blob per listed array name, concatenated in
   order, and nothing after the last one.
 
-``.npy`` blobs carry dtype/shape/order themselves and contain no timestamps,
+``.npy`` blobs carry dtype and shape themselves and contain no timestamps,
 so serializing the same content twice yields byte-identical files and a
-round-trip reproduces every array bitwise. Any malformed file - truncated, bad
-header JSON, a short or garbled blob, a missing listed array, or trailing
-bytes after the last one - is a :class:`ContractError` naming the file.
+round-trip reproduces every array bitwise. Every blob is C-order: the writer
+writes no other. Any malformed file - truncated, bad header JSON, a short or
+garbled blob, a Fortran-order or object blob, a missing listed array, or
+trailing bytes after the last one - is a :class:`ContractError` naming the file.
 
 This module is the package's only file writer: containers go through
 :func:`save_container`, text (logs, metrics, reports, manifests) through
@@ -256,13 +257,13 @@ class ContainerFile:
     are then read, whole or by rows, with positioned reads of its descriptor.
 
     Opening runs every check of the layout: the magic line and kind, the
-    header, each ``.npy`` header, that each blob's declared size fits what is
-    left of the file, and that no bytes follow the last blob. A malformed file
-    is a :class:`ContractError` naming it. A reader of many row sets thus
-    checks the file once, and each read costs only its own bytes; a read that
-    comes up short (the file shrank after it was checked) is a
-    :class:`ContractError` naming the file, never a short array. Close it
-    when done; it is a context manager."""
+    header, each ``.npy`` header (C-order, no objects), that each blob's
+    declared size fits what is left of the file, and that no bytes follow the
+    last blob. A malformed file is a :class:`ContractError` naming it. A
+    reader of many row sets thus checks the file once, and each read costs
+    only its own bytes; a read that comes up short (the file shrank after it
+    was checked) is a :class:`ContractError` naming the file, never a short
+    array. Close it when done; it is a context manager."""
 
     def __init__(self, path, expected_kind: str | None = None):
         self.path = Path(path)
@@ -291,7 +292,7 @@ class ContainerFile:
         except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSON and UTF-8 errors
             raise ContractError(f"{path}: bad header: {exc}") from exc
         self.meta, self.names = header["meta"], names
-        self._blobs: dict[str, tuple[int, tuple[int, ...], bool, np.dtype]] = {}
+        self._blobs: dict[str, tuple[int, tuple[int, ...], np.dtype]] = {}
         for name in names:
             try:
                 version = npy_format.read_magic(fh)
@@ -300,14 +301,14 @@ class ContainerFile:
                 length = fh.read(2)
                 shape, fortran_order, dtype = npy_format.read_array_header_1_0(
                     io.BytesIO(length + fh.read(int.from_bytes(length, "little"))))
-                if dtype.hasobject:
-                    raise ValueError("object arrays are not stored")
+                if dtype.hasobject or fortran_order:
+                    raise ValueError(f"{'object' if dtype.hasobject else 'Fortran-order'} arrays are not stored")
                 nbytes = math.prod(shape) * dtype.itemsize
                 if nbytes > file_size - fh.tell():
                     raise ValueError(f"array data of shape {shape} runs past the end of the file")
             except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:  # raised by numpy's header parser
                 raise ContractError(f"{path}: array {name!r} is missing or corrupt: {exc}") from exc
-            self._blobs[name] = (fh.tell(), shape, fortran_order, dtype)
+            self._blobs[name] = (fh.tell(), shape, dtype)
             fh.seek(nbytes, os.SEEK_CUR)
         if fh.tell() != file_size:
             raise ContractError(f"{path}: {file_size - fh.tell()} trailing bytes after the last array")
@@ -334,22 +335,21 @@ class ContainerFile:
         return n
 
     def _rows(self, name: str) -> int:
-        """How many rows array `name` has; only C-order arrays of at least one axis have rows."""
-        _, shape, fortran_order, _ = self._blobs[name]
-        if not shape or fortran_order:
-            raise ContractError(f"{self.path}: array {name!r}: cannot read rows of a "
-                                f"{'Fortran-order' if shape else '0-d'} array")
+        """How many rows array `name` has; a 0-d array has none."""
+        _, shape, _ = self._blobs[name]
+        if not shape:
+            raise ContractError(f"{self.path}: array {name!r}: cannot read rows of a 0-d array")
         return shape[0]
 
     def read(self, name: str, rows: slice | np.ndarray | None = None) -> np.ndarray:
         """Array `name` whole, or the rows of its leading axis that `rows`
         names: a contiguous slice, read at once, or row indices, in the order
         given, each read alone."""
-        offset, shape, fortran_order, dtype = self._blobs[name]
+        offset, shape, dtype = self._blobs[name]
         if rows is None:
-            arr = np.empty(math.prod(shape), dtype=dtype)
-            self._pread(memoryview(arr.view(np.uint8)), offset, name)
-            return arr.reshape(shape, order="F" if fortran_order else "C")
+            arr = np.empty(shape, dtype=dtype)
+            self._pread(memoryview(arr.reshape(-1).view(np.uint8)), offset, name)
+            return arr
         n = self._rows(name)
         row_bytes = math.prod(shape[1:]) * dtype.itemsize
         if isinstance(rows, slice):

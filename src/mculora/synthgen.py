@@ -55,7 +55,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .modalities import MODALITIES, Combo
 from .rng import Rng, derive_seed
 from .serialize import Chunked, ContainerFile, save_container
@@ -213,17 +213,15 @@ def _matvec(P: np.ndarray, Z: np.ndarray) -> np.ndarray:
 def apply_random_missing(n: int, mask_prob_range: tuple[float, float], seed: int) -> np.ndarray:
     """(n,) combination bitmasks (1..7, see :class:`Combo`), one per sample:
     the modalities that survive per-sample independent dropping, drawn from
-    the ``random-missing`` child of ``Rng(seed)``."""
-    lo, hi = mask_prob_range
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise ContractError(f"mask probability range must satisfy 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
+    the ``random-missing`` child of ``Rng(seed)``. The range is a validated
+    config's (mask_lo, mask_hi)."""
     rng = Rng(seed).child("random-missing")
-    probs = rng.uniform(lo, hi, size=(n, len(MODALITIES)))
+    probs = rng.uniform(*mask_prob_range, size=(n, len(MODALITIES)))
     drop = rng.uniform(size=(n, len(MODALITIES))) < probs
     all_dropped = np.nonzero(drop.all(axis=1))[0]
     keep = rng.integers(0, len(MODALITIES), size=n)
     drop[all_dropped, keep[all_dropped]] = False
-    return ~drop @ np.array([Combo.from_name(m).mask for m in MODALITIES])
+    return ~drop @ np.array([Combo.from_modalities(m).mask for m in MODALITIES])
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +259,9 @@ class DatasetFile:
     ``rows`` maps the file's sample count N to the range. Opening checks the
     whole file once (see :class:`~mculora.serialize.ContainerFile`; a file
     holding any array but the features and labels is refused) and reads the
-    range's labels. Then ``len()``, ``labels`` and indexing work as on a
-    :class:`Dataset`: a contiguous slice reads its rows' features with one
+    range's labels, each of which must be a whole number in [0, classes) for
+    the header config's classes. Then ``len()``, ``labels`` and indexing work
+    as on a :class:`Dataset`: a contiguous slice reads its rows' features with one
     positioned read per modality, any other index (an array of row indices,
     in any order) with one per row and modality, so a reader holds only the
     rows it asks for. Close it when done; it is a context manager."""
@@ -275,6 +274,14 @@ class DatasetFile:
             n = self._file.length()
             lo, hi, _ = rows(n).indices(n)
             self._lo, self.labels = lo, self._file.read("labels", slice(lo, hi))
+            config = self._file.meta.get("config")
+            classes = config.get("classes") if isinstance(config, dict) else None
+            if type(classes) is not int:
+                raise ContractError(f"{path}: the header's config holds no integer 'classes'")
+            bad = np.flatnonzero((self.labels != np.floor(self.labels)) | (self.labels < 0) | (self.labels >= classes))
+            if bad.size:
+                raise ContractError(f"{path}: row {lo + bad[0]} has label {float(self.labels[bad[0]])}, "
+                                    f"expected a whole number in [0, {classes})")
             try:
                 self[:0]  # reads no rows: checks the feature shapes
             except ContractError as exc:
@@ -303,9 +310,8 @@ class DatasetFile:
 
 
 def split_bounds(n: int, train_frac: float, val_frac: float) -> tuple[int, int]:
-    """(n_train, n_val) of the contiguous split of n samples; the test split is the rest."""
-    if not (0 < train_frac < 1 and 0 <= val_frac < 1 and train_frac + val_frac < 1):
-        raise ConfigError(f"invalid split fractions train={train_frac} val={val_frac}")
+    """(n_train, n_val) of the contiguous split of n samples by a validated
+    config's fractions; the test split is the rest."""
     return int(round(n * train_frac)), int(round(n * val_frac))
 
 

@@ -217,12 +217,11 @@ def pretrain(dataset, cfg: ExperimentConfig) -> TrainResult:
 
 def finetune(model: MculoraModel, dataset: Dataset | DatasetFile, cfg: ExperimentConfig,
              probe: Dataset | DatasetFile) -> TrainResult:
-    """Fine-tune adapters/heads/gate under scheduled incomplete batches, scoring
-    every row of `probe` (the caller chooses them) after each epoch; a
-    non-finite score or probe cosine raises :class:`ContractError` naming the epoch."""
+    """Fine-tune adapters/heads/gate of a pretrained model (:func:`attach_adapters`
+    checks the phase) under scheduled incomplete batches, scoring every row of
+    `probe` (the caller chooses them) after each epoch; a non-finite score or
+    probe cosine raises :class:`ContractError` naming the epoch."""
     cfg.validate()
-    if model.phase != "pretrained":
-        raise ContractError(f"finetune requires a pretrained checkpoint, phase is {model.phase!r}")
     root = Rng(cfg.seed)
     # scoring reads only the probe's sequence-mean raw rows, which need no encoder: its
     # (n, L, D) rows are read and averaged before the training rows are encoded
@@ -242,7 +241,7 @@ def finetune(model: MculoraModel, dataset: Dataset | DatasetFile, cfg: Experimen
         if not np.isfinite([*scores, mean_cos]).all():
             raise ContractError(f"finetune epoch {epoch}: the probe's separability scores or cosine are non-finite")
         deltas = scores - s_prev
-        if cfg.dpft and model.adapters is not None:
+        if cfg.dpft and model.has_adapters:
             q = update_probabilities(q, deltas, cfg)
         result.schedule_rows.append(ScheduleRow(epoch, scores, deltas, q, mean_cos))
         s_prev = scores
@@ -309,7 +308,7 @@ def _encode_rows(model: MculoraModel, dataset, start: int, need: np.ndarray) -> 
     time, and row start + i is encoded once for each modality of the
     combination bitmask need[i]. Only the pooled rows are kept across chunks;
     a row holds zeros for a modality it was not encoded for."""
-    n, bits = len(need), {m: Combo.from_name(m).mask for m in MODALITIES}
+    n, bits = len(need), {m: Combo.from_modalities(m).mask for m in MODALITIES}
     step = max(1, _EVAL_POSITIONS // max(1, dataset[:0].features["a"].shape[1]))
     dims = model.dims()
     enc = {m: np.zeros((n, dims["model_dim"])) for m in MODALITIES}

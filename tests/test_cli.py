@@ -254,6 +254,24 @@ def test_dataset_file_with_a_presence_array_is_state_error(workspace, capsys):
     assert "old.mcu" in err and "presence" in err
 
 
+@pytest.mark.parametrize("corrupt", [lambda meta: meta["config"].pop("classes"),
+                                     lambda meta: meta["config"].update(classes=3.0),
+                                     lambda meta: meta.update(config=[3])],
+                         ids=["no-classes", "float-classes", "config-not-an-object"])
+def test_dataset_header_without_integer_classes_is_state_error(workspace, capsys, corrupt):
+    # the labels are checked against the header's classes, so a header without them is refused
+    tmp, cfg = workspace
+    assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
+    _, meta, arrays = load_container(tmp / "data" / "dataset.mcu", expected_kind="dataset")
+    corrupt(meta)
+    save_container(tmp / "bad.mcu", "dataset", meta, arrays)
+    capsys.readouterr()
+    assert run("pretrain", "--config", cfg, "--data", tmp / "bad.mcu", "--out", tmp / "p") == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {tmp / 'bad.mcu'}: the header's config holds no integer 'classes'"]
+    assert list((tmp / "p").iterdir()) == []
+
+
 @pytest.mark.parametrize("where", ["config-file", "eval_seed"])
 def test_negative_seed_is_input_error(workspace, capsys, where):
     tmp, cfg = workspace
@@ -419,6 +437,26 @@ def test_checkpoint_with_arrays_the_model_lacks_is_state_error(workspace, capsys
                    "--out", tmp / "out") == 3
         err = capsys.readouterr().err
         assert "bad.mcu" in err and "adapter.a.com.A" in err and "junk" in err
+
+
+def test_pretrained_checkpoint_holding_adapters_is_state_error(workspace, capsys):
+    # only finetune attaches adapters, and it writes a finetuned checkpoint; a pretrained one holding
+    # adapters would have them trained and saved, stale, by a finetune with MCLA off
+    tmp, _ = workspace
+    assert run("gen-data", "--config", tmp / "run.cfg", "--out", tmp / "data") == 0
+    model = build_model(parse_config_text(TINY_CONFIG), 8, Rng(0))
+    model.phase = "pretrained"
+    attach_adapters(model, Rng(1), rank=2)
+    save_checkpoint(model, tmp / "stale.mcu")
+    (tmp / "off.cfg").write_text(TINY_CONFIG + "mcla = off\n")
+    capsys.readouterr()
+    for command in (["finetune"], ["eval", "--protocol", "fixed"]):
+        assert run(*command, "--config", tmp / "off.cfg", "--data", tmp / "data" / "dataset.mcu",
+                   "--checkpoint", tmp / "stale.mcu", "--out", tmp / "out") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert re.search(r"stale\.mcu: metadata key 'has_adapters' is true, but 'phase' is 'pretrained'", err[0])
+        assert list((tmp / "out").iterdir()) == []
 
 
 def test_checkpoint_lacking_a_parameter_names_exactly_that_parameter(workspace, capsys):
@@ -842,10 +880,14 @@ def test_finetune_of_a_nan_weight_exits_3_naming_the_step_and_writes_no_checkpoi
     assert not (tmp / "fin" / "checkpoint.mcu").exists()
 
 
-def _nan_at(name, index):
+def _set_at(name, index, value):
     def edit(arrays):
-        arrays[name][index] = float("nan")
+        arrays[name][index] = value
     return edit
+
+
+def _nan_at(name, index):
+    return _set_at(name, index, float("nan"))
 
 
 def _widen(name):
@@ -871,9 +913,16 @@ CORRUPT_INPUTS = {
                                      r"bad\.mcu: parameter gate\.W2 has shape \(16, 2\), expected \(16, 1\)$"),
     "dataset-features-of-two-widths": ("data", _widen("features_t"), ["pretrain"], 2,
                                        r"bad\.mcu: need features for \('a', 't', 'v'\) of one \(N, L, D\) shape"),
+    # a label that is not a whole number in [0, classes); each command checks the labels of the rows it reads
+    **{f"{command[0]}-of-label-{value}": ("data", _set_at("labels", row, value), command, 2,
+                                          rf"bad\.mcu: row {row} has label {value}, "
+                                          r"expected a whole number in \[0, 3\)$")
+       for command, row in ((["pretrain"], 3), (["eval", "--protocol", "fixed"], 70))
+       for value in (0.5, 7.0, float("nan"))},
 }
 
 
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second line of output
 @pytest.mark.parametrize("case", CORRUPT_INPUTS)
 def test_corrupt_input_exits_3_with_one_error_line_naming_it_and_writes_nothing(workspace, capsys, case):
     tmp, cfg = workspace

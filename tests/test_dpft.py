@@ -13,7 +13,7 @@ from mculora.dpft import (
     update_probabilities,
 )
 from mculora.errors import ConfigError, ContractError
-from mculora.modalities import ALL_COMBINATIONS
+from mculora.modalities import ALL_COMBINATIONS, MODALITIES
 from mculora.model import attach_adapters, build_model
 from mculora.rng import Rng
 from mculora.synthgen import generate_dataset
@@ -84,6 +84,11 @@ def probe_model(seed=0, mcla=True):
     return model
 
 
+def private_pairs(model, m):
+    """Modality m's private adapter pairs, one per combination containing it, through the model's lookup."""
+    return [model.adapter(m, c) for c in ALL_COMBINATIONS if m in c]
+
+
 def probe_batch(n=12, seed=5):
     cfg = ExperimentConfig(num_samples=n, raw_dim=6, seq_len=3, classes=3)
     return generate_dataset(cfg, Rng(seed))
@@ -107,13 +112,13 @@ def test_untrained_adapters_score_zero():
 def test_private_equal_to_common_scores_zero():
     model = probe_model(seed=2)
     rng = Rng(9)
-    for m in model.adapters:
-        bank = model.adapters[m]
-        bank.common.A.data = rng.normal(size=bank.common.A.shape)
-        bank.common.B.data = rng.normal(size=bank.common.B.shape)
-        for pair in bank.private.values():
-            pair.A.data = bank.common.A.data.copy()
-            pair.B.data = bank.common.B.data.copy()
+    for m in MODALITIES:
+        common = model.adapter(m, None)
+        common.A.data = rng.normal(size=common.A.shape)
+        common.B.data = rng.normal(size=common.B.shape)
+        for pair in private_pairs(model, m):
+            pair.A.data = common.A.data.copy()
+            pair.B.data = common.B.data.copy()
     scores = scores_of(model, probe_batch())
     assert np.allclose(scores, 0.0, atol=1e-12)
 
@@ -121,10 +126,10 @@ def test_private_equal_to_common_scores_zero():
 def test_scores_match_per_sample_brute_force():
     model = probe_model(seed=3)
     rng = Rng(10)
-    for m in model.adapters:
-        bank = model.adapters[m]
-        bank.common.B.data = rng.normal(size=bank.common.B.shape)
-        for pair in bank.private.values():
+    for m in MODALITIES:
+        common = model.adapter(m, None)
+        common.B.data = rng.normal(size=common.B.shape)
+        for pair in private_pairs(model, m):
             pair.B.data = rng.normal(size=pair.B.shape)
     batch = probe_batch(n=6, seed=6)
     scores, mean_cos = separability_scores(model, pooled(batch))
@@ -139,7 +144,7 @@ def test_scores_match_per_sample_brute_force():
         for m in combo:
             per_sample = []
             for x in batch.features[m]:
-                prt_pair, com_pair = model.adapters[m].private_pair(combo), model.adapters[m].common
+                prt_pair, com_pair = model.adapter(m, combo), model.adapter(m, None)
                 prt = (prt_pair.alpha * prt_pair.B.data @ prt_pair.A.data @ x.T).T.mean(axis=0)
                 com = (com_pair.alpha * com_pair.B.data @ com_pair.A.data @ x.T).T.mean(axis=0)
                 per_sample.append(js_oracle(softmax(prt), softmax(com)))

@@ -5,7 +5,7 @@ import pytest
 
 from mculora import autodiff as ad, model as model_module, serialize
 from mculora.config import ExperimentConfig
-from mculora.errors import ContractError, ShapeError
+from mculora.errors import ContractError
 from mculora.losses import orthogonality_loss, task_loss, total_loss
 from mculora.modalities import ALL_COMBINATIONS, AT, MODALITIES
 from mculora.model import (
@@ -37,6 +37,13 @@ def small_model(seed=0, pretrained=True, adapters=True, rank=2):
     return model
 
 
+def adapter_pairs(model, m):
+    """(name, pair) of each of modality m's adapter pairs: the common one, then
+    the private one of each combination containing m, through the model's lookup."""
+    return [("com", model.adapter(m, None)),
+            *((f"prt.{c.name}", model.adapter(m, c)) for c in ALL_COMBINATIONS if m in c)]
+
+
 def sample_features(seed=0, L=4):
     rng = Rng(seed)
     return {m: rng.normal(size=(L, 6)) for m in MODALITIES}
@@ -62,9 +69,9 @@ def test_encoder_shape_contract():
     for m in MODALITIES:
         out = model.encoders[m].forward(ad.constant(np.ones((5, 3, 6))))
         assert out.shape == (5, 8)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError):
         model.encoders["a"].forward(ad.constant(np.ones((5, 3, 7))))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError):
         model.encoders["a"].forward(ad.constant(np.ones((15, 6))))
 
 
@@ -121,7 +128,7 @@ def test_fused_encoder_is_bit_identical_to_its_primitive_chain(dropout_p):
 
 def test_private_adapter_zero_init_outputs_zero():
     model = small_model()
-    out = model.adapters["a"].private_pair(AT).apply(ad.constant(np.ones((4, 6))))
+    out = model.adapter("a", AT).apply(ad.constant(np.ones((4, 6))))
     assert np.array_equal(out.data, np.zeros((4, 8)))
 
 
@@ -137,8 +144,7 @@ def test_effective_rank_at_most_r():
     model = small_model(rank=2)
     rng = Rng(42)
     for m in MODALITIES:
-        bank = model.adapters[m]
-        for pair in list(bank.private.values()) + [bank.common]:
+        for _, pair in adapter_pairs(model, m):
             pair.B.data = rng.normal(size=pair.B.shape)
             sv = np.linalg.svd(pair.alpha * (pair.B.data @ pair.A.data), compute_uv=False)
             assert np.all(sv[pair.A.shape[0]:] <= 1e-10)
@@ -147,24 +153,24 @@ def test_effective_rank_at_most_r():
 def test_private_adapter_requires_membership():
     model = small_model()
     with pytest.raises(ContractError):
-        model.adapters["v"].private_pair(AT)
+        model.adapter("v", AT)
 
 
 def test_common_adapter_is_combination_independent():
     model = small_model()
     rng = Rng(1)
-    model.adapters["t"].common.B.data = rng.normal(size=(8, 2))
+    model.adapter("t", None).B.data = rng.normal(size=(8, 2))
     x = rng.normal(size=(4, 6))
-    out1 = model.adapters["t"].common.apply(ad.constant(x))
-    out2 = model.adapters["t"].common.apply(ad.constant(x))
+    out1 = model.adapter("t", None).apply(ad.constant(x))
+    out2 = model.adapter("t", None).apply(ad.constant(x))
     assert np.array_equal(out1.data, out2.data)
     assert not np.allclose(out1.data, 0.0)
 
 
-def test_adapter_bank_has_one_private_pair_per_containing_combo():
+def test_each_modality_has_one_private_pair_per_containing_combo():
     model = small_model()
     for m in MODALITIES:
-        combos = set(model.adapters[m].private)
+        combos = {c for c in ALL_COMBINATIONS if f"adapter.{m}.prt.{c.name}.A" in model.params}
         assert combos == {c for c in ALL_COMBINATIONS if m in c}
         assert len(combos) == 4
 
@@ -307,7 +313,7 @@ def finetune_objective(model, feats, labels, combo, beta):
     """One finetune step's loss, built from the calls the trainer makes."""
     out = forward_batch(model, {m: feats[m] for m in combo})
     l_task = task_loss(out["y_last"], labels)
-    if model.adapters is not None:
+    if model.has_adapters:
         l_ort = orthogonality_loss(out["com_pooled"], {combo: out["prt_pooled"]}, out["enc_pooled"])
     else:
         l_ort = ad.constant(0.0)
@@ -319,8 +325,8 @@ def trained_adapters_model(seed=0):
     up-projections and a characteristic head apart from the common head."""
     model = small_model(seed=seed)
     rng = Rng(seed + 100)
-    for bank in model.adapters.values():
-        for pair in [*bank.private.values(), bank.common]:
+    for m in MODALITIES:
+        for _, pair in adapter_pairs(model, m):
             pair.A.data = rng.normal(size=pair.A.shape)
             pair.B.data = rng.normal(0.0, 0.5, size=pair.B.shape)
     prt_W = model.params["head.prt.W"]
@@ -341,8 +347,7 @@ def test_adapter_outputs_are_the_position_mean_of_apply():
         for m in combo:
             x = feats[m]
             rows = ad.constant(x.reshape(-1, x.shape[2]))
-            bank = model.adapters[m]
-            for key, pair in (("com_pooled", bank.common), ("prt_pooled", bank.private_pair(combo))):
+            for key, pair in (("com_pooled", model.adapter(m, None)), ("prt_pooled", model.adapter(m, combo))):
                 per_position = pair.apply(rows).data.reshape(x.shape[0], x.shape[1], -1).mean(axis=1)
                 assert np.max(np.abs(out[key][m].data - per_position)) <= 1e-12
 
@@ -474,8 +479,8 @@ def test_parameter_table(mcla, loaded, tmp_path, monkeypatch):
     held += [("fusion.query", model.fusion.query)]
     held += [(f"fusion.{m}.W{kind}", side[m]) for m in MODALITIES
              for kind, side in (("k", model.fusion.keys), ("v", model.fusion.values))]
-    for m, bank in (model.adapters or {}).items():
-        for pair_name, pair in [("com", bank.common), *((f"prt.{c.name}", p) for c, p in bank.private.items())]:
+    for m in MODALITIES if model.has_adapters else ():
+        for pair_name, pair in adapter_pairs(model, m):
             held += [(f"adapter.{m}.{pair_name}.A", pair.A), (f"adapter.{m}.{pair_name}.B", pair.B)]
     assert len(held) == (19 + 30 if mcla else 19)
     assert all(t is table[name] for name, t in held)
@@ -509,7 +514,9 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
 
 
 def test_checkpoint_rank_must_be_the_adapter_arrays_rank(tmp_path):
-    save_checkpoint(small_model(seed=5), tmp_path / "good.mcu")
+    model = small_model(seed=5)
+    model.phase = "finetuned"  # only a finetuned checkpoint holds adapters
+    save_checkpoint(model, tmp_path / "good.mcu")
     _, meta, arrays = serialize.load_container(tmp_path / "good.mcu", expected_kind="checkpoint")
     meta["config"]["rank"] = 3
     serialize.save_container(tmp_path / "bad.mcu", "checkpoint", meta, arrays)
@@ -529,6 +536,7 @@ def test_checkpoint_save_starts_no_thread(tmp_path, monkeypatch):
         raise AssertionError(f"checkpoint save started writer thread {writer.name}")
     monkeypatch.setattr(serialize._BlobWriter, "start", refuse)
     model = small_model(seed=7)
+    model.phase = "finetuned"  # only a finetuned checkpoint holds adapters
     save_checkpoint(model, tmp_path / "ckpt.mcu")  # a checkpoint holds no chunked array
     loaded = load_checkpoint(tmp_path / "ckpt.mcu")
     assert all(np.array_equal(t.data, loaded.params[k].data) for k, t in model.params.items())

@@ -190,7 +190,7 @@ def test_random_missing_empirical_drop_rate_monte_carlo():
     # retention then keeps each modality in a third of those: its drop rate after retention is 0.5 - 0.125/3
     masks = apply_random_missing(10_000, (0.4, 0.6), seed=66)
     assert np.all(masks != 0)
-    rates = np.array([np.mean((masks & Combo.from_name(m).mask) == 0) for m in MODALITIES])
+    rates = np.array([np.mean((masks & Combo.from_modalities(m).mask) == 0) for m in MODALITIES])
     # seeds 1-9 and 66 gave 0.446-0.467; the binomial spread on 10,000 samples is 0.005
     assert np.all(np.abs(rates - (0.5 - 0.125 / 3)) <= 0.025), rates
 

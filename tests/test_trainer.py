@@ -227,7 +227,7 @@ def test_finetune_mcla_off_trains_common_head_only():
     head_before = model.params["head.com.W"].data.copy()
     fusion_before = model.params["fusion.query"].data.copy()
     res = finetune(model, ds, cfg, ds[-cfg.probe_size:])
-    assert res.model.adapters is None
+    assert not res.model.has_adapters
     assert "head.prt.W" not in res.model.params
     assert not np.array_equal(model.params["head.com.W"].data, head_before)
     assert np.array_equal(model.params["fusion.query"].data, fusion_before)
