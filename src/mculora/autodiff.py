@@ -1,19 +1,27 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Values are computed eagerly on numpy arrays. While a :class:`Tape` is active
-(used as a context manager), every primitive that touches a tracked tensor
-appends a backward closure to the tape; :func:`gradients` then replays the
-tape once, in reverse, accumulating vector-Jacobian products. Because ops are
-recorded in creation order the tape is topologically sorted by construction.
+Values are computed eagerly on numpy arrays, and every primitive takes
+Tensors only (wrap a number or an array in :func:`constant`). While a
+:class:`Tape` is active (used as a context manager), every primitive that
+touches a tracked tensor appends a backward closure to the tape;
+:func:`gradients` then replays the tape once, in reverse, accumulating
+vector-Jacobian products. Because ops are recorded in creation order the
+tape is topologically sorted by construction.
 
 Tensors are immutable once produced by an op. Tapes nest: the innermost
 active one records, and the stack of active tapes is one module-level list,
 so a process runs its tapes on one thread. With no tape active, the same
 functions run as plain (and cheaper) numpy evaluation.
 
-A fused layer (:func:`tanh_mlp_mean`) is one op standing for a chain of
-primitives: it computes the chain's values and gradients bit for bit, but
-records one backward closure and keeps only what that closure reads.
+A fused op is one op standing for a chain of primitives: the encoder's
+:func:`tanh_mlp_mean` and the orthogonality term's :func:`row_cosine`. It
+records one backward closure and keeps only what that closure reads. Its
+replay rule: forward and backward run the chain's numpy expressions in the
+chain's order, and the backward returns its contributions to each input one
+by one, in the order the chain's replay would have added them, since
+:func:`gradients` sums contributions in the order they come and float
+addition is not associative. So its values and gradients are the chain's bit
+for bit.
 
 Everything is float64: the package's verification budget (finite-difference
 gradient checks at 1e-5 relative error, analytic oracles at 1e-12) is not
@@ -70,10 +78,6 @@ def _not_scalar(t: Tensor):
     raise ContractError(f"expected a scalar tensor, got shape {t.shape}")
 
 
-def as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
 def constant(value) -> Tensor:
     """Untracked tensor wrapping the given value."""
     return Tensor(value, requires_grad=False)
@@ -124,7 +128,9 @@ def gradients(loss: Tensor, tape: Tape) -> dict[int, np.ndarray]:
     Returns a map from tensor id to gradient for every requires_grad tensor
     that participated in the computation; those tensors also get their
     ``grad`` attribute (re)assigned. Tensors never touched by the tape are
-    simply absent from the map.
+    simply absent from the map. The trainer reads the ``grad`` attributes;
+    the benchmark's tracing reads the map's length, the denominator of its
+    useful-gradient ratio.
 
     An op output's gradient is complete once its op replays, since every op
     that read it was recorded later and so replayed earlier; it is dropped
@@ -173,7 +179,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data + b.data)
 
     def backward(g):
@@ -184,7 +189,6 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data - b.data)
 
     def backward(g):
@@ -195,14 +199,12 @@ def sub(a, b) -> Tensor:
 
 
 def neg(a) -> Tensor:
-    a = as_tensor(a)
     out = Tensor(-a.data)
     _record(out, (a,), lambda g: ((a, -g),))
     return out
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data * b.data)
 
     def backward(g):  # constant operands (batch features, scales, masks) get no product
@@ -212,21 +214,7 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data / b.data)
-
-    def backward(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ((a, ga), (b, gb))
-
-    _record(out, (a, b), backward)
-    return out
-
-
 def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ContractError(f"matmul expects 2-D operands, got shapes {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -246,7 +234,6 @@ def matmul(a, b) -> Tensor:
 
 
 def transpose(a) -> Tensor:
-    a = as_tensor(a)
     if a.ndim != 2:
         raise ContractError(f"transpose expects a 2-D tensor, got shape {a.shape}")
     out = Tensor(a.data.T)
@@ -255,26 +242,12 @@ def transpose(a) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
     out = Tensor(a.data.reshape(shape))
     _record(out, (a,), lambda g: ((a, g.reshape(a.shape)),))
     return out
 
 
-def tsum(a, axis=None) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis))
-
-    def backward(g):
-        gg = g if axis is None else np.expand_dims(g, axis)
-        return ((a, np.broadcast_to(gg, a.shape).copy()),)
-
-    _record(out, (a,), backward)
-    return out
-
-
 def tmean(a, axis=None) -> Tensor:
-    a = as_tensor(a)
     out = Tensor(a.data.mean(axis=axis))
     count = a.size if axis is None else a.shape[axis]
 
@@ -287,7 +260,7 @@ def tmean(a, axis=None) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
+    ts = tuple(tensors)
     if not ts:
         raise ContractError("concat of an empty sequence")
     out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
@@ -298,12 +271,11 @@ def concat(tensors, axis: int = 0) -> Tensor:
         parts = np.split(g, splits, axis=axis)
         return tuple(zip(ts, parts))
 
-    _record(out, tuple(ts), backward)
+    _record(out, ts, backward)
     return out
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
-    a = as_tensor(a)
     index = [slice(None)] * a.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
@@ -318,22 +290,13 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     return out
 
 
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.sqrt(a.data))
-    _record(out, (a,), lambda g: ((a, g / (2.0 * out.data)),))
-    return out
-
-
 def tanh(a) -> Tensor:
-    a = as_tensor(a)
     out = Tensor(np.tanh(a.data))
     _record(out, (a,), lambda g: ((a, g * (1.0 - out.data * out.data)),))
     return out
 
 
 def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
     x = a.data
     s = np.empty_like(x)
     pos = x >= 0
@@ -347,7 +310,6 @@ def sigmoid(a) -> Tensor:
 
 def clip(a, low: float, high: float) -> Tensor:
     """Clamp values to [low, high]; gradient passes through the interior only."""
-    a = as_tensor(a)
     out = Tensor(np.clip(a.data, low, high))
     inside = ((a.data > low) & (a.data < high)).astype(np.float64)
     _record(out, (a,), lambda g: ((a, g * inside),))
@@ -356,7 +318,6 @@ def clip(a, low: float, high: float) -> Tensor:
 
 def softmax(a, axis: int = -1) -> Tensor:
     """Row-stable softmax: positive entries summing to one along `axis`."""
-    a = as_tensor(a)
     if a.size == 0:
         raise ContractError("softmax of an empty tensor")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -373,7 +334,6 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
     if a.size == 0:
         raise ContractError("log_softmax of an empty tensor")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -390,7 +350,6 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
 def take_per_row(a, indices) -> Tensor:
     """out[i] = a[i, indices[i]] for a 2-D tensor."""
-    a = as_tensor(a)
     if a.ndim != 2:
         raise ContractError(f"take_per_row expects a 2-D tensor, got shape {a.shape}")
     idx = np.asarray(indices, dtype=np.int64)
@@ -419,11 +378,9 @@ def tanh_mlp_mean(x, W1, b1, W2, b2, dropout_p: float, rng) -> Tensor:
     scaled by 1 / (1 - p), when at least p. At p = 0 nothing is drawn.
 
     One op in place of the chain matmul, add, tanh, dropout, matmul, add,
-    reshape, tmean. Its forward and backward run that chain's numpy
-    expressions in the same order, so values and gradients are bit-identical
-    to it. On a tape it holds x, the tanh output and the dropout mask; off
-    one it holds nothing."""
-    x, W1, b1, W2, b2 = (as_tensor(t) for t in (x, W1, b1, W2, b2))
+    reshape, tmean, bit-identical to it by the replay rule (module
+    docstring). On a tape it holds x, the tanh output and the dropout mask;
+    off one it holds nothing."""
     if not 0.0 <= dropout_p < 1.0:
         raise ContractError(f"dropout probability must be in [0, 1), got {dropout_p}")
     if x.ndim != 3 or x.shape[2] != W1.shape[0]:
@@ -463,28 +420,45 @@ def tanh_mlp_mean(x, W1, b1, W2, b2, dropout_p: float, rng) -> Tensor:
     return out
 
 
-# ---------------------------------------------------------------------------
-# composite scalar/vector functions
-# ---------------------------------------------------------------------------
+def row_cosine(u: Tensor, v: Tensor) -> Tensor:
+    """(B, d) rows -> (B,): the cosine of each row of u with the same row of
+    v; two d-vectors are one row. A degenerate row, where either norm is at
+    or below NORM_EPS, gives 0 and passes no gradient: it is masked out of the
+    numerator and the denominator before the square root, so no gradient path
+    divides by zero.
 
-def row_cosine(u, v) -> Tensor:
-    """Row-wise cosine of two (B, d) tensors; degenerate rows contribute 0."""
-    u, v = as_tensor(u), as_tensor(v)
-    if u.ndim == 1:
-        u = reshape(u, (1, -1))
-    if v.ndim == 1:
-        v = reshape(v, (1, -1))
-    if u.shape != v.shape or u.ndim != 2:
+    One op in place of the chain mul, tsum, mul, tsum, mul, add, mul, add,
+    mul, sqrt, mul, tsum, mul, div (sums over each row), bit-identical to it
+    on (B, d) rows by the replay rule (module docstring). An untracked
+    operand (the frozen encoder rows) gets no product."""
+    ud, vd = (t.data.reshape(1, -1) if t.ndim == 1 else t.data for t in (u, v))
+    if ud.shape != vd.shape or ud.ndim != 2:
         raise ContractError(f"row_cosine expects matching (B, d) tensors, got {u.shape} and {v.shape}")
-    uu = tsum(mul(u, u), axis=1)
-    vv = tsum(mul(v, v), axis=1)
-    ok = constant(((uu.data > NORM_EPS * NORM_EPS) & (vv.data > NORM_EPS * NORM_EPS)).astype(np.float64))
-    # degenerate rows are masked out of both numerator and denominator before
-    # the sqrt so no gradient path ever divides by zero
-    pad = constant(1.0 - ok.data)
-    den = sqrt(mul(add(mul(uu, ok), pad), add(mul(vv, ok), pad)))
-    num = mul(tsum(mul(u, v), axis=1), ok)
-    return div(num, den)
+    uu = (ud * ud).sum(axis=1)
+    vv = (vd * vd).sum(axis=1)
+    ok = ((uu > NORM_EPS * NORM_EPS) & (vv > NORM_EPS * NORM_EPS)).astype(np.float64)
+    pad = 1.0 - ok
+    nu, nv = uu * ok + pad, vv * ok + pad
+    den = np.sqrt(nu * nv)
+    num = (ud * vd).sum(axis=1) * ok
+    out = Tensor(num / den)
+
+    def backward(g):  # in the chain's replay order: mul(u, v), then mul(v, v) and mul(u, u), each operand twice
+        guv = np.expand_dims(g / den * ok, 1)
+        gp = -g * num / (den * den) / (2.0 * den)
+        pairs = []
+        if u._tracked:
+            pairs.append((u, guv * vd))
+        if v._tracked:
+            gv = np.expand_dims(gp * nu * ok, 1) * vd
+            pairs += [(v, guv * ud), (v, gv), (v, gv)]
+        if u._tracked:
+            gu = np.expand_dims(gp * nv * ok, 1) * ud
+            pairs += [(u, gu), (u, gu)]
+        return [(t, c.reshape(t.shape)) for t, c in pairs]
+
+    _record(out, (u, v), backward)
+    return out
 
 
 def check_finite(t: Tensor, what: str = "tensor") -> Tensor:

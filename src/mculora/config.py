@@ -9,10 +9,11 @@ and check nothing again. It checks checkpoint headers too: :func:`mculora.model.
 header's five fields (raw_dim, model_dim, classes, rank, alpha) into an
 ``ExperimentConfig`` and validates it. Config files are plain text: one
 ``key = value`` per line, ``#`` comments, blank lines ignored.
-Every key is typed and validated against the schema below; unknown keys,
-malformed values and out-of-range values (NaN and infinities included) are
-rejected with the field named. A run's settings come from its config file
-alone: no command-line flag overrides a key.
+Every key is typed and validated against the schema below; unknown keys, a
+key set on two lines (named with both line numbers), malformed values and
+out-of-range values (NaN and infinities included) are rejected with the
+field named. A run's settings come from its config file alone: no
+command-line flag overrides a key.
 The resolved snapshot is echoed into each run's ``manifest.json`` together
 with the seed and SHA-256 checksums of every written artifact, so a
 run can be reproduced byte for byte (wallclock columns excepted). Each digest
@@ -132,6 +133,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     cfg = ExperimentConfig()
+    seen: dict[str, int] = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -142,6 +144,9 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{source}:{lineno}: config key {key!r} is set twice, on lines {seen[key]} and {lineno}")
+        seen[key] = lineno
         try:
             setattr(cfg, key, _convert(key, value))
         except ValueError as exc:

@@ -30,6 +30,8 @@ def orthogonality_loss(common: dict[str, Tensor],
 
     `common` and `encoder` map modality -> pooled vector (or (B, d) batch);
     `private` maps each active combination to the same per-modality layout.
+    Each cosine is one tape op, so a term records five: two cosines, their
+    difference, its batch mean and the running sum.
     """
     total = ad.constant(0.0)
     for combo in sorted(private, key=ALL_COMBINATIONS.index):

@@ -158,7 +158,7 @@ class Heads:
 
 def combine_predictions(y_com: Tensor, y_hat: Tensor, w: Tensor) -> Tensor:
     """(1 - w) * common prediction + w * characteristic prediction."""
-    return ad.add(ad.mul(ad.sub(1.0, w), y_com), ad.mul(w, y_hat))
+    return ad.add(ad.mul(ad.sub(ad.constant(1.0), w), y_com), ad.mul(w, y_hat))
 
 
 class MculoraModel:

@@ -44,18 +44,9 @@ full test set, and the table's eight rows are a, t, v, av, at, tv, average,
 atv: "average", the unweighted mean over the six incomplete conditions, is
 one more row of the table. Under the random protocol, each sample's
 combination is drawn once from the configured probability range, seeded by
-``eval_seed``, and the table's one row is "random".
-Evaluation works through the test rows one window of ``_HEAD_ROWS`` rows at
-a time. It reads a window one chunk of at most
-``_EVAL_POSITIONS`` sequence positions (rows x L) at a time - from the dataset
-file when given a :class:`~mculora.synthgen.DatasetFile` - and encodes each
-row once per modality some condition keeps: three times per row under the
-fixed protocol, and only the modalities a row keeps under the random one.
-Then the window's rows of each condition run through the adapters, fusion and
-heads as one group. Only the predictions outlive a window, so of what eval
-holds only the labels, masks and predictions grow with the split. Finetune's
-encoding reads its rows in the same chunks, so the encoder's (B*L, d)
-intermediates stay the same size whatever the sequence length.
+``eval_seed``, and the table's one row is "random". Evaluation works
+through the test rows in windows (:func:`predict_dataset` states how), so of
+what it holds only the labels, masks and predictions grow with the split.
 
 CSV interfaces (column orders are part of the interface):
 
@@ -304,10 +295,13 @@ def _encode_rows(model: MculoraModel, dataset, start: int, need: np.ndarray) -> 
     :class:`~mculora.synthgen.Dataset` or :class:`~mculora.synthgen.DatasetFile`),
     one per entry of `need`, through the frozen base.
 
-    The rows are read one chunk of at most ``_EVAL_POSITIONS`` positions at a
-    time, and row start + i is encoded once for each modality of the
-    combination bitmask need[i]. Only the pooled rows are kept across chunks;
-    a row holds zeros for a modality it was not encoded for."""
+    The rows are read one chunk of at most ``_EVAL_POSITIONS`` positions
+    (rows x L) at a time, from the dataset file when given a ``DatasetFile``,
+    and row start + i is encoded once for each modality of the combination
+    bitmask need[i]. Only the pooled rows are kept across chunks; a row holds
+    zeros for a modality it was not encoded for. Finetune encodes its
+    training rows here too, so the encoder's (B*L, d) intermediates stay the
+    same size whatever the sequence length."""
     n, bits = len(need), {m: Combo.from_modalities(m).mask for m in MODALITIES}
     step = max(1, _EVAL_POSITIONS // max(1, dataset[:0].features["a"].shape[1]))
     dims = model.dims()
@@ -332,9 +326,11 @@ def predict_dataset(model: MculoraModel, dataset, masks: np.ndarray) -> np.ndarr
 
     `masks` holds one or more views of every row of `dataset`. The rows are
     taken one window of ``_HEAD_ROWS`` rows at a time: each row of the window
-    is read and encoded once per modality that some view of it keeps, then
-    the window's rows of each view and combination run through the rest of
-    the model as one group. Only the predictions outlive the window.
+    is read and encoded once per modality that some view of it keeps (three
+    times per row under the fixed protocol, only the modalities a row keeps
+    under the random one; see :func:`_encode_rows`), then the window's rows
+    of each view and combination run through the adapters, fusion and heads
+    as one group. Only the predictions outlive the window.
     Non-finite logits raise :class:`ContractError` naming the combination."""
     views = masks.reshape(-1, len(dataset))
     need = np.bitwise_or.reduce(views, axis=0)

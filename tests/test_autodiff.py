@@ -61,16 +61,16 @@ def test_matmul_associativity_random_chains():
 def test_gradient_of_sum_of_squares():
     x = ad.Tensor([1.0, 2.0, 3.0], requires_grad=True)
     with ad.Tape() as tape:
-        loss = ad.tsum(ad.mul(x, x))
+        loss = ad.tmean(ad.mul(x, x))
     grads = ad.gradients(loss, tape)
-    assert np.allclose(x.grad, [2.0, 4.0, 6.0])
+    assert np.allclose(x.grad, [2.0 / 3.0, 4.0 / 3.0, 2.0])  # 2x / 3
     assert grads[x._id] is x.grad
 
 
 def test_gradient_of_constant_loss_is_zero():
     x = ad.Tensor([1.0, 2.0], requires_grad=True)
     with ad.Tape() as tape:
-        loss = ad.tsum(ad.mul(x, ad.constant([0.0, 0.0])))
+        loss = ad.tmean(ad.mul(x, ad.constant([0.0, 0.0])))
     ad.gradients(loss, tape)
     assert np.array_equal(x.grad, [0.0, 0.0])
 
@@ -110,7 +110,7 @@ def test_tensor_off_tape_absent_from_map():
     x = ad.Tensor([1.0], requires_grad=True)
     bystander = ad.Tensor([5.0], requires_grad=True)
     with ad.Tape() as tape:
-        loss = ad.tsum(ad.mul(x, x))
+        loss = ad.tmean(ad.mul(x, x))
     grads = ad.gradients(loss, tape)
     assert bystander._id not in grads
     assert bystander.grad is None
@@ -121,7 +121,7 @@ def test_backward_visits_each_op_once_with_shared_subexpression():
     x = ad.Tensor([3.0], requires_grad=True)
     with ad.Tape() as tape:
         sq = ad.mul(x, x)
-        loss = ad.tsum(ad.add(sq, sq))
+        loss = ad.tmean(ad.add(sq, sq))
     ad.gradients(loss, tape)
     assert np.allclose(x.grad, [12.0])  # d/dx 2x^2 = 4x
 
@@ -135,8 +135,8 @@ def test_backward_holds_a_few_gradients_of_a_long_chain_and_leaves_the_tape():
     with ad.Tape() as tape:
         y = x
         for i in range(k):
-            y = ad.tanh(y) if i % 2 else ad.mul(y, 1.01)
-        loss = ad.tsum(y)
+            y = ad.tanh(y) if i % 2 else ad.mul(y, ad.constant(1.01))
+        loss = ad.tmean(y)
     ops = len(tape)
     tracemalloc.start()
     try:
@@ -205,6 +205,36 @@ def test_row_cosine_matches_scalar_and_masks_degenerate_rows():
     assert out.data[2] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("v_tracked", [True, False], ids=["redundancy", "grounding"])
+def test_row_cosine_gradient_matches_closed_form_and_masks_degenerate_rows(v_tracked):
+    # one op: d cos / du = v / (|u| |v|) - cos u / |u|^2 per row, and symmetrically
+    # for v unless it is a constant (the frozen encoder rows of the grounding cosine)
+    rng = Rng(41)
+    u0, v0, w = rng.normal(size=(5, 4)), rng.normal(size=(5, 4)), rng.normal(size=5)
+    u0[2] *= 1e-13  # norm below NORM_EPS: a degenerate row
+    u = ad.Tensor(u0, requires_grad=True)
+    v = ad.Tensor(v0, requires_grad=True) if v_tracked else ad.constant(v0)
+    with ad.Tape() as tape:
+        cos = ad.row_cosine(u, v)
+        loss = ad.tmean(ad.mul(cos, ad.constant(w)))
+    assert len(tape) == 3
+    ad.gradients(loss, tape)
+    nu, nv = np.linalg.norm(u0, axis=1, keepdims=True), np.linalg.norm(v0, axis=1, keepdims=True)
+    want_cos = (u0 * v0).sum(axis=1, keepdims=True) / (nu * nv)
+    upstream = (w / len(w))[:, None]
+    want_u = upstream * (v0 / (nu * nv) - want_cos * u0 / nu ** 2)
+    want_v = upstream * (u0 / (nu * nv) - want_cos * v0 / nv ** 2)
+    live = np.arange(5) != 2
+    assert np.abs(cos.data[live] - want_cos[live, 0]).max() <= 1e-12 and cos.data[2] == 0.0
+    assert np.abs(u.grad[live] - want_u[live]).max() <= 1e-12
+    assert np.all(u.grad[2] == 0.0)
+    if v_tracked:
+        assert np.abs(v.grad[live] - want_v[live]).max() <= 1e-12
+        assert np.all(v.grad[2] == 0.0)
+    else:
+        assert v.grad is None
+
+
 # ---------------------------------------------------------------------------
 # softmax
 # ---------------------------------------------------------------------------
@@ -248,10 +278,10 @@ def test_take_per_row_forward_and_backward():
     a = ad.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
     with ad.Tape() as tape:
         picked = ad.take_per_row(a, [1, 0])
-        loss = ad.tsum(picked)
+        loss = ad.tmean(picked)
     assert np.array_equal(picked.data, [2.0, 3.0])
     ad.gradients(loss, tape)
-    assert np.array_equal(a.grad, [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(a.grad, [[0.0, 0.5], [0.5, 0.0]])
 
 
 def test_concat_narrow_roundtrip_gradients():
@@ -260,30 +290,30 @@ def test_concat_narrow_roundtrip_gradients():
     with ad.Tape() as tape:
         joined = ad.concat([a, b], axis=1)
         right = ad.narrow(joined, 1, 2, 2)
-        loss = ad.tsum(ad.mul(right, right))
+        loss = ad.tmean(ad.mul(right, right))
     ad.gradients(loss, tape)
     assert np.array_equal(a.grad, [[0.0, 0.0]])
-    assert np.array_equal(b.grad, [[6.0, 8.0]])
+    assert np.array_equal(b.grad, [[3.0, 4.0]])
 
 
 def test_mean_axis_backward():
     a = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     with ad.Tape() as tape:
         pooled = ad.tmean(a, axis=0)
-        loss = ad.tsum(pooled)
+        loss = ad.tmean(pooled)
     ad.gradients(loss, tape)
-    assert np.allclose(a.grad, 0.5)
+    assert np.allclose(a.grad, 0.5 / 3.0)
 
 
 def hidden_through(dropout_p, rng):
     """tanh_mlp_mean on one position per row with identity output weights, so
     that its output is the hidden layer, tanh(1) everywhere, after dropout;
-    also the gradient of the output's sum on the hidden bias."""
+    also the gradient of the output's mean on the hidden bias."""
     b1 = ad.Tensor(np.ones((1, 10)), requires_grad=True)
+    x, W1, W2, b2 = (ad.constant(a) for a in (np.zeros((100, 1, 4)), np.zeros((4, 10)), np.eye(10), np.zeros((1, 10))))
     with ad.Tape() as tape:
-        out = ad.tanh_mlp_mean(np.zeros((100, 1, 4)), np.zeros((4, 10)), b1, np.eye(10), np.zeros((1, 10)),
-                               dropout_p, rng)
-        loss = ad.tsum(out)
+        out = ad.tanh_mlp_mean(x, W1, b1, W2, b2, dropout_p, rng)
+        loss = ad.tmean(out)
     ad.gradients(loss, tape)
     return out.data, b1.grad
 
@@ -300,7 +330,7 @@ def test_tanh_mlp_mean_dropout_scales_and_masks():
     kept = out != 0
     assert np.allclose(out[kept], 2.0 * np.tanh(1.0))
     assert 0.35 < kept.mean() < 0.65
-    assert np.allclose(b1_grad, kept.sum(axis=0) * 2.0 * (1.0 - np.tanh(1.0) ** 2))  # the same mask backward
+    assert np.allclose(b1_grad, kept.sum(axis=0) * 2.0 * (1.0 - np.tanh(1.0) ** 2) / out.size)  # the same mask backward
     for p in (-0.1, 1.0):
         with pytest.raises(ContractError, match=r"dropout probability must be in \[0, 1\)"):
             hidden_through(p, Rng(5))

@@ -277,7 +277,7 @@ def test_negative_seed_is_input_error(workspace, capsys, where):
     tmp, cfg = workspace
     bad = tmp / "bad.cfg"
     if where == "config-file":
-        bad.write_text(TINY_CONFIG + "seed = -3\n")
+        bad.write_text(TINY_CONFIG.replace("seed = 66", "seed = -3"))
         field, argv = "seed", ("gen-data", "--config", bad, "--out", tmp / "x")
     else:
         data = tmp / "data" / "dataset.mcu"
@@ -698,7 +698,7 @@ def test_finetune_config_sets_the_ablations_rank_and_beta(workspace):
     tmp, cfg = workspace
     data, pre, _ = full_pipeline(tmp, cfg)
     ablation = tmp / "ablation.cfg"
-    ablation.write_text(TINY_CONFIG + "mcla = off\ndpft = off\nrank = 1\nbeta = 0\n")
+    ablation.write_text(TINY_CONFIG.replace("rank = 2", "rank = 1") + "mcla = off\ndpft = off\nbeta = 0\n")
     out = tmp / "fin_ablation"
     assert run("finetune", "--config", ablation, "--data", data / "dataset.mcu",
                "--checkpoint", pre / "checkpoint.mcu", "--out", out) == 0
@@ -716,7 +716,7 @@ def test_finetune_config_sets_the_ablations_rank_and_beta(workspace):
     meta = load_container(out / "checkpoint.mcu", expected_kind="checkpoint")[1]
     assert meta["config"]["rank"] == 1 and not meta["has_adapters"]
     rank1 = tmp / "rank1.cfg"
-    rank1.write_text(TINY_CONFIG + "mcla = on\nrank = 1\n")
+    rank1.write_text(TINY_CONFIG.replace("rank = 2", "rank = 1") + "mcla = on\n")
     mcla_out = tmp / "fin_rank1"
     assert run("finetune", "--config", rank1, "--data", data / "dataset.mcu",
                "--checkpoint", pre / "checkpoint.mcu", "--out", mcla_out) == 0
@@ -735,6 +735,18 @@ def test_parse_config_text_handles_comments_and_types():
         parse_config_text("beta = maybe\n")
     with pytest.raises(ConfigError, match="expected key"):
         parse_config_text("just some words\n")
+
+
+def test_config_key_set_twice_is_input_error(workspace, capsys):
+    tmp, _ = workspace
+    bad = tmp / "bad.cfg"
+    bad.write_text("seed = 1\nrank = 2\n\n# later\nseed = 2\n")
+    assert run("gen-data", "--config", bad, "--out", tmp / "x") == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:5: config key 'seed' is set twice, on lines 1 and 5" in err and len(err.splitlines()) == 1
+    assert not (tmp / "x").exists()
+    with pytest.raises(ConfigError, match="'rank' is set twice, on lines 1 and 2"):
+        parse_config_text("rank = 2\nrank = 2\n")  # even to the same value
 
 
 def test_version_string_does_not_depend_on_the_working_directory(tmp_path, monkeypatch):

@@ -111,9 +111,9 @@ def test_fused_encoder_is_bit_identical_to_its_primitive_chain(dropout_p):
     for forward in (enc.forward, lambda x, p, rng: reference_encoder(enc, x, p, rng)):
         with ad.Tape() as tape:
             out = forward(x, dropout_p, Rng(8))  # the same dropout stream for both
-            loss = ad.tsum(ad.mul(out, upstream))
+            loss = ad.tmean(ad.mul(out, upstream))
         ad.gradients(loss, tape)
-        ops = len(tape) - 2  # the loss's mul and tsum
+        ops = len(tape) - 2  # the loss's mul and tmean
         results.append((ops, out.data, *(t.grad for t in (enc.W1, enc.b1, enc.W2, enc.b2))))
     (fused_ops, *fused), (chain_ops, *chain) = results
     assert (fused_ops, chain_ops) == (1, 8 if dropout_p else 7)
@@ -419,14 +419,25 @@ def test_pretrain_step_records_one_encoder_op_per_modality():
 
 @pytest.mark.parametrize("mcla", [True, False], ids=["mcla", "base"])
 @pytest.mark.parametrize("combo", ALL_COMBINATIONS, ids=[c.name for c in ALL_COMBINATIONS])
-def test_finetune_step_tape_op_count(combo, mcla):
+def test_finetune_step_tape_op_count(combo, mcla, monkeypatch):
     model = small_model(adapters=False)
     attach_adapters(model, Rng(1), rank=2, mcla=mcla)
     feats, labels = batch_features(seed=6)
+    ortho_ops, ortho = [], orthogonality_loss
+
+    def counted_orthogonality_loss(*args):
+        start = len(tape)
+        l_ort = ortho(*args)
+        ortho_ops.append(len(tape) - start)
+        return l_ort
+
+    monkeypatch.setitem(globals(), "orthogonality_loss", counted_orthogonality_loss)
     with ad.Tape() as tape:
         finetune_objective(model, feats, labels, combo, 0.001)
-    expected = {1: 76, 2: 129, 3: 182}[len(combo.modalities)] if mcla else 7
-    assert len(tape) == expected
+    k = len(combo.modalities)
+    assert len(tape) == ({1: 54, 2: 85, 3: 116}[k] if mcla else 7)
+    # per modality: the two fused cosines, their difference, its batch mean and the running sum
+    assert ortho_ops == ([5 * k] if mcla else [])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -347,6 +348,16 @@ def test_random_protocol_single_row_and_mask_reproducibility():
     r2 = evaluate(model, test_set, "random", cfg)
     assert list(r1.rows) == ["random"]
     assert r1.rows["random"] == r2.rows["random"]
+
+
+def test_random_protocol_at_missing_rate_zero_is_the_fixed_protocols_full_row():
+    # the missing-rate sweep's r = 0 end: no modality is dropped, so every row is scored with all three
+    model, cfg = trained_tiny_model()
+    test_set = tiny_synth(n=50, seed=4)
+    fixed = evaluate(model, test_set, "fixed", cfg).rows
+    at_zero = evaluate(model, test_set, "random", dataclasses.replace(cfg, mask_lo=0.0, mask_hi=0.0)).rows
+    assert tuple(at_zero["random"]) == tuple(fixed["atv"])  # all four metrics, bit for bit
+    assert any(fixed[c.name] != fixed["atv"] for c in INCOMPLETE_COMBINATIONS)  # the rows tell conditions apart
 
 
 def one_row_prediction(model, dataset, i, combo):
