@@ -103,9 +103,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
-        # e.g. a --data or --checkpoint path that is missing, a directory, under a file or unreadable;
-        # for a failed rename (an output whose name a directory takes) the target is filename2
+    except OSError as exc:
+        # a path the OS refuses, e.g. a --data or --checkpoint path that is missing, a directory, under a
+        # file, unreadable, too long or a symlink loop; for a failed rename (an output whose name a
+        # directory takes) the target is filename2. An error that names no path, such as a full disk
+        # during a write, is no input's fault and propagates
+        if exc.filename is None:
+            raise
         print(f"error: cannot open {exc.filename2 or exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
     except ContractError as exc:
@@ -121,21 +125,26 @@ def _make_out_dir(path) -> Path:
     out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(f"--out {out_dir}: cannot make the output directory: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"--out {out_dir}: cannot make the output directory: {exc.strerror}") from exc
     return out_dir
 
 
-def _split_rows(cfg: ExperimentConfig, data_path: str, split: str) -> DatasetFile:
+def _split_rows(cfg: ExperimentConfig, data_path: str, split: str, classes: int) -> DatasetFile:
     """The rows of one split of the dataset file, opened: "train", "probe"
     (the first ``probe_size`` validation samples or, with no validation
-    split, the last ``probe_size`` training samples) or "test"."""
+    split, the last ``probe_size`` training samples) or "test". A file whose
+    header's classes are not the model's `classes` is a :class:`ContractError`."""
     def rows(n: int) -> slice:
         n_train, n_val = split_bounds(n, cfg.train_frac, cfg.val_frac)
         probe = (slice(n_train, n_train + min(cfg.probe_size, n_val)) if n_val
                  else slice(max(0, n_train - cfg.probe_size), n_train))
         return {"train": slice(0, n_train), "probe": probe, "test": slice(n_train + n_val, n)}[split]
-    return DatasetFile(data_path, rows)
+    data = DatasetFile(data_path, rows)
+    if data.classes != classes:
+        data.close()
+        raise ContractError(f"{data_path} holds a dataset of {data.classes} classes, but the model has {classes}")
+    return data
 
 
 def cmd_gen_data(args) -> int:
@@ -147,7 +156,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg, out_dir = _prepare(args)
-    with _split_rows(cfg, args.data, "train") as train:
+    with _split_rows(cfg, args.data, "train", cfg.classes) as train:
         result = pretrain(train, cfg)
     write_manifest(out_dir, "pretrain", cfg, args.config, {
         "checkpoint.mcu": save_checkpoint(result.model, out_dir / "checkpoint.mcu"),
@@ -159,7 +168,8 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     cfg, out_dir = _prepare(args)
     model = load_checkpoint(args.checkpoint)
-    with _split_rows(cfg, args.data, "probe") as probe, _split_rows(cfg, args.data, "train") as train:
+    classes = model.dims()["classes"]
+    with _split_rows(cfg, args.data, "probe", classes) as probe, _split_rows(cfg, args.data, "train", classes) as train:
         result = finetune(model, train, cfg, probe)
     write_manifest(out_dir, "finetune", cfg, args.config, {
         "checkpoint.mcu": save_checkpoint(result.model, out_dir / "checkpoint.mcu"),
@@ -174,7 +184,7 @@ def cmd_finetune(args) -> int:
 def cmd_eval(args) -> int:
     cfg, out_dir = _prepare(args)
     model = load_checkpoint(args.checkpoint)
-    with _split_rows(cfg, args.data, "test") as test:
+    with _split_rows(cfg, args.data, "test", model.dims()["classes"]) as test:
         record = evaluate(model, test, args.protocol, cfg)
     text = format_metrics_document(record, json.dumps(cfg.echo(), sort_keys=True), version_string())
     write_manifest(out_dir, "eval", cfg, args.config, {"metrics.txt": write_text(out_dir / "metrics.txt", text)})

@@ -23,10 +23,12 @@ the ``data`` child of the config's root seed. :func:`generate_dataset` builds
 the dataset in memory; :func:`save_dataset` (the gen-data writer) runs the same
 generator body on the default stream, whose seed the file's header records,
 but draws each modality's features one block of rows at a time, each just
-before it is written, into one buffer per modality that every block reuses,
-so it holds three blocks, never a whole (N, L, D) array. Each modality
-comes from its own named stream, so the container writer draws and writes
-the three at once, each on a worker thread of its own.
+before it is written, into one buffer per modality that every block reuses.
+So at its peak it holds the three modalities' (N, D) base rows, which all of
+a row's positions share and which are built in place, plus three blocks,
+never a whole (N, L, D) array. Each modality comes from its own named stream,
+so the container writer draws and writes the three at once, each on a worker
+thread of its own.
 :class:`DatasetFile` checks a dataset file once and then reads any rows of
 a range, a slice or a batch of row indices at a time, and :func:`split_bounds`
 gives the split sizes, so a command reads only the split it uses, and only
@@ -154,23 +156,29 @@ def _generator(cfg: ExperimentConfig,
         for (m1, m2) in _PAIRS
     }
 
+    # the (n, D) base rows are built in place, so besides the three of them the build holds at most one
+    # (n, D) temporary (a private term, then a pair term) and the (n, shared_dim + private_dim) latents
     samples = root.child("samples")
     n, L, D = cfg.num_samples, cfg.seq_len, cfg.raw_dim
-    shared_noise = samples.child("shared").normal(size=(n, cfg.shared_dim))
-    private_noise = {m: samples.child(f"private-{m}").normal(size=(n, cfg.private_dim)) for m in MODALITIES}
-    pair_noise = {p: samples.child(f"pair-{p[0]}{p[1]}").normal(0.0, _PAIR_NOISE, size=n) for p in _PAIRS}
-
     labels = np.arange(n) % cfg.classes
-    z_shared = shared_anchors[labels] + _SHARED_JITTER * shared_noise
-    z_private = {m: private_anchors[m][labels] + _PRIVATE_JITTER * private_noise[m] for m in MODALITIES}
+    z_shared = shared_anchors[labels] + _SHARED_JITTER * samples.child("shared").normal(size=(n, cfg.shared_dim))
+    base = {}
+    for m in MODALITIES:
+        z_private = private_anchors[m][labels] + _PRIVATE_JITTER * samples.child(f"private-{m}").normal(
+            size=(n, cfg.private_dim))
+        base[m] = _matvec(shared_proj[m], z_shared)
+        base[m] *= cfg.shared_strength
+        private = _matvec(private_proj[m], z_private)
+        private *= cfg.private_strength
+        base[m] += private
+        del z_private, private
+    del z_shared
     bits = np.array([[_pair_bit(c, j) for j in range(len(_PAIRS))] for c in range(cfg.classes)])[labels]
-    base = {m: cfg.shared_strength * _matvec(shared_proj[m], z_shared)
-            + cfg.private_strength * _matvec(private_proj[m], z_private[m]) for m in MODALITIES}
     for j, (lead_m, partner_m) in enumerate(_PAIRS):
-        eps = pair_noise[(lead_m, partner_m)]
+        eps = samples.child(f"pair-{lead_m}{partner_m}").normal(0.0, _PAIR_NOISE, size=n)
         lead, follow = pair_dirs[(lead_m, partner_m)]
-        base[lead_m] = base[lead_m] + (cfg.pair_interaction_strength * (bits[:, j] + eps))[:, None] * lead
-        base[partner_m] = base[partner_m] + (cfg.pair_interaction_strength * eps)[:, None] * follow
+        base[lead_m] += (cfg.pair_interaction_strength * (bits[:, j] + eps))[:, None] * lead
+        base[partner_m] += (cfg.pair_interaction_strength * eps)[:, None] * follow
 
     def features(m: str) -> Iterator[np.ndarray]:
         # the block buffer is allocated here, by the caller of features, and
@@ -232,7 +240,9 @@ def save_dataset(path, cfg: ExperimentConfig) -> str:
     """Generate the dataset of cfg (as :func:`generate_dataset` does on its
     default stream) and write it, streaming: each modality's features are generated one row
     block at a time, each just before it is written, so no (N, L, D) array is
-    ever built. The three modalities are drawn and written concurrently, one
+    ever built. At its peak it holds the three (N, D) base-row arrays, built
+    in place (with at most one (N, D) temporary beside them), plus three
+    blocks. The three modalities are drawn and written concurrently, one
     writer thread each (see :func:`mculora.serialize.save_container`); the
     bytes are those of a sequential write. Returns the SHA-256 of the file's
     bytes, which the writer reads back as it goes.
@@ -260,11 +270,12 @@ class DatasetFile:
     whole file once (see :class:`~mculora.serialize.ContainerFile`; a file
     holding any array but the features and labels is refused) and reads the
     range's labels, each of which must be a whole number in [0, classes) for
-    the header config's classes. Then ``len()``, ``labels`` and indexing work
-    as on a :class:`Dataset`: a contiguous slice reads its rows' features with one
-    positioned read per modality, any other index (an array of row indices,
-    in any order) with one per row and modality, so a reader holds only the
-    rows it asks for. Close it when done; it is a context manager."""
+    the header config's ``classes`` (kept as ``classes``). Then ``len()``,
+    ``labels`` and indexing work as on a :class:`Dataset`: a contiguous slice
+    reads its rows' features with one positioned read per modality, any other
+    index (an array of row indices, in any order) with one per row and
+    modality, so a reader holds only the rows it asks for. Close it when
+    done; it is a context manager."""
 
     def __init__(self, path, rows: Callable[[int], slice]):
         self._file = ContainerFile(path, expected_kind="dataset")
@@ -278,6 +289,7 @@ class DatasetFile:
             classes = config.get("classes") if isinstance(config, dict) else None
             if type(classes) is not int:
                 raise ContractError(f"{path}: the header's config holds no integer 'classes'")
+            self.classes = classes
             bad = np.flatnonzero((self.labels != np.floor(self.labels)) | (self.labels < 0) | (self.labels >= classes))
             if bad.size:
                 raise ContractError(f"{path}: row {lo + bad[0]} has label {float(self.labels[bad[0]])}, "

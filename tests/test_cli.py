@@ -7,6 +7,7 @@ import re
 import subprocess
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def test_input_path_naming_a_directory_is_input_error(workspace, capsys, argv):
 
 
 @pytest.mark.parametrize("flag", ["--data", "--checkpoint"])
-@pytest.mark.parametrize("fault", ["parent-is-a-file", "unreadable"])
+@pytest.mark.parametrize("fault", ["parent-is-a-file", "unreadable", "name-too-long", "symlink-loop"])
 def test_unopenable_input_path_is_input_error(workspace, capsys, monkeypatch, fault, flag):
     tmp, cfg = workspace
     assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
@@ -215,6 +216,11 @@ def test_unopenable_input_path_is_input_error(workspace, capsys, monkeypatch, fa
     paths = {"--data": tmp / "data" / "dataset.mcu", "--checkpoint": tmp / "ckpt.mcu"}
     if fault == "parent-is-a-file":
         paths[flag] = cfg / "x"  # NotADirectoryError
+    elif fault == "name-too-long":
+        paths[flag] = tmp / ("x" * 300)  # a plain OSError, errno ENAMETOOLONG
+    elif fault == "symlink-loop":
+        paths[flag] = tmp / "loop"  # a plain OSError, errno ELOOP
+        paths[flag].symlink_to(paths[flag])
     else:  # as root every file is readable, so the refusal is simulated
         open_path = Path.open
 
@@ -309,6 +315,33 @@ def test_out_naming_an_existing_file_is_input_error(workspace, capsys):
     tmp, cfg = workspace
     assert run("gen-data", "--config", cfg, "--out", cfg) == 2
     assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen-data", "report"])
+def test_out_name_too_long_is_input_error(workspace, capsys, command):
+    tmp, cfg = workspace
+    out = tmp / ("x" * 300)
+    argv = ["--config", cfg] if command == "gen-data" else [tmp]
+    assert run(command, *argv, "--out", out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --out {out}: cannot make the output directory: {os.strerror(errno.ENAMETOOLONG)}"]
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "eval"])
+def test_dataset_of_another_class_count_is_state_error_naming_both(workspace, capsys, command):
+    # the model of pretrain comes from the config (3 classes), that of finetune and eval from the checkpoint
+    tmp, cfg = workspace
+    _, pre, fin = full_pipeline(tmp, cfg)
+    six = tmp / "six.cfg"
+    six.write_text(TINY_CONFIG.replace("classes = 3", "classes = 6"))
+    assert run("gen-data", "--config", six, "--out", tmp / "six") == 0
+    other = tmp / "six" / "dataset.mcu"
+    argv = {"pretrain": [], "finetune": ["--checkpoint", pre / "checkpoint.mcu"],
+            "eval": ["--checkpoint", fin / "checkpoint.mcu", "--protocol", "fixed"]}[command]
+    capsys.readouterr()
+    assert run(command, *argv, "--config", cfg, "--data", other, "--out", tmp / "out") == 3
+    assert capsys.readouterr().err.splitlines() == [f"error: {other} holds a dataset of 6 classes, but the model has 3"]
+    assert list((tmp / "out").iterdir()) == []
 
 
 @pytest.mark.parametrize("command, blocked", [("eval", "metrics.txt"), ("gen-data", "manifest.json")])
@@ -864,7 +897,7 @@ def test_command_row_ranges_are_the_splits_of_a_full_load(n, seq_len, train_frac
         train, val, test = split_dataset(read_dataset(path), cfg.train_frac, cfg.val_frac)
         probe = val[:probe_size] if len(val) else train[-probe_size:]  # an empty validation split: the last train rows
         for split, want in (("train", train), ("probe", probe), ("test", test)):
-            with _split_rows(cfg, path, split) as rows:
+            with _split_rows(cfg, path, split, cfg.classes) as rows:
                 assert len(rows) == len(want)
                 assert_same_dataset(rows[:], want)
                 assert_same_dataset(rows[1:-1], want[1:-1])
@@ -1037,8 +1070,8 @@ def test_manifest_bytes_are_pinned(tmp_path, monkeypatch):
                     trainer.EpochRow(2, "finetune", 0.25, 0.0, 0.25, 7.5)],
         schedule_rows=[trainer.ScheduleRow(1, np.arange(7) / 7, -np.arange(7) / 3, np.full(7, 1 / 7), 0.125),
                        trainer.ScheduleRow(2, np.zeros(7), np.zeros(7), np.full(7, 1 / 7), -1e-20)])
-    monkeypatch.setattr(cli, "load_checkpoint", lambda path: None)
-    monkeypatch.setattr(cli, "_split_rows", lambda cfg, path, split: contextlib.nullcontext([]))
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: SimpleNamespace(dims=lambda: {"classes": 4}))
+    monkeypatch.setattr(cli, "_split_rows", lambda cfg, path, split, classes: contextlib.nullcontext([]))
     monkeypatch.setattr(cli, "finetune", lambda model, train, cfg, probe: result)
     monkeypatch.setattr(cli, "save_checkpoint", lambda model, path: "c" * 64)
     monkeypatch.setattr(config, "version_string", lambda: "0.1.0+pinned")
