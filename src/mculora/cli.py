@@ -17,11 +17,14 @@ pretrain the train split, finetune the train split and the probe (the first
 ``probe_size`` validation samples or, when the validation split is empty,
 the last ``probe_size`` training samples), eval the test split. Each opens
 the file once as a :class:`~mculora.synthgen.DatasetFile`, which checks it
-whole, and closes it when the command ends, also when it fails. Pretrain,
-whose encoders train, reads each batch's rows just before the batch's
-forward pass; finetune and eval read theirs one chunk of rows at a time and
-keep only each row's pooled output of the frozen base. No command holds a
-whole split.
+whole, through ``_split_rows``, the one place a dataset file meets a model:
+it checks that the file's raw_dim (the feature width) and classes are the
+model's, those of the config for pretrain and of the checkpoint for
+finetune and eval. Each command closes the file when it ends, also when it
+fails. Pretrain, whose encoders train, reads each batch's rows just before
+the batch's forward pass; finetune and eval read theirs one chunk of rows at
+a time and keep only each row's pooled output of the frozen base. No command
+holds a whole split.
 Gen-data generates and writes one block of rows at a time, the three
 modalities concurrently, one writer thread each.
 
@@ -130,20 +133,23 @@ def _make_out_dir(path) -> Path:
     return out_dir
 
 
-def _split_rows(cfg: ExperimentConfig, data_path: str, split: str, classes: int) -> DatasetFile:
+def _split_rows(cfg: ExperimentConfig, data_path: str, split: str, dims: dict[str, int]) -> DatasetFile:
     """The rows of one split of the dataset file, opened: "train", "probe"
     (the first ``probe_size`` validation samples or, with no validation
     split, the last ``probe_size`` training samples) or "test". A file whose
-    header's classes are not the model's `classes` is a :class:`ContractError`."""
+    raw_dim or classes are not the model's, ``dims["raw_dim"]`` and
+    ``dims["classes"]``, is a :class:`ContractError` naming both values."""
     def rows(n: int) -> slice:
         n_train, n_val = split_bounds(n, cfg.train_frac, cfg.val_frac)
         probe = (slice(n_train, n_train + min(cfg.probe_size, n_val)) if n_val
                  else slice(max(0, n_train - cfg.probe_size), n_train))
         return {"train": slice(0, n_train), "probe": probe, "test": slice(n_train + n_val, n)}[split]
     data = DatasetFile(data_path, rows)
-    if data.classes != classes:
-        data.close()
-        raise ContractError(f"{data_path} holds a dataset of {data.classes} classes, but the model has {classes}")
+    for key, size in (("raw_dim", "raw_dim {}"), ("classes", "{} classes")):
+        if getattr(data, key) != dims[key]:
+            data.close()
+            raise ContractError(f"{data_path} holds a dataset of {size.format(getattr(data, key))}, "
+                                f"but the model has {size.format(dims[key])}")
     return data
 
 
@@ -156,7 +162,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg, out_dir = _prepare(args)
-    with _split_rows(cfg, args.data, "train", cfg.classes) as train:
+    with _split_rows(cfg, args.data, "train", {"raw_dim": cfg.raw_dim, "classes": cfg.classes}) as train:
         result = pretrain(train, cfg)
     write_manifest(out_dir, "pretrain", cfg, args.config, {
         "checkpoint.mcu": save_checkpoint(result.model, out_dir / "checkpoint.mcu"),
@@ -168,8 +174,8 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     cfg, out_dir = _prepare(args)
     model = load_checkpoint(args.checkpoint)
-    classes = model.dims()["classes"]
-    with _split_rows(cfg, args.data, "probe", classes) as probe, _split_rows(cfg, args.data, "train", classes) as train:
+    dims = model.dims()
+    with _split_rows(cfg, args.data, "probe", dims) as probe, _split_rows(cfg, args.data, "train", dims) as train:
         result = finetune(model, train, cfg, probe)
     write_manifest(out_dir, "finetune", cfg, args.config, {
         "checkpoint.mcu": save_checkpoint(result.model, out_dir / "checkpoint.mcu"),
@@ -184,7 +190,7 @@ def cmd_finetune(args) -> int:
 def cmd_eval(args) -> int:
     cfg, out_dir = _prepare(args)
     model = load_checkpoint(args.checkpoint)
-    with _split_rows(cfg, args.data, "test", model.dims()["classes"]) as test:
+    with _split_rows(cfg, args.data, "test", model.dims()) as test:
         record = evaluate(model, test, args.protocol, cfg)
     text = format_metrics_document(record, json.dumps(cfg.echo(), sort_keys=True), version_string())
     write_manifest(out_dir, "eval", cfg, args.config, {"metrics.txt": write_text(out_dir / "metrics.txt", text)})

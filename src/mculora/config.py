@@ -5,10 +5,11 @@ generator, the model, the trainer and evaluation all read their fields from
 it, and its :meth:`~ExperimentConfig.validate` is the only range check: the
 functions that take its fields, such as :func:`mculora.synthgen.split_bounds`
 and :func:`mculora.synthgen.apply_random_missing`, trust a validated config
-and check nothing again. It checks checkpoint headers too: :func:`mculora.model.load_checkpoint` turns a
-header's five fields (raw_dim, model_dim, classes, rank, alpha) into an
-``ExperimentConfig`` and validates it. Config files are plain text: one
-``key = value`` per line, ``#`` comments, blank lines ignored.
+and check nothing again. It checks checkpoints too:
+:func:`mculora.model.load_checkpoint` validates the sizes read off a
+checkpoint's arrays, with its alpha, as an ``ExperimentConfig``. Config
+files are plain text: one ``key = value`` per line, ``#`` comments, blank
+lines ignored.
 Every key is typed and validated against the schema below; unknown keys, a
 key set on two lines (named with both line numbers), malformed values and
 out-of-range values (NaN and infinities included) are rejected with the

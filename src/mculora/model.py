@@ -47,19 +47,11 @@ prefix says what it is: ``enc.*`` and ``fusion.*`` are the base,
 ``parameters("pretrain")`` is the base plus the common head, and
 ``parameters("finetune")`` everything outside the base.
 :meth:`MculoraModel.freeze_base` freezes the tensors under the base
-prefixes, so the common head stays trainable in finetuning. A checkpoint
-holds the table's arrays under their names.
+prefixes, so the common head stays trainable in finetuning.
 
 Settings come from the one schema, :class:`~mculora.config.ExperimentConfig`,
-which holds every default. A checkpoint's header records five of its fields.
-raw_dim, model_dim and classes are read off the parameters (``enc.a.W1`` and
-``head.com.W``). rank and alpha are the adapter rank and LoRA scale the model
-was last given: by :func:`build_model` from the pretrain config, then by
-:func:`attach_adapters` from the finetune config, with MCLA on or off.
-:func:`load_checkpoint` checks the header's types, passes it through
-``ExperimentConfig.validate``, checks its dims and every parameter's name
-and shape against the arrays, and builds the model from them through the
-constructor :func:`build_model` uses after drawing: nothing is drawn.
+which holds every default; :func:`save_checkpoint` states what a checkpoint
+holds and :func:`load_checkpoint` what it checks.
 """
 
 from __future__ import annotations
@@ -78,9 +70,7 @@ from .serialize import load_container, save_container
 
 _GATE_HIDDEN = 16
 _GATE_PREACT_LIMIT = 30.0  # keeps the logistic output strictly inside (0, 1)
-# the checkpoint header's config record: each field and the JSON type it holds
-_HEADER_FIELDS = {"raw_dim": int, "model_dim": int, "classes": int, "rank": int, "alpha": (int, float)}
-# header field -> (parameter, axis) whose size it is: raw_dim, model_dim and classes are read off the base
+# size -> (parameter, axis) it is read off: raw_dim, model_dim and classes are the base's
 _DIM_SOURCES = {"raw_dim": ("enc.a.W1", 0), "model_dim": ("enc.a.W1", 1), "classes": ("head.com.W", 1)}
 _BASE = ("enc.", "fusion.")  # the name prefixes of the base: pretraining trains it, freeze_base freezes it
 
@@ -162,16 +152,16 @@ def combine_predictions(y_com: Tensor, y_hat: Tensor, w: Tensor) -> Tensor:
 
 
 class MculoraModel:
-    """The parameter table, the layers that read it, and the adapter rank and
-    LoRA scale alpha last given to the model, which its checkpoint header records."""
+    """The parameter table, the layers that read it, and the LoRA scale alpha
+    last given to the model."""
 
-    def __init__(self, arrays: dict[str, np.ndarray], rank: int, alpha: float):
+    def __init__(self, arrays: dict[str, np.ndarray], alpha: float):
         """The model whose table holds `arrays`, named as
         :func:`_parameter_shapes` names them: the base, plus the adapters,
         characteristic head and gate when `arrays` holds them. Every parameter
         is trainable; phase "init"."""
         self.params = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
-        self.rank, self.alpha = rank, alpha
+        self.alpha = alpha
         self.phase = "init"
         self.encoders = {m: Encoder(self.params, m) for m in MODALITIES}
         self.fusion = FusionBlock(self.params)
@@ -224,12 +214,11 @@ def _parameter_shapes(raw_dim: int, model_dim: int, classes: int, rank: int, ada
     return shapes
 
 
-def build_model(cfg: ExperimentConfig, raw_dim: int, rng: Rng) -> MculoraModel:
-    """Fresh base model (no adapters) on raw_dim input features, the dataset's;
-    all parameters trainable. `cfg` gives model_dim and classes, and the rank
-    and alpha the model records until adapters are attached."""
+def build_model(cfg: ExperimentConfig, rng: Rng) -> MculoraModel:
+    """Fresh base model (no adapters) of the sizes raw_dim, model_dim and
+    classes of `cfg`, with its alpha; all parameters trainable."""
     init = rng.child("init")
-    d, D = cfg.model_dim, raw_dim
+    d, D = cfg.model_dim, cfg.raw_dim
     arrays = {}
     for m in MODALITIES:
         r = init.child(f"enc-{m}")
@@ -243,7 +232,7 @@ def build_model(cfg: ExperimentConfig, raw_dim: int, rng: Rng) -> MculoraModel:
     hr = init.child("heads")
     arrays["head.com.W"] = hr.normal(0.0, 1.0 / np.sqrt(d), size=(d, cfg.classes))
     arrays["head.com.b"] = np.zeros((1, cfg.classes))
-    return MculoraModel(arrays, cfg.rank, float(cfg.alpha))
+    return MculoraModel(arrays, float(cfg.alpha))
 
 
 def attach_adapters(model: MculoraModel, rng: Rng, rank: int, alpha: float = ExperimentConfig.alpha,
@@ -251,11 +240,11 @@ def attach_adapters(model: MculoraModel, rng: Rng, rank: int, alpha: float = Exp
     """Create zero-initialized adapter banks of the given rank and LoRA scale
     alpha, the characteristic head (a copy of the pretrained common head), and
     the gate. Requires a pretrained model and a rank that
-    ``ExperimentConfig.validate`` passed. The model records `rank` and `alpha`
-    for its checkpoint header also with mcla=False, when nothing is attached."""
+    ``ExperimentConfig.validate`` passed. The model takes `alpha` also with
+    mcla=False, when nothing is attached."""
     if model.phase != "pretrained":
         raise ContractError(f"adapters attach to a pretrained model, phase is {model.phase!r}")
-    model.rank, model.alpha = rank, float(alpha)
+    model.alpha = float(alpha)
     if not mcla:
         return
     init = rng.child("adapters")
@@ -360,61 +349,50 @@ def forward_batch(model: MculoraModel, feats: dict[str, np.ndarray], *,
 def save_checkpoint(model: MculoraModel, path) -> str:
     """Write the checkpoint; returns the SHA-256 of its bytes.
 
-    The header's ``config`` record holds five fields: raw_dim, model_dim and
-    classes, read off the parameters, and the rank and alpha the model
-    records - those of the pretrain config for a pretrained checkpoint, and
-    those of the finetune config for a finetuned one, with MCLA on or off."""
-    meta = {
-        "config": {**model.dims(), "rank": model.rank, "alpha": model.alpha},
-        "phase": model.phase,
-        "has_adapters": model.has_adapters,
-    }
-    return save_container(path, "checkpoint", meta, {k: t.data for k, t in sorted(model.params.items())})
+    A checkpoint is the parameter table, one array per name, plus the
+    metadata ``phase`` and ``alpha``: the alpha of the pretrain config for a
+    pretrained checkpoint, and that of the finetune config for a finetuned
+    one, with MCLA on or off. Every size is read off the arrays: raw_dim,
+    model_dim and classes off ``enc.a.W1`` and ``head.com.W``, and, when the
+    table holds ``head.prt.W`` and so adapters, rank off ``adapter.a.com.A``."""
+    return save_container(path, "checkpoint", {"phase": model.phase, "alpha": model.alpha},
+                          {k: t.data for k, t in sorted(model.params.items())})
 
 
 def load_checkpoint(path) -> MculoraModel:
     """The model the checkpoint at `path` holds, its base frozen unless it is
-    phase "init".
+    phase "init"; nothing is drawn.
 
-    The header's ``config`` record must hold exactly the five fields that
-    :func:`save_checkpoint` writes, the four dims as JSON integers and alpha
-    as a JSON number. As an :class:`~mculora.config.ExperimentConfig` it must
-    pass the range check a config file gets, and raw_dim, model_dim, classes
-    and (with adapters) rank must be the sizes of the arrays that hold them,
-    and only a finetuned checkpoint may hold adapters (finetune attaches them).
-    Any failure raises :class:`ContractError` naming the file and the field."""
+    The metadata must be exactly ``phase``, one of the model's phases, and
+    ``alpha``, a JSON float. The sizes read off the arrays (see
+    :func:`save_checkpoint`) and alpha must pass the range check a config file
+    gets, only a finetuned checkpoint may hold adapters (finetune attaches
+    them), and the arrays must be exactly the parameters, names and shapes, of
+    a model of those sizes. Any failure raises :class:`ContractError` naming
+    the file and the key, size or parameter."""
     _, meta, arrays = load_container(path, expected_kind="checkpoint")
-    for key in ("config", "phase", "has_adapters"):
-        if key not in meta:
-            raise ContractError(f"checkpoint {path}: metadata lacks key {key!r}")
-    for key, valid in (("config", isinstance(meta["config"], dict)),
-                       ("phase", meta["phase"] in ("init", "pretrained", "finetuned")),
-                       ("has_adapters", isinstance(meta["has_adapters"], bool))):
+    if sorted(meta) != ["alpha", "phase"]:
+        raise ContractError(f"checkpoint {path}: metadata keys {sorted(meta)}, expected ['alpha', 'phase']")
+    for key, valid in (("phase", meta["phase"] in ("init", "pretrained", "finetuned")),
+                       ("alpha", isinstance(meta["alpha"], float))):
         if not valid:
             raise ContractError(f"checkpoint {path}: metadata key {key!r} has invalid value {meta[key]!r}")
-    if meta["has_adapters"] and meta["phase"] != "finetuned":
-        raise ContractError(f"checkpoint {path}: metadata key 'has_adapters' is true, but 'phase' is "
-                            f"{meta['phase']!r}, and only a finetuned checkpoint holds adapters")
-    header = meta["config"]
-    unknown = sorted(set(header) - set(_HEADER_FIELDS))
-    if unknown:
-        raise ContractError(f"checkpoint {path}: unknown config key {unknown[0]!r}")
-    for key, kind in _HEADER_FIELDS.items():
-        if key not in header:
-            raise ContractError(f"checkpoint {path}: config lacks field {key!r}")
-        if isinstance(header[key], bool) or not isinstance(header[key], kind):
-            raise ContractError(f"checkpoint {path}: config field {key!r} has invalid value {header[key]!r}")
+    adapters = "head.prt.W" in arrays
+    sources = {**_DIM_SOURCES, "rank": ("adapter.a.com.A", 0)} if adapters else _DIM_SOURCES
+    for name, _ in sources.values():
+        if name not in arrays:
+            raise ContractError(f"checkpoint {path} lacks parameter {name}, which the model's sizes are read off")
+        if arrays[name].ndim != 2:
+            raise ContractError(f"checkpoint {path}: parameter {name} has shape {arrays[name].shape}, expected 2-D")
     try:
-        cfg = ExperimentConfig(**header).validate()
+        cfg = ExperimentConfig(**{key: arrays[name].shape[axis] for key, (name, axis) in sources.items()},
+                               alpha=meta["alpha"]).validate()
     except ConfigError as exc:
-        raise ContractError(f"checkpoint {path}: config field {exc}") from exc
-    # each dim the header records is the size of the array it is read off
-    sources = {**_DIM_SOURCES, "rank": ("adapter.a.com.A", 0)} if meta["has_adapters"] else _DIM_SOURCES
-    for key, (name, axis) in sources.items():
-        if name in arrays and arrays[name].shape[axis:axis + 1] != (header[key],):
-            raise ContractError(f"checkpoint {path}: config field {key!r} is {header[key]}, "
-                                f"but {name} has shape {arrays[name].shape}")
-    shapes = _parameter_shapes(cfg.raw_dim, cfg.model_dim, cfg.classes, cfg.rank, meta["has_adapters"])
+        raise ContractError(f"checkpoint {path}: {exc}") from exc
+    if adapters and meta["phase"] != "finetuned":
+        raise ContractError(f"checkpoint {path} holds adapters, but its phase is {meta['phase']!r}, "
+                            f"and only a finetuned checkpoint holds adapters")
+    shapes = _parameter_shapes(cfg.raw_dim, cfg.model_dim, cfg.classes, cfg.rank, adapters)
     missing, extra = set(shapes) - set(arrays), set(arrays) - set(shapes)
     if missing:
         raise ContractError(f"checkpoint {path} lacks parameters: {sorted(missing)}")
@@ -423,7 +401,7 @@ def load_checkpoint(path) -> MculoraModel:
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
             raise ContractError(f"checkpoint {path}: parameter {name} has shape {arrays[name].shape}, expected {shape}")
-    model = MculoraModel(arrays, cfg.rank, float(cfg.alpha))
+    model = MculoraModel(arrays, cfg.alpha)
     model.phase = meta["phase"]
     if model.phase in ("pretrained", "finetuned"):
         model.freeze_base()

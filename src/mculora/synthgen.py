@@ -270,7 +270,9 @@ class DatasetFile:
     whole file once (see :class:`~mculora.serialize.ContainerFile`; a file
     holding any array but the features and labels is refused) and reads the
     range's labels, each of which must be a whole number in [0, classes) for
-    the header config's ``classes`` (kept as ``classes``). Then ``len()``,
+    the header config's ``classes`` (kept as ``classes``). The header config's
+    num_samples, seq_len and raw_dim must be the feature arrays' (N, L, D)
+    shape (raw_dim is kept as ``raw_dim``). Then ``len()``,
     ``labels`` and indexing work as on a :class:`Dataset`: a contiguous slice
     reads its rows' features with one positioned read per modality, any other
     index (an array of row indices, in any order) with one per row and
@@ -286,7 +288,8 @@ class DatasetFile:
             lo, hi, _ = rows(n).indices(n)
             self._lo, self.labels = lo, self._file.read("labels", slice(lo, hi))
             config = self._file.meta.get("config")
-            classes = config.get("classes") if isinstance(config, dict) else None
+            header = config if isinstance(config, dict) else {}
+            classes = header.get("classes")
             if type(classes) is not int:
                 raise ContractError(f"{path}: the header's config holds no integer 'classes'")
             self.classes = classes
@@ -295,9 +298,14 @@ class DatasetFile:
                 raise ContractError(f"{path}: row {lo + bad[0]} has label {float(self.labels[bad[0]])}, "
                                     f"expected a whole number in [0, {classes})")
             try:
-                self[:0]  # reads no rows: checks the feature shapes
+                shape = (n, *self[:0].features["a"].shape[1:])  # reads no rows: checks the feature shapes
             except ContractError as exc:
                 raise ContractError(f"{path}: {exc}") from None
+            for key, size in zip(("num_samples", "seq_len", "raw_dim"), shape):
+                if type(header.get(key)) is not int or header[key] != size:
+                    raise ContractError(f"{path}: the header's config gives {key} {header.get(key)!r}, "
+                                        f"but the features have shape {shape}")
+            self.raw_dim = shape[2]
         except BaseException:
             self._file.close()
             raise

@@ -185,13 +185,14 @@ def _train(model: MculoraModel, labels: np.ndarray, cfg: ExperimentConfig, phase
 def pretrain(dataset, cfg: ExperimentConfig) -> TrainResult:
     """Train encoders + fusion + common head on complete data, then freeze encoders and fusion.
 
-    `dataset` is a :class:`Dataset` or a :class:`~mculora.synthgen.DatasetFile`.
+    `dataset` is a :class:`Dataset` or a :class:`~mculora.synthgen.DatasetFile`
+    of the config's raw_dim and classes, the sizes of the model it builds.
     Each batch's rows are gathered from it just before the batch's forward
     pass, so from a file pretrain holds its labels and one batch of rows,
     never the split."""
     cfg.validate()
     root = Rng(cfg.seed)
-    model = build_model(cfg, dataset[:0].features["a"].shape[2], root)
+    model = build_model(cfg, root)
     result = TrainResult(model=model)
     dropout_rng = root.child("pretrain-dropout")
 

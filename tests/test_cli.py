@@ -196,7 +196,7 @@ def test_missing_data_file_is_input_error(workspace):
 def test_input_path_naming_a_directory_is_input_error(workspace, capsys, argv):
     # the checkpoint is read before the dataset, so DATA is never opened
     tmp, cfg = workspace
-    model = build_model(ExperimentConfig(model_dim=8, classes=3, rank=2), 8, Rng(0))
+    model = build_model(ExperimentConfig(raw_dim=8, model_dim=8, classes=3, rank=2), Rng(0))
     model.phase = "pretrained"
     save_checkpoint(model, tmp / "ckpt.mcu")
     paths = {"DIR": tmp / "dir", "CKPT": tmp / "ckpt.mcu", "DATA": tmp / "data.mcu"}
@@ -210,7 +210,7 @@ def test_input_path_naming_a_directory_is_input_error(workspace, capsys, argv):
 def test_unopenable_input_path_is_input_error(workspace, capsys, monkeypatch, fault, flag):
     tmp, cfg = workspace
     assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
-    model = build_model(ExperimentConfig(model_dim=8, classes=3, rank=2), 8, Rng(0))
+    model = build_model(ExperimentConfig(raw_dim=8, model_dim=8, classes=3, rank=2), Rng(0))
     model.phase = "pretrained"
     save_checkpoint(model, tmp / "ckpt.mcu")
     paths = {"--data": tmp / "data" / "dataset.mcu", "--checkpoint": tmp / "ckpt.mcu"}
@@ -329,19 +329,21 @@ def test_out_name_too_long_is_input_error(workspace, capsys, command):
 
 @pytest.mark.parametrize("command", ["pretrain", "finetune", "eval"])
 def test_dataset_of_another_class_count_is_state_error_naming_both(workspace, capsys, command):
-    # the model of pretrain comes from the config (3 classes), that of finetune and eval from the checkpoint
+    # the model of pretrain comes from the config (3 classes, raw_dim 8), that of finetune and eval from the
+    # checkpoint; a dataset of another raw_dim is refused the same way
     tmp, cfg = workspace
     _, pre, fin = full_pipeline(tmp, cfg)
-    six = tmp / "six.cfg"
-    six.write_text(TINY_CONFIG.replace("classes = 3", "classes = 6"))
-    assert run("gen-data", "--config", six, "--out", tmp / "six") == 0
-    other = tmp / "six" / "dataset.mcu"
     argv = {"pretrain": [], "finetune": ["--checkpoint", pre / "checkpoint.mcu"],
             "eval": ["--checkpoint", fin / "checkpoint.mcu", "--protocol", "fixed"]}[command]
-    capsys.readouterr()
-    assert run(command, *argv, "--config", cfg, "--data", other, "--out", tmp / "out") == 3
-    assert capsys.readouterr().err.splitlines() == [f"error: {other} holds a dataset of 6 classes, but the model has 3"]
-    assert list((tmp / "out").iterdir()) == []
+    for name, old, new, named in (("six", "classes = 3", "classes = 6", "6 classes, but the model has 3 classes"),
+                                  ("wide", "raw_dim = 8", "raw_dim = 12", "raw_dim 12, but the model has raw_dim 8")):
+        (tmp / f"{name}.cfg").write_text(TINY_CONFIG.replace(old, new))
+        assert run("gen-data", "--config", tmp / f"{name}.cfg", "--out", tmp / name) == 0
+        other = tmp / name / "dataset.mcu"
+        capsys.readouterr()
+        assert run(command, *argv, "--config", cfg, "--data", other, "--out", tmp / "out") == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: {other} holds a dataset of {named}"]
+        assert list((tmp / "out").iterdir()) == []
 
 
 @pytest.mark.parametrize("command, blocked", [("eval", "metrics.txt"), ("gen-data", "manifest.json")])
@@ -423,43 +425,88 @@ def test_corrupt_dataset_file_is_state_error(workspace, capsys):
         assert name in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("corrupt, key", [
-    (lambda meta: meta["config"].update(depth=3), "depth"),
-    (lambda meta: meta["config"].update(mcla=True), "mcla"),
-    (lambda meta: meta["config"].update(task="classification"), "task"),
-    (lambda meta: meta.pop("has_adapters"), "has_adapters"),
-    (lambda meta: meta.pop("phase"), "phase"),
-    (lambda meta: meta.update(phase="banana"), "'phase' has invalid value 'banana'"),
-    (lambda meta: meta.update(has_adapters="no"), "'has_adapters' has invalid value 'no'"),
-    (lambda meta: meta["config"].pop("alpha"), "lacks field 'alpha'"),
-    (lambda meta: meta["config"].update(alpha=float("nan")), "alpha must be finite"),
-    (lambda meta: meta["config"].update(raw_dim="8"), "'raw_dim' has invalid value '8'"),
-    (lambda meta: meta["config"].update(model_dim=8.0), "'model_dim' has invalid value 8.0"),
-    (lambda meta: meta["config"].update(rank=0), "rank must be >= 1"),
-    (lambda meta: meta["config"].update(model_dim=16), "'model_dim' is 16, but enc.a.W1 has shape (8, 8)"),
-], ids=["unknown-config-key", "removed-mcla-key", "removed-task-key", "no-has_adapters", "no-phase",
-        "unknown-phase", "non-boolean-has_adapters", "no-alpha", "nan-alpha", "string-raw_dim", "float-model_dim",
-        "zero-rank", "model_dim-not-the-arrays"])
-def test_malformed_checkpoint_metadata_is_state_error(workspace, capsys, corrupt, key):
+OLD_HEADER = {"raw_dim": 8, "model_dim": 8, "classes": 3, "rank": 2, "alpha": 1.0}  # the sizes the arrays give
+
+
+def _old_format(meta):
+    """The metadata of the format that recorded the sizes in a header beside the arrays."""
+    del meta["alpha"]
+    meta.update(config=OLD_HEADER, has_adapters=False)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda meta: meta.pop("phase"), "metadata keys ['alpha'], expected ['alpha', 'phase']"),
+    (lambda meta: meta.update(phase="banana"), "metadata key 'phase' has invalid value 'banana'"),
+    (lambda meta: meta.pop("alpha"), "metadata keys ['phase'], expected ['alpha', 'phase']"),
+    (lambda meta: meta.update(alpha=float("nan")), "alpha must be finite, got nan"),
+    (lambda meta: meta.update(alpha=True), "metadata key 'alpha' has invalid value True"),
+    (_old_format, "metadata keys ['config', 'has_adapters', 'phase'], expected ['alpha', 'phase']"),
+    (lambda meta: meta.update(config=OLD_HEADER),
+     "metadata keys ['alpha', 'config', 'phase'], expected ['alpha', 'phase']"),
+    (lambda meta: meta.update(has_adapters=False),
+     "metadata keys ['alpha', 'has_adapters', 'phase'], expected ['alpha', 'phase']"),
+], ids=["no-phase", "unknown-phase", "no-alpha", "nan-alpha", "boolean-alpha", "old-format", "unknown-config-key",
+        "has_adapters-key"])
+def test_malformed_checkpoint_metadata_is_state_error(workspace, capsys, corrupt, message):
     tmp, cfg = workspace
     assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
-    model = build_model(ExperimentConfig(model_dim=8, classes=3, rank=2), 8, Rng(0))
+    model = build_model(ExperimentConfig(raw_dim=8, model_dim=8, classes=3, rank=2), Rng(0))
     model.phase = "pretrained"
     save_checkpoint(model, tmp / "good.mcu")
     _, meta, arrays = load_container(tmp / "good.mcu", expected_kind="checkpoint")
+    assert meta == {"alpha": 1.0, "phase": "pretrained"}
     corrupt(meta)
     save_container(tmp / "bad.mcu", "checkpoint", meta, arrays)
+    capsys.readouterr()
     for command in (["eval", "--protocol", "fixed"], ["finetune"]):
         assert run(*command, "--config", cfg, "--data", tmp / "data" / "dataset.mcu", "--checkpoint", tmp / "bad.mcu",
                    "--out", tmp / "out") == 3
-        err = capsys.readouterr().err
-        assert "bad.mcu" in err and key in err
+        assert capsys.readouterr().err.splitlines() == [f"error: checkpoint {tmp / 'bad.mcu'}: {message}"]
+        assert list((tmp / "out").iterdir()) == []
+
+
+def _drop_rank(arrays):
+    for name in [k for k in arrays if k.startswith("adapter.")]:  # every pair to rank 0: A (0, D), B (d, 0)
+        arrays[name] = arrays[name][:0] if name.endswith(".A") else arrays[name][:, :0]
+
+
+@pytest.mark.parametrize("checkpoint, edit, message", [
+    ("pre", lambda arrays: arrays.pop("enc.a.W1"), "{} lacks parameter enc.a.W1, which the model's sizes are read off"),
+    ("pre", lambda arrays: arrays.pop("head.com.W"),
+     "{} lacks parameter head.com.W, which the model's sizes are read off"),
+    ("pre", lambda arrays: arrays.update({"enc.a.W1": arrays["enc.a.W1"][0]}),
+     "{}: parameter enc.a.W1 has shape (8,), expected 2-D"),
+    ("pre", lambda arrays: arrays.update({"head.com.W": arrays["head.com.W"][None]}),
+     "{}: parameter head.com.W has shape (1, 8, 3), expected 2-D"),
+    ("fin", lambda arrays: arrays.pop("adapter.a.com.A"),
+     "{} lacks parameter adapter.a.com.A, which the model's sizes are read off"),
+    ("fin", _drop_rank, "{}: rank must be >= 1, got 0"),
+], ids=["no-enc.a.W1", "no-head.com.W", "1-D-enc.a.W1", "3-D-head.com.W", "no-adapter.a.com.A", "zero-rank"])
+def test_checkpoint_whose_sizes_cannot_be_read_or_are_out_of_range_is_state_error(workspace, capsys, checkpoint,
+                                                                                   edit, message):
+    tmp, cfg = workspace
+    assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
+    model = build_model(parse_config_text(TINY_CONFIG), Rng(0))
+    model.phase = "pretrained"
+    if checkpoint == "fin":
+        attach_adapters(model, Rng(1), rank=2)
+        model.phase = "finetuned"
+    save_checkpoint(model, tmp / "good.mcu")
+    _, meta, arrays = load_container(tmp / "good.mcu", expected_kind="checkpoint")
+    edit(arrays)
+    save_container(tmp / "bad.mcu", "checkpoint", meta, arrays)
+    capsys.readouterr()
+    for command in (["eval", "--protocol", "fixed"], ["finetune"]):
+        assert run(*command, "--config", cfg, "--data", tmp / "data" / "dataset.mcu", "--checkpoint", tmp / "bad.mcu",
+                   "--out", tmp / "out") == 3
+        assert capsys.readouterr().err.splitlines() == ["error: checkpoint " + message.format(tmp / "bad.mcu")]
+        assert list((tmp / "out").iterdir()) == []
 
 
 def test_checkpoint_with_arrays_the_model_lacks_is_state_error(workspace, capsys):
     tmp, cfg = workspace
     assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
-    model = build_model(ExperimentConfig(model_dim=8, classes=3, rank=2), 8, Rng(0))
+    model = build_model(ExperimentConfig(raw_dim=8, model_dim=8, classes=3, rank=2), Rng(0))
     model.phase = "pretrained"
     save_checkpoint(model, tmp / "good.mcu")
     _, meta, arrays = load_container(tmp / "good.mcu", expected_kind="checkpoint")
@@ -477,7 +524,7 @@ def test_pretrained_checkpoint_holding_adapters_is_state_error(workspace, capsys
     # adapters would have them trained and saved, stale, by a finetune with MCLA off
     tmp, _ = workspace
     assert run("gen-data", "--config", tmp / "run.cfg", "--out", tmp / "data") == 0
-    model = build_model(parse_config_text(TINY_CONFIG), 8, Rng(0))
+    model = build_model(parse_config_text(TINY_CONFIG), Rng(0))
     model.phase = "pretrained"
     attach_adapters(model, Rng(1), rank=2)
     save_checkpoint(model, tmp / "stale.mcu")
@@ -488,14 +535,14 @@ def test_pretrained_checkpoint_holding_adapters_is_state_error(workspace, capsys
                    "--checkpoint", tmp / "stale.mcu", "--out", tmp / "out") == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
-        assert re.search(r"stale\.mcu: metadata key 'has_adapters' is true, but 'phase' is 'pretrained'", err[0])
+        assert re.search(r"stale\.mcu holds adapters, but its phase is 'pretrained'", err[0])
         assert list((tmp / "out").iterdir()) == []
 
 
 def test_checkpoint_lacking_a_parameter_names_exactly_that_parameter(workspace, capsys):
     tmp, cfg = workspace
     assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
-    model = build_model(ExperimentConfig(model_dim=8, classes=3, rank=2), 8, Rng(0))
+    model = build_model(ExperimentConfig(raw_dim=8, model_dim=8, classes=3, rank=2), Rng(0))
     model.phase = "pretrained"
     save_checkpoint(model, tmp / "good.mcu")
     _, meta, arrays = load_container(tmp / "good.mcu", expected_kind="checkpoint")
@@ -744,18 +791,18 @@ def test_finetune_config_sets_the_ablations_rank_and_beta(workspace):
     first = [float(x) for x in sched[1].split(",")[1:]]
     q = first[-7:]
     assert all(abs(v - 1 / 7) < 1e-12 for v in q)
-    # the finetuned header records the finetune config's rank, the pretrained one the pretrain config's
-    assert load_container(pre / "checkpoint.mcu", expected_kind="checkpoint")[1]["config"]["rank"] == 2
-    meta = load_container(out / "checkpoint.mcu", expected_kind="checkpoint")[1]
-    assert meta["config"]["rank"] == 1 and not meta["has_adapters"]
+    # with MCLA off the finetuned checkpoint holds no adapters, so no rank
+    _, meta, arrays = load_container(out / "checkpoint.mcu", expected_kind="checkpoint")
+    assert meta == {"alpha": 1.0, "phase": "finetuned"} and "head.prt.W" not in arrays
+    assert not any(name.startswith("adapter.") for name in arrays)
     rank1 = tmp / "rank1.cfg"
     rank1.write_text(TINY_CONFIG.replace("rank = 2", "rank = 1") + "mcla = on\n")
     mcla_out = tmp / "fin_rank1"
     assert run("finetune", "--config", rank1, "--data", data / "dataset.mcu",
                "--checkpoint", pre / "checkpoint.mcu", "--out", mcla_out) == 0
     _, meta, arrays = load_container(mcla_out / "checkpoint.mcu", expected_kind="checkpoint")
-    assert meta["config"]["rank"] == 1 and meta["has_adapters"]
-    assert arrays["adapter.a.com.A"].shape == (1, 8)
+    assert meta == {"alpha": 1.0, "phase": "finetuned"} and "head.prt.W" in arrays
+    assert arrays["adapter.a.com.A"].shape == (1, 8)  # the finetune config's rank, not the pretrain config's 2
 
 
 def test_parse_config_text_handles_comments_and_types():
@@ -897,7 +944,7 @@ def test_command_row_ranges_are_the_splits_of_a_full_load(n, seq_len, train_frac
         train, val, test = split_dataset(read_dataset(path), cfg.train_frac, cfg.val_frac)
         probe = val[:probe_size] if len(val) else train[-probe_size:]  # an empty validation split: the last train rows
         for split, want in (("train", train), ("probe", probe), ("test", test)):
-            with _split_rows(cfg, path, split, cfg.classes) as rows:
+            with _split_rows(cfg, path, split, {"raw_dim": cfg.raw_dim, "classes": cfg.classes}) as rows:
                 assert len(rows) == len(want)
                 assert_same_dataset(rows[:], want)
                 assert_same_dataset(rows[1:-1], want[1:-1])
@@ -926,7 +973,7 @@ def test_finetune_of_a_nan_weight_exits_3_naming_the_step_and_writes_no_checkpoi
 
 
 def _set_at(name, index, value):
-    def edit(arrays):
+    def edit(meta, arrays):
         arrays[name][index] = value
     return edit
 
@@ -936,8 +983,14 @@ def _nan_at(name, index):
 
 
 def _widen(name):
-    def edit(arrays):
+    def edit(meta, arrays):
         arrays[name] = np.concatenate([arrays[name], arrays[name][..., :1]], axis=-1)
+    return edit
+
+
+def _header(key, value):
+    def edit(meta, arrays):
+        meta["config"][key] = value
     return edit
 
 
@@ -958,6 +1011,11 @@ CORRUPT_INPUTS = {
                                      r"bad\.mcu: parameter gate\.W2 has shape \(16, 2\), expected \(16, 1\)$"),
     "dataset-features-of-two-widths": ("data", _widen("features_t"), ["pretrain"], 2,
                                        r"bad\.mcu: need features for \('a', 't', 'v'\) of one \(N, L, D\) shape"),
+    # a header size that is not the feature arrays' (80, 3, 8)
+    **{f"dataset-header-of-another-{key}": ("data", _header(key, value), ["pretrain"], 2,
+                                            rf"bad\.mcu: the header's config gives {key} {value}, "
+                                            r"but the features have shape \(80, 3, 8\)$")
+       for key, value in (("num_samples", 81), ("seq_len", 4), ("raw_dim", 12))},
     # a label that is not a whole number in [0, classes); each command checks the labels of the rows it reads
     **{f"{command[0]}-of-label-{value}": ("data", _set_at("labels", row, value), command, 2,
                                           rf"bad\.mcu: row {row} has label {value}, "
@@ -973,7 +1031,7 @@ def test_corrupt_input_exits_3_with_one_error_line_naming_it_and_writes_nothing(
     tmp, cfg = workspace
     target, edit, command, epochs, named = CORRUPT_INPUTS[case]
     assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
-    model = build_model(parse_config_text(TINY_CONFIG), 8, Rng(0))
+    model = build_model(parse_config_text(TINY_CONFIG), Rng(0))
     model.phase = "pretrained"
     save_checkpoint(model, tmp / "pre.mcu")
     attach_adapters(model, Rng(1), rank=2)
@@ -982,7 +1040,7 @@ def test_corrupt_input_exits_3_with_one_error_line_naming_it_and_writes_nothing(
     paths = {"data": tmp / "data" / "dataset.mcu", "pre": tmp / "pre.mcu", "fin": tmp / "fin.mcu"}
     kind = "dataset" if target == "data" else "checkpoint"
     _, meta, arrays = load_container(paths[target], expected_kind=kind)
-    edit(arrays)
+    edit(meta, arrays)
     save_container(tmp / "bad.mcu", kind, meta, arrays)
     paths[target] = tmp / "bad.mcu"
     (tmp / "case.cfg").write_text(TINY_CONFIG.replace("finetune_epochs = 2", f"finetune_epochs = {epochs}"))

@@ -77,7 +77,7 @@ def test_js_symmetry_and_range():
 # ---------------------------------------------------------------------------
 
 def probe_model(seed=0, mcla=True):
-    model = build_model(ExperimentConfig(model_dim=8, classes=3, rank=2), 6, Rng(seed))
+    model = build_model(ExperimentConfig(raw_dim=6, model_dim=8, classes=3, rank=2), Rng(seed))
     model.phase = "pretrained"
     model.freeze_base()
     attach_adapters(model, Rng(seed + 1), 2, mcla=mcla)

@@ -24,11 +24,11 @@ from mculora.rng import Rng
 from conftest import central_difference, rel_err
 
 
-CFG = ExperimentConfig(model_dim=8, classes=3, rank=2)
+CFG = ExperimentConfig(raw_dim=6, model_dim=8, classes=3, rank=2)
 
 
 def small_model(seed=0, pretrained=True, adapters=True, rank=2):
-    model = build_model(ExperimentConfig(model_dim=8, classes=3, rank=rank), 6, Rng(seed))
+    model = build_model(ExperimentConfig(raw_dim=6, model_dim=8, classes=3, rank=rank), Rng(seed))
     if pretrained:
         model.phase = "pretrained"
         model.freeze_base()
@@ -59,13 +59,13 @@ def predict_one(features, model):
 # ---------------------------------------------------------------------------
 
 def test_encoder_zero_input_zero_bias_gives_zero_output():
-    model = build_model(CFG, 6, Rng(3))
+    model = build_model(CFG, Rng(3))
     out = model.encoders["a"].forward(ad.constant(np.zeros((4, 3, 6))))
     assert np.array_equal(out.data, np.zeros((4, 8)))
 
 
 def test_encoder_shape_contract():
-    model = build_model(CFG, 6, Rng(3))
+    model = build_model(CFG, Rng(3))
     for m in MODALITIES:
         out = model.encoders[m].forward(ad.constant(np.ones((5, 3, 6))))
         assert out.shape == (5, 8)
@@ -101,7 +101,7 @@ def reference_encoder(enc, x, dropout_p, rng):
 
 @pytest.mark.parametrize("dropout_p", [0.0, 0.5], ids=["no-dropout", "dropout"])
 def test_fused_encoder_is_bit_identical_to_its_primitive_chain(dropout_p):
-    model = build_model(CFG, 6, Rng(3))
+    model = build_model(CFG, Rng(3))
     enc = model.encoders["v"]
     enc.b1.data = Rng(4).normal(size=enc.b1.shape)  # nonzero biases, so that both layers' outputs move
     enc.b2.data = Rng(5).normal(size=enc.b2.shape)
@@ -176,7 +176,7 @@ def test_each_modality_has_one_private_pair_per_containing_combo():
 
 
 def test_attach_requires_pretrained_phase():
-    model = build_model(CFG, 6, Rng(0))
+    model = build_model(CFG, Rng(0))
     with pytest.raises(ContractError):
         attach_adapters(model, Rng(1), 2)
 
@@ -465,7 +465,7 @@ class ReadRecorder:
 @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
 @pytest.mark.parametrize("mcla", [True, False], ids=["mcla", "base"])
 def test_parameter_table(mcla, loaded, tmp_path, monkeypatch):
-    model = build_model(CFG, 6, Rng(0))
+    model = build_model(CFG, Rng(0))
     model.phase = "pretrained"
     attach_adapters(model, Rng(1), rank=2, mcla=mcla)
     model.freeze_base()
@@ -513,6 +513,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     model.phase = "finetuned"
     path = tmp_path / "ckpt.mcu"
     save_checkpoint(model, path)
+    assert serialize.load_container(path)[1] == {"alpha": 1.0, "phase": "finetuned"}
     loaded = load_checkpoint(path)
     assert loaded.phase == "finetuned"
     orig = model.params
@@ -522,17 +523,6 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
         assert np.array_equal(orig[name].data, new[name].data), name
     utt = sample_features(6)
     assert np.array_equal(predict_one(utt, model), predict_one(utt, loaded))
-
-
-def test_checkpoint_rank_must_be_the_adapter_arrays_rank(tmp_path):
-    model = small_model(seed=5)
-    model.phase = "finetuned"  # only a finetuned checkpoint holds adapters
-    save_checkpoint(model, tmp_path / "good.mcu")
-    _, meta, arrays = serialize.load_container(tmp_path / "good.mcu", expected_kind="checkpoint")
-    meta["config"]["rank"] = 3
-    serialize.save_container(tmp_path / "bad.mcu", "checkpoint", meta, arrays)
-    with pytest.raises(ContractError, match=r"bad.mcu: config field 'rank' is 3, but adapter.a.com.A has shape \(2, 6\)"):
-        load_checkpoint(tmp_path / "bad.mcu")
 
 
 def test_checkpoint_bytes_reproducible(tmp_path):

@@ -39,7 +39,7 @@ def tiny_synth(n=60, seed=1, **kw):
 
 
 def tiny_cfg(**kw):
-    defaults = dict(pretrain_epochs=2, finetune_epochs=2, batch_size=16, model_dim=8,
+    defaults = dict(pretrain_epochs=2, finetune_epochs=2, batch_size=16, raw_dim=8, model_dim=8,
                     classes=3, rank=2, probe_size=16, seed=5)
     defaults.update(kw)
     return ExperimentConfig(**defaults)
