@@ -114,8 +114,13 @@ class Tape:
         return len(self.ops)
 
 
+def _recording(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether an op on `inputs` is recorded: a tape is active and an input is tracked."""
+    return bool(_tapes) and any(t._tracked for t in inputs)
+
+
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> None:
-    if not _tapes or not any(t._tracked for t in inputs):
+    if not _recording(inputs):
         return
     out._tracked = True
     _tapes[-1].ops.append((out._id, backward))
@@ -371,7 +376,7 @@ def take_per_row(a, indices) -> Tensor:
 # fused layers
 # ---------------------------------------------------------------------------
 
-def tanh_mlp_mean(x, W1, b1, W2, b2, dropout_p: float, rng) -> Tensor:
+def tanh_mlp_mean(x, W1, b1, W2, b2, dropout_p: float, rng, work=None) -> Tensor:
     """(B, L, D) rows -> (B, d): the mean over the L positions of
     dropout(tanh(x W1 + b1)) W2 + b2, with inverted dropout of probability
     `dropout_p` in [0, 1): a uniform draw from `rng` per hidden unit keeps it,
@@ -380,18 +385,25 @@ def tanh_mlp_mean(x, W1, b1, W2, b2, dropout_p: float, rng) -> Tensor:
     One op in place of the chain matmul, add, tanh, dropout, matmul, add,
     reshape, tmean, bit-identical to it by the replay rule (module
     docstring). On a tape it holds x, the tanh output and the dropout mask;
-    off one it holds nothing."""
+    off one it holds nothing. `work`, a pair of C-contiguous float64 arrays
+    of at least B * L rows and the hidden and output widths, takes the
+    (B * L, d) hidden and output arrays in place of fresh ones when the op
+    is not recorded, so a caller that encodes chunk after chunk off the tape
+    allocates them once; a recorded op keeps its hidden array for the
+    backward pass, so it always gets fresh ones."""
     if not 0.0 <= dropout_p < 1.0:
         raise ContractError(f"dropout probability must be in [0, 1), got {dropout_p}")
     if x.ndim != 3 or x.shape[2] != W1.shape[0]:
         raise ContractError(f"tanh_mlp_mean expects (B, L, {W1.shape[0]}) rows, got shape {x.shape}")
     B, L, D = x.shape
     x2d = x.data.reshape(B * L, D)
-    h = x2d @ W1.data
+    hidden, output = ((None, None) if work is None or _recording((x, W1, b1, W2, b2))
+                      else (buf[:B * L] for buf in work))
+    h = np.matmul(x2d, W1.data, out=hidden)
     h += b1.data
     np.tanh(h, out=h)
     mask = (rng.uniform(size=h.shape) >= dropout_p) / (1.0 - dropout_p) if dropout_p > 0.0 else None
-    z = (h if mask is None else h * mask) @ W2.data
+    z = np.matmul(h if mask is None else h * mask, W2.data, out=output)
     z += b2.data
     out = Tensor(z.reshape(B, L, -1).mean(axis=1))
 

@@ -81,10 +81,12 @@ class Encoder:
     def __init__(self, params: dict[str, Tensor], modality: str):
         self.W1, self.b1, self.W2, self.b2 = (params[f"enc.{modality}.{k}"] for k in ("W1", "b1", "W2", "b2"))
 
-    def forward(self, x: Tensor, dropout_p: float = 0.0, rng: Rng | None = None) -> Tensor:
+    def forward(self, x: Tensor, dropout_p: float = 0.0, rng: Rng | None = None, work=None) -> Tensor:
         """(B, L, raw_dim) rows -> (B, d): the stack on every position, averaged
-        over positions, with dropout on the hidden layer. One tape op."""
-        return ad.tanh_mlp_mean(x, self.W1, self.b1, self.W2, self.b2, dropout_p, rng)
+        over positions, with dropout on the hidden layer. One tape op; off the
+        tape it works in the buffers `work` when given (see
+        :func:`~mculora.autodiff.tanh_mlp_mean`)."""
+        return ad.tanh_mlp_mean(x, self.W1, self.b1, self.W2, self.b2, dropout_p, rng, work)
 
 
 class LoraPair:
@@ -287,20 +289,21 @@ class Pooled:
 
 
 def encode(model: MculoraModel, feats: dict[str, np.ndarray], *,
-           dropout_p: float = 0.0, dropout_rng: Rng | None = None) -> Pooled:
+           dropout_p: float = 0.0, dropout_rng: Rng | None = None, work=None) -> Pooled:
     """The frozen-base half of the forward pass, on stacked (B, L, raw_dim)
     features: each modality's encoder runs on every position and is pooled
     after, in one tape op per modality, and each row's raw features are
     averaged over positions. Under a tape, an encoder that trains keeps its
     rows, tanh outputs and dropout mask for the backward pass; a frozen one
-    records no op and keeps nothing."""
+    records no op, keeps nothing and works in the buffers `work` when given
+    (see :func:`~mculora.autodiff.tanh_mlp_mean`)."""
     enc: dict[str, Tensor] = {}
     raw: dict[str, np.ndarray] = {}
     for m in MODALITIES:
         if m not in feats:
             continue
         x = np.asarray(feats[m], dtype=np.float64)
-        enc[m] = model.encoders[m].forward(ad.constant(x), dropout_p=dropout_p, rng=dropout_rng)
+        enc[m] = model.encoders[m].forward(ad.constant(x), dropout_p=dropout_p, rng=dropout_rng, work=work)
         raw[m] = x.mean(axis=1)
     return Pooled(enc, raw)
 

@@ -42,7 +42,9 @@ layout once - a blob's declared size must fit what is left of the file, so a
 truncated file fails even when the missing bytes lie outside what is later
 read - and then reads any array whole, a contiguous range of its rows, or any
 set of rows in any order, each with positioned reads of the open descriptor,
-so it holds only what it asked for. :func:`load_container` opens a file,
+so it holds only what it asked for. A whole array or a contiguous range can
+be read into a buffer the caller owns, so a reader of many ranges of one
+width can reuse one buffer for all of them. :func:`load_container` opens a file,
 reads every array whole and closes it.
 """
 
@@ -341,24 +343,34 @@ class ContainerFile:
             raise ContractError(f"{self.path}: array {name!r}: cannot read rows of a 0-d array")
         return shape[0]
 
-    def read(self, name: str, rows: slice | np.ndarray | None = None) -> np.ndarray:
+    def read(self, name: str, rows: slice | np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
         """Array `name` whole, or the rows of its leading axis that `rows`
         names: a contiguous slice, read at once, or row indices, in the order
-        given, each read alone."""
+        given, each read alone. The whole array or a slice of it is read into
+        `out` when given, a writable C-contiguous array of exactly its shape
+        and dtype, which is returned; a buffer that is not, or row indices
+        with a buffer, are a :class:`ContractError`."""
         offset, shape, dtype = self._blobs[name]
-        if rows is None:
-            arr = np.empty(shape, dtype=dtype)
-            self._pread(memoryview(arr.reshape(-1).view(np.uint8)), offset, name)
-            return arr
+        if rows is None or isinstance(rows, slice):
+            if rows is not None:
+                lo, hi, step = rows.indices(self._rows(name))
+                if step != 1:
+                    raise ContractError(f"{self.path}: array {name!r}: rows must be a contiguous slice, "
+                                        f"got step {step}")
+                offset += lo * math.prod(shape[1:]) * dtype.itemsize
+                shape = (max(0, hi - lo), *shape[1:])
+            if out is None:
+                out = np.empty(shape, dtype=dtype)
+            elif out.shape != shape or out.dtype != dtype or not (out.flags.c_contiguous and out.flags.writeable):
+                raise ContractError(f"{self.path}: array {name!r}: {shape} rows of {dtype} cannot be read into a "
+                                    f"buffer of shape {out.shape} and dtype {out.dtype}, C-contiguous "
+                                    f"{out.flags.c_contiguous}, writable {out.flags.writeable}")
+            self._pread(memoryview(out.reshape(-1).view(np.uint8)), offset, name)
+            return out
+        if out is not None:
+            raise ContractError(f"{self.path}: array {name!r}: only a contiguous slice of rows is read into a buffer")
         n = self._rows(name)
         row_bytes = math.prod(shape[1:]) * dtype.itemsize
-        if isinstance(rows, slice):
-            lo, hi, step = rows.indices(n)
-            if step != 1:
-                raise ContractError(f"{self.path}: array {name!r}: rows must be a contiguous slice, got step {step}")
-            arr = np.empty((max(0, hi - lo), *shape[1:]), dtype=dtype)
-            self._pread(memoryview(arr.reshape(-1).view(np.uint8)), offset + lo * row_bytes, name)
-            return arr
         idx = np.asarray(rows, dtype=np.int64).reshape(-1)
         if idx.size and not 0 <= idx.min() <= idx.max() < n:
             raise IndexError(f"{self.path}: array {name!r}: rows out of range for {n} rows")

@@ -104,6 +104,11 @@ class Dataset:
     def __getitem__(self, rows: slice | np.ndarray) -> "Dataset":
         return Dataset({m: x[rows] for m, x in self.features.items()}, self.labels[rows])
 
+    def read(self, m: str, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """Modality m's features of the contiguous `rows`: a view of the held
+        array, which needs no buffer, so `out` (see :meth:`DatasetFile.read`) is unused."""
+        return self.features[m][rows]
+
 
 def _class_anchors(num_classes: int, dim: int, rng: Rng) -> np.ndarray:
     """(num_classes, dim) unit anchors; orthogonal while classes fit, then sign-flipped reuse."""
@@ -276,8 +281,9 @@ class DatasetFile:
     ``labels`` and indexing work as on a :class:`Dataset`: a contiguous slice
     reads its rows' features with one positioned read per modality, any other
     index (an array of row indices, in any order) with one per row and
-    modality, so a reader holds only the rows it asks for. Close it when
-    done; it is a context manager."""
+    modality, so a reader holds only the rows it asks for. :meth:`read`
+    reads one modality's contiguous rows, into a buffer the caller owns when
+    given one. Close it when done; it is a context manager."""
 
     def __init__(self, path, rows: Callable[[int], slice]):
         self._file = ContainerFile(path, expected_kind="dataset")
@@ -327,6 +333,13 @@ class DatasetFile:
         part = (slice(self._lo + start, self._lo + max(start, stop)) if step == 1
                 else np.arange(self._lo, self._lo + len(self))[rows])
         return Dataset({m: self._file.read(f"features_{m}", part) for m in MODALITIES}, self.labels[rows])
+
+    def read(self, m: str, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """Modality m's features of the contiguous `rows`, read with one
+        positioned read into `out` when given (a C-contiguous float64 buffer of
+        exactly their shape; see :meth:`~mculora.serialize.ContainerFile.read`)."""
+        lo, hi, step = rows.indices(len(self))
+        return self._file.read(f"features_{m}", slice(self._lo + lo, self._lo + max(lo, hi), step), out)
 
 
 def split_bounds(n: int, train_frac: float, val_frac: float) -> tuple[int, int]:

@@ -17,15 +17,14 @@ from mculora import __version__, cli, config, serialize, trainer
 from mculora.cli import _split_rows, main
 from mculora.config import ExperimentConfig, parse_config_text, version_string
 from mculora.errors import ConfigError, ContractError
-from mculora.modalities import MODALITIES
+from mculora.modalities import MODALITIES, Combo
 from mculora.model import attach_adapters, build_model, load_checkpoint, save_checkpoint
 from mculora.rng import Rng
 from mculora.serialize import load_container, save_container
-from mculora.synthgen import generate_dataset, save_dataset, split_dataset
+from mculora.synthgen import apply_random_missing, generate_dataset, save_dataset, split_dataset
 
 from conftest import read_dataset
 
-ARRAY_NAMES = ("features_a", "features_t", "features_v", "labels")
 
 TINY_CONFIG = """
 # desk-scale smoke configuration
@@ -869,28 +868,41 @@ def test_each_command_loads_only_its_own_rows(workspace, monkeypatch):
     loaded = []
     real = serialize.ContainerFile.read
 
-    def spy(self, name, rows=None):
-        arr = real(self, name, rows)
+    def spy(self, name, rows=None, out=None):
+        arr = real(self, name, rows, out)
         if self.kind == "dataset":
             assert rows is not None, name  # a command never reads a whole array
             got = tuple(range(*rows.indices(80)) if isinstance(rows, slice) else rows.tolist())  # TINY_CONFIG's 80
-            assert len(arr) == len(got)
-            loaded.append((name, got))
+            assert len(arr) == len(got) and (out is None or arr is out)
+            loaded.append((name, got, out is not None))
         return arr
     monkeypatch.setattr(serialize.ContainerFile, "read", spy)
     monkeypatch.setattr(trainer, "_EVAL_POSITIONS", 5 * 3 + 2)  # chunks of 5 rows at L = 3
     data = tmp / "data" / "dataset.mcu"
 
     def reads(*argv):
-        """The label reads and the nonempty feature reads of `mculora argv`, each
-        a tuple of the rows read; each feature read reads the same rows of all
-        three modalities, one after another."""
+        """The label reads and the nonempty feature reads of `mculora argv`:
+        the rows of each label read, and (rows, modalities, buffered) of each
+        run of feature reads of the same rows, which read those modalities one
+        after another in order, all into a caller's buffer or none."""
         loaded.clear()
         assert run(*argv, "--config", cfg, "--data", data) == 0
-        features = [(name, rows) for name, rows in loaded if name != "labels" and rows]
-        batches = [rows for _, rows in features[::3]]
-        assert features == [(name, rows) for rows in batches for name in ARRAY_NAMES[:3]]
-        return [rows for name, rows in loaded if name == "labels"], batches
+        runs = []
+        for name, rows, buffered in loaded:
+            if name == "labels" or not rows:
+                continue
+            m = name.removeprefix("features_")
+            if runs and runs[-1][0] == rows and MODALITIES.index(m) > MODALITIES.index(runs[-1][1][-1]):
+                assert runs[-1][2] == buffered
+                runs[-1][1].append(m)
+            else:
+                runs.append((rows, [m], buffered))
+        return [rows for name, rows, _ in loaded if name == "labels"], runs
+
+    def all_three(runs, buffered):
+        """The rows of each run; each reads all three modalities, into a buffer when `buffered`."""
+        assert all(mods == list(MODALITIES) and got == buffered for _, mods, got in runs)
+        return [rows for rows, _, _ in runs]
 
     def chunks(reads):
         """The reads as [lo, hi) ranges; each must be contiguous and ascending."""
@@ -901,22 +913,33 @@ def test_each_command_loads_only_its_own_rows(workspace, monkeypatch):
         """The chunks cover rows [lo, hi) exactly once, in order."""
         return [a for a, _ in chunks] == [lo] + [b for _, b in chunks[:-1]] and chunks[-1][1] == hi
     # TINY_CONFIG: 80 samples split 56 / 12 / 12; the probe is the first 12 validation samples
-    labels, batches = reads("pretrain", "--out", tmp / "pre")
+    labels, runs = reads("pretrain", "--out", tmp / "pre")
+    batches = all_three(runs, buffered=False)
     assert chunks(labels) == [(0, 56)]
     # one read per batch of at most 16 train rows; each of the 2 epochs reads every train row once
     assert max(len(rows) for rows in batches) == 16 and len(batches) == 2 * 4
     for epoch in (batches[:4], batches[4:]):
         assert sorted(row for rows in epoch for row in rows) == list(range(56))
-    labels, batches = reads("finetune", "--checkpoint", tmp / "pre" / "checkpoint.mcu", "--out", tmp / "fin")
-    # the probe first, whole, then the train rows in chunks: all 68 rows read once
+    labels, runs = reads("finetune", "--checkpoint", tmp / "pre" / "checkpoint.mcu", "--out", tmp / "fin")
+    # the probe first, then the train rows, each in chunks through one buffer: all 68 rows read once
     assert chunks(labels) == [(56, 68), (0, 56)]
-    got = chunks(batches)
-    assert got[0] == (56, 68) and in_order(got[1:], 0, 56) and max(hi - lo for lo, hi in got[1:]) == 5
-    for protocol in ("fixed", "random"):
-        labels, batches = reads("eval", "--checkpoint", tmp / "fin" / "checkpoint.mcu", "--protocol", protocol,
-                                "--out", tmp / protocol)
-        got = chunks(batches)
-        assert chunks(labels) == [(68, 80)] and in_order(got, 68, 80) and max(hi - lo for lo, hi in got) == 5
+    got = chunks(all_three(runs, buffered=True))
+    assert in_order(got[:3], 56, 68) and in_order(got[3:], 0, 56) and max(hi - lo for lo, hi in got) == 5
+    labels, runs = reads("eval", "--checkpoint", tmp / "fin" / "checkpoint.mcu", "--protocol", "fixed",
+                         "--out", tmp / "fixed")
+    got = chunks(all_three(runs, buffered=True))
+    assert chunks(labels) == [(68, 80)] and in_order(got, 68, 80) and max(hi - lo for lo, hi in got) == 5
+    # random: a chunk reads a modality only when some row of it keeps that modality
+    labels, runs = reads("eval", "--checkpoint", tmp / "fin" / "checkpoint.mcu", "--protocol", "random",
+                         "--out", tmp / "random")
+    tiny = parse_config_text(TINY_CONFIG)
+    masks = apply_random_missing(12, (tiny.mask_lo, tiny.mask_hi), seed=tiny.eval_seed)
+    got = chunks([rows for rows, _, _ in runs])
+    assert chunks(labels) == [(68, 80)] and in_order(got, 68, 80) and max(hi - lo for lo, hi in got) == 5
+    for (lo, hi), (_, mods, buffered) in zip(got, runs):
+        keeps = np.bitwise_or.reduce(masks[lo - 68:hi - 68])
+        assert buffered and mods == [m for m in MODALITIES if keeps & Combo.from_modalities(m).mask], (lo, hi)
+    assert any(len(mods) < len(MODALITIES) for _, mods, _ in runs)  # some chunk skips a modality
 
 
 def assert_same_dataset(got, want):

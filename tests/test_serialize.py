@@ -164,6 +164,48 @@ def test_rows_read_after_the_file_shrank_are_contract_error_naming_it(container)
         assert opened.read("labels", np.array([0])).tobytes() == ARRAYS["labels"][:1].tobytes()
 
 
+def test_read_into_a_buffer_gives_the_bytes_of_a_fresh_read(tmp_path):
+    arrays = {"x": np.arange(60, dtype=np.float64).reshape(5, 3, 4), "m": np.arange(15, dtype=np.uint8).reshape(5, 3)}
+    path = tmp_path / "r.mcu"
+    save_container(path, "dataset", {}, arrays)
+    with ContainerFile(path) as container:
+        for name, arr in arrays.items():
+            buf = np.full((9, *arr.shape[1:]), 99, dtype=arr.dtype)  # one buffer, reused by every read
+            for part in (None, slice(0, 5), slice(2, 4), slice(4, 5), slice(-2, None), slice(3, 1), slice(1, 99)):
+                want = container.read(name, part)
+                out = buf[:len(want)]
+                got = container.read(name, part, out=out)
+                assert got is out and got.tobytes() == want.tobytes() == arr[part].tobytes(), (name, part)
+            assert buf[5:].tobytes() == np.full((4, *arr.shape[1:]), 99, dtype=arr.dtype).tobytes()  # untouched
+
+
+def test_read_into_a_buffer_refuses_one_it_cannot_fill(container):
+    with ContainerFile(container) as opened:
+        buf = np.empty((2, 3, 4))
+        for rows, out, why in [(slice(0, 2), np.empty((2, 3, 5)), r"buffer of shape \(2, 3, 5\)"),
+                               (slice(0, 1), buf, r"\(1, 3, 4\) rows .*buffer of shape \(2, 3, 4\)"),
+                               (None, np.empty((2, 3, 4), dtype=np.float32), "dtype float32"),
+                               (slice(0, 2), np.empty((2, 4, 3)).transpose(0, 2, 1), "C-contiguous False"),
+                               (slice(0, 2), np.empty((2, 3, 8))[:, :, ::2], "C-contiguous False"),
+                               (slice(0, 2), np.lib.stride_tricks.as_strided(buf, writeable=False), "writable False"),
+                               (np.array([0, 1]), buf, "contiguous slice of rows"),
+                               (slice(0, 2, 2), buf[:1], "contiguous slice, got step 2")]:
+            with pytest.raises(ContractError, match=f"c.mcu: array 'weights'.*{why}"):
+                opened.read("weights", rows, out=out)
+        assert opened.read("weights", slice(0, 2), out=buf).tobytes() == ARRAYS["weights"].tobytes()
+
+
+def test_read_into_a_buffer_after_the_file_shrank_is_contract_error_naming_it(container):
+    size = container.stat().st_size
+    with ContainerFile(container) as opened:
+        os.truncate(container, size - 3)  # the last array loses its last bytes after the check
+        for rows in (None, slice(0, 2), slice(1, 2)):
+            with pytest.raises(ContractError, match="c.mcu: array 'labels' .*shrank"):
+                opened.read("labels", rows, out=np.empty(2 if rows is None or rows.start == 0 else 1))
+        out = np.empty(1)
+        assert opened.read("labels", slice(0, 1), out=out).tobytes() == ARRAYS["labels"][:1].tobytes()
+
+
 def test_writer_calls_each_array_function_once(tmp_path):
     calls = []
 

@@ -26,7 +26,7 @@ from mculora.trainer import (
     write_probe_log,
     write_schedule_log,
 )
-from mculora.model import Encoder, forward_batch, save_checkpoint
+from mculora.model import Encoder, forward_batch, load_checkpoint, save_checkpoint
 
 from conftest import lstsq_probe_accuracy, read_dataset
 
@@ -422,6 +422,33 @@ def test_eval_chunking_does_not_change_results(monkeypatch):
         assert np.array_equal(predict_dataset(model, test_set, masks), base_preds)
 
 
+def test_finetune_chunking_does_not_change_results(tmp_path, monkeypatch):
+    save_dataset(tmp_path / "d.mcu", ExperimentConfig(num_samples=60, seq_len=3, raw_dim=8, classes=3, shared_dim=3,
+                                                      private_dim=2, noise_std=0.3))
+    cfg = tiny_cfg()
+    save_checkpoint(pretrain(read_dataset(tmp_path / "d.mcu", rows=lambda n: slice(0, 44)), cfg).model,
+                    tmp_path / "pre.mcu")
+
+    def finetuned(name):
+        """Finetune on the file's first 44 rows with the last 16 as probe: the checkpoint's bytes and the
+        logs' text, the epoch log without its wallclock column."""
+        with DatasetFile(tmp_path / "d.mcu", lambda n: slice(0, 44)) as train, \
+                DatasetFile(tmp_path / "d.mcu", lambda n: slice(44, n)) as probe:
+            result = finetune(load_checkpoint(tmp_path / "pre.mcu"), train, cfg, probe)
+        save_checkpoint(result.model, tmp_path / f"{name}.mcu")
+        write_schedule_log(tmp_path / f"{name}.s.csv", result.schedule_rows)
+        write_probe_log(tmp_path / f"{name}.p.csv", result.schedule_rows)
+        return ((tmp_path / f"{name}.mcu").read_bytes(), [row[:-1] for row in result.epoch_rows],
+                (tmp_path / f"{name}.s.csv").read_text(), (tmp_path / f"{name}.p.csv").read_text())
+    assert 44 * 3 <= trainer._EVAL_POSITIONS  # the default reads the train rows in one chunk
+    base = finetuned("default")
+    # 1 row a chunk; and 5 rows, which leaves shorter last chunks (4 train rows, 1 probe row) behind the
+    # reused buffers' longer ones
+    for positions in (3, 5 * 3 + 2):
+        monkeypatch.setattr(trainer, "_EVAL_POSITIONS", positions)
+        assert finetuned(f"chunks-{positions}") == base, positions
+
+
 def test_eval_encodes_each_row_once_per_modality_it_keeps(monkeypatch):
     model, cfg = trained_tiny_model()
     test_set = tiny_synth(n=40, seed=7)
@@ -501,6 +528,38 @@ def test_eval_heap_peak_does_not_grow_with_the_test_split(tmp_path):
         # (measured +258 kB fixed, +55 kB random). Pooled rows kept for the split would add (d + D) float64s
         # per modality a row, 384 bytes here: holding them measured +1043 kB fixed, +858 kB random.
         assert peaks[1] - peaks[0] < 2048 * 20 * 8, (protocol, peaks)
+
+
+def encode_heap_peak(model, test, need):
+    """The most `_encode_rows` on every row of `test` held at once, the workspace it makes
+    included, above the pooled rows it returns."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        pooled = trainer._encode_rows(model, test, 0, need)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return peak - sum(t.data.nbytes for t in pooled.enc.values()) - sum(x.nbytes for x in pooled.raw.values())
+
+
+def test_encode_heap_peak_is_one_chunk_of_buffers_whatever_the_rows(tmp_path):
+    data = ExperimentConfig(num_samples=4608, seq_len=32, raw_dim=8, classes=3, shared_dim=3, private_dim=2,
+                            train_frac=0.1, val_frac=0.1)
+    save_dataset(tmp_path / "d.mcu", data)
+    cfg = tiny_cfg(pretrain_epochs=1)
+    model = pretrain(read_dataset(tmp_path / "d.mcu", rows=lambda n: slice(0, 64)), cfg).model
+    assert data.raw_dim == cfg.model_dim == 8 and trainer._EVAL_POSITIONS % data.seq_len == 0
+    chunk = trainer._EVAL_POSITIONS * 8 * 8  # one chunk's positions of one (rows x L, 8) float64 buffer
+    for needs, buffers in ((lambda n: np.full(n, FULL.mask), 3 * chunk),  # rows, hidden, output
+                           (lambda n: apply_random_missing(n, (0.4, 0.6), seed=3), 4 * chunk)):  # and picked rows
+        peaks = []
+        for rows in (2048, 4096):
+            with DatasetFile(tmp_path / "d.mcu", lambda n: slice(512, 512 + rows)) as test:
+                peaks.append(encode_heap_peak(model, test, needs(rows)))
+        # measured 71-73 kB above the buffers, the same at both sizes. Reading all three modalities of a chunk
+        # into fresh arrays, and encoding in fresh ones, measured 734 kB above the pooled rows (1.9 chunks more)
+        assert max(peaks) <= buffers + 96 * 1024 and abs(peaks[1] - peaks[0]) < 16 * 1024, (buffers, peaks)
 
 
 def test_streamed_pretrain_matches_held_pretrain_in_less_than_one_modality(tmp_path):
