@@ -22,10 +22,9 @@ it checks that the file's raw_dim (the feature width) and classes are the
 model's, those of the config for pretrain and of the checkpoint for
 finetune and eval. Each command closes the file when it ends, also when it
 fails. Pretrain, whose encoders train, reads each batch's rows just before
-the batch's forward pass; finetune and eval read theirs one chunk of rows and
-one modality at a time, each modality only for chunks where some row needs
-it, into one buffer reused from chunk to chunk, and keep only each row's
-pooled output of the frozen base. No command holds a whole split.
+the batch's forward pass; finetune and eval read theirs in chunks as
+:func:`mculora.trainer._encode_rows` states, and keep only each row's pooled
+output of the frozen base. No command holds a whole split.
 Gen-data generates and writes one block of rows at a time, the three
 modalities concurrently, one writer thread each.
 

@@ -17,12 +17,10 @@ forward pass (from the dataset file, when given a
 rows, never its split. Encoders and fusion are then frozen, so a row's
 pooled encoder output never changes again: finetune encodes the training
 rows once, then each batch indexes those pooled rows and runs only the
-second half; the probe is pooled once. The frozen base runs off the tape,
-so finetune and evaluation encode one chunk of rows and one modality at a
-time in buffers made once per finetune or evaluation window, not once per
-chunk (:func:`_encode_rows`). Finetune (adapter banks, both heads, gate) draws
-each batch's combination from the schedule (uniform when the dynamic
-scheduler is off).
+second half; the probe is pooled once. Finetune and evaluation run the
+frozen base through :func:`_encode_rows`. Finetune (adapter banks, both
+heads, gate) draws each batch's combination from the schedule (uniform when
+the dynamic scheduler is off).
 After every epoch, one pass over the adapters on the probe gives the
 separability scores and the probe cosine and, when the scheduler is on, the
 sampling probabilities are re-balanced.
@@ -219,16 +217,11 @@ def finetune(model: MculoraModel, dataset: Dataset | DatasetFile, cfg: Experimen
     probe cosine raises :class:`ContractError` naming the epoch."""
     cfg.validate()
     root = Rng(cfg.seed)
-    work = _Workspace(model, dataset)
-    # scoring reads only the probe's sequence-mean raw rows, which need no encoder: its rows
-    # are read through the workspace and averaged before the training rows are encoded
-    probe_raw = {m: np.zeros((len(probe), model.dims()["raw_dim"])) for m in MODALITIES}
-    for m, at, x in work.chunks(probe, 0, np.full(len(probe), FULL.mask)):
-        probe_raw[m][at] = x.mean(axis=1)
+    # scoring reads only the probe's sequence-mean raw rows
+    probe_raw = _encode_rows(model, probe, 0, np.full(len(probe), FULL.mask)).raw
     attach_adapters(model, root.child("attach"), rank=cfg.rank, alpha=cfg.alpha, mcla=cfg.mcla)
     # the base is frozen: each training row goes through it once
-    train = _encode_rows(model, dataset, 0, np.full(len(dataset), FULL.mask), work)
-    del work  # before the training steps, whose arrays would sit on top of it
+    train = _encode_rows(model, dataset, 0, np.full(len(dataset), FULL.mask))
     q = np.full(N_COMBINATIONS, 1.0 / N_COMBINATIONS)
     samp_rng = root.child("combo-sampling")
     s_prev = np.zeros(N_COMBINATIONS)
@@ -299,73 +292,46 @@ def compute_metrics(preds, labels) -> Metrics:
 # evaluation under missing-modality protocols
 # ---------------------------------------------------------------------------
 
-class _Workspace:
-    """The buffers in which rows of `dataset`, or of another dataset of its
-    sequence length L, go through the frozen base: made once, then reused
-    for every chunk of at most ``step`` rows (``_EVAL_POSITIONS`` positions,
-    rows x L). ``rows`` takes one modality's rows of a chunk as they are
-    read, ``picked`` (made on first use) the rows of the chunk that need the
-    modality when not all do, and ``encoder`` the encoder's (rows x L, d)
-    hidden and output arrays."""
-
-    def __init__(self, model: MculoraModel, dataset):
-        dims, seq_len = model.dims(), dataset[:0].features["a"].shape[1]
-        self.step = max(1, _EVAL_POSITIONS // max(1, seq_len))
-        self.rows = np.empty((self.step, seq_len, dims["raw_dim"]))
-        self.picked: np.ndarray | None = None
-        self.encoder = tuple(np.empty((self.step * seq_len, dims["model_dim"])) for _ in range(2))
-
-    def chunks(self, dataset, start: int, need: np.ndarray):
-        """(m, at, x) for each chunk of the rows start, start + 1, ... of
-        `dataset`, one per entry of `need`, and each modality m that some row
-        of the chunk needs (bitmask need[i] holds row start + i's modalities),
-        in order: x holds modality m of the chunk's rows that need it, and at
-        their indices into `need`. A modality no row of a chunk needs is not
-        read. x may be a buffer of the workspace, which the next (m, at, x)
-        overwrites."""
-        for lo in range(0, len(need), self.step):
-            hi = min(lo + self.step, len(need))
-            for m in MODALITIES:
-                at = np.nonzero(need[lo:hi] & Combo.from_modalities(m).mask)[0]
-                if not at.size:
-                    continue
-                x = dataset.read(m, slice(start + lo, start + hi), out=self.rows[:hi - lo])
-                if at.size < hi - lo:
-                    if self.picked is None:
-                        self.picked = np.empty_like(self.rows)
-                    x = np.take(x, at, axis=0, out=self.picked[:at.size], mode="clip")
-                yield m, lo + at, x
-
-
-def _encode_rows(model: MculoraModel, dataset, start: int, need: np.ndarray,
-                 work: _Workspace | None = None) -> Pooled:
+def _encode_rows(model: MculoraModel, dataset, start: int, need: np.ndarray) -> Pooled:
     """The rows start, start + 1, ... of `dataset` (a
     :class:`~mculora.synthgen.Dataset` or :class:`~mculora.synthgen.DatasetFile`),
-    one per entry of `need`, through the frozen base.
+    one per entry of `need`, through the frozen base: the one place rows are
+    encoded off the tape.
 
     Row start + i is encoded once for each modality of the combination
-    bitmask need[i], one chunk and one modality at a time (see
-    :meth:`_Workspace.chunks`): from a ``DatasetFile`` each modality of a
-    chunk is read into `work`'s buffer only when some row of the chunk needs
-    it, and the encoder runs in `work`'s hidden and output arrays. Without
-    `work`, a workspace is made after the result's arrays, so that its
-    buffers, once freed, lie above the pooled rows the caller keeps (made
-    before them, they left holes that raised eval-long's whole-run peak).
-    Only the pooled rows are kept, written into the result as each chunk is
-    encoded; a row holds zeros for a modality it was not encoded for.
-    Finetune encodes its training rows here too, so what the frozen base
-    holds besides the result is one chunk's buffers, whatever the sequence
-    length."""
-    dims = model.dims()
+    bitmask need[i], one chunk of at most ``_EVAL_POSITIONS`` positions
+    (rows x L) and one modality at a time; a modality no row of a chunk
+    needs is not read. Each call makes the result's arrays and then one set
+    of buffers that every chunk reuses: a modality's rows as read, the rows
+    that need it when not all do (made on first use), and the encoder's
+    (rows x L, d) hidden and output arrays. Made after the result, the
+    buffers once freed lie above the pooled rows the caller keeps (made
+    before, they left holes that raised eval-long's whole-run peak).
+    Finetune makes one set for its probe and one for its training rows, eval
+    one per window. Only the pooled rows are kept; a row holds zeros for a
+    modality it was not encoded for."""
+    dims, seq_len = model.dims(), dataset[:0].features["a"].shape[1]
     enc = {m: np.zeros((len(need), dims["model_dim"])) for m in MODALITIES}
     raw = {m: np.zeros((len(need), dims["raw_dim"])) for m in MODALITIES}
-    if work is None:
-        work = _Workspace(model, dataset)
-    for m, at, x in work.chunks(dataset, start, need):
-        pooled = encode(model, {m: x}, work=work.encoder)
-        enc[m][at] = pooled.enc[m].data
-        raw[m][at] = pooled.raw[m]
-        del pooled  # before the next chunk is encoded
+    step = max(1, _EVAL_POSITIONS // max(1, seq_len))
+    rows = np.empty((step, seq_len, dims["raw_dim"]))
+    picked = None
+    work = tuple(np.empty((step * seq_len, dims["model_dim"])) for _ in range(2))
+    for lo in range(0, len(need), step):
+        hi = min(lo + step, len(need))
+        for m in MODALITIES:
+            at = np.nonzero(need[lo:hi] & Combo.from_modalities(m).mask)[0]
+            if not at.size:
+                continue
+            x = dataset.read(m, slice(start + lo, start + hi), out=rows[:hi - lo])
+            if at.size < hi - lo:
+                if picked is None:
+                    picked = np.empty_like(rows)
+                x = np.take(x, at, axis=0, out=picked[:at.size], mode="clip")
+            pooled = encode(model, {m: x}, work=work)
+            enc[m][lo + at] = pooled.enc[m].data
+            raw[m][lo + at] = pooled.raw[m]
+            del pooled  # before the next chunk is encoded
     return Pooled({m: ad.constant(x) for m, x in enc.items()}, raw)
 
 
@@ -375,14 +341,12 @@ def predict_dataset(model: MculoraModel, dataset, masks: np.ndarray) -> np.ndarr
 
     `masks` holds one or more views of every row of `dataset`. The rows are
     taken one window of ``_HEAD_ROWS`` rows at a time: each row of the window
-    is read and encoded once per modality that some view of it keeps (three
-    times per row under the fixed protocol, only the modalities a row keeps
-    under the random one; see :func:`_encode_rows`), in a workspace made for
-    the window and freed before the window's rows of each view and
-    combination run through the adapters, fusion and heads as one group: a
-    workspace kept across windows would add its buffers to the heads'
-    arrays, which set eval's heap peak. Only the predictions outlive the
-    window.
+    is encoded once per modality that some view of it keeps (three times per
+    row under the fixed protocol, only the modalities a row keeps under the
+    random one) by one :func:`_encode_rows` call, whose buffers are freed
+    before the window's rows of each view and combination run through the
+    adapters, fusion and heads as one group, the arrays that set eval's heap
+    peak. Only the predictions outlive the window.
     Non-finite logits raise :class:`ContractError` naming the combination."""
     views = masks.reshape(-1, len(dataset))
     need = np.bitwise_or.reduce(views, axis=0)

@@ -8,7 +8,7 @@ from mculora.config import ExperimentConfig
 from mculora.errors import ConfigError, ContractError
 from mculora.modalities import ALL_COMBINATIONS, FULL, INCOMPLETE_COMBINATIONS, MODALITIES, Combo
 from mculora.rng import Rng
-from mculora.synthgen import DatasetFile, apply_random_missing, generate_dataset, save_dataset
+from mculora.synthgen import DatasetFile, apply_random_missing, generate_dataset, save_dataset, split_dataset
 from mculora import trainer
 from mculora.autodiff import Tensor
 from mculora.trainer import (
@@ -481,6 +481,41 @@ def test_eval_encodes_each_row_once_per_modality_it_keeps(monkeypatch):
     assert max(positions) == 5 * seq_len <= bound
 
 
+def test_finetune_encodes_each_probe_and_training_row_once_per_modality(monkeypatch):
+    cfg = tiny_cfg()
+    train, val, _ = split_dataset(tiny_synth(n=80, seed=7), 0.5, 0.3)
+    probe = val[:cfg.probe_size]
+    model = pretrain(train, cfg).model
+    seq_len = train.features["a"].shape[1]
+    monkeypatch.setattr(trainer, "_EVAL_POSITIONS", 5 * seq_len + 2)  # chunks of 5 rows
+    row_of = {m: {x.tobytes(): (name, i) for name, rows in (("train", train), ("probe", probe))
+                  for i, x in enumerate(rows.features[m])} for m in MODALITIES}
+    assert all(len(rows) == len(train) + len(probe) for rows in row_of.values())  # the row sets are disjoint
+    modality_of = {id(enc): m for m, enc in model.encoders.items()}
+    real_forward, real_scores = Encoder.forward, trainer.separability_scores
+    encoded, scored = [], []
+
+    def spy(self, x, *args, **kwargs):
+        m = modality_of[id(self)]
+        encoded.extend((m, *row_of[m][row.tobytes()]) for row in x.data)
+        return real_forward(self, x, *args, **kwargs)
+
+    def scores_spy(model, probe_raw):
+        scored.append(probe_raw)
+        return real_scores(model, probe_raw)
+    monkeypatch.setattr(Encoder, "forward", spy)
+    monkeypatch.setattr(trainer, "separability_scores", scores_spy)
+    finetune(model, train, cfg, probe)
+    assert sorted(encoded) == sorted((m, name, i) for m in MODALITIES
+                                     for name, rows in (("train", train), ("probe", probe)) for i in range(len(rows)))
+    assert len(scored) == cfg.finetune_epochs
+    for probe_raw in scored:
+        assert sorted(probe_raw) == sorted(MODALITIES)
+        for m in MODALITIES:
+            want = probe.features[m].mean(axis=1)
+            assert probe_raw[m].dtype == want.dtype and probe_raw[m].tobytes() == want.tobytes(), m
+
+
 def test_chunked_eval_holds_less_than_one_modality_of_the_test_split(tmp_path):
     data = ExperimentConfig(num_samples=2560, seq_len=32, raw_dim=8, classes=3, shared_dim=3, private_dim=2,
                             train_frac=0.1, val_frac=0.1)
@@ -530,8 +565,34 @@ def test_eval_heap_peak_does_not_grow_with_the_test_split(tmp_path):
         assert peaks[1] - peaks[0] < 2048 * 20 * 8, (protocol, peaks)
 
 
+def test_finetune_heap_peak_grows_only_by_the_added_rows_pooled_rows(tmp_path):
+    data = ExperimentConfig(num_samples=4608, seq_len=32, raw_dim=8, classes=3, shared_dim=3, private_dim=2,
+                            train_frac=0.1, val_frac=0.1)
+    save_dataset(tmp_path / "d.mcu", data)
+    cfg = tiny_cfg(pretrain_epochs=1, finetune_epochs=1)
+    assert data.raw_dim == cfg.model_dim == 8
+    save_checkpoint(pretrain(read_dataset(tmp_path / "d.mcu", rows=lambda n: slice(0, 64)), cfg).model,
+                    tmp_path / "pre.mcu")
+    probe = read_dataset(tmp_path / "d.mcu", rows=lambda n: slice(64, 64 + cfg.probe_size))
+    peaks = []
+    for rows in (2048, 4096):
+        model = load_checkpoint(tmp_path / "pre.mcu")
+        with DatasetFile(tmp_path / "d.mcu", lambda n: slice(512, 512 + rows)) as train:
+            assert len(train) == rows
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                finetune(model, train, cfg, probe)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+    # 2048 more rows add their pooled rows, (d + D) float64s per modality, and their label and order
+    # entries: about 0.8 MB (measured +803 kB). Holding one modality of those rows would add 4.2 MB.
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
+
+
 def encode_heap_peak(model, test, need):
-    """The most `_encode_rows` on every row of `test` held at once, the workspace it makes
+    """The most `_encode_rows` on every row of `test` held at once, the buffers it makes
     included, above the pooled rows it returns."""
     tracemalloc.start()
     try:
