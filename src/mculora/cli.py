@@ -16,15 +16,12 @@ Each command reads only the contiguous rows of the dataset file it uses:
 pretrain the train split, finetune the train split and the probe (the first
 ``probe_size`` validation samples or, when the validation split is empty,
 the last ``probe_size`` training samples), eval the test split. Each opens
-the file once as a :class:`~mculora.synthgen.DatasetFile`, which checks it
-whole, through ``_split_rows``, the one place a dataset file meets a model:
-it checks that the file's raw_dim (the feature width) and classes are the
-model's, those of the config for pretrain and of the checkpoint for
-finetune and eval. Each command closes the file when it ends, also when it
-fails. Pretrain, whose encoders train, reads each batch's rows just before
-the batch's forward pass; finetune and eval read theirs in chunks as
-:func:`mculora.trainer._encode_rows` states, and keep only each row's pooled
-output of the frozen base. No command holds a whole split.
+them through ``_split_rows``, the one place a dataset file meets a model, as
+a :class:`~mculora.synthgen.DatasetFile`, which checks the file and reads its
+rows; ``_split_rows`` checks that the file's raw_dim (the feature width) and
+classes are the model's, those of the config for pretrain and of the
+checkpoint for finetune and eval. Each command closes the file when it ends,
+also when it fails. No command holds a whole split (see :mod:`mculora.trainer`).
 Gen-data generates and writes one block of rows at a time, the three
 modalities concurrently, one writer thread each.
 

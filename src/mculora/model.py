@@ -17,23 +17,23 @@ every position and pools each row, giving per modality the encoder output
 averaged over positions and the sequence-mean raw row. Each encoder is one
 fused tape op (:func:`mculora.autodiff.tanh_mlp_mean`): while it trains, the
 tape holds its rows, tanh outputs and dropout mask, (B*L, raw_dim) and two
-(B*L, d), in place of the eight-op chain's seven (B*L, ·) intermediates;
-frozen, it records nothing and holds nothing. :func:`forward_pooled`
+(B*L, d); frozen, it records nothing and holds nothing. :func:`forward_pooled`
 runs the adapters, fusion, heads and gate on those pooled rows. Once the base
 is frozen a row's pooled values never change, so training after pretraining
 and evaluation encode each row once and reuse it; pretraining, which trains
 the encoders, runs both halves per batch (:func:`forward_batch`).
 
-Adapters consume raw features in parallel to the frozen encoder. Each
-modality owns one low-rank pair per combination containing it (private) and
-one pair shared by all combinations (common). A pair reads each sample's
-sequence-mean raw row: the pair is linear with no bias, so this equals the
-mean of its per-position outputs, at 1/L of the work. Its outputs are added
-to the pooled encoder representation before fusion, so with zero-initialized
-up-projections the fine-tuned model starts exactly at the pretrained model's
-behavior. MCLA is on exactly when the table holds adapters
-(``MculoraModel.has_adapters``); with ``mcla=False``, :func:`attach_adapters`
-adds none and the frozen base feeds the common head alone.
+Adapters are a low-rank path in parallel to the frozen encoder, not a delta
+on one of its weights. Each modality owns one low-rank pair per combination
+containing it (private) and one pair shared by all combinations (common). A
+pair maps each sample's sequence-mean raw row (D) to d: the pair is linear
+with no bias, so this equals the mean of its per-position outputs, at 1/L of
+the work. Its outputs are added to the pooled encoder output before fusion,
+so with zero-initialized up-projections the fine-tuned model starts exactly
+at the pretrained model's behavior. MCLA is on exactly when the table holds
+adapters (``MculoraModel.has_adapters``); with ``mcla=False``,
+:func:`attach_adapters` adds none and the frozen base feeds the common head
+alone.
 
 The model is its parameter table, ``MculoraModel.params``: one trainable
 tensor per name, built from arrays by the constructor and extended by
@@ -90,9 +90,11 @@ class Encoder:
 
 
 class LoraPair:
-    """Trainable low-rank weight delta: x -> alpha * (B A) x, rank <= r."""
+    """Trainable low-rank path x -> alpha * (B A) x, rank <= r, from a row's
+    sequence-mean raw features (D) to d, added to the row's pooled encoder
+    output: a bypass beside the frozen encoder, not a delta on its weights."""
 
-    def __init__(self, A: Tensor, B: Tensor, alpha: float = 1.0):
+    def __init__(self, A: Tensor, B: Tensor, alpha: float):
         self.A, self.B, self.alpha = A, B, float(alpha)
 
     def apply(self, x2d: Tensor) -> Tensor:
@@ -404,6 +406,8 @@ def load_checkpoint(path) -> MculoraModel:
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
             raise ContractError(f"checkpoint {path}: parameter {name} has shape {arrays[name].shape}, expected {shape}")
+        if arrays[name].dtype != np.float64:
+            raise ContractError(f"checkpoint {path}: parameter {name} has dtype {arrays[name].dtype}, expected float64")
     model = MculoraModel(arrays, cfg.alpha)
     model.phase = meta["phase"]
     if model.phase in ("pretrained", "finetuned"):

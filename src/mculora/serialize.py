@@ -45,7 +45,8 @@ set of rows in any order, each with positioned reads of the open descriptor,
 so it holds only what it asked for. A whole array or a contiguous range can
 be read into a buffer the caller owns, so a reader of many ranges of one
 width can reuse one buffer for all of them. :func:`load_container` opens a file,
-reads every array whole and closes it.
+reads every array whole and closes it. What a dataset file must hold beyond
+this layout is checked by :class:`mculora.synthgen.DatasetFile`.
 """
 
 from __future__ import annotations
@@ -324,17 +325,9 @@ class ContainerFile:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def length(self) -> int | None:
-        """The leading length every array shares (None without arrays); a
-        :class:`ContractError` unless each has rows and all have as many."""
-        n = None
-        for name in self.names:
-            rows = self._rows(name)
-            if n is not None and rows != n:
-                raise ContractError(f"{self.path}: array {name!r}: leading length {rows} "
-                                    f"differs from the first array's {n}")
-            n = rows
-        return n
+    def shape_and_dtype(self, name: str) -> tuple[tuple[int, ...], np.dtype]:
+        """Array `name`'s shape and dtype, as its ``.npy`` header gives them."""
+        return self._blobs[name][1:]
 
     def _rows(self, name: str) -> int:
         """How many rows array `name` has; a 0-d array has none."""

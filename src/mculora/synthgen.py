@@ -29,10 +29,9 @@ a row's positions share and which are built in place, plus three blocks,
 never a whole (N, L, D) array. Each modality comes from its own named stream,
 so the container writer draws and writes the three at once, each on a worker
 thread of its own.
-:class:`DatasetFile` checks a dataset file once and then reads any rows of
-a range, a slice or a batch of row indices at a time, and :func:`split_bounds`
-gives the split sizes, so a command reads only the split it uses, and only
-one chunk or one batch of it at a time.
+:class:`DatasetFile` is the one check of a dataset file and the one way its
+rows are read, and :func:`split_bounds` gives the split sizes, so a command
+reads only the split it uses, and only one chunk or one batch of it at a time.
 
 A :class:`Dataset` is exactly the dataset container's layout: one (N, L, D)
 feature array per modality and (N,) class-index labels. Every sample has all
@@ -83,9 +82,10 @@ _GENERATOR_FIELDS = ("num_samples", "seq_len", "raw_dim", "classes", "shared_dim
 
 @dataclass
 class Dataset:
-    """Columnar samples: features a, t, v of shape (N, L, D) and (N,) float64
-    class indices as labels. Slicing with a ``slice`` gives a dataset of views;
-    indexing with an array of row indices gathers those rows, in that order."""
+    """Columnar samples: features a, t, v of shape (N, L, D), L kept as
+    ``seq_len``, and (N,) float64 class indices as labels. Slicing with a
+    ``slice`` gives a dataset of views; indexing with an array of row indices
+    gathers those rows, in that order."""
 
     features: dict[str, np.ndarray]
     labels: np.ndarray
@@ -97,6 +97,7 @@ class Dataset:
                 or len(next(iter(shapes))) != 3 or next(iter(shapes))[0] != n):
             raise ContractError(f"need features for {MODALITIES} of one (N, L, D) shape and (N,) labels, "
                                 f"got {list(self.features)} {sorted(shapes)} and {self.labels.shape}")
+        self.seq_len = self.features["a"].shape[1]
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -104,9 +105,10 @@ class Dataset:
     def __getitem__(self, rows: slice | np.ndarray) -> "Dataset":
         return Dataset({m: x[rows] for m, x in self.features.items()}, self.labels[rows])
 
-    def read(self, m: str, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
-        """Modality m's features of the contiguous `rows`: a view of the held
-        array, which needs no buffer, so `out` (see :meth:`DatasetFile.read`) is unused."""
+    def read(self, m: str, rows: slice | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Modality m's features of `rows`, taken as :meth:`DatasetFile.read`
+        takes them: a slice is a view of the held array, which needs no
+        buffer, so `out` is unused; row indices gather those rows, in that order."""
         return self.features[m][rows]
 
 
@@ -269,49 +271,57 @@ _ARRAYS = [f"features_{m}" for m in MODALITIES] + ["labels"]  # a dataset file's
 
 
 class DatasetFile:
-    """A contiguous range of a dataset file's rows, read from the open file.
+    """A contiguous range of a dataset file's rows, read from the open file:
+    the one check of a dataset file, and the one way its rows are read.
 
     ``rows`` maps the file's sample count N to the range. Opening checks the
-    whole file once (see :class:`~mculora.serialize.ContainerFile`; a file
-    holding any array but the features and labels is refused) and reads the
-    range's labels, each of which must be a whole number in [0, classes) for
-    the header config's ``classes`` (kept as ``classes``). The header config's
-    num_samples, seq_len and raw_dim must be the feature arrays' (N, L, D)
-    shape (raw_dim is kept as ``raw_dim``). Then ``len()``,
-    ``labels`` and indexing work as on a :class:`Dataset`: a contiguous slice
-    reads its rows' features with one positioned read per modality, any other
-    index (an array of row indices, in any order) with one per row and
-    modality, so a reader holds only the rows it asks for. :meth:`read`
-    reads one modality's contiguous rows, into a buffer the caller owns when
-    given one. Close it when done; it is a context manager."""
+    container's layout (see :class:`~mculora.serialize.ContainerFile`), then
+    its array headers, reading no feature rows. It requires the arrays
+    features_a, features_t, features_v and labels, in that order and no
+    other, each float64 as :func:`save_dataset` writes them; three features of
+    one (N, L, D) shape with L, D >= 1 and (N,) labels; and the header
+    config's num_samples, seq_len and raw_dim equal to (N, L, D). Then it
+    reads the range's labels, each of which must be a whole number in [0,
+    classes) for the header config's integer ``classes``. Any failure is a
+    :class:`ContractError` naming the file. ``seq_len``, ``raw_dim`` and
+    ``classes`` keep L, D and classes; ``len()`` and ``labels`` are the range's.
+
+    :meth:`read` alone reads features, one modality's rows of the range at a
+    time: a contiguous slice with one positioned read, into a caller's buffer
+    when given one, and row indices with one read per row, in their order. An
+    index outside [0, len()) is an :class:`IndexError`: no read returns a row
+    of the file outside the range. Close it when done; it is a context manager."""
 
     def __init__(self, path, rows: Callable[[int], slice]):
         self._file = ContainerFile(path, expected_kind="dataset")
         try:
             if self._file.names != _ARRAYS:
                 raise ContractError(f"{path}: dataset container holds arrays {self._file.names}, expected {_ARRAYS}")
-            n = self._file.length()
-            lo, hi, _ = rows(n).indices(n)
-            self._lo, self.labels = lo, self._file.read("labels", slice(lo, hi))
+            shapes, dtypes = zip(*map(self._file.shape_and_dtype, _ARRAYS))
+            for name, dtype in zip(_ARRAYS, dtypes):
+                if dtype != np.float64:
+                    raise ContractError(f"{path}: array {name!r} has dtype {dtype}, expected float64")
+            shape = shapes[0]
+            if len(set(shapes[:3])) != 1 or len(shape) != 3 or min(shape[1:]) < 1 or shapes[3] != shape[:1]:
+                raise ContractError(f"{path}: need features for {MODALITIES} of one (N, L, D) shape with L, D >= 1 "
+                                    f"and (N,) labels, got {shapes[:3]} and {shapes[3]}")
             config = self._file.meta.get("config")
             header = config if isinstance(config, dict) else {}
-            classes = header.get("classes")
-            if type(classes) is not int:
+            self.classes = header.get("classes")
+            if type(self.classes) is not int:
                 raise ContractError(f"{path}: the header's config holds no integer 'classes'")
-            self.classes = classes
-            bad = np.flatnonzero((self.labels != np.floor(self.labels)) | (self.labels < 0) | (self.labels >= classes))
-            if bad.size:
-                raise ContractError(f"{path}: row {lo + bad[0]} has label {float(self.labels[bad[0]])}, "
-                                    f"expected a whole number in [0, {classes})")
-            try:
-                shape = (n, *self[:0].features["a"].shape[1:])  # reads no rows: checks the feature shapes
-            except ContractError as exc:
-                raise ContractError(f"{path}: {exc}") from None
             for key, size in zip(("num_samples", "seq_len", "raw_dim"), shape):
                 if type(header.get(key)) is not int or header[key] != size:
                     raise ContractError(f"{path}: the header's config gives {key} {header.get(key)!r}, "
                                         f"but the features have shape {shape}")
-            self.raw_dim = shape[2]
+            n, self.seq_len, self.raw_dim = shape
+            lo, hi, _ = rows(n).indices(n)
+            self._lo, self.labels = lo, self._file.read("labels", slice(lo, hi))
+            bad = np.flatnonzero((self.labels != np.floor(self.labels)) | (self.labels < 0)
+                                 | (self.labels >= self.classes))
+            if bad.size:
+                raise ContractError(f"{path}: row {lo + bad[0]} has label {float(self.labels[bad[0]])}, "
+                                    f"expected a whole number in [0, {self.classes})")
         except BaseException:
             self._file.close()
             raise
@@ -328,18 +338,16 @@ class DatasetFile:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __getitem__(self, rows: slice | np.ndarray) -> Dataset:
-        start, stop, step = rows.indices(len(self)) if isinstance(rows, slice) else (0, 0, 0)
-        part = (slice(self._lo + start, self._lo + max(start, stop)) if step == 1
-                else np.arange(self._lo, self._lo + len(self))[rows])
-        return Dataset({m: self._file.read(f"features_{m}", part) for m in MODALITIES}, self.labels[rows])
-
-    def read(self, m: str, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
-        """Modality m's features of the contiguous `rows`, read with one
-        positioned read into `out` when given (a C-contiguous float64 buffer of
-        exactly their shape; see :meth:`~mculora.serialize.ContainerFile.read`)."""
-        lo, hi, step = rows.indices(len(self))
-        return self._file.read(f"features_{m}", slice(self._lo + lo, self._lo + max(lo, hi), step), out)
+    def read(self, m: str, rows: slice | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Modality m's features of `rows` of the range, a slice or row indices,
+        read as the class states; `out` is as :meth:`ContainerFile.read` takes it."""
+        if isinstance(rows, slice):
+            lo, hi, step = rows.indices(len(self))
+            return self._file.read(f"features_{m}", slice(self._lo + lo, self._lo + max(lo, hi), step), out)
+        idx = np.asarray(rows, dtype=np.int64)
+        if idx.size and not 0 <= idx.min() <= idx.max() < len(self):
+            raise IndexError(f"{self._file.path}: rows out of range for a range of {len(self)} rows")
+        return self._file.read(f"features_{m}", idx + self._lo, out)
 
 
 def split_bounds(n: int, train_frac: float, val_frac: float) -> tuple[int, int]:

@@ -11,16 +11,14 @@ on the model without adapters, every batch under the full set, with dropout on
 the encoder hidden layer (here only): the fine-tuning objective, whose
 orthogonality term is 0 without adapters. It runs both halves of the forward
 pass (:func:`mculora.model.encode`, then :func:`mculora.model.forward_pooled`)
-per batch, on the batch's rows alone: each batch is gathered just before its
-forward pass (from the dataset file, when given a
-:class:`~mculora.synthgen.DatasetFile`), so pretrain holds one batch of
-rows, never its split. Encoders and fusion are then frozen, so a row's
-pooled encoder output never changes again: finetune encodes the training
-rows once, then each batch indexes those pooled rows and runs only the
-second half; the probe is pooled once. Finetune and evaluation run the
-frozen base through :func:`_encode_rows`. Finetune (adapter banks, both
-heads, gate) draws each batch's combination from the schedule (uniform when
-the dynamic scheduler is off).
+per batch, on the batch's rows alone, each read just before its forward pass.
+Encoders and fusion are then frozen, so a row's pooled encoder output never
+changes again: finetune encodes the training rows once, then each batch
+indexes those pooled rows and runs only the second half; the probe is pooled
+once. Finetune and evaluation run the frozen base through
+:func:`_encode_rows`. Finetune (adapter banks, both heads, gate) draws each
+batch's combination from the schedule (uniform when the dynamic scheduler is
+off). Rows are read as :class:`~mculora.synthgen.DatasetFile` states.
 After every epoch, one pass over the adapters on the probe gives the
 separability scores and the probe cosine and, when the scheduler is on, the
 sampling probabilities are re-balanced.
@@ -189,9 +187,8 @@ def pretrain(dataset, cfg: ExperimentConfig) -> TrainResult:
 
     `dataset` is a :class:`Dataset` or a :class:`~mculora.synthgen.DatasetFile`
     of the config's raw_dim and classes, the sizes of the model it builds.
-    Each batch's rows are gathered from it just before the batch's forward
-    pass, so from a file pretrain holds its labels and one batch of rows,
-    never the split."""
+    Each batch's rows are read just before its forward pass, so from a file
+    pretrain holds its labels and one batch of rows, never the split."""
     cfg.validate()
     root = Rng(cfg.seed)
     model = build_model(cfg, root)
@@ -199,8 +196,8 @@ def pretrain(dataset, cfg: ExperimentConfig) -> TrainResult:
     dropout_rng = root.child("pretrain-dropout")
 
     def forward(idx, combo):  # the encoders train, so every batch runs both halves
-        feats = dataset[idx].features
-        return forward_batch(model, {m: feats[m] for m in combo}, dropout_p=cfg.dropout, dropout_rng=dropout_rng)
+        return forward_batch(model, {m: dataset.read(m, idx) for m in combo}, dropout_p=cfg.dropout,
+                             dropout_rng=dropout_rng)
     for epoch, losses, t0 in _train(model, dataset.labels, cfg, "pretrain", cfg.pretrain_epochs, lambda: FULL,
                                     forward):
         result.epoch_rows.append(EpochRow(epoch, "pretrain", *losses, (time.perf_counter() - t0) * 1e3))
@@ -310,10 +307,10 @@ def _encode_rows(model: MculoraModel, dataset, start: int, need: np.ndarray) -> 
     Finetune makes one set for its probe and one for its training rows, eval
     one per window. Only the pooled rows are kept; a row holds zeros for a
     modality it was not encoded for."""
-    dims, seq_len = model.dims(), dataset[:0].features["a"].shape[1]
+    dims, seq_len = model.dims(), dataset.seq_len
     enc = {m: np.zeros((len(need), dims["model_dim"])) for m in MODALITIES}
     raw = {m: np.zeros((len(need), dims["raw_dim"])) for m in MODALITIES}
-    step = max(1, _EVAL_POSITIONS // max(1, seq_len))
+    step = max(1, _EVAL_POSITIONS // seq_len)
     rows = np.empty((step, seq_len, dims["raw_dim"]))
     picked = None
     work = tuple(np.empty((step * seq_len, dims["model_dim"])) for _ in range(2))

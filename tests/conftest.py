@@ -6,13 +6,14 @@ import math
 
 import numpy as np
 
+from mculora.modalities import MODALITIES
 from mculora.synthgen import Dataset, DatasetFile
 
 
 def read_dataset(path, rows=lambda n: slice(0, n)) -> Dataset:
     """The rows `rows` (by default all) of the dataset file at `path`, read in one slice; the file is closed."""
     with DatasetFile(path, rows) as data:
-        return data[:]
+        return Dataset({m: data.read(m, slice(None)) for m in MODALITIES}, data.labels)
 
 
 def central_difference(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -21,7 +21,7 @@ from mculora.modalities import MODALITIES, Combo
 from mculora.model import attach_adapters, build_model, load_checkpoint, save_checkpoint
 from mculora.rng import Rng
 from mculora.serialize import load_container, save_container
-from mculora.synthgen import apply_random_missing, generate_dataset, save_dataset, split_dataset
+from mculora.synthgen import Dataset, apply_random_missing, generate_dataset, save_dataset, split_dataset
 
 from conftest import read_dataset
 
@@ -968,11 +968,25 @@ def test_command_row_ranges_are_the_splits_of_a_full_load(n, seq_len, train_frac
         probe = val[:probe_size] if len(val) else train[-probe_size:]  # an empty validation split: the last train rows
         for split, want in (("train", train), ("probe", probe), ("test", test)):
             with _split_rows(cfg, path, split, {"raw_dim": cfg.raw_dim, "classes": cfg.classes}) as rows:
-                assert len(rows) == len(want)
-                assert_same_dataset(rows[:], want)
-                assert_same_dataset(rows[1:-1], want[1:-1])
+                assert len(rows) == len(want) and rows.seq_len == want.seq_len == seq_len
                 order = np.random.default_rng(n).permutation(len(want))  # rows by index, in any order
-                assert_same_dataset(rows[order], want[order])
+                for part in (slice(None), slice(1, -1), order):
+                    assert_same_dataset(Dataset({m: rows.read(m, part) for m in MODALITIES}, rows.labels[part]),
+                                        want[part])
+
+
+def test_a_row_index_past_the_probe_raises_and_never_reads_the_next_split(workspace):
+    tmp, cfg = workspace
+    assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
+    full = read_dataset(tmp / "data" / "dataset.mcu")
+    tiny = parse_config_text(TINY_CONFIG)
+    with _split_rows(tiny, tmp / "data" / "dataset.mcu", "probe", {"raw_dim": 8, "classes": 3}) as probe:
+        assert len(probe) == 12  # rows 56 to 67 of the file; row 68 is the first test row
+        assert probe.read("t", np.array([11, 0])).tobytes() == full.features["t"][[67, 56]].tobytes()
+        assert probe.read("t", slice(0, 99)).tobytes() == full.features["t"][56:68].tobytes()
+        for rows in (np.array([12]), np.array([0, 12]), np.array([-1])):
+            with pytest.raises(IndexError, match=r"dataset\.mcu: rows out of range for a range of 12 rows"):
+                probe.read("t", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1017,6 +1031,19 @@ def _header(key, value):
     return edit
 
 
+def _as_dtype(names, dtype, plus=0):
+    def edit(meta, arrays):
+        for name in names:
+            arrays[name] = arrays[name].astype(dtype) + plus
+    return edit
+
+
+def _zero_length_sequences(meta, arrays):
+    for m in MODALITIES:
+        arrays[f"features_{m}"] = arrays[f"features_{m}"][:, :0]
+    meta["config"]["seq_len"] = 0  # the header agrees with the arrays
+
+
 # TINY_CONFIG splits its 80 rows 56 / 12 / 12: row 56 is the probe's first row, row 70 a test row.
 # case: (the container corrupted, its edit, the command, finetune_epochs, what the one error line names)
 CORRUPT_INPUTS = {
@@ -1034,6 +1061,23 @@ CORRUPT_INPUTS = {
                                      r"bad\.mcu: parameter gate\.W2 has shape \(16, 2\), expected \(16, 1\)$"),
     "dataset-features-of-two-widths": ("data", _widen("features_t"), ["pretrain"], 2,
                                        r"bad\.mcu: need features for \('a', 't', 'v'\) of one \(N, L, D\) shape"),
+    "dataset-labels-of-another-length": ("data", lambda meta, arrays: arrays.update(labels=arrays["labels"][:79]),
+                                         ["pretrain"], 2, r"bad\.mcu: need features .* and \(N,\) labels, "
+                                                          r"got .* and \(79,\)$"),
+    # a parameter of another dtype than the float64 save_checkpoint writes; a complex one lost its imaginary part
+    **{f"{command[0]}-of-a-{dtype}-parameter": ("pre", _as_dtype([name], dtype, plus), command, 2,
+                                                rf"bad\.mcu: parameter {re.escape(name)} has dtype {dtype}, "
+                                                r"expected float64$")
+       for command in (["finetune"], ["eval", "--protocol", "fixed"])
+       for name, dtype, plus in (("head.com.W", "float32", 0), ("enc.v.W2", "complex128", 1j))},
+    # a dataset file that save_dataset never writes: sequences of length 0, or float32 features
+    **{f"{command[0]}-of-{case}": ("data", edit, command, 2, named)
+       for command in (["pretrain"], ["finetune"], ["eval", "--protocol", "fixed"])
+       for case, edit, named in (
+           ("zero-length-sequences", _zero_length_sequences,
+            r"bad\.mcu: need features .* with L, D >= 1 .*got .*\(80, 0, 8\).* and \(80,\)$"),
+           ("float32-features", _as_dtype([f"features_{m}" for m in MODALITIES], np.float32),
+            r"bad\.mcu: array 'features_a' has dtype float32, expected float64$"))},
     # a header size that is not the feature arrays' (80, 3, 8)
     **{f"dataset-header-of-another-{key}": ("data", _header(key, value), ["pretrain"], 2,
                                             rf"bad\.mcu: the header's config gives {key} {value}, "

@@ -16,7 +16,10 @@ wall seconds. The heap peak comes from a second fresh process that runs the
 same command again under ``tracemalloc``, started once the package is
 imported: the most the command's Python and numpy allocations held at once.
 Unlike ``ru_maxrss`` it does not move with where the allocator places
-blocks, and it leaves out the import baseline.
+blocks, and it leaves out the import baseline. Gen-data's heap peak still
+varies by about 0.1 MB from run to run, because its writer threads draw and
+write concurrently. Every MB figure is printed with three decimals, so a
+0.1 MB comparison never turns on rounding.
 
 A whole-run peak, as ``bench/run.py`` reports it, is the largest resident
 peak plus everything one process accumulates across commands and passes. So
@@ -130,13 +133,13 @@ def main() -> None:
     config_text = WORKLOADS[args.workload].config_text(args.seed)
     with tempfile.TemporaryDirectory() as tmp:
         for name, code, mb, heap, wall, cpu in command_peaks(config_text, Path(tmp) / "fresh"):
-            print(f"{name:<12} exit {code}  {mb:.1f} MB  {heap:.1f} MB heap  {wall:.3f} s wall  {cpu:.3f} s cpu",
+            print(f"{name:<12} exit {code}  {mb:.3f} MB  {heap:.3f} MB heap  {wall:.3f} s wall  {cpu:.3f} s cpu",
                   flush=True)
         rows = whole_run_peaks(config_text, Path(tmp) / "whole")
     for index, name, code, mb in rows:
-        print(f"pass {index} {name:<12} exit {code}  {mb:.1f} MB")
+        print(f"pass {index} {name:<12} exit {code}  {mb:.3f} MB")
     index, name, _, mb = next(row for row in rows if row[3] == rows[-1][3])  # ru_maxrss never falls
-    print(f"whole-run peak {mb:.1f} MB, first reached by pass {index} {name}")
+    print(f"whole-run peak {mb:.3f} MB, first reached by pass {index} {name}")
 
 
 if __name__ == "__main__":
