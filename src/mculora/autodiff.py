@@ -2,16 +2,13 @@
 
 Values are computed eagerly on numpy arrays, and every primitive takes
 Tensors only (wrap a number or an array in :func:`constant`). While a
-:class:`Tape` is active (used as a context manager), every primitive that
-touches a tracked tensor appends a backward closure to the tape;
-:func:`gradients` then replays the tape once, in reverse, accumulating
-vector-Jacobian products. Because ops are recorded in creation order the
-tape is topologically sorted by construction.
-
-Tensors are immutable once produced by an op. Tapes nest: the innermost
-active one records, and the stack of active tapes is one module-level list,
-so a process runs its tapes on one thread. With no tape active, the same
-functions run as plain (and cheaper) numpy evaluation.
+:class:`Tape` is active (as a context manager), every primitive that touches
+a tracked tensor appends a backward closure to it; :func:`gradients` replays
+the tape once, in reverse. Ops are recorded in creation order, so the tape is
+topologically sorted by construction. Tensors are immutable once produced by
+an op. Tapes nest: the innermost active one records, and the stack of active
+tapes is one module-level list, so a process runs its tapes on one thread.
+With no tape active, the same functions run as plain numpy evaluation.
 
 A fused op is one op standing for a chain of primitives: the encoder's
 :func:`tanh_mlp_mean` and the orthogonality term's :func:`row_cosine`. It
@@ -127,23 +124,19 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> None:
 
 
 def gradients(loss: Tensor, tape: Tape) -> dict[int, np.ndarray]:
-    """Reverse-accumulate d(loss)/d(tensor) over the tape; the loss is the
-    scalar output of an op on it.
+    """Reverse-accumulate d(loss)/d(tensor) over the tape, one of whose ops
+    made the scalar `loss`; the tape is left as it was.
 
     Returns a map from tensor id to gradient for every requires_grad tensor
-    that participated in the computation; those tensors also get their
-    ``grad`` attribute (re)assigned. Tensors never touched by the tape are
-    simply absent from the map. The trainer reads the ``grad`` attributes;
-    the benchmark's tracing reads the map's length, the denominator of its
-    useful-gradient ratio.
+    that took part, and (re)assigns their ``grad``. The trainer reads the
+    ``grad`` attributes; the benchmark's tracing reads the map's length, the
+    denominator of its useful-gradient ratio.
 
     An op output's gradient is complete once its op replays, since every op
     that read it was recorded later and so replayed earlier; it is dropped
     then, so backward holds the gradients still being summed, not one per op.
     Contributions to untracked tensors, which no op on the tape produced and
-    which take no gradient, are dropped as they come. The tape is left as it
-    was.
-    """
+    which take no gradient, are dropped as they come."""
     if loss.size != 1:
         raise ContractError(f"gradients: loss must be scalar, got shape {loss.shape}")
     grad_map: dict[int, np.ndarray] = {loss._id: np.ones_like(loss.data)}
@@ -434,15 +427,12 @@ def tanh_mlp_mean(x, W1, b1, W2, b2, dropout_p: float, rng, work=None) -> Tensor
 
 def row_cosine(u: Tensor, v: Tensor) -> Tensor:
     """(B, d) rows -> (B,): the cosine of each row of u with the same row of
-    v; two d-vectors are one row. A degenerate row, where either norm is at
-    or below NORM_EPS, gives 0 and passes no gradient: it is masked out of the
-    numerator and the denominator before the square root, so no gradient path
-    divides by zero.
-
-    One op in place of the chain mul, tsum, mul, tsum, mul, add, mul, add,
-    mul, sqrt, mul, tsum, mul, div (sums over each row), bit-identical to it
-    on (B, d) rows by the replay rule (module docstring). An untracked
-    operand (the frozen encoder rows) gets no product."""
+    v; two d-vectors are one row. A row where either norm is at or below
+    NORM_EPS gives 0 and passes no gradient: it is masked out of the numerator
+    and the denominator before the square root, so no gradient path divides
+    by zero. One op in place of the chain mul, tsum, mul, tsum, mul, add, mul,
+    add, mul, sqrt, mul, tsum, mul, div (sums over each row), bit-identical to
+    it by the replay rule (module docstring); an untracked operand gets no product."""
     ud, vd = (t.data.reshape(1, -1) if t.ndim == 1 else t.data for t in (u, v))
     if ud.shape != vd.shape or ud.ndim != 2:
         raise ContractError(f"row_cosine expects matching (B, d) tensors, got {u.shape} and {v.shape}")

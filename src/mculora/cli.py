@@ -4,26 +4,12 @@ Subcommands: gen-data, pretrain, finetune, eval, report. Gen-data, pretrain,
 finetune and eval each take the whole experiment from --config, seed and
 ablation switches included: no flag sets a config value. Each is a pure
 function of (config file, input artifacts) up to wallclock columns in the
-epoch logs, and writes its outputs into --out, with a manifest.json holding
-the config file's path, its parsed snapshot and the SHA-256 of each
-artifact. Report compares finished runs and writes no manifest: report.txt
-holds each run's ACC per row of the runs' metrics tables, and curves/ one
-condition_<row>.csv per row, each run's metrics in that row. Every output
-is written atomically by :mod:`mculora.serialize`, whose writers return the
-SHA-256 of the bytes they wrote: that is the digest the manifest records.
-
-Each command reads only the contiguous rows of the dataset file it uses:
-pretrain the train split, finetune the train split and the probe (the first
-``probe_size`` validation samples or, when the validation split is empty,
-the last ``probe_size`` training samples), eval the test split. Each opens
-them through ``_split_rows``, the one place a dataset file meets a model, as
-a :class:`~mculora.synthgen.DatasetFile`, which checks the file and reads its
-rows; ``_split_rows`` checks that the file's raw_dim (the feature width) and
-classes are the model's, those of the config for pretrain and of the
-checkpoint for finetune and eval. Each command closes the file when it ends,
-also when it fails. No command holds a whole split (see :mod:`mculora.trainer`).
-Gen-data generates and writes one block of rows at a time, the three
-modalities concurrently, one writer thread each.
+epoch logs, reads only the split of the dataset file it uses
+(:func:`_split_rows`), and writes its outputs into --out with a
+manifest.json (:func:`~mculora.config.write_manifest`). Report compares
+finished runs and writes no manifest: report.txt holds each run's ACC per
+row of the runs' metrics tables, and curves/ one condition_<row>.csv per
+row, each run's metrics in that row.
 
 Exit codes: 0 success, 2 input/config error, 3 state/contract error.
 """
@@ -131,11 +117,14 @@ def _make_out_dir(path) -> Path:
 
 
 def _split_rows(cfg: ExperimentConfig, data_path: str, split: str, dims: dict[str, int]) -> DatasetFile:
-    """The rows of one split of the dataset file, opened: "train", "probe"
-    (the first ``probe_size`` validation samples or, with no validation
-    split, the last ``probe_size`` training samples) or "test". A file whose
-    raw_dim or classes are not the model's, ``dims["raw_dim"]`` and
-    ``dims["classes"]``, is a :class:`ContractError` naming both values."""
+    """The rows of one split of the dataset file, opened as a
+    :class:`~mculora.synthgen.DatasetFile`: "train" (for pretrain and
+    finetune), "probe" (the first ``probe_size`` validation samples or, with
+    no validation split, the last ``probe_size`` training samples) or "test"
+    (for eval). This is the one place a dataset file meets a model: a file
+    whose raw_dim or classes are not the model's, ``dims["raw_dim"]`` and
+    ``dims["classes"]`` (the config's for pretrain, the checkpoint's for
+    finetune and eval), is a :class:`ContractError` naming both values."""
     def rows(n: int) -> slice:
         n_train, n_val = split_bounds(n, cfg.train_frac, cfg.val_frac)
         probe = (slice(n_train, n_train + min(cfg.probe_size, n_val)) if n_val
@@ -179,8 +168,10 @@ def cmd_finetune(args) -> int:
         "epoch_log.csv": write_epoch_log(out_dir / "epoch_log.csv", result.epoch_rows),
         "schedule_log.csv": write_schedule_log(out_dir / "schedule_log.csv", result.schedule_rows),
         "probe_log.csv": write_probe_log(out_dir / "probe_log.csv", result.schedule_rows)})
-    print(f"finetuned {cfg.finetune_epochs} epochs "
-          f"(mcla={'on' if cfg.mcla else 'off'}, dpft={'on' if cfg.dpft else 'off'})")
+    dpft = "on" if cfg.dpft else "off"
+    if cfg.dpft and not cfg.mcla:
+        dpft += ", but with no adapters to score the schedule stayed uniform"
+    print(f"finetuned {cfg.finetune_epochs} epochs (mcla={'on' if cfg.mcla else 'off'}, dpft={dpft})")
     return EXIT_OK
 
 

@@ -2,28 +2,10 @@
 
 :class:`ExperimentConfig` is the one schema of experiment settings: the
 generator, the model, the trainer and evaluation all read their fields from
-it, and its :meth:`~ExperimentConfig.validate` is the only range check: the
-functions that take its fields, such as :func:`mculora.synthgen.split_bounds`
-and :func:`mculora.synthgen.apply_random_missing`, trust a validated config
-and check nothing again. It checks checkpoints too:
-:func:`mculora.model.load_checkpoint` validates the sizes read off a
-checkpoint's arrays, with its alpha, as an ``ExperimentConfig``. Config
-files are plain text: one ``key = value`` per line, ``#`` comments, blank
-lines ignored.
-Every key is typed and validated against the schema below; unknown keys, a
-key set on two lines (named with both line numbers), malformed values and
-out-of-range values (NaN and infinities included) are rejected with the
-field named. A run's settings come from its config file alone: no
-command-line flag overrides a key.
-The resolved snapshot is echoed into each run's ``manifest.json`` together
-with the seed and SHA-256 checksums of every written artifact, so a
-run can be reproduced byte for byte (wallclock columns excepted). Each digest
-is the one its writer returned (see :mod:`mculora.serialize`); no artifact is
-read back to be hashed.
-
-All randomness in a command flows from one root seed, fanned out to named
-child streams (data, init, sampling, ...), so e.g. ablation runs that share a
-seed also share initialization.
+it, and it holds every default. A run's settings come from its config file
+alone (:func:`parse_config_text`). All randomness in a command flows from one
+root seed, fanned out to named child streams (data, init, sampling, ...), so
+e.g. ablation runs that share a seed also share initialization.
 """
 
 from __future__ import annotations
@@ -91,6 +73,12 @@ class ExperimentConfig:
     seed: int = 66
 
     def validate(self) -> "ExperimentConfig":
+        """Self, if every field is in range (NaN and infinities are not); else
+        a :class:`ConfigError` naming the field. This is the only range check:
+        the functions that take the fields, such as
+        :func:`mculora.synthgen.split_bounds`, trust a validated config, and
+        :func:`mculora.model.load_checkpoint` validates the sizes it reads off
+        a checkpoint's arrays, with its alpha, as a config."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
@@ -133,6 +121,10 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
+    """The validated config of a config file's `text`: one ``key = value`` per
+    line, ``#`` comments and blank lines ignored. An unknown key, a key set
+    on two lines (named with both line numbers) or a malformed value is a
+    :class:`ConfigError` naming `source` and the line."""
     cfg = ExperimentConfig()
     seen: dict[str, int] = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -193,8 +185,11 @@ def version_string() -> str:
 
 def write_manifest(out_dir, command: str, config: ExperimentConfig, config_path: str,
                    artifacts: dict[str, str]) -> None:
-    """Write ``manifest.json``; `artifacts` maps each file written to the
-    SHA-256 its writer returned."""
+    """Write ``manifest.json``: the command, the config file's path and parsed
+    snapshot, the seed, out_dir, the version and `artifacts`, which maps each file
+    written to the digest its writer returned (see
+    :func:`~mculora.serialize.save_container`), so a run can be reproduced
+    byte for byte (wallclock columns excepted)."""
     out_dir = Path(out_dir)
     manifest = {
         "command": command,

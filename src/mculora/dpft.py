@@ -1,38 +1,33 @@
-"""Dynamic combination scheduling driven by decoupling-progress scores.
+"""Dynamic combination scheduling (DPFT) driven by decoupling-progress scores.
 
 The scheduler's state is two arrays over the 7 modality combinations in
 canonical order, held by the fine-tuning loop: the sampling probabilities
-``q`` (uniform, 1/7 each, at the start) and the previous epoch's scores (all
-zero at the start). Its settings - ``p_min``, ``p_max``, ``q_base``, ``lam``
-and ``reduce_fast_learners`` - are read from
-:class:`mculora.config.ExperimentConfig`, whose ``validate()`` is their only
-range check.
+``q`` (1/7 each at the start) and the previous epoch's scores (zeros at the
+start). Its settings are the ``p_min``, ``p_max``, ``q_base``, ``lam`` and
+``reduce_fast_learners`` fields of :class:`mculora.config.ExperimentConfig`.
 
-Once per epoch, each combination gets a separability score: the
-Jensen-Shannon divergence (un-halved form, so the range is [0, 2 ln 2])
-between the softmax-normalized private and common adapter outputs, averaged
-over a fixed probe batch and over the modalities in the combination. The
-outputs come from the adapters applied, off the tape, to the probe's pooled
-rows (each sample's sequence-mean raw features, computed once per fine-tuning
-run), as in the forward pass. The same pass gives the probe log's mean cosine
-between private and common adapter outputs. A
-large score means the private adapter has moved far from the shared one,
-i.e. the combination has extracted a lot of characteristic information.
-Rounding can make the divergence of near-equal rows a hair negative, so
-scores are clamped at 0.
+Once per epoch, each combination gets a separability score: the un-halved
+Jensen-Shannon divergence (range [0, 2 ln 2]) between the softmax-normalized
+private and common adapter outputs, averaged over a fixed probe batch and
+over the combination's modalities, and clamped at 0 against rounding. The
+adapters read the probe's pooled rows (each sample's sequence-mean raw
+features, computed once per fine-tuning run) off the tape. A large score
+means the private adapter has moved far from the shared one: the combination
+has extracted much characteristic information. The same pass gives the probe
+log's mean cosine, over the 12 (combination, modality) pairs, of the
+row-mean cosine between private and common adapter outputs.
 
 Epoch-over-epoch score deltas rank the combinations in descending order
-(rank 1 = fastest-rising score). With the default reduce_fast_learners=True
-the top half - the fast learners, whose private space pulls away from the
-shared one fastest - gets its sampling probability reduced, the bottom half
-increased, and the median-ranked combination is untouched, so batches shift
-toward the combinations still behind. reduce_fast_learners=False inverts
-this. Each adjustment has magnitude q_base * lam * sigmoid(delta), and
-probabilities are clamped to [p_min, p_max]. Probabilities are normalized
-only at sampling time.
+(rank 1 = fastest-rising score, ties broken by index). With the default
+reduce_fast_learners=True the top half - the fast learners - gets its
+sampling probability reduced, the bottom half increased, and the
+median-ranked combination is untouched, so batches shift toward the
+combinations still behind; reduce_fast_learners=False inverts this. Each
+adjustment has magnitude q_base * lam * sigmoid(delta), and probabilities
+are clamped to [p_min, p_max] and normalized only at sampling time.
 
-A model without adapters has no private space to score: its seven scores
-and its mean cosine are 0, and the fine-tuning loop keeps q uniform.
+q stays uniform with ``dpft`` off, and for a model without adapters, which
+has no private space to score: its seven scores and its mean cosine are 0.
 """
 
 from __future__ import annotations
@@ -72,15 +67,10 @@ def _js_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def separability_scores(model: MculoraModel, probe: dict[str, np.ndarray]) -> tuple[np.ndarray, float]:
-    """Score each combination's decoupling degree on the probe's pooled rows
-    (each modality's (n, D) sequence-mean raw rows), and give the mean cosine
-    between private and common adapter outputs, from one pass over the 15
-    adapter pairs.
-
-    The scores are a (7,) array in canonical combination order, within
-    [0, 2 ln 2]; the mean cosine is over the 12 (combination, modality) pairs
-    of the row-mean cosines. Both are zero for a model without adapters.
-    """
+    """The (7,) separability scores in canonical combination order and the
+    mean cosine, as the module states, from one pass over the 15 adapter
+    pairs on the probe's pooled rows (each modality's (n, D) sequence-mean
+    raw rows)."""
     if not len(next(iter(probe.values()))):
         raise ContractError("separability_scores: the probe batch is empty")
     scores = np.zeros(N_COMBINATIONS)
@@ -112,13 +102,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def schedule_deltas(delta_s: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
-    """Signed pre-clamp probability adjustments for each combination.
-
-    Combinations are ranked by their score delta (ties broken by index).
-    With reduce_fast_learners, the top half of progress is decremented and the
-    bottom half incremented; the median-ranked combination is left unchanged.
-    Magnitudes are q_base * lam * sigmoid(delta_i).
-    """
+    """Signed pre-clamp probability adjustments for each combination, ranked
+    by score delta as the module states."""
     order = np.argsort(delta_s, kind="stable")  # ascending progress
     if not cfg.reduce_fast_learners:
         order = order[::-1]

@@ -1,16 +1,14 @@
 """Training objectives: soft orthogonality regularizer, cross-entropy task loss, total.
 
 The orthogonality term sums, over the combinations active in a batch and the
-modalities they contain,
+modalities they contain, the batch mean of
 
     cos(common_m, private_{m,i}) - cos(common_m, encoder_m)
 
 pushing the shared-adapter output away from the combination-specific outputs
-while tying it to the frozen encoder's representation. Cosines follow the
-degenerate-input convention of the numeric core: near-zero vectors contribute
-exactly 0 (adapter outputs start at zero, so this happens at initialization).
-All inputs are sequence-pooled d-vectors, or (B, d) batches of them, in which
-case each term is a batch mean.
+while tying it to the frozen encoder's representation. Each cosine is a
+:func:`~mculora.autodiff.row_cosine`, so near-zero vectors, such as the
+adapter outputs at initialization, contribute exactly 0.
 """
 
 from __future__ import annotations
@@ -30,9 +28,8 @@ def orthogonality_loss(common: dict[str, Tensor],
 
     `common` and `encoder` map modality -> pooled vector (or (B, d) batch);
     `private` maps each active combination to the same per-modality layout.
-    Each cosine is one tape op, so a term records five: two cosines, their
-    difference, its batch mean and the running sum.
-    """
+    A term records five tape ops: two cosines, their difference, its batch
+    mean and the running sum."""
     total = ad.constant(0.0)
     for combo in sorted(private, key=ALL_COMBINATIONS.index):
         per_mod = private[combo]
@@ -48,12 +45,9 @@ def orthogonality_loss(common: dict[str, Tensor],
 
 
 def task_loss(pred: Tensor, label, kind: str = "classification") -> Tensor:
-    """Cross-entropy on logits, the mean over samples when batched.
-
-    Labels are class indices in [0, C); out-of-range labels are contract
-    errors. Classification is the only task: `kind` is kept for callers that
-    still name it, and anything but ``"classification"`` is a contract error.
-    """
+    """Cross-entropy on logits, the mean over samples when batched. Labels
+    are class indices in [0, C), else a contract error; so is any `kind` but
+    ``"classification"``, the only task, kept for callers that still name it."""
     if kind != "classification":
         raise ContractError(f"unknown task kind {kind!r}")
     logits = pred if pred.ndim == 2 else ad.reshape(pred, (1, -1))

@@ -1,57 +1,18 @@
 """The multimodal model: frozen base plus combination-aware adapter banks.
 
-Structure
----------
 * one small feed-forward encoder per modality (raw_dim -> d -> d, tanh),
   trained on complete data and frozen afterwards;
 * a single-head cross-attention fusion block with one learned query token and
   per-modality key/value projections, turning 1-3 pooled modality vectors
   into one fused token (set-wise: input order is irrelevant), trained with
   the encoders and frozen with them;
-* a common prediction head with one logit per class, plus - once adapters
-  are attached - a characteristic prediction head and a scalar gate blending
-  the two.
+* a common prediction head with one logit per class, plus - once
+  :func:`attach_adapters` has added them - the low-rank adapter pairs
+  (:class:`LoraPair`), a characteristic prediction head and a scalar gate
+  blending the two heads.
 
-The forward pass has two halves. :func:`encode` runs the base's encoders on
-every position and pools each row, giving per modality the encoder output
-averaged over positions and the sequence-mean raw row. Each encoder is one
-fused tape op (:func:`mculora.autodiff.tanh_mlp_mean`): while it trains, the
-tape holds its rows, tanh outputs and dropout mask, (B*L, raw_dim) and two
-(B*L, d); frozen, it records nothing and holds nothing. :func:`forward_pooled`
-runs the adapters, fusion, heads and gate on those pooled rows. Once the base
-is frozen a row's pooled values never change, so training after pretraining
-and evaluation encode each row once and reuse it; pretraining, which trains
-the encoders, runs both halves per batch (:func:`forward_batch`).
-
-Adapters are a low-rank path in parallel to the frozen encoder, not a delta
-on one of its weights. Each modality owns one low-rank pair per combination
-containing it (private) and one pair shared by all combinations (common). A
-pair maps each sample's sequence-mean raw row (D) to d: the pair is linear
-with no bias, so this equals the mean of its per-position outputs, at 1/L of
-the work. Its outputs are added to the pooled encoder output before fusion,
-so with zero-initialized up-projections the fine-tuned model starts exactly
-at the pretrained model's behavior. MCLA is on exactly when the table holds
-adapters (``MculoraModel.has_adapters``); with ``mcla=False``,
-:func:`attach_adapters` adds none and the frozen base feeds the common head
-alone.
-
-The model is its parameter table, ``MculoraModel.params``: one trainable
-tensor per name, built from arrays by the constructor and extended by
-:func:`attach_adapters`. The layers hold no parameters of their own: the
-encoders and the fusion block keep the table's tensors, and the heads and
-:meth:`MculoraModel.adapter`, which gives the :class:`LoraPair` serving a
-modality under a combination, read theirs by name at each call. A name's
-prefix says what it is: ``enc.*`` and ``fusion.*`` are the base,
-``head.com.*`` the common head, and ``adapter.*``, ``head.prt.*`` and
-``gate.*`` what adapters attach. The parameter groups are prefix rules:
-``parameters("pretrain")`` is the base plus the common head, and
-``parameters("finetune")`` everything outside the base.
-:meth:`MculoraModel.freeze_base` freezes the tensors under the base
-prefixes, so the common head stays trainable in finetuning.
-
-Settings come from the one schema, :class:`~mculora.config.ExperimentConfig`,
-which holds every default; :func:`save_checkpoint` states what a checkpoint
-holds and :func:`load_checkpoint` what it checks.
+The model is its parameter table (:class:`MculoraModel`); the forward pass
+has two halves, :func:`encode` and :func:`forward_pooled`.
 """
 
 from __future__ import annotations
@@ -72,7 +33,7 @@ _GATE_HIDDEN = 16
 _GATE_PREACT_LIMIT = 30.0  # keeps the logistic output strictly inside (0, 1)
 # size -> (parameter, axis) it is read off: raw_dim, model_dim and classes are the base's
 _DIM_SOURCES = {"raw_dim": ("enc.a.W1", 0), "model_dim": ("enc.a.W1", 1), "classes": ("head.com.W", 1)}
-_BASE = ("enc.", "fusion.")  # the name prefixes of the base: pretraining trains it, freeze_base freezes it
+_BASE = ("enc.", "fusion.")  # see MculoraModel
 
 
 class Encoder:
@@ -83,16 +44,17 @@ class Encoder:
 
     def forward(self, x: Tensor, dropout_p: float = 0.0, rng: Rng | None = None, work=None) -> Tensor:
         """(B, L, raw_dim) rows -> (B, d): the stack on every position, averaged
-        over positions, with dropout on the hidden layer. One tape op; off the
-        tape it works in the buffers `work` when given (see
-        :func:`~mculora.autodiff.tanh_mlp_mean`)."""
+        over positions, with dropout on the hidden layer, as one
+        :func:`~mculora.autodiff.tanh_mlp_mean` op."""
         return ad.tanh_mlp_mean(x, self.W1, self.b1, self.W2, self.b2, dropout_p, rng, work)
 
 
 class LoraPair:
     """Trainable low-rank path x -> alpha * (B A) x, rank <= r, from a row's
     sequence-mean raw features (D) to d, added to the row's pooled encoder
-    output: a bypass beside the frozen encoder, not a delta on its weights."""
+    output before fusion: a bypass beside the frozen encoder, not a delta on
+    its weights. The pair is linear with no bias, so on the sequence-mean row
+    it equals the mean of its per-position outputs, at 1/L of the work."""
 
     def __init__(self, A: Tensor, B: Tensor, alpha: float):
         self.A, self.B, self.alpha = A, B, float(alpha)
@@ -129,9 +91,8 @@ class FusionBlock:
 
 
 class Heads:
-    """Common head, characteristic head, and the adaptive blending gate. Each
-    call reads its tensors from the model's table by name, so the heads and
-    gate that :func:`attach_adapters` adds need no rebinding."""
+    """Common head, characteristic head, and the adaptive blending gate, read
+    from the model's table at each call (see :class:`MculoraModel`)."""
 
     def __init__(self, params: dict[str, Tensor]):
         self.params = params
@@ -156,14 +117,26 @@ def combine_predictions(y_com: Tensor, y_hat: Tensor, w: Tensor) -> Tensor:
 
 
 class MculoraModel:
-    """The parameter table, the layers that read it, and the LoRA scale alpha
-    last given to the model."""
+    """The model as its parameter table, ``params``: one trainable tensor per
+    name, as :func:`_parameter_shapes` names them, built from arrays by the
+    constructor and extended by :func:`attach_adapters`; plus the layers that
+    read the table and the LoRA scale alpha last given to the model.
+
+    The layers hold no parameters of their own: the encoders and the fusion
+    block keep the table's tensors, and the heads and :meth:`adapter` read
+    theirs by name at each call, so what :func:`attach_adapters` adds needs
+    no rebinding. A name's prefix says what it is: ``enc.*`` and ``fusion.*``
+    are the base (``_BASE``), ``head.com.*`` the common head, and
+    ``adapter.*``, ``head.prt.*`` and ``gate.*`` what adapters attach; the
+    table holds adapters exactly when it holds ``head.prt.W``
+    (:attr:`has_adapters`). The parameter groups are prefix rules:
+    ``parameters("pretrain")`` is the base plus the common head, and
+    ``parameters("finetune")`` everything outside the base, so the common head
+    stays trainable in finetuning. :meth:`freeze_base` freezes the base once
+    pretraining ends."""
 
     def __init__(self, arrays: dict[str, np.ndarray], alpha: float):
-        """The model whose table holds `arrays`, named as
-        :func:`_parameter_shapes` names them: the base, plus the adapters,
-        characteristic head and gate when `arrays` holds them. Every parameter
-        is trainable; phase "init"."""
+        """The model whose table holds `arrays`, every parameter trainable; phase "init"."""
         self.params = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
         self.alpha = alpha
         self.phase = "init"
@@ -173,7 +146,7 @@ class MculoraModel:
 
     @property
     def has_adapters(self) -> bool:
-        """Whether adapters are attached: the table holds the characteristic head."""
+        """Whether adapters are attached (see the class)."""
         return "head.prt.W" in self.params
 
     def adapter(self, modality: str, combo: Combo | None) -> LoraPair:
@@ -190,14 +163,13 @@ class MculoraModel:
         return {key: self.params[name].shape[axis] for key, (name, axis) in _DIM_SOURCES.items()}
 
     def parameters(self, group: str) -> dict[str, Tensor]:
-        """The base and common head that pretraining trains ("pretrain"), or
-        everything outside the base ("finetune")."""
+        """The parameters of `group`, "pretrain" or "finetune" (see the class)."""
         in_group = {"pretrain": lambda name: name.startswith((*_BASE, "head.com.")),
                     "finetune": lambda name: not name.startswith(_BASE)}[group]
         return {name: t for name, t in self.params.items() if in_group(name)}
 
     def freeze_base(self) -> None:
-        """Freeze the encoders and fusion, which no phase after pretraining trains."""
+        """Freeze the base (see the class)."""
         ad.freeze(t for name, t in self.params.items() if name.startswith(_BASE))
 
 
@@ -241,11 +213,14 @@ def build_model(cfg: ExperimentConfig, rng: Rng) -> MculoraModel:
 
 def attach_adapters(model: MculoraModel, rng: Rng, rank: int, alpha: float = ExperimentConfig.alpha,
                     mcla: bool = True) -> None:
-    """Create zero-initialized adapter banks of the given rank and LoRA scale
-    alpha, the characteristic head (a copy of the pretrained common head), and
-    the gate. Requires a pretrained model and a rank that
-    ``ExperimentConfig.validate`` passed. The model takes `alpha` also with
-    mcla=False, when nothing is attached."""
+    """Add the adapters to a pretrained model's table: for each modality one
+    low-rank pair per combination containing it (private) and one pair shared
+    by all combinations (common), each with a Gaussian down-projection and a
+    zero up-projection, so the fine-tuned model starts exactly at the
+    pretrained model's behavior; the characteristic head, a copy of the
+    common head; and the gate. `rank` is one that ``ExperimentConfig.validate``
+    passed. The model takes `alpha` also with mcla=False, when nothing is
+    attached and the frozen base feeds the common head alone."""
     if model.phase != "pretrained":
         raise ContractError(f"adapters attach to a pretrained model, phase is {model.phase!r}")
     model.alpha = float(alpha)
@@ -257,8 +232,6 @@ def attach_adapters(model: MculoraModel, rng: Rng, rank: int, alpha: float = Exp
     arrays = {}
     for m in MODALITIES:
         for pair in ["com", *(f"prt.{c.name}" for c in ALL_COMBINATIONS if m in c)]:
-            # standard convention: Gaussian down-projection, zero up-projection,
-            # so adapters contribute exactly nothing until trained
             r = init.child(f"{m}-{pair.replace('.', '-')}")
             arrays.update({f"adapter.{m}.{pair}.A": r.normal(0.0, 0.02, size=(rank, D)),
                            f"adapter.{m}.{pair}.B": np.zeros((d, rank))})
@@ -293,12 +266,9 @@ class Pooled:
 def encode(model: MculoraModel, feats: dict[str, np.ndarray], *,
            dropout_p: float = 0.0, dropout_rng: Rng | None = None, work=None) -> Pooled:
     """The frozen-base half of the forward pass, on stacked (B, L, raw_dim)
-    features: each modality's encoder runs on every position and is pooled
-    after, in one tape op per modality, and each row's raw features are
-    averaged over positions. Under a tape, an encoder that trains keeps its
-    rows, tanh outputs and dropout mask for the backward pass; a frozen one
-    records no op, keeps nothing and works in the buffers `work` when given
-    (see :func:`~mculora.autodiff.tanh_mlp_mean`)."""
+    features: each modality's encoder, one tape op, and each row's raw
+    features averaged over positions. `work` goes to every encoder (see
+    :func:`~mculora.autodiff.tanh_mlp_mean`)."""
     enc: dict[str, Tensor] = {}
     raw: dict[str, np.ndarray] = {}
     for m in MODALITIES:
@@ -352,29 +322,27 @@ def forward_batch(model: MculoraModel, feats: dict[str, np.ndarray], *,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: MculoraModel, path) -> str:
-    """Write the checkpoint; returns the SHA-256 of its bytes.
-
-    A checkpoint is the parameter table, one array per name, plus the
-    metadata ``phase`` and ``alpha``: the alpha of the pretrain config for a
-    pretrained checkpoint, and that of the finetune config for a finetuned
-    one, with MCLA on or off. Every size is read off the arrays: raw_dim,
-    model_dim and classes off ``enc.a.W1`` and ``head.com.W``, and, when the
-    table holds ``head.prt.W`` and so adapters, rank off ``adapter.a.com.A``."""
+    """Write the checkpoint; returns the digest
+    :func:`~mculora.serialize.save_container` returns. A checkpoint is the
+    parameter table, one array per name, plus the metadata ``phase`` and
+    ``alpha``: the pretrain config's alpha for a pretrained checkpoint, the
+    finetune config's for a finetuned one, MCLA on or off. Every size is read
+    off the arrays (``_DIM_SOURCES``, and rank off ``adapter.a.com.A`` when
+    the table holds adapters)."""
     return save_container(path, "checkpoint", {"phase": model.phase, "alpha": model.alpha},
                           {k: t.data for k, t in sorted(model.params.items())})
 
 
 def load_checkpoint(path) -> MculoraModel:
     """The model the checkpoint at `path` holds, its base frozen unless it is
-    phase "init"; nothing is drawn.
-
-    The metadata must be exactly ``phase``, one of the model's phases, and
-    ``alpha``, a JSON float. The sizes read off the arrays (see
-    :func:`save_checkpoint`) and alpha must pass the range check a config file
-    gets, only a finetuned checkpoint may hold adapters (finetune attaches
-    them), and the arrays must be exactly the parameters, names and shapes, of
-    a model of those sizes. Any failure raises :class:`ContractError` naming
-    the file and the key, size or parameter."""
+    phase "init"; nothing is drawn. The metadata must be exactly ``phase``,
+    one of the model's phases, and ``alpha``, a JSON float; the sizes read off
+    the arrays (see :func:`save_checkpoint`) and alpha must pass
+    :meth:`~mculora.config.ExperimentConfig.validate`; only a finetuned
+    checkpoint may hold adapters; and the arrays must be exactly the
+    parameters, names, shapes and float64, of a model of those sizes. Any
+    failure raises :class:`ContractError` naming the file and the key, size
+    or parameter."""
     _, meta, arrays = load_container(path, expected_kind="checkpoint")
     if sorted(meta) != ["alpha", "phase"]:
         raise ContractError(f"checkpoint {path}: metadata keys {sorted(meta)}, expected ['alpha', 'phase']")

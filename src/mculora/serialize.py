@@ -1,52 +1,20 @@
-"""Self-describing binary container for datasets and checkpoints.
+"""Self-describing binary container for datasets and checkpoints, and the package's only file writer.
 
 Layout (documented here; this is the on-disk interface):
 
 * line 1: ``MCULORA-<KIND> v1`` in ASCII, newline-terminated
 * line 2: one UTF-8 JSON object ``{"meta": {...}, "arrays": [name, ...]}``,
   newline-terminated
-* then one standard ``.npy`` blob per listed array name, concatenated in
-  order, and nothing after the last one.
+* then one standard C-order ``.npy`` blob per listed array name,
+  concatenated in order, and nothing after the last one.
 
 ``.npy`` blobs carry dtype and shape themselves and contain no timestamps,
 so serializing the same content twice yields byte-identical files and a
-round-trip reproduces every array bitwise. Every blob is C-order: the writer
-writes no other. Any malformed file - truncated, bad header JSON, a short or
-garbled blob, a Fortran-order or object blob, a missing listed array, or
-trailing bytes after the last one - is a :class:`ContractError` naming the file.
+round-trip reproduces every array bitwise.
 
-This module is the package's only file writer: containers go through
-:func:`save_container`, text (logs, metrics, reports, manifests) through
-:func:`write_text`. Both write ``<name>.tmp`` beside the target and rename it
-over the target, so a write is atomic without a second in-memory copy; on
-any failure the temporary is removed and the target left as it was. Both
-return the SHA-256 of the bytes they wrote, so no file is read back to be
-hashed: text is hashed from its encoded string in memory.
-
-A writer may pass an array as a :class:`Chunked` instead: its shape and
-dtype, and a function that gives the array's rows in order, a block at a
-time. The blob is written from those blocks under the header ``np.save``
-writes for the whole array, so a caller that builds an array block by block
-holds one block, never the array. Since every shape is known up front, the
-writer lays out the whole file first and then fills it concurrently: each
-chunked array, whatever its size, is written by a worker thread of its own at
-its blob's offset, so arrays drawn by native code that releases the
-interpreter lock are drawn on several cores at once. A container without
-chunked arrays, such as a checkpoint, starts no thread. The writer returns the
-file's SHA-256, computed in file order by the calling thread from the headers
-and plain arrays in memory and from each chunked blob read back (from the
-page cache) stretch by stretch, following behind its writer.
-
-A reader opens a file as a :class:`ContainerFile`, which checks the whole
-layout once - a blob's declared size must fit what is left of the file, so a
-truncated file fails even when the missing bytes lie outside what is later
-read - and then reads any array whole, a contiguous range of its rows, or any
-set of rows in any order, each with positioned reads of the open descriptor,
-so it holds only what it asked for. A whole array or a contiguous range can
-be read into a buffer the caller owns, so a reader of many ranges of one
-width can reuse one buffer for all of them. :func:`load_container` opens a file,
-reads every array whole and closes it. What a dataset file must hold beyond
-this layout is checked by :class:`mculora.synthgen.DatasetFile`.
+Containers are written by :func:`save_container` and read through
+:class:`ContainerFile`; text (logs, metrics, reports, manifests) is written by
+:func:`write_text`.
 """
 
 from __future__ import annotations
@@ -77,34 +45,38 @@ class Chunked:
     """An array of `shape` and `dtype` whose C-order rows `chunks()` gives as
     consecutive blocks along the leading axis.
 
-    The writer calls `chunks()` on the calling thread and iterates what it
-    returns on a worker thread of the array's own, one block at a time: a
-    block is written before the next is asked for, so the blocks may all be
-    one reused buffer. Allocate it in `chunks()` itself, not on the worker,
-    whose malloc arena would keep the memory after the thread ends."""
+    :func:`save_container` calls `chunks()` on the calling thread and iterates
+    what it returns on the array's writer thread, writing each block before it
+    asks for the next, so the blocks may all be one reused buffer (see
+    :func:`mculora.synthgen.save_dataset` for where to make it)."""
 
     shape: tuple[int, ...]
     dtype: np.dtype
     chunks: Callable[[], Iterable[np.ndarray]]
 
 
-# the calling thread reads the streamed blobs back to hash them through a buffer of this many bytes
+# the bytes of each stretch in which hash_behind reads a streamed blob back
 _READ_BACK = 1 << 16
 
 
 def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray | Chunked]) -> str:
-    """Write the container atomically; returns the SHA-256 hex digest of its bytes.
+    """Write the container atomically (see :func:`_replacing`); returns the SHA-256
+    hex digest of the bytes it wrote, so no caller reads the file back to hash
+    it.
 
     The layout comes first: the magic line, the JSON header, every ``.npy``
     header and every blob's offset follow from the arrays' shapes and dtypes.
     The calling thread writes the headers and the plain arrays; each
-    :class:`Chunked` array gets a worker thread that writes its blocks at the
-    blob's offset. Meanwhile the calling thread hashes the file in order,
+    :class:`Chunked` array, whatever its size, gets a worker thread of its own
+    that writes its blocks at the blob's offset, so arrays drawn by native
+    code that releases the interpreter lock are drawn on several cores at
+    once, and a container without chunked arrays, such as a checkpoint,
+    starts no thread. Meanwhile the calling thread hashes the file in order,
     taking headers and plain arrays from memory and reading each streamed blob
-    back (from the page cache) as far as its writer has got.
-    If a writer fails or the calling thread is interrupted, the other writers
-    stop at their next block, every worker is joined, the temporary file is
-    removed and the first error is raised."""
+    back (from the page cache) in ``_READ_BACK`` stretches, as far as its
+    writer has got. If a writer fails or the calling thread is interrupted,
+    the other writers stop at their next block, every worker is joined, the
+    temporary file is removed and the first error is raised."""
     parts: list = [memoryview(f"{_PREFIX}{kind.upper()} {_VERSION}\n".encode("ascii")),
                    memoryview(json.dumps({"meta": meta, "arrays": list(arrays)}, sort_keys=True).encode("utf-8") + b"\n")]
     for name, arr in arrays.items():
@@ -152,7 +124,8 @@ def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray | C
 
 
 def write_text(path, text: str) -> str:
-    """Write `text` as UTF-8, atomically; returns the SHA-256 of the bytes written."""
+    """Write `text` as UTF-8, atomically (see :func:`_replacing`); returns the SHA-256
+    of the bytes written, hashed from the encoded string in memory."""
     data = text.encode("utf-8")
     with _replacing(path) as fd:
         _pwrite(fd, data, 0)
@@ -196,9 +169,8 @@ def _pwrite(fd: int, data, offset: int) -> None:
 
 
 class _BlobWriter(threading.Thread):
-    """Writes one :class:`Chunked` array's blocks at its blob's offset on a
-    thread of its own (``start``), and holds the progress the hashing thread
-    follows it by."""
+    """One :class:`Chunked` array's writer thread and the progress the hashing
+    thread follows it by (see :func:`save_container`)."""
 
     def __init__(self, fd: int, offset: int, name: str, arr: Chunked,
                  failures: list[BaseException], progress: threading.Condition):
@@ -206,7 +178,7 @@ class _BlobWriter(threading.Thread):
         self.fd, self.offset, self.array = fd, offset, name
         self.dtype, self.shape = np.dtype(arr.dtype), tuple(arr.shape)
         self.nbytes = math.prod(self.shape) * self.dtype.itemsize
-        self.blocks = iter(arr.chunks())  # on the calling thread, which then owns what chunks() allocates
+        self.blocks = iter(arr.chunks())  # on the calling thread, as Chunked states
         self.failures, self.progress = failures, progress
         self.written = 0  # bytes of the blob on file, always a prefix of it
         self.began = threading.Event()
@@ -238,8 +210,8 @@ class _BlobWriter(threading.Thread):
         return f"array {self.array!r}: blocks hold {held} bytes, shape {self.shape} needs {self.nbytes}"
 
     def hash_behind(self, digest, buf: memoryview) -> None:
-        """Hash the blob into `digest`, reading back through `buf` each stretch
-        once it is written; returns early once anything has failed."""
+        """Hash the blob into `digest` through `buf`, as :func:`save_container`
+        states; returns early once anything has failed."""
         hashed = 0
         while hashed < self.nbytes:
             with self.progress:
@@ -261,12 +233,14 @@ class ContainerFile:
 
     Opening runs every check of the layout: the magic line and kind, the
     header, each ``.npy`` header (C-order, no objects), that each blob's
-    declared size fits what is left of the file, and that no bytes follow the
-    last blob. A malformed file is a :class:`ContractError` naming it. A
-    reader of many row sets thus checks the file once, and each read costs
-    only its own bytes; a read that comes up short (the file shrank after it
-    was checked) is a :class:`ContractError` naming the file, never a short
-    array. Close it when done; it is a context manager."""
+    declared size fits what is left of the file (so a truncated file fails
+    even where the missing bytes are never read), and that no bytes follow
+    the last blob; after that, each read costs only its own bytes. A
+    malformed file, or a read that comes up short because the file shrank
+    after it was checked, is a :class:`ContractError` naming the file. What a
+    dataset file must hold beyond this layout is checked by
+    :class:`~mculora.synthgen.DatasetFile`. Close it when done; it is a
+    context manager."""
 
     def __init__(self, path, expected_kind: str | None = None):
         self.path = Path(path)
@@ -341,8 +315,9 @@ class ContainerFile:
         names: a contiguous slice, read at once, or row indices, in the order
         given, each read alone. The whole array or a slice of it is read into
         `out` when given, a writable C-contiguous array of exactly its shape
-        and dtype, which is returned; a buffer that is not, or row indices
-        with a buffer, are a :class:`ContractError`."""
+        and dtype, which is returned, so a reader of many ranges of one width
+        can reuse one buffer; a buffer that is not, or row indices with a
+        buffer, are a :class:`ContractError`."""
         offset, shape, dtype = self._blobs[name]
         if rows is None or isinstance(rows, slice):
             if rows is not None:

@@ -8,43 +8,19 @@ signal, each embedded into per-modality feature sequences:
 * a shared latent, visible in every modality (``shared_strength``),
 * a per-modality private latent, visible only in its own modality and
   encoding a modality-specific view of the class (``private_strength``),
-* pairwise interaction terms (``pair_interaction_strength``): for each
-  modality pair, a lead modality carries ``class_bit + noise`` along a fixed
-  direction while the partner carries the same noise sample along its own
-  direction. Jointly the noise cancels exactly, so the pair reads a clean
-  class bit; alone, the lead sees a noisy bit and the partner sees pure
-  noise. The optimal linear readout of these directions therefore depends on
-  which modalities are present - combination-specific characteristic
+* pairwise interaction terms (``pair_interaction_strength``): in each
+  modality pair, the lead modality carries ``class_bit + noise`` along one
+  direction and the partner the same noise sample along another, so together
+  they read a clean class bit, and apart a noisy bit (lead) or pure noise
+  (partner). The best linear readout of these directions thus depends on
+  which modalities are present: combination-specific characteristic
   information by construction.
 
-Labels are stratified round-robin, so any contiguous split stays balanced.
-Generation is a pure function of the config and the random stream, by default
-the ``data`` child of the config's root seed. :func:`generate_dataset` builds
-the dataset in memory; :func:`save_dataset` (the gen-data writer) runs the same
-generator body on the default stream, whose seed the file's header records,
-but draws each modality's features one block of rows at a time, each just
-before it is written, into one buffer per modality that every block reuses.
-So at its peak it holds the three modalities' (N, D) base rows, which all of
-a row's positions share and which are built in place, plus three blocks,
-never a whole (N, L, D) array. Each modality comes from its own named stream,
-so the container writer draws and writes the three at once, each on a worker
-thread of its own.
-:class:`DatasetFile` is the one check of a dataset file and the one way its
-rows are read, and :func:`split_bounds` gives the split sizes, so a command
-reads only the split it uses, and only one chunk or one batch of it at a time.
-
-A :class:`Dataset` is exactly the dataset container's layout: one (N, L, D)
-feature array per modality and (N,) class-index labels. Every sample has all
-three modalities; missing ones are only ever imposed, as a combination
-bitmask (:class:`mculora.modalities.Combo`). Splits are row-slice views.
-
-The random missing-modality protocol lives here, in one function,
-:func:`apply_random_missing`, which gives each sample's combination bitmask:
-it drops each modality independently with a per-draw probability taken
-uniformly from a configured range, retaining one uniformly-chosen modality
-whenever all three would drop (a sample never loses every modality). The
-fixed protocol needs no masks: evaluation passes each condition's modalities
-to the model (see :mod:`mculora.trainer`).
+Every sample has all three modalities; missing ones are only ever imposed,
+as a combination bitmask (:class:`mculora.modalities.Combo`): by
+:func:`apply_random_missing` under the random protocol, and by evaluation
+under the fixed one (see :func:`mculora.trainer.evaluate`).
+:func:`save_dataset` writes a dataset file and :class:`DatasetFile` reads one.
 """
 
 from __future__ import annotations
@@ -71,8 +47,7 @@ _PRIVATE_JITTER = 0.25
 # noise planted on the pair channels (cancels exactly when both sides are present)
 _PAIR_NOISE = 1.0
 
-# gen-data draws each feature array in blocks of at most this many positions (rows x L), all three
-# arrays at once, each into one block buffer of its own
+# positions (rows x L) per gen-data block, see save_dataset
 _BLOCK_POSITIONS = 1024
 
 # the config fields the generator reads, recorded in each dataset file's header
@@ -106,9 +81,8 @@ class Dataset:
         return Dataset({m: x[rows] for m, x in self.features.items()}, self.labels[rows])
 
     def read(self, m: str, rows: slice | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Modality m's features of `rows`, taken as :meth:`DatasetFile.read`
-        takes them: a slice is a view of the held array, which needs no
-        buffer, so `out` is unused; row indices gather those rows, in that order."""
+        """Modality m's features of `rows`, as :meth:`DatasetFile.read` takes
+        them; a slice gives a view, so `out` is unused."""
         return self.features[m][rows]
 
 
@@ -138,11 +112,9 @@ def _generator(cfg: ExperimentConfig,
                root_rng: Rng | None) -> tuple[dict[str, Callable[[], Iterator[np.ndarray]]], np.ndarray]:
     """The generator body on the stream `root_rng` (None: the ``data`` child
     of ``Rng(cfg.seed)``): one function per modality that returns an iterator
-    over its (N, L, D) features as consecutive row blocks of at most
-    ``_BLOCK_POSITIONS`` positions (each modality from its own named stream,
-    so in any order, or at once), and the (N,) float64 class-index labels.
-    Every block of a modality is drawn in place into the same buffer, valid
-    until the next block is drawn."""
+    over its (N, L, D) features in row blocks, drawn as :func:`save_dataset`
+    states, and the (N,) float64 class-index labels, stratified round-robin
+    so that any contiguous split stays balanced."""
     cfg.validate()
     root = root_rng if root_rng is not None else Rng(cfg.seed).child("data")
     geom = root.child("geometry")
@@ -163,8 +135,6 @@ def _generator(cfg: ExperimentConfig,
         for (m1, m2) in _PAIRS
     }
 
-    # the (n, D) base rows are built in place, so besides the three of them the build holds at most one
-    # (n, D) temporary (a private term, then a pair term) and the (n, shared_dim + private_dim) latents
     samples = root.child("samples")
     n, L, D = cfg.num_samples, cfg.seq_len, cfg.raw_dim
     labels = np.arange(n) % cfg.classes
@@ -188,11 +158,6 @@ def _generator(cfg: ExperimentConfig,
         base[partner_m] += (cfg.pair_interaction_strength * eps)[:, None] * follow
 
     def features(m: str) -> Iterator[np.ndarray]:
-        # the block buffer is allocated here, by the caller of features, and
-        # reused by every block, so whoever iterates the blocks allocates
-        # nothing (allocated on the writer's worker thread instead, it raised
-        # ft-* whole-run peaks by 0.5-0.9 MB): a block is valid until the next
-        # one is drawn
         noise, step = samples.child(f"noise-{m}"), max(1, _BLOCK_POSITIONS // L)
         block = np.empty((min(step, n), L, D))
 
@@ -226,10 +191,12 @@ def _matvec(P: np.ndarray, Z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def apply_random_missing(n: int, mask_prob_range: tuple[float, float], seed: int) -> np.ndarray:
-    """(n,) combination bitmasks (1..7, see :class:`Combo`), one per sample:
-    the modalities that survive per-sample independent dropping, drawn from
-    the ``random-missing`` child of ``Rng(seed)``. The range is a validated
-    config's (mask_lo, mask_hi)."""
+    """(n,) combination bitmasks (1..7, see :class:`Combo`) of the random
+    missing-modality protocol, one per sample: each modality of each sample
+    drops with its own probability, drawn uniformly from `mask_prob_range` (a
+    validated config's (mask_lo, mask_hi)), and a sample that would lose all
+    three keeps one uniformly chosen modality. Drawn from the
+    ``random-missing`` child of ``Rng(seed)``."""
     rng = Rng(seed).child("random-missing")
     probs = rng.uniform(*mask_prob_range, size=(n, len(MODALITIES)))
     drop = rng.uniform(size=(n, len(MODALITIES))) < probs
@@ -245,14 +212,20 @@ def apply_random_missing(n: int, mask_prob_range: tuple[float, float], seed: int
 
 def save_dataset(path, cfg: ExperimentConfig) -> str:
     """Generate the dataset of cfg (as :func:`generate_dataset` does on its
-    default stream) and write it, streaming: each modality's features are generated one row
-    block at a time, each just before it is written, so no (N, L, D) array is
-    ever built. At its peak it holds the three (N, D) base-row arrays, built
-    in place (with at most one (N, D) temporary beside them), plus three
-    blocks. The three modalities are drawn and written concurrently, one
-    writer thread each (see :func:`mculora.serialize.save_container`); the
-    bytes are those of a sequential write. Returns the SHA-256 of the file's
-    bytes, which the writer reads back as it goes.
+    default stream) and write it; returns the digest
+    :func:`~mculora.serialize.save_container` returns.
+
+    No (N, L, D) array is ever built: each modality's features are drawn one
+    block of at most ``_BLOCK_POSITIONS`` positions (rows x L) at a time, just
+    before it is written, into one buffer per modality that every block
+    reuses. The buffer is made on the calling thread, when the blocks are
+    asked for: made on the writer thread, it stayed in that thread's malloc
+    arena and raised the ft-* whole-run peaks by 0.5-0.9 MB. So gen-data's
+    peak is the three (N, D) base rows, which all of a row's positions share
+    and which are built in place beside at most one (N, D) temporary, plus
+    three blocks. Each modality comes from its own named stream, so
+    save_container's writer threads draw the three at once, and the bytes
+    are those of a sequential write.
 
     Arrays stored: per-modality (N, L, D) features in modality order a, t, v,
     then labels (N,) float64. The header records the ten generator fields of
@@ -275,22 +248,16 @@ class DatasetFile:
     the one check of a dataset file, and the one way its rows are read.
 
     ``rows`` maps the file's sample count N to the range. Opening checks the
-    container's layout (see :class:`~mculora.serialize.ContainerFile`), then
-    its array headers, reading no feature rows. It requires the arrays
-    features_a, features_t, features_v and labels, in that order and no
-    other, each float64 as :func:`save_dataset` writes them; three features of
-    one (N, L, D) shape with L, D >= 1 and (N,) labels; and the header
-    config's num_samples, seq_len and raw_dim equal to (N, L, D). Then it
-    reads the range's labels, each of which must be a whole number in [0,
-    classes) for the header config's integer ``classes``. Any failure is a
-    :class:`ContractError` naming the file. ``seq_len``, ``raw_dim`` and
-    ``classes`` keep L, D and classes; ``len()`` and ``labels`` are the range's.
-
-    :meth:`read` alone reads features, one modality's rows of the range at a
-    time: a contiguous slice with one positioned read, into a caller's buffer
-    when given one, and row indices with one read per row, in their order. An
-    index outside [0, len()) is an :class:`IndexError`: no read returns a row
-    of the file outside the range. Close it when done; it is a context manager."""
+    container's layout (:class:`~mculora.serialize.ContainerFile`), then its
+    array headers, reading no feature rows: the arrays features_a,
+    features_t, features_v and labels, in that order and no other, each
+    float64; three features of one (N, L, D) shape with L, D >= 1 and (N,)
+    labels; and the header config's num_samples, seq_len and raw_dim equal to
+    (N, L, D). Then it reads the range's labels, each of which must be a whole
+    number in [0, classes) for the header config's integer ``classes``. Any
+    failure is a :class:`ContractError` naming the file. ``seq_len``,
+    ``raw_dim`` and ``classes`` keep L, D and classes; ``len()`` and
+    ``labels`` are the range's. Close it when done; it is a context manager."""
 
     def __init__(self, path, rows: Callable[[int], slice]):
         self._file = ContainerFile(path, expected_kind="dataset")
@@ -339,8 +306,10 @@ class DatasetFile:
         return len(self.labels)
 
     def read(self, m: str, rows: slice | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Modality m's features of `rows` of the range, a slice or row indices,
-        read as the class states; `out` is as :meth:`ContainerFile.read` takes it."""
+        """Modality m's features of `rows` of the range: a contiguous slice, in
+        one positioned read (into `out` as :meth:`ContainerFile.read` takes
+        it), or row indices, one read per row in their order. An index outside
+        [0, len()) is an :class:`IndexError`: no read returns a row outside the range."""
         if isinstance(rows, slice):
             lo, hi, step = rows.indices(len(self))
             return self._file.read(f"features_{m}", slice(self._lo + lo, self._lo + max(lo, hi), step), out)

@@ -1,52 +1,8 @@
-"""Two-phase training and missing-modality evaluation.
+"""Two-phase training, missing-modality evaluation and the run logs.
 
-Training and evaluation read their settings from the one experiment schema,
-:class:`mculora.config.ExperimentConfig`; pretrain and finetune validate it
-on entry.
-
-Both phases run one epoch loop: each batch is seen under one modality
-combination and takes one Adam step on task loss + beta * orthogonality loss
-over the phase's parameters. Pretrain (encoders, fusion, common head) runs it
-on the model without adapters, every batch under the full set, with dropout on
-the encoder hidden layer (here only): the fine-tuning objective, whose
-orthogonality term is 0 without adapters. It runs both halves of the forward
-pass (:func:`mculora.model.encode`, then :func:`mculora.model.forward_pooled`)
-per batch, on the batch's rows alone, each read just before its forward pass.
-Encoders and fusion are then frozen, so a row's pooled encoder output never
-changes again: finetune encodes the training rows once, then each batch
-indexes those pooled rows and runs only the second half; the probe is pooled
-once. Finetune and evaluation run the frozen base through
-:func:`_encode_rows`. Finetune (adapter banks, both heads, gate) draws each
-batch's combination from the schedule (uniform when the dynamic scheduler is
-off). Rows are read as :class:`~mculora.synthgen.DatasetFile` states.
-After every epoch, one pass over the adapters on the probe gives the
-separability scores and the probe cosine and, when the scheduler is on, the
-sampling probabilities are re-balanced.
-
-Ablations: mcla=False trains only the common head on the frozen base and,
-with no adapters to score, keeps combination probabilities uniform, as
-dpft=False does.
-
-Non-finite training fails loudly: a NaN or infinite loss, or an Adam update
-that would make a parameter non-finite, raises :class:`ContractError` naming
-the phase, epoch, step (1-based within the epoch), combination and parameter,
-before any parameter takes the bad value; so does a non-finite separability
-score or probe cosine, naming the epoch. Evaluation refuses non-finite
-logits, naming the combination, rather than predicting class 0 for them.
-
-Evaluation reports ACC, macro-F1, WA (class-frequency-weighted recall) and
-UA (mean per-class recall) per testing condition. WA equals ACC by definition,
-sum_c (support_c / n) * (tp_c / support_c) = sum_c tp_c / n, so it is reported
-as ACC rather than computed apart. A record's table is one ordered mapping of
-row name to metrics, written to and read from the metrics document as it
-stands. Under the fixed protocol, all seven conditions are imposed on the
-full test set, and the table's eight rows are a, t, v, av, at, tv, average,
-atv: "average", the unweighted mean over the six incomplete conditions, is
-one more row of the table. Under the random protocol, each sample's
-combination is drawn once from the configured probability range, seeded by
-``eval_seed``, and the table's one row is "random". Evaluation works
-through the test rows in windows (:func:`predict_dataset` states how), so of
-what it holds only the labels, masks and predictions grow with the split.
+:func:`pretrain` and :func:`finetune` each train the parameter group of
+their name (:meth:`~mculora.model.MculoraModel.parameters`) through
+:func:`_train`; :func:`evaluate` scores a model under a missing-modality protocol.
 
 CSV interfaces (column orders are part of the interface):
 
@@ -54,10 +10,8 @@ CSV interfaces (column orders are part of the interface):
 * schedule log:  epoch,s_<c>...,ds_<c>...,q_<c>... for c in a,t,v,av,at,tv,atv
 * probe log:     epoch,mean_cos_prt_com
 
-:func:`csv_text` formats every CSV line the package writes - these logs, the
-metrics document's table and the report's curves - with each float cell the
-shortest text that reads back as the same float. Each log writer writes
-through :func:`mculora.serialize.write_text` and returns the SHA-256 it gives.
+:func:`csv_text` formats every CSV line the package writes, and each log
+writer returns the digest :func:`~mculora.serialize.write_text` returns.
 """
 
 from __future__ import annotations
@@ -80,8 +34,8 @@ from .rng import Rng
 from .serialize import write_text
 from .synthgen import Dataset, DatasetFile, apply_random_missing
 
-_EVAL_POSITIONS = 2048  # rows x L read and encoded at a time: 256 rows at L = 8, 64 at L = 32
-_HEAD_ROWS = 512  # test rows encoded and then run through the adapters, fusion and heads at a time
+_EVAL_POSITIONS = 2048  # positions (rows x L) per _encode_rows chunk
+_HEAD_ROWS = 512  # test rows per predict_dataset window
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
@@ -153,10 +107,14 @@ class Adam:
 
 def _train(model: MculoraModel, labels: np.ndarray, cfg: ExperimentConfig, phase: str, epochs: int,
            draw, forward):
-    """Adam steps on ``model.parameters(phase)``, each batch seen under the
+    """The one epoch loop: Adam steps on ``model.parameters(phase)``, each on
+    task loss + beta * orthogonality loss of one batch, seen under the
     combination ``draw()`` returns when the batch starts; ``forward(idx,
     combo)`` is the forward pass on the training rows idx. Yields (epoch, mean
-    (l_task, l_ort, l_total), epoch start time) after each epoch."""
+    (l_task, l_ort, l_total), epoch start time) after each epoch. A non-finite
+    loss or Adam update raises :class:`ContractError` naming the phase, epoch,
+    step (1-based within the epoch), combination and, for an update, the
+    parameter, before the parameter takes the bad value."""
     n = len(labels)
     if not n:
         raise ContractError(f"{phase}: the training split is empty")
@@ -185,10 +143,13 @@ def _train(model: MculoraModel, labels: np.ndarray, cfg: ExperimentConfig, phase
 def pretrain(dataset, cfg: ExperimentConfig) -> TrainResult:
     """Train encoders + fusion + common head on complete data, then freeze encoders and fusion.
 
-    `dataset` is a :class:`Dataset` or a :class:`~mculora.synthgen.DatasetFile`
-    of the config's raw_dim and classes, the sizes of the model it builds.
-    Each batch's rows are read just before its forward pass, so from a file
-    pretrain holds its labels and one batch of rows, never the split."""
+    Every batch is seen under the full set, with dropout on the encoder hidden
+    layer (here only), on the fine-tuning objective, whose orthogonality term
+    is 0 without adapters. `dataset` is a :class:`Dataset` or a
+    :class:`~mculora.synthgen.DatasetFile` of the config's raw_dim and classes,
+    the sizes of the model it builds. Each batch's rows are read just before
+    its forward pass, so from a file pretrain holds its labels and one batch
+    of rows, never the split."""
     cfg.validate()
     root = Rng(cfg.seed)
     model = build_model(cfg, root)
@@ -209,15 +170,19 @@ def pretrain(dataset, cfg: ExperimentConfig) -> TrainResult:
 def finetune(model: MculoraModel, dataset: Dataset | DatasetFile, cfg: ExperimentConfig,
              probe: Dataset | DatasetFile) -> TrainResult:
     """Fine-tune adapters/heads/gate of a pretrained model (:func:`attach_adapters`
-    checks the phase) under scheduled incomplete batches, scoring every row of
-    `probe` (the caller chooses them) after each epoch; a non-finite score or
-    probe cosine raises :class:`ContractError` naming the epoch."""
+    checks the phase) on batches whose combinations DPFT draws.
+
+    The base is frozen, so a row's pooled encoder output never changes:
+    finetune encodes the training rows and the probe once, then each batch
+    indexes the pooled rows and runs only :func:`forward_pooled`. After each
+    epoch, the adapters score every row of `probe` (the caller chooses them)
+    and update the schedule, both as :mod:`mculora.dpft` states; a non-finite
+    score or probe cosine raises :class:`ContractError` naming the epoch."""
     cfg.validate()
     root = Rng(cfg.seed)
     # scoring reads only the probe's sequence-mean raw rows
     probe_raw = _encode_rows(model, probe, 0, np.full(len(probe), FULL.mask)).raw
     attach_adapters(model, root.child("attach"), rank=cfg.rank, alpha=cfg.alpha, mcla=cfg.mcla)
-    # the base is frozen: each training row goes through it once
     train = _encode_rows(model, dataset, 0, np.full(len(dataset), FULL.mask))
     q = np.full(N_COMBINATIONS, 1.0 / N_COMBINATIONS)
     samp_rng = root.child("combo-sampling")
@@ -254,9 +219,8 @@ class Metrics(NamedTuple):
 
 @dataclass
 class MetricsRecord:
-    """One evaluation's metrics table: row name -> metrics, in document order.
-    The fixed protocol's rows are ``_ROW_ORDER``, its "average" row among
-    them; the random protocol's one row is "random"."""
+    """One evaluation's metrics table: row name -> metrics, in document order
+    (see :func:`evaluate`)."""
     protocol: str
     rows: dict[str, Metrics]
 
@@ -303,10 +267,9 @@ def _encode_rows(model: MculoraModel, dataset, start: int, need: np.ndarray) -> 
     that need it when not all do (made on first use), and the encoder's
     (rows x L, d) hidden and output arrays. Made after the result, the
     buffers once freed lie above the pooled rows the caller keeps (made
-    before, they left holes that raised eval-long's whole-run peak).
-    Finetune makes one set for its probe and one for its training rows, eval
-    one per window. Only the pooled rows are kept; a row holds zeros for a
-    modality it was not encoded for."""
+    before, they left holes that raised eval-long's whole-run peak). Only the
+    pooled rows are kept; a row holds zeros for a modality it was not encoded
+    for."""
     dims, seq_len = model.dims(), dataset.seq_len
     enc = {m: np.zeros((len(need), dims["model_dim"])) for m in MODALITIES}
     raw = {m: np.zeros((len(need), dims["raw_dim"])) for m in MODALITIES}
@@ -334,17 +297,13 @@ def _encode_rows(model: MculoraModel, dataset, start: int, need: np.ndarray) -> 
 
 def predict_dataset(model: MculoraModel, dataset, masks: np.ndarray) -> np.ndarray:
     """Class predictions with row i seen under the combination of bitmask
-    masks[..., i], in the shape of `masks`.
-
-    `masks` holds one or more views of every row of `dataset`. The rows are
-    taken one window of ``_HEAD_ROWS`` rows at a time: each row of the window
-    is encoded once per modality that some view of it keeps (three times per
-    row under the fixed protocol, only the modalities a row keeps under the
-    random one) by one :func:`_encode_rows` call, whose buffers are freed
-    before the window's rows of each view and combination run through the
-    adapters, fusion and heads as one group, the arrays that set eval's heap
-    peak. Only the predictions outlive the window.
-    Non-finite logits raise :class:`ContractError` naming the combination."""
+    masks[..., i], in the shape of `masks`, one or more views of every row of
+    `dataset`. Rows are taken one window of ``_HEAD_ROWS`` at a time: one
+    :func:`_encode_rows` call encodes each row for the modalities its views
+    keep, then the window's rows of each view and combination run through
+    the adapters, fusion and heads as one group, the arrays that set eval's
+    heap peak. Only the predictions outlive the window. Non-finite logits
+    raise :class:`ContractError` naming the combination."""
     views = masks.reshape(-1, len(dataset))
     need = np.bitwise_or.reduce(views, axis=0)
     preds = np.zeros(views.shape, dtype=np.int64)
@@ -361,9 +320,13 @@ def predict_dataset(model: MculoraModel, dataset, masks: np.ndarray) -> np.ndarr
 
 
 def evaluate(model: MculoraModel, dataset, protocol: str, cfg: ExperimentConfig) -> MetricsRecord:
-    """Score a model on the test rows `dataset` (a :class:`Dataset` or a
-    :class:`~mculora.synthgen.DatasetFile`, read one chunk at a time) under
-    the fixed or random missing protocol."""
+    """The metrics table of `model` on the test rows `dataset` (a
+    :class:`Dataset` or a :class:`~mculora.synthgen.DatasetFile`) under
+    `protocol`. "fixed" sees every row under each of the seven combinations,
+    and its rows are ``_ROW_ORDER``: "average", the unweighted mean over the
+    six incomplete conditions, is one more row. "random" sees each row once,
+    under the combination :func:`~mculora.synthgen.apply_random_missing` draws
+    with ``eval_seed``, and its one row is "random"."""
     n = len(dataset)
     if not n:
         raise ContractError("evaluate: empty dataset")

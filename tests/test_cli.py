@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -168,6 +169,22 @@ def test_finetune_clamps_rounding_noise_in_scores_at_zero(tmp_path):
     score_cols = [i for i, name in enumerate(header.split(",")) if name.startswith("s_")]
     assert len(rows) == 3 and len(score_cols) == 7
     assert all(float(row.split(",")[i]) >= 0.0 for row in rows for i in score_cols)
+
+
+@pytest.mark.parametrize("switches, summary", [
+    ("", "(mcla=on, dpft=on)"),
+    ("dpft = off\n", "(mcla=on, dpft=off)"),
+    ("mcla = off\n", "(mcla=off, dpft=on, but with no adapters to score the schedule stayed uniform)"),
+    ("mcla = off\ndpft = off\n", "(mcla=off, dpft=off)"),
+])
+def test_finetune_summary_says_what_the_schedule_did(workspace, capsys, switches, summary):
+    tmp, cfg = workspace
+    cfg.write_text(TINY_CONFIG + switches)
+    _, _, fin = full_pipeline(tmp, cfg)
+    assert capsys.readouterr().out.splitlines()[-1] == f"finetuned 2 epochs {summary}"
+    header, *rows = (fin / "schedule_log.csv").read_text().splitlines()
+    q = {row.split(",")[i] for row in rows for i, name in enumerate(header.split(",")) if name.startswith("q_")}
+    assert (q == {repr(1 / 7)}) == (summary != "(mcla=on, dpft=on)")  # q moves only when DPFT scores adapters
 
 
 def test_finetune_refuses_finetuned_checkpoint(workspace, capsys):
@@ -1092,7 +1109,6 @@ CORRUPT_INPUTS = {
 }
 
 
-@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second line of output
 @pytest.mark.parametrize("case", CORRUPT_INPUTS)
 def test_corrupt_input_exits_3_with_one_error_line_naming_it_and_writes_nothing(workspace, capsys, case):
     tmp, cfg = workspace
@@ -1113,7 +1129,12 @@ def test_corrupt_input_exits_3_with_one_error_line_naming_it_and_writes_nothing(
     (tmp / "case.cfg").write_text(TINY_CONFIG.replace("finetune_epochs = 2", f"finetune_epochs = {epochs}"))
     checkpoint = [] if command == ["pretrain"] else ["--checkpoint", paths["fin" if target == "fin" else "pre"]]
     capsys.readouterr()
-    assert run(*command, "--config", tmp / "case.cfg", "--data", paths["data"], *checkpoint, "--out", tmp / "out") == 3
+    # a warning the command prints, such as numpy's RuntimeWarning, would be a second line of output, so it is an
+    # error; only while the command runs, so that an earlier test's garbage finalized here fails nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(*command, "--config", tmp / "case.cfg", "--data", paths["data"], *checkpoint, "--out", tmp / "out")
+    assert rc == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and re.search(named, err[0]), err
     assert list((tmp / "out").iterdir()) == []

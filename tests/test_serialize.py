@@ -302,6 +302,24 @@ def test_writer_returns_the_sha256_of_the_file(container, tmp_path):
     assert digest == hashlib.sha256(container.read_bytes()).hexdigest()
 
 
+def test_the_digest_does_not_depend_on_the_read_back_stretch(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    plain = {"x": rng.normal(size=(61, 3, 5)), "y": rng.normal(size=(45, 7)),
+             "z": rng.integers(0, 9, size=(29, 3)).astype(np.int32)}
+    rows_per_block = {"x": 9, "y": 13, "z": 4}  # several uneven blocks each: the last is shorter
+    arrays = {name: Chunked(a.shape, a.dtype, lambda a=a, k=rows_per_block[name]: (a[lo:lo + k]
+                                                                                   for lo in range(0, len(a), k)))
+              for name, a in plain.items()}
+    digests = set()
+    for stretch in (1, 7, serialize._READ_BACK):
+        monkeypatch.setattr(serialize, "_READ_BACK", stretch)
+        path = tmp_path / f"r{stretch}.mcu"
+        digest = save_container(path, "dataset", {"k": 1}, arrays)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest(), stretch
+        digests.add(digest)
+    assert len(digests) == 1
+
+
 def test_blocks_that_do_not_make_up_the_declared_array_are_refused(tmp_path):
     x = np.arange(6.0).reshape(3, 2)
     for blocks, match in (((x[:2],), "array 'x': blocks hold 32 bytes, shape \\(3, 2\\) needs 48"),
