@@ -21,11 +21,11 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, load_config, version_string, write_manifest
+from .config import ExperimentConfig, load_config, split_bounds, version_string, write_manifest
 from .errors import ConfigError, ContractError
 from .model import load_checkpoint, save_checkpoint
 from .serialize import write_text
-from .synthgen import DatasetFile, save_dataset, split_bounds
+from .synthgen import DatasetFile, save_dataset
 from .trainer import (
     Metrics,
     MetricsRecord,

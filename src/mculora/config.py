@@ -75,10 +75,10 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """Self, if every field is in range (NaN and infinities are not); else
         a :class:`ConfigError` naming the field. This is the only range check:
-        the functions that take the fields, such as
-        :func:`mculora.synthgen.split_bounds`, trust a validated config, and
-        :func:`mculora.model.load_checkpoint` validates the sizes it reads off
-        a checkpoint's arrays, with its alpha, as a config."""
+        the functions that take the fields, such as :func:`split_bounds`,
+        trust a validated config, and :func:`mculora.model.load_checkpoint`
+        validates the sizes it reads off a checkpoint's arrays, with its
+        alpha, as a config."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
@@ -96,6 +96,11 @@ class ExperimentConfig:
         if not (0 < self.train_frac < 1 and 0 <= self.val_frac < 1
                 and self.train_frac + self.val_frac < 1):
             raise ConfigError(f"train_frac/val_frac leave no test split: {self.train_frac}, {self.val_frac}")
+        n_train, n_val = split_bounds(self.num_samples, self.train_frac, self.val_frac)
+        if n_train < 1 or n_train + n_val >= self.num_samples:
+            raise ConfigError(f"num_samples {self.num_samples} with train_frac {self.train_frac} and val_frac "
+                              f"{self.val_frac} leaves {n_train} training and {self.num_samples - n_train - n_val} "
+                              f"test samples; the training and test splits each need at least one")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0.0 <= self.dropout < 1.0:
@@ -115,6 +120,12 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def split_bounds(n: int, train_frac: float, val_frac: float) -> tuple[int, int]:
+    """(n_train, n_val) of the contiguous split of n samples by a validated
+    config's fractions; the test split is the rest."""
+    return int(round(n * train_frac)), int(round(n * val_frac))
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}

@@ -17,12 +17,14 @@ has extracted much characteristic information. The same pass gives the probe
 log's mean cosine, over the 12 (combination, modality) pairs, of the
 row-mean cosine between private and common adapter outputs.
 
-Epoch-over-epoch score deltas rank the combinations in descending order
-(rank 1 = fastest-rising score, ties broken by index). With the default
-reduce_fast_learners=True the top half - the fast learners - gets its
-sampling probability reduced, the bottom half increased, and the
-median-ranked combination is untouched, so batches shift toward the
-combinations still behind; reduce_fast_learners=False inverts this. Each
+Epoch-over-epoch score deltas rank the combinations by learning speed: the
+larger the delta, the faster the learner, and of two equal deltas the one
+earlier in canonical order counts as the slower learner. With the default
+reduce_fast_learners=True the three fastest learners get their sampling
+probability reduced, the three slowest increased, and the median one is
+untouched, so batches shift toward the combinations still behind;
+reduce_fast_learners=False inverts this. So all-equal deltas raise a, t and
+v and lower at, tv and atv (the reverse when inverted). Each
 adjustment has magnitude q_base * lam * sigmoid(delta), and probabilities
 are clamped to [p_min, p_max] and normalized only at sampling time.
 

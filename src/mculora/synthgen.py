@@ -31,7 +31,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, split_bounds
 from .errors import ContractError
 from .modalities import MODALITIES, Combo
 from .rng import Rng, derive_seed
@@ -317,12 +317,6 @@ class DatasetFile:
         if idx.size and not 0 <= idx.min() <= idx.max() < len(self):
             raise IndexError(f"{self._file.path}: rows out of range for a range of {len(self)} rows")
         return self._file.read(f"features_{m}", idx + self._lo, out)
-
-
-def split_bounds(n: int, train_frac: float, val_frac: float) -> tuple[int, int]:
-    """(n_train, n_val) of the contiguous split of n samples by a validated
-    config's fractions; the test split is the rest."""
-    return int(round(n * train_frac)), int(round(n * val_frac))
 
 
 def split_dataset(dataset: Dataset, train_frac: float, val_frac: float) -> tuple[Dataset, Dataset, Dataset]:

@@ -235,18 +235,20 @@ def compute_metrics(preds, labels) -> Metrics:
     labels = np.asarray(labels, dtype=np.int64)
     if preds.size == 0 or preds.shape != labels.shape:
         raise ContractError(f"compute_metrics: need equal-length nonempty inputs, got {preds.shape} and {labels.shape}")
-    acc = float(np.mean(preds == labels))
-    recalls = [np.sum((preds == c) & (labels == c)) / np.sum(labels == c) for c in np.unique(labels)]
-    ua = float(np.mean(recalls))
-    f1s = []
-    for c in np.unique(np.concatenate([labels, preds])):
-        tp = float(np.sum((preds == c) & (labels == c)))
-        fp = float(np.sum((preds == c) & (labels != c)))
-        fn = float(np.sum((preds != c) & (labels == c)))
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f1s.append(2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0)
-    return Metrics(acc=acc, f1=float(np.mean(f1s)), wa=acc, ua=ua)
+    k = int(max(preds.max(), labels.max())) + 1
+    confusion = np.bincount(labels * k + preds, minlength=k * k).reshape(k, k)  # [label, prediction]
+    seen = (confusion.sum(axis=1) > 0) | (confusion.sum(axis=0) > 0)  # the classes among labels or predictions
+    confusion = confusion[np.ix_(seen, seen)]
+    tp, support, predicted = np.diagonal(confusion).astype(np.float64), confusion.sum(axis=1), confusion.sum(axis=0)
+    precision, recall = _ratio(tp, predicted), _ratio(tp, support)
+    acc = float(tp.sum() / len(labels))
+    f1 = _ratio(2 * precision * recall, precision + recall)
+    return Metrics(acc=acc, f1=float(np.mean(f1)), wa=acc, ua=float(np.mean(recall[support > 0])))
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, and 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(len(num)), where=den > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import hashlib
 import json
@@ -12,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mculora import __version__, cli, config, serialize, trainer
 from mculora.cli import _split_rows, main
@@ -250,15 +251,39 @@ def test_unopenable_input_path_is_input_error(workspace, capsys, monkeypatch, fa
     assert f"cannot open {paths[flag]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines, counts", [("num_samples = 1\n", "1 training and 0 test"),
+                                           ("num_samples = 3\ntrain_frac = 0.1\n", "0 training and 3 test"),
+                                           ("num_samples = 6\ntrain_frac = 0.8\n", "5 training and 0 test")],
+                         ids=["one-sample", "train-rounds-to-zero", "test-rounds-to-zero"])
+def test_split_rounding_to_an_empty_split_is_input_error(workspace, capsys, lines, counts):
+    tmp, cfg = workspace
+    data, pre, fin = full_pipeline(tmp, cfg)
+    bad = tmp / "bad.cfg"
+    bad.write_text(TINY_CONFIG.replace("num_samples = 80\n", "") + lines)
+    commands = [("gen-data",), ("pretrain", "--data", data / "dataset.mcu"),
+                ("finetune", "--data", data / "dataset.mcu", "--checkpoint", pre / "checkpoint.mcu"),
+                ("eval", "--data", data / "dataset.mcu", "--checkpoint", fin / "checkpoint.mcu", "--protocol", "fixed")]
+    for command, *flags in commands:
+        capsys.readouterr()
+        assert run(command, "--config", bad, *flags, "--out", tmp / command) == 2, command
+        err = capsys.readouterr().err
+        assert all(key in err for key in ("num_samples", "train_frac", "val_frac", counts)), err
+        assert not (tmp / command).exists()
+
+
 def test_empty_training_split_is_state_error_naming_the_split(workspace, capsys):
+    # a valid config meets a dataset file of fewer rows than its num_samples: round(4 * 0.1) = 0 training samples
     tmp, cfg = workspace
     data, pre, _ = full_pipeline(tmp, cfg)
-    empty = tmp / "empty.cfg"
-    empty.write_text(TINY_CONFIG + "train_frac = 0.001\n")  # round(80 * 0.001) = 0 training samples
+    _, meta, arrays = load_container(data / "dataset.mcu", expected_kind="dataset")
+    meta["config"]["num_samples"] = 4
+    save_container(tmp / "four.mcu", "dataset", meta, {name: arr[:4] for name, arr in arrays.items()})
+    few = tmp / "few.cfg"
+    few.write_text(TINY_CONFIG + "train_frac = 0.1\n")
     capsys.readouterr()
-    assert run("pretrain", "--config", empty, "--data", data / "dataset.mcu", "--out", tmp / "p") == 3
+    assert run("pretrain", "--config", few, "--data", tmp / "four.mcu", "--out", tmp / "p") == 3
     assert "pretrain: the training split is empty" in capsys.readouterr().err
-    assert run("finetune", "--config", empty, "--data", data / "dataset.mcu", "--checkpoint", pre / "checkpoint.mcu",
+    assert run("finetune", "--config", few, "--data", tmp / "four.mcu", "--checkpoint", pre / "checkpoint.mcu",
                "--out", tmp / "f") == 3
     assert "finetune: the training split is empty" in capsys.readouterr().err
     assert not (tmp / "p" / "checkpoint.mcu").exists() and not (tmp / "f" / "checkpoint.mcu").exists()
@@ -975,12 +1000,19 @@ def test_gen_data_file_is_generate_dataset_of_its_config(workspace):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 40), seq_len=st.integers(1, 4), train_frac=st.floats(0.05, 0.9),
        val_share=st.floats(0.0, 0.95), probe_size=st.integers(1, 12))
+@example(n=1, seq_len=2, train_frac=0.7, val_share=0.5, probe_size=3)  # no validation or test row
+@example(n=3, seq_len=2, train_frac=0.1, val_share=0.0, probe_size=3)  # no training or validation row
 def test_command_row_ranges_are_the_splits_of_a_full_load(n, seq_len, train_frac, val_share, probe_size):
-    cfg = ExperimentConfig(num_samples=n, seq_len=seq_len, raw_dim=3, train_frac=train_frac,
+    # the command's config validates at 1000 samples; the file holds the first n rows of a valid 40-sample
+    # dataset, so the fractions may round a split of it to empty, as for a dataset file whose N is not the config's
+    cfg = ExperimentConfig(num_samples=1000, seq_len=seq_len, raw_dim=3, train_frac=train_frac,
                            val_frac=val_share * (1 - train_frac), probe_size=probe_size).validate()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dataset.mcu"
-        save_dataset(path, cfg)
+        save_dataset(path, dataclasses.replace(cfg, num_samples=40, train_frac=0.7, val_frac=0.15))
+        _, meta, arrays = load_container(path, expected_kind="dataset")
+        meta["config"]["num_samples"] = n
+        save_container(path, "dataset", meta, {name: arr[:n] for name, arr in arrays.items()})
         train, val, test = split_dataset(read_dataset(path), cfg.train_frac, cfg.val_frac)
         probe = val[:probe_size] if len(val) else train[-probe_size:]  # an empty validation split: the last train rows
         for split, want in (("train", train), ("probe", probe), ("test", test)):

@@ -272,7 +272,7 @@ def test_dataset_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
 def test_save_dataset_holds_one_feature_array_at_a_time(tmp_path):
     cfg = ExperimentConfig(num_samples=2000, seq_len=8, raw_dim=16)
     feature_bytes = cfg.num_samples * cfg.seq_len * cfg.raw_dim * 8
-    save_dataset(tmp_path / "warm.mcu", ExperimentConfig(num_samples=4, seq_len=2))  # first-call imports
+    save_dataset(tmp_path / "warm.mcu", ExperimentConfig(num_samples=10, seq_len=2))  # first-call imports
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -289,7 +289,7 @@ def test_generator_builds_the_base_rows_in_place():
     # arrays at N = 3000, D = 16, against 6.7 for a build from whole-array sums
     cfg = ExperimentConfig(num_samples=3000)
     array_bytes = cfg.num_samples * cfg.raw_dim * 8
-    synthgen._generator(ExperimentConfig(num_samples=4, seq_len=2), None)  # first-call imports
+    synthgen._generator(ExperimentConfig(num_samples=10, seq_len=2), None)  # first-call imports
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
