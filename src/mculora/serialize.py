@@ -38,6 +38,9 @@ from .errors import ContractError
 
 _PREFIX = "MCULORA-"
 _VERSION = "v1"
+# the most bytes ContainerFile reads for line 1, longer than any magic line ("MCULORA-CHECKPOINT v1\n" is 22),
+# and for line 2, far longer than any header save_container writes (about 0.3 to 1 KiB)
+_MAGIC_LIMIT, _HEADER_LIMIT = 32, 1 << 16
 
 
 @dataclass(frozen=True)
@@ -48,35 +51,31 @@ class Chunked:
     :func:`save_container` calls `chunks()` on the calling thread and iterates
     what it returns on the array's writer thread, writing each block before it
     asks for the next, so the blocks may all be one reused buffer (see
-    :func:`mculora.synthgen.save_dataset` for where to make it)."""
+    :func:`mculora.synthgen.save_dataset` for where to make it); the digest
+    is read from the file once every writer has joined, never from a block."""
 
     shape: tuple[int, ...]
     dtype: np.dtype
     chunks: Callable[[], Iterable[np.ndarray]]
 
 
-# the bytes of each stretch in which hash_behind reads a streamed blob back
-_READ_BACK = 1 << 16
-
-
 def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray | Chunked]) -> str:
     """Write the container atomically (see :func:`_replacing`); returns the SHA-256
-    hex digest of the bytes it wrote, so no caller reads the file back to hash
-    it.
+    hex digest of the file it wrote.
 
     The layout comes first: the magic line, the JSON header, every ``.npy``
     header and every blob's offset follow from the arrays' shapes and dtypes.
     The calling thread writes the headers and the plain arrays; each
-    :class:`Chunked` array, whatever its size, gets a worker thread of its own
+    :class:`Chunked` array, whatever its size, gets a writer thread of its own
     that writes its blocks at the blob's offset, so arrays drawn by native
     code that releases the interpreter lock are drawn on several cores at
     once, and a container without chunked arrays, such as a checkpoint,
-    starts no thread. Meanwhile the calling thread hashes the file in order,
-    taking headers and plain arrays from memory and reading each streamed blob
-    back (from the page cache) in ``_READ_BACK`` stretches, as far as its
-    writer has got. If a writer fails or the calling thread is interrupted,
-    the other writers stop at their next block, every worker is joined, the
-    temporary file is removed and the first error is raised."""
+    starts no thread. The calling thread then waits for every writer to end
+    and joins it, and hashes the finished file from its first byte to its
+    last, read back (from the page cache) through the open descriptor. If a writer fails or the calling
+    thread is interrupted, the other writers stop at their next block, every
+    writer is joined, the temporary file is removed and the first error is
+    raised."""
     parts: list = [memoryview(f"{_PREFIX}{kind.upper()} {_VERSION}\n".encode("ascii")),
                    memoryview(json.dumps({"meta": meta, "arrays": list(arrays)}, sort_keys=True).encode("utf-8") + b"\n")]
     for name, arr in arrays.items():
@@ -85,41 +84,40 @@ def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray | C
         parts.append(memoryview(_npy_header(name, tuple(arr.shape), np.dtype(arr.dtype))))
         parts.append((name, arr) if isinstance(arr, Chunked) else memoryview(arr.reshape(-1).view(np.uint8)))
     failures: list[BaseException] = []  # in the order they happened; any entry stops every writer
-    progress = threading.Condition()
-    digest = hashlib.sha256()
     with _replacing(path) as fd:
-        writers: list[_BlobWriter] = []
+        writers, size = [], 0  # the writer threads made so far; the bytes laid out so far
         try:
-            layout, offset = [], 0
             for part in parts:
                 if isinstance(part, tuple):
-                    part = _BlobWriter(fd, offset, *part, failures, progress)
+                    part = _BlobWriter(fd, size, *part, failures)
                     writers.append(part)
                 else:
-                    _pwrite(fd, part, offset)
-                layout.append(part)
-                offset += part.nbytes
+                    _pwrite(fd, part, size)
+                size += part.nbytes
             for writer in writers:
                 writer.start()
-            buf = memoryview(bytearray(_READ_BACK))
-            for part in layout:
-                if isinstance(part, _BlobWriter):
-                    part.hash_behind(digest, buf)
-                else:
-                    digest.update(part)
+            # waited for by `ended`, not join(): on CPython 3.11 an interrupted join() marks a running thread stopped
+            for writer in writers:
+                writer.ended.wait()
         except BaseException as exc:
             failures.append(exc)
             raise
         finally:
             # start() registers a thread before it makes it, so an interrupt inside start() may leave a
-            # thread made but not yet running: wait for every registered writer to run, then join it
+            # thread made but not yet running: wait for every registered writer to end its run, then join it
             registered = threading.enumerate()
             for writer in writers:
                 if writer in registered:
-                    writer.began.wait()
+                    writer.ended.wait()
                     writer.join()
         if failures:
             raise failures[0]
+        digest, buf, hashed = hashlib.sha256(), memoryview(bytearray(1 << 16)), 0
+        while hashed < size:
+            if not (got := os.preadv(fd, [buf[:size - hashed]], hashed)):
+                raise OSError(f"{path}: {size} bytes written, only {hashed} read back")
+            digest.update(buf[:got])
+            hashed += got
     return digest.hexdigest()
 
 
@@ -164,67 +162,43 @@ def _npy_header(name: str, shape: tuple[int, ...], dtype: np.dtype) -> bytes:
 def _pwrite(fd: int, data, offset: int) -> None:
     view = memoryview(data)
     while view:
-        written = os.pwrite(fd, view, offset)
-        view, offset = view[written:], offset + written
+        sent = os.pwrite(fd, view, offset)
+        view, offset = view[sent:], offset + sent
 
 
 class _BlobWriter(threading.Thread):
-    """One :class:`Chunked` array's writer thread and the progress the hashing
-    thread follows it by (see :func:`save_container`)."""
+    """One :class:`Chunked` array's writer thread: it writes its blocks in
+    order from the blob's offset, stops at its next block once anything has
+    failed, and sets `ended` when its run is over (see :func:`save_container`)."""
 
-    def __init__(self, fd: int, offset: int, name: str, arr: Chunked,
-                 failures: list[BaseException], progress: threading.Condition):
+    def __init__(self, fd: int, offset: int, name: str, arr: Chunked, failures: list[BaseException]):
         super().__init__(name=f"save-{name}", daemon=True)
-        self.fd, self.offset, self.array = fd, offset, name
+        self.fd, self.offset, self.array, self.failures = fd, offset, name, failures
         self.dtype, self.shape = np.dtype(arr.dtype), tuple(arr.shape)
         self.nbytes = math.prod(self.shape) * self.dtype.itemsize
         self.blocks = iter(arr.chunks())  # on the calling thread, as Chunked states
-        self.failures, self.progress = failures, progress
-        self.written = 0  # bytes of the blob on file, always a prefix of it
-        self.began = threading.Event()
+        self.ended = threading.Event()
 
     def run(self) -> None:
-        self.began.set()
         try:
+            held = 0  # bytes of the blob's blocks so far
             for block in self.blocks:
                 if self.failures:
                     return
                 if block.dtype != self.dtype:
                     raise ValueError(f"array {self.array!r}: a block of dtype {block.dtype}, expected {self.dtype}")
                 data = np.ascontiguousarray(block).reshape(-1).view(np.uint8)
-                if self.written + data.size > self.nbytes:
-                    raise ValueError(self._size_error(self.written + data.size))
-                _pwrite(self.fd, data, self.offset + self.written)
-                with self.progress:
-                    self.written += data.size
-                    self.progress.notify_all()
+                held += data.size
+                if held > self.nbytes:  # refused before it is written
+                    break
+                _pwrite(self.fd, data, self.offset + held - data.size)
                 del block, data  # the next block is built with none of this one alive
-            if self.written != self.nbytes:
-                raise ValueError(self._size_error(self.written))
+            if held != self.nbytes:
+                raise ValueError(f"array {self.array!r}: blocks hold {held} bytes, shape {self.shape} needs {self.nbytes}")
         except BaseException as exc:
-            with self.progress:
-                self.failures.append(exc)
-                self.progress.notify_all()
-
-    def _size_error(self, held: int) -> str:
-        return f"array {self.array!r}: blocks hold {held} bytes, shape {self.shape} needs {self.nbytes}"
-
-    def hash_behind(self, digest, buf: memoryview) -> None:
-        """Hash the blob into `digest` through `buf`, as :func:`save_container`
-        states; returns early once anything has failed."""
-        hashed = 0
-        while hashed < self.nbytes:
-            with self.progress:
-                self.progress.wait_for(lambda: self.written > hashed or self.failures)
-                ready = self.written
-            if self.failures:
-                return
-            while hashed < ready:
-                got = os.preadv(self.fd, [buf[:ready - hashed]], self.offset + hashed)
-                if not got:
-                    raise OSError(f"array {self.array!r}: written bytes read back as none")
-                digest.update(buf[:got])
-                hashed += got
+            self.failures.append(exc)
+        finally:
+            self.ended.set()
 
 
 class ContainerFile:
@@ -254,14 +228,14 @@ class ContainerFile:
     def _check(self, expected_kind: str | None) -> None:
         fh, path = self._fh, self.path
         file_size = os.fstat(fh.fileno()).st_size
-        magic = fh.readline().decode("ascii", errors="replace").strip()
+        magic = _line(fh, 1, _MAGIC_LIMIT, path).decode("ascii", errors="replace").strip()
         if not magic.startswith(_PREFIX) or not magic.endswith(_VERSION):
             raise ContractError(f"{path}: not a mculora container (magic line {magic!r})")
         self.kind = magic[len(_PREFIX):].split()[0].lower()
         if expected_kind is not None and self.kind != expected_kind.lower():
             raise ContractError(f"{path}: expected a {expected_kind} container, found {self.kind}")
         try:
-            header = json.loads(fh.readline())
+            header = json.loads(_line(fh, 2, _HEADER_LIMIT, path))
             names = header["arrays"]
             if not (isinstance(header["meta"], dict) and isinstance(names, list)
                     and all(isinstance(n, str) for n in names)):
@@ -357,6 +331,14 @@ class ContainerFile:
                 raise ContractError(f"{self.path}: array {name!r} ends at byte {offset}: "
                                     f"the file shrank after it was checked")
             view, offset = view[got:], offset + got
+
+
+def _line(fh, number: int, limit: int, path) -> bytes:
+    """Line `number` of the container, read next from `fh`; a :class:`ContractError`
+    if its first `limit` bytes hold no newline."""
+    if len(line := fh.readline(limit)) == limit and not line.endswith(b"\n"):
+        raise ContractError(f"{path}: not a mculora container (line {number} runs past {limit} bytes)")
+    return line
 
 
 def load_container(path, expected_kind: str | None = None) -> tuple[str, dict, dict[str, np.ndarray]]:

@@ -53,7 +53,14 @@ def test_summary_gives_medians_parent_quartiles_and_wins_per_declared_metric():
         "failed parent 1/20  change 0/20"]
 
 
-def test_pairs_alternate_which_side_runs_first_and_vary_the_seed(tmp_path, capsys):
+def test_pairs_alternate_which_side_runs_first_and_vary_the_seed(tmp_path, capsys, monkeypatch):
+    # the load average reads as the number of runs made so far, so each run's line shows the one read before it
+    monkeypatch.setattr(bench_pairs.os, "getloadavg", lambda: (len(calls()) + 0.5, 0.0, 0.0))
+    monkeypatch.setattr(bench_pairs.os, "sched_getaffinity", lambda pid: {3, 1})
+
+    def calls():
+        path = tmp_path / "calls.txt"
+        return path.read_text().splitlines() if path.exists() else []
     for side in ("parent", "change"):
         (tmp_path / side / "bench").mkdir(parents=True)
         (tmp_path / side / "bench" / "run.py").write_text(FAKE_RUN, encoding="utf-8")
@@ -63,14 +70,15 @@ def test_pairs_alternate_which_side_runs_first_and_vary_the_seed(tmp_path, capsy
     assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "eval-long",
                              "--pairs", "4"]) == 0
     first = ["parent", "change"] * 2  # odd pairs run the parent first, even pairs the change
-    assert (tmp_path / "calls.txt").read_text().splitlines() == [
+    assert calls() == [
         f"{side} eval-long {seed} 7 0" for seed, lead in zip(range(1, 5), first)
         for side in (lead, "change" if lead == "parent" else "parent")]
     out = capsys.readouterr().out.splitlines()
-    assert out[:2] == ["parent seed 1   failed 0/5  setup_s 1.01  peak_rss_mb 50",
-                       "change seed 1   failed 0/5  setup_s 0.91  peak_rss_mb 49.5"]
+    assert out[:3] == ["parent seed 1   load 0.50  failed 0/5  setup_s 1.01  peak_rss_mb 50",
+                       "change seed 1   load 1.50  failed 0/5  setup_s 0.91  peak_rss_mb 49.5",
+                       "change seed 2   load 2.50  failed 0/5  setup_s 0.92  peak_rss_mb 49.5"]
     assert out[8:] == [
-        "eval-long: 4 pairs",
+        "eval-long: 4 pairs on CPUs 1,3",
         "setup_s      parent 1.025  change 0.93  worse by -0.0927 (bound 0.25)  parent q1-q3 1.0125-1.0375  "
         "change better in 3/4",
         "peak_rss_mb  parent 50  change 49.5  worse by -0.0100 (bound 0.1)  parent q1-q3 50-50  change better in 4/4",

@@ -459,11 +459,19 @@ def test_dataset_truncated_after_it_was_checked_is_state_error_naming_it(workspa
 def test_corrupt_dataset_file_is_state_error(workspace, capsys):
     tmp, cfg = workspace
     assert run("gen-data", "--config", cfg, "--out", tmp / "data") == 0
-    blob = (tmp / "data" / "dataset.mcu").read_bytes()
-    for name, content in (("truncated.mcu", blob[:len(blob) // 2]), ("junk.mcu", blob + b"junk")):
+    data = tmp / "data" / "dataset.mcu"
+    blob = data.read_bytes()
+    newline_free = (("zeros.mcu", bytes(3 << 20)), ("long-header.mcu", b"MCULORA-DATASET v1\n" + bytes(3 << 20)))
+    for name, content in (("truncated.mcu", blob[:len(blob) // 2]), ("junk.mcu", blob + b"junk"), *newline_free):
         (tmp / name).write_bytes(content)
         assert run("pretrain", "--config", cfg, "--data", tmp / name, "--out", tmp / "p") == 3
         assert name in capsys.readouterr().err
+    for name, _ in newline_free:  # a line with no newline in its first bytes is refused in one short line
+        for argv in (("pretrain", "--data", tmp / name), ("eval", "--data", data, "--checkpoint", tmp / name,
+                                                          "--protocol", "fixed")):
+            assert run(*argv, "--config", cfg, "--out", tmp / "p") == 3
+            err = capsys.readouterr().err
+            assert name in err and len(err.splitlines()) == 1 and len(err) < 300, err[:300]
 
 
 OLD_HEADER = {"raw_dim": 8, "model_dim": 8, "classes": 3, "rank": 2, "alpha": 1.0}  # the sizes the arrays give

@@ -4,8 +4,10 @@ import itertools
 import json
 import os
 import signal
+import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +89,35 @@ def test_bad_header_json_and_shape_are_rejected(container):
         container.write_bytes(data[:magic_end] + bad + b"\n" + data[header_end:])
         with pytest.raises(ContractError, match="c.mcu"):
             read(container)
+
+
+def test_a_line_without_a_newline_is_refused_after_a_bounded_read(tmp_path):
+    for name, content in (("zeros.mcu", bytes(16 << 20)), ("magic.mcu", b"MCULORA-DATASET v1\n" + bytes(16 << 20))):
+        (tmp_path / name).write_bytes(content)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError, match=f"{name}: not a mculora container \\(line [12] runs past") as info:
+                ContainerFile(tmp_path / name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, name
+        assert len(str(info.value)) < 300, name
+
+
+def test_a_header_line_as_long_as_the_limit_opens_and_one_byte_longer_is_refused(tmp_path):
+    arrays = {"x": np.arange(3.0)}
+
+    def header_bytes(pad):
+        return len(json.dumps({"meta": {"pad": "p" * pad}, "arrays": list(arrays)}, sort_keys=True)) + 1
+    pad = serialize._HEADER_LIMIT - header_bytes(0)  # the newline is the limit's last byte
+    save_container(tmp_path / "long.mcu", "dataset", {"pad": "p" * pad}, arrays)
+    assert header_bytes(pad) == serialize._HEADER_LIMIT
+    _, meta, read = load_container(tmp_path / "long.mcu")
+    assert meta == {"pad": "p" * pad} and read["x"].tobytes() == arrays["x"].tobytes()
+    save_container(tmp_path / "longer.mcu", "dataset", {"pad": "p" * (pad + 1)}, arrays)
+    with pytest.raises(ContractError, match="longer.mcu: not a mculora container \\(line 2 runs past 65536 bytes\\)"):
+        load_container(tmp_path / "longer.mcu")
 
 
 def test_garbled_blob_is_rejected(container):
@@ -297,12 +328,29 @@ def test_an_interrupted_write_stops_every_writer_and_leaves_nothing(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_an_interrupt_while_the_writers_run_waits_for_each_to_return(tmp_path):
+    returned = []
+
+    def interrupting():
+        yield np.zeros((1, 4))
+        time.sleep(0.05)  # the calling thread is waiting for the writers
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        time.sleep(0.2)  # still running well after the interrupt
+        returned.append(1)
+        yield np.zeros((1, 4))
+    arrays = {"x": Chunked((2, 4), np.dtype(np.float64), interrupting),
+              "y": Chunked((1000, 4), np.dtype(np.float64), lambda: slow_rows(1000, []))}
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        save_container(tmp_path / "x.mcu", "dataset", {}, arrays)
+    assert returned == [1]  # the writer's block was done before save_container returned
+    assert threading.active_count() == threads
+    assert not list(tmp_path.iterdir())
+
+
 def test_writer_returns_the_sha256_of_the_file(container, tmp_path):
     digest = save_container(tmp_path / "d.mcu", "dataset", {"config": {"seed": 1}}, ARRAYS)
     assert digest == hashlib.sha256(container.read_bytes()).hexdigest()
-
-
-def test_the_digest_does_not_depend_on_the_read_back_stretch(tmp_path, monkeypatch):
     rng = np.random.default_rng(8)
     plain = {"x": rng.normal(size=(61, 3, 5)), "y": rng.normal(size=(45, 7)),
              "z": rng.integers(0, 9, size=(29, 3)).astype(np.int32)}
@@ -310,14 +358,26 @@ def test_the_digest_does_not_depend_on_the_read_back_stretch(tmp_path, monkeypat
     arrays = {name: Chunked(a.shape, a.dtype, lambda a=a, k=rows_per_block[name]: (a[lo:lo + k]
                                                                                    for lo in range(0, len(a), k)))
               for name, a in plain.items()}
-    digests = set()
-    for stretch in (1, 7, serialize._READ_BACK):
-        monkeypatch.setattr(serialize, "_READ_BACK", stretch)
-        path = tmp_path / f"r{stretch}.mcu"
-        digest = save_container(path, "dataset", {"k": 1}, arrays)
-        assert digest == hashlib.sha256(path.read_bytes()).hexdigest(), stretch
-        digests.add(digest)
-    assert len(digests) == 1
+    digest = save_container(tmp_path / "s.mcu", "dataset", {"k": 1}, arrays)
+    assert digest == hashlib.sha256((tmp_path / "s.mcu").read_bytes()).hexdigest()
+
+
+def test_many_writers_of_one_row_blocks_switching_often_write_the_np_save_concatenation(tmp_path):
+    rng = np.random.default_rng(9)
+    plain = {f"x{i}": rng.normal(size=(40 + i, 3)) for i in range(8)}
+    arrays = {name: Chunked(a.shape, a.dtype, lambda a=a: (a[lo:lo + 1] for lo in range(len(a))))
+              for name, a in plain.items()}
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the eight writers hand the interpreter lock over at almost every bytecode
+    try:
+        digest = save_container(tmp_path / "s.mcu", "dataset", {}, arrays)
+    finally:
+        sys.setswitchinterval(interval)
+    header = json.dumps({"meta": {}, "arrays": list(plain)}, sort_keys=True)
+    data = (tmp_path / "s.mcu").read_bytes()
+    assert data == b"MCULORA-DATASET v1\n" + header.encode() + b"\n" + b"".join(npy_bytes(a) for a in plain.values())
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert threading.active_count() == threads
 
 
 def test_blocks_that_do_not_make_up_the_declared_array_are_refused(tmp_path):

@@ -10,19 +10,24 @@ PARENT and CHANGE are checkouts of the repository, each with its own
 through that checkout's ``bench/spread.py`` ``run_once``, with T the
 ``run_seconds`` of PARENT's ``BENCHMARK.json``; odd pairs run
 PARENT first and even pairs CHANGE first, so a drift of the machine's speed
-does not favour one side. Each run prints one line with the end-to-end
-values of its JSON result line. Then, for each end-to-end metric that
-PARENT's ``BENCHMARK.json`` declares, one line gives both medians, the
-change of the CHANGE median against the PARENT median as a share of it
-(positive: worse) next to the metric's bound, the PARENT runs' q1-q3
-(``statistics.quantiles(values, n=4)``) and the number of pairs in which
-CHANGE is better; last, each side's failed and attempted operations.
+does not favour one side. Each run prints one line with the 1-minute load
+average (``os.getloadavg()``) read just before it starts, then the end-to-end
+values of its JSON result line. The summary names the workload, the number
+of pairs and the CPUs the runs may use (``os.sched_getaffinity(0)``, so a
+``taskset``-pinned set reads apart from an unpinned one). Then, for each
+end-to-end metric that PARENT's ``BENCHMARK.json`` declares, one line gives
+both medians, the change of the CHANGE median against the PARENT median as
+a share of it (positive: worse) next to the metric's bound, the PARENT
+runs' q1-q3 (``statistics.quantiles(values, n=4)``) and the number of pairs
+in which CHANGE is better; last, each side's failed and attempted
+operations.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import types
@@ -40,9 +45,9 @@ def load_spread(checkout: Path) -> types.ModuleType:
     return module
 
 
-def run_line(side: str, seed: int, result: dict) -> str:
+def run_line(side: str, seed: int, load: float, result: dict) -> str:
     values = "  ".join(f"{name} {m['value']:.6g}" for name, m in result["metrics"].items())
-    return f"{side:<6} seed {seed:<3} failed {result['failed']}/{result['attempted']}  {values}"
+    return f"{side:<6} seed {seed:<3} load {load:.2f}  failed {result['failed']}/{result['attempted']}  {values}"
 
 
 def summary(end_to_end: list[dict], pairs: list[tuple[dict, dict]]) -> list[str]:
@@ -79,10 +84,12 @@ def main(argv=None) -> int:
     for seed in range(1, args.pairs + 1):
         pair = {}
         for side in SIDES if seed % 2 else SIDES[::-1]:
+            load = os.getloadavg()[0]
             pair[side], _ = spread[side].run_once(args.workload, seed, declared["run_seconds"], 0)
-            print(run_line(side, seed, pair[side]), flush=True)
+            print(run_line(side, seed, load, pair[side]), flush=True)
         pairs.append((pair["parent"], pair["change"]))
-    print(f"{args.workload}: {args.pairs} pairs")
+    cpus = ",".join(map(str, sorted(os.sched_getaffinity(0))))
+    print(f"{args.workload}: {args.pairs} pairs on CPUs {cpus}")
     print("\n".join(summary(declared["end_to_end"], pairs)))
     return 0
 
